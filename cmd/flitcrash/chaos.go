@@ -41,7 +41,11 @@ func runChaos(rounds int, seed0 int64, polFilter, tracePath string, verbose bool
 	for r := 0; r < rounds; r++ {
 		seed := seed0 + int64(r)
 		for _, pol := range polNames {
-			for _, sc := range crashtest.ChaosScenarios() {
+			// The standard scenarios must pass; the last cell is the
+			// must-fail control — the broken drain has to be caught.
+			scenarios := append(crashtest.ChaosScenarios(), crashtest.BrokenDrainScenario())
+			for i, sc := range scenarios {
+				tooth := i == len(scenarios)-1
 				st, err := newStore(pol)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
@@ -49,43 +53,29 @@ func runChaos(rounds int, seed0 int64, polFilter, tracePath string, verbose bool
 				}
 				v, err := crashtest.RunStoreChaos(st, sc, seed)
 				total++
-				if err != nil {
-					fail(fmt.Sprintf("CHAOS ERROR %s/%s seed=%d: %v", sc.Name, pol, seed, err))
-					continue
+				if tooth {
+					toothRounds++
 				}
-				if v.Violation != nil {
+				switch {
+				case err != nil:
+					fail(fmt.Sprintf("CHAOS ERROR %s/%s seed=%d: %v", sc.Name, pol, seed, err))
+				case tooth && v.Violation == nil:
+					fail(fmt.Sprintf("CHAOS TOOTHLESS %s seed=%d: broken drain was NOT detected (acked=%d shed=%d lost=%d)",
+						pol, seed, v.Acked, v.Shed, v.Lost))
+				case tooth:
+					if verbose {
+						fmt.Printf("ok chaos %s/%s seed=%d bit as required\n", sc.Name, pol, seed)
+					}
+				case v.Violation != nil:
 					fail(fmt.Sprintf("CHAOS VIOLATION %s/%s seed=%d (acked=%d shed=%d lost=%d)\n%v",
 						sc.Name, pol, seed, v.Acked, v.Shed, v.Lost, v.Violation))
-					continue
-				}
-				if v.Acked == 0 {
+				case v.Acked == 0:
 					fail(fmt.Sprintf("CHAOS VACUOUS %s/%s seed=%d: no op was ever acked (shed=%d lost=%d)",
 						sc.Name, pol, seed, v.Shed, v.Lost))
-					continue
-				}
-				if verbose {
+				case verbose:
 					fmt.Printf("ok chaos %s/%s seed=%d acked=%d shed=%d lost=%d redials=%d\n",
 						sc.Name, pol, seed, v.Acked, v.Shed, v.Lost, v.Redials)
 				}
-			}
-
-			// The must-fail control: the broken drain has to be caught.
-			st, err := newStore(pol)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-				return 2
-			}
-			v, err := crashtest.RunStoreChaos(st, crashtest.BrokenDrainScenario(), seed)
-			total++
-			toothRounds++
-			switch {
-			case err != nil:
-				fail(fmt.Sprintf("CHAOS TOOTH ERROR %s seed=%d: %v", pol, seed, err))
-			case v.Violation == nil:
-				fail(fmt.Sprintf("CHAOS TOOTHLESS %s seed=%d: broken drain was NOT detected (acked=%d shed=%d lost=%d)",
-					pol, seed, v.Acked, v.Shed, v.Lost))
-			case verbose:
-				fmt.Printf("ok chaos broken-drain-tooth/%s seed=%d bit as required\n", pol, seed)
 			}
 		}
 	}

@@ -42,8 +42,8 @@ import (
 	"flit/internal/crashtest"
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
-	"flit/internal/pheap"
 	"flit/internal/pmem"
+	"flit/internal/store"
 )
 
 func policyByName(name string, words int) core.Policy {
@@ -76,6 +76,30 @@ func modeByName(name string) dstruct.Mode {
 	return m
 }
 
+// policiesFor lists the policies a battery runs against one target: the
+// -policy filter alone when set (nothing when it cannot apply there),
+// otherwise base plus link-and-persist where the target admits it.
+func policiesFor(filter string, withLAP bool, base ...string) []string {
+	switch {
+	case filter == core.PolicyLAP && !withLAP:
+		return nil // inapplicable (general stores, not CAS-only): skip, don't panic
+	case filter != "":
+		return []string{filter}
+	case withLAP:
+		return append(base, core.PolicyLAP)
+	}
+	return base
+}
+
+// modesFor lists the durability modes a battery runs: all, or the -mode
+// filter's one.
+func modesFor(filter string) []dstruct.Mode {
+	if filter != "" {
+		return []dstruct.Mode{modeByName(filter)}
+	}
+	return dstruct.Modes
+}
+
 func main() {
 	rounds := flag.Int("rounds", 60, "seeded crash rounds per combination")
 	dsFilter := flag.String("ds", "", "restrict to one structure (list|hashtable|skiplist|bst|lockmap; with -dlcheck also queue|store|store-batched|store-combined|store-split)")
@@ -101,7 +125,6 @@ func main() {
 		os.Exit(runChaos(*rounds, *seed0, *polFilter, *chaosTrace, *verbose))
 	}
 
-	const words = 1 << 20
 	crashModes := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset, pmem.PersistAll}
 	start := time.Now()
 	total, failures := 0, 0
@@ -110,34 +133,15 @@ func main() {
 		if *dsFilter != "" && target.Name != *dsFilter {
 			continue
 		}
-		polNames := []string{"flit-ht", "flit-adjacent", "plain"}
-		if target.WithLAP {
-			polNames = append(polNames, "link-and-persist")
-		}
-		if *polFilter != "" {
-			if *polFilter == core.PolicyLAP && !target.WithLAP {
-				continue // inapplicable (general stores, not CAS-only)
-			}
-			polNames = []string{*polFilter}
-		}
-		modes := dstruct.Modes
-		if *modeFilter != "" {
-			modes = []dstruct.Mode{modeByName(*modeFilter)}
-		}
-		for _, mode := range modes {
-			for _, polName := range polNames {
+		for _, mode := range modesFor(*modeFilter) {
+			for _, polName := range policiesFor(*polFilter, target.WithLAP, core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain) {
 				for r := 0; r < *rounds; r++ {
 					seed := *seed0 + int64(r)
 					cm := crashModes[r%len(crashModes)]
-					pol := policyByName(polName, words)
-					mcfg := pmem.DefaultConfig(words)
-					// Crash validation never reads a latency number: the
-					// virtual clock keeps modeled costs at spin-free speed.
-					mcfg.VirtualClock = true
-					cfg := dstruct.Config{
-						Heap: pheap.New(pmem.New(mcfg)), Policy: pol, Mode: mode,
-						RootSlot: 0, Stride: dstruct.StrideFor(pol),
-					}
+					// The enumerator's config serves the randomized rounds
+					// too: a small virtual-clock heap (crash validation
+					// never reads a latency number).
+					cfg := dlcheck.NewConfig(policyByName(polName, dlcheck.Words), mode)
 					v, _ := crashtest.Run(cfg, target, crashtest.DefaultOptions(seed, cm))
 					total++
 					if v != nil {
@@ -163,30 +167,33 @@ func main() {
 }
 
 // runDLCheck drives the systematic battery: structures × modes ×
-// policies, the durable queue, the sharded store, and the store's
-// batched (group-commit) request path, each recorded execution checked
-// at every (budgeted) persist boundary.
+// policies, the durable queue, and the sharded store under each session
+// mode and under an online split, each recorded execution checked at
+// every (budgeted) persist boundary.
 func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64, budget int, tracePath string, verbose bool) int {
 	start := time.Now()
 	total, points, records := 0, 0, 0
 	var violations []string
 
-	report := func(name string, rep *dlcheck.Report, seed int64) {
-		total++
-		points += rep.Points
-		records += rep.Records
-		if rep.Violation != nil {
-			violations = append(violations, rep.Violation.Error())
-			fmt.Printf("VIOLATION %s seed=%d\n%v\n", name, seed, rep.Violation)
-		} else if verbose {
-			fmt.Printf("ok %s seed=%d records=%d fences=%d points=%d ops=%d\n",
-				name, seed, rep.Records, rep.Fences, rep.Points, rep.Ops)
+	// each runs one seeded, budgeted check per round and tallies it.
+	each := func(name string, check func(opts dlcheck.Options) *dlcheck.Report) {
+		for r := 0; r < rounds; r++ {
+			opts := dlcheck.DefaultOptions(seed0 + int64(r))
+			opts.Budget = budget
+			rep := check(opts)
+			total++
+			points += rep.Points
+			records += rep.Records
+			if rep.Violation != nil {
+				violations = append(violations, rep.Violation.Error())
+				fmt.Printf("VIOLATION %s seed=%d\n%v\n", name, opts.Seed, rep.Violation)
+			} else if verbose {
+				fmt.Printf("ok %s seed=%d records=%d fences=%d points=%d ops=%d\n",
+					name, opts.Seed, rep.Records, rep.Fences, rep.Points, rep.Ops)
+			}
 		}
 	}
-	modes := dstruct.Modes
-	if modeFilter != "" {
-		modes = []dstruct.Mode{modeByName(modeFilter)}
-	}
+	modes := modesFor(modeFilter)
 	// Validate the policy filter once, up front: policyByName rejects
 	// unknown names and the by-design-failing no-persist baseline, so the
 	// store path (which constructs policies via store.New, not
@@ -195,17 +202,7 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 		policyByName(polFilter, dlcheck.Words)
 	}
 	polNamesFor := func(withLAP bool) []string {
-		if polFilter != "" {
-			if polFilter == core.PolicyLAP && !withLAP {
-				return nil // inapplicable to this target; skip, don't panic
-			}
-			return []string{polFilter}
-		}
-		names := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyIz}
-		if withLAP {
-			names = append(names, core.PolicyLAP)
-		}
-		return names
+		return policiesFor(polFilter, withLAP, core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyIz)
 	}
 
 	for _, target := range crashtest.Targets() {
@@ -214,13 +211,9 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 		}
 		for _, mode := range modes {
 			for _, polName := range polNamesFor(target.WithLAP) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := dlcheck.RunSet(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), mode), target.DL(), opts)
-					report(fmt.Sprintf("%s/%s/%s", target.Name, mode, polName), rep, seed)
-				}
+				each(fmt.Sprintf("%s/%s/%s", target.Name, mode, polName), func(opts dlcheck.Options) *dlcheck.Report {
+					return dlcheck.RunSet(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), mode), target.Target, opts)
+				})
 			}
 		}
 	}
@@ -230,104 +223,42 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 	// applies (CAS-only stores).
 	if (dsFilter == "" || dsFilter == "queue") && (modeFilter == "" || modeByName(modeFilter) == dstruct.Manual) {
 		for _, polName := range polNamesFor(true) {
-			for r := 0; r < rounds; r++ {
-				seed := seed0 + int64(r)
-				opts := dlcheck.DefaultOptions(seed)
+			each("queue/"+polName, func(opts dlcheck.Options) *dlcheck.Report {
 				opts.OpsPerWorker = 8 // whole-history FIFO search
-				opts.Budget = budget
-				rep := crashtest.RunQueueDL(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), dstruct.Manual), opts)
-				report("queue/"+polName, rep, seed)
-			}
+				return crashtest.RunQueueDL(dlcheck.NewConfig(policyByName(polName, dlcheck.Words), dstruct.Manual), opts)
+			})
 		}
 	}
 
-	if dsFilter == "" || dsFilter == "store" {
-		for _, mode := range modes {
-			// Link-and-persist applies at service granularity too (the
-			// randomized store battery covers it); keep it enumerated so
-			// the failed-p-CAS dirty-flush path is checked here as well.
-			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					st, err := crashtest.NewDLStore(polName, mode)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreDL(st, opts)
-					report(fmt.Sprintf("store/%s/%s", mode, polName), rep, seed)
-				}
-			}
+	// The sharded store, once per way of reaching it. Link-and-persist
+	// applies at service granularity too (the randomized store battery
+	// covers it); keep it enumerated so the failed-p-CAS dirty-flush path
+	// is checked here as well.
+	for _, sv := range []struct {
+		name    string
+		mode    store.SessionMode
+		splitTo int
+	}{
+		{"store", store.Direct, 0},            // per-op persistence
+		{"store-batched", store.Batched, 0},   // the server's group-commit executor
+		{"store-combined", store.Combined, 0}, // the embedded flat-combining path
+		// A 4→6 online split (non-doubling, so keys move between serving
+		// shards as well as into new ones) migrates while the workers run.
+		{"store-split", store.Direct, 6},
+	} {
+		if dsFilter != "" && dsFilter != sv.name {
+			continue
 		}
-	}
-
-	// The batched (group-commit) request path: the network server's
-	// executor — pipelined batches, one commit fence per batch, responses
-	// recorded only after it — enumerated exactly like the per-op store.
-	if dsFilter == "" || dsFilter == "store-batched" {
 		for _, mode := range modes {
 			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
+				each(fmt.Sprintf("%s/%s/%s", sv.name, mode, polName), func(opts dlcheck.Options) *dlcheck.Report {
 					st, err := crashtest.NewDLStore(polName, mode)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
+						os.Exit(2)
 					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreBatchedDL(st, opts)
-					report(fmt.Sprintf("store-batched/%s/%s", mode, polName), rep, seed)
-				}
-			}
-		}
-	}
-
-	// The embedded flat-combining path: sessions announce op vectors to
-	// per-shard combiners, one fence per combining window, results
-	// published only after it — so the enumeration covers boundaries
-	// inside windows merging several sessions' vectors at once.
-	if dsFilter == "" || dsFilter == "store-combined" {
-		for _, mode := range modes {
-			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					st, err := crashtest.NewDLStore(polName, mode)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreCombinedDL(st, opts)
-					report(fmt.Sprintf("store-combined/%s/%s", mode, polName), rep, seed)
-				}
-			}
-		}
-	}
-
-	// The online shard-split path: a 4→6 split (non-doubling, so keys move
-	// between serving shards as well as into new ones) migrates while the
-	// workers run, and every enumerated boundary — before activation, mid
-	// migration, after completion — must recover a complete, duplicate-free
-	// keyspace.
-	if dsFilter == "" || dsFilter == "store-split" {
-		for _, mode := range modes {
-			for _, polName := range polNamesFor(true) {
-				for r := 0; r < rounds; r++ {
-					seed := seed0 + int64(r)
-					st, err := crashtest.NewDLStore(polName, mode)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
-						return 2
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := crashtest.RunStoreSplitDL(st, 6, opts)
-					report(fmt.Sprintf("store-split/%s/%s", mode, polName), rep, seed)
-				}
+					return crashtest.RunStoreDL(st, sv.mode, sv.splitTo, opts)
+				})
 			}
 		}
 	}

@@ -45,9 +45,9 @@
 //     shard per persistent root, a self-describing superblock, and
 //     shard-parallel post-crash recovery
 //   - internal/workload: a YCSB-style workload subsystem (mixes A-F,
-//     uniform/zipfian/latest distributions, latency histograms,
-//     closed- and open-loop runners) driven by cmd/flitstore, which
-//     emits JSON performance reports
+//     uniform/zipfian/latest distributions, closed- and open-loop
+//     runners) driven by cmd/flitbench's matrices, which emit JSON
+//     performance reports
 //   - internal/server, internal/client: the network front-end — a
 //     pipelined binary protocol whose per-connection batches execute
 //     with persistence deferred and commit under one shared fence

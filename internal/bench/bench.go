@@ -4,8 +4,8 @@
 // workload mixes and the FliT-Store service), folds warmup + repeated
 // runs into summary statistics, and emits one versioned machine-readable
 // schema (BenchReport) that every emitter in the repo shares —
-// cmd/flitbench (-json / -matrix), cmd/flitstore, and the Go-benchmark
-// adapter in bench_test.go. `Compare` diffs two reports cell by cell and
+// cmd/flitbench (-json / -matrix) and the Go-benchmark adapter in
+// bench_test.go. `Compare` diffs two reports cell by cell and
 // is the engine of the CI perf-regression gate (see EXPERIMENTS.md).
 package bench
 
@@ -37,7 +37,7 @@ const MinSchemaVersion = 1
 // identifiers; additions are backwards-compatible, renames are not.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
-	Tool          string `json:"tool"` // "flitbench" | "flitstore" | "go-bench"
+	Tool          string `json:"tool"` // "flitbench" (figure tables) | "bench-matrix" (Matrix.Run)
 	GitRev        string `json:"git_rev,omitempty"`
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
@@ -63,7 +63,7 @@ type Cell struct {
 	LowerIsBetter bool `json:"lower_is_better,omitempty"`
 
 	// Optional raw counts and tail latencies, populated by runners that
-	// track them (matrix store cells, flitstore cycles).
+	// track them (matrix store cells).
 	Ops     uint64 `json:"ops,omitempty"`
 	PWBs    uint64 `json:"pwbs,omitempty"`
 	PFences uint64 `json:"pfences,omitempty"`

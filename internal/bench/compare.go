@@ -76,7 +76,7 @@ func (c CompareResult) OK() bool { return c.Regressions == 0 && len(c.MissingInN
 // every cell — the relative degradation tolerated, e.g. 0.10 for 10%.
 // Any supported schema versions may be mixed (a v2 candidate gates
 // against a v1 baseline; v1 cells simply lack the runtime metrics), and
-// tools may differ (a flitstore report can be gated against a flitbench
+// tools may differ (a bench-matrix report can be gated against a flitbench
 // baseline as long as cell IDs match).
 func Compare(old, new *Report, threshold float64) (CompareResult, error) {
 	return CompareThresholds(old, new, threshold, threshold)

@@ -219,22 +219,39 @@ func (m Matrix) Run() (*Report, error) {
 		m.runSet(rep, c)
 	}
 	for _, c := range m.Store {
-		if err := m.runStore(rep, c); err != nil {
+		err := m.runEmbedded(rep, c.ID(),
+			store.Options{Shards: c.Shards, Policy: c.Policy},
+			workload.Spec{Mix: c.Mix, Dist: c.Dist, Records: c.Records})
+		if err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
 		}
 	}
 	for _, c := range m.Net {
-		if err := m.runNet(rep, c); err != nil {
+		if err := m.runWire(rep, c.ID(), c, server.Options{}, false); err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
 		}
 	}
 	for _, c := range m.Combine {
-		if err := m.runCombine(rep, c); err != nil {
+		err := m.runEmbedded(rep, c.ID(),
+			store.Options{
+				Shards: c.Shards, Policy: c.Policy,
+				CombineWindow: c.Window, CombineNoCoalesce: c.NoCoalesce,
+			},
+			workload.Spec{
+				Mix: c.Mix, Dist: c.Dist, Records: c.Records,
+				Mode: store.Combined, Depth: c.Depth, HotKeys: c.HotKeys,
+			})
+		if err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
 		}
 	}
 	for _, c := range m.Overload {
-		if err := m.runOverload(rep, c); err != nil {
+		wire := NetCell{
+			Mix: c.Mix, Dist: c.Dist, Policy: c.Policy, Shards: c.Shards,
+			Records: c.Records, Conns: c.Conns, Depth: c.Depth,
+		}
+		sopts := server.Options{RateLimit: c.RateLimit, RateBurst: c.Burst}
+		if err := m.runWire(rep, c.ID(), wire, sopts, true); err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
 		}
 	}
@@ -274,95 +291,119 @@ func (m Matrix) runSet(rep *Report, c SetCell) {
 	})
 }
 
-// runStore measures one service cell: build the sharded store, YCSB
-// load, warmup, repeated timed runs.
-func (m Matrix) runStore(rep *Report, c StoreCell) error {
-	st, err := store.New(store.Options{
-		Shards:       c.Shards,
-		ExpectedKeys: int(c.Records) * 3,
-		Policy:       c.Policy,
-		Mode:         dstruct.Automatic,
-		VirtualClock: m.VirtualClock,
+// repeat runs one cell's measurement schedule: a discarded warmup
+// window, then m.Repeats measured windows, each through run.
+func repeat[R any](m Matrix, run func(time.Duration) (R, error)) ([]R, error) {
+	if m.Warmup > 0 {
+		if _, err := run(m.Warmup); err != nil {
+			return nil, err
+		}
+	}
+	runs := make([]R, 0, m.Repeats)
+	for i := 0; i < m.Repeats; i++ {
+		r, err := run(m.Duration)
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, r)
+	}
+	return runs, nil
+}
+
+// loadedStore builds a sharded store sized for records and YCSB-loads
+// it in-process — the starting state of every store-backed cell.
+func (m Matrix) loadedStore(opts store.Options, records uint64) (*store.Store, error) {
+	opts.ExpectedKeys = int(records) * 3
+	opts.Mode = dstruct.Automatic
+	opts.VirtualClock = m.VirtualClock
+	st, err := store.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	workload.Load(st, records, m.Threads)
+	return st, nil
+}
+
+// addLatency emits the cell's p99 trajectory cell.
+func addLatency(rep *Report, id string, p99 []float64) {
+	rep.Add(Cell{
+		ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
+		LowerIsBetter: true,
+	})
+}
+
+// runEmbedded measures one in-process store cell through the workload
+// runner in spec's session mode: a StoreCell runs Direct sessions (per-op
+// persistence), a CombineCell runs Combined sessions at its vector depth —
+// every worker a concurrent announcer, every window fenced once by
+// whichever announcer wins the shard's combiner lock. One measurement for
+// every mode lets combine cells compare directly against the per-op store
+// cells and the server-side net cells.
+func (m Matrix) runEmbedded(rep *Report, id string, opts store.Options, spec workload.Spec) error {
+	st, err := m.loadedStore(opts, spec.Records)
+	if err != nil {
+		return err
+	}
+	spec.Threads, spec.Seed = m.Threads, m.Seed
+	runs, err := repeat(m, func(d time.Duration) (workload.Result, error) {
+		spec.Duration = d
+		return workload.Run(st, spec)
 	})
 	if err != nil {
 		return err
 	}
-	workload.Load(st, c.Records, m.Threads)
-	spec := workload.Spec{
-		Mix: c.Mix, Dist: c.Dist, Threads: m.Threads,
-		Duration: m.Duration, Records: c.Records, Seed: m.Seed,
-	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := workload.Run(st, warm); err != nil {
-			return err
-		}
-	}
 	var tput, pwbRate, p99 []float64
-	var ops, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	var nsPerOp, allocsPerOp float64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := workload.Run(st, spec)
-		if err != nil {
-			return err
-		}
+	head := Cell{ID: id + "/throughput", Unit: "ops/s"}
+	for _, r := range runs {
 		tput = append(tput, r.OpsPerSec)
 		pwbRate = append(pwbRate, r.PWBsPerOp)
 		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		ops += r.Ops
-		pwbs += r.PWBs
-		pfences += r.PFences
-		p50Sum += r.P50.Nanoseconds()
-		p95Sum += r.P95.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-		nsPerOp += r.NsPerOp
-		allocsPerOp += r.AllocsPerOp
+		head.Ops += r.Ops
+		head.PWBs += r.PWBs
+		head.PFences += r.PFences
+		head.P50Ns += r.P50.Nanoseconds()
+		head.P95Ns += r.P95.Nanoseconds()
+		head.P99Ns += r.P99.Nanoseconds()
+		head.NsPerOp += r.NsPerOp
+		head.AllocsPerOp += r.AllocsPerOp
 	}
-	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: ops, PWBs: pwbs, PFences: pfences,
-		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
-		NsPerOp: nsPerOp / float64(n), AllocsPerOp: allocsPerOp / float64(n),
-	})
+	n := int64(len(runs))
+	head.Value = stats.Summarize(tput)
+	head.P50Ns, head.P95Ns, head.P99Ns = head.P50Ns/n, head.P95Ns/n, head.P99Ns/n
+	head.NsPerOp, head.AllocsPerOp = head.NsPerOp/float64(n), head.AllocsPerOp/float64(n)
+	rep.Add(head)
 	rep.Add(Cell{
 		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
 		LowerIsBetter: true,
 	})
 	if m.Latency {
-		rep.Add(Cell{
-			ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-			LowerIsBetter: true,
-		})
+		addLatency(rep, id, p99)
 	}
 	return nil
 }
 
-// runNet measures one network front-end cell: build the sharded store,
-// YCSB-load it in-process, boot the group-commit server over in-process
-// pipe transports, then drive the pipelining client load generator —
-// warmup discarded, repeats folded. Throughput and latency are
-// client-observed; pwbs/pfences come from the server-side instruction
-// deltas per acknowledged op.
-func (m Matrix) runNet(rep *Report, c NetCell) error {
-	st, err := store.New(store.Options{
-		Shards:       c.Shards,
-		ExpectedKeys: int(c.Records) * 3,
-		Policy:       c.Policy,
-		Mode:         dstruct.Automatic,
-		VirtualClock: m.VirtualClock,
-	})
+// runWire measures one cell through the network front-end: load the
+// store in-process, boot the group-commit server — with sopts' admission
+// control, if any — over in-process pipe transports, then drive the
+// pipelining client load generator. Throughput and latency are
+// client-observed; pwbs/pfences are server-side instruction deltas per
+// acknowledged op. A NetCell reports the amortization (throughput,
+// pwbs/op, ops/batch); an OverloadCell (overload set) drives the same loop
+// flat out at a rate-capped server, which sheds the excess with BUSY, and
+// reports goodput, shed rate and the goodput p99. The pipe transport
+// delivers every shed response, so the client's shed count must equal the
+// server's exactly; a mismatch fails the cell (lost-shed accounting would
+// make the shed_rate trajectory lie).
+func (m Matrix) runWire(rep *Report, id string, c NetCell, sopts server.Options, overload bool) error {
+	st, err := m.loadedStore(store.Options{Shards: c.Shards, Policy: c.Policy}, c.Records)
 	if err != nil {
 		return err
 	}
-	workload.Load(st, c.Records, m.Threads)
-	// Metrics ride along in every net cell: the committed matrix numbers
+	// Metrics ride along in every wire cell: the committed matrix numbers
 	// carry the observability cost, and the cross-check below holds the
 	// striped counters to the server's own acked-op count.
-	srv := server.New(st, server.Options{Metrics: true})
+	sopts.Metrics = true
+	srv := server.New(st, sopts)
 	defer srv.Close()
 	dial := func() (net.Conn, error) {
 		cc, sc := net.Pipe()
@@ -372,42 +413,53 @@ func (m Matrix) runNet(rep *Report, c NetCell) error {
 	spec := client.Spec{
 		Mix: c.Mix, Dist: c.Dist, Records: c.Records,
 		Conns: c.Conns, Depth: c.Depth, Seed: m.Seed,
-		Duration: m.Duration,
 	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := client.Run(dial, warm); err != nil {
-			return err
-		}
-	}
-	var tput, pwbRate, p99, perBatch []float64
-	var ops, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	for i := 0; i < m.Repeats; i++ {
+	runs, err := repeat(m, func(d time.Duration) (client.Result, error) {
+		spec.Duration = d
 		r, err := client.Run(dial, spec)
-		if err != nil {
-			return err
+		if err == nil && overload && r.Shed != r.ServerShed {
+			err = fmt.Errorf("bench: client counted %d shed ops, server %d", r.Shed, r.ServerShed)
 		}
+		return r, err
+	})
+	if err != nil {
+		return err
+	}
+	if got, want := srv.Metrics().OpsTotal(), srv.Stats().OpsServed; got != want {
+		return fmt.Errorf("bench: metrics op counters sum to %d, server acked %d", got, want)
+	}
+	var tput, pwbRate, p99, perBatch, shedRate []float64
+	var ops, serverOps, pwbs, pfences uint64
+	var p50Sum, p95Sum, p99Sum int64
+	for _, r := range runs {
 		tput = append(tput, r.OpsPerSec)
 		pwbRate = append(pwbRate, r.PWBsPerOp)
 		p99 = append(p99, float64(r.P99.Nanoseconds()))
 		perBatch = append(perBatch, r.OpsPerBatch)
-		ops += r.ServerOps
+		shedRate = append(shedRate, r.ShedRate)
+		ops += r.Ops
+		serverOps += r.ServerOps
 		pwbs += r.PWBs
 		pfences += r.PFences
 		p50Sum += r.P50.Nanoseconds()
 		p95Sum += r.P95.Nanoseconds()
 		p99Sum += r.P99.Nanoseconds()
 	}
-	if got, want := srv.Metrics().OpsTotal(), srv.Stats().OpsServed; got != want {
-		return fmt.Errorf("bench: metrics op counters sum to %d, server acked %d", got, want)
+	n := int64(len(runs))
+	if overload {
+		rep.Add(Cell{
+			ID: id + "/goodput", Unit: "ops/s", Value: stats.Summarize(tput),
+			Ops: ops, P50Ns: p50Sum / n, P99Ns: p99Sum / n,
+		})
+		rep.Add(Cell{
+			ID: id + "/shed_rate", Unit: "shed/offered", Value: stats.Summarize(shedRate),
+		})
+		addLatency(rep, id, p99)
+		return nil
 	}
-	n := int64(m.Repeats)
-	id := c.ID()
 	rep.Add(Cell{
 		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: ops, PWBs: pwbs, PFences: pfences,
+		Ops: serverOps, PWBs: pwbs, PFences: pfences,
 		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
 	})
 	rep.Add(Cell{
@@ -421,161 +473,8 @@ func (m Matrix) runNet(rep *Report, c NetCell) error {
 		ID: id + "/ops_per_batch", Unit: "ops/batch", Value: stats.Summarize(perBatch),
 	})
 	if m.Latency {
-		rep.Add(Cell{
-			ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-			LowerIsBetter: true,
-		})
+		addLatency(rep, id, p99)
 	}
-	return nil
-}
-
-// runCombine measures one embedded flat-combining cell: build the store
-// with the cell's combining window, YCSB-load it, then drive the
-// workload runner in Combined mode at the cell's vector depth — every
-// worker a concurrent announcer, every window fenced once by whichever
-// announcer wins the shard's combiner lock. Measurement mirrors
-// runStore so combine cells compare directly against the per-op store
-// cells and the server-side net cells.
-func (m Matrix) runCombine(rep *Report, c CombineCell) error {
-	st, err := store.New(store.Options{
-		Shards:            c.Shards,
-		ExpectedKeys:      int(c.Records) * 3,
-		Policy:            c.Policy,
-		Mode:              dstruct.Automatic,
-		VirtualClock:      m.VirtualClock,
-		CombineWindow:     c.Window,
-		CombineNoCoalesce: c.NoCoalesce,
-	})
-	if err != nil {
-		return err
-	}
-	workload.Load(st, c.Records, m.Threads)
-	spec := workload.Spec{
-		Mix: c.Mix, Dist: c.Dist, Threads: m.Threads,
-		Duration: m.Duration, Records: c.Records, Seed: m.Seed,
-		Mode: store.Combined, Depth: c.Depth, HotKeys: c.HotKeys,
-	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := workload.Run(st, warm); err != nil {
-			return err
-		}
-	}
-	var tput, pwbRate, p99 []float64
-	var ops, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	var nsPerOp, allocsPerOp float64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := workload.Run(st, spec)
-		if err != nil {
-			return err
-		}
-		tput = append(tput, r.OpsPerSec)
-		pwbRate = append(pwbRate, r.PWBsPerOp)
-		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		ops += r.Ops
-		pwbs += r.PWBs
-		pfences += r.PFences
-		p50Sum += r.P50.Nanoseconds()
-		p95Sum += r.P95.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-		nsPerOp += r.NsPerOp
-		allocsPerOp += r.AllocsPerOp
-	}
-	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: ops, PWBs: pwbs, PFences: pfences,
-		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
-		NsPerOp: nsPerOp / float64(n), AllocsPerOp: allocsPerOp / float64(n),
-	})
-	rep.Add(Cell{
-		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
-		LowerIsBetter: true,
-	})
-	if m.Latency {
-		rep.Add(Cell{
-			ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-			LowerIsBetter: true,
-		})
-	}
-	return nil
-}
-
-// runOverload measures one admission-control cell: build and load the
-// store, boot the server with the cell's rate cap over in-process pipe
-// transports, then drive the closed loop flat out — the server sheds
-// the excess with BUSY. The pipe transport delivers every shed response,
-// so the client's shed count must equal the server's shed delta exactly;
-// a mismatch fails the cell (lost-shed accounting would make the
-// shed_rate trajectory lie).
-func (m Matrix) runOverload(rep *Report, c OverloadCell) error {
-	st, err := store.New(store.Options{
-		Shards:       c.Shards,
-		ExpectedKeys: int(c.Records) * 3,
-		Policy:       c.Policy,
-		Mode:         dstruct.Automatic,
-		VirtualClock: m.VirtualClock,
-	})
-	if err != nil {
-		return err
-	}
-	workload.Load(st, c.Records, m.Threads)
-	srv := server.New(st, server.Options{
-		Metrics: true, RateLimit: c.RateLimit, RateBurst: c.Burst,
-	})
-	defer srv.Close()
-	dial := func() (net.Conn, error) {
-		cc, sc := net.Pipe()
-		go srv.ServeConn(sc)
-		return cc, nil
-	}
-	spec := client.Spec{
-		Mix: c.Mix, Dist: c.Dist, Records: c.Records,
-		Conns: c.Conns, Depth: c.Depth, Seed: m.Seed,
-		Duration: m.Duration,
-	}
-	if m.Warmup > 0 {
-		warm := spec
-		warm.Duration = m.Warmup
-		if _, err := client.Run(dial, warm); err != nil {
-			return err
-		}
-	}
-	var goodput, shedRate, p99 []float64
-	var ops, shed uint64
-	var p50Sum, p99Sum int64
-	for i := 0; i < m.Repeats; i++ {
-		r, err := client.Run(dial, spec)
-		if err != nil {
-			return err
-		}
-		if r.Shed != r.ServerShed {
-			return fmt.Errorf("bench: client counted %d shed ops, server %d", r.Shed, r.ServerShed)
-		}
-		goodput = append(goodput, r.OpsPerSec)
-		shedRate = append(shedRate, r.ShedRate)
-		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		ops += r.Ops
-		shed += r.Shed
-		p50Sum += r.P50.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-	}
-	n := int64(m.Repeats)
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/goodput", Unit: "ops/s", Value: stats.Summarize(goodput),
-		Ops: ops, P50Ns: p50Sum / n, P99Ns: p99Sum / n,
-	})
-	rep.Add(Cell{
-		ID: id + "/shed_rate", Unit: "shed/offered", Value: stats.Summarize(shedRate),
-	})
-	rep.Add(Cell{
-		ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-		LowerIsBetter: true,
-	})
 	return nil
 }
 

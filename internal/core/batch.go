@@ -55,7 +55,7 @@ import "flit/internal/pmem"
 // not be shared between goroutines; wrap one per session. The wrapped
 // policy's shared state (flit-counter tables) is unchanged and remains
 // shared with plain sessions. Flush must be called before the batch's
-// results are exposed; the store's BatchSession and the network server
+// results are exposed; the store's Batched sessions and the network server
 // own that discipline.
 type Deferred struct {
 	inner Policy

@@ -41,7 +41,7 @@ func TestStoreBatchedDurableLinearizability(t *testing.T) {
 						opts := DefaultStoreOptions(seed, cm)
 						opts.KeyRange = 300
 						opts.KeyOf = workload.Key
-						verdict, err := RunStoreBatched(st, opts, 8)
+						verdict, err := RunStore(st, store.Batched, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -86,7 +86,7 @@ func TestStoreBatchedDL(t *testing.T) {
 					}
 					opts := dlcheck.DefaultOptions(seed)
 					opts.Budget = budget
-					rep := RunStoreBatchedDL(st, opts)
+					rep := RunStoreDL(st, store.Batched, 0, opts)
 					if rep.Violation != nil {
 						t.Fatalf("mode %v seed %d: %v", mode, seed, rep.Violation)
 					}
@@ -116,7 +116,7 @@ func TestStoreBatchedFencesAmortized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := RunStoreDL(stPer, opts)
+	per := RunStoreDL(stPer, store.Direct, 0, opts)
 	if per.Violation != nil {
 		t.Fatal(per.Violation)
 	}
@@ -126,7 +126,7 @@ func TestStoreBatchedFencesAmortized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bat := RunStoreBatchedDL(stBat, opts)
+	bat := RunStoreDL(stBat, store.Batched, 0, opts)
 	if bat.Violation != nil {
 		t.Fatal(bat.Violation)
 	}
@@ -154,7 +154,7 @@ func TestStoreBatchedCheckerHasTeeth(t *testing.T) {
 		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
 		opts.KeyRange = 300
 		opts.KeyOf = workload.Key
-		verdict, err := RunStoreBatched(st, opts, 8)
+		verdict, err := RunStore(st, store.Batched, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestStoreBatchedDLCheckerHasTeeth(t *testing.T) {
 		}
 		opts := dlcheck.DefaultOptions(seed)
 		opts.Budget = 16
-		rep := RunStoreBatchedDL(st, opts)
+		rep := RunStoreDL(st, store.Batched, 0, opts)
 		caught = rep.Violation != nil
 	}
 	if !caught {

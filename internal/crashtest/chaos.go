@@ -1,6 +1,7 @@
 package crashtest
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -34,11 +35,11 @@ import (
 // The image is taken after the scenario quiesces (all handlers exited,
 // every honest batch already committed), so the capture itself is
 // race-free; mid-execution crash points are the batched dlcheck
-// batteries' job (batch.go). What chaos adds is the service boundary:
+// batteries' job (RunStoreDL). What chaos adds is the service boundary:
 // does the ack discipline survive resets, stalls, blackholes, overload
-// and drain? Options.UnsafeDrainAckFirst exists as the harness's
-// must-fail tooth — a deliberately broken drain that acks without the
-// group-commit fence, which this battery has to catch.
+// and drain? The harness's must-fail tooth is a deliberately broken
+// drain planted on the harness side of the wire (ackFirstProxy) — it
+// acks without executing, which this battery has to catch.
 
 // ChaosScenario describes one fault × policy × load cell.
 type ChaosScenario struct {
@@ -48,7 +49,7 @@ type ChaosScenario struct {
 	// faults.
 	Faults resilience.Faults
 	// Server carries the resilience policy under test (rate limit,
-	// inflight caps, deadlines, UnsafeDrainAckFirst).
+	// inflight caps, deadlines).
 	Server server.Options
 	// Conns workers each run OpsPerConn recorded operations, pipelining
 	// up to Depth frames per flush.
@@ -62,6 +63,11 @@ type ChaosScenario struct {
 	// DrainMid triggers srv.Shutdown once the first worker passes half
 	// its budget, while the others keep driving load.
 	DrainMid bool
+	// brokenDrain plants the must-fail bug (BrokenDrainScenario only):
+	// every connection runs through an ackFirstProxy, and the drain
+	// trigger flips the proxies to fabricating acks instead of shutting
+	// the server down.
+	brokenDrain bool
 }
 
 // ChaosVerdict is the outcome of one chaos round.
@@ -125,14 +131,23 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	// masking exactly the unfenced-ack bug the tooth must expose.
 	var warmed atomic.Int32
 	var drainOnce sync.Once
+	var ackFirst atomic.Bool // the broken drain has begun (brokenDrain only)
+	shutdown := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return srv.Shutdown(ctx)
+	}
 	shutdownDone := make(chan error, 1)
 	triggerDrain := func() {
 		drainOnce.Do(func() {
-			go func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				shutdownDone <- srv.Shutdown(ctx)
-			}()
+			if sc.brokenDrain {
+				// The planted bug: "draining" keeps serving, and acks
+				// without executing. The real server shuts down only once
+				// the workers are done.
+				ackFirst.Store(true)
+				return
+			}
+			go func() { shutdownDone <- shutdown() }()
 		})
 	}
 
@@ -150,6 +165,12 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 			dial := func() *client.Conn {
 				cc, scn := net.Pipe()
 				go srv.ServeConn(scn)
+				if sc.brokenDrain {
+					up := cc
+					var down net.Conn
+					cc, down = net.Pipe()
+					go ackFirstProxy(down, up, &ackFirst)
+				}
 				f := sc.Faults
 				f.Seed = seeds[w] + connSeq
 				connSeq++
@@ -185,7 +206,7 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 					hk := store.HashKey(key)
 					kind := hist.Kind(wrng.Intn(3))
 					toks = append(toks, rec.Begin(kind, hk))
-					req := reqFor(kind, []byte(key), uint64(budget+i))
+					req := wireReq(opFor(kind, key, uint64(budget+i)))
 					c.Send(&req)
 				}
 				if err := c.Flush(); err != nil {
@@ -239,6 +260,9 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	// server teardown so no handler is mid-batch when the image is taken.
 	if sc.DrainMid {
 		triggerDrain() // in case worker 0 lost its connection before the trigger point
+		if sc.brokenDrain {
+			shutdownDone <- shutdown()
+		}
 		if err := <-shutdownDone; err != nil {
 			return ChaosVerdict{}, fmt.Errorf("chaos %q: shutdown: %w", sc.Name, err)
 		}
@@ -247,16 +271,10 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	}
 	stats := srv.Stats()
 
-	wm := st.Heap().Watermark()
-	img := st.Mem().CrashImage(pmem.DropUnfenced, seed^0x5ca1ab1e)
-	mem2 := pmem.NewFromImage(img, st.Mem().Config())
-	st2, rstats, err := store.Recover(mem2, wm, st.Opts())
+	img := st.Mem().CrashImage(pmem.DropUnfenced, seed^crashSeed)
+	_, rstats, final, err := recoverKeySet(st, img, nil)
 	if err != nil {
 		return ChaosVerdict{}, fmt.Errorf("chaos %q: recover: %w", sc.Name, err)
-	}
-	final := make(map[uint64]bool)
-	for k := range st2.Snapshot() {
-		final[k] = true
 	}
 	return ChaosVerdict{
 		Violation:   hist.Check(recs, initial, final),
@@ -271,9 +289,9 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 
 // ChaosScenarios is the standard battery: one cell per fault family,
 // each crossed with the resilience policy that answers it. Every cell
-// must pass the acked⇒persisted check; the broken-drain tooth
-// (UnsafeDrainAckFirst) is NOT in this list — it is the battery's
-// must-fail control, run separately (see BrokenDrainScenario).
+// must pass the acked⇒persisted check; the broken-drain tooth is NOT in
+// this list — it is the battery's must-fail control, run separately (see
+// BrokenDrainScenario).
 func ChaosScenarios() []ChaosScenario {
 	return []ChaosScenario{
 		{
@@ -331,14 +349,68 @@ func ChaosScenarios() []ChaosScenario {
 }
 
 // BrokenDrainScenario is the harness's tooth: a drain that keeps serving
-// and acks WITHOUT the group-commit fence. Run through RunStoreChaos it
-// MUST produce a violation — a battery that passes this cell has lost
-// its teeth and cannot be trusted on the real ones.
+// and acks WITHOUT executing, let alone fencing. Run through
+// RunStoreChaos it MUST produce a violation — a battery that passes this
+// cell has lost its teeth and cannot be trusted on the real ones.
 func BrokenDrainScenario() ChaosScenario {
 	return ChaosScenario{
 		Name:   "broken-drain-tooth",
-		Server: server.Options{MaxBatch: 8, UnsafeDrainAckFirst: true},
+		Server: server.Options{MaxBatch: 8},
 		Conns:  4, OpsPerConn: 96, Depth: 8,
-		DrainMid: true,
+		DrainMid:    true,
+		brokenDrain: true,
+	}
+}
+
+// ackFirstProxy is the planted bug: it sits between a client (down) and
+// the real server (up), relaying each pipeline window and its responses
+// faithfully until ackFirst is set — from then on it answers every store
+// op (the chaos workers send nothing else) with a fabricated StatusOK
+// frame instead of forwarding it, leaving the client confident acks a
+// crash image will disprove. It lives in the
+// harness so the production serve loop carries no test scaffolding. A
+// window is forwarded whole before its responses are read, which cannot
+// wedge the synchronous pipes while the server takes it as one batch (the
+// tooth scenario's Depth equals its MaxBatch). It returns, closing both
+// ends, at the first error on either side.
+func ackFirstProxy(down, up net.Conn, ackFirst *atomic.Bool) {
+	defer down.Close()
+	defer up.Close()
+	dr, ur := bufio.NewReader(down), bufio.NewReader(up)
+	var reqs []server.Request
+	var resp server.Response
+	var out []byte
+	for {
+		// One pipeline window, delimited as the server does: block for
+		// the head, then take whatever is already buffered.
+		reqs = reqs[:0]
+		for len(reqs) == 0 || dr.Buffered() > 0 {
+			reqs = append(reqs, server.Request{})
+			if server.ReadRequest(dr, &reqs[len(reqs)-1]) != nil {
+				return
+			}
+		}
+		fake := ackFirst.Load()
+		if !fake {
+			out = out[:0]
+			for i := range reqs {
+				out = server.AppendRequest(out, &reqs[i])
+			}
+			if _, err := up.Write(out); err != nil {
+				return
+			}
+		}
+		out = out[:0]
+		for i := range reqs {
+			if fake {
+				resp = server.Response{Status: server.StatusOK, Flag: true}
+			} else if server.ReadResponse(ur, reqs[i].Op, &resp) != nil {
+				return
+			}
+			out = server.AppendResponse(out, reqs[i].Op, &resp)
+		}
+		if _, err := down.Write(out); err != nil {
+			return
+		}
 	}
 }

@@ -5,216 +5,16 @@ import (
 	"math/rand"
 	"sync"
 
-	"flit/internal/dlcheck"
-	"flit/internal/hist"
 	"flit/internal/pmem"
 	"flit/internal/store"
 )
 
-// This file wires the embedded flat-combining path — Combined sessions
-// announcing into the store's per-shard combiners — into both crash
-// harnesses. The ack rule under test is the combiner's: a Combined
-// Apply returns (and thus a result is externalized) only after its
-// window's single commit fence, so no crash boundary may lose an
-// acknowledged operation. Crash injection is armed on the combiner
-// threads (store.CombinerThreads): announcing sessions execute no
-// instrumented instructions themselves, so in Combined mode those are
-// the only threads a countdown can fire on. A firing countdown kills
-// the whole simulated process (sticky Store crash flag), freezing every
-// in-flight window as pending history.
-
-// combExec adapts a Combined store session to dlcheck.BatchExecutor,
-// mapping the enumerator's uint64 keys onto store string keys (same
-// namespace as RunStoreDL).
-type combExec struct {
-	sess *store.Sess[string]
-	ops  []store.Op[string]
-	res  []store.Result
-}
-
-func (e *combExec) ExecBatch(ops []dlcheck.BatchOp, results []bool) {
-	e.ops, e.res = e.ops[:0], e.res[:0]
-	for _, op := range ops {
-		kind := store.OpContains
-		switch op.Kind {
-		case hist.Insert:
-			kind = store.OpPut
-		case hist.Delete:
-			kind = store.OpDelete
-		}
-		e.ops = append(e.ops, store.Op[string]{Kind: kind, Key: dlStoreKey(op.Key), Val: op.Val})
-		e.res = append(e.res, store.Result{})
-	}
-	e.sess.Apply(e.ops, e.res)
-	for i := range e.res {
-		results[i] = e.res[i].Ok
-	}
-}
-
-// RunStoreCombinedDL runs the systematic checker against a whole store
-// reached through Combined sessions: pipelined op vectors announce to
-// the per-shard combiners, execute under single window fences (possibly
-// merged with other sessions' announcements into one window), and every
-// response is recorded only after Apply returns — i.e. after the fence.
-// Every (budgeted) persist boundary is then recovered and checked. st
-// must be freshly created, as for RunStoreDL.
-func RunStoreCombinedDL(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
-	opts = opts.Normalized()
-	keyspace := opts.KeyRange
-	if opts.Prefill > keyspace {
-		keyspace = opts.Prefill
-	}
-	back := make(map[uint64]uint64, keyspace)
-	for k := 0; k < keyspace; k++ {
-		back[store.HashKey(dlStoreKey(uint64(k)))] = uint64(k)
-	}
-	return dlcheck.RunBatched(dlcheck.BatchedHarness{
-		Name:   "store-combined",
-		Mem:    st.Mem(),
-		Policy: st.Policy(),
-		NewSession: func() dlcheck.BatchExecutor {
-			return &combExec{sess: store.Open[string](st, store.Combined)}
-		},
-		Recover: func(img []uint64) (map[uint64]bool, error) {
-			mem2 := pmem.NewFromImage(img, st.Mem().Config())
-			st2, _, err := store.Recover(mem2, st.Heap().Watermark(), st.Opts())
-			if err != nil {
-				return nil, err
-			}
-			final := make(map[uint64]bool)
-			for h := range st2.Snapshot() {
-				k, ok := back[h]
-				if !ok {
-					return nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
-				}
-				final[k] = true
-			}
-			return final, nil
-		},
-	}, opts)
-}
-
-// RunStoreCombined executes one seeded randomized crash round through
-// the flat-combining path: workers pipeline op vectors of up to
-// maxBatch ops into Combined sessions while the per-shard combiner
-// threads run seeded instruction countdowns. A countdown firing
-// mid-window kills the simulated process — the crashing volunteer's
-// window freezes as executed-but-unacknowledged, and every other
-// worker's in-flight Apply dies with it, so all their ops stay pending
-// (free to survive or vanish). The recovered key set is then checked
-// exactly as RunStore does.
-func RunStoreCombined(st *store.Store, opts StoreOptions, maxBatch int) (StoreVerdict, error) {
-	if opts.KeyOf == nil {
-		opts.KeyOf = func(i uint64) string { return fmt.Sprintf("key-%d", i) }
-	}
-	if min := uint64(opts.Workers*opts.OpsPerWorker)/4 + 1; opts.KeyRange < min {
-		opts.KeyRange = min
-	}
-	if opts.MaxCrash < opts.MinCrash {
-		opts.MaxCrash = opts.MinCrash
-	}
-	if maxBatch <= 0 {
-		maxBatch = 8
-	}
-
-	initial := make(map[uint64]bool)
-	for k := range st.Snapshot() {
-		initial[k] = true
-	}
-
-	clock := &hist.Clock{}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	recs := make([]*hist.Recorder, opts.Workers)
-	sessions := make([]*store.Sess[string], opts.Workers)
-	seeds := make([]int64, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		recs[w] = hist.NewRecorder(clock)
-		sessions[w] = store.Open[string](st, store.Combined)
-		seeds[w] = rng.Int63()
-	}
-	// Countdowns live on the combiner threads, one per shard — the only
-	// threads that execute instrumented instructions in Combined mode.
-	for _, ct := range st.CombinerThreads() {
-		ct.SetCrashAfter(opts.MinCrash + rng.Int63n(opts.MaxCrash-opts.MinCrash+1))
-	}
-
-	var crashed, recorded int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := sessions[w]
-			rec := recs[w]
-			wrng := rand.New(rand.NewSource(seeds[w]))
-			n := 0
-			ops := make([]store.Op[string], 0, maxBatch)
-			res := make([]store.Result, maxBatch)
-			toks := make([]int, 0, maxBatch)
-			c := pmem.RunToCrash(func() {
-				remaining := opts.OpsPerWorker
-				for remaining > 0 {
-					depth := 1 + wrng.Intn(maxBatch)
-					if depth > remaining {
-						depth = remaining
-					}
-					remaining -= depth
-					ops, toks = ops[:0], toks[:0]
-					for i := 0; i < depth; i++ {
-						idx := uint64(wrng.Int63()) % opts.KeyRange
-						key := opts.KeyOf(idx)
-						hk := store.HashKey(key)
-						kind := hist.Kind(wrng.Intn(3))
-						sk := store.OpContains
-						switch kind {
-						case hist.Insert:
-							sk = store.OpPut
-						case hist.Delete:
-							sk = store.OpDelete
-						}
-						ops = append(ops, store.Op[string]{Kind: sk, Key: key, Val: uint64(n + i)})
-						toks = append(toks, rec.Begin(kind, hk))
-					}
-					n += depth
-					// A crash inside Apply — in this session's own window
-					// or anywhere else in the process — leaves the whole
-					// vector unacknowledged: every op stays pending.
-					sess.Apply(ops, res[:depth])
-					for i := 0; i < depth; i++ {
-						rec.Finish(toks[i], res[i].Ok)
-					}
-				}
-			})
-			mu.Lock()
-			recorded += int64(n)
-			if c {
-				crashed++
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-
-	wm := st.Heap().Watermark()
-	img := st.Mem().CrashImage(opts.CrashMode, opts.Seed^0x5ca1ab1e)
-	mem2 := pmem.NewFromImage(img, st.Mem().Config())
-	st2, rstats, err := store.Recover(mem2, wm, st.Opts())
-	if err != nil {
-		return StoreVerdict{}, err
-	}
-	final := make(map[uint64]bool)
-	for k := range st2.Snapshot() {
-		final[k] = true
-	}
-	return StoreVerdict{
-		Violation:   hist.Check(recs, initial, final),
-		Store:       st2,
-		Recovery:    rstats,
-		RecordedOps: int(recorded),
-		Crashed:     int(crashed),
-	}, nil
-}
+// The net-delta battery of the embedded flat-combining path checks a
+// different contract from RunStore's set membership — counter intervals
+// at window granularity — so it keeps its own driver. As in every Combined
+// round, countdowns arm on the combiner threads (store.CombinerThreads),
+// and a firing one kills the whole simulated process (sticky Store crash
+// flag), freezing every in-flight window as pending.
 
 // combineAddBase offsets the counter keys of the net-delta battery so
 // signed ±1 churn never drives a stored value negative.
@@ -255,17 +55,12 @@ type AddsVerdict struct {
 // selects all-+1 deltas instead of ±1, giving the no-persist tooth a
 // drift the pending interval cannot absorb.
 func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys int, biased bool) (AddsVerdict, error) {
-	if opts.KeyOf == nil {
-		opts.KeyOf = func(i uint64) string { return fmt.Sprintf("key-%d", i) }
-	}
+	opts = opts.normalized()
 	if window <= 0 {
 		window = 16
 	}
 	if hotKeys <= 0 {
 		hotKeys = 4
-	}
-	if opts.MaxCrash < opts.MinCrash {
-		opts.MaxCrash = opts.MinCrash
 	}
 
 	// Seed every counter through a Direct session — fenced per op —
@@ -286,7 +81,7 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 		seeds[w] = rng.Int63()
 	}
 	for _, ct := range st.CombinerThreads() {
-		ct.SetCrashAfter(opts.MinCrash + rng.Int63n(opts.MaxCrash-opts.MinCrash+1))
+		ct.SetCrashAfter(opts.countdown(rng))
 	}
 
 	// Per-worker, per-key ledgers: acknowledged net deltas, and the
@@ -364,10 +159,8 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 	}
 	wg.Wait()
 
-	wm := st.Heap().Watermark()
-	img := st.Mem().CrashImage(opts.CrashMode, opts.Seed^0x5ca1ab1e)
-	mem2 := pmem.NewFromImage(img, st.Mem().Config())
-	st2, rstats, err := store.Recover(mem2, wm, st.Opts())
+	img := st.Mem().CrashImage(opts.CrashMode, opts.Seed^crashSeed)
+	st2, rstats, _, err := recoverKeySet(st, img, nil)
 	if err != nil {
 		return AddsVerdict{}, err
 	}

@@ -41,7 +41,7 @@ func TestStoreCombinedDurableLinearizability(t *testing.T) {
 						opts := DefaultStoreOptions(seed, cm)
 						opts.KeyRange = 300
 						opts.KeyOf = workload.Key
-						verdict, err := RunStoreCombined(st, opts, 8)
+						verdict, err := RunStore(st, store.Combined, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -87,7 +87,7 @@ func TestStoreCombinedDL(t *testing.T) {
 					}
 					opts := dlcheck.DefaultOptions(seed)
 					opts.Budget = budget
-					rep := RunStoreCombinedDL(st, opts)
+					rep := RunStoreDL(st, store.Combined, 0, opts)
 					if rep.Violation != nil {
 						t.Fatalf("mode %v seed %d: %v", mode, seed, rep.Violation)
 					}
@@ -115,7 +115,7 @@ func TestStoreCombinedCheckerHasTeeth(t *testing.T) {
 		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
 		opts.KeyRange = 300
 		opts.KeyOf = workload.Key
-		verdict, err := RunStoreCombined(st, opts, 8)
+		verdict, err := RunStore(st, store.Combined, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestStoreCombinedDLCheckerHasTeeth(t *testing.T) {
 		}
 		opts := dlcheck.DefaultOptions(seed)
 		opts.Budget = 16
-		rep := RunStoreCombinedDL(st, opts)
+		rep := RunStoreDL(st, store.Combined, 0, opts)
 		caught = rep.Violation != nil
 	}
 	if !caught {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/bst"
 	"flit/internal/dstruct/hashtable"
@@ -22,79 +23,40 @@ import (
 )
 
 // Instance couples a set with a quiescent snapshot function.
-type Instance struct {
-	Set      dstruct.Set
-	Snapshot func() map[uint64]uint64
-}
+type Instance = dlcheck.Instance
 
-// Target describes one data structure under crash test.
+// Target describes one data structure under crash test — the same
+// registry entry feeds the randomized rounds (Run) and, through the
+// embedded dlcheck.Target, the systematic enumerator (dlcheck.RunSet).
 type Target struct {
-	Name string
+	dlcheck.Target
 	// WithLAP reports whether link-and-persist applies (false for the BST).
 	WithLAP bool
-	New     func(cfg dstruct.Config) Instance
-	Recover func(cfg dstruct.Config) Instance
+}
+
+// targetOf builds a registry entry from a structure's constructor pair.
+func targetOf[S interface {
+	dstruct.Set
+	Snapshot() map[uint64]uint64
+}](name string, withLAP bool, create, recover func(dstruct.Config) S) Target {
+	inst := func(f func(dstruct.Config) S) func(dstruct.Config) Instance {
+		return func(cfg dstruct.Config) Instance {
+			s := f(cfg)
+			return Instance{Set: s, Snapshot: s.Snapshot}
+		}
+	}
+	return Target{dlcheck.Target{Name: name, New: inst(create), Recover: inst(recover)}, withLAP}
 }
 
 // Targets enumerates the paper's four lock-free structures plus the
 // lock-based map (§7's extension).
 func Targets() []Target {
 	return []Target{
-		{
-			Name: "list", WithLAP: true,
-			New: func(cfg dstruct.Config) Instance {
-				l := list.New(cfg)
-				return Instance{Set: l, Snapshot: l.Snapshot}
-			},
-			Recover: func(cfg dstruct.Config) Instance {
-				l := list.Recover(cfg)
-				return Instance{Set: l, Snapshot: l.Snapshot}
-			},
-		},
-		{
-			Name: "hashtable", WithLAP: true,
-			New: func(cfg dstruct.Config) Instance {
-				h := hashtable.New(cfg, 8)
-				return Instance{Set: h, Snapshot: h.Snapshot}
-			},
-			Recover: func(cfg dstruct.Config) Instance {
-				h := hashtable.Recover(cfg)
-				return Instance{Set: h, Snapshot: h.Snapshot}
-			},
-		},
-		{
-			Name: "skiplist", WithLAP: true,
-			New: func(cfg dstruct.Config) Instance {
-				s := skiplist.New(cfg)
-				return Instance{Set: s, Snapshot: s.Snapshot}
-			},
-			Recover: func(cfg dstruct.Config) Instance {
-				s := skiplist.Recover(cfg)
-				return Instance{Set: s, Snapshot: s.Snapshot}
-			},
-		},
-		{
-			Name: "lockmap", WithLAP: true,
-			New: func(cfg dstruct.Config) Instance {
-				m := lockmap.New(cfg, 8)
-				return Instance{Set: m, Snapshot: m.Snapshot}
-			},
-			Recover: func(cfg dstruct.Config) Instance {
-				m := lockmap.Recover(cfg)
-				return Instance{Set: m, Snapshot: m.Snapshot}
-			},
-		},
-		{
-			Name: "bst", WithLAP: false,
-			New: func(cfg dstruct.Config) Instance {
-				b := bst.New(cfg)
-				return Instance{Set: b, Snapshot: b.Snapshot}
-			},
-			Recover: func(cfg dstruct.Config) Instance {
-				b := bst.Recover(cfg)
-				return Instance{Set: b, Snapshot: b.Snapshot}
-			},
-		},
+		targetOf("list", true, list.New, list.Recover),
+		targetOf("hashtable", true, func(cfg dstruct.Config) *hashtable.Table { return hashtable.New(cfg, 8) }, hashtable.Recover),
+		targetOf("skiplist", true, skiplist.New, skiplist.Recover),
+		targetOf("lockmap", true, func(cfg dstruct.Config) *lockmap.Map { return lockmap.New(cfg, 8) }, lockmap.Recover),
+		targetOf("bst", false, bst.New, bst.Recover),
 	}
 }
 
@@ -135,21 +97,20 @@ func Run(cfg dstruct.Config, target Target, opts Options) (*hist.Violation, Inst
 	}
 
 	clock := &hist.Clock{}
-	recs := make([]*hist.Recorder, opts.Workers)
 	rng := rand.New(rand.NewSource(opts.Seed))
-	countdowns := make([]int64, opts.Workers)
+	recs := make([]*hist.Recorder, opts.Workers)
+	threads := make([]dstruct.SetThread, opts.Workers)
 	seeds := make([]int64, opts.Workers)
-	for w := range countdowns {
-		countdowns[w] = opts.MinCrash + rng.Int63n(opts.MaxCrash-opts.MinCrash+1)
+	for w := range threads {
+		recs[w] = hist.NewRecorder(clock)
+		threads[w] = inst.Set.NewThread()
+		// Arm the deterministic instruction-countdown crash on the
+		// handle's pmem thread.
+		ctxOf(threads[w]).T.SetCrashAfter(opts.MinCrash + rng.Int63n(opts.MaxCrash-opts.MinCrash+1))
 		seeds[w] = rng.Int63()
 	}
 
 	var wg sync.WaitGroup
-	threads := make([]dstruct.SetThread, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		threads[w] = inst.Set.NewThread()
-		recs[w] = hist.NewRecorder(clock)
-	}
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -157,11 +118,6 @@ func Run(cfg dstruct.Config, target Target, opts Options) (*hist.Violation, Inst
 			th := threads[w]
 			rec := recs[w]
 			wrng := rand.New(rand.NewSource(seeds[w]))
-			// Arm the deterministic instruction-countdown crash. The
-			// thread context is reachable via the structures' Ctx
-			// accessors, but the countdown API lives on pmem.Thread; we
-			// route through the ctxOf helper.
-			ctxOf(th).T.SetCrashAfter(countdowns[w])
 			pmem.RunToCrash(func() {
 				for i := 0; i < opts.MaxOps; i++ {
 					k := uint64(wrng.Intn(opts.KeyRange))

@@ -11,19 +11,11 @@ import (
 	"flit/internal/store"
 )
 
-// This file wires the randomized crash harness's target registry into the
-// systematic enumerator (internal/dlcheck): the same structures, the same
-// recovery paths, but every PWB/PFence boundary of a recorded execution
-// checked instead of one random image per round.
-
-// DL adapts a crash-test target for dlcheck.RunSet.
-func (t Target) DL() dlcheck.Target {
-	return dlcheck.Target{
-		Name:    t.Name,
-		New:     func(cfg dstruct.Config) dlcheck.Instance { return dlcheck.Instance(t.New(cfg)) },
-		Recover: func(cfg dstruct.Config) dlcheck.Instance { return dlcheck.Instance(t.Recover(cfg)) },
-	}
-}
+// This file wires the queue and the store into the systematic enumerator
+// (internal/dlcheck): the same targets and recovery paths as the
+// randomized rounds, but every PWB/PFence boundary of a recorded
+// execution checked instead of one random image per round. (The set
+// structures need no adapter: a Target embeds its dlcheck.Target.)
 
 // RunQueueDL runs the systematic checker against the durable FIFO queue.
 func RunQueueDL(cfg dstruct.Config, opts dlcheck.Options) *dlcheck.Report {
@@ -54,27 +46,34 @@ func NewDLStore(policy string, mode dstruct.Mode) (*store.Store, error) {
 	})
 }
 
-// dlStoreSession maps the enumerator's uint64 key space onto store string
-// keys, giving the whole-store service set semantics the engine records
-// (Put ≡ Insert: true iff newly inserted).
-type dlStoreSession struct {
-	sess *store.Sess[string]
-}
-
 func dlStoreKey(k uint64) string { return fmt.Sprintf("dlkey-%d", k) }
 
-func (s dlStoreSession) Insert(k, v uint64) bool { return s.sess.Put(dlStoreKey(k), v) }
-func (s dlStoreSession) Delete(k uint64) bool    { return s.sess.Delete(dlStoreKey(k)) }
-func (s dlStoreSession) Contains(k uint64) bool  { return s.sess.Contains(dlStoreKey(k)) }
+// dlMaxBatch bounds the enumerated pipeline depth in the Batched and
+// Combined modes: deep enough to exercise multi-op commits, shallow
+// enough to keep many commit boundaries per run.
+const dlMaxBatch = 6
 
-// RunStoreDL runs the systematic checker against a whole store: sessions
-// record service-level histories, and every (budgeted) crash boundary is
-// recovered with the store's superblock probe and shard-parallel rebuild
-// before checking. st must be freshly created (no unrecorded keys): any
-// recovered key outside the checker's namespace is reported as a
-// violation, which is exactly the "no operation absent from the history
-// may appear" half of the durable rule.
-func RunStoreDL(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
+// RunStoreDL runs the systematic checker against a whole store reached
+// through sessions of the given mode: workers record service-level
+// histories, and every (budgeted) persist boundary is recovered with the
+// store's superblock probe and shard-parallel rebuild before checking.
+// Direct sessions are recorded per operation; Batched (the server's
+// group-commit executor) and Combined (the per-shard flat combiners, whose
+// windows may merge several sessions' vectors) pipeline vectors of varying
+// depth, every response recorded only after its vector's commit fence.
+//
+// With splitTo > 0 an online shard split to splitTo shards races the
+// recorded workload, so the enumerated boundaries land before the split's
+// activation word, inside the key migration (between any two of its batch
+// fences), and after completion. The migration moves keys, it never
+// creates or destroys them, so every boundary must recover a complete,
+// duplicate-free keyspace under the same durable rule. A split needs fewer
+// than splitTo shards and a mode other than Combined.
+//
+// st must be freshly created: a recovered key outside the checker's
+// namespace is reported as a violation — the "no operation absent from
+// the history may appear" half of the durable rule.
+func RunStoreDL(st *store.Store, mode store.SessionMode, splitTo int, opts dlcheck.Options) *dlcheck.Report {
 	opts = opts.Normalized()
 	keyspace := opts.KeyRange
 	if opts.Prefill > keyspace {
@@ -85,26 +84,32 @@ func RunStoreDL(st *store.Store, opts dlcheck.Options) *dlcheck.Report {
 	for k := 0; k < keyspace; k++ {
 		back[store.HashKey(dlStoreKey(uint64(k)))] = uint64(k)
 	}
-	return dlcheck.Run(dlcheck.Harness{
-		Name:       "store",
+	name, maxBatch := "store", 1
+	if mode != store.Direct {
+		name, maxBatch = "store-"+mode.String(), dlMaxBatch
+	}
+	newExec := executors(st, mode, maxBatch)
+	h := dlcheck.Harness{
+		Name:       name,
 		Mem:        st.Mem(),
 		Policy:     st.Policy(),
-		NewSession: func() dstruct.SetThread { return dlStoreSession{store.Open[string](st, store.Direct)} },
+		MaxBatch:   maxBatch,
+		NewSession: func() dlcheck.BatchExecutor { return &dlExec{executor: newExec()} },
 		Recover: func(img []uint64) (map[uint64]bool, error) {
-			mem2 := pmem.NewFromImage(img, st.Mem().Config())
-			st2, _, err := store.Recover(mem2, st.Heap().Watermark(), st.Opts())
-			if err != nil {
-				return nil, err
-			}
-			final := make(map[uint64]bool)
-			for h := range st2.Snapshot() {
-				k, ok := back[h]
-				if !ok {
-					return nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
-				}
-				final[k] = true
-			}
-			return final, nil
+			_, _, final, err := recoverKeySet(st, img, back)
+			return final, err
 		},
-	}, opts)
+	}
+	if splitTo > 0 {
+		h.Name = fmt.Sprintf("%s-split(%d→%d)", name, st.NumShards(), splitTo)
+		h.During = func() {
+			if err := st.Split(splitTo); err != nil {
+				panic(fmt.Sprintf("crashtest: split activation failed: %v", err))
+			}
+			if !st.WaitSplit() {
+				panic("crashtest: split migrator crashed without a countdown armed")
+			}
+		}
+	}
+	return dlcheck.Run(h, opts)
 }

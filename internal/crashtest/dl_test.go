@@ -36,7 +36,7 @@ func TestStoreDLEnumerated(t *testing.T) {
 				} else {
 					opts.Budget = 0
 				}
-				rep := RunStoreDL(st, opts)
+				rep := RunStoreDL(st, store.Direct, 0, opts)
 				if rep.Violation != nil {
 					t.Fatalf("seed %d: %v", seed, rep.Violation)
 				}
@@ -54,7 +54,7 @@ func TestStoreDLEnumerated(t *testing.T) {
 func TestStructureDLEnumeratedViaTargets(t *testing.T) {
 	target := Targets()[0] // list
 	cfg := mkConfig(core.NewFliT(core.NewHashTable(1<<14)), dstruct.Automatic, 1<<16)
-	rep := dlcheck.RunSet(cfg, target.DL(), dlcheck.DefaultOptions(1))
+	rep := dlcheck.RunSet(cfg, target.Target, dlcheck.DefaultOptions(1))
 	if rep.Violation != nil {
 		t.Fatal(rep.Violation)
 	}

@@ -60,7 +60,7 @@ func TestStoreDurableLinearizability(t *testing.T) {
 						opts := DefaultStoreOptions(seed, cm)
 						opts.KeyRange = 300
 						opts.KeyOf = workload.Key
-						verdict, err := RunStore(st, opts)
+						verdict, err := RunStore(st, store.Direct, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -92,7 +92,7 @@ func TestStoreCheckerHasTeeth(t *testing.T) {
 		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
 		opts.KeyRange = 300
 		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, opts)
+		verdict, err := RunStore(st, store.Direct, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestStoreCheckerHasTeeth(t *testing.T) {
 }
 
 // TestStoreRepeatedCrashCycles chains crash→recover→mutate rounds on one
-// store lineage, as cmd/flitstore does with -cycles.
+// store lineage.
 func TestStoreRepeatedCrashCycles(t *testing.T) {
 	st := newCrashStore(t, core.PolicyHT)
 	workload.Load(st, 300, 2)
@@ -116,7 +116,7 @@ func TestStoreRepeatedCrashCycles(t *testing.T) {
 		opts := DefaultStoreOptions(int64(100+round), pmem.RandomSubset)
 		opts.KeyRange = 400
 		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, opts)
+		verdict, err := RunStore(st, store.Direct, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

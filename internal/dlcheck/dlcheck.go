@@ -115,9 +115,7 @@ func NewConfig(pol core.Policy, mode dstruct.Mode) dstruct.Config {
 // Normalized returns the options with zero fields replaced by defaults —
 // what Run itself applies; adapters that need to see the effective
 // values (e.g. the store's key-namespace translation) call it first.
-func (o Options) Normalized() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+func (o Options) Normalized() Options {
 	d := DefaultOptions(o.Seed)
 	if o.Workers <= 0 {
 		o.Workers = d.Workers
@@ -134,6 +132,40 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// BatchOp is one operation of a recorded execution (hist.Insert maps to
+// the store's Put: true iff newly inserted).
+type BatchOp struct {
+	Kind hist.Kind
+	Key  uint64
+	Val  uint64
+}
+
+// BatchExecutor is a per-goroutine operation handle: it executes one
+// vector of operations and fills results[i] with ops[i]'s answer. A
+// group-commit target (the server's batcher, the store's combiner) runs
+// the vector under a single commit fence; no result may be externalized
+// before that fence — the property under test.
+type BatchExecutor interface {
+	ExecBatch(ops []BatchOp, results []bool)
+}
+
+// SetExecutor adapts a per-operation set handle to BatchExecutor: each
+// op of the vector runs to completion in order.
+type SetExecutor struct{ Th dstruct.SetThread }
+
+func (e SetExecutor) ExecBatch(ops []BatchOp, results []bool) {
+	for i, op := range ops {
+		switch op.Kind {
+		case hist.Insert:
+			results[i] = e.Th.Insert(op.Key, op.Val)
+		case hist.Delete:
+			results[i] = e.Th.Delete(op.Key)
+		default:
+			results[i] = e.Th.Contains(op.Key)
+		}
+	}
+}
+
 // Harness abstracts the set-semantics structure or service under check.
 // Sessions share the uint64 key space the recorders log; adapters that
 // speak another key language (the store's string keys) translate in both
@@ -148,11 +180,20 @@ type Harness struct {
 	// Policy feeds the flit-tag quiescence oracle; nil skips it.
 	Policy core.Policy
 	// NewSession returns a fresh per-goroutine operation handle.
-	NewSession func() dstruct.SetThread
+	NewSession func() BatchExecutor
 	// Recover materializes the target from a crash image and returns its
 	// recovered key set. An error is reported as a violation (recovery
 	// must succeed from every reachable crash state).
 	Recover func(img []uint64) (map[uint64]bool, error)
+	// MaxBatch bounds the (seeded, varying) operations per ExecBatch
+	// call. At <= 1 every operation is invoked, executed and answered on
+	// its own. Above 1 the history model is the pipeline's: a vector's
+	// operations are all invoked (Begin) before it executes and respond
+	// (Finish) only after it commits, so they overlap — any serialization
+	// the executor picks is admissible — while the durable rule bites at
+	// full strength: once Finish is stamped, every later crash boundary
+	// must reflect the operation.
+	MaxBatch int
 	// During, when non-nil, runs concurrently with the recording workers —
 	// a background mutation of the target whose persist boundaries should
 	// land inside the trace (the store's online shard split migrates here,
@@ -249,22 +290,30 @@ func (v *Violation) Error() string {
 // every (budgeted) crash boundary. The returned report's Violation is nil
 // iff all checked boundaries are durably linearizable.
 func Run(h Harness, opts Options) *Report {
-	opts = opts.withDefaults()
+	opts = opts.Normalized()
+	maxBatch := h.MaxBatch
+	if maxBatch < 1 {
+		maxBatch = 1
+	}
 
-	// Prefill outside the recorded history; each insert completes (and
-	// fences), so the base image below carries the initial state.
-	setup := h.NewSession()
+	// Prefill outside the recorded history, as one vector: it completes
+	// (and fences) before the base image below is taken, so the image
+	// carries the initial state.
 	initial := make(map[uint64]bool, opts.Prefill)
-	for k := 0; k < opts.Prefill; k++ {
-		setup.Insert(uint64(k), uint64(k)+1000)
-		initial[uint64(k)] = true
+	if opts.Prefill > 0 {
+		ops := make([]BatchOp, opts.Prefill)
+		for k := range ops {
+			ops[k] = BatchOp{Kind: hist.Insert, Key: uint64(k), Val: uint64(k) + 1000}
+			initial[uint64(k)] = true
+		}
+		h.NewSession().ExecBatch(ops, make([]bool, len(ops)))
 	}
 	base := h.Mem.CrashImage(pmem.DropUnfenced, 0)
 
 	clock := &hist.Clock{}
 	trace := h.Mem.StartTrace(clock.Now)
 	recs := make([]*hist.Recorder, opts.Workers)
-	sessions := make([]dstruct.SetThread, opts.Workers)
+	sessions := make([]BatchExecutor, opts.Workers)
 	for w := range recs {
 		recs[w] = hist.NewRecorder(clock)
 		sessions[w] = h.NewSession()
@@ -281,21 +330,34 @@ func Run(h Harness, opts Options) *Report {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			th, rec := sessions[w], recs[w]
+			ex, rec := sessions[w], recs[w]
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*7919))
-			for i := 0; i < opts.OpsPerWorker; i++ {
-				k := uint64(rng.Intn(opts.KeyRange))
-				switch rng.Intn(3) {
-				case 0:
-					tok := rec.Begin(hist.Insert, k)
-					rec.Finish(tok, th.Insert(k, uint64(w*1000+i)))
-				case 1:
-					tok := rec.Begin(hist.Delete, k)
-					rec.Finish(tok, th.Delete(k))
-				default:
-					tok := rec.Begin(hist.Contains, k)
-					rec.Finish(tok, th.Contains(k))
+			ops := make([]BatchOp, 0, maxBatch)
+			results := make([]bool, maxBatch)
+			toks := make([]int, 0, maxBatch)
+			for done := 0; done < opts.OpsPerWorker; {
+				depth := 1
+				if maxBatch > 1 {
+					depth += rng.Intn(maxBatch)
 				}
+				if depth > opts.OpsPerWorker-done {
+					depth = opts.OpsPerWorker - done
+				}
+				ops, toks = ops[:0], toks[:0]
+				for i := 0; i < depth; i++ {
+					k := uint64(rng.Intn(opts.KeyRange))
+					kind := hist.Kind(rng.Intn(3))
+					ops = append(ops, BatchOp{Kind: kind, Key: k, Val: uint64(w*1000 + done + i)})
+					// Invocation before execution: the target has
+					// accepted the request.
+					toks = append(toks, rec.Begin(kind, k))
+				}
+				ex.ExecBatch(ops, results[:depth])
+				// Responses exist only now — after the vector's commit.
+				for i := 0; i < depth; i++ {
+					rec.Finish(toks[i], results[i])
+				}
+				done += depth
 			}
 		}(w)
 	}
@@ -315,9 +377,8 @@ func Run(h Harness, opts Options) *Report {
 }
 
 // setBoundaryCheck builds the per-boundary verdict function for
-// set-semantics targets (shared by Run and RunBatched): truncate the
-// history at the crash stamp, recover the image, decide with the exact
-// checkers.
+// set-semantics targets: truncate the history at the crash stamp,
+// recover the image, decide with the exact checkers.
 func setBoundaryCheck(recover func(img []uint64) (map[uint64]bool, error),
 	initial map[uint64]bool, perKey map[uint64][]hist.Op) func(img []uint64, stamp int64) *Violation {
 	return func(img []uint64, stamp int64) *Violation {
@@ -392,7 +453,7 @@ func RunSet(cfg dstruct.Config, tgt Target, opts Options) *Report {
 		Name:       tgt.Name,
 		Mem:        cfg.Heap.Mem(),
 		Policy:     cfg.Policy,
-		NewSession: func() dstruct.SetThread { return inst.Set.NewThread() },
+		NewSession: func() BatchExecutor { return SetExecutor{inst.Set.NewThread()} },
 		Recover: func(img []uint64) (map[uint64]bool, error) {
 			cfg2 := cfg
 			cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), cfg.Heap.Watermark())

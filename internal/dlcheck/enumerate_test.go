@@ -8,6 +8,7 @@ import (
 	"flit/internal/crashtest"
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
+	"flit/internal/store"
 )
 
 func dlPolicies(withLAP bool) []core.Policy {
@@ -45,7 +46,7 @@ func TestEnumeratedSetsAllTargets(t *testing.T) {
 					for _, seed := range seeds {
 						opts := dlcheck.DefaultOptions(seed)
 						opts.Budget = budget
-						rep := dlcheck.RunSet(dlcheck.NewConfig(pol, mode), target.DL(), opts)
+						rep := dlcheck.RunSet(dlcheck.NewConfig(pol, mode), target.Target, opts)
 						if rep.Violation != nil {
 							t.Fatalf("seed %d: %v", seed, rep.Violation)
 						}
@@ -107,7 +108,7 @@ func TestEnumeratedStore(t *testing.T) {
 				} else {
 					opts.Budget = 0
 				}
-				rep := crashtest.RunStoreDL(st, opts)
+				rep := crashtest.RunStoreDL(st, store.Direct, 0, opts)
 				if rep.Violation != nil {
 					t.Fatalf("seed %d: %v", seed, rep.Violation)
 				}

@@ -105,7 +105,7 @@ func TestBrokenLoadPolicyIsCaught(t *testing.T) {
 	for seed := int64(1); seed <= maxSeed && !caught; seed++ {
 		for _, target := range targets[:2] { // list and hashtable: densest overlap
 			pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), true}
-			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.Automatic), target.DL(), mutationOpts(seed))
+			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.Automatic), target.Target, mutationOpts(seed))
 			if rep.Violation != nil {
 				caught = true
 				sample = rep.Violation.Error()
@@ -131,7 +131,7 @@ func TestSlowWindowPolicyPasses(t *testing.T) {
 	for _, seed := range seeds {
 		for _, target := range crashtest.Targets()[:2] {
 			pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), false}
-			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.Automatic), target.DL(), mutationOpts(seed))
+			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.Automatic), target.Target, mutationOpts(seed))
 			if rep.Violation != nil {
 				t.Fatalf("%s seed %d: slow-but-correct window flagged: %v", target.Name, seed, rep.Violation)
 			}
@@ -146,7 +146,7 @@ func TestNoPersistPolicyIsCaught(t *testing.T) {
 	for _, target := range crashtest.Targets() {
 		t.Run(target.Name, func(t *testing.T) {
 			opts := dlcheck.DefaultOptions(1)
-			rep := dlcheck.RunSet(dlcheck.NewConfig(core.NoPersist{}, dstruct.Automatic), target.DL(), opts)
+			rep := dlcheck.RunSet(dlcheck.NewConfig(core.NoPersist{}, dstruct.Automatic), target.Target, opts)
 			if rep.Violation == nil {
 				t.Fatal("no-persist policy passed the enumerator")
 			}
@@ -160,7 +160,7 @@ func TestNoPersistPolicyIsCaught(t *testing.T) {
 // TestNoPersistStoreIsCaught: same teeth at service granularity.
 func TestNoPersistStoreIsCaught(t *testing.T) {
 	st := newDLStore(t, core.PolicyNoPersist)
-	rep := crashtest.RunStoreDL(st, dlcheck.DefaultOptions(1))
+	rep := crashtest.RunStoreDL(st, store.Direct, 0, dlcheck.DefaultOptions(1))
 	if rep.Violation == nil {
 		t.Fatal("no-persist store passed the enumerator")
 	}
@@ -170,7 +170,7 @@ func TestNoPersistStoreIsCaught(t *testing.T) {
 // schedule and the state diff — debuggable from a CI artifact alone.
 func TestViolationReproTrace(t *testing.T) {
 	opts := dlcheck.DefaultOptions(3)
-	rep := dlcheck.RunSet(dlcheck.NewConfig(core.NoPersist{}, dstruct.Automatic), crashtest.Targets()[0].DL(), opts)
+	rep := dlcheck.RunSet(dlcheck.NewConfig(core.NoPersist{}, dstruct.Automatic), crashtest.Targets()[0].Target, opts)
 	if rep.Violation == nil {
 		t.Fatal("expected a violation to format")
 	}

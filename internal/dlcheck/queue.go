@@ -45,7 +45,7 @@ const maxQueueOps = 24
 // As with Harness, the queue must be freshly constructed: the engine's
 // prefill is the entire initial state.
 func RunQueue(h QueueHarness, opts Options) *Report {
-	opts = opts.withDefaults()
+	opts = opts.Normalized()
 	if opts.Workers*opts.OpsPerWorker > maxQueueOps {
 		opts.OpsPerWorker = maxQueueOps / opts.Workers
 		if opts.OpsPerWorker < 1 {

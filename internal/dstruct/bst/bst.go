@@ -131,6 +131,11 @@ func (t *Thread) childField(node pmem.Addr, nodeKey, key uint64) pmem.Addr {
 type seekRec struct {
 	ancestor, successor, parent, leaf pmem.Addr
 	leafKey                           uint64
+	// parentEdge is the edge word the walk reached parent through. A
+	// concurrent Insert replaces a leaf edge with a new internal node, so
+	// the link a response rests on may be this one, not parent's own edge
+	// to leaf.
+	parentEdge pmem.Addr
 }
 
 // seek walks from the sentinels to the leaf for key.
@@ -138,11 +143,13 @@ func (t *Thread) seek(key uint64) seekRec {
 	cfg := &t.b.cfg
 	pol := cfg.Policy
 	travP := t.b.travP()
-	sr := seekRec{ancestor: t.b.r, successor: t.b.s, parent: t.b.s}
-	parentRaw := pol.Load(t.c.T, cfg.Field(t.b.s, fLeft), travP) // key < inf1: always left of S
+	sr := seekRec{ancestor: t.b.r, successor: t.b.s, parent: t.b.s, parentEdge: cfg.Field(t.b.r, fLeft)}
+	leafEdge := cfg.Field(t.b.s, fLeft) // key < inf1: always left of S
+	parentRaw := pol.Load(t.c.T, leafEdge, travP)
 	sr.leaf = dstruct.Ptr(parentRaw)
 	sr.leafKey = pol.Load(t.c.T, cfg.Field(sr.leaf, fKey), travP)
-	curRaw := pol.Load(t.c.T, t.childField(sr.leaf, sr.leafKey, key), travP)
+	curEdge := t.childField(sr.leaf, sr.leafKey, key)
+	curRaw := pol.Load(t.c.T, curEdge, travP)
 	for {
 		cur := dstruct.Ptr(curRaw)
 		if cur == pmem.NilAddr {
@@ -152,17 +159,22 @@ func (t *Thread) seek(key uint64) seekRec {
 			sr.ancestor = sr.parent
 			sr.successor = sr.leaf
 		}
-		sr.parent = sr.leaf
-		sr.leaf = cur
+		sr.parent, sr.parentEdge = sr.leaf, leafEdge
+		sr.leaf, leafEdge = cur, curEdge
 		sr.leafKey = pol.Load(t.c.T, cfg.Field(cur, fKey), travP)
 		parentRaw = curRaw
-		curRaw = pol.Load(t.c.T, t.childField(cur, sr.leafKey, key), travP)
+		curEdge = t.childField(cur, sr.leafKey, key)
+		curRaw = pol.Load(t.c.T, curEdge, travP)
 	}
 }
 
-func (t *Thread) transition(a pmem.Addr) {
+// transition re-examines, with p-loads, the two links a response rests
+// on at the traversal/critical boundary: the edge into parent and parent's
+// edge toward the key (see list.transition; redundant under Automatic).
+func (t *Thread) transition(sr seekRec, edge pmem.Addr) {
 	if t.b.cfg.Mode != dstruct.Automatic {
-		t.b.cfg.Policy.Load(t.c.T, a, core.P)
+		t.b.cfg.Policy.Load(t.c.T, sr.parentEdge, core.P)
+		t.b.cfg.Policy.Load(t.c.T, edge, core.P)
 	}
 }
 
@@ -197,12 +209,12 @@ func (t *Thread) Insert(key, val uint64) bool {
 		pkey := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), t.b.travP())
 		edge := t.childField(sr.parent, pkey, key)
 		if sr.leafKey == key {
-			t.transition(edge)
+			t.transition(sr, edge)
 			pol.Complete(t.c.T)
 			t.c.H.Exit()
 			return false
 		}
-		t.transition(edge)
+		t.transition(sr, edge)
 		newLeaf := t.c.Ar.Alloc(cfg.Words(NumFields))
 		t.initNode(newLeaf, key, val, 0, 0)
 		newInt := t.c.Ar.Alloc(cfg.Words(NumFields))
@@ -239,14 +251,14 @@ func (t *Thread) Delete(key uint64) bool {
 		if injecting {
 			if sr.leafKey != key {
 				pkey := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), t.b.travP())
-				t.transition(t.childField(sr.parent, pkey, key))
+				t.transition(sr, t.childField(sr.parent, pkey, key))
 				pol.Complete(t.c.T)
 				t.c.H.Exit()
 				return false
 			}
 			pkey := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), t.b.travP())
 			edge := t.childField(sr.parent, pkey, key)
-			t.transition(edge)
+			t.transition(sr, edge)
 			if pol.CAS(t.c.T, edge, uint64(sr.leaf), uint64(sr.leaf)|core.FlagBit, core.P) {
 				injecting = false
 				leaf = sr.leaf
@@ -335,7 +347,7 @@ func (t *Thread) Contains(key uint64) bool {
 	sr := t.seek(key)
 	found := sr.leafKey == key
 	pkey := pol.Load(t.c.T, t.b.cfg.Field(sr.parent, fKey), t.b.travP())
-	t.transition(t.childField(sr.parent, pkey, key))
+	t.transition(sr, t.childField(sr.parent, pkey, key))
 	pol.Complete(t.c.T)
 	t.c.H.Exit()
 	return found
@@ -346,17 +358,16 @@ func (t *Thread) Get(key uint64) (uint64, bool) {
 	pol := t.b.cfg.Policy
 	t.c.H.Enter()
 	sr := t.seek(key)
-	if sr.leafKey != key {
-		pol.Complete(t.c.T)
-		t.c.H.Exit()
-		return 0, false
+	var v uint64
+	found := sr.leafKey == key
+	if found {
+		v = pol.Load(t.c.T, t.b.cfg.Field(sr.leaf, fVal), t.b.travP())
 	}
-	v := pol.Load(t.c.T, t.b.cfg.Field(sr.leaf, fVal), t.b.travP())
 	pkey := pol.Load(t.c.T, t.b.cfg.Field(sr.parent, fKey), t.b.travP())
-	t.transition(t.childField(sr.parent, pkey, key))
+	t.transition(sr, t.childField(sr.parent, pkey, key))
 	pol.Complete(t.c.T)
 	t.c.H.Exit()
-	return v, true
+	return v, found
 }
 
 // Snapshot reads all live user pairs (test helper; callers quiescent).

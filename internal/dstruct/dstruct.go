@@ -129,11 +129,10 @@ func (c *Config) NewCtx(dom *reclaim.Domain) Ctx {
 }
 
 // ThreadOpts configures a per-goroutine structure handle — the single
-// options-struct constructor argument that replaced the
-// NewThread/NewThreadWith/NewThreadWithPolicy sprawl. Zero values pick
-// the structure's own defaults, so Open(ThreadOpts{}) is the standalone
-// handle NewThread returns, and each field overrides one piece of the
-// execution context independently.
+// options-struct constructor argument of every structure's Open. Zero
+// values pick the structure's own defaults, so Open(ThreadOpts{}) is the
+// standalone handle NewThread returns, and each field overrides one
+// piece of the execution context independently.
 type ThreadOpts struct {
 	// T is the pmem thread the handle issues instructions through (one
 	// write-back queue, one statistics record, one crash countdown). A

@@ -8,7 +8,6 @@ import (
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/list"
-	"flit/internal/pheap"
 	"flit/internal/pmem"
 )
 
@@ -104,22 +103,6 @@ func (t *Table) NewThread() dstruct.SetThread { return t.Open(dstruct.ThreadOpts
 // wrapper.
 func (t *Table) Open(o dstruct.ThreadOpts) *Thread {
 	return &Thread{t: t, lt: t.l.Open(o)}
-}
-
-// NewThreadWith creates a handle sharing an existing pmem thread and
-// arena.
-//
-// Deprecated: use Open(dstruct.ThreadOpts{T: th, Arena: ar}).
-func (t *Table) NewThreadWith(th *pmem.Thread, ar *pheap.Arena) *Thread {
-	return t.Open(dstruct.ThreadOpts{T: th, Arena: ar})
-}
-
-// NewThreadWithPolicy is NewThreadWith with the thread's instructions
-// instrumented by pol instead of the table's configured policy.
-//
-// Deprecated: use Open(dstruct.ThreadOpts{T: th, Arena: ar, Policy: pol}).
-func (t *Table) NewThreadWithPolicy(th *pmem.Thread, ar *pheap.Arena, pol core.Policy) *Thread {
-	return t.Open(dstruct.ThreadOpts{T: th, Arena: ar, Policy: pol})
 }
 
 // Ctx exposes the thread's execution context (stats, crash injection).

@@ -16,7 +16,6 @@ package list
 import (
 	"flit/internal/core"
 	"flit/internal/dstruct"
-	"flit/internal/pheap"
 	"flit/internal/pmem"
 	"flit/internal/reclaim"
 )
@@ -62,7 +61,7 @@ func (l *List) Name() string { return "list" }
 type Thread struct {
 	l *List
 	// cfg is the list's config, with Policy possibly overridden per
-	// thread (NewThreadWithPolicy): the group-commit batch sessions run
+	// thread (ThreadOpts.Policy): the group-commit batch sessions run
 	// the same structure under a deferred-persistence wrapper while
 	// plain sessions keep the base policy.
 	cfg dstruct.Config
@@ -119,22 +118,6 @@ func (t *Thread) Close() {
 	if t.ownsT {
 		t.c.T.Release()
 	}
-}
-
-// NewThreadWith creates a handle that shares an existing pmem thread and
-// arena.
-//
-// Deprecated: use Open(dstruct.ThreadOpts{T: t, Arena: ar}).
-func (l *List) NewThreadWith(t *pmem.Thread, ar *pheap.Arena) *Thread {
-	return l.Open(dstruct.ThreadOpts{T: t, Arena: ar})
-}
-
-// NewThreadWithPolicy is NewThreadWith with the thread's instructions
-// instrumented by pol instead of the list's configured policy.
-//
-// Deprecated: use Open(dstruct.ThreadOpts{T: t, Arena: ar, Policy: pol}).
-func (l *List) NewThreadWithPolicy(t *pmem.Thread, ar *pheap.Arena, pol core.Policy) *Thread {
-	return l.Open(dstruct.ThreadOpts{T: t, Arena: ar, Policy: pol})
 }
 
 // Ctx exposes the thread's execution context (stats, crash injection).
@@ -397,6 +380,11 @@ func (t *Thread) ContainsAt(head pmem.Addr, key uint64) bool {
 				t.c.H.Exit()
 				return true
 			}
+			if k == key {
+				// Logically deleted: absence rests on the mark, which the
+				// concurrent Delete may not have persisted yet.
+				t.transition(cfg.Field(curr, fNext))
+			}
 			break
 		}
 		predLink = cfg.Field(curr, fNext)
@@ -437,6 +425,11 @@ func (t *Thread) GetAt(head pmem.Addr, key uint64) (uint64, bool) {
 				t.transition(cfg.Field(curr, fVal))
 				pol.Complete(t.c.T)
 				return v, true
+			}
+			if k == key {
+				// Logically deleted: absence rests on the mark, which the
+				// concurrent Delete may not have persisted yet.
+				t.transition(cfg.Field(curr, fNext))
 			}
 			break
 		}

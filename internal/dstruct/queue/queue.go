@@ -101,7 +101,13 @@ func (t *Thread) Enqueue(v uint64) {
 		nextAddr := cfg.Field(tail, fNext)
 		next := dstruct.Ptr(pol.Load(t.t, nextAddr, core.V))
 		if next != pmem.NilAddr {
-			t.casTail(tail, next) // help lagging tail
+			// Help the lagging tail — but the volatile tail is what later
+			// enqueuers link behind without re-reading how it got there, so
+			// it may only move past a durable link: flush the link if its
+			// p-CAS is still pending, and fence, before publishing.
+			pol.Load(t.t, nextAddr, core.P)
+			pol.Complete(t.t)
+			t.casTail(tail, next)
 			continue
 		}
 		// The link is the durable hand-off: p-CAS flushes and fences.
@@ -133,6 +139,11 @@ func (t *Thread) Dequeue() (uint64, bool) {
 			return v, true
 		}
 		// Someone else took it; advance head past the taken node and retry.
+		// The volatile head is what later dequeuers trust instead of
+		// re-reading marks, so it may only move past a durable mark: fence
+		// the flush the failed p-CAS left pending (the taker may still be
+		// inside its own) before publishing the advance.
+		pol.Complete(t.t)
 		t.casHead(head, next)
 	}
 }

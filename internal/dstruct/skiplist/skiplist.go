@@ -291,7 +291,9 @@ func (t *Thread) Delete(key uint64) bool {
 		for {
 			raw := pol.Load(t.c.T, t.nextField(curr, 0), travP)
 			if dstruct.Marked(raw) {
-				// A concurrent delete linearized first.
+				// A concurrent delete linearized first; this response
+				// rests on its mark, which it may not have persisted yet.
+				t.transition(t.nextField(curr, 0))
 				pol.Complete(t.c.T)
 				t.c.H.Exit()
 				return false
@@ -321,6 +323,11 @@ func (t *Thread) Contains(key uint64) bool {
 		for curr != pmem.NilAddr {
 			raw := pol.Load(t.c.T, t.nextField(curr, lvl), travP)
 			if dstruct.Marked(raw) {
+				if lvl == 0 && !travP && pol.Load(t.c.T, cfg.Field(curr, fKey), travP) == key {
+					// Logically deleted: absence rests on the bottom mark,
+					// which the concurrent Delete may not have persisted yet.
+					t.transition(t.nextField(curr, 0))
+				}
 				curr = dstruct.Ptr(raw)
 				continue
 			}

@@ -1,10 +1,11 @@
 // Package metrics is the server observability core: a small,
 // dependency-free set of hot-path-safe primitives — striped atomic
-// counters, gauges, and a lock-free variant of the workload package's
-// log-bucketed latency histogram — plus the cold-path machinery that
-// exposes them: point-in-time snapshots with quantiles, a Prometheus
-// text-exposition writer and validator (prom.go), and a fixed-capacity
-// timeseries ring for live views (ring.go).
+// counters, gauges, and a lock-free log-bucketed latency histogram (the
+// repository's one histogram: the server, the load generator and the
+// in-process workload runner all record into it) — plus the cold-path
+// machinery that exposes them: point-in-time snapshots with quantiles, a
+// Prometheus text-exposition writer and validator (prom.go), and a
+// fixed-capacity timeseries ring for live views (ring.go).
 //
 // The design discipline matches the rest of the hot path (PR 3): a
 // recorded observation is a handful of atomic adds — zero allocations,
@@ -91,11 +92,9 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// Histogram geometry — identical to workload.Hist (HDR-style
-// log-linear): exact below 2^SubBits, then SubBuckets sub-buckets per
-// power of two, ≤ 1/SubBuckets relative quantile error.
-// TestHistMatchesWorkloadHist pins the two bucket functions to each
-// other.
+// Histogram geometry (HDR-style log-linear): exact below 2^SubBits, then
+// SubBuckets sub-buckets per power of two, ≤ 1/SubBuckets relative
+// quantile error.
 const (
 	SubBits    = 4
 	SubBuckets = 1 << SubBits
@@ -115,7 +114,7 @@ func Bucket(u uint64) int {
 }
 
 // BucketValue returns bucket i's representative (upper-mid) value, the
-// quantile interpolation point — same shape as workload.Hist.
+// quantile interpolation point.
 func BucketValue(i int) int64 {
 	if i < SubBuckets {
 		return int64(i)
@@ -139,7 +138,7 @@ func BucketUpperBound(i int) uint64 {
 	return lo + (uint64(1) << (exp - SubBits)) - 1
 }
 
-// Hist is the lock-free atomic spelling of workload.Hist: concurrent
+// Hist is a fixed-size lock-free latency histogram: concurrent
 // writers Record with three atomic adds (bucket, sum, and — rarely —
 // a min/max CAS); concurrent readers snapshot without stopping them.
 // The zero value is NOT ready: call Init (or NewHist) so the min
@@ -265,9 +264,8 @@ type HistSnapshot struct {
 }
 
 // Quantile returns the q-th quantile (q in [0,1]), clamped into
-// [MinNs, MaxNs] exactly like workload.Hist.Quantile — with a handful
-// of samples a bucket midpoint could otherwise report a value nobody
-// measured.
+// [MinNs, MaxNs] — with a handful of samples a bucket midpoint could
+// otherwise report a value nobody measured.
 func (s *HistSnapshot) Quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0

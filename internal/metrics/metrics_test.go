@@ -4,51 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
-
-	"flit/internal/workload"
 )
-
-// TestHistMatchesWorkloadHist pins the atomic histogram to the
-// workload package's log-bucketed histogram: same geometry, same
-// quantile semantics (clamped to min/max), same counts — the property
-// that makes server-side and client-side percentiles comparable.
-func TestHistMatchesWorkloadHist(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ah := NewHist()
-	wh := workload.NewHist()
-	for i := 0; i < 50_000; i++ {
-		var ns int64
-		switch i % 4 {
-		case 0:
-			ns = rng.Int63n(16) // exact region
-		case 1:
-			ns = rng.Int63n(100_000)
-		case 2:
-			ns = rng.Int63n(50_000_000)
-		default:
-			ns = rng.Int63n(5_000_000_000)
-		}
-		ah.RecordNs(ns)
-		wh.Record(time.Duration(ns))
-	}
-	var s HistSnapshot
-	ah.Read(&s)
-	if s.Count != wh.Count() {
-		t.Fatalf("count %d != workload %d", s.Count, wh.Count())
-	}
-	if got, want := time.Duration(s.MinNs), wh.Min(); got != want {
-		t.Fatalf("min %v != workload %v", got, want)
-	}
-	if got, want := time.Duration(s.MaxNs), wh.Max(); got != want {
-		t.Fatalf("max %v != workload %v", got, want)
-	}
-	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
-		if got, want := time.Duration(s.Quantile(q)), wh.Quantile(q); got != want {
-			t.Fatalf("q%.3f: %v != workload %v", q, got, want)
-		}
-	}
-}
 
 // TestBucketUpperBound checks the le edges: each bucket's upper bound
 // still maps into the bucket, the next value maps past it, and the

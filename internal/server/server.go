@@ -2,8 +2,8 @@
 // binary protocol (see protocol.go) whose request path is built around
 // group-commit durability batching.
 //
-// Every connection is served by one goroutine owning one
-// store.BatchSession. The handler drains the connection's pipeline —
+// Every connection is served by one goroutine owning one Batched-mode
+// store session. The handler drains the connection's pipeline —
 // everything already buffered, up to Options.MaxBatch — into a batch,
 // groups the batch per shard (stable order, so same-key requests keep
 // their pipeline order), executes it with persistence deferred
@@ -13,7 +13,7 @@
 // exists only for operations whose effects a single shared PFence has
 // already persisted, so "acknowledged ⇒ persisted" holds at every crash
 // point — verified systematically by the batched dlcheck battery
-// (internal/crashtest.RunStoreBatchedDL).
+// (internal/crashtest.RunStoreDL in store.Batched mode).
 //
 // Compared with per-operation persistence, the batch pays one completion
 // fence per pipeline instead of one per op, and its deferred stores
@@ -82,14 +82,6 @@ type Options struct {
 	// Logger receives one line per failed connection (cause + remote
 	// address). nil keeps the server silent; counters still tick.
 	Logger *log.Logger
-
-	// UnsafeDrainAckFirst deliberately breaks Shutdown for the chaos
-	// harness's must-fail tooth: while draining, connections keep being
-	// served but batches are acknowledged WITHOUT being executed or
-	// committed. The ack⇒persisted contract is violated at the next
-	// crash — the chaos battery must detect this. Never set outside
-	// tests.
-	UnsafeDrainAckFirst bool
 }
 
 func (o Options) withDefaults() Options {
@@ -624,28 +616,17 @@ func (s *Server) ServeConn(c net.Conn) {
 		}
 	}
 	for {
-		if s.draining.Load() && !s.opts.UnsafeDrainAckFirst {
+		if s.draining.Load() {
 			drainReject()
 			return
 		}
 		if s.opts.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		} else if s.opts.UnsafeDrainAckFirst && s.draining.Load() {
-			// Broken-drain mode keeps serving: clear the expired
-			// deadline Shutdown set so the tooth stays exposed.
-			c.SetReadDeadline(time.Time{})
 		}
 		// Block for the pipeline's head, then drain what is already
 		// buffered — the group-commit window is "whatever the client
 		// managed to pipeline", capped at MaxBatch.
 		if err := ReadRequest(br, &reqs[0]); err != nil {
-			if isTimeout(err) && s.opts.UnsafeDrainAckFirst && s.draining.Load() {
-				// Broken-drain mode: Shutdown's wake-up deadline fired at
-				// a parked head read (nothing consumed on a pipe). Clear
-				// it and keep serving so the tooth bites deterministically.
-				c.SetReadDeadline(time.Time{})
-				continue
-			}
 			readFailed(err)
 			return
 		}
@@ -703,12 +684,6 @@ type Batcher struct {
 	bs   *store.Sess[[]byte]
 	bySh [][]int // per-shard request indices, reused across batches
 	id   int     // metrics counter stripe (stable per batcher)
-
-	// lastPWBs/lastPFences remember the session thread's counters at the
-	// previous publish, so each batch folds only its delta into the
-	// server atomics (the thread's counters are single-goroutine state;
-	// only this batcher reads them).
-	lastPWBs, lastPFences uint64
 }
 
 // NewBatcher registers a new batch executor (one Batched-mode session).
@@ -768,6 +743,12 @@ func (b *Batcher) Close() { b.bs.Close() }
 func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	st := b.srv.st
 	m := b.srv.metrics
+	// The session thread's counters are single-goroutine state only this
+	// batcher reads; each batch folds its own delta into the server
+	// atomics. The baseline is re-read per batch, not remembered across
+	// batches, so a Memory.ResetStats in between cannot unseat it.
+	ts := &b.bs.Thread().Stats
+	pwbs0, pfences0 := ts.PWBs, ts.PFences
 	// Capture the shard count once per batch: an online split can swap
 	// the store layout mid-loop, and same-key requests must group under
 	// ONE index to keep their pipeline order. The grouping is a locality
@@ -789,21 +770,6 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 			kindN[opKind(reqs[i].Op)]++
 			storeOps++
 		}
-	}
-	if storeOps > 0 && b.srv.opts.UnsafeDrainAckFirst && b.srv.draining.Load() {
-		// Chaos tooth (see Options.UnsafeDrainAckFirst): acknowledge the
-		// batch without executing or persisting anything. The served
-		// counters still tick, so the battery sees confident acks that a
-		// crash image — or even a plain re-read — will disprove.
-		for i := range reqs {
-			if hasKey(reqs[i].Op) {
-				resps[i] = Response{Status: StatusOK, Flag: true}
-			}
-		}
-		b.srv.batches.Add(1)
-		b.srv.opsServed.Add(uint64(storeOps))
-		b.answerControl(reqs, resps)
-		return
 	}
 	// With metrics on, service time is measured at batch granularity:
 	// three clock reads per Exec — [t0,t1) brackets the execution loop
@@ -856,11 +822,9 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 		b.srv.batches.Add(1)
 		b.srv.opsServed.Add(uint64(storeOps))
 		b.srv.drained.Add(uint64(drained))
-		ts := &b.bs.Thread().Stats
-		pfences := ts.PFences - b.lastPFences
-		b.srv.pwbs.Add(ts.PWBs - b.lastPWBs)
+		pfences := ts.PFences - pfences0
+		b.srv.pwbs.Add(ts.PWBs - pwbs0)
 		b.srv.pfences.Add(pfences)
-		b.lastPWBs, b.lastPFences = ts.PWBs, ts.PFences
 		if m != nil {
 			m.Commit.RecordNs(int64(time.Since(b.srv.epoch) - t1))
 			share := int64(t1-t0) / int64(storeOps)
@@ -876,17 +840,10 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	}
 	// Non-store opcodes are answered after the commit, preserving
 	// response order.
-	b.answerControl(reqs, resps)
-}
-
-// answerControl fills in the responses for every non-store request in
-// the batch.
-func (b *Batcher) answerControl(reqs []Request, resps []Response) {
 	for i := range reqs {
-		if hasKey(reqs[i].Op) {
-			continue
+		if !hasKey(reqs[i].Op) {
+			b.srv.serveControl(reqs[i].Op, &resps[i])
 		}
-		b.srv.serveControl(reqs[i].Op, &resps[i])
 	}
 }
 

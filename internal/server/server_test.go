@@ -249,6 +249,43 @@ func TestBatcherDirect(t *testing.T) {
 	}
 }
 
+// TestBatcherStatsSurviveResetStats: every workload.Run zeroes the
+// memory's per-thread counters (pmem.Memory.ResetStats) under whatever
+// batchers the server has pooled. A batcher that remembered its thread's
+// counters across batches would then fold a ~2^64 "delta" into the server
+// totals; the published counts must instead stay the instructions
+// actually issued.
+func TestBatcherStatsSurviveResetStats(t *testing.T) {
+	st := newTestStore(t)
+	srv := server.New(st, server.Options{Metrics: true})
+	b := srv.NewBatcher()
+	resps := make([]server.Response, 2)
+	for i := 0; i < 3; i++ {
+		b.Exec([]server.Request{
+			{Op: server.OpPut, Key: []byte("a"), Val: uint64(i)},
+			{Op: server.OpPut, Key: []byte("b"), Val: uint64(i)},
+		}, resps)
+	}
+	before := srv.Stats()
+	if before.PFences == 0 || before.PWBs == 0 {
+		t.Fatalf("three committed batches published no instructions: %+v", before)
+	}
+
+	st.Mem().ResetStats()
+	b.Exec([]server.Request{{Op: server.OpPut, Key: []byte("a"), Val: 9}}, resps[:1])
+	issued := st.Mem().TotalStats() // since the reset: the last batch alone
+	after := srv.Stats()
+	if got := after.PFences - before.PFences; got != issued.PFences {
+		t.Fatalf("Stats().PFences grew by %d across the reset, %d fences were issued", got, issued.PFences)
+	}
+	if got := after.PWBs - before.PWBs; got != issued.PWBs {
+		t.Fatalf("Stats().PWBs grew by %d across the reset, %d PWBs were issued", got, issued.PWBs)
+	}
+	if mean := after.Metrics.FencesPerBatchMean; mean > float64(before.PFences) {
+		t.Fatalf("fences-per-batch mean %g: a batch recorded an underflowed fence count", mean)
+	}
+}
+
 // TestStatsConcurrentWithTraffic: STATS is a monitoring poll and must be
 // safe while other connections execute batches (run under -race in the
 // nightly suite — the server publishes batcher-thread deltas into

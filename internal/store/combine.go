@@ -1,6 +1,6 @@
 // Per-shard flat combining for embedded concurrent writers.
 //
-// The group-commit path (BatchSession / Batched mode) amortizes fences
+// The group-commit path (Batched-mode sessions) amortizes fences
 // for a network pipeline: one goroutine owns the batch, so deferral is
 // free. Embedded concurrent writers have no such owner — each session
 // fencing per op is exactly the per-op durability cost the ROADMAP's
@@ -72,7 +72,7 @@ func (sl *cslot) announce() { sl.state.Store(slotAnnounced) }
 // combiner is one shard's flat combiner: the combining lock, the slot
 // registry, and the execution state the lock holder uses (a dedicated
 // pmem thread, a deferred policy wrapper, one hashtable handle — the
-// shard equivalent of a BatchSession).
+// shard equivalent of a Batched session).
 type combiner struct {
 	st    *Store
 	shard int

@@ -12,8 +12,7 @@ import (
 
 // SessionMode selects how a session's operations reach persistence. The
 // combiner is a mode, not a fourth session type: every mode shares one
-// generic session surface (Open / Sess), and the legacy Session and
-// BatchSession types are thin deprecated wrappers over the same core.
+// generic session surface (Open / Sess).
 type SessionMode int
 
 const (
@@ -111,9 +110,8 @@ type hashedOp struct {
 	val  uint64
 }
 
-// sessionCore is the non-generic heart shared by Sess[K] and the legacy
-// Session/BatchSession wrappers: it works on hashed keys and dispatches
-// on the session mode. Not safe for concurrent use.
+// sessionCore is the non-generic heart of Sess[K]: it works on hashed
+// keys and dispatches on the session mode. Not safe for concurrent use.
 type sessionCore struct {
 	st   *Store
 	mode SessionMode

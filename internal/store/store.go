@@ -340,71 +340,8 @@ func hashKey[K Key](key K) uint64 {
 
 func (s *Store) shardOf(h uint64) int { return int(h % uint64(len(s.lay.Load().tables))) }
 
-// Session is the legacy per-goroutine direct-mode handle: string and
-// byte-slice method pairs over one execution context.
-//
-// Deprecated: use Open[string](s, Direct) or Open[[]byte](s, Direct) —
-// one generic session replaces the Get/GetBytes duplication. Session is
-// kept so external embedders compile unchanged; no in-repo caller
-// remains.
-type Session struct{ c *sessionCore }
-
-// NewSession registers a new per-goroutine direct-mode session.
-//
-// Deprecated: use Open[string](s, Direct) or Open[[]byte](s, Direct).
-func (s *Store) NewSession() *Session {
-	return &Session{c: newSessionCore(s, Direct)}
-}
-
-// Thread exposes the session's pmem thread (stats, crash injection).
-func (s *Session) Thread() *pmem.Thread { return s.c.t }
-
-// Close releases the session's resources (see Sess.Close). Idempotent.
-func (s *Session) Close() { s.c.close() }
-
-// Get returns the value stored under key, if present.
-func (s *Session) Get(key string) (uint64, bool) {
-	r := s.c.do1(OpGet, hashKey(key), 0)
-	return r.Val, r.Ok
-}
-
-// Put stores key→val (masked to ValueMask), inserting or durably
-// overwriting in place; it reports whether the key was newly inserted.
-func (s *Session) Put(key string, val uint64) bool {
-	return s.c.do1(OpPut, hashKey(key), val).Ok
-}
-
-// Delete removes key; it reports whether the key was present.
-func (s *Session) Delete(key string) bool {
-	return s.c.do1(OpDelete, hashKey(key), 0).Ok
-}
-
-// Contains reports whether key is present.
-func (s *Session) Contains(key string) bool {
-	return s.c.do1(OpContains, hashKey(key), 0).Ok
-}
-
-// GetBytes returns the value stored under key, if present.
-func (s *Session) GetBytes(key []byte) (uint64, bool) {
-	r := s.c.do1(OpGet, hashKey(key), 0)
-	return r.Val, r.Ok
-}
-
-// PutBytes stores key→val (masked to ValueMask), reporting whether the
-// key was newly inserted.
-func (s *Session) PutBytes(key []byte, val uint64) bool {
-	return s.c.do1(OpPut, hashKey(key), val).Ok
-}
-
-// DeleteBytes removes key, reporting whether it was present.
-func (s *Session) DeleteBytes(key []byte) bool {
-	return s.c.do1(OpDelete, hashKey(key), 0).Ok
-}
-
-// ContainsBytes reports whether key is present.
-func (s *Session) ContainsBytes(key []byte) bool {
-	return s.c.do1(OpContains, hashKey(key), 0).Ok
-}
+// ShardOf returns the shard index serving key.
+func (s *Store) ShardOf(key []byte) int { return s.shardOf(HashKeyBytes(key)) }
 
 // Snapshot unions all shard snapshots, keyed by hashed key (test and
 // checker helper).

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"flit/internal/metrics"
 )
 
 // TestZipfWidensWithKeyspace: under insert-heavy growth the zipfian
@@ -125,59 +127,70 @@ func TestMixValidation(t *testing.T) {
 // TestQuantileSmallN pins the small-n clamps: with bucket-midpoint
 // representatives, low quantiles on a handful of samples could report
 // values above every observation but the max (or below the min). Every
-// quantile must land inside [min, max].
+// quantile of a run's latency distribution must land inside [min, max].
 func TestQuantileSmallN(t *testing.T) {
 	qs := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
-	cases := [][]time.Duration{
+	cases := [][]int64{
 		{1000},
 		{900, 1100},
 		{100, 5000, 5001},
 		{70, 900, 901, 40000},
 	}
 	for _, obs := range cases {
-		h := NewHist()
-		var min, max time.Duration
-		min = obs[0]
-		for _, d := range obs {
-			h.Record(d)
-			if d < min {
-				min = d
+		h := metrics.NewHist()
+		min, max := obs[0], obs[0]
+		for _, ns := range obs {
+			h.RecordNs(ns)
+			if ns < min {
+				min = ns
 			}
-			if d > max {
-				max = d
+			if ns > max {
+				max = ns
 			}
 		}
-		if h.Min() != min || h.Max() != max {
-			t.Fatalf("n=%d: Min/Max = %v/%v, want %v/%v", len(obs), h.Min(), h.Max(), min, max)
+		all := mergeLatency([]*metrics.Hist{h})
+		if all.MinNs != min || all.MaxNs != max {
+			t.Fatalf("n=%d: Min/Max = %d/%d, want %d/%d", len(obs), all.MinNs, all.MaxNs, min, max)
 		}
 		for _, q := range qs {
-			got := h.Quantile(q)
-			if got < min || got > max {
-				t.Errorf("n=%d q=%v: quantile %v outside recorded range [%v, %v]", len(obs), q, got, min, max)
+			if got := all.Quantile(q); got < min || got > max {
+				t.Errorf("n=%d q=%v: quantile %d outside recorded range [%d, %d]", len(obs), q, got, min, max)
 			}
 		}
 		// A single observation must be reported exactly at any quantile.
-		if len(obs) == 1 && h.Quantile(0.5) != obs[0] {
-			t.Errorf("n=1: Quantile(0.5) = %v, want %v", h.Quantile(0.5), obs[0])
+		if len(obs) == 1 && all.Quantile(0.5) != obs[0] {
+			t.Errorf("n=1: Quantile(0.5) = %d, want %d", all.Quantile(0.5), obs[0])
 		}
 	}
-	// Merge must propagate the min clamp too.
-	a, b := NewHist(), NewHist()
+	// Merging workers must propagate the min clamp too — whichever
+	// worker holds the smaller floor.
+	a, b := metrics.NewHist(), metrics.NewHist()
 	a.Record(10 * time.Microsecond)
 	b.Record(90 * time.Microsecond)
-	a.Merge(b)
-	if a.Min() != 10*time.Microsecond || a.Max() != 90*time.Microsecond {
-		t.Fatalf("merged Min/Max = %v/%v", a.Min(), a.Max())
-	}
-	if q := a.Quantile(0); q < a.Min() || q > a.Max() {
-		t.Fatalf("merged Quantile(0) = %v outside [%v, %v]", q, a.Min(), a.Max())
+	for _, hists := range [][]*metrics.Hist{{a, b}, {b, a}} {
+		all := mergeLatency(hists)
+		if all.MinNs != 10_000 || all.MaxNs != 90_000 {
+			t.Fatalf("merged Min/Max = %d/%d", all.MinNs, all.MaxNs)
+		}
+		if q := all.Quantile(0); q < all.MinNs || q > all.MaxNs {
+			t.Fatalf("merged Quantile(0) = %d outside [%d, %d]", q, all.MinNs, all.MaxNs)
+		}
 	}
 }
 
-// TestEmptyHistQuantile: the empty histogram stays at zero.
+// TestEmptyHistQuantile: a run whose workers recorded nothing reports
+// zero statistics, not the empty histogram's +inf min sentinel — alone
+// or merged next to a worker that did record.
 func TestEmptyHistQuantile(t *testing.T) {
-	h := NewHist()
-	if h.Quantile(0.5) != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram reports non-zero statistics")
+	all := mergeLatency([]*metrics.Hist{metrics.NewHist()})
+	if all.Quantile(0.5) != 0 || all.MinNs != 0 || all.MaxNs != 0 {
+		t.Fatalf("empty distribution reports non-zero statistics: %+v", all)
+	}
+	h := metrics.NewHist()
+	h.RecordNs(700)
+	for _, hists := range [][]*metrics.Hist{{metrics.NewHist(), h}, {h, metrics.NewHist()}} {
+		if all := mergeLatency(hists); all.Count != 1 || all.MinNs != 700 || all.MaxNs != 700 {
+			t.Fatalf("idle worker disturbed the merge: count %d min %d max %d", all.Count, all.MinNs, all.MaxNs)
+		}
 	}
 }

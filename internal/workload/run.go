@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flit/internal/metrics"
 	"flit/internal/store"
 )
 
@@ -152,9 +153,8 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	if sp.Depth > 1 && sp.Rate > 0 {
 		return Result{}, fmt.Errorf("workload: open-loop arrivals (Rate) and windowed execution (Depth > 1) are mutually exclusive")
 	}
-	scanMax := sp.ScanMax
-	if scanMax < 1 {
-		scanMax = 16
+	if sp.ScanMax < 1 {
+		sp.ScanMax = 16
 	}
 
 	var limit atomic.Uint64
@@ -170,7 +170,7 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 
 	st.Mem().ResetStats()
 	var wg sync.WaitGroup
-	hists := make([]*Hist, sp.Threads)
+	hists := make([]*metrics.Hist, sp.Threads)
 	var kindCounts [numKinds][]uint64
 	for k := range kindCounts {
 		kindCounts[k] = make([]uint64, sp.Threads)
@@ -189,7 +189,7 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 			defer wg.Done()
 			sess := store.Open[[]byte](st, sp.Mode)
 			g := gens[t]
-			h := NewHist()
+			h := metrics.NewHist()
 			hists[t] = h
 			if sp.Depth > 1 {
 				runWindowed(sess, g, sp, h, &limit, kindCounts[:], t, deadline)
@@ -272,10 +272,8 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 
-	all := NewHist()
-	for _, h := range hists {
-		all.Merge(h)
-	}
+	all := mergeLatency(hists)
+	quantile := func(q float64) time.Duration { return time.Duration(all.Quantile(q)) }
 	sum := func(xs []uint64) uint64 {
 		var s uint64
 		for _, x := range xs {
@@ -294,7 +292,7 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 		// equals the histogram count at Depth 1; windowed runs record one
 		// latency sample per window, so the histogram undercounts there.
 		Elapsed: elapsed, Ops: ops,
-		P50: all.Quantile(0.50), P95: all.Quantile(0.95), P99: all.Quantile(0.99), Max: all.Max(),
+		P50: quantile(0.50), P95: quantile(0.95), P99: quantile(0.99), Max: time.Duration(all.MaxNs),
 		Reads:   sum(kindCounts[Read]),
 		Updates: sum(kindCounts[Update]),
 		Inserts: sum(kindCounts[Insert]),
@@ -318,18 +316,26 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	return res, nil
 }
 
+// mergeLatency folds the workers' private histograms (one each, so the
+// op loop records without sharing a cache line) into the run's latency
+// distribution.
+func mergeLatency(hists []*metrics.Hist) metrics.HistSnapshot {
+	var all, one metrics.HistSnapshot
+	for _, h := range hists {
+		h.Read(&one)
+		all.Merge(&one)
+	}
+	return all
+}
+
 // runWindowed is the Depth>1 worker loop: collect a window of generated
 // ops, execute it as one vector Apply, commit (Batched) and record the
 // window's completion latency as one histogram sample. RMW decomposes
 // into a Get slot and a Put slot; a Scan expands into its point-read
 // burst; both may run a window a few slots past Depth rather than split
 // an operation across windows.
-func runWindowed(sess *store.Sess[[]byte], g *Generator, sp Spec, h *Hist, limit *atomic.Uint64, kindCounts [][]uint64, t int, deadline time.Time) {
-	scanMax := sp.ScanMax
-	if scanMax < 1 {
-		scanMax = 16
-	}
-	maxWin := sp.Depth + scanMax
+func runWindowed(sess *store.Sess[[]byte], g *Generator, sp Spec, h *metrics.Hist, limit *atomic.Uint64, kindCounts [][]uint64, t int, deadline time.Time) {
+	maxWin := sp.Depth + sp.ScanMax
 	ops := make([]store.Op[[]byte], 0, maxWin)
 	res := make([]store.Result, maxWin)
 	bufs := make([][]byte, maxWin)

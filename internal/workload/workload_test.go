@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flit/internal/core"
+	"flit/internal/metrics"
 	"flit/internal/store"
 )
 
@@ -113,14 +114,18 @@ func TestLatestFavorsRecentKeys(t *testing.T) {
 	}
 }
 
+// TestHistQuantiles: the run's latency distribution — the workers'
+// histograms merged — reports quantiles within the bucket error, and a
+// second worker's samples extend its count and max.
 func TestHistQuantiles(t *testing.T) {
-	h := NewHist()
+	h := metrics.NewHist()
 	for i := 1; i <= 1000; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
+	all := mergeLatency([]*metrics.Hist{h})
 	check := func(q float64, want time.Duration) {
 		t.Helper()
-		got := h.Quantile(q)
+		got := time.Duration(all.Quantile(q))
 		lo, hi := want*9/10, want*11/10
 		if got < lo || got > hi {
 			t.Fatalf("Quantile(%g) = %v, want within 10%% of %v", q, got, want)
@@ -129,29 +134,35 @@ func TestHistQuantiles(t *testing.T) {
 	check(0.50, 500*time.Microsecond)
 	check(0.95, 950*time.Microsecond)
 	check(0.99, 990*time.Microsecond)
-	if h.Max() != time.Millisecond {
-		t.Fatalf("Max = %v, want 1ms", h.Max())
+	if all.MaxNs != int64(time.Millisecond) {
+		t.Fatalf("Max = %v, want 1ms", time.Duration(all.MaxNs))
 	}
 
-	o := NewHist()
+	o := metrics.NewHist()
 	o.Record(5 * time.Millisecond)
-	h.Merge(o)
-	if h.Count() != 1001 || h.Max() != 5*time.Millisecond {
-		t.Fatalf("after merge: count %d max %v", h.Count(), h.Max())
+	all = mergeLatency([]*metrics.Hist{h, o})
+	if all.Count != 1001 || all.MaxNs != int64(5*time.Millisecond) {
+		t.Fatalf("after merge: count %d max %v", all.Count, time.Duration(all.MaxNs))
 	}
-	if h.Quantile(1) != 5*time.Millisecond {
-		t.Fatalf("Quantile(1) = %v, want max", h.Quantile(1))
+	if all.Quantile(1) != int64(5*time.Millisecond) {
+		t.Fatalf("Quantile(1) = %v, want max", time.Duration(all.Quantile(1)))
 	}
 }
 
-func TestHistIndexMonotone(t *testing.T) {
-	prev := -1
-	for ns := int64(0); ns < 1<<20; ns += 7 {
-		i := index(ns)
-		if i < prev {
-			t.Fatalf("index(%d) = %d < previous %d", ns, i, prev)
-		}
-		prev = i
+// TestLatencyGeometryFixedVector pins Result's percentiles across the
+// move from the runner's own histogram to metrics.Hist: the constants
+// are what the deleted workload.Hist reported for this sample set, split
+// over two workers, so P50/P95/P99/min/max of a fixed run did not move.
+func TestLatencyGeometryFixedVector(t *testing.T) {
+	hists := []*metrics.Hist{metrics.NewHist(), metrics.NewHist()}
+	for i := int64(0); i < 1000; i++ {
+		hists[i%2].RecordNs(((i*7919+13)%1000)<<(i%14) + i)
+	}
+	all := mergeLatency(hists)
+	got := [...]int64{int64(all.Count), all.MinNs, all.Quantile(0.50), all.Quantile(0.95), all.Quantile(0.99), all.MaxNs}
+	want := [...]int64{1000, 13, 31232, 3604480, 7208960, 8127205}
+	if got != want {
+		t.Fatalf("count/min/p50/p95/p99/max = %v, want %v", got, want)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Smoke coverage for the main packages: the nine binaries under cmd/ and
+// Smoke coverage for the main packages: the binaries under cmd/ and
 // examples/ have no test files of their own, so this suite builds every
-// one of them, runs the quickstart example and a miniature flitstore
-// load→crash→recover cycle end-to-end, and drives the flitvet static
-// analyzer against a module with one seeded violation per analyzer.
+// one of them, runs the quickstart example and the flitstored + flitload
+// service path end-to-end, and drives the flitvet static analyzer against
+// a module with one seeded violation per analyzer.
 package flit_test
 
 import (
@@ -12,9 +12,29 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// liveBuffer collects a child process's output while the test reads it:
+// os/exec appends from its own goroutine for as long as the child runs.
+type liveBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *liveBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *liveBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
 
 func goTool(t *testing.T) string {
 	t.Helper()
@@ -70,56 +90,6 @@ func TestQuickstartEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFlitstoreCycleEndToEnd drives the store service binary through a
-// small load→run→crash→recover cycle and validates the JSON report shape.
-func TestFlitstoreCycleEndToEnd(t *testing.T) {
-	gobin := goTool(t)
-	out, err := exec.Command(gobin, "run", "./cmd/flitstore",
-		"-policy=flit-ht", "-shards=8", "-workload=a", "-dist=zipfian",
-		"-records=2000", "-duration=50ms", "-threads=2", "-crash-ops=60", "-quiet",
-	).Output()
-	if err != nil {
-		t.Fatalf("flitstore failed: %v\n%s", err, out)
-	}
-	var rep struct {
-		Config struct {
-			Shards int `json:"shards"`
-		} `json:"config"`
-		Cycles []struct {
-			Run struct {
-				Ops       uint64  `json:"ops"`
-				OpsPerSec float64 `json:"ops_per_sec"`
-				P50       int64   `json:"p50_ns"`
-				P99       int64   `json:"p99_ns"`
-				PWBs      uint64  `json:"pwbs"`
-			} `json:"run"`
-			Recovery *struct {
-				Shards int     `json:"shards"`
-				Keys   int     `json:"keys_recovered"`
-				Ns     int64   `json:"elapsed_ns"`
-				Par    float64 `json:"parallel_speedup"`
-			} `json:"recovery"`
-		} `json:"cycles"`
-		Check string `json:"check"`
-	}
-	if err := json.Unmarshal(out, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, out)
-	}
-	if rep.Check != "ok" {
-		t.Fatalf("checker verdict %q, want ok", rep.Check)
-	}
-	if rep.Config.Shards != 8 || len(rep.Cycles) != 1 {
-		t.Fatalf("unexpected report shape: %+v", rep)
-	}
-	c := rep.Cycles[0]
-	if c.Run.Ops == 0 || c.Run.OpsPerSec <= 0 || c.Run.P50 <= 0 || c.Run.P99 < c.Run.P50 || c.Run.PWBs == 0 {
-		t.Fatalf("implausible run stats: %+v", c.Run)
-	}
-	if c.Recovery == nil || c.Recovery.Shards != 8 || c.Recovery.Keys == 0 || c.Recovery.Ns <= 0 {
-		t.Fatalf("implausible recovery stats: %+v", c.Recovery)
-	}
-}
-
 // TestFlitstoredLoadgenEndToEnd boots the network daemon on a unix
 // socket, probes it with the load generator's ping, drives a short
 // pipelined run, and checks the server reports group-commit batching.
@@ -137,7 +107,7 @@ func TestFlitstoredLoadgenEndToEnd(t *testing.T) {
 	sock := filepath.Join(dir, "flitstored.sock")
 
 	srv := exec.Command(stored, "-unix", sock, "-shards", "4", "-records", "1024", "-vclock")
-	var srvOut bytes.Buffer
+	var srvOut liveBuffer
 	srv.Stdout, srv.Stderr = &srvOut, &srvOut
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -218,7 +188,7 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 
 	srv := exec.Command(stored, "-unix", sock, "-shards", "4", "-records", "1024",
 		"-vclock", "-recover", "-metrics-addr", "127.0.0.1:0", "-stats-json", statsPath)
-	var srvOut bytes.Buffer
+	var srvOut liveBuffer
 	srv.Stdout, srv.Stderr = &srvOut, &srvOut
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
