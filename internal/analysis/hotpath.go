@@ -166,8 +166,11 @@ func checkBoxingInto(pass *Pass, expr ast.Expr, dst types.Type) {
 	if _, srcIface := tv.Type.Underlying().(*types.Interface); srcIface {
 		return // interface-to-interface: no box
 	}
-	if _, isSig := tv.Type.Underlying().(*types.Signature); isSig {
+	switch tv.Type.Underlying().(type) {
+	case *types.Signature:
 		return // func values into error-ish interfaces are rare; skip
+	case *types.Pointer, *types.Map, *types.Chan:
+		return // pointer-shaped: stored in the interface word itself, no box
 	}
 	if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
 		// Untyped constants still box, but small ints use the runtime's

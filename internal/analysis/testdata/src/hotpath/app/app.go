@@ -57,4 +57,12 @@ func boxingInCall(v uint64) {
 	sink(v) // want "value converts to interface here"
 }
 
+// pointerIntoInterface is the *bufio.Reader-into-io.Reader shape of the
+// wire codec: a pointer sits in the interface word, nothing is boxed.
+//
+//flit:hotpath
+func pointerIntoInterface(r *recorder) {
+	sink(r)
+}
+
 func sink(x any) {}

@@ -31,7 +31,6 @@ type Conn struct {
 	// responses decode against them in FIFO order.
 	inflight []byte
 	head     int
-	out      []byte
 	resp     server.Response
 }
 
@@ -69,8 +68,7 @@ func (c *Conn) Pending() int { return len(c.inflight) - c.head }
 // the window wants, then Flush once so the server sees — and
 // group-commits — the whole window.
 func (c *Conn) Send(req *server.Request) {
-	c.out = server.AppendRequest(c.out[:0], req)
-	c.bw.Write(c.out)
+	c.SendUntracked(req)
 	c.inflight = append(c.inflight, req.Op)
 }
 
@@ -119,8 +117,12 @@ func (c *Conn) Recv() (*server.Response, error) {
 // and the read half (RecvFor) touch disjoint state, so the split is
 // race-free as long as each half stays on one goroutine.
 func (c *Conn) SendUntracked(req *server.Request) {
-	c.out = server.AppendRequest(c.out[:0], req)
-	c.bw.Write(c.out)
+	// Encoded straight into bw's buffer, flushed first if the frame might
+	// not fit (the append never reallocates); write errors surface on Flush.
+	if c.bw.Available() < 4+1+2+len(req.Key)+8 {
+		c.bw.Flush()
+	}
+	c.bw.Write(server.AppendRequest(c.bw.AvailableBuffer(), req))
 }
 
 // RecvFor decodes the next response frame for a request sent with

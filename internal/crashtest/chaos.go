@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,6 +149,13 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 				return
 			}
 			go func() { shutdownDone <- shutdown() }()
+			// Shutdown raises the draining flag first thing. Wait for it:
+			// a fast server otherwise lets every worker finish its budget
+			// before this goroutine is scheduled, and the drain lands on
+			// nothing.
+			for !srv.Stats().Draining {
+				runtime.Gosched()
+			}
 		})
 	}
 

@@ -40,8 +40,8 @@ func (e sessExec) thread() *pmem.Thread                            { return e.se
 
 // batcherExec drives the network server's group-commit executor
 // (server.Batcher over a Batched session) — the code the wire protocol
-// runs, minus the sockets: per-shard grouping, deferred persistence, one
-// commit fence, then (and only then) responses.
+// runs, minus the sockets: pipeline-order execution, deferred persistence,
+// one commit fence, then (and only then) responses.
 type batcherExec struct {
 	b     *server.Batcher
 	reqs  []server.Request

@@ -45,3 +45,36 @@ func benchExec(b *testing.B, metricsOn bool) {
 
 func BenchmarkServerExecMetricsOn(b *testing.B)  { benchExec(b, true) }
 func BenchmarkServerExecMetricsOff(b *testing.B) { benchExec(b, false) }
+
+// benchWire measures the whole wire path — client codec, unix socket,
+// conn stages, Exec, group commit — in windows of depth pipelined
+// requests, the net_d1 / net_d32 shape of benchmark/.
+func benchWire(b *testing.B, depth int) {
+	st, err := store.New(store.Options{
+		Shards: 8, ExpectedKeys: 1 << 13, Policy: core.PolicyHT,
+		HTBytes: 1 << 16, VirtualClock: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := unixServer(b, st)
+	reqs := putGetWindow(depth)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += depth {
+		for j := range reqs {
+			c.Send(&reqs[j])
+		}
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		for range reqs {
+			if _, err := c.Recv(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func BenchmarkWireDepth1(b *testing.B)  { benchWire(b, 1) }
+func BenchmarkWireDepth32(b *testing.B) { benchWire(b, 32) }

@@ -35,19 +35,23 @@ var seedRequests = []server.Request{
 // zero-length frame (TestServerFramingErrorCountedAndLogged), the unknown
 // opcode (TestServerMalformedRequestGetsErrorFrame), plus the prefixes a
 // hostile peer would try first — a length past the cap and a length the
-// stream never delivers.
+// stream never delivers, and the amplification probe: one byte past the
+// largest request there is (a PUT of a MaxKeyLen key), which the request
+// side must refuse before it allocates — the 1 MiB frame cap is the
+// response side's.
 var seedFrames = [][]byte{
 	{0, 0, 0, 0},
 	{1, 0, 0, 0, 99},
 	{0xff, 0xff, 0xff, 0xff, server.OpGet},
 	{0, 0, 16, 0, server.OpPut, 1, 0},
+	{0x0b, 0x00, 0x01, 0x00, server.OpPut, 0xff, 0xff},
 }
 
 // allocCeiling bounds what decoding data may allocate: one frame buffer
-// per frame actually present in the input, one more (capped) for a final
-// prefix the stream never backs, and the reader's own buffer.
-func allocCeiling(data []byte) uint64 {
-	return uint64(server.MaxFrameLen + 2*len(data) + 256<<10)
+// per frame actually present in the input, one more (capped at frameCap)
+// for a final prefix the stream never backs, and the reader's own buffer.
+func allocCeiling(data []byte, frameCap int) uint64 {
+	return uint64(frameCap + 2*len(data) + 64<<10)
 }
 
 // allocated reports the bytes fn allocates.
@@ -101,7 +105,7 @@ func FuzzReadRequest(f *testing.F) {
 				off += len(enc)
 			}
 		})
-		if limit := allocCeiling(data); got > limit {
+		if limit := allocCeiling(data, server.MaxRequestLen); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, ceiling %d", len(data), got, limit)
 		}
 	})
@@ -152,7 +156,7 @@ func FuzzReadResponse(f *testing.F) {
 				t.Fatalf("re-encoding is not byte-exact: % x then % x", enc, enc2)
 			}
 		})
-		if limit := allocCeiling(data); got > limit {
+		if limit := allocCeiling(data, server.MaxFrameLen); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d, ceiling %d", len(data), got, limit)
 		}
 	})

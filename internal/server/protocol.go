@@ -71,11 +71,14 @@ const (
 	StatusErr      byte = 255
 )
 
-// Frame limits: keys are length-prefixed with 16 bits; the payload cap
-// bounds a malformed or hostile length prefix before any allocation.
+// Frame limits: keys are length-prefixed with 16 bits; the payload caps
+// bound a malformed or hostile length prefix before any allocation. The
+// request side is held to the largest request there is, a PUT of a
+// MaxKeyLen key; MaxFrameLen caps the response side (STATS bodies).
 const (
-	MaxKeyLen   = 1<<16 - 1
-	MaxFrameLen = 1 << 20
+	MaxKeyLen     = 1<<16 - 1
+	MaxRequestLen = 1 + 2 + MaxKeyLen + 8
+	MaxFrameLen   = 1 << 20
 )
 
 // Request is one decoded client request.
@@ -108,17 +111,13 @@ func hasKey(op byte) bool {
 }
 
 // AppendRequest appends req's frame to dst and returns the extended
-// slice (allocation-free once dst has capacity).
+// slice (allocation-free once dst has capacity). Both ends pass their
+// bufio.Writer's AvailableBuffer, so a frame is encoded once, in place.
+//
+//flit:hotpath
 func AppendRequest(dst []byte, req *Request) []byte {
-	n := 1
-	if hasKey(req.Op) {
-		n += 2 + len(req.Key)
-		if req.Op == OpPut {
-			n += 8
-		}
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, req.Op)
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0, req.Op)
 	if hasKey(req.Op) {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(req.Key)))
 		dst = append(dst, req.Key...)
@@ -126,26 +125,17 @@ func AppendRequest(dst []byte, req *Request) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, req.Val)
 		}
 	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	return dst
 }
 
 // AppendResponse appends resp's frame for the given request opcode to
 // dst and returns the extended slice.
+//
+//flit:hotpath
 func AppendResponse(dst []byte, op byte, resp *Response) []byte {
-	n := 1
-	switch {
-	case resp.Status == StatusErr, resp.Status == StatusOK && op == OpStats:
-		n += len(resp.Body)
-	case resp.Status == StatusBusy:
-		n += 4
-	case resp.Status == StatusDraining:
-	case op == OpGet && resp.Status == StatusOK:
-		n += 8
-	case op == OpPut, op == OpDelete, op == OpContains:
-		n++
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, resp.Status)
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0, resp.Status)
 	switch {
 	case resp.Status == StatusErr, resp.Status == StatusOK && op == OpStats:
 		dst = append(dst, resp.Body...)
@@ -161,54 +151,78 @@ func AppendResponse(dst []byte, op byte, resp *Response) []byte {
 		}
 		dst = append(dst, b)
 	}
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	return dst
 }
 
-// readFrame reads one length-prefixed payload into buf (grown as
-// needed), returning the payload slice.
-func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one length-prefixed payload of at most limit bytes into
+// buf (grown as needed). The prefix is taken with Peek/Discard: a local
+// [4]byte escapes through io.ReadFull's interface call, a malloc per frame.
+// io.EOF means the stream ended at a frame boundary; inside a frame it is
+// io.ErrUnexpectedEOF.
+//
+//flit:hotpath
+func readFrame(r *bufio.Reader, buf []byte, limit uint32) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrameLen {
-		return nil, fmt.Errorf("server: frame length %d outside (0,%d]: %w", n, MaxFrameLen, ErrMalformed)
+	n := binary.LittleEndian.Uint32(hdr)
+	if n == 0 || n > limit {
+		return nil, errFrameLen(n, limit)
 	}
+	r.Discard(4)
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return buf, nil
 }
 
+// Decode errors are built off the hot path: fmt allocates.
+func errFrameLen(n, limit uint32) error {
+	return fmt.Errorf("server: frame length %d outside (0,%d]: %w", n, limit, ErrMalformed)
+}
+func errOpcode(op byte) error { return fmt.Errorf("server: unknown opcode %d: %w", op, ErrMalformed) }
+func errBodyLen(what string, got, want int) error {
+	return fmt.Errorf("server: %s body is %d bytes, want %d: %w", what, got, want, ErrMalformed)
+}
+func errReqBody(op byte, got, want int) error {
+	return fmt.Errorf("server: opcode %d body is %d bytes, want %d: %w", op, got, want, ErrMalformed)
+}
+
 // ReadRequest decodes the next request frame, reusing req.Key's backing
 // array when possible. The returned key aliases req.Key until the next
 // call.
+//
+//flit:hotpath
 func ReadRequest(r *bufio.Reader, req *Request) error {
-	payload, err := readFrame(r, req.buf)
+	payload, err := readFrame(r, req.buf, MaxRequestLen)
 	if err != nil {
 		return err
 	}
-	req.buf = payload
-	req.Key = payload[:0]
-	req.Op = payload[0]
-	req.Val = 0
+	req.buf, req.Key, req.Op, req.Val = payload, payload[:0], payload[0], 0
 	body := payload[1:]
 	if !hasKey(req.Op) {
 		if req.Op != OpPing && req.Op != OpStats {
-			return fmt.Errorf("server: unknown opcode %d: %w", req.Op, ErrMalformed)
+			return errOpcode(req.Op)
 		}
 		if len(body) != 0 {
-			return fmt.Errorf("server: opcode %d carries %d unexpected body bytes: %w", req.Op, len(body), ErrMalformed)
+			return errReqBody(req.Op, len(body), 0)
 		}
 		return nil
 	}
 	if len(body) < 2 {
-		return fmt.Errorf("server: truncated key header: %w", ErrMalformed)
+		return errBodyLen("key header", len(body), 2)
 	}
 	klen := int(binary.LittleEndian.Uint16(body))
 	body = body[2:]
@@ -217,7 +231,7 @@ func ReadRequest(r *bufio.Reader, req *Request) error {
 		want += 8
 	}
 	if len(body) != want {
-		return fmt.Errorf("server: opcode %d body is %d bytes, want %d: %w", req.Op, len(body), want, ErrMalformed)
+		return errReqBody(req.Op, len(body), want)
 	}
 	req.Key = body[:klen]
 	if req.Op == OpPut {
@@ -228,13 +242,14 @@ func ReadRequest(r *bufio.Reader, req *Request) error {
 
 // ReadResponse decodes the next response frame for a request with the
 // given opcode, reusing resp.Body's backing array when possible.
+//
+//flit:hotpath
 func ReadResponse(r *bufio.Reader, op byte, resp *Response) error {
-	payload, err := readFrame(r, resp.buf)
+	payload, err := readFrame(r, resp.buf, MaxFrameLen)
 	if err != nil {
 		return err
 	}
-	resp.buf = payload
-	resp.Status = payload[0]
+	resp.buf, resp.Status = payload, payload[0]
 	resp.Val, resp.Flag, resp.Body, resp.RetryAfterMs = 0, false, payload[:0], 0
 	body := payload[1:]
 	switch {
@@ -242,21 +257,21 @@ func ReadResponse(r *bufio.Reader, op byte, resp *Response) error {
 		resp.Body = body
 	case resp.Status == StatusBusy:
 		if len(body) != 4 {
-			return fmt.Errorf("server: BUSY response body is %d bytes, want 4: %w", len(body), ErrMalformed)
+			return errBodyLen("BUSY response", len(body), 4)
 		}
 		resp.RetryAfterMs = binary.LittleEndian.Uint32(body)
 	case resp.Status == StatusDraining:
 		if len(body) != 0 {
-			return fmt.Errorf("server: DRAINING response carries %d unexpected body bytes: %w", len(body), ErrMalformed)
+			return errBodyLen("DRAINING response", len(body), 0)
 		}
 	case op == OpGet && resp.Status == StatusOK:
 		if len(body) != 8 {
-			return fmt.Errorf("server: GET response body is %d bytes, want 8: %w", len(body), ErrMalformed)
+			return errBodyLen("GET response", len(body), 8)
 		}
 		resp.Val = binary.LittleEndian.Uint64(body)
 	case op == OpPut, op == OpDelete, op == OpContains:
 		if len(body) != 1 {
-			return fmt.Errorf("server: flag response body is %d bytes, want 1: %w", len(body), ErrMalformed)
+			return errBodyLen("flag response", len(body), 1)
 		}
 		resp.Flag = body[0] != 0
 	}

@@ -2,14 +2,18 @@
 // binary protocol (see protocol.go) whose request path is built around
 // group-commit durability batching.
 //
-// Every connection is served by one goroutine owning one Batched-mode
-// store session. The handler drains the connection's pipeline —
-// everything already buffered, up to Options.MaxBatch — into a batch,
-// groups the batch per shard (stable order, so same-key requests keep
-// their pipeline order), executes it with persistence deferred
-// (core.Deferred), issues ONE fence for the whole batch via the
-// coalescing write-back queue, and only then writes the responses. The
-// ack rule is the durable-linearizability contract: a response frame
+// Every connection is served by one goroutine owning one conn: buffered
+// reader and writer, MaxBatch request/response slots and a pooled Batcher
+// (one Batched-mode store session). It runs four stages per
+// window: readWindow decodes everything the client already pipelined, up to
+// Options.MaxBatch; admit charges it to admission control; exec runs it
+// through Batcher.Exec; writeResps encodes the answers straight into the
+// writer's buffer and flushes. Exec is one allocation-free pass in pipeline
+// order (same-key requests keep their order trivially): each key is hashed
+// once, by the session call that executes it with persistence deferred
+// (core.Deferred), and the whole window commits under ONE fence
+// via the coalescing write-back queue before any response exists. The ack
+// rule is the durable-linearizability contract: a response frame
 // exists only for operations whose effects a single shared PFence has
 // already persisted, so "acknowledged ⇒ persisted" holds at every crash
 // point — verified systematically by the batched dlcheck battery
@@ -440,39 +444,13 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// admit charges a batch of storeOps against the inflight cap and the
-// rate limiter. shed=true means answer BUSY (retry after retryMs) and
-// execute nothing; otherwise the ops are charged to inflight and the
-// caller must release them after Exec.
-func (s *Server) admit(storeOps int) (shed bool, retryMs uint32) {
-	n := int64(storeOps)
-	cur := s.inflight.Add(n)
-	if mi := s.opts.MaxInflight; mi > 0 && cur > int64(mi) {
-		s.inflight.Add(-n)
-		return true, 1
-	}
-	if ok, retry := s.limiter.Allow(int64(time.Since(s.epoch)), storeOps); !ok {
-		s.inflight.Add(-n)
-		ms := uint32((retry + time.Millisecond - 1) / time.Millisecond)
-		if ms == 0 {
-			ms = 1
-		}
-		return true, ms
-	}
-	return false, 0
-}
-
 // commitQuietly clears a batcher's possibly-deferred state after a
 // handler panic, reporting whether the session survived. Committing
 // applied-but-unacked effects is linearizable (the client never got a
 // response, so either outcome is a legal crash point); a session whose
 // commit itself panics is poisoned and must not be pooled.
 func commitQuietly(b *Batcher) (ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
+	defer func() { ok = recover() == nil }()
 	b.bs.Commit()
 	return true
 }
@@ -481,12 +459,12 @@ func commitQuietly(b *Batcher) (ok bool) {
 // or a resilience decision (idle reap, slow-reader budget, drain). It
 // is exported so tests and in-process benchmarks can serve synthetic
 // transports (net.Pipe) without a listener.
-func (s *Server) ServeConn(c net.Conn) {
-	defer c.Close()
-	if !s.track(c) {
+func (s *Server) ServeConn(nc net.Conn) {
+	defer nc.Close()
+	if !s.track(nc) {
 		return
 	}
-	defer s.untrack(c)
+	defer s.untrack(nc)
 	defer s.connWG.Done()
 	if mc := s.opts.MaxConns; mc > 0 {
 		if s.connsOpen.Add(1) > int64(mc) {
@@ -495,10 +473,10 @@ func (s *Server) ServeConn(c net.Conn) {
 			// One unsolicited BUSY frame tells the client this was
 			// admission control, not a crash; then hang up.
 			if s.opts.WriteTimeout > 0 {
-				c.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+				nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 			}
 			resp := Response{Status: StatusBusy, RetryAfterMs: 1}
-			c.Write(AppendResponse(nil, 0, &resp))
+			nc.Write(AppendResponse(nil, 0, &resp))
 			return
 		}
 		defer s.connsOpen.Add(-1)
@@ -508,206 +486,239 @@ func (s *Server) ServeConn(c net.Conn) {
 		m.ConnsOpen.Add(1)
 		defer m.ConnsOpen.Add(-1)
 	}
+	n := s.opts.MaxBatch
+	c := &conn{
+		b: s.getBatcher(), nc: nc,
+		br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10),
+		reqs: make([]Request, n), resps: make([]Response, n),
+	}
+	defer c.release()
+	c.serve()
+}
 
-	b := s.getBatcher()
-	// Panic isolation: one connection's failure (a store bug, an
-	// injected crash) must not take the process down or poison the
-	// batcher pool. The batcher returns to the pool only if its session
-	// still commits cleanly; a poisoned one is closed instead, returning
-	// its thread, arena and reclamation slots to the store's registries.
-	defer func() {
-		if r := recover(); r != nil {
-			s.connError(c, causePanic, fmt.Errorf("handler panic: %v", r))
-			if commitQuietly(b) {
-				s.putBatcher(b)
-			} else {
-				b.Close()
-			}
-			return
-		}
-		s.putBatcher(b)
-	}()
+// conn is one served connection: the transport and its buffered halves,
+// the window's request/response slots, and the batcher executing them.
+type conn struct {
+	b     *Batcher
+	nc    net.Conn
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	reqs  []Request // len MaxBatch; resps[i] answers reqs[i]
+	resps []Response
+}
 
-	br := bufio.NewReaderSize(c, 64<<10)
-	bw := bufio.NewWriterSize(c, 64<<10)
-	reqs := make([]Request, s.opts.MaxBatch)
-	resps := make([]Response, s.opts.MaxBatch)
-	var out []byte
-	// bail answers a malformed request with a best-effort StatusErr
-	// frame (the diagnostic the protocol promises) before the deferred
-	// Close hangs up; after a framing error the stream offset is
-	// unreliable, so the connection cannot continue either way.
-	bail := func(err error) {
-		if err == nil || err == io.EOF {
+// release is ServeConn's deferred exit: it returns the batcher to the pool.
+// Panic isolation lives here — one connection's failure (a store bug, an
+// injected crash) must not take the process down or poison the pool, so a
+// batcher whose session no longer commits cleanly is closed instead.
+func (c *conn) release() {
+	if r := recover(); r != nil {
+		c.b.srv.connError(c.nc, causePanic, fmt.Errorf("handler panic: %v", r))
+		if !commitQuietly(c.b) {
+			c.b.Close()
 			return
 		}
-		resp := Response{Status: StatusErr, Body: []byte(err.Error())}
-		if _, werr := bw.Write(AppendResponse(nil, 0, &resp)); werr == nil {
-			bw.Flush()
+	}
+	c.b.srv.putBatcher(c.b)
+}
+
+// serve runs the stage loop until the peer hangs up, a stage fails, or drain.
+func (c *conn) serve() {
+	s := c.b.srv
+	for !s.draining.Load() {
+		if d := s.opts.IdleTimeout; d > 0 {
+			c.nc.SetReadDeadline(time.Now().Add(d))
+		}
+		n, storeOps, err := c.readWindow(true)
+		if err != nil {
+			c.readFailed(err)
+			return
+		}
+		if c.admit(n, storeOps) {
+			c.exec(n, storeOps)
+		}
+		if !c.writeResps(n) {
+			return
 		}
 	}
-	// writeResps ships resps[:n] under the slow-reader budget; a false
-	// return means the connection is done (already counted and logged).
-	writeResps := func(n int) bool {
-		out = out[:0]
-		for i := 0; i < n; i++ {
-			out = AppendResponse(out, reqs[i].Op, &resps[i])
+	c.drainReject()
+}
+
+// readWindow decodes the next pipeline window into reqs[:n]: with block
+// set it waits for the head, then it takes what is already buffered — the
+// group-commit window is "whatever the client managed to pipeline", capped
+// at MaxBatch. storeOps counts the key-carrying requests.
+//
+//flit:hotpath
+func (c *conn) readWindow(block bool) (n, storeOps int, err error) {
+	for n < len(c.reqs) && (c.br.Buffered() > 0 || block && n == 0) {
+		if err = ReadRequest(c.br, &c.reqs[n]); err != nil {
+			return n, storeOps, err
 		}
-		if s.opts.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		if hasKey(c.reqs[n].Op) {
+			storeOps++
 		}
-		_, err := bw.Write(out)
-		if err == nil {
-			err = bw.Flush()
+		n++
+	}
+	return n, storeOps, nil
+}
+
+// admit charges the window's store ops against the inflight cap (exec
+// releases the charge) and the rate limiter. False means the window was
+// shed: BUSY with a retry hint is already in resps and nothing may execute.
+func (c *conn) admit(n, storeOps int) bool {
+	s := c.b.srv
+	if storeOps == 0 {
+		return true
+	}
+	var retryMs uint32 // stays 0 when admitted
+	if cur := s.inflight.Add(int64(storeOps)); s.opts.MaxInflight > 0 && cur > int64(s.opts.MaxInflight) {
+		retryMs = 1
+	} else if s.limiter != nil { // unconfigured: not even the clock read
+		if ok, retry := s.limiter.Allow(int64(time.Since(s.epoch)), storeOps); !ok {
+			retryMs = max(1, uint32((retry+time.Millisecond-1)/time.Millisecond))
 		}
-		if err == nil {
-			return true
-		}
-		if isTimeout(err) {
-			s.connError(c, causeSlowReader, err)
+	}
+	if retryMs == 0 {
+		return true
+	}
+	s.inflight.Add(-int64(storeOps))
+	c.reject(n, StatusBusy, retryMs, &s.shedBusy)
+	return false
+}
+
+// exec runs an admitted window through the batcher — execute, one group
+// commit, fill resps — and releases its inflight charge.
+func (c *conn) exec(n, storeOps int) {
+	c.b.Exec(c.reqs[:n], c.resps[:n])
+	c.b.srv.inflight.Add(-int64(storeOps))
+}
+
+// reject answers the window's store ops with status instead of executing
+// them, counting each on shed; control ops are served regardless.
+func (c *conn) reject(n int, status byte, retryMs uint32, shed *metrics.Counter) {
+	for i := 0; i < n; i++ {
+		if hasKey(c.reqs[i].Op) {
+			c.resps[i] = Response{Status: status, RetryAfterMs: retryMs}
+			shed.Inc(c.b.id)
 		} else {
-			s.connError(c, causeReset, err)
-		}
-		return false
-	}
-	// drainReject answers whatever the client already pipelined with
-	// DRAINING (store ops; control ops are served) on the way out — the
-	// whole buffered pipeline, however many batch windows deep.
-	drainReject := func() {
-		for br.Buffered() > 0 {
-			n := 0
-			for n < s.opts.MaxBatch && br.Buffered() > 0 {
-				if err := ReadRequest(br, &reqs[n]); err != nil {
-					return
-				}
-				n++
-			}
-			for i := 0; i < n; i++ {
-				if hasKey(reqs[i].Op) {
-					resps[i] = Response{Status: StatusDraining}
-					s.shedDraining.Inc(b.id)
-				} else {
-					s.serveControl(reqs[i].Op, &resps[i])
-				}
-			}
-			if !writeResps(n) {
-				return
-			}
-		}
-	}
-	// readFailed classifies and accounts a request-read failure. A clean
-	// EOF is a normal hangup; a deadline expiry is either the Shutdown
-	// wake-up (answer DRAINING) or the idle reaper; a malformed frame
-	// gets the best-effort diagnostic; anything else is transport loss.
-	readFailed := func(err error) {
-		switch {
-		case err == io.EOF:
-		case isTimeout(err):
-			if s.draining.Load() {
-				drainReject()
-			} else {
-				s.connError(c, causeIdle, err)
-			}
-		case errors.Is(err, ErrMalformed):
-			s.connError(c, causeFraming, err)
-			bail(err)
-		default:
-			s.connError(c, causeReset, err)
-		}
-	}
-	for {
-		if s.draining.Load() {
-			drainReject()
-			return
-		}
-		if s.opts.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		// Block for the pipeline's head, then drain what is already
-		// buffered — the group-commit window is "whatever the client
-		// managed to pipeline", capped at MaxBatch.
-		if err := ReadRequest(br, &reqs[0]); err != nil {
-			readFailed(err)
-			return
-		}
-		n := 1
-		for n < s.opts.MaxBatch && br.Buffered() > 0 {
-			if err := ReadRequest(br, &reqs[n]); err != nil {
-				readFailed(err)
-				return
-			}
-			n++
-		}
-		storeOps := 0
-		for i := 0; i < n; i++ {
-			if hasKey(reqs[i].Op) {
-				storeOps++
-			}
-		}
-		if storeOps > 0 {
-			if shed, retryMs := s.admit(storeOps); shed {
-				for i := 0; i < n; i++ {
-					if hasKey(reqs[i].Op) {
-						resps[i] = Response{Status: StatusBusy, RetryAfterMs: retryMs}
-						s.shedBusy.Inc(b.id)
-					} else {
-						s.serveControl(reqs[i].Op, &resps[i])
-					}
-				}
-				if !writeResps(n) {
-					return
-				}
-				continue
-			}
-			b.Exec(reqs[:n], resps[:n])
-			s.inflight.Add(-int64(storeOps))
-		} else {
-			b.Exec(reqs[:n], resps[:n])
-		}
-		if !writeResps(n) {
-			return
-		}
-		for i := 0; i < n; i++ {
-			if resps[i].Status == StatusErr {
-				return // protocol error: answered, then hang up
-			}
+			c.b.srv.serveControl(c.reqs[i].Op, &c.resps[i])
 		}
 	}
 }
 
+// writeResps encodes resps[:n] straight into the writer's buffer and
+// flushes, under the slow-reader budget. False means the connection is
+// done: the write failed (counted here), or a StatusErr frame went out.
+//
+//flit:hotpath
+func (c *conn) writeResps(n int) bool {
+	c.armWriteBudget()
+	var err error
+	open := true
+	for i := 0; i < n && err == nil; i++ {
+		resp := &c.resps[i]
+		if c.bw.Available() < 4+1+8+len(resp.Body) {
+			c.bw.Flush() // keep the append below inside the buffer
+		}
+		_, err = c.bw.Write(AppendResponse(c.bw.AvailableBuffer(), c.reqs[i].Op, resp))
+		open = open && resp.Status != StatusErr
+	}
+	if err == nil {
+		if err = c.bw.Flush(); err == nil {
+			return open
+		}
+	}
+	cause := causeReset
+	if isTimeout(err) {
+		cause = causeSlowReader
+	}
+	c.b.srv.connError(c.nc, cause, err)
+	return false
+}
+
+// armWriteBudget starts the slow-reader clock for one response batch.
+func (c *conn) armWriteBudget() {
+	if d := c.b.srv.opts.WriteTimeout; d > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(d))
+	}
+}
+
+// drainReject answers the whole buffered pipeline, however many windows
+// deep, with DRAINING (store ops; control ops are served) on the way out.
+func (c *conn) drainReject() {
+	for c.br.Buffered() > 0 {
+		n, _, err := c.readWindow(false)
+		if err != nil {
+			return
+		}
+		c.reject(n, StatusDraining, 0, &c.b.srv.shedDraining)
+		if !c.writeResps(n) {
+			return
+		}
+	}
+}
+
+// readFailed classifies and accounts a request-read failure. A clean EOF
+// is a normal hangup; a deadline expiry is the Shutdown wake-up (answer
+// DRAINING) or the idle reaper; a malformed frame gets a best-effort
+// StatusErr diagnostic (the stream offset is unreliable from there on);
+// anything else — EOF inside a frame included — is transport loss.
+func (c *conn) readFailed(err error) {
+	s := c.b.srv
+	switch {
+	case err == io.EOF:
+	case isTimeout(err):
+		if s.draining.Load() {
+			c.drainReject()
+		} else {
+			s.connError(c.nc, causeIdle, err)
+		}
+	case errors.Is(err, ErrMalformed):
+		s.connError(c.nc, causeFraming, err)
+		resp := Response{Status: StatusErr, Body: []byte(err.Error())}
+		c.armWriteBudget()
+		if _, werr := c.bw.Write(AppendResponse(c.bw.AvailableBuffer(), 0, &resp)); werr == nil {
+			c.bw.Flush()
+		}
+	default:
+		s.connError(c.nc, causeReset, err)
+	}
+}
+
 // Batcher executes request batches against one Batched-mode store
-// session with group commit. One per connection (it is as single-goroutine as the session
-// it wraps); also the entry point the crash batteries drive directly,
-// bypassing sockets.
+// session with group commit. One per connection (as single-goroutine as
+// the session it wraps); also what the crash batteries drive, socket-free.
 type Batcher struct {
-	srv  *Server
-	bs   *store.Sess[[]byte]
-	bySh [][]int // per-shard request indices, reused across batches
-	id   int     // metrics counter stripe (stable per batcher)
+	srv *Server
+	bs  *store.Sess[[]byte]
+	id  int // metrics counter stripe (stable per batcher)
 }
 
 // NewBatcher registers a new batch executor (one Batched-mode session).
 func (s *Server) NewBatcher() *Batcher {
 	return &Batcher{
-		srv:  s,
-		bs:   store.Open[[]byte](s.st, store.Batched),
-		bySh: make([][]int, s.st.NumShards()),
-		id:   int(s.batcherIDs.Add(1) - 1),
+		srv: s,
+		bs:  store.Open[[]byte](s.st, store.Batched),
+		id:  int(s.batcherIDs.Add(1) - 1),
 	}
 }
 
-// getBatcher reuses a pooled batcher or registers a new one. A batcher
-// leaves the pool fully committed (every Exec ends in Commit), so
-// handing it to the next connection carries no deferred state.
+// getBatcher reuses a pooled batcher (fully committed: every Exec ends in
+// Commit) or registers a new one. Only the pop is under idleMu: building a
+// session (thread registration, a handle per shard) must not stall
+// concurrent accepts and putBatcher.
 func (s *Server) getBatcher() *Batcher {
+	var b *Batcher
 	s.idleMu.Lock()
-	defer s.idleMu.Unlock()
 	if n := len(s.idle); n > 0 {
-		b := s.idle[n-1]
-		s.idle = s.idle[:n-1]
-		return b
+		b, s.idle = s.idle[n-1], s.idle[:n-1]
 	}
-	return s.NewBatcher()
+	s.idleMu.Unlock()
+	if b == nil {
+		b = s.NewBatcher()
+	}
+	return b
 }
 
 func (s *Server) putBatcher(b *Batcher) {
@@ -726,8 +737,7 @@ func (s *Server) putBatcher(b *Batcher) {
 	s.idleMu.Unlock()
 }
 
-// Session exposes the underlying batch session (crash injection,
-// stats).
+// Session exposes the underlying batch session (crash injection, stats).
 func (b *Batcher) Session() *store.Sess[[]byte] { return b.bs }
 
 // Close releases the batcher's session (thread, arena, reclamation
@@ -735,84 +745,57 @@ func (b *Batcher) Session() *store.Sess[[]byte] { return b.bs }
 // after a handler panic, or pool drain at server close. Idempotent.
 func (b *Batcher) Close() { b.bs.Close() }
 
-// Exec executes one pipeline batch: requests are grouped per shard in
-// stable order (same-key requests keep their pipeline order — one key
-// always maps to one shard), executed with persistence deferred, and
-// committed under a single fence before any response is materialized.
-// resps[i] answers reqs[i]; len(resps) must equal len(reqs).
+// Exec executes one pipeline batch in one pass, in pipeline order (so
+// same-key requests stay ordered with no grouping at all): each op runs
+// through its session call — the one place its key is hashed — with
+// persistence deferred, and the batch commits under a single fence before
+// any response is materialized. resps[i] answers reqs[i]; lengths match.
 func (b *Batcher) Exec(reqs []Request, resps []Response) {
-	st := b.srv.st
 	m := b.srv.metrics
 	// The session thread's counters are single-goroutine state only this
-	// batcher reads; each batch folds its own delta into the server
-	// atomics. The baseline is re-read per batch, not remembered across
-	// batches, so a Memory.ResetStats in between cannot unseat it.
+	// batcher reads; each batch folds its own delta into the server atomics.
+	// The baseline is re-read per batch, so a ResetStats cannot unseat it.
 	ts := &b.bs.Thread().Stats
 	pwbs0, pfences0 := ts.PWBs, ts.PFences
-	// Capture the shard count once per batch: an online split can swap
-	// the store layout mid-loop, and same-key requests must group under
-	// ONE index to keep their pipeline order. The grouping is a locality
-	// heuristic — the session routes each key correctly regardless — so a
-	// count one split stale is harmless; it just groups by the old map.
-	nsh := uint64(st.NumShards())
-	if int(nsh) > len(b.bySh) {
-		b.bySh = append(b.bySh, make([][]int, int(nsh)-len(b.bySh))...)
-	}
-	for i := range b.bySh {
-		b.bySh[i] = b.bySh[i][:0]
+	// With metrics on, service time is measured at batch granularity —
+	// three clock reads per Exec, since one per op would cost more than a
+	// simulated store op does: [t0,t1) brackets the execution loop and is
+	// attributed to the batch's store ops in equal shares, [t1,t2) after
+	// Commit is the group-commit duration. Durations come from time.Since
+	// on a fixed epoch, the monotonic-only path at half time.Now's cost.
+	var t0 time.Duration
+	if m != nil {
+		m.Depth.RecordNs(int64(len(reqs)))
+		t0 = time.Since(b.srv.epoch)
 	}
 	storeOps := 0
 	var kindN [numOpKinds]uint64
 	for i := range reqs {
-		if hasKey(reqs[i].Op) {
-			sh := store.HashKeyBytes(reqs[i].Key) % nsh
-			b.bySh[sh] = append(b.bySh[sh], i)
-			kindN[opKind(reqs[i].Op)]++
-			storeOps++
+		req, resp := &reqs[i], &resps[i]
+		if !hasKey(req.Op) {
+			continue
 		}
-	}
-	// With metrics on, service time is measured at batch granularity:
-	// three clock reads per Exec — [t0,t1) brackets the execution loop
-	// and is attributed to the batch's store ops in equal shares, and
-	// [t1,t2) after Commit is the group-commit duration. A clock read
-	// per op would cost more than a simulated store op does (time.Now
-	// runs ~70ns on hosts without fast vdso paths), so the per-op
-	// histograms record each op's share of its batch window instead of
-	// an individually-timed span; across many batches of varying
-	// composition the per-type distributions still separate. Durations
-	// come from time.Since on a fixed epoch — the monotonic-only path,
-	// about half the cost of time.Now.
-	var t0 time.Duration
-	if m != nil {
-		m.Depth.RecordNs(int64(len(reqs)))
-		if storeOps > 0 {
-			t0 = time.Since(b.srv.epoch)
-		}
-	}
-	for _, idxs := range b.bySh {
-		for _, i := range idxs {
-			req, resp := &reqs[i], &resps[i]
-			resp.Status, resp.Val, resp.Flag, resp.Body = StatusOK, 0, false, nil
-			switch req.Op {
-			case OpGet:
-				v, ok := b.bs.Get(req.Key)
-				if ok {
-					resp.Val = v
-				} else {
-					resp.Status = StatusNotFound
-				}
-			case OpPut:
-				resp.Flag = b.bs.Put(req.Key, req.Val)
-			case OpDelete:
-				resp.Flag = b.bs.Delete(req.Key)
-			case OpContains:
-				resp.Flag = b.bs.Contains(req.Key)
+		kindN[opKind(req.Op)]++
+		storeOps++
+		resp.Status, resp.Val, resp.Flag, resp.Body = StatusOK, 0, false, nil
+		switch req.Op {
+		case OpGet:
+			v, ok := b.bs.Get(req.Key)
+			if ok {
+				resp.Val = v
+			} else {
+				resp.Status = StatusNotFound
 			}
+		case OpPut:
+			resp.Flag = b.bs.Put(req.Key, req.Val)
+		case OpDelete:
+			resp.Flag = b.bs.Delete(req.Key)
+		case OpContains:
+			resp.Flag = b.bs.Contains(req.Key)
 		}
 	}
-	// The group commit: after this fence — and only after it — the
-	// batch's results exist as far as any client can observe. A batch of
-	// pure PING/STATS frames touched nothing and commits nothing.
+	// The group commit: only after this fence do the batch's results exist
+	// as far as any client can observe. Pure PING/STATS commits nothing.
 	if storeOps > 0 {
 		var t1 time.Duration
 		if m != nil {
@@ -838,8 +821,8 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 			m.BatchFences.RecordNs(int64(pfences))
 		}
 	}
-	// Non-store opcodes are answered after the commit, preserving
-	// response order.
+	// Non-store opcodes are answered after the commit (a STATS in the
+	// window then counts the window); slots keep the response order.
 	for i := range reqs {
 		if !hasKey(reqs[i].Op) {
 			b.srv.serveControl(reqs[i].Op, &resps[i])

@@ -125,7 +125,7 @@ func TestServerPipelineBatches(t *testing.T) {
 }
 
 // TestServerSameKeyPipelineOrder: same-key requests in one pipeline
-// window keep program order through the per-shard grouping.
+// window keep program order: the window executes in pipeline order.
 func TestServerSameKeyPipelineOrder(t *testing.T) {
 	_, c := pipeServer(t, newTestStore(t), server.Options{})
 	key := []byte("hot")
