@@ -83,6 +83,16 @@ func hashAddr(a pmem.Addr, shift uint) uint64 {
 // a counter (extra flushes at worst); distinct counters in the same real
 // cache line may false-share (the coherence-miss collapse the paper shows
 // for a 4 KB table at ≥5% updates).
+//
+// The index is line-local: hash(line of a)·8 + word-in-line of a. Still
+// one counter per word, but the eight counters of a data line — so the
+// key/val/next counters of a node — fill one 64-byte counter line, and an
+// operation that walks a node's words touches one counter line, not
+// three. Unrelated addresses collide as under a per-word hash: two words
+// of different lines share a counter with probability 1/entries (their
+// lines hash to the same group, 8/entries, and their word offsets agree,
+// 1/8) and a counter cache line with probability 8/entries. Only words
+// of one data line, which share that line anyway, are newly neighbours.
 type HashTable struct {
 	counters []uint64
 	shift    uint
@@ -99,15 +109,32 @@ func NewHashTable(bytes int) *HashTable {
 	return &HashTable{counters: make([]uint64, entries), bytes: entries * 8, shift: shift}
 }
 
-func (h *HashTable) slot(a pmem.Addr) *uint64 { return &h.counters[hashAddr(a, h.shift)] }
+// index maps a to its counter: the line's hash picks an aligned group of
+// WordsPerLine counters (the table never has fewer), the word offset picks
+// the counter inside it.
+//
+//flit:hotpath
+func (h *HashTable) index(a pmem.Addr) uint64 {
+	const wordMask = pmem.WordsPerLine - 1
+	return hashAddr(pmem.Addr(pmem.LineOf(a)), h.shift)&^wordMask | uint64(a)&wordMask
+}
+
+//flit:hotpath
+func (h *HashTable) slot(a pmem.Addr) *uint64 { return &h.counters[h.index(a)] }
 
 // Inc increments a's hashed counter.
+//
+//flit:hotpath
 func (h *HashTable) Inc(t *pmem.Thread, a pmem.Addr) { atomic.AddUint64(h.slot(a), 1) }
 
 // Dec decrements a's hashed counter.
+//
+//flit:hotpath
 func (h *HashTable) Dec(t *pmem.Thread, a pmem.Addr) { atomic.AddUint64(h.slot(a), ^uint64(0)) }
 
 // Tagged reports whether a's hashed counter is non-zero.
+//
+//flit:hotpath
 func (h *HashTable) Tagged(t *pmem.Thread, a pmem.Addr) bool {
 	return atomic.LoadUint64(h.slot(a)) != 0
 }
@@ -136,6 +163,7 @@ func NewPackedHashTable(bytes int) *PackedHashTable {
 	return &PackedHashTable{words: make([]uint64, n/8), bytes: n, shift: shift}
 }
 
+//flit:hotpath
 func (h *PackedHashTable) locate(a pmem.Addr) (*uint64, uint) {
 	idx := hashAddr(a, h.shift) // byte index in [0, bytes)
 	return &h.words[idx/8], uint(idx%8) * 8
@@ -144,6 +172,8 @@ func (h *PackedHashTable) locate(a pmem.Addr) (*uint64, uint) {
 // add replaces the target byte with (byte+delta) mod 256 under a CAS loop.
 // A plain 64-bit add would carry out of the byte and corrupt the neighbor
 // counter — the masked replace keeps each byte independent.
+//
+//flit:hotpath
 func (h *PackedHashTable) add(a pmem.Addr, delta uint64) {
 	w, sh := h.locate(a)
 	for {
@@ -157,12 +187,18 @@ func (h *PackedHashTable) add(a pmem.Addr, delta uint64) {
 }
 
 // Inc increments a's packed byte counter.
+//
+//flit:hotpath
 func (h *PackedHashTable) Inc(t *pmem.Thread, a pmem.Addr) { h.add(a, 1) }
 
 // Dec decrements a's packed byte counter.
+//
+//flit:hotpath
 func (h *PackedHashTable) Dec(t *pmem.Thread, a pmem.Addr) { h.add(a, 0xFF) /* -1 mod 256 */ }
 
 // Tagged reports whether a's packed byte counter is non-zero.
+//
+//flit:hotpath
 func (h *PackedHashTable) Tagged(t *pmem.Thread, a pmem.Addr) bool {
 	w, sh := h.locate(a)
 	return (atomic.LoadUint64(w)>>sh)&0xFF != 0
@@ -185,15 +221,22 @@ func NewDirectMap(memWords int) *DirectMap {
 	return &DirectMap{counters: make([]uint64, (memWords+pmem.WordsPerLine-1)/pmem.WordsPerLine)}
 }
 
+//flit:hotpath
 func (d *DirectMap) slot(a pmem.Addr) *uint64 { return &d.counters[pmem.LineOf(a)] }
 
 // Inc increments the line counter of a.
+//
+//flit:hotpath
 func (d *DirectMap) Inc(t *pmem.Thread, a pmem.Addr) { atomic.AddUint64(d.slot(a), 1) }
 
 // Dec decrements the line counter of a.
+//
+//flit:hotpath
 func (d *DirectMap) Dec(t *pmem.Thread, a pmem.Addr) { atomic.AddUint64(d.slot(a), ^uint64(0)) }
 
 // Tagged reports whether the line counter of a is non-zero.
+//
+//flit:hotpath
 func (d *DirectMap) Tagged(t *pmem.Thread, a pmem.Addr) bool {
 	return atomic.LoadUint64(d.slot(a)) != 0
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"flit/internal/pmem"
 )
@@ -67,6 +69,64 @@ func TestSchemeSizingUnchanged(t *testing.T) {
 	}
 }
 
+// TestCounterSlotLocality pins flit-HT's line-local index at every table
+// size: the eight words of a data line own eight distinct counters inside
+// one 64-byte-aligned counter group, consecutive lines spread evenly over
+// the groups, and each word's counter still works on its own.
+func TestCounterSlotLocality(t *testing.T) {
+	m := pmem.New(pmem.Config{Words: 1 << 10})
+	th := m.RegisterThread()
+	for bytes := 64; bytes <= 1<<20; bytes <<= 1 {
+		h := NewHashTable(bytes)
+		groups := len(h.counters) / pmem.WordsPerLine
+		if base := uintptr(unsafe.Pointer(&h.counters[0])); base%64 != 0 {
+			t.Fatalf("%s: counter array at %#x is not cache-line aligned", h.Name(), base)
+		}
+
+		const lines = 1 << 16
+		load := make([]int, groups)
+		for l := 1; l <= lines; l++ {
+			base := pmem.Addr(l) << pmem.LineShift
+			g := h.index(base) / pmem.WordsPerLine
+			for w := pmem.Addr(0); w < pmem.WordsPerLine; w++ {
+				// Same group, counter w of it: distinct by construction
+				// and inside one aligned 64-byte counter line.
+				if idx := h.index(base + w); idx != g*pmem.WordsPerLine+uint64(w) {
+					t.Fatalf("%s: word %d of line %d -> counter %d, want %d (group %d)",
+						h.Name(), w, l, idx, g*pmem.WordsPerLine+uint64(w), g)
+				}
+			}
+			load[g]++
+		}
+		// No new clustering: consecutive lines (what an arena hands out)
+		// fill the groups to within 25% of uniform, or ±2 lines where a
+		// group expects fewer than eight.
+		mean := float64(lines) / float64(groups)
+		tol := math.Max(0.25*mean, 2)
+		for g, n := range load {
+			if d := math.Abs(float64(n) - mean); d > tol {
+				t.Fatalf("%s: group %d holds %d of %d lines, uniform is %.1f ± %.1f",
+					h.Name(), g, n, lines, mean, tol)
+			}
+		}
+
+		// Every word of a line round-trips independently of its neighbours.
+		base := pmem.Addr(5) << pmem.LineShift
+		for w := pmem.Addr(0); w < pmem.WordsPerLine; w++ {
+			h.Inc(th, base+w)
+			for o := pmem.Addr(0); o < pmem.WordsPerLine; o++ {
+				if got := h.Tagged(th, base+o); got != (o == w) {
+					t.Fatalf("%s: after Inc(word %d), Tagged(word %d) = %v", h.Name(), w, o, got)
+				}
+			}
+			h.Dec(th, base+w)
+		}
+		if n := h.LiveTags(); n != 0 {
+			t.Fatalf("%s: %d live tags after every Inc was undone", h.Name(), n)
+		}
+	}
+}
+
 // --- scheme-level microbenchmarks ---
 //
 // BenchmarkCounterScheme* isolate the flit-counter placements: one
@@ -93,6 +153,31 @@ func benchScheme(b *testing.B, c CounterScheme) {
 		c.Dec(th, a)
 	}
 }
+
+// benchSchemeNode is the node-shaped round: a fresh 3-word node tags,
+// checks and untags its key, value and next words back to back, the
+// access pattern of a hashtable insert and of a Get's three tag probes.
+func benchSchemeNode(b *testing.B, c CounterScheme) {
+	m := pmem.New(pmem.Config{Words: 1 << 16})
+	th := m.RegisterThread()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// 3-word nodes at a 4-word stride: never across a line.
+		n := pmem.Addr(8 + (uint64(i)*2654435761)%(1<<14-2)*4)
+		for f := pmem.Addr(0); f < 3; f++ {
+			c.Inc(th, n+f)
+		}
+		for f := pmem.Addr(0); f < 3; f++ {
+			if !c.Tagged(th, n+f) {
+				b.Fatal("incremented counter not tagged")
+			}
+			c.Dec(th, n+f)
+		}
+	}
+}
+
+func BenchmarkCounterSchemeNodeHT1MB(b *testing.B) { benchSchemeNode(b, NewHashTable(1<<20)) }
 
 func BenchmarkCounterSchemeAdjacent(b *testing.B) { benchScheme(b, Adjacent{}) }
 

@@ -8,8 +8,10 @@ import (
 // CrashImage materializes the persistent state that would survive a power
 // failure at this instant. All registered threads must be stopped (crashed
 // or quiescent); their un-fenced write-back queues are consumed according
-// to mode. The returned slice is an independent copy safe to hand to
-// NewFromImage.
+// to mode. That is also what lets it read the shadow without the per-line
+// drainLocks: a drain contains no CheckCrash, so a crashed thread never
+// stops mid-line or holding a lock. The returned slice is an independent
+// copy safe to hand to NewFromImage.
 //
 // Under RandomSubset, two nondeterministic hardware effects are modeled
 // with the seeded RNG: (1) each pending write-back independently may or may
@@ -24,9 +26,7 @@ func (m *Memory) CrashImage(mode CrashMode, seed int64) []uint64 {
 		}
 		return img
 	}
-	for i := range img {
-		img[i] = atomic.LoadUint64(&m.shadow[i])
-	}
+	copy(img, m.shadow)
 	if mode == DropUnfenced {
 		return img
 	}
@@ -67,25 +67,34 @@ func (m *Memory) CrashImage(mode CrashMode, seed int64) []uint64 {
 }
 
 // DirtyLines counts lines whose volatile content differs from the
-// persistent shadow (test helper; threads should be quiescent).
+// persistent shadow (test helper). It may run beside live threads — each
+// line is compared under its drainLock — but the count is then only a
+// snapshot.
 func (m *Memory) DirtyLines() int {
 	n := 0
 	lines := len(m.words) / WordsPerLine
 	for l := 0; l < lines; l++ {
 		base := l << LineShift
+		m.lockLine(Line(l))
 		for i := 0; i < WordsPerLine; i++ {
-			if atomic.LoadUint64(&m.words[base+i]) != atomic.LoadUint64(&m.shadow[base+i]) {
+			if atomic.LoadUint64(&m.words[base+i]) != m.shadow[base+i] {
 				n++
 				break
 			}
 		}
+		m.unlockLine(Line(l))
 	}
 	return n
 }
 
-// PersistedWord reads a word from the persistent shadow (test helper).
+// PersistedWord reads a word from the persistent shadow (test helper),
+// under the line's drainLock so it may run beside fencing threads.
 func (m *Memory) PersistedWord(a Addr) uint64 {
-	return atomic.LoadUint64(&m.shadow[a])
+	l := LineOf(a)
+	m.lockLine(l)
+	v := m.shadow[a]
+	m.unlockLine(l)
+	return v
 }
 
 // VolatileWord reads a word from the volatile layer without a Thread

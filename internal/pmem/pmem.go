@@ -30,6 +30,7 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -139,14 +140,18 @@ func DefaultConfig(words int) Config {
 type Memory struct {
 	cfg    Config
 	words  []uint64 // volatile layer; accessed with sync/atomic
-	shadow []uint64 // persistent layer; accessed with sync/atomic
+	shadow []uint64 // persistent layer; guarded per line by drainLock
 	inval  []uint32 // per-line invalidation flags, nil unless configured
 
-	// drainLock serializes write-backs of one line into the shadow. On
-	// hardware, cache coherence gives each line a single owner, so an
-	// older line value can never overwrite a newer one in memory; without
-	// this lock two racing fence drains could interleave their
-	// load-then-store copies and regress the shadow.
+	// drainLock[l] guards shadow line l: its shadow words are written and
+	// read only by the holder of drainLock[l], or while every thread is
+	// stopped (CrashImage, NewFromImage). The lock is a CAS-acquired,
+	// atomic-store-released spin word, so the shadow accesses inside it
+	// are plain loads and stores. It is also what keeps the shadow
+	// forward-only: on hardware, cache coherence gives each line a single
+	// owner, so an older line value can never overwrite a newer one in
+	// memory; here whichever of two racing fence drains takes the lock
+	// second re-reads the volatile line.
 	drainLock []uint32
 
 	crashArmed atomic.Bool
@@ -199,6 +204,40 @@ func NewFromImage(img []uint64, cfg Config) *Memory {
 
 // Config returns the memory's configuration.
 func (m *Memory) Config() Config { return m.cfg }
+
+// lockLine acquires drainLock[l]. Critical sections are a line copy or
+// shorter and never contain a CheckCrash, so a crashed thread cannot die
+// holding one. A contended acquire yields instead of spinning: with more
+// goroutines than processors the holder may be the one descheduled, and
+// a shadow reader polling beside fencing threads would otherwise burn
+// whole scheduler quanta waiting for it.
+//
+//flit:hotpath
+func (m *Memory) lockLine(l Line) {
+	for !atomic.CompareAndSwapUint32(&m.drainLock[l], 0, 1) {
+		runtime.Gosched()
+	}
+}
+
+// unlockLine releases drainLock[l], publishing the holder's shadow writes
+// to the next holder.
+//
+//flit:hotpath
+func (m *Memory) unlockLine(l Line) { atomic.StoreUint32(&m.drainLock[l], 0) }
+
+// writeBack copies line l's current volatile words into the shadow and
+// returns the shadow line. The caller holds drainLock[l].
+//
+//flit:hotpath
+func (m *Memory) writeBack(l Line) []uint64 {
+	base := int(l) << LineShift
+	src := m.words[base : base+WordsPerLine]
+	dst := m.shadow[base : base+WordsPerLine]
+	for i := range dst {
+		dst[i] = atomic.LoadUint64(&src[i])
+	}
+	return dst
+}
 
 // SetCosts adjusts the latency model. Benchmark harnesses zero the costs
 // during prefill so setup is not charged, then restore them for the

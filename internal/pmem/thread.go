@@ -206,9 +206,10 @@ func (t *Thread) PWB(a Addr) {
 }
 
 // PFence drains the thread's write-back queue: every distinct pending
-// line's current volatile content is copied, word by word, into the
-// persistent shadow — each line exactly once, however many PWBs targeted
-// it. After PFence returns, everything the thread flushed is durable.
+// line's current volatile content is copied into the persistent shadow
+// under the line's drainLock — each line exactly once, however many PWBs
+// targeted it. After PFence returns, everything the thread flushed is
+// durable.
 func (t *Thread) PFence() { t.drain() }
 
 // Drain is the explicit batch-drain entry point for group commit: one
@@ -226,6 +227,10 @@ func (t *Thread) Drain() int { return t.drain() }
 // at the next fence.
 func (t *Thread) LinePending(a Addr) bool { return t.wb.has(LineOf(a)) }
 
+// drain is the one write-back path: each pending line is written back
+// under its drainLock (see Memory.drainLock for what the lock guards and
+// why it keeps the shadow forward-only).
+//
 //flit:hotpath
 func (t *Thread) drain() int {
 	t.Stats.PFences++
@@ -233,21 +238,13 @@ func (t *Thread) drain() int {
 	n := len(t.wb.lines)
 	tr := m.trace
 	for _, l := range t.wb.lines {
-		// Serialize per-line write-backs, as coherence does on hardware:
-		// whichever drain runs second re-reads the volatile line, so the
-		// shadow can only move forward.
-		for !atomic.CompareAndSwapUint32(&m.drainLock[l], 0, 1) {
-		}
+		m.lockLine(l)
 		if tr != nil {
 			tr.drain(t, l)
 		} else {
-			base := Addr(l) << LineShift
-			for i := Addr(0); i < WordsPerLine; i++ {
-				v := atomic.LoadUint64(&m.words[base+i])
-				atomic.StoreUint64(&m.shadow[base+i], v)
-			}
+			m.writeBack(l)
 		}
-		atomic.StoreUint32(&m.drainLock[l], 0)
+		m.unlockLine(l)
 	}
 	t.wb.reset()
 	t.Stats.Drained += uint64(n)

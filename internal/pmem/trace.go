@@ -1,9 +1,6 @@
 package pmem
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // PersistRecord is one line write-back drained into the persistent shadow:
 // the unit of the durable-linearizability checker's crash-point model.
@@ -64,19 +61,14 @@ func (m *Memory) StartTrace(now func() int64) *Trace {
 // The Trace remains readable afterwards.
 func (m *Memory) StopTrace() { m.trace = nil }
 
-// drain performs one traced line write-back: stamp, copy volatile→shadow,
-// record — all under the trace lock (and the caller's per-line drainLock),
-// so the record sequence is the exact global shadow-write order.
+// drain performs one traced line write-back: stamp, write the line back,
+// record what reached the shadow — all under the trace lock (and the
+// caller's per-line drainLock), so the record sequence is the exact
+// global shadow-write order.
 func (tr *Trace) drain(t *Thread, l Line) {
-	m := t.M
 	tr.mu.Lock()
 	r := PersistRecord{Thread: t.ID, Epoch: t.wb.epoch, Line: l, Stamp: tr.now()}
-	base := Addr(l) << LineShift
-	for i := Addr(0); i < WordsPerLine; i++ {
-		v := atomic.LoadUint64(&m.words[base+i])
-		atomic.StoreUint64(&m.shadow[base+i], v)
-		r.Words[i] = v
-	}
+	copy(r.Words[:], t.M.writeBack(l))
 	tr.recs = append(tr.recs, r)
 	tr.mu.Unlock()
 }
