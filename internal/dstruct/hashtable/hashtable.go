@@ -147,11 +147,13 @@ func (th *Thread) Get(key uint64) (uint64, bool) {
 
 // Snapshot reads all unmarked pairs (test helper; callers quiescent).
 func (t *Table) Snapshot() map[uint64]uint64 {
-	out := make(map[uint64]uint64)
+	var pairs []list.Pair
 	for i := 0; i < int(t.buckets); i++ {
-		for k, v := range t.l.SnapshotAt(t.cfg.Field(t.base, 1+i)) {
-			out[k] = v
-		}
+		pairs = list.GatherAt(&t.cfg, t.cfg.Field(t.base, 1+i), pairs)
+	}
+	out := make(map[uint64]uint64, len(pairs))
+	for _, p := range pairs {
+		out[p.Key] = p.Val
 	}
 	return out
 }
@@ -161,15 +163,8 @@ func (t *Table) Snapshot() map[uint64]uint64 {
 // immutable after construction); each bucket chain is gathered and
 // re-laid-out clean, like list recovery.
 func Recover(cfg dstruct.Config) *Table {
-	tbl, _ := RecoverCount(cfg)
+	tbl, _ := BeginRecover(cfg).Complete()
 	return tbl
-}
-
-// RecoverCount is Recover, additionally reporting how many key→value
-// pairs survived — the gather pass already knows, so callers doing
-// shard-parallel recovery need not re-scan the table to count keys.
-func RecoverCount(cfg dstruct.Config) (*Table, int) {
-	return BeginRecover(cfg).Complete()
 }
 
 // Recovery is a two-phase table recovery: BeginRecover gathers every
@@ -182,72 +177,66 @@ func RecoverCount(cfg dstruct.Config) (*Table, int) {
 // recoveries sharing one heap (the store's shard-parallel rebuild) must
 // additionally barrier between everyone's gather and anyone's rebuild.
 type Recovery struct {
-	cfg   dstruct.Config
-	tbl   *Table
-	pairs []map[uint64]uint64
-	keys  int
+	tbl *Table
+	// Bucket i's pairs are pairs[off[i]:off[i+1]], in chain order.
+	pairs []list.Pair
+	off   []int
 }
 
 // BeginRecover attaches the persisted table and gathers every bucket's
 // surviving pairs (phase one; writes nothing).
 func BeginRecover(cfg dstruct.Config) *Recovery {
 	tbl := Attach(cfg)
-	r := &Recovery{cfg: cfg, tbl: tbl, pairs: make([]map[uint64]uint64, tbl.buckets)}
-	for i := range r.pairs {
-		r.pairs[i] = list.GatherAt(&cfg, cfg.Field(tbl.base, 1+i))
-		r.keys += len(r.pairs[i])
+	b := int(tbl.buckets)
+	r := &Recovery{tbl: tbl, pairs: make([]list.Pair, 0, b), off: make([]int, b+1)}
+	for i := 0; i < b; i++ {
+		r.pairs = list.GatherAt(&tbl.cfg, cfg.Field(tbl.base, 1+i), r.pairs)
+		r.off[i+1] = len(r.pairs)
 	}
 	return r
 }
 
-// Keys reports the surviving pair count gathered by BeginRecover.
-func (r *Recovery) Keys() int { return r.keys }
-
-// Pairs returns a copy of the union of the gathered per-bucket pairs —
-// the table's surviving contents. Callers that redistribute keys across
-// tables (the store's shard-split recovery) read every table's pairs,
-// recompute each table's final contents, and rebuild with CompleteWith.
-func (r *Recovery) Pairs() map[uint64]uint64 {
-	out := make(map[uint64]uint64, r.keys)
-	for _, b := range r.pairs {
-		for k, v := range b {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// Complete rebuilds every bucket chain from the gathered pairs and
-// fences (phase two), returning the recovered table and its key count.
-func (r *Recovery) Complete() (*Table, int) {
-	return r.complete(r.pairs)
-}
+// Pairs returns the gathered pairs, bucket after bucket — the table's
+// surviving contents, for callers that redistribute keys across tables
+// (the store's shard-split recovery) and rebuild with CompleteWith. The
+// slice is the Recovery's own: read-only, and stale once Complete runs.
+func (r *Recovery) Pairs() []list.Pair { return r.pairs }
 
 // CompleteWith is Complete with the table's final contents overridden:
-// the chains are rebuilt to hold exactly pairs, partitioned by the
-// table's own bucket hash. The store's shard-split recovery uses it to
-// move keys between shards while rebuilding each table in place.
-func (r *Recovery) CompleteWith(pairs map[uint64]uint64) (*Table, int) {
-	byBucket := make([]map[uint64]uint64, r.tbl.buckets)
-	for i := range byBucket {
-		byBucket[i] = make(map[uint64]uint64)
+// the chains are rebuilt to hold exactly pairs, partitioned by the table's
+// own bucket hash with a stable counting sort (of equal keys the last in
+// pairs wins). It is how shard-split recovery moves keys between shards.
+func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
+	clear(r.off)
+	for _, p := range pairs {
+		r.off[r.tbl.bucketIdx(p.Key)]++
 	}
-	for k, v := range pairs {
-		byBucket[r.tbl.bucketIdx(k)][k] = v
+	for i := 1; i < len(r.off); i++ {
+		r.off[i] += r.off[i-1]
 	}
-	return r.complete(byBucket)
+	// off[i] is now bucket i's end. Filling each bucket from its end, last
+	// pair first, keeps the pairs' order and leaves off[i] at its start.
+	r.pairs = make([]list.Pair, len(pairs))
+	for j := len(pairs) - 1; j >= 0; j-- {
+		i := r.tbl.bucketIdx(pairs[j].Key)
+		r.off[i]--
+		r.pairs[r.off[i]] = pairs[j]
+	}
+	return r.Complete()
 }
 
-// complete rebuilds every bucket chain and fences once at the end.
+// Complete rebuilds every bucket chain from the gathered pairs and fences
+// once at the end (phase two), returning the recovered table and its key
+// count.
 //
 //flit:rawpersist recovery is single-threaded; one fence persists all rebuilt chains
-func (r *Recovery) complete(byBucket []map[uint64]uint64) (*Table, int) {
-	t := r.cfg.Heap.Mem().RegisterThread()
-	ar := r.cfg.Heap.NewArena()
+func (r *Recovery) Complete() (*Table, int) {
+	cfg := &r.tbl.cfg
+	t := cfg.Heap.Mem().RegisterThread()
+	ar := cfg.Heap.NewArena()
 	n := 0
-	for i := range byBucket {
-		list.RebuildAt(&r.cfg, t, ar, r.cfg.Field(r.tbl.base, 1+i), byBucket[i])
-		n += len(byBucket[i])
+	for i := 0; i < int(r.tbl.buckets); i++ {
+		n += list.RebuildAt(cfg, t, ar, cfg.Field(r.tbl.base, 1+i), r.pairs[r.off[i]:r.off[i+1]])
 	}
 	t.PFence()
 	ar.Release()

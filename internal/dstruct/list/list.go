@@ -442,21 +442,12 @@ func (t *Thread) GetAt(head pmem.Addr, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Snapshot returns the unmarked key→value pairs in order, reading the
-// volatile state directly (test helper; callers must be quiescent).
-func (l *List) Snapshot() map[uint64]uint64 { return l.SnapshotAt(l.cfg.Root()) }
-
-// SnapshotAt reads the chain rooted at head (test helper).
-func (l *List) SnapshotAt(head pmem.Addr) map[uint64]uint64 {
-	mem := l.cfg.Heap.Mem()
+// Snapshot returns the unmarked key→value pairs, reading the volatile
+// state directly (test helper; callers must be quiescent).
+func (l *List) Snapshot() map[uint64]uint64 {
 	out := make(map[uint64]uint64)
-	curr := dstruct.Ptr(mem.VolatileWord(head))
-	for curr != pmem.NilAddr {
-		nextRaw := mem.VolatileWord(l.cfg.Field(curr, fNext))
-		if !dstruct.Marked(nextRaw) {
-			out[mem.VolatileWord(l.cfg.Field(curr, fKey))] = mem.VolatileWord(l.cfg.Field(curr, fVal))
-		}
-		curr = dstruct.Ptr(nextRaw)
+	for _, p := range GatherAt(&l.cfg, l.cfg.Root(), nil) {
+		out[p.Key] = p.Val
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package list
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -201,21 +202,102 @@ func TestRecoveryAfterCleanShutdown(t *testing.T) {
 	}
 }
 
+// TestRecoveryIgnoresCycles corrupts a five-node chain into every cycle
+// shape and checks that the gather terminates with each distinct unmarked
+// node exactly once, in chain order, and that Recover rebuilds a clean
+// chain from it.
 func TestRecoveryIgnoresCycles(t *testing.T) {
+	const mark = core.MarkBit
+	type link struct {
+		from, to int    // node[from].next = node[to] | flag
+		flag     uint64 // mark carried by the corrupted link
+	}
+	for _, tc := range []struct {
+		name  string
+		links []link
+		want  []uint64
+	}{
+		{"through-head", []link{{4, 0, 0}}, []uint64{1, 2, 3, 4, 5}},
+		{"two-node", []link{{1, 0, 0}}, []uint64{1, 2}},
+		{"rho", []link{{4, 2, 0}}, []uint64{1, 2, 3, 4, 5}},
+		{"rho-long-tail", []link{{4, 3, 0}}, []uint64{1, 2, 3, 4, 5}},
+		{"self-loop-head", []link{{0, 0, 0}}, []uint64{1}},
+		{"self-loop-inner", []link{{3, 3, 0}}, []uint64{1, 2, 3, 4}},
+		{"marked-node-closes-cycle", []link{{4, 1, mark}}, []uint64{1, 2, 3, 4}},
+		{"marked-node-inside-cycle", []link{{2, 3, mark}, {4, 1, 0}}, []uint64{1, 2, 4, 5}},
+		{"marked-self-loop", []link{{2, 2, mark}}, []uint64{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := configs(1 << 14)[0]
+			th := New(cfg).Open(dstruct.ThreadOpts{})
+			for k := uint64(1); k <= 5; k++ {
+				th.Insert(k, k*10)
+			}
+			mem := cfg.Heap.Mem()
+			// chain follows the links from the root, giving up (a chain that
+			// should have ended has not) after eight nodes.
+			chain := func() []pmem.Addr {
+				var nodes []pmem.Addr
+				for n := dstruct.Ptr(mem.VolatileWord(cfg.Root())); n != pmem.NilAddr && len(nodes) < 8; n = dstruct.Ptr(mem.VolatileWord(cfg.Field(n, fNext))) {
+					nodes = append(nodes, n)
+				}
+				return nodes
+			}
+			node := chain()
+			raw := mem.RegisterThread()
+			for _, l := range tc.links {
+				raw.Store(cfg.Field(node[l.from], fNext), uint64(node[l.to])|l.flag)
+			}
+
+			sentinel := Pair{Key: 99, Val: 99}
+			got := GatherAt(&cfg, cfg.Root(), []Pair{sentinel})
+			if got[0] != sentinel {
+				t.Fatalf("gather overwrote the caller's prefix: %v", got[0])
+			}
+			var keys []uint64
+			for _, p := range got[1:] {
+				if p.Val != p.Key*10 {
+					t.Fatalf("pair %v carries the wrong value", p)
+				}
+				keys = append(keys, p.Key)
+			}
+			if !slices.Equal(keys, tc.want) {
+				t.Fatalf("gather on a cyclic chain returned keys %v, want %v", keys, tc.want)
+			}
+
+			// Rebuilt from the same image: a nil-terminated chain holding
+			// each surviving key in exactly one node.
+			l2 := Recover(cfg)
+			var rebuilt []uint64
+			for _, n := range chain() {
+				rebuilt = append(rebuilt, mem.VolatileWord(cfg.Field(n, fKey)))
+			}
+			if !slices.Equal(rebuilt, tc.want) {
+				t.Fatalf("rebuilt chain holds %v, want %v", rebuilt, tc.want)
+			}
+			if snap := l2.Snapshot(); len(snap) != len(tc.want) {
+				t.Fatalf("recovered snapshot has %d keys, want %d", len(snap), len(tc.want))
+			}
+		})
+	}
+}
+
+// TestRebuildKeepsLastOfEqualKeys pins the duplicate rule a merge of
+// several tables' gathers relies on: of equal keys the last one wins, and
+// the count returned is of nodes written, not of pairs handed in.
+func TestRebuildKeepsLastOfEqualKeys(t *testing.T) {
 	cfg := configs(1 << 14)[0]
-	l := New(cfg)
-	th := l.Open(dstruct.ThreadOpts{})
-	th.Insert(1, 1)
-	th.Insert(2, 2)
-	// Corrupt the image in volatile memory: make node2 point at node1.
-	mem := cfg.Heap.Mem()
-	n1 := dstruct.Ptr(mem.VolatileWord(cfg.Root()))
-	n2 := dstruct.Ptr(mem.VolatileWord(cfg.Field(n1, fNext)))
-	raw := mem.RegisterThread()
-	raw.Store(cfg.Field(n2, fNext), uint64(n1))
-	pairs := GatherAt(&cfg, cfg.Root())
-	if len(pairs) != 2 {
-		t.Fatalf("gather on cyclic chain returned %d pairs, want 2", len(pairs))
+	New(cfg)
+	raw := cfg.Heap.Mem().RegisterThread()
+	ar := cfg.Heap.NewArena()
+	pairs := []Pair{{7, 1}, {3, 1}, {7, 2}, {5, 1}, {3, 2}, {7, 3}}
+	if n := RebuildAt(&cfg, raw, ar, cfg.Root(), pairs); n != 3 {
+		t.Fatalf("RebuildAt wrote %d nodes, want 3", n)
+	}
+	raw.PFence()
+	got := GatherAt(&cfg, cfg.Root(), nil)
+	if want := []Pair{{3, 2}, {5, 1}, {7, 3}}; !slices.Equal(got, want) {
+		t.Fatalf("rebuilt chain holds %v, want %v", got, want)
 	}
 }
 

@@ -1,58 +1,90 @@
 package list
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"flit/internal/dstruct"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 )
 
+// Pair is one surviving key→value binding read out of a crash image.
+type Pair struct{ Key, Val uint64 }
+
 // GatherAt reads the persisted chain rooted at head in (recovered) memory
-// and returns the surviving key→value pairs: nodes whose next word carries
-// the Harris mark were logically deleted before the crash — the marking
-// CAS is a p-instruction in every durability mode, so a marked node is
-// marked in every crash image — and are discarded. A visited-set guards
-// against cycles so a corrupt image fails recovery instead of hanging it.
-func GatherAt(cfg *dstruct.Config, head pmem.Addr) map[uint64]uint64 {
+// and appends its surviving pairs to dst in chain order: nodes whose next
+// word carries the Harris mark were logically deleted before the crash —
+// the marking CAS is a p-instruction in every durability mode, so a marked
+// node is marked in every crash image — and are discarded. Brent's cycle
+// detection rides along (one compare per node), so a corrupt cyclic image
+// costs a second walk, not a hang: each distinct node still counts once.
+func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) []Pair {
 	mem := cfg.Heap.Mem()
-	out := make(map[uint64]uint64)
-	seen := make(map[pmem.Addr]bool)
-	curr := dstruct.Ptr(mem.VolatileWord(head))
-	for curr != pmem.NilAddr && !seen[curr] {
-		seen[curr] = true
-		nextRaw := mem.VolatileWord(cfg.Field(curr, fNext))
-		if !dstruct.Marked(nextRaw) {
-			out[mem.VolatileWord(cfg.Field(curr, fKey))] = mem.VolatileWord(cfg.Field(curr, fVal))
+	first := dstruct.Ptr(mem.VolatileWord(head))
+	base := len(dst)
+	// The tortoise rests on the node visited at each power-of-two step;
+	// meeting it again lam steps later means the chain loops with period lam.
+	tortoise, power, lam := pmem.NilAddr, 1, 0
+	for curr := first; curr != pmem.NilAddr; lam++ {
+		if curr == tortoise {
+			// The walk so far read some nodes twice. Redo it with a scout
+			// lam nodes ahead: the walk catches it at the loop's entry, and
+			// from there once more per node of the loop.
+			scout := first
+			for i := 0; i < lam; i++ {
+				scout = dstruct.Ptr(mem.VolatileWord(cfg.Field(scout, fNext)))
+			}
+			dst, curr = dst[:base], first
+			for lam > 0 && curr != pmem.NilAddr {
+				if curr == scout {
+					lam--
+				}
+				dst, curr = gatherNode(cfg, mem, curr, dst)
+				scout = dstruct.Ptr(mem.VolatileWord(cfg.Field(scout, fNext)))
+			}
+			return dst
 		}
-		curr = dstruct.Ptr(nextRaw)
+		if lam == power {
+			tortoise, power, lam = curr, 2*power, 0
+		}
+		dst, curr = gatherNode(cfg, mem, curr, dst)
 	}
-	return out
+	return dst
+}
+
+// gatherNode appends node n's pair to dst unless n is marked, and returns
+// n's successor.
+func gatherNode(cfg *dstruct.Config, mem *pmem.Memory, n pmem.Addr, dst []Pair) ([]Pair, pmem.Addr) {
+	nextRaw := mem.VolatileWord(cfg.Field(n, fNext))
+	if !dstruct.Marked(nextRaw) {
+		dst = append(dst, Pair{mem.VolatileWord(cfg.Field(n, fKey)), mem.VolatileWord(cfg.Field(n, fVal))})
+	}
+	return dst, dstruct.Ptr(nextRaw)
 }
 
 // RebuildAt writes a fresh, fully persisted sorted chain holding pairs at
 // the link word head, using raw stores (recovery is single-threaded, the
-// paper's crash model spawns new processes). The caller fences afterwards
-// via FinishRebuild.
+// paper's crash model spawns new processes), and returns how many nodes it
+// wrote. pairs is sorted in place; of equal keys the last wins. Nodes are
+// allocated from the highest key down. The caller fences afterwards.
 //
 //flit:rawpersist single-threaded recovery rebuild with explicit PWB walk per node
-func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.Addr, pairs map[uint64]uint64) {
-	keys := make([]uint64, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.Addr, pairs []Pair) int {
+	slices.SortStableFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+	nodes := 0
 	next := pmem.NilAddr
-	for i := len(keys) - 1; i >= 0; i-- {
+	for i := len(pairs) - 1; i >= 0; i-- {
+		if i+1 < len(pairs) && pairs[i].Key == pairs[i+1].Key {
+			continue // an earlier copy of a key already written
+		}
 		n := ar.Alloc(cfg.Words(NumFields))
-		t.Store(cfg.Field(n, fKey), keys[i])
-		t.Store(cfg.Field(n, fVal), pairs[keys[i]])
+		nodes++
+		t.Store(cfg.Field(n, fKey), pairs[i].Key)
+		t.Store(cfg.Field(n, fVal), pairs[i].Val)
 		t.Store(cfg.Field(n, fNext), uint64(next))
-		// Flush every line the node covers, stepping line-ALIGNED (the
-		// same walk as core's persistObject) rather than line-SIZED from
-		// the node base: the old spelling covers a straddling node's tail
-		// line only by the accident of pheap's size-class alignment never
-		// producing one. Spell the invariant, don't inherit it.
+		// Flush every line the node covers, stepping line-ALIGNED like
+		// core's persistObject: a node straddling a line has a tail line.
 		end := n + pmem.Addr(cfg.Words(NumFields))
 		for a := n; a < end; a = (a + pmem.WordsPerLine) &^ (pmem.WordsPerLine - 1) {
 			t.PWB(a)
@@ -61,6 +93,7 @@ func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.A
 	}
 	t.Store(head, uint64(next))
 	t.PWB(head)
+	return nodes
 }
 
 // Recover rebuilds a durably consistent list from the structure persisted
@@ -73,8 +106,7 @@ func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.A
 func Recover(cfg dstruct.Config) *List {
 	t := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
-	pairs := GatherAt(&cfg, cfg.Root())
-	RebuildAt(&cfg, t, ar, cfg.Root(), pairs)
+	RebuildAt(&cfg, t, ar, cfg.Root(), GatherAt(&cfg, cfg.Root(), nil))
 	t.PFence()
 	ar.Release()
 	t.Release()

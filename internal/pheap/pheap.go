@@ -66,9 +66,16 @@ type Heap struct {
 	// session: without it, per-session free lists would die with their
 	// arenas and a connection churn would grow the watermark without
 	// bound even though every delete freed its node.
-	centralMu sync.Mutex
-	central   map[int][]pmem.Addr // size class -> surrendered blocks
-	extents   []extent            // surrendered partial chunks
+	//
+	// depotBlocks and depotExtents count, under centralMu, the blocks and
+	// extents held, so that a take from an empty depot — every bump
+	// allocation until some arena is released — skips the heap-global
+	// mutex. One racing a Release may miss its blocks; the next finds them.
+	centralMu    sync.Mutex
+	central      map[int][]pmem.Addr // size class -> surrendered blocks
+	extents      []extent            // surrendered partial chunks
+	depotBlocks  atomic.Int64
+	depotExtents atomic.Int64
 
 	// poison, when armed, stamps every freed block's words (volatile
 	// layer only) so a use-after-free dereference trips deterministically
@@ -239,9 +246,7 @@ func (a *Arena) Alloc(n int) pmem.Addr {
 // surrenderTail parks the unconsumed tail of the arena's bump chunk
 // before the arena abandons it for a new one: line-sized-or-larger tails
 // go to the heap's extent list, smaller ones are carved onto the arena's
-// free lists. Every chunk switch used to drop its tail on the floor —
-// a few words per session that grew the watermark without bound under
-// connection churn even though every delete freed its node.
+// free lists, so session churn cannot grow the watermark tail by tail.
 func (a *Arena) surrenderTail() {
 	start, end := a.chunk, a.chunkEnd
 	a.chunk, a.chunkEnd = 0, 0
@@ -252,6 +257,7 @@ func (a *Arena) surrenderTail() {
 		h := a.h
 		h.centralMu.Lock()
 		h.extents = append(h.extents, extent{start, end})
+		h.depotExtents.Add(1)
 		h.centralMu.Unlock()
 		return
 	}
@@ -274,6 +280,9 @@ func (a *Arena) carve(start, end uint64) {
 
 // centralTake pops one surrendered block of size class c, if any.
 func (h *Heap) centralTake(c int) (pmem.Addr, bool) {
+	if h.depotBlocks.Load() == 0 {
+		return 0, false
+	}
 	h.centralMu.Lock()
 	defer h.centralMu.Unlock()
 	fl := h.central[c]
@@ -282,18 +291,23 @@ func (h *Heap) centralTake(c int) (pmem.Addr, bool) {
 	}
 	p := fl[len(fl)-1]
 	h.central[c] = fl[:len(fl)-1]
+	h.depotBlocks.Add(-1)
 	return p, true
 }
 
 // extentTake pops a surrendered chunk tail that can hold an aligned
 // object of n words, if any.
 func (h *Heap) extentTake(n, align uint64) (start, end uint64, ok bool) {
+	if h.depotExtents.Load() == 0 {
+		return 0, 0, false
+	}
 	h.centralMu.Lock()
 	defer h.centralMu.Unlock()
 	for i, x := range h.extents {
 		s := (x.start + align - 1) &^ (align - 1)
 		if s+n <= x.end {
 			h.extents = append(h.extents[:i], h.extents[i+1:]...)
+			h.depotExtents.Add(-1)
 			return x.start, x.end, true
 		}
 	}
@@ -338,6 +352,7 @@ func (a *Arena) Release() {
 		}
 		for c, fl := range a.free {
 			h.central[c] = append(h.central[c], fl...)
+			h.depotBlocks.Add(int64(len(fl)))
 		}
 	}
 	h.centralMu.Unlock()

@@ -218,3 +218,101 @@ func TestQuickAllocFreeNeverOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDepotHintTracksCentral: centralTake and extentTake skip the
+// heap-global mutex when their atomic hint says the depot is empty. A hint
+// that read zero over a stocked depot would strand every surrendered block
+// (the watermark would grow under session churn again), so at each step of
+// Release → take → Release the hints must equal what the mutex-guarded
+// lists hold, and a fresh arena must be served from the depot, not the
+// bump pointer.
+func TestDepotHintTracksCentral(t *testing.T) {
+	h := newHeap(1 << 20)
+	checkDepotHint(t, h, "fresh heap")
+	if _, ok := h.centralTake(4); ok {
+		t.Fatal("fresh heap's depot served a block")
+	}
+
+	const n = 64
+	a := h.NewArena()
+	var blocks []pmem.Addr
+	for i := 0; i < n; i++ {
+		blocks = append(blocks, a.Alloc(4))
+	}
+	for _, p := range blocks {
+		a.Free(p, 4)
+	}
+	a.Release()
+	checkDepotHint(t, h, "first Release")
+	if got, _ := h.CentralStats(); got != n {
+		t.Fatalf("depot holds %d blocks after releasing %d freed ones", got, n)
+	}
+
+	// Every block comes back out, one centralTake at a time, and then the
+	// released chunk tail serves the bump path: the watermark stays put.
+	wm := h.Watermark()
+	b := h.NewArena()
+	for i := 0; i < n; i++ {
+		b.Alloc(4)
+		checkDepotHint(t, h, "centralTake")
+	}
+	if _, _, recycled := b.AllocStats(); recycled != n {
+		t.Fatalf("new arena recycled %d of %d depot blocks", recycled, n)
+	}
+	b.Alloc(4)
+	checkDepotHint(t, h, "extentTake")
+	if got := h.Watermark(); got != wm {
+		t.Fatalf("watermark moved %d → %d with the depot stocked", wm, got)
+	}
+	b.Release()
+	checkDepotHint(t, h, "second Release")
+	if _, extentWords := h.CentralStats(); extentWords == 0 {
+		t.Fatal("second Release surrendered no chunk tail")
+	}
+}
+
+// checkDepotHint compares the lock-free hints with the lists they mirror;
+// callers are quiescent.
+func checkDepotHint(t *testing.T, h *Heap, when string) {
+	t.Helper()
+	blocks, extentWords := h.CentralStats()
+	if got := int(h.depotBlocks.Load()); got != blocks {
+		t.Fatalf("%s: depotBlocks = %d, central lists hold %d blocks", when, got, blocks)
+	}
+	if got := int(h.depotExtents.Load()); got != len(h.extents) || (got == 0) != (extentWords == 0) {
+		t.Fatalf("%s: depotExtents = %d, extent list holds %d (%d words)", when, got, len(h.extents), extentWords)
+	}
+}
+
+// TestDepotHintUnderChurn: arenas opening, taking and releasing at once
+// (the store's shard-parallel recovery, a server's connection churn) leave
+// the hints exact and keep the watermark bounded by what is live at once.
+func TestDepotHintUnderChurn(t *testing.T) {
+	h := newHeap(1 << 20)
+	const workers, rounds, perRound = 4, 200, 48
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				a := h.NewArena()
+				var held []pmem.Addr
+				for i := 0; i < perRound; i++ {
+					held = append(held, a.Alloc(4))
+				}
+				for _, p := range held {
+					a.Free(p, 4)
+				}
+				a.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	checkDepotHint(t, h, "after churn")
+	// At most `workers` arenas are live at once, each holding under one
+	// chunk; without the depot the same churn consumes 4·200·48·4 words.
+	if grown := h.Watermark() - heapBase; grown > 2*workers*chunkWords {
+		t.Fatalf("watermark grew %d words under churn, want ≤ %d", grown, 2*workers*chunkWords)
+	}
+}

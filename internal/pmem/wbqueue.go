@@ -35,11 +35,14 @@ type wbSlot struct {
 // any fence window the instrumented policies produce in practice.
 const wbMinSlots = 64
 
-// init sizes the dedup table (n must be a power of two). pmem sits below
+// init sizes the dedup table (n must be a power of two) and with it the
+// order buffer — the table grows at half load, so n/2 lines fill it — so a
+// queue growing to N lines allocates log N times, not twice. pmem sits below
 // core in the import graph, so the sizing math is spelled out here
 // rather than through core.Pow2Sizing.
 func (q *wbQueue) init(n int) {
 	q.slots = make([]wbSlot, n)
+	q.lines = append(make([]Line, 0, n/2), q.lines...)
 	q.shift = 64 - uint(bits.Len(uint(n-1)))
 	q.epoch = 1
 }

@@ -1,0 +1,376 @@
+package store
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"flit/internal/core"
+	"flit/internal/dstruct"
+	"flit/internal/pmem"
+)
+
+// rawImage reads a store's persistent words knowing only the format — the
+// root slots, the superblock and directory fields, the table header
+// (bucket count, then one link per bucket) and the list node (key, value,
+// next link with the Harris mark) — and none of the recovery code. It is
+// the reference TestRecoverMatchesImageModel and the corrupt-image test
+// compare store.Recover with.
+type rawImage struct {
+	word   func(pmem.Addr) uint64
+	root   func(slot int) pmem.Addr
+	stride int
+}
+
+func imageOf(img []uint64, st *Store) rawImage {
+	return rawImage{word: func(a pmem.Addr) uint64 { return img[a] }, root: st.heap.Root, stride: st.stride}
+}
+
+func memoryOf(st *Store) rawImage {
+	return rawImage{word: st.mem.VolatileWord, root: st.heap.Root, stride: st.stride}
+}
+
+func (r rawImage) field(base pmem.Addr, f int) uint64 { return r.word(base + pmem.Addr(f*r.stride)) }
+
+// tables returns the serving shard count and the header address of every
+// table the superblock describes: the serving shards, then the targets of
+// a split the crash interrupted.
+func (r rawImage) tables() (serving int, hdrs []pmem.Addr) {
+	sb := dstruct.Ptr(r.word(r.root(superRoot)))
+	serving, base, target := int(r.field(sb, fShards)), int(r.field(sb, fBase)), int(r.field(sb, fNewShards))
+	dir := pmem.Addr(r.field(sb, fDirPtr))
+	for i := 0; i < target; i++ {
+		anchor := dirSlotAddr(dir, i-base, r.stride)
+		if i < base {
+			anchor = r.root(1 + i)
+		}
+		hdrs = append(hdrs, dstruct.Ptr(r.word(anchor)))
+	}
+	return serving, hdrs
+}
+
+// rawNode is one unmarked node as a chain walk meets it.
+type rawNode struct {
+	addr     pmem.Addr
+	key, val uint64
+}
+
+// chains returns, bucket by bucket, the unmarked nodes of the table at
+// hdr in chain order. A visited-set ends the walk of a cyclic chain at the
+// first node met twice.
+func (r rawImage) chains(hdr pmem.Addr) [][]rawNode {
+	out := make([][]rawNode, r.field(hdr, 0))
+	for b := range out {
+		seen := make(map[pmem.Addr]bool)
+		for n := dstruct.Ptr(r.field(hdr, 1+b)); n != pmem.NilAddr && !seen[n]; {
+			seen[n] = true
+			next := r.field(n, 2)
+			if next&core.MarkBit == 0 {
+				out[b] = append(out[b], rawNode{n, r.field(n, 0), r.field(n, 1)})
+			}
+			n = dstruct.Ptr(next)
+		}
+	}
+	return out
+}
+
+// contents flattens one table's chains into a map, a later node of a key
+// overwriting an earlier one.
+func (r rawImage) contents(hdr pmem.Addr) map[uint64]uint64 {
+	out := make(map[uint64]uint64)
+	for _, chain := range r.chains(hdr) {
+		for _, n := range chain {
+			out[n.key] = n.val
+		}
+	}
+	return out
+}
+
+// model returns what each shard must hold after recovery. An idle store
+// keeps every table's own contents. After an interrupted split a key lives
+// in the shard the target count assigns it, with the value of that shard's
+// own copy if it has one and of the lowest-numbered serving table's stale
+// copy otherwise; a split target's own contents are kept whole.
+func (r rawImage) model() []map[uint64]uint64 {
+	serving, hdrs := r.tables()
+	target := len(hdrs)
+	own := make([]map[uint64]uint64, target)
+	for i, hdr := range hdrs {
+		own[i] = r.contents(hdr)
+	}
+	if serving == target {
+		return own
+	}
+	final := make([]map[uint64]uint64, target)
+	for i := range final {
+		final[i] = make(map[uint64]uint64)
+		for k, v := range own[i] {
+			if i >= serving || int(k%uint64(target)) == i {
+				final[i][k] = v
+			}
+		}
+	}
+	for i := 0; i < serving; i++ {
+		for k, v := range own[i] {
+			nj := int(k % uint64(target))
+			if _, has := final[nj][k]; nj != i && !has {
+				final[nj][k] = v
+			}
+		}
+	}
+	return final
+}
+
+// checkRecovered compares a recovered store with the model of the image
+// it was recovered from: per-shard contents, the reported key count, clean
+// rebuilt chains (strictly ascending, so one node per key), and the heap
+// watermark. Every rebuilt node is one size-classed allocation from a
+// per-shard arena that takes whole chunks from the bump pointer or reuses
+// a finished shard's chunk tail, so the watermark advances by between
+// ⌈all nodes / chunk⌉ and Σ⌈shard's nodes / chunk⌉ chunks — one number
+// for a single shard, where the rebuild order (buckets ascending, keys
+// descending) additionally fixes every node's address.
+func checkRecovered(t *testing.T, want []map[uint64]uint64, st2 *Store, rs RecoveryStats, wm0 uint64) {
+	t.Helper()
+	const chunkWords = 4096 // pheap's bump chunk
+	nodeWords := uint64(4 * st2.stride)
+	chunks := func(nodes int) uint64 { return (uint64(nodes)*nodeWords + chunkWords - 1) / chunkWords }
+
+	r := memoryOf(st2)
+	serving, hdrs := r.tables()
+	if serving != len(want) || len(hdrs) != len(want) || st2.NumShards() != len(want) {
+		t.Fatalf("recovered geometry: superblock serves %d of %d tables, NumShards %d; want %d shards, no split pending",
+			serving, len(hdrs), st2.NumShards(), len(want))
+	}
+	total, maxChunks := 0, uint64(0)
+	for i, hdr := range hdrs {
+		if st2.lay.Load().tables[i].Base() != hdr {
+			t.Fatalf("shard %d: layout serves table %d, its anchor holds %d", i, st2.lay.Load().tables[i].Base(), hdr)
+		}
+		nodes := 0
+		chains := r.chains(hdr)
+		for b, chain := range chains {
+			for j, n := range chain {
+				if j > 0 && chain[j-1].key >= n.key {
+					t.Fatalf("shard %d bucket %d: rebuilt chain not strictly ascending at key %#x", i, b, n.key)
+				}
+				if v, ok := want[i][n.key]; !ok || v != n.val {
+					t.Fatalf("shard %d holds %#x→%d, the image model says (%d, present=%v)", i, n.key, n.val, v, ok)
+				}
+			}
+			nodes += len(chain)
+		}
+		if nodes != len(want[i]) {
+			t.Fatalf("shard %d recovered %d keys, the image model holds %d", i, nodes, len(want[i]))
+		}
+		if len(hdrs) == 1 {
+			next := pmem.Addr(wm0)
+			for _, chain := range chains {
+				for j := len(chain) - 1; j >= 0; j-- {
+					if chain[j].addr != next {
+						t.Fatalf("key %#x rebuilt at %d, want %d: rebuild order moved", chain[j].key, chain[j].addr, next)
+					}
+					next += pmem.Addr(nodeWords)
+				}
+			}
+		}
+		total += nodes
+		maxChunks += chunks(nodes)
+	}
+	if rs.Keys != total {
+		t.Fatalf("RecoveryStats.Keys = %d, the image model holds %d", rs.Keys, total)
+	}
+	got := st2.Heap().Watermark() - wm0
+	if got%chunkWords != 0 || got/chunkWords < chunks(total) || got/chunkWords > maxChunks {
+		t.Fatalf("recovery moved the watermark by %d words, want between %d and %d chunks of %d",
+			got, chunks(total), maxChunks, chunkWords)
+	}
+}
+
+// TestRecoverMatchesImageModel is the differential test of store.Recover:
+// seeded Put/Delete/Add streams whose last operation dies part-way, both
+// crash-image modes, one and four shards, plus images of a split killed
+// mid-migration.
+func TestRecoverMatchesImageModel(t *testing.T) {
+	for seed := int64(1); seed <= 24; seed++ {
+		shards := []int{4, 1}[seed%2]
+		mode := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset}[seed/2%2]
+		t.Run(fmt.Sprintf("seed%d/shards%d/%s", seed, shards, mode), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			st := newTestStore(t, Options{Shards: shards, Buckets: 32, MemWords: 1 << 17})
+			sess := Open[string](st, Direct)
+			op := func() {
+				key := fmt.Sprintf("k-%d", rng.Intn(400))
+				switch rng.Intn(4) {
+				case 0:
+					sess.Delete(key)
+				case 1:
+					sess.Add(key, uint64(1+rng.Intn(9)))
+				default:
+					sess.Put(key, rng.Uint64())
+				}
+			}
+			for i := 0; i < 1500; i++ {
+				op()
+			}
+			sess.Thread().SetCrashAfter(1 + rng.Int63n(24))
+			pmem.RunToCrash(op)
+
+			wm := st.Heap().Watermark()
+			img := st.Mem().CrashImage(mode, seed)
+			want := imageOf(img, st).model()
+			st2, rs, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), wm, st.Opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, want, st2, rs, wm)
+		})
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		mode := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset}[seed%2]
+		t.Run(fmt.Sprintf("mid-split/seed%d/%s", seed, mode), func(t *testing.T) {
+			st, img := midSplitImage(t, seed, mode)
+			want := imageOf(img, st).model()
+			if len(want) != 6 {
+				t.Fatalf("image describes %d tables, want a 4→6 split in flight", len(want))
+			}
+			wm := st.Heap().Watermark()
+			st2, rs, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), wm, st.Opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, want, st2, rs, wm)
+		})
+	}
+}
+
+// TestRecoverIgnoresCycles feeds store.Recover an image whose chains have
+// been bent into the shapes of list's TestRecoveryIgnoresCycles — a ρ, a
+// self-loop, a loop through marked nodes — in three buckets of two shards.
+// Recovery must end, and agree with the visited-set walk of the model:
+// every distinct unmarked node once, clean chains, nothing counted twice.
+func TestRecoverIgnoresCycles(t *testing.T) {
+	st := newTestStore(t, Options{Shards: 2, Buckets: 16, MemWords: 1 << 17})
+	sess := Open[string](st, Direct)
+	for k := 0; k < 400; k++ {
+		sess.Put(fmt.Sprintf("cy-%d", k), uint64(k)+1)
+	}
+	sess.Close()
+	wm := st.Heap().Watermark()
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+
+	r := imageOf(img, st)
+	_, hdrs := r.tables()
+	link := func(from, to rawNode, flag uint64) { img[from.addr+pmem.Addr(2*r.stride)] = uint64(to.addr) | flag }
+	chain := func(shard, bucket int) []rawNode {
+		c := r.chains(hdrs[shard])[bucket]
+		if len(c) < 6 {
+			t.Fatalf("shard %d bucket %d holds %d nodes, the shapes need 6", shard, bucket, len(c))
+		}
+		return c
+	}
+	keysBefore := len(r.contents(hdrs[0])) + len(r.contents(hdrs[1]))
+	c := chain(0, 0)
+	link(c[len(c)-1], c[2], 0) // ρ: loses nothing
+	c = chain(0, 1)
+	link(c[3], c[3], 0) // self-loop: cuts off the nodes behind it
+	lost := len(c) - 4
+	c = chain(1, 0)
+	link(c[2], c[3], core.MarkBit)        // a deleted node inside the loop…
+	link(c[len(c)-1], c[1], core.MarkBit) // …and one closing it
+	lost += 2
+
+	want := imageOf(img, st).model()
+	if got := len(want[0]) + len(want[1]); got != keysBefore-lost {
+		t.Fatalf("the model reads %d keys from the bent image, want %d", got, keysBefore-lost)
+	}
+	st2, rs, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), wm, st.Opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRecovered(t, want, st2, rs, wm)
+}
+
+// midSplitImage loads a four-shard store, starts a split to six and cuts
+// the power once the migrator has moved a seeded number of keys (the store
+// is large enough that the migration outlasts a scheduler quantum). Before
+// the image is taken, some keys still waiting in their old shard get a
+// fresh value in their target table — what a session's Put on the shard
+// under migration writes — so the image holds keys in two tables with two
+// values: the case the "target table's copy wins" rule decides.
+func midSplitImage(t *testing.T, seed int64, mode pmem.CrashMode) (*Store, []uint64) {
+	t.Helper()
+	const keys = 20000
+	for attempt := 0; attempt < 5; attempt++ {
+		st := newTestStore(t, Options{Shards: 4, Buckets: 1024, MemWords: 1 << 19})
+		sess := Open[string](st, Direct)
+		for k := 0; k < keys; k++ {
+			sess.Put(fmt.Sprintf("ms-%d", k), uint64(k)+7)
+		}
+		sess.Close()
+		if err := st.Split(6); err != nil {
+			t.Fatal(err)
+		}
+		for after := uint64(seed * 500); st.SplitStat().Active && st.SplitStat().Moved < after; {
+			runtime.Gosched()
+		}
+		st.Mem().ArmCrash() // the migrator dies at its next instruction
+		if st.WaitSplit() {
+			continue // it finished first: a scheduling accident, build another
+		}
+		st.Mem().DisarmCrash()
+
+		lay := st.lay.Load()
+		planted := 0
+		for i, tb := range lay.tables {
+			for k, v := range tb.Snapshot() {
+				if nj := int(k % 6); nj != i && planted < 40*(i+1) {
+					th := lay.mig.target(lay, nj).Open(dstruct.ThreadOpts{})
+					th.Put(k, v+1)
+					th.Close()
+					planted++
+				}
+			}
+		}
+		if planted == 0 {
+			t.Fatal("no key is waiting in its old shard: the image does not exercise the merge rule")
+		}
+		return st, st.Mem().CrashImage(mode, seed)
+	}
+	t.Fatal("the migration outran the crash five times")
+	return nil, nil
+}
+
+// TestRecoverAllocsPerKey pins recovery's Go-heap diet at the benchmark's
+// shape (4 096 keys, 8 shards, one key per bucket on average): the gather
+// is one flat slice per shard, so what remains is per shard and per
+// goroutine, not per bucket or per key. The map-per-bucket gather this
+// replaced made several allocations per key.
+func TestRecoverAllocsPerKey(t *testing.T) {
+	const keys = 4096
+	st := newTestStore(t, Options{Shards: 8, ExpectedKeys: 2 * keys})
+	sess := Open[string](st, Direct)
+	for k := 0; k < keys; k++ {
+		sess.Put(fmt.Sprintf("al-%d", k), uint64(k)+1)
+	}
+	sess.Close()
+	wm, opts, cfg := st.Heap().Watermark(), st.Opts(), st.Mem().Config()
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+	mems := make([]*pmem.Memory, 6) // AllocsPerRun's warm-up run plus five
+	for i := range mems {
+		mems[i] = pmem.NewFromImage(img, cfg)
+	}
+	run := 0
+	allocs := testing.AllocsPerRun(len(mems)-1, func() {
+		_, rs, err := Recover(mems[run], wm, opts)
+		if err != nil || rs.Keys != keys {
+			t.Fatalf("recovered %d keys (%v), want %d", rs.Keys, err, keys)
+		}
+		run++
+	})
+	t.Logf("store.Recover: %.0f allocations for %d keys = %.4f per key", allocs, keys, allocs/keys)
+	if allocs/keys > 0.05 {
+		t.Fatalf("store.Recover made %.0f allocations for %d keys, want ≤ 0.05 per key", allocs, keys)
+	}
+}

@@ -29,6 +29,7 @@ import (
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/hashtable"
+	"flit/internal/dstruct/list"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 )
@@ -494,39 +495,28 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 	}
 	wg.Wait()
 
-	// finals[i] is what shard i holds after recovery. Idle stores keep
-	// each table's own gather; a crashed split redistributes by the
-	// target shard count, preferring target-table copies.
-	finals := make([]map[uint64]uint64, newShards)
-	if newShards == shards {
+	// An idle store keeps each table's own gather. A crashed split
+	// redistributes by the target shard count — a non-doubling split can
+	// move keys BETWEEN serving shards (k%oldN ≠ k%newN with both below
+	// oldN), so every serving shard's contents are recomputed, not kept.
+	// finals[j] lists shard j's pairs weakest first, as the rebuild keeps
+	// the last copy of a key: stale pre-move copies from the serving tables,
+	// then the table's own, authoritative gather — all of it for a split
+	// target, the keys that hash to it for a serving shard.
+	var finals [][]list.Pair
+	if newShards > shards {
+		finals = make([][]list.Pair, newShards)
+		for i := shards - 1; i >= 0; i-- {
+			for _, p := range recovering[i].Pairs() {
+				if nj := int(p.Key % uint64(newShards)); nj != i {
+					finals[nj] = append(finals[nj], p)
+				}
+			}
+		}
 		for i := range finals {
-			finals[i] = recovering[i].Pairs()
-		}
-	} else {
-		// Targets above the old serving count start from their own gather
-		// (everything in them is authoritative); old serving shards start
-		// empty and are refilled below — a non-doubling split can move keys
-		// BETWEEN serving shards (k%oldN ≠ k%newN with both below oldN), so
-		// every serving shard's contents must be recomputed, not kept.
-		for i := shards; i < newShards; i++ {
-			finals[i] = recovering[i].Pairs()
-		}
-		for i := 0; i < shards; i++ {
-			finals[i] = make(map[uint64]uint64)
-		}
-		for i := 0; i < shards; i++ {
-			for k, v := range recovering[i].Pairs() {
-				nj := int(k % uint64(newShards))
-				if nj == i {
-					// This table IS the key's target: its copy is
-					// authoritative, overwriting any stale moved-in copy an
-					// earlier iteration placed here.
-					finals[i][k] = v
-				} else if _, inTarget := finals[nj][k]; !inTarget {
-					// Stale pre-move copy: only lands if the target has not
-					// produced its authoritative copy yet; the target table's
-					// own pass overwrites it if one exists.
-					finals[nj][k] = v
+			for _, p := range recovering[i].Pairs() {
+				if i >= shards || int(p.Key%uint64(newShards)) == i {
+					finals[i] = append(finals[i], p)
 				}
 			}
 		}
@@ -537,7 +527,11 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 		go func(i int) {
 			defer wg.Done()
 			t0 := time.Now()
-			tables[i], keys[i] = recovering[i].CompleteWith(finals[i])
+			if finals == nil {
+				tables[i], keys[i] = recovering[i].Complete()
+			} else {
+				tables[i], keys[i] = recovering[i].CompleteWith(finals[i])
+			}
 			rs.Shards[i] += time.Since(t0)
 		}(i)
 	}
