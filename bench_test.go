@@ -8,6 +8,7 @@ package flit_test
 
 import (
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -335,41 +336,88 @@ func BenchmarkSetInsertDelete(b *testing.B) {
 
 // --- FliT-Store service-layer benchmarks ---
 
-func newBenchStore(b *testing.B, shards, keys int) *store.Store {
+// newBenchStore builds a flit-HT store from o (shards, sizing, clock).
+func newBenchStore(b *testing.B, o store.Options) *store.Store {
 	b.Helper()
-	st, err := store.New(store.Options{
-		Shards: shards, ExpectedKeys: keys, Policy: harness.PolHT,
-	})
+	o.Policy = harness.PolHT
+	st, err := store.New(o)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return st
 }
 
+// benchKeys prebuilds n canonical byte keys, so a timed loop pays for the
+// store call and not for rendering its argument.
+func benchKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = workload.AppendKey(nil, uint64(i))
+	}
+	return keys
+}
+
 // BenchmarkStorePut measures the session upsert hot path: hash, shard
-// route, durable insert-or-overwrite (8 shards, flit-HT, automatic).
+// route, durable insert-or-overwrite (8 shards, flit-HT, automatic). The
+// virtual clock keeps the modelled persistence latency out of ns/op, which
+// is then the software on the path; allocs/op must read 0.
 func BenchmarkStorePut(b *testing.B) {
-	const keys = 1 << 15
-	st := newBenchStore(b, 8, keys)
-	sess := store.Open[string](st, store.Direct)
+	const n = 1 << 15
+	st := newBenchStore(b, store.Options{Shards: 8, ExpectedKeys: n, VirtualClock: true})
+	sess := store.Open[[]byte](st, store.Direct)
+	defer sess.Close()
+	keys := benchKeys(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := uint64(i) & (keys - 1)
-		sess.Put(workload.Key(k), uint64(i))
+		sess.Put(keys[i&(n-1)], uint64(i))
 	}
 }
 
-// BenchmarkStoreGet measures the read hot path on a loaded store.
+// BenchmarkStoreGet measures the read hot path on a loaded store (same
+// configuration as BenchmarkStorePut).
 func BenchmarkStoreGet(b *testing.B) {
-	const keys = 1 << 14
-	st := newBenchStore(b, 8, keys)
-	workload.Load(st, keys, runtime.GOMAXPROCS(0))
-	sess := store.Open[string](st, store.Direct)
+	const n = 1 << 14
+	st := newBenchStore(b, store.Options{Shards: 8, ExpectedKeys: n, VirtualClock: true})
+	workload.Load(st, n, runtime.GOMAXPROCS(0))
+	sess := store.Open[[]byte](st, store.Direct)
+	defer sess.Close()
+	keys := benchKeys(n)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess.Get(workload.Key(uint64(i*2654435761) % keys))
+		v, _ := sess.Get(keys[uint64(i)*2654435761&(n-1)])
+		benchSink += v
 	}
 }
+
+// BenchmarkHashKey measures the key hash alone at one word, the canonical
+// workload key (two words and a 4-byte tail) and eight words.
+func BenchmarkHashKey(b *testing.B) {
+	for _, n := range []int{8, 20, 64} {
+		b.Run(strconv.Itoa(n)+"B", func(b *testing.B) {
+			// A few keys in rotation: editing one key in the loop would
+			// time the stall of a word load behind a byte store.
+			var keys [8][]byte
+			for k := range keys {
+				key := workload.AppendKey(make([]byte, 0, 64), uint64(k))
+				for len(key) < n {
+					key = append(key, byte(len(key)))
+				}
+				keys[k] = key[len(key)-n:]
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += store.HashKeyBytes(keys[i&7])
+			}
+		})
+	}
+}
+
+// benchSink keeps measured results live.
+var benchSink uint64
 
 // BenchmarkStoreWorkload runs the YCSB-style mixes; each iteration is one
 // timed window, with throughput and tail latency reported as metrics.
@@ -378,7 +426,7 @@ func BenchmarkStoreWorkload(b *testing.B) {
 	for _, mix := range []string{"a", "b", "c", "f"} {
 		for _, dist := range []string{workload.DistUniform, workload.DistZipfian} {
 			b.Run(mix+"/"+dist, func(b *testing.B) {
-				st := newBenchStore(b, 8, records*2)
+				st := newBenchStore(b, store.Options{Shards: 8, ExpectedKeys: records * 2})
 				workload.Load(st, records, runtime.GOMAXPROCS(0))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -406,7 +454,7 @@ func BenchmarkStoreRecovery(b *testing.B) {
 	const records = 20_000
 	for _, shards := range []int{1, 8} {
 		b.Run(map[int]string{1: "shards=1", 8: "shards=8"}[shards], func(b *testing.B) {
-			st := newBenchStore(b, shards, records*2)
+			st := newBenchStore(b, store.Options{Shards: shards, ExpectedKeys: records * 2})
 			workload.Load(st, records, runtime.GOMAXPROCS(0))
 			wm := st.Heap().Watermark()
 			img := st.Mem().CrashImage(pmem.DropUnfenced, 7)

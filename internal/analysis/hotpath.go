@@ -16,12 +16,15 @@ import (
 //   - any fmt call (Sprintf/Errorf/Fprintf all allocate)
 //   - function literals that capture variables (closure allocation)
 //   - map iteration (randomized, allocation-prone, cache-hostile)
+//   - defer (an exit hook on every return path, heap-allocated when it
+//     sits in a loop; a hot function releases explicitly before each
+//     return)
 //   - implicit interface conversions of concrete values (boxing
 //     allocation) in call arguments, assignments, and returns
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc: "for functions annotated //flit:hotpath, flags time.Now, fmt calls, " +
-		"capturing closures, map iteration, and interface-boxing conversions " +
+		"capturing closures, map iteration, defer, and interface-boxing conversions " +
 		"(the zero-allocation hot-path discipline)",
 	Run: runHotPath,
 }
@@ -65,6 +68,8 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 				pass.Reportf(x.Pos(), "closure captures %s on a //flit:hotpath function (closure allocation)", free[0])
 			}
 			return false // don't double-report inside the literal
+		case *ast.DeferStmt:
+			pass.Reportf(x.Pos(), "defer on a //flit:hotpath function; release explicitly on every return path")
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[x.X]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
@@ -146,8 +151,8 @@ func checkBoxingAssign(pass *Pass, lhs, rhs ast.Expr) {
 }
 
 // checkBoxingInto reports expr when it is a concrete (non-interface,
-// non-nil, non-constant-string-into-any-ok... the simple cases) value
-// converted implicitly to an interface-typed destination.
+// non-nil, non-constant, not pointer-shaped) value converted implicitly to
+// an interface-typed destination.
 func checkBoxingInto(pass *Pass, expr ast.Expr, dst types.Type) {
 	if dst == nil {
 		return
@@ -172,11 +177,8 @@ func checkBoxingInto(pass *Pass, expr ast.Expr, dst types.Type) {
 	case *types.Pointer, *types.Map, *types.Chan:
 		return // pointer-shaped: stored in the interface word itself, no box
 	}
-	if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
-		// Untyped constants still box, but small ints use the runtime's
-		// staticuint64s pool; flag them anyway for discipline? No — too
-		// noisy for error-free code; skip untyped constants.
-		return
+	if tv.Value != nil {
+		return // constant: the compiler boxes it once, in read-only data
 	}
 	pass.Reportf(expr.Pos(), "%s value converts to interface here (boxing allocation) on a //flit:hotpath function", tv.Type.String())
 }

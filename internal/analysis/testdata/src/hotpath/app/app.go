@@ -65,4 +65,15 @@ func pointerIntoInterface(r *recorder) {
 	sink(r)
 }
 
+// constantIntoInterface is the panic("…: key out of range") shape of the
+// list's argument checks: a constant is boxed at compile time.
+//
+//flit:hotpath
+func constantIntoInterface(v uint64) {
+	if v == 0 {
+		panic("app: zero")
+	}
+	sink("static")
+}
+
 func sink(x any) {}

@@ -11,3 +11,18 @@ import "fmt"
 func RecordSlow(v uint64) string {
 	return fmt.Sprintf("v=%d", v) // want "fmt.Sprintf allocates"
 }
+
+type epoch struct{ depth int }
+
+func (e *epoch) enter() { e.depth++ }
+func (e *epoch) exit()  { e.depth-- }
+
+// GetSlow brackets a read with a deferred exit, the shape list.GetAt had:
+// a hot function releases explicitly before each return.
+//
+//flit:hotpath
+func GetSlow(e *epoch, v uint64) uint64 {
+	e.enter()
+	defer e.exit() // want "defer on a //flit:hotpath function"
+	return v + 1
+}

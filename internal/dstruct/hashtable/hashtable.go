@@ -76,14 +76,15 @@ func (t *Table) Buckets() int { return int(t.buckets) }
 // grown shard's anchor moves to a new directory object.
 func (t *Table) Base() pmem.Addr { return t.base }
 
-// bucketIdx returns the bucket index for key.
-func (t *Table) bucketIdx(key uint64) int {
+// BucketOf returns the index of the bucket serving key: the table's
+// placement rule, exported so a key hash can be tested against it.
+func (t *Table) BucketOf(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
 }
 
 // bucketHead returns the address of the bucket link word for key.
 func (t *Table) bucketHead(key uint64) pmem.Addr {
-	return t.cfg.Field(t.base, 1+t.bucketIdx(key))
+	return t.cfg.Field(t.base, 1+t.BucketOf(key))
 }
 
 // Thread is a per-goroutine handle to the table.
@@ -119,6 +120,8 @@ func (th *Thread) Insert(key, val uint64) bool {
 
 // Put inserts key→val, or durably overwrites the value in place when key
 // is already present; it reports whether a new key was inserted.
+//
+//flit:hotpath
 func (th *Thread) Put(key, val uint64) bool {
 	return th.lt.UpsertAt(th.t.bucketHead(key), key, val)
 }
@@ -126,21 +129,29 @@ func (th *Thread) Put(key, val uint64) bool {
 // Add atomically adds delta to key's value, inserting key→delta when
 // absent (see list.AddAt for the persistence and wrap-around contract).
 // It returns the post-add value and whether the key was already present.
+//
+//flit:hotpath
 func (th *Thread) Add(key, delta uint64) (uint64, bool) {
 	return th.lt.AddAt(th.t.bucketHead(key), key, delta)
 }
 
 // Delete removes key if present.
+//
+//flit:hotpath
 func (th *Thread) Delete(key uint64) bool {
 	return th.lt.DeleteAt(th.t.bucketHead(key), key)
 }
 
 // Contains reports whether key is present.
+//
+//flit:hotpath
 func (th *Thread) Contains(key uint64) bool {
 	return th.lt.ContainsAt(th.t.bucketHead(key), key)
 }
 
 // Get returns the value stored under key, if present.
+//
+//flit:hotpath
 func (th *Thread) Get(key uint64) (uint64, bool) {
 	return th.lt.GetAt(th.t.bucketHead(key), key)
 }
@@ -209,7 +220,7 @@ func (r *Recovery) Pairs() []list.Pair { return r.pairs }
 func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
 	clear(r.off)
 	for _, p := range pairs {
-		r.off[r.tbl.bucketIdx(p.Key)]++
+		r.off[r.tbl.BucketOf(p.Key)]++
 	}
 	for i := 1; i < len(r.off); i++ {
 		r.off[i] += r.off[i-1]
@@ -218,7 +229,7 @@ func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
 	// pair first, keeps the pairs' order and leaves off[i] at its start.
 	r.pairs = make([]list.Pair, len(pairs))
 	for j := len(pairs) - 1; j >= 0; j-- {
-		i := r.tbl.bucketIdx(pairs[j].Key)
+		i := r.tbl.BucketOf(pairs[j].Key)
 		r.off[i]--
 		r.pairs[r.off[i]] = pairs[j]
 	}

@@ -131,6 +131,8 @@ func (t *Thread) travP() bool { return t.cfg.Mode == dstruct.Automatic }
 // marked node it passes (Harris's helping). It returns the address of the
 // link word pointing at curr (predLink), curr itself (0 if none), and
 // curr's key.
+//
+//flit:hotpath
 func (t *Thread) find(head pmem.Addr, key uint64) (predLink pmem.Addr, curr pmem.Addr, curKey uint64) {
 	cfg := &t.cfg
 	pol := cfg.Policy
@@ -204,6 +206,8 @@ func (t *Thread) InsertAt(head pmem.Addr, key, val uint64) bool {
 // insertAt is the shared insert protocol; the key-present branch either
 // returns false untouched (Insert) or overwrites the value in place with
 // a shared p-store (Upsert).
+//
+//flit:hotpath
 func (t *Thread) insertAt(head pmem.Addr, key, val uint64, upsert bool) bool {
 	if key >= dstruct.KeyMax {
 		panic("list: key out of range")
@@ -319,6 +323,8 @@ func (t *Thread) AddAt(head pmem.Addr, key, delta uint64) (uint64, bool) {
 func (t *Thread) Delete(key uint64) bool { return t.DeleteAt(t.cfg.Root(), key) }
 
 // DeleteAt runs Delete on the chain rooted at head.
+//
+//flit:hotpath
 func (t *Thread) DeleteAt(head pmem.Addr, key uint64) bool {
 	cfg := &t.cfg
 	pol := cfg.Policy
@@ -359,6 +365,8 @@ func (t *Thread) DeleteAt(head pmem.Addr, key uint64) bool {
 func (t *Thread) Contains(key uint64) bool { return t.ContainsAt(t.cfg.Root(), key) }
 
 // ContainsAt runs Contains on the chain rooted at head.
+//
+//flit:hotpath
 func (t *Thread) ContainsAt(head pmem.Addr, key uint64) bool {
 	cfg := &t.cfg
 	pol := cfg.Policy
@@ -401,12 +409,13 @@ func (t *Thread) ContainsAt(head pmem.Addr, key uint64) bool {
 func (t *Thread) Get(key uint64) (uint64, bool) { return t.GetAt(t.cfg.Root(), key) }
 
 // GetAt runs Get on the chain rooted at head.
+//
+//flit:hotpath
 func (t *Thread) GetAt(head pmem.Addr, key uint64) (uint64, bool) {
 	cfg := &t.cfg
 	pol := cfg.Policy
 	travP := t.travP()
 	t.c.H.Enter()
-	defer t.c.H.Exit()
 	predLink := head
 	curr := dstruct.Ptr(pol.Load(t.c.T, predLink, travP))
 	for curr != pmem.NilAddr {
@@ -424,6 +433,7 @@ func (t *Thread) GetAt(head pmem.Addr, key uint64) (uint64, bool) {
 				t.transition(cfg.Field(curr, fNext))
 				t.transition(cfg.Field(curr, fVal))
 				pol.Complete(t.c.T)
+				t.c.H.Exit()
 				return v, true
 			}
 			if k == key {
@@ -439,6 +449,7 @@ func (t *Thread) GetAt(head pmem.Addr, key uint64) (uint64, bool) {
 	// Absent: the response depends on the link proving absence.
 	t.transition(predLink)
 	pol.Complete(t.c.T)
+	t.c.H.Exit()
 	return 0, false
 }
 

@@ -47,6 +47,18 @@ var ErrMalformed = errors.New("malformed frame")
 //	  StatusDraining:   (empty) — the server is shutting down; the op was
 //	                    not executed and the connection closes after the
 //	                    batch is answered
+//
+// Keys. A key is 0–65535 arbitrary bytes on the wire, but the store does
+// not keep them: it reduces every key to store.HashKey's 48-bit unkeyed
+// hash, and that hash IS the key — the bytes are never stored, compared or
+// returned. Two distinct client keys whose hashes collide are therefore one
+// key to every operation, silently: a PUT under one overwrites the other, a
+// GET of either returns the last value put under both, a DELETE removes
+// both. Honest keys collide with probability about n²/2^49 for n keys;
+// but the hash function is public and has no secret seed, so a peer can
+// construct colliding pairs offline and aim them at another client's keys.
+// Deployments that cannot trust every peer must namespace or authenticate
+// keys above this protocol.
 
 // Opcodes.
 const (

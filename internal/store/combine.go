@@ -207,7 +207,7 @@ func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
 		// Shard by combiner count, not the live layout: combining and
 		// splitting are mutually exclusive, so the combiner list IS the
 		// shard list for the lifetime of every combined session.
-		sh := int(ops[i].h % uint64(len(st.combiners)))
+		sh := shardIdx(ops[i].h, len(st.combiners))
 		sl := c.slots[sh]
 		if len(c.idxs[sh]) == 0 {
 			sl.ops = sl.ops[:0]

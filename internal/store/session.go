@@ -236,6 +236,8 @@ func (c *sessionCore) close() {
 }
 
 // do1 routes a single operation through the mode's execution path.
+//
+//flit:hotpath
 func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 	if c.mode == Combined {
 		c.op1[0] = hashedOp{kind: kind, h: h, val: val}
@@ -248,11 +250,13 @@ func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 	if lay.mig != nil {
 		return c.doMigrating(lay, kind, h, val)
 	}
-	return c.exec(c.ths[int(h%uint64(len(lay.tables)))], kind, h, val)
+	return c.exec(c.ths[shardIdx(h, len(lay.tables))], kind, h, val)
 }
 
 // exec runs one op on one table handle — the whole story when no split is
 // migrating.
+//
+//flit:hotpath
 func (c *sessionCore) exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Result {
 	switch kind {
 	case OpGet:
@@ -268,8 +272,16 @@ func (c *sessionCore) exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Res
 		v, ok := sh.Add(h, val)
 		return Result{Val: v, Ok: ok}
 	default:
-		panic(fmt.Sprintf("store: unknown OpKind %d", kind))
+		panic(errUnknownOp(kind))
 	}
+}
+
+// errUnknownOp builds the panic value of exec's unreachable default out of
+// line, so the fmt call and its boxed argument stay off the hot frame.
+//
+//go:noinline
+func errUnknownOp(kind OpKind) error {
+	return fmt.Errorf("store: unknown OpKind %d", kind)
 }
 
 // targetTh returns the handle for target shard index j under migration m.
@@ -295,8 +307,8 @@ func (c *sessionCore) targetTh(m *migration, j int) *hashtable.Thread {
 //     old-then-new so no crash boundary resurrects a stale copy.
 func (c *sessionCore) doMigrating(lay *layout, kind OpKind, h, val uint64) Result {
 	m := lay.mig
-	oldIdx := int(h % uint64(m.oldN))
-	newIdx := int(h % uint64(m.newN))
+	oldIdx := shardIdx(h, m.oldN)
+	newIdx := shardIdx(h, m.newN)
 	if newIdx == oldIdx {
 		return c.exec(c.ths[oldIdx], kind, h, val)
 	}
@@ -364,7 +376,7 @@ func (c *sessionCore) doDual(old, tgt *hashtable.Thread, kind OpKind, h, val uin
 			return Result{Val: v, Ok: ok}
 		}
 	default:
-		panic(fmt.Sprintf("store: unknown OpKind %d", kind))
+		panic(errUnknownOp(kind))
 	}
 }
 

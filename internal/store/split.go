@@ -272,7 +272,7 @@ func (s *Store) migrateShard(lay *layout, ths []*hashtable.Thread, t *pmem.Threa
 	m.mu.Lock()
 	var movers []uint64
 	for k := range lay.tables[sh].Snapshot() {
-		if int(k%uint64(m.newN)) != sh {
+		if shardIdx(k, m.newN) != sh {
 			movers = append(movers, k)
 		}
 	}
@@ -294,7 +294,7 @@ func (s *Store) migrateShard(lay *layout, ths []*hashtable.Thread, t *pmem.Threa
 			// Insert-if-absent: a session Put/Add during migration upserts
 			// the target only, and that copy is authoritative — never
 			// overwrite it with the stale old-shard value.
-			nj := int(k % uint64(m.newN))
+			nj := shardIdx(k, m.newN)
 			if ths[nj].Insert(k, v) {
 				m.moved.Add(1)
 			}

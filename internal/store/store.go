@@ -22,6 +22,7 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -317,29 +318,82 @@ func (s *Store) NumShards() int { return len(s.lay.Load().tables) }
 func (s *Store) LastRecovery() *RecoveryStats { return s.recovered }
 
 // HashKey maps an arbitrary string key into the 48-bit instrumented key
-// space: FNV-1a followed by a 64-bit finalizer, masked to KeyMask. Two
-// distinct strings collide with probability ~n²/2^49 — negligible at any
-// workload size the simulation can hold — and the store treats the hash
-// as the key, as fixed-width KV engines over hashed keyspaces do.
+// space with a word-at-a-time multiply-fold hash (see hashKey), masked to
+// KeyMask.
+//
+// The key contract: the 48-bit hash IS the key. The store never sees,
+// stores or compares the client's bytes — two distinct client keys whose
+// hashes collide are one key to every operation, silently (a Put under
+// one overwrites the other, a Delete removes both). The hash is unkeyed
+// and public, so the birthday estimate (~n²/2^49 for n random keys,
+// negligible at any size the simulation can hold) only covers honest
+// keys: anyone who can choose keys — a network peer included — can
+// construct colliding pairs offline. The function is also the persisted
+// placement rule (shard and bucket of a key derive from it), so changing
+// it is a format change; TestHashKeyGolden pins it.
 func HashKey(key string) uint64 { return hashKey(key) }
 
 // HashKeyBytes is HashKey for a byte-slice key: identical hash, no
 // string conversion, so hot op loops can reuse one key buffer.
 func HashKeyBytes(key []byte) uint64 { return hashKey(key) }
 
-func hashKey[K Key](key K) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 0x100000001b3
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h & KeyMask
+// The key hash's seed and its per-stage multipliers (odd, bits evenly
+// spread).
+const (
+	hashSeed = 0x9E3779B97F4A7C15
+	hashWord = 0xA0761D6478BD642F
+	hashTail = 0xE7037ED1A0B428DB
+	hashFin  = 0x8EBC6AF09C88C6E3
+)
+
+// mulFold multiplies a by the constant m to 128 bits and folds the halves:
+// the low half carries a's bits upward, the high half carries them down.
+func mulFold(a, m uint64) uint64 {
+	hi, lo := bits.Mul64(a, m)
+	return hi ^ lo
 }
 
-func (s *Store) shardOf(h uint64) int { return int(h % uint64(len(s.lay.Load().tables))) }
+// hashKey is the one key hash. The state starts at the seed with the key
+// length folded in; each 8-byte little-endian word is XORed in and the
+// state mul-folded; the 1–7 trailing bytes go in as one more word, with a
+// 1 bit above the last byte so that "a" and "a\x00" differ; a last
+// mul-fold finishes. The dependent chain is one multiply per word plus
+// two (4 on a 20-byte key, where a byte-serial hash pays 20), and the
+// multiplier is always a constant, so no input word can zero the state.
+//
+//flit:hotpath
+func hashKey[K Key](key K) uint64 {
+	h := hashSeed ^ uint64(len(key))
+	for len(key) >= 8 {
+		w := uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
+			uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
+		h = mulFold(h^w, hashWord)
+		key = key[8:]
+	}
+	if len(key) > 0 {
+		w := uint64(1)
+		for j := len(key) - 1; j >= 0; j-- {
+			w = w<<8 | uint64(key[j])
+		}
+		h = mulFold(h^w, hashTail)
+	}
+	return mulFold(h, hashFin) & KeyMask
+}
+
+// shardIdx is the one routing rule, h mod n, for every path that places a
+// hashed key on one of n shards: sessions, combiners, the split migrator
+// and recovery. Placement is persisted (a key's shard is where recovery
+// looks for it), so the result is exactly h % n for every n; a power-of-
+// two count — the default 8 — takes it with a mask instead of a 64-bit
+// hardware divide.
+func shardIdx(h uint64, n int) int {
+	if n&(n-1) == 0 {
+		return int(h & uint64(n-1))
+	}
+	return int(h % uint64(n))
+}
+
+func (s *Store) shardOf(h uint64) int { return shardIdx(h, len(s.lay.Load().tables)) }
 
 // ShardOf returns the shard index serving key.
 func (s *Store) ShardOf(key []byte) int { return s.shardOf(HashKeyBytes(key)) }
@@ -508,14 +562,14 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 		finals = make([][]list.Pair, newShards)
 		for i := shards - 1; i >= 0; i-- {
 			for _, p := range recovering[i].Pairs() {
-				if nj := int(p.Key % uint64(newShards)); nj != i {
+				if nj := shardIdx(p.Key, newShards); nj != i {
 					finals[nj] = append(finals[nj], p)
 				}
 			}
 		}
 		for i := range finals {
 			for _, p := range recovering[i].Pairs() {
-				if i >= shards || int(p.Key%uint64(newShards)) == i {
+				if i >= shards || shardIdx(p.Key, newShards) == i {
 					finals[i] = append(finals[i], p)
 				}
 			}

@@ -52,6 +52,24 @@ func TestHashKeyBytesMatchesString(t *testing.T) {
 	}
 }
 
+// TestShardIdxMatchesMod: the one routing helper is h mod n for every shard
+// count a store can have — placement is persisted, so the mask it takes for
+// a power-of-two count may never disagree with the divide.
+func TestShardIdxMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	hs := []uint64{0, KeyMask}
+	for len(hs) < 10_002 {
+		hs = append(hs, rng.Uint64()&KeyMask)
+	}
+	for n := 1; n <= MaxShards; n++ {
+		for _, h := range hs {
+			if got, want := shardIdx(h, n), int(h%uint64(n)); got != want {
+				t.Fatalf("shardIdx(%#x, %d) = %d, want %d", h, n, got, want)
+			}
+		}
+	}
+}
+
 // TestByteSessionMatchesString: byte-keyed and string-keyed sessions
 // hit the same hashed keyspace.
 func TestByteSessionMatchesString(t *testing.T) {
