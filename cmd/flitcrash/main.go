@@ -102,7 +102,7 @@ func modesFor(filter string) []dstruct.Mode {
 
 func main() {
 	rounds := flag.Int("rounds", 60, "seeded crash rounds per combination")
-	dsFilter := flag.String("ds", "", "restrict to one structure (list|hashtable|skiplist|bst|lockmap; with -dlcheck also queue|store|store-batched|store-combined|store-split)")
+	dsFilter := flag.String("ds", "", "restrict to one structure (list|hashtable|skiplist|bst|lockmap; with -dlcheck also queue|store|store-batched|store-combined|store-reshard)")
 	modeFilter := flag.String("mode", "", "restrict to one durability mode (automatic|nvtraverse|manual)")
 	polFilter := flag.String("policy", "", "restrict to one policy (flit-ht|flit-adjacent|flit-packed|flit-perline|plain|izraelevitz|link-and-persist)")
 	seed0 := flag.Int64("seed", 1, "first seed")
@@ -168,8 +168,8 @@ func main() {
 
 // runDLCheck drives the systematic battery: structures × modes ×
 // policies, the durable queue, and the sharded store under each session
-// mode and under an online split, each recorded execution checked at
-// every (budgeted) persist boundary.
+// mode and recovered through a reshard, each recorded execution checked
+// at every (budgeted) persist boundary.
 func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64, budget int, tracePath string, verbose bool) int {
 	start := time.Now()
 	total, points, records := 0, 0, 0
@@ -235,16 +235,18 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 	// covers it); keep it enumerated so the failed-p-CAS dirty-flush path
 	// is checked here as well.
 	for _, sv := range []struct {
-		name    string
-		mode    store.SessionMode
-		splitTo int
+		name      string
+		mode      store.SessionMode
+		reshardTo int
 	}{
 		{"store", store.Direct, 0},            // per-op persistence
 		{"store-batched", store.Batched, 0},   // the server's group-commit executor
 		{"store-combined", store.Combined, 0}, // the embedded flat-combining path
-		// A 4→6 online split (non-doubling, so keys move between serving
-		// shards as well as into new ones) migrates while the workers run.
-		{"store-split", store.Direct, 6},
+		// Every crash state of live 4-shard traffic recovered through a
+		// reshard to 6 (non-doubling, so keys move between the old shards
+		// as well as into new ones).
+		{"store-reshard", store.Direct, 6},
+		{"store-reshard", store.Combined, 6},
 	} {
 		if dsFilter != "" && dsFilter != sv.name {
 			continue
@@ -257,14 +259,14 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 						fmt.Fprintf(os.Stderr, "flitcrash: %v\n", err)
 						os.Exit(2)
 					}
-					return crashtest.RunStoreDL(st, sv.mode, sv.splitTo, opts)
+					return crashtest.RunStoreDL(st, sv.mode, sv.reshardTo, opts)
 				})
 			}
 		}
 	}
 
 	if total == 0 {
-		fmt.Fprintf(os.Stderr, "flitcrash: no dlcheck runs matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst|queue|store|store-batched|store-combined|store-split; the queue is manual-only, link-and-persist applies only to list|hashtable|skiplist|lockmap|queue)\n",
+		fmt.Fprintf(os.Stderr, "flitcrash: no dlcheck runs matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst|queue|store|store-batched|store-combined|store-reshard; the queue is manual-only, link-and-persist applies only to list|hashtable|skiplist|lockmap|queue)\n",
 			dsFilter, modeFilter, polFilter)
 		return 2
 	}

@@ -280,7 +280,7 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	stats := srv.Stats()
 
 	img := st.Mem().CrashImage(pmem.DropUnfenced, seed^crashSeed)
-	_, rstats, final, err := recoverKeySet(st, img, nil)
+	_, rstats, final, err := recoverKeySet(st, img, nil, 0)
 	if err != nil {
 		return ChaosVerdict{}, fmt.Errorf("chaos %q: recover: %w", sc.Name, err)
 	}

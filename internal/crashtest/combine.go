@@ -160,7 +160,7 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 	wg.Wait()
 
 	img := st.Mem().CrashImage(opts.CrashMode, opts.Seed^crashSeed)
-	st2, rstats, _, err := recoverKeySet(st, img, nil)
+	st2, rstats, _, err := recoverKeySet(st, img, nil, 0)
 	if err != nil {
 		return AddsVerdict{}, err
 	}

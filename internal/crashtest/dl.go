@@ -62,18 +62,16 @@ const dlMaxBatch = 6
 // windows may merge several sessions' vectors) pipeline vectors of varying
 // depth, every response recorded only after its vector's commit fence.
 //
-// With splitTo > 0 an online shard split to splitTo shards races the
-// recorded workload, so the enumerated boundaries land before the split's
-// activation word, inside the key migration (between any two of its batch
-// fences), and after completion. The migration moves keys, it never
-// creates or destroys them, so every boundary must recover a complete,
-// duplicate-free keyspace under the same durable rule. A split needs fewer
-// than splitTo shards and a mode other than Combined.
+// With reshardTo > 0 every crash image is recovered through
+// store.Reshard to reshardTo shards instead of store.Recover: a reshard
+// moves keys, it never creates or destroys them, so every crash state of
+// live traffic must come out of it as a complete, duplicate-free keyspace
+// under the same durable rule.
 //
 // st must be freshly created: a recovered key outside the checker's
 // namespace is reported as a violation — the "no operation absent from
 // the history may appear" half of the durable rule.
-func RunStoreDL(st *store.Store, mode store.SessionMode, splitTo int, opts dlcheck.Options) *dlcheck.Report {
+func RunStoreDL(st *store.Store, mode store.SessionMode, reshardTo int, opts dlcheck.Options) *dlcheck.Report {
 	opts = opts.Normalized()
 	keyspace := opts.KeyRange
 	if opts.Prefill > keyspace {
@@ -88,28 +86,19 @@ func RunStoreDL(st *store.Store, mode store.SessionMode, splitTo int, opts dlche
 	if mode != store.Direct {
 		name, maxBatch = "store-"+mode.String(), dlMaxBatch
 	}
+	if reshardTo > 0 {
+		name = fmt.Sprintf("%s-reshard(%d→%d)", name, st.NumShards(), reshardTo)
+	}
 	newExec := executors(st, mode, maxBatch)
-	h := dlcheck.Harness{
+	return dlcheck.Run(dlcheck.Harness{
 		Name:       name,
 		Mem:        st.Mem(),
 		Policy:     st.Policy(),
 		MaxBatch:   maxBatch,
 		NewSession: func() dlcheck.BatchExecutor { return &dlExec{executor: newExec()} },
 		Recover: func(img []uint64) (map[uint64]bool, error) {
-			_, _, final, err := recoverKeySet(st, img, back)
+			_, _, final, err := recoverKeySet(st, img, back, reshardTo)
 			return final, err
 		},
-	}
-	if splitTo > 0 {
-		h.Name = fmt.Sprintf("%s-split(%d→%d)", name, st.NumShards(), splitTo)
-		h.During = func() {
-			if err := st.Split(splitTo); err != nil {
-				panic(fmt.Sprintf("crashtest: split activation failed: %v", err))
-			}
-			if !st.WaitSplit() {
-				panic("crashtest: split migrator crashed without a countdown armed")
-			}
-		}
-	}
-	return dlcheck.Run(h, opts)
+	}, opts)
 }

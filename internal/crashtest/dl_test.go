@@ -48,6 +48,30 @@ func TestStoreDLEnumerated(t *testing.T) {
 	}
 }
 
+// TestStoreReshardDLEnumerated recovers every (budgeted) crash state of
+// live four-shard traffic — Direct sessions, then Combined ones — through
+// a reshard to six shards: a reshard moves keys, it must not create or
+// lose one, whatever the crash left in flight.
+func TestStoreReshardDLEnumerated(t *testing.T) {
+	for _, sm := range []store.SessionMode{store.Direct, store.Combined} {
+		t.Run(sm.String(), func(t *testing.T) {
+			opts := dlcheck.DefaultOptions(1)
+			if testing.Short() {
+				opts.Budget = 48
+			} else {
+				opts.Budget = 0
+			}
+			rep := RunStoreDL(newDLStore(t, core.PolicyHT, dstruct.Automatic), sm, 6, opts)
+			if rep.Violation != nil {
+				t.Fatal(rep.Violation)
+			}
+			if rep.Records == 0 || rep.Points < 2 {
+				t.Fatalf("thin run: %+v", rep)
+			}
+		})
+	}
+}
+
 // TestStructureDLEnumeratedViaTargets spot-checks the Target→dlcheck
 // adapter used by flitcrash -dlcheck (the structure batteries themselves
 // live with the structures, via dstest.DLCheck).

@@ -130,9 +130,17 @@ func (e *dlExec) ExecBatch(ops []dlcheck.BatchOp, results []bool) {
 // allocate below anything it persisted) — and returns the recovered store
 // with its key set. A non-nil back translates each recovered hash; a hash
 // outside it is a key no recorded operation could have written (phantom).
-func recoverKeySet(st *store.Store, img []uint64, back map[uint64]uint64) (*store.Store, store.RecoveryStats, map[uint64]bool, error) {
+// With reshardTo > 0 the image is recovered through store.Reshard to that
+// shard count instead.
+func recoverKeySet(st *store.Store, img []uint64, back map[uint64]uint64, reshardTo int) (*store.Store, store.RecoveryStats, map[uint64]bool, error) {
 	mem2 := pmem.NewFromImage(img, st.Mem().Config())
-	st2, rstats, err := store.Recover(mem2, st.Heap().Watermark(), st.Opts())
+	rebuild := store.Recover
+	if reshardTo > 0 {
+		rebuild = func(mem *pmem.Memory, wm uint64, o store.Options) (*store.Store, store.RecoveryStats, error) {
+			return store.Reshard(mem, wm, o, reshardTo)
+		}
+	}
+	st2, rstats, err := rebuild(mem2, st.Heap().Watermark(), st.Opts())
 	if err != nil {
 		return nil, rstats, nil, err
 	}
@@ -311,7 +319,7 @@ func RunStore(st *store.Store, mode store.SessionMode, opts StoreOptions) (Store
 	wg.Wait()
 
 	img := st.Mem().CrashImage(opts.CrashMode, opts.Seed^crashSeed)
-	st2, rstats, final, err := recoverKeySet(st, img, nil)
+	st2, rstats, final, err := recoverKeySet(st, img, nil, 0)
 	if err != nil {
 		return StoreVerdict{}, err
 	}

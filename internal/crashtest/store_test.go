@@ -177,7 +177,7 @@ func TestStoreRecoverySuperblockEdges(t *testing.T) {
 	// (c) Persisted superblock with a corrupt shard count.
 	mem, th = mkMem()
 	heap = pheap.NewWithRoots(mem, 5)
-	for i, v := range []uint64{store.Magic, store.MaxShards + 5, 16} {
+	for i, v := range []uint64{store.Magic2, store.MaxShards + 5, 16} {
 		th.Store(sb+pmem.Addr(i), v)
 		th.PWB(sb + pmem.Addr(i))
 	}

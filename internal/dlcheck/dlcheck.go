@@ -194,14 +194,6 @@ type Harness struct {
 	// full strength: once Finish is stamped, every later crash boundary
 	// must reflect the operation.
 	MaxBatch int
-	// During, when non-nil, runs concurrently with the recording workers —
-	// a background mutation of the target whose persist boundaries should
-	// land inside the trace (the store's online shard split migrates here,
-	// so crash points are enumerated mid-migration). Run joins it after
-	// the workers, before the trace closes; it must leave the target
-	// quiescent and must not change the key membership the recorded
-	// operations establish.
-	During func()
 }
 
 // Instance couples a live structure with a quiescent snapshot function
@@ -319,13 +311,6 @@ func Run(h Harness, opts Options) *Report {
 		sessions[w] = h.NewSession()
 	}
 	var wg sync.WaitGroup
-	if h.During != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.During()
-		}()
-	}
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {

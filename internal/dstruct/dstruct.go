@@ -75,10 +75,10 @@ type Config struct {
 	// structure; recovery looks there.
 	RootSlot int
 	// RootAddr, when non-zero, anchors the structure at an explicit word
-	// address instead of a root-region slot. The store's online shard
-	// splitting uses it: the heap's root region is sized once at
-	// creation, so shards grown later anchor in a persisted directory
-	// object whose slot addresses recovery reads from the superblock.
+	// address instead of a root-region slot. The store's re-sharding
+	// uses it: the heap's root region is sized once at creation, so
+	// shards grown later anchor in a persisted directory object whose
+	// slot addresses recovery reads from the superblock.
 	RootAddr pmem.Addr
 	// Stride is the distance in words between consecutive persisted
 	// fields of a node: 1 normally, core.AdjacentStride under the

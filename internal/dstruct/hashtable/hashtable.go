@@ -72,8 +72,7 @@ func (t *Table) Name() string { return "hashtable" }
 func (t *Table) Buckets() int { return int(t.buckets) }
 
 // Base returns the table header's persistent address — the value its
-// anchor word holds. The store's shard-split directory copies it when a
-// grown shard's anchor moves to a new directory object.
+// anchor word holds.
 func (t *Table) Base() pmem.Addr { return t.base }
 
 // BucketOf returns the index of the bucket serving key: the table's
@@ -209,14 +208,16 @@ func BeginRecover(cfg dstruct.Config) *Recovery {
 
 // Pairs returns the gathered pairs, bucket after bucket — the table's
 // surviving contents, for callers that redistribute keys across tables
-// (the store's shard-split recovery) and rebuild with CompleteWith. The
+// (the store's re-sharding recovery) and rebuild with CompleteWith. The
 // slice is the Recovery's own: read-only, and stale once Complete runs.
 func (r *Recovery) Pairs() []list.Pair { return r.pairs }
 
 // CompleteWith is Complete with the table's final contents overridden:
 // the chains are rebuilt to hold exactly pairs, partitioned by the table's
 // own bucket hash with a stable counting sort (of equal keys the last in
-// pairs wins). It is how shard-split recovery moves keys between shards.
+// pairs wins). It is how re-sharding recovery moves keys between shards,
+// and may be called again on the same Recovery to rebuild the table to a
+// second set of contents.
 func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
 	clear(r.off)
 	for _, p := range pairs {
@@ -236,18 +237,30 @@ func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
 	return r.Complete()
 }
 
-// Complete rebuilds every bucket chain from the gathered pairs and fences
-// once at the end (phase two), returning the recovered table and its key
-// count.
+// Complete rebuilds every bucket chain from the gathered pairs (phase
+// two), returning the recovered table and its key count. Two fences: all
+// the new nodes first, then the bucket heads that publish them. Under one
+// fence the line holding heads 0–7 — queued while bucket 0 was rebuilt —
+// would drain before the nodes of buckets 1–7, and a crash in between
+// leaves seven heads pointing at nodes the image never received.
 //
-//flit:rawpersist recovery is single-threaded; one fence persists all rebuilt chains
+//flit:rawpersist recovery is single-threaded; one fence persists all rebuilt nodes, a second the heads
 func (r *Recovery) Complete() (*Table, int) {
 	cfg := &r.tbl.cfg
 	t := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
 	n := 0
-	for i := 0; i < int(r.tbl.buckets); i++ {
-		n += list.RebuildAt(cfg, t, ar, cfg.Field(r.tbl.base, 1+i), r.pairs[r.off[i]:r.off[i+1]])
+	firsts := make([]pmem.Addr, r.tbl.buckets)
+	for i := range firsts {
+		var k int
+		firsts[i], k = list.Rebuild(cfg, t, ar, r.pairs[r.off[i]:r.off[i+1]])
+		n += k
+	}
+	t.PFence()
+	for i, first := range firsts {
+		head := cfg.Field(r.tbl.base, 1+i)
+		t.Store(head, uint64(first))
+		t.PWB(head)
 	}
 	t.PFence()
 	ar.Release()

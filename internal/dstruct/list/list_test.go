@@ -1,6 +1,7 @@
 package list
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -282,6 +283,61 @@ func TestRecoveryIgnoresCycles(t *testing.T) {
 	}
 }
 
+// TestRecoverPublishesHeadAfterNodes cuts the power at every persist
+// record of a list recovery, and additionally lets each fence's LAST line
+// land alone (write-backs of one fence may reach memory in any order): the
+// image must always recover to the full list. Under one fence for nodes
+// and head, the head's line landing first points the list at nodes the
+// image never received.
+func TestRecoverPublishesHeadAfterNodes(t *testing.T) {
+	cfg := configs(1 << 14)[0]
+	th := New(cfg).Open(dstruct.ThreadOpts{})
+	const keys = 40
+	for k := uint64(1); k <= keys; k++ {
+		th.Insert(k, k*10)
+	}
+	wm := cfg.Heap.Watermark()
+	img := cfg.Heap.Mem().CrashImage(pmem.DropUnfenced, 1)
+	recoverOn := func(img []uint64) (dstruct.Config, *pmem.Memory) {
+		mem := pmem.NewFromImage(img, cfg.Heap.Mem().Config())
+		cfg2 := cfg
+		cfg2.Heap = pheap.Recover(mem, wm)
+		return cfg2, mem
+	}
+	cfg2, mem2 := recoverOn(img)
+	var clock int64
+	tr := mem2.StartTrace(func() int64 { clock++; return clock })
+	Recover(cfg2)
+	mem2.StopTrace()
+	recs := tr.Records()
+
+	check := func(img []uint64, what string) {
+		t.Helper()
+		cfg3, _ := recoverOn(img)
+		Recover(cfg3)
+		if got := GatherAt(&cfg3, cfg3.Root(), nil); len(got) != keys {
+			t.Fatalf("%s: recovered %d keys, want %d", what, len(got), keys)
+		}
+	}
+	img = append([]uint64(nil), img...)
+	for k := 0; ; k++ {
+		check(img, fmt.Sprintf("crash before record %d of %d", k, len(recs)))
+		if k == len(recs) {
+			break
+		}
+		if k == 0 || recs[k-1].Epoch != recs[k].Epoch {
+			last := k
+			for last+1 < len(recs) && recs[last+1].Epoch == recs[k].Epoch {
+				last++
+			}
+			alone := append([]uint64(nil), img...)
+			pmem.ApplyRecord(alone, recs[last])
+			check(alone, fmt.Sprintf("only the last line of the fence draining records %d–%d", k, last))
+		}
+		pmem.ApplyRecord(img, recs[k])
+	}
+}
+
 // TestRebuildKeepsLastOfEqualKeys pins the duplicate rule a merge of
 // several tables' gathers relies on: of equal keys the last one wins, and
 // the count returned is of nodes written, not of pairs handed in.
@@ -291,10 +347,11 @@ func TestRebuildKeepsLastOfEqualKeys(t *testing.T) {
 	raw := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
 	pairs := []Pair{{7, 1}, {3, 1}, {7, 2}, {5, 1}, {3, 2}, {7, 3}}
-	if n := RebuildAt(&cfg, raw, ar, cfg.Root(), pairs); n != 3 {
-		t.Fatalf("RebuildAt wrote %d nodes, want 3", n)
+	first, n := Rebuild(&cfg, raw, ar, pairs)
+	if n != 3 {
+		t.Fatalf("Rebuild wrote %d nodes, want 3", n)
 	}
-	raw.PFence()
+	raw.Store(cfg.Root(), uint64(first))
 	got := GatherAt(&cfg, cfg.Root(), nil)
 	if want := []Pair{{3, 2}, {5, 1}, {7, 3}}; !slices.Equal(got, want) {
 		t.Fatalf("rebuilt chain holds %v, want %v", got, want)

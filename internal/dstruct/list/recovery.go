@@ -63,14 +63,17 @@ func gatherNode(cfg *dstruct.Config, mem *pmem.Memory, n pmem.Addr, dst []Pair) 
 	return dst, dstruct.Ptr(nextRaw)
 }
 
-// RebuildAt writes a fresh, fully persisted sorted chain holding pairs at
-// the link word head, using raw stores (recovery is single-threaded, the
-// paper's crash model spawns new processes), and returns how many nodes it
+// Rebuild writes a fresh sorted chain holding pairs, using raw stores
+// (recovery is single-threaded, the paper's crash model spawns new
+// processes), and returns the chain's first node and how many nodes it
 // wrote. pairs is sorted in place; of equal keys the last wins. Nodes are
-// allocated from the highest key down. The caller fences afterwards.
+// allocated from the highest key down. Nothing points at the chain yet:
+// the caller fences the nodes, and only then stores the first node into
+// the link word that publishes them — a head that reaches the image
+// before its nodes would lose the whole chain.
 //
 //flit:rawpersist single-threaded recovery rebuild with explicit PWB walk per node
-func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.Addr, pairs []Pair) int {
+func Rebuild(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, pairs []Pair) (pmem.Addr, int) {
 	slices.SortStableFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
 	nodes := 0
 	next := pmem.NilAddr
@@ -91,9 +94,7 @@ func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.A
 		}
 		next = n
 	}
-	t.Store(head, uint64(next))
-	t.PWB(head)
-	return nodes
+	return next, nodes
 }
 
 // Recover rebuilds a durably consistent list from the structure persisted
@@ -102,11 +103,14 @@ func RebuildAt(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, head pmem.A
 // pheap.Recover heap over the crash image, so new nodes cannot overwrite
 // surviving data.
 //
-//flit:rawpersist recovery fences the RebuildAt stores before attach
+//flit:rawpersist recovery fences the rebuilt nodes, then the head that publishes them
 func Recover(cfg dstruct.Config) *List {
 	t := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
-	RebuildAt(&cfg, t, ar, cfg.Root(), GatherAt(&cfg, cfg.Root(), nil))
+	first, _ := Rebuild(&cfg, t, ar, GatherAt(&cfg, cfg.Root(), nil))
+	t.PFence()
+	t.Store(cfg.Root(), uint64(first))
+	t.PWB(cfg.Root())
 	t.PFence()
 	ar.Release()
 	t.Release()

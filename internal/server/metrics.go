@@ -138,14 +138,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Sample("flit_pheap_watermark_words", "", float64(s.st.Heap().Watermark()))
 	p.Meta("flit_mem_threads", "gauge", "live registered pmem threads (released slots excluded)")
 	p.Sample("flit_mem_threads", "", float64(len(s.st.Mem().Threads())))
-	if ss := s.st.SplitStat(); ss.Active {
-		p.Meta("flit_split_target_shards", "gauge", "target shard count of the in-flight online split")
-		p.Sample("flit_split_target_shards", "", float64(ss.Target))
-		p.Meta("flit_split_shards_migrated", "gauge", "old shards fully migrated by the in-flight split")
-		p.Sample("flit_split_shards_migrated", "", float64(ss.Migrated))
-		p.Meta("flit_split_keys_moved", "gauge", "keys moved so far by the in-flight split")
-		p.Sample("flit_split_keys_moved", "", float64(ss.Moved))
-	}
 	p.Meta("flit_max_batch", "gauge", "group commit size cap")
 	p.Sample("flit_max_batch", "", float64(st.MaxBatch))
 	p.Meta("flit_shed_total", "counter", "store operations shed by admission control, by reason")

@@ -74,8 +74,7 @@ func (sl *cslot) announce() { sl.state.Store(slotAnnounced) }
 // pmem thread, a deferred policy wrapper, one hashtable handle — the
 // shard equivalent of a Batched session).
 type combiner struct {
-	st    *Store
-	shard int
+	st *Store
 	// window is the target operation count per combined window: the
 	// combiner keeps sweeping the slots until it has executed at least
 	// this many operations or the shard goes idle, then fences once.
@@ -101,49 +100,33 @@ type combiner struct {
 	served []*cslot
 }
 
-// initCombiners lazily builds one combiner per shard, first use of a
+// initCombiners builds one combiner per shard at the first use of a
 // Combined session. Each combiner owns its execution resources outright;
-// they are exercised only under its lock. The build runs under growMu and
-// waits out any in-flight shard split first: combiners capture the shard
-// list, so combining and splitting are mutually exclusive phases (Split
-// refuses while combiners exist; this waits while a split migrates).
+// they are exercised only under its lock.
 func (s *Store) initCombiners() {
-	for {
-		s.growMu.Lock()
-		if s.combCrashed.Load() {
-			s.growMu.Unlock()
-			panic(pmem.ErrCrashed)
-		}
-		lay := s.lay.Load()
-		if lay.mig == nil {
-			if s.combiners == nil {
-				cs := make([]*combiner, len(lay.tables))
-				for i, sh := range lay.tables {
-					t := s.mem.RegisterThread()
-					ar := s.heap.NewArena()
-					d := core.NewDeferred(s.policy)
-					c := &combiner{
-						st:         s,
-						shard:      i,
-						window:     s.opts.CombineWindow,
-						noCoalesce: s.opts.CombineNoCoalesce,
-						t:          t,
-						d:          d,
-						ht:         sh.Open(dstruct.ThreadOpts{T: t, Arena: ar, Policy: d}),
-						pending:    make(map[uint64]uint64),
-					}
-					empty := make([]*cslot, 0)
-					c.slots.Store(&empty)
-					cs[i] = c
-				}
-				s.combiners = cs
-			}
-			s.growMu.Unlock()
-			return
-		}
-		s.growMu.Unlock()
-		s.WaitSplit()
+	if s.combCrashed.Load() {
+		panic(pmem.ErrCrashed)
 	}
+	s.combOnce.Do(func() {
+		s.combiners = make([]*combiner, len(s.tables))
+		for i, sh := range s.tables {
+			t := s.mem.RegisterThread()
+			ar := s.heap.NewArena()
+			d := core.NewDeferred(s.policy)
+			c := &combiner{
+				st:         s,
+				window:     s.opts.CombineWindow,
+				noCoalesce: s.opts.CombineNoCoalesce,
+				t:          t,
+				d:          d,
+				ht:         sh.Open(dstruct.ThreadOpts{T: t, Arena: ar, Policy: d}),
+				pending:    make(map[uint64]uint64),
+			}
+			empty := make([]*cslot, 0)
+			c.slots.Store(&empty)
+			s.combiners[i] = c
+		}
+	})
 }
 
 // CombinerThreads returns the per-shard combiner execution threads, in
@@ -204,9 +187,6 @@ func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
 	}
 	c.touched = c.touched[:0]
 	for i := range ops {
-		// Shard by combiner count, not the live layout: combining and
-		// splitting are mutually exclusive, so the combiner list IS the
-		// shard list for the lifetime of every combined session.
 		sh := shardIdx(ops[i].h, len(st.combiners))
 		sl := c.slots[sh]
 		if len(c.idxs[sh]) == 0 {

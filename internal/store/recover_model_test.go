@@ -2,8 +2,8 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"flit/internal/core"
@@ -35,7 +35,7 @@ func (r rawImage) field(base pmem.Addr, f int) uint64 { return r.word(base + pme
 
 // tables returns the serving shard count and the header address of every
 // table the superblock describes: the serving shards, then the targets of
-// a split the crash interrupted.
+// a reshard the crash interrupted.
 func (r rawImage) tables() (serving int, hdrs []pmem.Addr) {
 	sb := dstruct.Ptr(r.word(r.root(superRoot)))
 	serving, base, target := int(r.field(sb, fShards)), int(r.field(sb, fBase)), int(r.field(sb, fNewShards))
@@ -88,51 +88,79 @@ func (r rawImage) contents(hdr pmem.Addr) map[uint64]uint64 {
 }
 
 // model returns what each shard must hold after recovery. An idle store
-// keeps every table's own contents. After an interrupted split a key lives
-// in the shard the target count assigns it, with the value of that shard's
-// own copy if it has one and of the lowest-numbered serving table's stale
-// copy otherwise; a split target's own contents are kept whole.
-func (r rawImage) model() []map[uint64]uint64 {
+// keeps every table's own contents. After an interrupted reshard a key
+// lives in the shard the target count assigns it, whichever tables held
+// it: no session writes during a reshard, so all copies of a key agree
+// (own reports every table's contents as the image has them).
+func (r rawImage) model() (final, own []map[uint64]uint64) {
 	serving, hdrs := r.tables()
 	target := len(hdrs)
-	own := make([]map[uint64]uint64, target)
+	own = make([]map[uint64]uint64, target)
 	for i, hdr := range hdrs {
 		own[i] = r.contents(hdr)
 	}
 	if serving == target {
-		return own
+		return own, own
 	}
-	final := make([]map[uint64]uint64, target)
+	final = make([]map[uint64]uint64, target)
 	for i := range final {
 		final[i] = make(map[uint64]uint64)
-		for k, v := range own[i] {
-			if i >= serving || int(k%uint64(target)) == i {
-				final[i][k] = v
-			}
-		}
 	}
-	for i := 0; i < serving; i++ {
+	for i := range own {
 		for k, v := range own[i] {
 			nj := int(k % uint64(target))
-			if _, has := final[nj][k]; nj != i && !has {
-				final[nj][k] = v
+			if w, has := final[nj][k]; has && w != v {
+				panic(fmt.Sprintf("key %#x has values %d and %d in two tables of one image", k, w, v))
 			}
+			final[nj][k] = v
 		}
 	}
-	return final
+	return final, own
+}
+
+// rebuilds lists the node count of every table rebuild a recovery of the
+// image performs. An idle store rebuilds each table once. An interrupted
+// reshard rebuilds a table that gains keys to its own contents plus the
+// arrivals, then every table that loses keys (or did not gain) to its
+// final contents — so a non-doubling 4→6, where each old shard both gains
+// and loses, writes each old shard twice, the first time at more than its
+// final size.
+func rebuilds(final, own []map[uint64]uint64) []int {
+	var out []int
+	for j := range final {
+		grown, gains, loses := maps.Clone(own[j]), false, false
+		for i := range own {
+			for k, v := range own[i] {
+				if to := int(k % uint64(len(own))); to == j && i != j {
+					grown[k], gains = v, true
+				} else if to != j && i == j {
+					loses = true
+				}
+			}
+		}
+		if gains {
+			out = append(out, len(grown))
+		}
+		if loses || !gains {
+			out = append(out, len(final[j]))
+		}
+	}
+	return out
 }
 
 // checkRecovered compares a recovered store with the model of the image
 // it was recovered from: per-shard contents, the reported key count, clean
 // rebuilt chains (strictly ascending, so one node per key), and the heap
 // watermark. Every rebuilt node is one size-classed allocation from a
-// per-shard arena that takes whole chunks from the bump pointer or reuses
-// a finished shard's chunk tail, so the watermark advances by between
-// ⌈all nodes / chunk⌉ and Σ⌈shard's nodes / chunk⌉ chunks — one number
-// for a single shard, where the rebuild order (buckets ascending, keys
-// descending) additionally fixes every node's address.
-func checkRecovered(t *testing.T, want []map[uint64]uint64, st2 *Store, rs RecoveryStats, wm0 uint64) {
+// per-rebuild arena that takes whole chunks from the bump pointer or reuses
+// a finished rebuild's chunk tail, so the watermark advances by between
+// ⌈all nodes written / chunk⌉ and Σ⌈a rebuild's nodes / chunk⌉ chunks (see
+// rebuilds) — one number for a single shard, where the rebuild order
+// (buckets ascending, keys descending) additionally fixes every node's
+// address.
+func checkRecovered(t *testing.T, img rawImage, st2 *Store, rs RecoveryStats, wm0 uint64) {
 	t.Helper()
+	want, own := img.model()
 	const chunkWords = 4096 // pheap's bump chunk
 	nodeWords := uint64(4 * st2.stride)
 	chunks := func(nodes int) uint64 { return (uint64(nodes)*nodeWords + chunkWords - 1) / chunkWords }
@@ -140,13 +168,13 @@ func checkRecovered(t *testing.T, want []map[uint64]uint64, st2 *Store, rs Recov
 	r := memoryOf(st2)
 	serving, hdrs := r.tables()
 	if serving != len(want) || len(hdrs) != len(want) || st2.NumShards() != len(want) {
-		t.Fatalf("recovered geometry: superblock serves %d of %d tables, NumShards %d; want %d shards, no split pending",
+		t.Fatalf("recovered geometry: superblock serves %d of %d tables, NumShards %d; want %d shards, no reshard pending",
 			serving, len(hdrs), st2.NumShards(), len(want))
 	}
-	total, maxChunks := 0, uint64(0)
+	total := 0
 	for i, hdr := range hdrs {
-		if st2.lay.Load().tables[i].Base() != hdr {
-			t.Fatalf("shard %d: layout serves table %d, its anchor holds %d", i, st2.lay.Load().tables[i].Base(), hdr)
+		if st2.tables[i].Base() != hdr {
+			t.Fatalf("shard %d: store serves table %d, its anchor holds %d", i, st2.tables[i].Base(), hdr)
 		}
 		nodes := 0
 		chains := r.chains(hdr)
@@ -176,22 +204,26 @@ func checkRecovered(t *testing.T, want []map[uint64]uint64, st2 *Store, rs Recov
 			}
 		}
 		total += nodes
-		maxChunks += chunks(nodes)
 	}
 	if rs.Keys != total {
 		t.Fatalf("RecoveryStats.Keys = %d, the image model holds %d", rs.Keys, total)
 	}
+	written, maxChunks := 0, uint64(0)
+	for _, nodes := range rebuilds(want, own) {
+		written += nodes
+		maxChunks += chunks(nodes)
+	}
 	got := st2.Heap().Watermark() - wm0
-	if got%chunkWords != 0 || got/chunkWords < chunks(total) || got/chunkWords > maxChunks {
+	if got%chunkWords != 0 || got/chunkWords < chunks(written) || got/chunkWords > maxChunks {
 		t.Fatalf("recovery moved the watermark by %d words, want between %d and %d chunks of %d",
-			got, chunks(total), maxChunks, chunkWords)
+			got, chunks(written), maxChunks, chunkWords)
 	}
 }
 
 // TestRecoverMatchesImageModel is the differential test of store.Recover:
 // seeded Put/Delete/Add streams whose last operation dies part-way, both
-// crash-image modes, one and four shards, plus images of a split killed
-// mid-migration.
+// crash-image modes, one and four shards, plus images of a reshard cut at
+// four points between its activation and its commit.
 func TestRecoverMatchesImageModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		shards := []int{4, 1}[seed%2]
@@ -219,28 +251,54 @@ func TestRecoverMatchesImageModel(t *testing.T) {
 
 			wm := st.Heap().Watermark()
 			img := st.Mem().CrashImage(mode, seed)
-			want := imageOf(img, st).model()
 			st2, rs, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), wm, st.Opts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRecovered(t, want, st2, rs, wm)
+			checkRecovered(t, imageOf(img, st), st2, rs, wm)
 		})
 	}
+	// A 4→6 reshard (non-doubling: keys move between the old shards too) of
+	// 20 000 keys, cut right after activation (seed 1: every key still in
+	// its old table), one and two thirds of the way through the
+	// redistribution (keys in two tables at once), and right before the
+	// commit word (seed 4). RandomSubset additionally lets each line of the
+	// fence that was draining at the cut land or not on a coin flip.
+	st := newTestStore(t, Options{Shards: 4, Buckets: 1024, MemWords: 1 << 20})
+	sess := Open[string](st, Direct)
+	for k := 0; k < 20000; k++ {
+		sess.Put(fmt.Sprintf("ms-%d", k), uint64(k)+7)
+	}
+	sess.Close()
 	for seed := int64(1); seed <= 4; seed++ {
 		mode := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset}[seed%2]
 		t.Run(fmt.Sprintf("mid-split/seed%d/%s", seed, mode), func(t *testing.T) {
-			st, img := midSplitImage(t, seed, mode)
-			want := imageOf(img, st).model()
-			if len(want) != 6 {
-				t.Fatalf("image describes %d tables, want a 4→6 split in flight", len(want))
+			img, rest, wm := pendingReshard(t, st, 6, float64(seed-1)/3)
+			if mode == pmem.RandomSubset {
+				rng := rand.New(rand.NewSource(seed))
+				// The draining fence's records are its thread's, up to that
+				// thread's next epoch (thread IDs are reused, so a later
+				// thread's records can carry the same ID and epoch).
+				for _, rec := range rest {
+					if rec.Thread != rest[0].Thread {
+						continue
+					}
+					if rec.Epoch != rest[0].Epoch {
+						break
+					}
+					if rng.Intn(2) == 0 {
+						pmem.ApplyRecord(img, rec)
+					}
+				}
 			}
-			wm := st.Heap().Watermark()
+			if !imageOf(img, st).pending() {
+				t.Fatal("the image describes no reshard in flight")
+			}
 			st2, rs, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), wm, st.Opts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRecovered(t, want, st2, rs, wm)
+			checkRecovered(t, imageOf(img, st), st2, rs, wm)
 		})
 	}
 }
@@ -281,7 +339,7 @@ func TestRecoverIgnoresCycles(t *testing.T) {
 	link(c[len(c)-1], c[1], core.MarkBit) // …and one closing it
 	lost += 2
 
-	want := imageOf(img, st).model()
+	want, _ := imageOf(img, st).model()
 	if got := len(want[0]) + len(want[1]); got != keysBefore-lost {
 		t.Fatalf("the model reads %d keys from the bent image, want %d", got, keysBefore-lost)
 	}
@@ -289,64 +347,16 @@ func TestRecoverIgnoresCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRecovered(t, want, st2, rs, wm)
-}
-
-// midSplitImage loads a four-shard store, starts a split to six and cuts
-// the power once the migrator has moved a seeded number of keys (the store
-// is large enough that the migration outlasts a scheduler quantum). Before
-// the image is taken, some keys still waiting in their old shard get a
-// fresh value in their target table — what a session's Put on the shard
-// under migration writes — so the image holds keys in two tables with two
-// values: the case the "target table's copy wins" rule decides.
-func midSplitImage(t *testing.T, seed int64, mode pmem.CrashMode) (*Store, []uint64) {
-	t.Helper()
-	const keys = 20000
-	for attempt := 0; attempt < 5; attempt++ {
-		st := newTestStore(t, Options{Shards: 4, Buckets: 1024, MemWords: 1 << 19})
-		sess := Open[string](st, Direct)
-		for k := 0; k < keys; k++ {
-			sess.Put(fmt.Sprintf("ms-%d", k), uint64(k)+7)
-		}
-		sess.Close()
-		if err := st.Split(6); err != nil {
-			t.Fatal(err)
-		}
-		for after := uint64(seed * 500); st.SplitStat().Active && st.SplitStat().Moved < after; {
-			runtime.Gosched()
-		}
-		st.Mem().ArmCrash() // the migrator dies at its next instruction
-		if st.WaitSplit() {
-			continue // it finished first: a scheduling accident, build another
-		}
-		st.Mem().DisarmCrash()
-
-		lay := st.lay.Load()
-		planted := 0
-		for i, tb := range lay.tables {
-			for k, v := range tb.Snapshot() {
-				if nj := int(k % 6); nj != i && planted < 40*(i+1) {
-					th := lay.mig.target(lay, nj).Open(dstruct.ThreadOpts{})
-					th.Put(k, v+1)
-					th.Close()
-					planted++
-				}
-			}
-		}
-		if planted == 0 {
-			t.Fatal("no key is waiting in its old shard: the image does not exercise the merge rule")
-		}
-		return st, st.Mem().CrashImage(mode, seed)
-	}
-	t.Fatal("the migration outran the crash five times")
-	return nil, nil
+	checkRecovered(t, imageOf(img, st), st2, rs, wm)
 }
 
 // TestRecoverAllocsPerKey pins recovery's Go-heap diet at the benchmark's
 // shape (4 096 keys, 8 shards, one key per bucket on average): the gather
 // is one flat slice per shard, so what remains is per shard and per
-// goroutine, not per bucket or per key. The map-per-bucket gather this
-// replaced made several allocations per key.
+// goroutine, not per bucket or per key (one of them per shard is the
+// slice of chain starts the rebuild holds between its nodes' fence and its
+// heads'). The map-per-bucket gather this replaced made several
+// allocations per key.
 func TestRecoverAllocsPerKey(t *testing.T) {
 	const keys = 4096
 	st := newTestStore(t, Options{Shards: 8, ExpectedKeys: 2 * keys})

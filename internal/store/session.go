@@ -117,18 +117,12 @@ type sessionCore struct {
 	mode SessionMode
 
 	// Direct/Batched execution state: one pmem thread, one arena, one
-	// handle per shard table (nil in Combined mode — combined sessions own
-	// no execution resources, the per-shard combiners do). Handles track
-	// the store layout: ths aligns with the serving tables, dths with a
-	// migration's new target tables, and byTab caches one handle per table
-	// so layout swaps reuse handles and close releases every one opened.
-	t     *pmem.Thread
-	ar    *pheap.Arena
-	d     *core.Deferred // Batched only
-	lay   *layout
-	ths   []*hashtable.Thread
-	dths  []*hashtable.Thread
-	byTab map[*hashtable.Table]*hashtable.Thread
+	// handle per shard table, opened once (nil in Combined mode — combined
+	// sessions own no execution resources, the per-shard combiners do).
+	t   *pmem.Thread
+	ar  *pheap.Arena
+	d   *core.Deferred // Batched only
+	ths []*hashtable.Thread
 
 	// Combined announcement state: this session's slot at each shard's
 	// combiner, plus scratch reused across Apply calls.
@@ -155,51 +149,16 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 	}
 	c.t = s.mem.RegisterThread()
 	c.ar = s.heap.NewArena()
+	o := dstruct.ThreadOpts{T: c.t, Arena: c.ar}
 	if mode == Batched {
 		c.d = core.NewDeferred(s.policy)
-	}
-	c.byTab = make(map[*hashtable.Table]*hashtable.Thread)
-	c.refresh()
-	return c
-}
-
-func (c *sessionCore) topts() dstruct.ThreadOpts {
-	o := dstruct.ThreadOpts{T: c.t, Arena: c.ar}
-	if c.d != nil {
 		o.Policy = c.d
 	}
-	return o
-}
-
-// handleFor returns the session's handle on tbl, opening one on first use.
-func (c *sessionCore) handleFor(tbl *hashtable.Table) *hashtable.Thread {
-	if th, ok := c.byTab[tbl]; ok {
-		return th
+	c.ths = make([]*hashtable.Thread, len(s.tables))
+	for i, tbl := range s.tables {
+		c.ths[i] = tbl.Open(o)
 	}
-	th := tbl.Open(c.topts())
-	c.byTab[tbl] = th
-	return th
-}
-
-// refresh re-aligns the handle slices with the store's current layout
-// (cheap pointer compare when nothing changed — the per-op cost of online
-// splitting for every session).
-func (c *sessionCore) refresh() {
-	lay := c.st.lay.Load()
-	if lay == c.lay {
-		return
-	}
-	c.ths = c.ths[:0]
-	for _, tbl := range lay.tables {
-		c.ths = append(c.ths, c.handleFor(tbl))
-	}
-	c.dths = c.dths[:0]
-	if m := lay.mig; m != nil {
-		for _, tbl := range m.dir {
-			c.dths = append(c.dths, c.handleFor(tbl))
-		}
-	}
-	c.lay = lay
+	return c
 }
 
 // close releases everything the session holds: combiner slots in Combined
@@ -228,7 +187,7 @@ func (c *sessionCore) close() {
 			c.d.Flush(c.t)
 		}()
 	}
-	for _, th := range c.byTab {
+	for _, th := range c.ths {
 		th.Close()
 	}
 	c.ar.Release()
@@ -245,16 +204,10 @@ func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 		return c.res1[0]
 	}
 	c.pending++
-	c.refresh()
-	lay := c.lay
-	if lay.mig != nil {
-		return c.doMigrating(lay, kind, h, val)
-	}
-	return c.exec(c.ths[shardIdx(h, len(lay.tables))], kind, h, val)
+	return c.exec(c.ths[shardIdx(h, len(c.ths))], kind, h, val)
 }
 
-// exec runs one op on one table handle — the whole story when no split is
-// migrating.
+// exec runs one op on one table handle.
 //
 //flit:hotpath
 func (c *sessionCore) exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Result {
@@ -282,102 +235,6 @@ func (c *sessionCore) exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Res
 //go:noinline
 func errUnknownOp(kind OpKind) error {
 	return fmt.Errorf("store: unknown OpKind %d", kind)
-}
-
-// targetTh returns the handle for target shard index j under migration m.
-func (c *sessionCore) targetTh(m *migration, j int) *hashtable.Thread {
-	if j < m.oldN {
-		return c.ths[j]
-	}
-	return c.dths[j-m.oldN]
-}
-
-// doMigrating routes one op while a split migrates. Three per-key regimes:
-//
-//   - The key does not change shards (h%oldN == h%newN): single table,
-//     lock-free, exactly the no-split path.
-//   - The key's old shard is fully migrated (below the cursor): the key
-//     lives only in its target table — single table, lock-free.
-//   - Otherwise the key's old shard is pending or in flight: the op takes
-//     the migration read-lock (excluded only while the migrator moves a
-//     batch) and re-reads the cursor. A shard strictly above the cursor is
-//     untouched — old table only, which keeps every copy of the key in one
-//     place. The shard AT the cursor is dual-read: reads check the target
-//     first (authoritative), writes go to the target only, deletes clear
-//     old-then-new so no crash boundary resurrects a stale copy.
-func (c *sessionCore) doMigrating(lay *layout, kind OpKind, h, val uint64) Result {
-	m := lay.mig
-	oldIdx := shardIdx(h, m.oldN)
-	newIdx := shardIdx(h, m.newN)
-	if newIdx == oldIdx {
-		return c.exec(c.ths[oldIdx], kind, h, val)
-	}
-	if int64(oldIdx) < m.cursor.Load() {
-		return c.exec(c.targetTh(m, newIdx), kind, h, val)
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	cur := m.cursor.Load()
-	switch {
-	case int64(oldIdx) < cur:
-		return c.exec(c.targetTh(m, newIdx), kind, h, val)
-	case int64(oldIdx) > cur:
-		return c.exec(c.ths[oldIdx], kind, h, val)
-	}
-	return c.doDual(c.ths[oldIdx], c.targetTh(m, newIdx), kind, h, val)
-}
-
-// doDual is the in-flight-shard path: the key may exist in its old table,
-// its target table, or (mid-move) both with the target copy authoritative.
-func (c *sessionCore) doDual(old, tgt *hashtable.Thread, kind OpKind, h, val uint64) Result {
-	switch kind {
-	case OpGet:
-		if v, ok := tgt.Get(h); ok {
-			return Result{Val: v, Ok: true}
-		}
-		v, ok := old.Get(h)
-		return Result{Val: v, Ok: ok}
-	case OpContains:
-		return Result{Ok: tgt.Contains(h) || old.Contains(h)}
-	case OpPut:
-		// Upsert the target only: the stale old copy is shadowed by the
-		// read path and cleaned by the migrator (insert-if-absent there
-		// never overwrites this value). "Newly inserted" means absent from
-		// both tables.
-		ins := tgt.Put(h, val&ValueMask)
-		if ins && old.Contains(h) {
-			ins = false
-		}
-		return Result{Ok: ins}
-	case OpDelete:
-		// Old first: a crash between the two deletes must not leave a
-		// stale old copy that recovery would resurrect after the target
-		// copy is gone.
-		a := old.Delete(h)
-		b := tgt.Delete(h)
-		return Result{Ok: a || b}
-	case OpAdd:
-		for {
-			if _, ok := tgt.Get(h); ok {
-				v, _ := tgt.Add(h, val)
-				return Result{Val: v, Ok: true}
-			}
-			if v, ok := old.Get(h); ok {
-				// Seed the target with the summed value; losing the insert
-				// race means another session seeded it first — fold the
-				// delta in on the next pass.
-				nv := (v + val) & ValueMask
-				if tgt.Insert(h, nv) {
-					return Result{Val: nv, Ok: true}
-				}
-				continue
-			}
-			v, ok := tgt.Add(h, val)
-			return Result{Val: v, Ok: ok}
-		}
-	default:
-		panic(errUnknownOp(kind))
-	}
 }
 
 // apply executes a pre-hashed op vector, filling res (len(res) must equal

@@ -23,6 +23,7 @@ package store
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,25 +40,22 @@ const (
 	// superRoot is the root slot holding the superblock pointer; shard i
 	// lives at root slot 1+i.
 	superRoot = 0
-	// Superblock field indices. fMagic..fBuckets are the v1 layout;
-	// fBase..fDirPtr extend it for online shard growth (v2, Magic2):
-	// fShards is the serving shard count, fBase the count anchored in the
-	// heap root region (fixed at New — root regions cannot grow), and a
-	// split in progress is recorded as fNewShards > fShards with fDirPtr
-	// pointing at the shard directory, whose slot j anchors grown shard
-	// base+j the way a root slot anchors shard i < base.
-	fMagic       = 0
-	fShards      = 1
-	fBuckets     = 2
-	fBase        = 3
-	fNewShards   = 4
-	fDirPtr      = 5
-	superFields  = 3
-	superFields2 = 6
-	// Magic identifies a v1 FliT-Store superblock (fixed shard count). It
-	// fits the 48-bit key window so every policy can persist it untouched.
-	Magic = uint64(0xF117_5708_E001)
-	// Magic2 identifies a v2 superblock (online shard growth).
+	// Superblock field indices. fShards is the serving shard count, fBase
+	// the count anchored in the heap root region (fixed at New — root
+	// regions cannot grow), and a reshard in progress is recorded as
+	// fNewShards > fShards with fDirPtr pointing at the shard directory,
+	// whose slot j anchors grown shard base+j the way a root slot anchors
+	// shard i < base (see reshard.go).
+	fMagic      = 0
+	fShards     = 1
+	fBuckets    = 2
+	fBase       = 3
+	fNewShards  = 4
+	fDirPtr     = 5
+	superFields = 6
+	// Magic2 identifies a FliT-Store superblock; any other magic is
+	// rejected. It fits the 48-bit key window so every policy can persist
+	// it untouched.
 	Magic2 = uint64(0xF117_5708_E002)
 	// MaxShards bounds the shard count.
 	MaxShards = 1024
@@ -152,34 +150,24 @@ type Store struct {
 	policy core.Policy
 	stride int
 
-	// lay is the serving layout: the shard tables plus, while an online
-	// split migrates, the migration descriptor (see split.go). Sessions
-	// load it per operation; it is replaced atomically when a split
-	// starts or completes.
-	lay atomic.Pointer[layout]
+	// tables are the shard tables, fixed for the life of the Store: a
+	// different shard count is a different Store, built offline by Reshard.
+	tables []*hashtable.Table
 
-	// baseShards is the shard count anchored in the heap root region,
-	// fixed at New; shards grown later anchor in the persisted directory.
-	baseShards int
-	// sbAddr is the superblock's base address, for in-place field updates
-	// (the split activation and completion words).
+	// sbAddr is the superblock's base address in a store opened by attach,
+	// for a reshard's in-place activation and completion words.
 	sbAddr pmem.Addr
-	// growMu serializes Split against combiner initialization: the flat
-	// combiners capture the shard list at build time, so a store that
-	// combines cannot grow and a store mid-split cannot start combining.
-	growMu sync.Mutex
 
 	// recovered holds the RecoveryStats of the rebuild that produced this
 	// store, when it came from Recover rather than New — the observability
 	// layer exposes it (flit_recovery_seconds per shard on /metrics).
 	recovered *RecoveryStats
 
-	// Flat-combining state (see combine.go), built lazily by the first
-	// Combined session, under growMu (combiners capture the shard list, so
-	// they wait out any in-flight split and block later ones). combCrashed
-	// is the whole-process crash flag: a combiner or migrator whose crash
-	// countdown fires sets it, and every session touching the store
-	// thereafter dies with pmem.ErrCrashed.
+	// Flat-combining state (see combine.go), built once by the first
+	// Combined session. combCrashed is the whole-process crash flag: a
+	// combiner whose crash countdown fires sets it, and every Combined
+	// session touching the store thereafter dies with pmem.ErrCrashed.
+	combOnce    sync.Once
 	combiners   []*combiner
 	combCrashed atomic.Bool
 }
@@ -209,19 +197,17 @@ func New(opts Options) (*Store, error) {
 		return nil, err
 	}
 	st := &Store{
-		opts:       o,
-		mem:        mem,
-		heap:       pheap.NewWithRoots(mem, o.Shards+1),
-		policy:     pol,
-		stride:     stride,
-		baseShards: o.Shards,
+		opts:   o,
+		mem:    mem,
+		heap:   pheap.NewWithRoots(mem, o.Shards+1),
+		policy: pol,
+		stride: stride,
+		tables: make([]*hashtable.Table, o.Shards),
 	}
 	st.writeSuperblock()
-	tables := make([]*hashtable.Table, o.Shards)
-	for i := range tables {
-		tables[i] = hashtable.New(st.cfgFor(1+i), o.Buckets)
+	for i := range st.tables {
+		st.tables[i] = hashtable.New(st.cfgFor(1+i), o.Buckets)
 	}
-	st.lay.Store(&layout{tables: tables})
 	return st, nil
 }
 
@@ -237,7 +223,7 @@ func (s *Store) writeSuperblock() {
 	cfg := s.cfgFor(superRoot)
 	t := s.mem.RegisterThread()
 	ar := s.heap.NewArena()
-	sb := ar.Alloc(cfg.Words(superFields2))
+	sb := ar.Alloc(cfg.Words(superFields))
 	for f, v := range map[int]uint64{
 		fMagic:     Magic2,
 		fShards:    uint64(s.opts.Shards),
@@ -256,14 +242,8 @@ func (s *Store) writeSuperblock() {
 	t.Store(root, uint64(sb))
 	t.PWB(root)
 	t.PFence()
-	s.sbAddr = sb
 	ar.Release()
 	t.Release()
-}
-
-// sbField returns the address of superblock field f.
-func (s *Store) sbField(f int) pmem.Addr {
-	return s.sbAddr + pmem.Addr(f*s.stride)
 }
 
 // sbWrite updates one superblock field in place with a raw fenced store —
@@ -272,7 +252,7 @@ func (s *Store) sbField(f int) pmem.Addr {
 //
 //flit:rawpersist format-time metadata with its own store-PWB-fence discipline
 func (s *Store) sbWrite(t *pmem.Thread, f int, v uint64) {
-	a := s.sbField(f)
+	a := s.sbAddr + pmem.Addr(f*s.stride)
 	t.Store(a, v)
 	t.PWB(a)
 	t.PFence()
@@ -308,9 +288,8 @@ func (s *Store) Heap() *pheap.Heap { return s.heap }
 // Policy returns the persistence policy instance.
 func (s *Store) Policy() core.Policy { return s.policy }
 
-// NumShards returns the serving shard count (the pre-split count while a
-// migration is in flight; it jumps to the target count on completion).
-func (s *Store) NumShards() int { return len(s.lay.Load().tables) }
+// NumShards returns the shard count.
+func (s *Store) NumShards() int { return len(s.tables) }
 
 // LastRecovery returns the stats of the shard-parallel rebuild that
 // produced this store, or nil when the store was built fresh by New.
@@ -381,8 +360,7 @@ func hashKey[K Key](key K) uint64 {
 }
 
 // shardIdx is the one routing rule, h mod n, for every path that places a
-// hashed key on one of n shards: sessions, combiners, the split migrator
-// and recovery. Placement is persisted (a key's shard is where recovery
+// hashed key on one of n shards: sessions, combiners and recovery. Placement is persisted (a key's shard is where recovery
 // looks for it), so the result is exactly h % n for every n; a power-of-
 // two count — the default 8 — takes it with a mask instead of a 64-bit
 // hardware divide.
@@ -393,10 +371,8 @@ func shardIdx(h uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-func (s *Store) shardOf(h uint64) int { return shardIdx(h, len(s.lay.Load().tables)) }
-
 // ShardOf returns the shard index serving key.
-func (s *Store) ShardOf(key []byte) int { return s.shardOf(HashKeyBytes(key)) }
+func (s *Store) ShardOf(key []byte) int { return shardIdx(HashKeyBytes(key), len(s.tables)) }
 
 // Snapshot unions all shard snapshots, keyed by hashed key (test and
 // checker helper).
@@ -415,21 +391,10 @@ func (s *Store) ShardOf(key []byte) int { return s.shardOf(HashKeyBytes(key)) }
 // happens-before the Snapshot call (e.g. via WaitGroup join), as the
 // crash harnesses do.
 func (s *Store) Snapshot() map[uint64]uint64 {
-	lay := s.lay.Load()
 	out := make(map[uint64]uint64)
-	for _, sh := range lay.tables {
+	for _, sh := range s.tables {
 		for k, v := range sh.Snapshot() {
 			out[k] = v
-		}
-	}
-	if m := lay.mig; m != nil {
-		// Mid-split, a key being moved can exist in both its old shard
-		// and its target: the target copy is authoritative (session Puts
-		// upsert there, shadowing the stale old copy), so overlay it last.
-		for _, sh := range m.dir {
-			for k, v := range sh.Snapshot() {
-				out[k] = v
-			}
 		}
 	}
 	return out
@@ -446,163 +411,182 @@ type RecoveryStats struct {
 	Keys int
 }
 
-// Recover rebuilds a store from a crash image already loaded into mem.
-// The superblock (fixed root slot 0) self-describes shard count and
-// buckets; opts supplies what is deliberately volatile — policy, mode,
-// sizing hints — and must match the pre-crash configuration, as with any
-// persistent layout. All shards recover in parallel, each on its own
-// goroutine with its own pmem thread and arena.
-//
-// A crash mid-split (superblock fNewShards > fShards) recovers to the
-// POST-split layout: every table — old shards and split targets alike —
-// is gathered first (global barrier), then rebuilt in place with the keys
-// the target shard count assigns it, preferring a target table's copy of
-// a key over a stale old-shard copy (session Puts during migration upsert
-// the target only, and the deletion order old-then-new means a key caught
-// mid-delete survives nowhere it shouldn't). The rule is applied
-// uniformly to every shard, so it needs no migration cursor and is
-// idempotent: a crash during this recovery re-runs it from the same
-// still-active superblock, and only the final single-word fShards flip —
-// after every rebuild has fenced — marks the split complete.
-func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, RecoveryStats, error) {
+// geometry is what the superblock says about the shard tables.
+type geometry struct {
+	// base shards anchor in the heap root region, the rest in the
+	// directory at dir.
+	base int
+	// serving is the committed shard count; target > serving while a
+	// reshard is pending, target == serving otherwise.
+	serving, target int
+	buckets         int
+	dir             pmem.Addr
+}
+
+// attach opens the store persisted in mem as far as its superblock: the
+// policy, the recovered heap and the geometry, no tables yet (Recover
+// documents the arguments).
+func attach(mem *pmem.Memory, watermark uint64, opts Options) (*Store, geometry, error) {
 	o := opts.withDefaults()
-	var rs RecoveryStats
-	probe, err := core.NewPolicyByName(o.Policy, mem.Words(), o.HTBytes)
+	var g geometry
+	pol, err := core.NewPolicyByName(o.Policy, mem.Words(), o.HTBytes)
 	if err != nil {
-		return nil, rs, err
+		return nil, g, err
 	}
-	stride := dstruct.StrideFor(probe)
+	stride := dstruct.StrideFor(pol)
 	// Probe the superblock before the root-region size is known: slot 0's
 	// address does not depend on it.
 	probeHeap := pheap.RecoverWithRoots(mem, watermark, 1)
-	probeCfg := dstruct.Config{Heap: probeHeap, Policy: probe, Mode: o.Mode, RootSlot: superRoot, Stride: stride}
+	probeCfg := dstruct.Config{Heap: probeHeap, Policy: pol, Mode: o.Mode, RootSlot: superRoot, Stride: stride}
 	sb := dstruct.Ptr(mem.VolatileWord(probeCfg.Root()))
-	if sb == pmem.NilAddr {
-		return nil, rs, fmt.Errorf("store: no superblock in recovered memory (root slot %d = %d)", superRoot, sb)
+	if sb == pmem.NilAddr || mem.VolatileWord(probeCfg.Field(sb, fMagic)) != Magic2 {
+		return nil, g, fmt.Errorf("store: no superblock in recovered memory (root slot %d = %d)", superRoot, sb)
 	}
-	magic := mem.VolatileWord(probeCfg.Field(sb, fMagic))
-	if magic != Magic && magic != Magic2 {
-		return nil, rs, fmt.Errorf("store: no superblock in recovered memory (root slot %d = %d)", superRoot, sb)
+	field := func(f int) int { return int(mem.VolatileWord(probeCfg.Field(sb, f))) }
+	g = geometry{base: field(fBase), serving: field(fShards), target: field(fNewShards), buckets: field(fBuckets), dir: pmem.Addr(field(fDirPtr))}
+	if g.base < 1 || g.base > g.serving || g.serving > g.target || g.target > MaxShards {
+		return nil, g, fmt.Errorf("store: superblock shard counts base=%d serving=%d target=%d break 1 ≤ base ≤ serving ≤ target ≤ %d", g.base, g.serving, g.target, MaxShards)
 	}
-	shards := int(mem.VolatileWord(probeCfg.Field(sb, fShards)))
-	buckets := int(mem.VolatileWord(probeCfg.Field(sb, fBuckets)))
-	if shards < 1 || shards > MaxShards {
-		return nil, rs, fmt.Errorf("store: superblock shard count %d outside [1,%d]", shards, MaxShards)
+	if g.target > g.base && g.dir == pmem.NilAddr {
+		return nil, g, fmt.Errorf("store: superblock has grown shards but no directory pointer")
 	}
-	// v1 superblocks predate shard growth: base == serving == target.
-	base, newShards := shards, shards
-	var dir pmem.Addr
-	if magic == Magic2 {
-		base = int(mem.VolatileWord(probeCfg.Field(sb, fBase)))
-		newShards = int(mem.VolatileWord(probeCfg.Field(sb, fNewShards)))
-		dir = pmem.Addr(mem.VolatileWord(probeCfg.Field(sb, fDirPtr)))
-		if base < 1 || base > shards || newShards < shards || newShards > MaxShards {
-			return nil, rs, fmt.Errorf("store: superblock shard geometry base=%d serving=%d target=%d invalid", base, shards, newShards)
-		}
-		if newShards > base && dir == pmem.NilAddr {
-			return nil, rs, fmt.Errorf("store: superblock has grown shards but no directory pointer")
+	o.Buckets = g.buckets
+	// The carried watermark may predate a reshard's activation (Reshard
+	// crashed and is re-run with the arguments it was first given): raise
+	// it past what activation allocated and the superblock now references,
+	// the directory and the grown shards' table headers. Rebuilt nodes
+	// need no such care — rebuild gathers them all before it allocates.
+	if g.target > g.base {
+		watermark = max(watermark, uint64(dirSlotAddr(g.dir, g.target-g.base, stride)))
+		for j := 0; j < g.target-g.base; j++ {
+			hdr := dstruct.Ptr(mem.VolatileWord(dirSlotAddr(g.dir, j, stride)))
+			watermark = max(watermark, uint64(hdr)+uint64((1+g.buckets)*stride))
 		}
 	}
-	o.Shards, o.Buckets = newShards, buckets
+	return &Store{
+		opts:   o,
+		mem:    mem,
+		heap:   pheap.RecoverWithRoots(mem, watermark, g.base+1),
+		policy: pol,
+		stride: stride,
+		sbAddr: sb,
+	}, g, nil
+}
 
-	st := &Store{
-		opts:       o,
-		mem:        mem,
-		heap:       pheap.RecoverWithRoots(mem, watermark, base+1),
-		policy:     probe,
-		stride:     stride,
-		baseShards: base,
-		sbAddr:     sb,
+// cfgShard addresses shard i's anchor: a root slot below g.base, a
+// directory slot at or above it.
+func (s *Store) cfgShard(g geometry, i int) dstruct.Config {
+	if i < g.base {
+		return s.cfgFor(1 + i)
 	}
-	// cfgShard addresses shard i's anchor: a root slot below base, a
-	// directory slot at or above it.
-	cfgShard := func(i int) dstruct.Config {
-		if i < base {
-			return st.cfgFor(1 + i)
-		}
-		return st.cfgAt(dirSlotAddr(dir, i-base, stride))
-	}
+	return s.cfgAt(dirSlotAddr(g.dir, i-g.base, s.stride))
+}
 
-	rs.Shards = make([]time.Duration, newShards)
-	keys := make([]int, newShards)
-	tables := make([]*hashtable.Table, newShards)
+// Recover rebuilds a store from a crash image already loaded into mem.
+// The superblock (fixed root slot 0) self-describes shard counts and
+// buckets; opts supplies what is deliberately volatile — policy, mode,
+// sizing hints — and must match the pre-crash configuration, as with any
+// persistent layout. All shards recover in parallel, each on its own
+// goroutine with its own pmem thread and arena. A crash during a reshard
+// (superblock fNewShards > fShards) recovers to the NEW shard count: see
+// rebuild.
+func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, RecoveryStats, error) {
+	st, g, err := attach(mem, watermark, opts)
+	if err != nil {
+		return nil, RecoveryStats{}, err
+	}
+	return st, st.rebuild(g), nil
+}
+
+// rebuild gathers and rebuilds every table g describes and installs them
+// as the store's shards.
+//
+// Every table is gathered before any is rebuilt (a global barrier): when
+// the carried watermark is stale (the process crashed during a previous
+// recovery before it could hand the newer watermark forward), a shard's
+// fresh rebuild nodes can land on addresses still holding another shard's
+// not-yet-gathered chains. Gathering writes nothing, so once every shard
+// has its pairs in process memory the rebuilds may clobber those regions
+// freely.
+//
+// With no reshard pending each table is rebuilt from its own gather. A
+// pending reshard redistributes by the target count — a non-doubling one
+// moves keys BETWEEN serving shards too (k%old ≠ k%new with both below
+// old) — building the new version beside the old one before the old is
+// dropped (MOD's rule), in two barriered phases:
+//
+//	A. every table that GAINS keys is rebuilt to its own whole gather plus
+//	   the keys arriving from other tables, and fences;
+//	B. every table that LOSES keys is rebuilt down to the keys the target
+//	   count assigns it (a table that does neither is rebuilt here, from
+//	   its own gather).
+//
+// So at every persist boundary each key is in at least one table — its old
+// one until the end of A, its new one from then on — and, no session
+// writing meanwhile, every copy of a key carries the same value. A crash
+// anywhere re-runs the redistribution from the same still-pending
+// superblock; only the final single-word fShards flip, after B has fenced,
+// commits the reshard. A doubling reshard has no table that both gains and
+// loses, so it still rebuilds each table exactly once.
+func (s *Store) rebuild(g geometry) RecoveryStats {
+	n := g.target
+	rs := RecoveryStats{Shards: make([]time.Duration, n)}
+	keys := make([]int, n)
+	recovering := make([]*hashtable.Recovery, n)
+	s.opts.Shards, s.tables = n, make([]*hashtable.Table, n)
 	start := time.Now()
-	// Two-phase, with a global barrier between everyone's gather and
-	// anyone's rebuild: when the carried watermark is stale (the process
-	// crashed during a previous recovery before it could hand the newer
-	// watermark forward), a shard's fresh rebuild nodes can land on
-	// addresses still holding another shard's not-yet-gathered chains.
-	// Gathering writes nothing, so once every shard has its pairs in
-	// process memory the rebuilds may clobber those regions freely. The
-	// mid-split key redistribution reuses the same barrier: it needs every
-	// table's pairs before any table's final contents are known.
-	recovering := make([]*hashtable.Recovery, newShards)
-	var wg sync.WaitGroup
-	for i := 0; i < newShards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			recovering[i] = hashtable.BeginRecover(cfgShard(i))
-			rs.Shards[i] = time.Since(t0)
-		}(i)
+	// phase runs do(i) for every table in parallel and waits for all.
+	phase := func(do func(i int)) {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				t0 := time.Now()
+				do(i)
+				rs.Shards[i] += time.Since(t0)
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	phase(func(i int) { recovering[i] = hashtable.BeginRecover(s.cfgShard(g, i)) })
 
-	// An idle store keeps each table's own gather. A crashed split
-	// redistributes by the target shard count — a non-doubling split can
-	// move keys BETWEEN serving shards (k%oldN ≠ k%newN with both below
-	// oldN), so every serving shard's contents are recomputed, not kept.
-	// finals[j] lists shard j's pairs weakest first, as the rebuild keeps
-	// the last copy of a key: stale pre-move copies from the serving tables,
-	// then the table's own, authoritative gather — all of it for a split
-	// target, the keys that hash to it for a serving shard.
-	var finals [][]list.Pair
-	if newShards > shards {
-		finals = make([][]list.Pair, newShards)
-		for i := shards - 1; i >= 0; i-- {
-			for _, p := range recovering[i].Pairs() {
-				if nj := shardIdx(p.Key, newShards); nj != i {
-					finals[nj] = append(finals[nj], p)
+	if g.target == g.serving {
+		phase(func(i int) { s.tables[i], keys[i] = recovering[i].Complete() })
+	} else {
+		// in[j] are the pairs other tables hold for shard j, stay[j] the
+		// pairs of table j's own gather that remain in it.
+		in, stay := make([][]list.Pair, n), make([][]list.Pair, n)
+		loses := make([]bool, n)
+		for i, r := range recovering {
+			for _, p := range r.Pairs() {
+				if j := shardIdx(p.Key, n); j != i {
+					in[j] = append(in[j], p)
+					loses[i] = true
+				} else {
+					stay[i] = append(stay[i], p)
 				}
 			}
 		}
-		for i := range finals {
-			for _, p := range recovering[i].Pairs() {
-				if i >= shards || shardIdx(p.Key, newShards) == i {
-					finals[i] = append(finals[i], p)
-				}
+		gains := func(i int) bool { return len(in[i]) > 0 }
+		phase(func(i int) {
+			if gains(i) {
+				s.tables[i], keys[i] = recovering[i].CompleteWith(slices.Concat(in[i], recovering[i].Pairs()))
 			}
-		}
-	}
-
-	for i := 0; i < newShards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			if finals == nil {
-				tables[i], keys[i] = recovering[i].Complete()
-			} else {
-				tables[i], keys[i] = recovering[i].CompleteWith(finals[i])
+		})
+		phase(func(i int) {
+			if loses[i] || !gains(i) {
+				s.tables[i], keys[i] = recovering[i].CompleteWith(slices.Concat(in[i], stay[i]))
 			}
-			rs.Shards[i] += time.Since(t0)
-		}(i)
-	}
-	wg.Wait()
-	if newShards > shards {
-		// Every rebuild has fenced; the single-word serving-count flip is
-		// the split's idempotent commit point.
-		t := mem.RegisterThread()
-		st.sbWrite(t, fShards, uint64(newShards))
+		})
+		t := s.mem.RegisterThread()
+		s.sbWrite(t, fShards, uint64(n))
 		t.Release()
 	}
-	st.lay.Store(&layout{tables: tables})
 	rs.Elapsed = time.Since(start)
 	for _, k := range keys {
 		rs.Keys += k
 	}
-	kept := rs
-	st.recovered = &kept
-	return st, rs, nil
+	s.recovered = &rs
+	return rs
 }
