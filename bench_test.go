@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the FliT paper's
 // evaluation (§6), plus micro-benchmarks of the substrate. Each
-// BenchmarkFigN runs the corresponding harness experiment (short cells;
-// use cmd/flitbench for longer, quieter runs) and logs the full table
-// under -v; the headline quantity of each figure is emitted as a custom
-// benchmark metric.
+// BenchmarkFigN runs the corresponding figure preset of internal/bench
+// (short cells; use cmd/flitbench for longer, quieter runs) and logs the
+// full table under -v; the headline quantity of each figure is emitted
+// as a custom benchmark metric, read from the report by cell ID.
 package flit_test
 
 import (
@@ -16,24 +16,35 @@ import (
 	"flit/internal/bench"
 	"flit/internal/core"
 	"flit/internal/dstruct"
-	"flit/internal/harness"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 	"flit/internal/store"
 	"flit/internal/workload"
 )
 
-func benchOpts() harness.Options {
-	return harness.Options{
-		Threads:  runtime.GOMAXPROCS(0),
-		Duration: 60 * time.Millisecond,
+// runFigure measures figure id at bench durations (small sizes only for
+// Figure 8), logs its tables and returns the figure with the report they
+// were rendered from.
+func runFigure(b *testing.B, id string) (bench.Figure, *bench.Report) {
+	b.Helper()
+	f, ok := bench.FigurePreset(id, runtime.GOMAXPROCS(0), true, false)
+	if !ok {
+		b.Fatalf("figure %q missing", id)
 	}
-}
-
-func logTables(b *testing.B, tables []*harness.Table) {
-	for _, t := range tables {
+	f.Duration = 60 * time.Millisecond
+	rep, err := f.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, t := range f.Tables(rep) {
 		b.Log("\n" + t.Format())
 	}
+	return f, rep
+}
+
+// bstCell is the automatic small-BST point the §6 headlines are read at.
+func bstCell(policy string, updatePct int) bench.SetCell {
+	return bench.SetCell{DS: "bst", Policy: policy, Mode: dstruct.Automatic, KeyRange: 10_000, UpdatePct: updatePct}
 }
 
 // BenchmarkFig5 regenerates Figure 5 (flit-HT size tuning, automatic BST).
@@ -41,12 +52,13 @@ func logTables(b *testing.B, tables []*harness.Table) {
 // updates (the paper's collision collapse).
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tables := harness.Fig5(benchOpts())
-		t := tables[0]
-		if v4, v1m := t.Rows[0].Cells[2], t.Rows[2].Cells[2]; v4 > 0 {
+		_, rep := runFigure(b, "5")
+		small := bstCell(core.PolicyHT, 50)
+		small.HTBytes = 4 << 10
+		v4, v1m := rep.Mean(small.ID()+"/throughput"), rep.Mean(bstCell(core.PolicyHT, 50).ID()+"/throughput")
+		if v4 > 0 {
 			b.ReportMetric(v1m/v4, "x_1MB_over_4KB_at50upd")
 		}
-		logTables(b, tables)
 	}
 }
 
@@ -54,20 +66,12 @@ func BenchmarkFig5(b *testing.B) {
 // Metric: flit-HT throughput at the host's core count, in Mops/s.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tables := harness.Fig6(benchOpts())
-		t := tables[0]
-		cores := 0
-		for ci := range t.Cols {
-			if t.Cols[ci] == "" {
-				break
-			}
-			cores = ci
-			if t.Cols[ci] == "2" {
-				break
-			}
+		_, rep := runFigure(b, "6")
+		// Figure 6 sweeps powers of two: the largest not above the cores.
+		c := bstCell(core.PolicyHT, 5)
+		for c.Threads = 1; c.Threads*2 <= runtime.GOMAXPROCS(0); c.Threads *= 2 {
 		}
-		b.ReportMetric(t.Rows[2].Cells[cores], "Mops_flitHT_atCores")
-		logTables(b, tables)
+		b.ReportMetric(rep.Mean(c.ID()+"/throughput")/1e6, "Mops_flitHT_atCores")
 	}
 }
 
@@ -76,25 +80,20 @@ func BenchmarkFig6(b *testing.B) {
 // paper reports 2.17x..99.5x).
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tables := harness.Fig7(benchOpts())
-		summary := tables[len(tables)-1]
+		f, rep := runFigure(b, "7")
 		minS, maxS := 1e18, 0.0
-		for _, row := range summary.Rows {
-			for _, v := range row.Cells {
-				if v == 0 {
-					continue
-				}
-				if v < minS {
-					minS = v
-				}
-				if v > maxS {
-					maxS = v
-				}
+		for _, c := range f.Set {
+			if c.Policy != core.PolicyHT {
+				continue
+			}
+			flit := rep.Mean(c.ID() + "/throughput")
+			c.Policy = core.PolicyPlain
+			if plain := rep.Mean(c.ID() + "/throughput"); plain > 0 {
+				minS, maxS = min(minS, flit/plain), max(maxS, flit/plain)
 			}
 		}
 		b.ReportMetric(minS, "x_speedup_min")
 		b.ReportMetric(maxS, "x_speedup_max")
-		logTables(b, tables)
 	}
 }
 
@@ -104,19 +103,10 @@ func BenchmarkFig7(b *testing.B) {
 // the small BST at 0% updates (the paper shows near-1.0).
 func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		o.Small = true
-		tables := harness.Fig8(o)
-		for _, t := range tables {
-			for _, r := range t.Rows {
-				if r.Label == "flit-HT(1MB)" {
-					b.ReportMetric(r.Cells[0], "frac_of_baseline_bst0upd")
-				}
-				break
-			}
-			break
+		_, rep := runFigure(b, "8")
+		if base := rep.Mean(bstCell(core.PolicyNoPersist, 0).ID() + "/throughput"); base > 0 {
+			b.ReportMetric(rep.Mean(bstCell(core.PolicyHT, 0).ID()+"/throughput")/base, "frac_of_baseline_bst0upd")
 		}
-		logTables(b, tables)
 	}
 }
 
@@ -125,68 +115,36 @@ func BenchmarkFig8(b *testing.B) {
 // flushes FliT eliminates).
 func BenchmarkFig9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tables := harness.Fig9(benchOpts())
-		t := tables[0]
-		var plain, flit float64
-		for _, r := range t.Rows {
-			switch r.Label {
-			case "plain":
-				plain = r.Cells[2]
-			case "flit-HT(1MB)":
-				flit = r.Cells[2]
-			}
-		}
+		_, rep := runFigure(b, "9")
+		c := bench.SetCell{DS: "list", Policy: core.PolicyHT, Mode: dstruct.Automatic, KeyRange: 128, UpdatePct: 5}
+		flit := rep.Mean(c.ID() + "/pwbs_per_op")
+		c.Policy = core.PolicyPlain
 		if flit > 0 {
-			b.ReportMetric(plain/flit, "x_pwbs_plain_over_flit")
+			b.ReportMetric(rep.Mean(c.ID()+"/pwbs_per_op")/flit, "x_pwbs_plain_over_flit")
 		}
-		logTables(b, tables)
 	}
 }
 
-// BenchmarkAblationInvalidate regenerates ablation A (clwb invalidation).
-func BenchmarkAblationInvalidate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, harness.AblationInvalidate(benchOpts()))
-	}
-}
-
-// BenchmarkAblationPacked regenerates ablation B (packed flit-counters).
-func BenchmarkAblationPacked(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, harness.AblationPacked(benchOpts()))
-	}
-}
-
-// BenchmarkAblationPerLine regenerates ablation C (per-cache-line
-// counters, the paper's future-work variant).
-func BenchmarkAblationPerLine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, harness.AblationPerLine(benchOpts()))
-	}
-}
-
-// BenchmarkAblationIzraelevitz regenerates ablation D (the original
-// Izraelevitz et al. construction as the historical baseline).
-func BenchmarkAblationIzraelevitz(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, harness.AblationIzraelevitz(benchOpts()))
-	}
-}
-
-// BenchmarkAblationZipf regenerates ablation E (skewed-access contention).
-func BenchmarkAblationZipf(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		logTables(b, harness.AblationZipf(benchOpts()))
+// BenchmarkAblations regenerates ablations A–E: clwb invalidation,
+// packed flit-counters, per-cache-line counters (the paper's future-work
+// variant), the original Izraelevitz et al. construction as the
+// historical baseline, and skewed-access contention.
+func BenchmarkAblations(b *testing.B) {
+	for _, id := range bench.FigureIDs()[5:] {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runFigure(b, id)
+			}
+		})
 	}
 }
 
 // --- bench-matrix adapter ---
 
-// BenchmarkMatrixSmoke runs the CI perf-gate matrix (internal/bench's
-// "smoke" preset, shortened) and re-emits every report cell through the
-// Go-benchmark custom-metric channel — the thin adapter that keeps `go
-// test -bench` output and the BENCH_*.json schema reporting the same
-// numbers from the same fold.
+// BenchmarkMatrixSmoke runs internal/bench's "smoke" preset, shortened,
+// and re-emits every report cell through the Go-benchmark custom-metric
+// channel — the thin adapter that keeps `go test -bench` output and the
+// JSON report carrying the same numbers from the same fold.
 func BenchmarkMatrixSmoke(b *testing.B) {
 	m, ok := bench.Preset("smoke")
 	if !ok {
@@ -295,16 +253,24 @@ func BenchmarkPStore(b *testing.B) {
 	}
 }
 
+// newBenchSet builds and prefills ds under flit-HT, automatic, 10K keys.
+func newBenchSet(b *testing.B, ds string, runFor time.Duration) dstruct.Set {
+	b.Helper()
+	c := bstCell(core.PolicyHT, 0)
+	c.DS = ds
+	inst, err := bench.NewInstance(c, false, runFor)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return inst.Set
+}
+
 // BenchmarkSetContains measures a single-threaded automatic-mode Contains
 // on each structure under flit-HT (10K keys).
 func BenchmarkSetContains(b *testing.B) {
-	for _, ds := range harness.DataStructures {
+	for _, ds := range bench.DataStructures {
 		b.Run(ds, func(b *testing.B) {
-			inst := harness.Build(harness.Spec{
-				DS: ds, Policy: harness.PolHT, Mode: dstruct.Automatic, KeyRange: 10_000,
-			})
-			inst.Prefill()
-			th := inst.Set.NewThread()
+			th := newBenchSet(b, ds, 0).NewThread()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				th.Contains(uint64(i*2654435761) % 10_000)
@@ -316,14 +282,10 @@ func BenchmarkSetContains(b *testing.B) {
 // BenchmarkSetInsertDelete measures an automatic-mode insert+delete pair
 // under flit-HT.
 func BenchmarkSetInsertDelete(b *testing.B) {
-	for _, ds := range harness.DataStructures {
+	for _, ds := range bench.DataStructures {
 		b.Run(ds, func(b *testing.B) {
-			inst := harness.Build(harness.Spec{
-				DS: ds, Policy: harness.PolHT, Mode: dstruct.Automatic, KeyRange: 10_000,
-				Duration: 10 * time.Second, // leak budget for the skiplist
-			})
-			inst.Prefill()
-			th := inst.Set.NewThread()
+			// 10 s of leak budget for the skiplist.
+			th := newBenchSet(b, ds, 10*time.Second).NewThread()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := uint64(i*2654435761)%10_000 + 1
@@ -339,7 +301,7 @@ func BenchmarkSetInsertDelete(b *testing.B) {
 // newBenchStore builds a flit-HT store from o (shards, sizing, clock).
 func newBenchStore(b *testing.B, o store.Options) *store.Store {
 	b.Helper()
-	o.Policy = harness.PolHT
+	o.Policy = core.PolicyHT
 	st, err := store.New(o)
 	if err != nil {
 		b.Fatal(err)

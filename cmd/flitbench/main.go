@@ -1,28 +1,28 @@
-// Command flitbench regenerates the tables and figures of the FliT paper's
-// evaluation section (§6) on the simulated-NVRAM substrate, runs the
-// declarative benchmark matrices of internal/bench, and diffs benchmark
-// reports for the CI perf-regression gate.
+// Command flitbench drives internal/bench, the repo's one experiment
+// runner: it regenerates the tables and figures of the FliT paper's
+// evaluation section (§6) on the simulated-NVRAM substrate, and runs the
+// named benchmark matrices. Both are views of the same cells — a figure
+// is a preset matrix plus the tables rendered from its report.
 //
 // Usage:
 //
 //	flitbench -fig 7                          # one figure, text tables
 //	flitbench -fig all -duration 500ms -out results.txt
-//	flitbench -fig 7 -json r.json             # figure + BenchReport JSON
-//	flitbench -matrix smoke -json r.json      # declarative matrix run
+//	flitbench -fig 7 -json r.json             # figure + its report as JSON
+//	flitbench -matrix smoke -json r.json      # named matrix run
 //	flitbench -list                           # enumerate figure ids
-//	flitbench compare old.json new.json -threshold 10%
 //
 // Figures: 5 (flit-HT size tuning), 6 (thread scalability), 7 (structures x
 // durability x policy), 8 (update-ratio sweep, normalized), 9 (flushes per
 // operation), plus ablations: ablation-inv (clwb invalidation),
 // ablation-pack (packed counters), ablation-line (per-cache-line
-// counters), ablation-iz (Izraelevitz et al. baseline).
+// counters), ablation-iz (Izraelevitz et al. baseline), ablation-zipf
+// (access skew).
 //
-// Matrices: smoke (the CI perf gate's small fixed grid), full (the
-// nightly grid). `compare` exits non-zero when any cell of the new
-// report degrades beyond the threshold relative to the old one, or when
-// a baseline cell is missing — see EXPERIMENTS.md for how CI uses it
-// against the committed BENCH_baseline.json.
+// Matrices: smoke (a small fixed grid), groupcommit, combining, overload,
+// full (the nightly grid). A report records one run on one machine; it
+// is not a gate — performance claims are rows of `benchmark/run.sh
+// compare` (see benchmark/README.md).
 //
 // Absolute throughput is simulated-memory throughput; the paper's shapes
 // (who wins, by what factor, where crossovers fall) are the reproduction
@@ -39,15 +39,9 @@ import (
 	"time"
 
 	"flit/internal/bench"
-	"flit/internal/harness"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		runCompare(os.Args[2:])
-		return
-	}
-
 	fig := flag.String("fig", "all", "figure to regenerate (5,6,7,8,9,ablation-inv,ablation-pack,ablation-line,ablation-iz,ablation-zipf,all)")
 	matrix := flag.String("matrix", "", fmt.Sprintf("run a declarative benchmark matrix instead of figures (%s)", strings.Join(bench.PresetNames(), "|")))
 	duration := flag.Duration("duration", 250*time.Millisecond, "measured duration per cell")
@@ -58,14 +52,14 @@ func main() {
 	out := flag.String("out", "", "also append output to this file")
 	repeats := flag.Int("repeats", 1, "average each cell over N runs (the paper used 5)")
 	seed := flag.Int64("seed", 1, "matrix mode: workload generator seed")
-	vclock := flag.Bool("vclock", false, "matrix mode: virtual-clock cost accounting (no spin loops; pwbs/op cells identical, throughput cells not comparable with spin-mode reports)")
+	vclock := flag.Bool("vclock", false, "virtual-clock cost accounting (no spin loops; pwbs/op cells identical, throughput cells not comparable with spin-mode reports)")
 	csv := flag.String("csv", "", "also append CSV-formatted tables to this file")
 	jsonOut := flag.String("json", "", "write a machine-readable BenchReport (see internal/bench) to this file")
 	listFigs := flag.Bool("list", false, "list available figures and exit")
 	flag.Parse()
 
 	if *listFigs {
-		for _, id := range harness.FigureOrder {
+		for _, id := range bench.FigureIDs() {
 			fmt.Println(id)
 		}
 		return
@@ -86,13 +80,6 @@ func main() {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	opts := harness.Options{
-		Threads:    *threads,
-		Duration:   *duration,
-		Small:      *small,
-		Invalidate: *invalidate,
-		Repeats:    *repeats,
-	}
 	var csvFile *os.File
 	if *csv != "" {
 		f, err := os.OpenFile(*csv, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -104,21 +91,37 @@ func main() {
 	}
 	ids := []string{*fig}
 	if *fig == "all" {
-		ids = harness.FigureOrder
+		ids = bench.FigureIDs()
 	}
 	fmt.Fprintf(w, "flitbench: %d threads, %v per cell, invalidating-clwb=%v\n\n",
-		opts.Threads, opts.Duration, opts.Invalidate)
-	figures := make(map[string][]*harness.Table)
+		*threads, *duration, *invalidate)
+	// One report across the requested figures: a cell two figures share
+	// (Figure 9's are all Figure 7's) is measured by the first and read
+	// by both.
+	all := new(bench.Report)
 	for _, id := range ids {
-		run, ok := harness.Figures[id]
+		f, ok := bench.FigurePreset(id, *threads, *small, *invalidate)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "flitbench: unknown figure %q (try -list)\n", id)
 			os.Exit(1)
 		}
+		f.Duration, f.Repeats, f.VirtualClock = *duration, *repeats, *vclock
 		start := time.Now()
-		tables := run(opts)
-		figures[id] = tables
-		for _, table := range tables {
+		var unmeasured []bench.SetCell
+		for _, c := range f.Set {
+			if all.Find(c.ID()+"/throughput") == nil {
+				unmeasured = append(unmeasured, c)
+			}
+		}
+		if f.Set = unmeasured; len(f.Set) > 0 {
+			rep, err := f.Run()
+			if err != nil {
+				fatal(err)
+			}
+			rep.Cells = append(all.Cells, rep.Cells...)
+			all = rep
+		}
+		for _, table := range f.Tables(all) {
 			fmt.Fprintln(w, table.Format())
 			if csvFile != nil {
 				fmt.Fprintln(csvFile, table.CSV())
@@ -127,17 +130,11 @@ func main() {
 		fmt.Fprintf(w, "(figure %s took %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	if *jsonOut != "" {
-		cfg := map[string]string{
-			"figures":  strings.Join(ids, ","),
-			"threads":  fmt.Sprint(opts.Threads),
-			"duration": opts.Duration.String(),
-			"repeats":  fmt.Sprint(opts.Repeats),
-		}
-		rep := bench.FromTables(cfg, figures)
-		if err := rep.WriteFile(*jsonOut); err != nil {
+		all.Config["matrix"] = "fig-" + strings.Join(ids, ",")
+		if err := all.WriteFile(*jsonOut); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(w, "wrote %d cells to %s\n", len(rep.Cells), *jsonOut)
+		fmt.Fprintf(w, "wrote %d cells to %s\n", len(all.Cells), *jsonOut)
 	}
 }
 
@@ -184,75 +181,6 @@ func runMatrix(name string, threads int, duration, warmup time.Duration, repeats
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", jsonOut)
-	}
-}
-
-// runCompare diffs two BenchReports and exits 1 on regression. Flags
-// are accepted before or after the file arguments. -lower-threshold
-// gates the lower-is-better cells (flush rates, latency) separately —
-// they are near-deterministic, so they can be held far tighter than
-// host-noisy throughput.
-func runCompare(args []string) {
-	threshold := "10%"
-	lowerThreshold := ""
-	var files []string
-	takeValue := func(i *int, name string) string {
-		*i++
-		if *i >= len(args) {
-			fatal(fmt.Errorf("compare: %s needs a value", name))
-		}
-		return args[*i]
-	}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-threshold" || a == "--threshold":
-			threshold = takeValue(&i, a)
-		case strings.HasPrefix(a, "-threshold="):
-			threshold = strings.TrimPrefix(a, "-threshold=")
-		case strings.HasPrefix(a, "--threshold="):
-			threshold = strings.TrimPrefix(a, "--threshold=")
-		case a == "-lower-threshold" || a == "--lower-threshold":
-			lowerThreshold = takeValue(&i, a)
-		case strings.HasPrefix(a, "-lower-threshold="):
-			lowerThreshold = strings.TrimPrefix(a, "-lower-threshold=")
-		case strings.HasPrefix(a, "--lower-threshold="):
-			lowerThreshold = strings.TrimPrefix(a, "--lower-threshold=")
-		case a == "-h" || a == "-help" || a == "--help":
-			fmt.Fprintln(os.Stderr, "usage: flitbench compare old.json new.json [-threshold 10%] [-lower-threshold 10%]")
-			return
-		default:
-			files = append(files, a)
-		}
-	}
-	if len(files) != 2 {
-		fatal(fmt.Errorf("compare: want exactly two report files, got %d (usage: flitbench compare old.json new.json [-threshold 10%%])", len(files)))
-	}
-	th, err := bench.ParseThreshold(threshold)
-	if err != nil {
-		fatal(err)
-	}
-	lth := th
-	if lowerThreshold != "" {
-		if lth, err = bench.ParseThreshold(lowerThreshold); err != nil {
-			fatal(err)
-		}
-	}
-	oldRep, err := bench.ReadFile(files[0])
-	if err != nil {
-		fatal(err)
-	}
-	newRep, err := bench.ReadFile(files[1])
-	if err != nil {
-		fatal(err)
-	}
-	res, err := bench.CompareThresholds(oldRep, newRep, th, lth)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(res.Format())
-	if !res.OK() {
-		os.Exit(1)
 	}
 }
 

@@ -34,8 +34,9 @@
 //   - internal/hist:   a durable-linearizability checker for set histories
 //   - internal/crashtest: randomized crash-recovery validation for single
 //     structures and whole stores
-//   - internal/harness: the workload driver regenerating every figure of
-//     the paper's evaluation section
+//   - internal/bench: the one experiment runner — every figure and
+//     ablation of the paper's evaluation section is a preset of its
+//     matrix, rendered from the same machine-readable report
 //
 // Above the paper's scope, the service layer exercises FliT at
 // production shape:

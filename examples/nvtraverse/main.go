@@ -9,25 +9,33 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
+	"flit/internal/bench"
+	"flit/internal/core"
 	"flit/internal/dstruct"
-	"flit/internal/harness"
 )
 
 func main() {
 	fmt.Println("BST, 10K keys, 5% updates, one run per durability method")
 	fmt.Println()
 	fmt.Printf("%-12s %-16s %14s %12s\n", "durability", "policy", "throughput", "pwbs/op")
+	var cells []bench.SetCell
 	for _, mode := range dstruct.Modes {
-		for _, pol := range []string{harness.PolPlain, harness.PolHT} {
-			r := harness.Measure(
-				harness.Spec{DS: "bst", Policy: pol, Mode: mode, KeyRange: 10_000},
-				harness.Workload{Threads: 2, UpdatePct: 5, Duration: 200 * time.Millisecond},
-			)
-			fmt.Printf("%-12s %-16s %11.2f Mops %12.3f\n",
-				mode, pol, r.OpsPerSec/1e6, r.PWBsPerOp)
+		for _, pol := range []string{core.PolicyPlain, core.PolicyHT} {
+			cells = append(cells, bench.SetCell{DS: "bst", Policy: pol, Mode: mode, KeyRange: 10_000, UpdatePct: 5})
 		}
+	}
+	// One 200 ms run per cell, no warm-up window.
+	rep, err := bench.Matrix{Name: "nvtraverse", Threads: 2, Duration: 200 * time.Millisecond, Warmup: -1, Repeats: 1, Set: cells}.Run()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nvtraverse:", err)
+		os.Exit(1)
+	}
+	for _, c := range cells {
+		fmt.Printf("%-12s %-16s %11.2f Mops %12.3f\n",
+			c.Mode, c.Policy, rep.Mean(c.ID()+"/throughput")/1e6, rep.Mean(c.ID()+"/pwbs_per_op"))
 	}
 	fmt.Println()
 	fmt.Println("Reading the table like the paper does (§6.4):")

@@ -1,12 +1,18 @@
-// Package bench is the benchmark orchestration subsystem: it runs
-// declarative matrices of policy × data structure × workload (reusing
-// the core policy registry, the harness's figure specs, the YCSB
-// workload mixes and the FliT-Store service), folds warmup + repeated
-// runs into summary statistics, and emits one versioned machine-readable
-// schema (BenchReport) that every emitter in the repo shares —
-// cmd/flitbench (-json / -matrix) and the Go-benchmark adapter in
-// bench_test.go. `Compare` diffs two reports cell by cell and
-// is the engine of the CI perf-regression gate (see EXPERIMENTS.md).
+// Package bench is the repo's one experiment runner. A Matrix declares
+// cells — structure-level points (SetCell: policy × data structure ×
+// durability mode × workload), YCSB mixes against the FliT-Store
+// embedded, behind the group-commit server, through the flat combiners
+// and under admission control — and Run measures each through one
+// schedule (discarded warm-up, repeated windows folded by
+// internal/bench/stats) into one versioned machine-readable Report. The
+// figures and ablations of the paper's §6 are presets of the same
+// runner (FigurePreset): set cells plus Views that render the paper's
+// tables from the Report. cmd/flitbench (-fig / -matrix / -json) and the
+// Go-benchmark adapter in bench_test.go are its emitters.
+//
+// A Report is a record of one run on one machine, not a gate:
+// performance claims are rows of `benchmark/run.sh compare` (see
+// benchmark/README.md).
 package bench
 
 import (
@@ -21,23 +27,19 @@ import (
 	"flit/internal/bench/stats"
 )
 
-// SchemaVersion stamps every report. Bump it when a field changes
-// meaning. Readers accept any version in [MinSchemaVersion,
-// SchemaVersion], so a v2 candidate can still be gated against a v1
-// baseline (whose cells simply lack the newer fields).
+// SchemaVersion stamps every report; readers accept exactly this
+// version. Bump it when a field changes meaning.
 //
-// v2 added per-cell wall-clock ns/op and allocs/op.
-const SchemaVersion = 2
+// v3 dropped v2's per-cell wall-clock ns/op and allocs/op and the
+// figure-table cell IDs: figure reports carry the matrix's set/… cells.
+const SchemaVersion = 3
 
-// MinSchemaVersion is the oldest report version readers still accept.
-const MinSchemaVersion = 1
-
-// Report is the versioned machine-readable benchmark record — the unit
-// of the repo's BENCH_*.json perf trajectory. Field names are stable
-// identifiers; additions are backwards-compatible, renames are not.
+// Report is the versioned machine-readable benchmark record. Field names
+// are stable identifiers; additions are backwards-compatible, renames
+// are not.
 type Report struct {
 	SchemaVersion int    `json:"schema_version"`
-	Tool          string `json:"tool"` // "flitbench" (figure tables) | "bench-matrix" (Matrix.Run)
+	Tool          string `json:"tool"` // "bench-matrix" (Matrix.Run)
 	GitRev        string `json:"git_rev,omitempty"`
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
@@ -49,7 +51,7 @@ type Report struct {
 }
 
 // Cell is one measured point of the matrix. ID is unique within a
-// report and is the join key of Compare; keep IDs deterministic
+// report and is what views and readers join on; keep IDs deterministic
 // functions of the configuration, never of the measurement.
 type Cell struct {
 	ID   string `json:"id"`
@@ -58,8 +60,8 @@ type Cell struct {
 	// quantity (throughput for */throughput cells, flush rate for
 	// */pwbs_per_op cells, …).
 	Value stats.Summary `json:"value"`
-	// LowerIsBetter flips Compare's regression direction (latency and
-	// flush-count cells regress upward).
+	// LowerIsBetter marks cells that regress upward (latency and flush
+	// counts).
 	LowerIsBetter bool `json:"lower_is_better,omitempty"`
 
 	// Optional raw counts and tail latencies, populated by runners that
@@ -70,13 +72,6 @@ type Cell struct {
 	P50Ns   int64  `json:"p50_ns,omitempty"`
 	P95Ns   int64  `json:"p95_ns,omitempty"`
 	P99Ns   int64  `json:"p99_ns,omitempty"`
-
-	// Schema v2: wall-clock thread-nanoseconds per op and Go heap
-	// allocations per op over the measured window (mean across repeats)
-	// — the runner-overhead trajectory the simulated throughput numbers
-	// can't see. Absent (zero) in v1 reports.
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // NewReport stamps a report with the environment: git revision, Go
@@ -121,13 +116,21 @@ func (r *Report) Find(id string) *Cell {
 	return nil
 }
 
+// Mean returns the mean of the cell with the given ID, or 0 if the
+// report has none.
+func (r *Report) Mean(id string) float64 {
+	if c := r.Find(id); c != nil {
+		return c.Value.Mean
+	}
+	return 0
+}
+
 // Validate checks the report is schema-valid: current version, a tool
 // name, and cells with unique non-empty IDs, units, at least one
 // observation, and finite numbers.
 func (r *Report) Validate() error {
-	if r.SchemaVersion < MinSchemaVersion || r.SchemaVersion > SchemaVersion {
-		return fmt.Errorf("bench: schema version %d outside supported [%d,%d]",
-			r.SchemaVersion, MinSchemaVersion, SchemaVersion)
+	if r.SchemaVersion != SchemaVersion {
+		return fmt.Errorf("bench: schema version %d, want %d", r.SchemaVersion, SchemaVersion)
 	}
 	if r.Tool == "" {
 		return fmt.Errorf("bench: report has no tool")
@@ -169,22 +172,6 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(enc, '\n'), 0o644)
-}
-
-// ReadFile loads and validates a report.
-func ReadFile(path string) (*Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	return &r, nil
 }
 
 // MetricReporter is the slice of *testing.B the Go-bench adapter needs;

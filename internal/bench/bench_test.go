@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -27,8 +29,15 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := new(Report)
+	if err := json.Unmarshal(raw, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r, got) {
@@ -46,7 +55,7 @@ func TestValidate(t *testing.T) {
 		want   string
 	}{
 		{"ok", func(r *Report) {}, ""},
-		{"version", func(r *Report) { r.SchemaVersion = 99 }, "schema version"},
+		{"version", func(r *Report) { r.SchemaVersion = SchemaVersion - 1 }, "schema version"},
 		{"no tool", func(r *Report) { r.Tool = "" }, "no tool"},
 		{"no cells", func(r *Report) { r.Cells = nil }, "no cells"},
 		{"empty id", func(r *Report) { r.Cells[0].ID = "" }, "empty id"},

@@ -10,30 +10,10 @@ import (
 	"flit/internal/client"
 	"flit/internal/core"
 	"flit/internal/dstruct"
-	"flit/internal/harness"
 	"flit/internal/server"
 	"flit/internal/store"
 	"flit/internal/workload"
 )
-
-// SetCell is one point of the data-structure benchmark grid: a policy ×
-// structure × durability mode × update ratio, driven by the figure
-// harness (build, prefill, timed uniform workload).
-type SetCell struct {
-	DS        string
-	Policy    string
-	Mode      dstruct.Mode
-	KeyRange  uint64
-	UpdatePct int
-}
-
-// ID is the cell's stable identity — a lossless function of the cell
-// configuration (sizing included, so differently-sized matrices can
-// never silently join in Compare).
-func (c SetCell) ID() string {
-	return SlugID("set", c.DS, c.Mode.String(), c.Policy,
-		fmt.Sprintf("k%d", c.KeyRange), fmt.Sprintf("u%d", c.UpdatePct))
-}
 
 // StoreCell is one point of the service-layer grid: a YCSB mix ×
 // distribution × policy against the sharded FliT-Store.
@@ -83,15 +63,10 @@ func (c NetCell) ID() string {
 // numbers are goodput (acknowledged ops/s, which must track the cap),
 // shed_rate (the fraction of offered ops rejected), and the goodput
 // p99 (which must stay bounded precisely because excess work is shed,
-// not queued). RateLimit 0 is the uncapped control cell.
+// not queued). The embedded NetCell is the load offered; RateLimit 0 is
+// the uncapped control cell.
 type OverloadCell struct {
-	Mix       string
-	Dist      string
-	Policy    string
-	Shards    int
-	Records   uint64
-	Conns     int
-	Depth     int
+	NetCell
 	RateLimit float64
 	Burst     int
 }
@@ -156,17 +131,17 @@ type Matrix struct {
 	Repeats int   // measured repeats per cell; default 2
 	Seed    int64 // workload generator seed (0 is a valid seed)
 	// Latency additionally emits p99 cells for store workloads (off for
-	// the CI smoke matrix — tail latency is too noisy for a shared
-	// runner's gate; on for the nightly full matrix).
+	// the smoke matrix — tail latency on a shared runner is noise; on
+	// for the nightly full matrix).
 	Latency bool
 	// VirtualClock runs every cell with pmem's virtual-clock cost mode:
 	// modeled latency accrues to per-thread counters instead of spin
-	// loops. Single-threaded runs (the pinned CI smoke matrix) execute
-	// the identical instruction stream either way, so their pwbs/op
-	// cells match spin-mode runs exactly; with more threads, different
-	// interleavings can shift pwbs/op slightly (reader-helping flushes,
-	// CAS retries). Throughput cells are NOT comparable with spin-mode
-	// reports in any case — Compare surfaces the config difference.
+	// loops. Single-threaded runs execute the identical instruction
+	// stream either way, so their pwbs/op cells match spin-mode runs
+	// exactly; with more threads, different interleavings can shift
+	// pwbs/op slightly (reader-helping flushes, CAS retries). Throughput
+	// cells are NOT comparable with spin-mode reports in any case — the
+	// report's config records the mode.
 	VirtualClock bool
 	Set          []SetCell
 	Store        []StoreCell
@@ -215,8 +190,10 @@ func (m Matrix) Run() (*Report, error) {
 		return nil, fmt.Errorf("bench: matrix %q has no cells", m.Name)
 	}
 	rep := NewReport("bench-matrix", m.Config())
-	for _, c := range m.Set {
-		m.runSet(rep, c)
+	for _, group := range planSet(m.Set) {
+		if err := m.runSet(rep, group); err != nil {
+			return nil, fmt.Errorf("bench: cell %s: %w", group[0].ID(), err)
+		}
 	}
 	for _, c := range m.Store {
 		err := m.runEmbedded(rep, c.ID(),
@@ -246,12 +223,8 @@ func (m Matrix) Run() (*Report, error) {
 		}
 	}
 	for _, c := range m.Overload {
-		wire := NetCell{
-			Mix: c.Mix, Dist: c.Dist, Policy: c.Policy, Shards: c.Shards,
-			Records: c.Records, Conns: c.Conns, Depth: c.Depth,
-		}
 		sopts := server.Options{RateLimit: c.RateLimit, RateBurst: c.Burst}
-		if err := m.runWire(rep, c.ID(), wire, sopts, true); err != nil {
+		if err := m.runWire(rep, c.ID(), c.NetCell, sopts, true); err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
 		}
 	}
@@ -261,53 +234,96 @@ func (m Matrix) Run() (*Report, error) {
 	return rep, nil
 }
 
-// runSet measures one data-structure cell via the figure harness.
-func (m Matrix) runSet(rep *Report, c SetCell) {
-	total := m.Warmup + m.Duration*time.Duration(m.Repeats)
-	inst := harness.Build(harness.Spec{
-		DS: c.DS, Policy: c.Policy, Mode: c.Mode,
-		KeyRange: c.KeyRange, Duration: total,
-		VirtualClock: m.VirtualClock,
-	})
-	inst.Prefill()
-	w := harness.Workload{Threads: m.Threads, UpdatePct: c.UpdatePct, Duration: m.Duration}
-	if m.Warmup > 0 {
-		warm := w
-		warm.Duration = m.Warmup
-		harness.RunWorkload(inst, warm)
-	}
-	res := harness.RepeatRuns(m.Repeats, func() harness.Result {
-		return harness.RunWorkload(inst, w)
-	})
-	id := c.ID()
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: res.Throughput,
-		Ops: res.Ops, PWBs: res.PWBs, PFences: res.PFences,
-		NsPerOp: res.NsPerOp, AllocsPerOp: res.AllocsPerOp,
-	})
-	rep.Add(Cell{
-		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: res.PWBRate,
-		LowerIsBetter: true,
-	})
+// window is what one timed window of any cell kind hands the fold.
+type window struct {
+	ops, pwbs, pfences   uint64
+	opsPerSec, pwbsPerOp float64
+	p50, p95, p99        time.Duration
+	// aux is the cell kind's own rate, if it has one: ops per batch for
+	// net cells, shed per offered op for overload cells.
+	aux float64
 }
 
-// repeat runs one cell's measurement schedule: a discarded warmup
-// window, then m.Repeats measured windows, each through run.
-func repeat[R any](m Matrix, run func(time.Duration) (R, error)) ([]R, error) {
+// fold is one cell's measured windows: raw counts and latencies summed
+// in head, the rate quantities kept per window for the stats kernel.
+type fold struct {
+	head                    Cell
+	tput, pwbRate, p99, aux []float64
+}
+
+// repeat runs one cell's measurement schedule — a discarded warmup
+// window, then m.Repeats measured windows, each through run — and folds
+// the measured ones. Every cell kind goes through it.
+func (m Matrix) repeat(run func(time.Duration) (window, error)) (fold, error) {
+	var f fold
 	if m.Warmup > 0 {
 		if _, err := run(m.Warmup); err != nil {
-			return nil, err
+			return f, err
 		}
 	}
-	runs := make([]R, 0, m.Repeats)
 	for i := 0; i < m.Repeats; i++ {
-		r, err := run(m.Duration)
+		w, err := run(m.Duration)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
-		runs = append(runs, r)
+		f.tput = append(f.tput, w.opsPerSec)
+		f.pwbRate = append(f.pwbRate, w.pwbsPerOp)
+		f.p99 = append(f.p99, float64(w.p99.Nanoseconds()))
+		f.aux = append(f.aux, w.aux)
+		f.head.Ops += w.ops
+		f.head.PWBs += w.pwbs
+		f.head.PFences += w.pfences
+		f.head.P50Ns += w.p50.Nanoseconds()
+		f.head.P95Ns += w.p95.Nanoseconds()
+		f.head.P99Ns += w.p99.Nanoseconds()
 	}
-	return runs, nil
+	n := int64(m.Repeats)
+	f.head.P50Ns, f.head.P95Ns, f.head.P99Ns = f.head.P50Ns/n, f.head.P95Ns/n, f.head.P99Ns/n
+	return f, nil
+}
+
+// headline is the fold's ops/s cell — throughput, or goodput under
+// overload — carrying the raw counts and mean latencies.
+func (f fold) headline(id string) Cell {
+	c := f.head
+	c.ID, c.Unit, c.Value = id, "ops/s", stats.Summarize(f.tput)
+	return c
+}
+
+// rate is a cell summarizing one per-window rate series.
+func rate(id, unit string, xs []float64, lowerIsBetter bool) Cell {
+	return Cell{ID: id, Unit: unit, Value: stats.Summarize(xs), LowerIsBetter: lowerIsBetter}
+}
+
+// emit adds the pair every throughput-shaped cell reports: ops/s and
+// pwbs/op, plus the p99 trajectory cell when the matrix asks for it.
+func (f fold) emit(rep *Report, id string, latency bool) {
+	rep.Add(f.headline(id + "/throughput"))
+	rep.Add(rate(id+"/pwbs_per_op", "pwbs/op", f.pwbRate, true))
+	if latency {
+		rep.Add(rate(id+"/p99", "ns", f.p99, true))
+	}
+}
+
+// runSet measures one group of set cells that share their build fields
+// on one built-and-prefilled instance.
+func (m Matrix) runSet(rep *Report, group []SetCell) error {
+	perCell := m.Warmup + m.Duration*time.Duration(m.Repeats)
+	inst, err := NewInstance(group[0], m.VirtualClock, perCell*time.Duration(len(group)))
+	if err != nil {
+		return err
+	}
+	for _, c := range group {
+		threads := c.Threads
+		if threads == 0 {
+			threads = m.Threads
+		}
+		f, _ := m.repeat(func(d time.Duration) (window, error) {
+			return inst.run(c, threads, d), nil
+		})
+		f.emit(rep, c.ID(), false)
+	}
+	return nil
 }
 
 // loadedStore builds a sharded store sized for records and YCSB-loads
@@ -324,14 +340,6 @@ func (m Matrix) loadedStore(opts store.Options, records uint64) (*store.Store, e
 	return st, nil
 }
 
-// addLatency emits the cell's p99 trajectory cell.
-func addLatency(rep *Report, id string, p99 []float64) {
-	rep.Add(Cell{
-		ID: id + "/p99", Unit: "ns", Value: stats.Summarize(p99),
-		LowerIsBetter: true,
-	})
-}
-
 // runEmbedded measures one in-process store cell through the workload
 // runner in spec's session mode: a StoreCell runs Direct sessions (per-op
 // persistence), a CombineCell runs Combined sessions at its vector depth —
@@ -345,40 +353,19 @@ func (m Matrix) runEmbedded(rep *Report, id string, opts store.Options, spec wor
 		return err
 	}
 	spec.Threads, spec.Seed = m.Threads, m.Seed
-	runs, err := repeat(m, func(d time.Duration) (workload.Result, error) {
+	f, err := m.repeat(func(d time.Duration) (window, error) {
 		spec.Duration = d
-		return workload.Run(st, spec)
+		r, err := workload.Run(st, spec)
+		return window{
+			ops: r.Ops, pwbs: r.PWBs, pfences: r.PFences,
+			opsPerSec: r.OpsPerSec, pwbsPerOp: r.PWBsPerOp,
+			p50: r.P50, p95: r.P95, p99: r.P99,
+		}, err
 	})
 	if err != nil {
 		return err
 	}
-	var tput, pwbRate, p99 []float64
-	head := Cell{ID: id + "/throughput", Unit: "ops/s"}
-	for _, r := range runs {
-		tput = append(tput, r.OpsPerSec)
-		pwbRate = append(pwbRate, r.PWBsPerOp)
-		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		head.Ops += r.Ops
-		head.PWBs += r.PWBs
-		head.PFences += r.PFences
-		head.P50Ns += r.P50.Nanoseconds()
-		head.P95Ns += r.P95.Nanoseconds()
-		head.P99Ns += r.P99.Nanoseconds()
-		head.NsPerOp += r.NsPerOp
-		head.AllocsPerOp += r.AllocsPerOp
-	}
-	n := int64(len(runs))
-	head.Value = stats.Summarize(tput)
-	head.P50Ns, head.P95Ns, head.P99Ns = head.P50Ns/n, head.P95Ns/n, head.P99Ns/n
-	head.NsPerOp, head.AllocsPerOp = head.NsPerOp/float64(n), head.AllocsPerOp/float64(n)
-	rep.Add(head)
-	rep.Add(Cell{
-		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
-		LowerIsBetter: true,
-	})
-	if m.Latency {
-		addLatency(rep, id, p99)
-	}
+	f.emit(rep, id, m.Latency)
 	return nil
 }
 
@@ -399,8 +386,8 @@ func (m Matrix) runWire(rep *Report, id string, c NetCell, sopts server.Options,
 	if err != nil {
 		return err
 	}
-	// Metrics ride along in every wire cell: the committed matrix numbers
-	// carry the observability cost, and the cross-check below holds the
+	// Metrics ride along in every wire cell: the matrix numbers carry the
+	// observability cost, and the cross-check below holds the
 	// striped counters to the server's own acked-op count.
 	sopts.Metrics = true
 	srv := server.New(st, sopts)
@@ -414,13 +401,23 @@ func (m Matrix) runWire(rep *Report, id string, c NetCell, sopts server.Options,
 		Mix: c.Mix, Dist: c.Dist, Records: c.Records,
 		Conns: c.Conns, Depth: c.Depth, Seed: m.Seed,
 	}
-	runs, err := repeat(m, func(d time.Duration) (client.Result, error) {
+	f, err := m.repeat(func(d time.Duration) (window, error) {
 		spec.Duration = d
 		r, err := client.Run(dial, spec)
-		if err == nil && overload && r.Shed != r.ServerShed {
-			err = fmt.Errorf("bench: client counted %d shed ops, server %d", r.Shed, r.ServerShed)
+		if err != nil {
+			return window{}, err
 		}
-		return r, err
+		if overload {
+			if r.Shed != r.ServerShed {
+				return window{}, fmt.Errorf("bench: client counted %d shed ops, server %d", r.Shed, r.ServerShed)
+			}
+			return window{ops: r.Ops, opsPerSec: r.OpsPerSec, p50: r.P50, p99: r.P99, aux: r.ShedRate}, nil
+		}
+		return window{
+			ops: r.ServerOps, pwbs: r.PWBs, pfences: r.PFences,
+			opsPerSec: r.OpsPerSec, pwbsPerOp: r.PWBsPerOp,
+			p50: r.P50, p95: r.P95, p99: r.P99, aux: r.OpsPerBatch,
+		}, nil
 	})
 	if err != nil {
 		return err
@@ -428,52 +425,19 @@ func (m Matrix) runWire(rep *Report, id string, c NetCell, sopts server.Options,
 	if got, want := srv.Metrics().OpsTotal(), srv.Stats().OpsServed; got != want {
 		return fmt.Errorf("bench: metrics op counters sum to %d, server acked %d", got, want)
 	}
-	var tput, pwbRate, p99, perBatch, shedRate []float64
-	var ops, serverOps, pwbs, pfences uint64
-	var p50Sum, p95Sum, p99Sum int64
-	for _, r := range runs {
-		tput = append(tput, r.OpsPerSec)
-		pwbRate = append(pwbRate, r.PWBsPerOp)
-		p99 = append(p99, float64(r.P99.Nanoseconds()))
-		perBatch = append(perBatch, r.OpsPerBatch)
-		shedRate = append(shedRate, r.ShedRate)
-		ops += r.Ops
-		serverOps += r.ServerOps
-		pwbs += r.PWBs
-		pfences += r.PFences
-		p50Sum += r.P50.Nanoseconds()
-		p95Sum += r.P95.Nanoseconds()
-		p99Sum += r.P99.Nanoseconds()
-	}
-	n := int64(len(runs))
 	if overload {
-		rep.Add(Cell{
-			ID: id + "/goodput", Unit: "ops/s", Value: stats.Summarize(tput),
-			Ops: ops, P50Ns: p50Sum / n, P99Ns: p99Sum / n,
-		})
-		rep.Add(Cell{
-			ID: id + "/shed_rate", Unit: "shed/offered", Value: stats.Summarize(shedRate),
-		})
-		addLatency(rep, id, p99)
+		rep.Add(f.headline(id + "/goodput"))
+		rep.Add(rate(id+"/shed_rate", "shed/offered", f.aux, false))
+		rep.Add(rate(id+"/p99", "ns", f.p99, true))
 		return nil
 	}
-	rep.Add(Cell{
-		ID: id + "/throughput", Unit: "ops/s", Value: stats.Summarize(tput),
-		Ops: serverOps, PWBs: pwbs, PFences: pfences,
-		P50Ns: p50Sum / n, P95Ns: p95Sum / n, P99Ns: p99Sum / n,
-	})
-	rep.Add(Cell{
-		ID: id + "/pwbs_per_op", Unit: "pwbs/op", Value: stats.Summarize(pwbRate),
-		LowerIsBetter: true,
-	})
+	f.emit(rep, id, false)
 	// The batching headline: acknowledged ops per group commit. Tracks
-	// the pipeline depth in the closed loop, so Compare can gate the
-	// amortization itself, not just its downstream pwbs/op effect.
-	rep.Add(Cell{
-		ID: id + "/ops_per_batch", Unit: "ops/batch", Value: stats.Summarize(perBatch),
-	})
+	// the pipeline depth in the closed loop: the amortization itself, not
+	// just its downstream pwbs/op effect.
+	rep.Add(rate(id+"/ops_per_batch", "ops/batch", f.aux, false))
 	if m.Latency {
-		addLatency(rep, id, p99)
+		rep.Add(rate(id+"/p99", "ns", f.p99, true))
 	}
 	return nil
 }
@@ -500,10 +464,10 @@ func CrossSet(dss, policies []string, modes []dstruct.Mode, keyRange uint64, upd
 	return out
 }
 
-// Presets are the named matrices the CLI and CI run. "smoke" is the CI
-// perf-gate: a small fixed grid, cheap enough for every push, exercising
-// both the figure harness and the store service. "full" is the nightly
-// matrix: every structure and headline policy plus the YCSB mixes.
+// Presets are the named matrices the CLI and CI run. "smoke" is a small
+// fixed grid, cheap enough for every push, exercising both the set cells
+// and the store service. "full" is the nightly matrix: every structure
+// and headline policy plus the YCSB mixes.
 func Presets() map[string]Matrix {
 	return map[string]Matrix{
 		"smoke": {
@@ -531,8 +495,7 @@ func Presets() map[string]Matrix {
 		// cells are near-deterministic; at depth ≥ 8 the net cells'
 		// pwbs/op must sit strictly below the same mix's store cell,
 		// and pfences per op collapse (visible in the cells' raw
-		// counts). BENCH_groupcommit.json is this matrix's committed
-		// trajectory point.
+		// counts).
 		"groupcommit": {
 			Name:     "groupcommit",
 			Threads:  1,
@@ -559,15 +522,13 @@ func Presets() map[string]Matrix {
 		// depth-32 vectors into window-128 per-shard combiners — the
 		// window spans one full announce wave (4 threads x depth 32), so
 		// a whole wave commits under one fence. The combine cells'
-		// pwbs/op must
-		// sit at or below the depth-32 net cells committed in
-		// BENCH_groupcommit.json — the combiner merges windows ACROSS
-		// sessions, which a per-connection pipeline cannot. The mix-G
+		// pwbs/op must sit at or below the groupcommit matrix's depth-32
+		// net cells — the combiner merges windows ACROSS sessions, which
+		// a per-connection pipeline cannot. The mix-G
 		// pair is the net-delta coalescing headline: self-cancelling ±1
 		// FAA traffic on one hot counter, measured with coalescing on
 		// (coal) and off (raw); the coal cell must persist ≥10x fewer
-		// lines per op. BENCH_combining.json is this matrix's committed
-		// trajectory point.
+		// lines per op.
 		"combining": {
 			Name:     "combining",
 			Threads:  4,
@@ -575,7 +536,7 @@ func Presets() map[string]Matrix {
 			// Mix d inserts draw from a bounded key range; until the range
 			// saturates, every insert dirties fresh lines and pwbs/op sits
 			// ~2x above steady state. The long warmup runs the cell past
-			// that knee so the committed numbers are the plateau, not the
+			// that knee so the reported numbers are the plateau, not the
 			// fill transient.
 			Warmup:  300 * time.Millisecond,
 			Repeats: 3,
@@ -597,8 +558,7 @@ func Presets() map[string]Matrix {
 		// (the rate limiter meters wall-clock ops/s, so these cells are
 		// stable across machine speeds) with a nonzero shed_rate and a
 		// bounded goodput p99; the control cell pins what the same loop
-		// does with shedding off. BENCH_overload.json is this matrix's
-		// committed trajectory point.
+		// does with shedding off.
 		"overload": {
 			Name:     "overload",
 			Duration: 200 * time.Millisecond,
@@ -606,12 +566,11 @@ func Presets() map[string]Matrix {
 			Repeats:  3,
 			Seed:     1,
 			Overload: []OverloadCell{
-				{Mix: "a", Dist: workload.DistZipfian, Policy: core.PolicyHT, Shards: 4, Records: 8192,
-					Conns: 2, Depth: 8, RateLimit: 3000, Burst: 32},
-				{Mix: "c", Dist: workload.DistZipfian, Policy: core.PolicyHT, Shards: 4, Records: 8192,
-					Conns: 2, Depth: 8, RateLimit: 3000, Burst: 32},
-				{Mix: "a", Dist: workload.DistZipfian, Policy: core.PolicyHT, Shards: 4, Records: 8192,
-					Conns: 2, Depth: 8},
+				{NetCell: NetCell{Mix: "a", Dist: workload.DistZipfian, Policy: core.PolicyHT, Shards: 4, Records: 8192, Conns: 2, Depth: 8},
+					RateLimit: 3000, Burst: 32},
+				{NetCell: NetCell{Mix: "c", Dist: workload.DistZipfian, Policy: core.PolicyHT, Shards: 4, Records: 8192, Conns: 2, Depth: 8},
+					RateLimit: 3000, Burst: 32},
+				{NetCell: NetCell{Mix: "a", Dist: workload.DistZipfian, Policy: core.PolicyHT, Shards: 4, Records: 8192, Conns: 2, Depth: 8}},
 			},
 		},
 		"full": {

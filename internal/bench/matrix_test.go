@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	"flit/internal/core"
 	"flit/internal/dstruct"
-	"flit/internal/harness"
 	"flit/internal/workload"
 )
 
@@ -54,11 +52,6 @@ func TestMatrixRunTiny(t *testing.T) {
 	if stp == nil || stp.Value.Mean <= 0 || stp.P99Ns <= 0 {
 		t.Fatalf("store cell missing latency/throughput: %+v", stp)
 	}
-	// A matrix self-compare is the degenerate CI gate: it must pass.
-	res, err := Compare(rep, rep, 0)
-	if err != nil || !res.OK() {
-		t.Fatalf("self-compare failed: %v %+v", err, res)
-	}
 }
 
 // TestMatrixRunOverloadTiny drives one rate-capped overload cell and
@@ -74,8 +67,8 @@ func TestMatrixRunOverloadTiny(t *testing.T) {
 		Repeats:  2,
 		Seed:     1,
 		Overload: []OverloadCell{
-			{Mix: "a", Dist: workload.DistUniform, Policy: core.PolicyHT, Shards: 2, Records: 1024,
-				Conns: 2, Depth: 8, RateLimit: 1000, Burst: 16},
+			{NetCell: NetCell{Mix: "a", Dist: workload.DistUniform, Policy: core.PolicyHT, Shards: 2, Records: 1024,
+				Conns: 2, Depth: 8}, RateLimit: 1000, Burst: 16},
 		},
 	}
 	rep, err := m.Run()
@@ -111,6 +104,28 @@ func TestMatrixEmpty(t *testing.T) {
 	}
 }
 
+// checkSetCells holds a preset's set cells to the shared rules: unique
+// IDs, registered policies, and no link-and-persist on the NM-BST.
+func checkSetCells(t *testing.T, name string, cells []SetCell) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, c := range cells {
+		if seen[c.ID()] {
+			t.Fatalf("preset %q duplicate cell %s", name, c.ID())
+		}
+		seen[c.ID()] = true
+		if _, err := core.NewPolicyByName(c.Policy, 1<<12, 64); err != nil {
+			t.Fatalf("preset %q names unknown policy: %v", name, err)
+		}
+		if perKeyWords(c.DS) == 0 {
+			t.Fatalf("preset %q names unknown structure %q", name, c.DS)
+		}
+		if c.Policy == core.PolicyLAP && c.DS == "bst" {
+			t.Fatalf("preset %q contains the inapplicable lap×bst cell", name)
+		}
+	}
+}
+
 func TestPresets(t *testing.T) {
 	for _, name := range PresetNames() {
 		m, ok := Preset(name)
@@ -120,24 +135,13 @@ func TestPresets(t *testing.T) {
 		if len(m.Set)+len(m.Store)+len(m.Net)+len(m.Combine)+len(m.Overload) == 0 {
 			t.Fatalf("preset %q has no cells", name)
 		}
-		seen := map[string]bool{}
-		for _, c := range m.Set {
-			if seen[c.ID()] {
-				t.Fatalf("preset %q duplicate cell %s", name, c.ID())
-			}
-			seen[c.ID()] = true
-			if _, err := core.NewPolicyByName(c.Policy, 1<<12, 0); err != nil {
-				t.Fatalf("preset %q names unknown policy: %v", name, err)
-			}
-			if c.Policy == core.PolicyLAP && c.DS == "bst" {
-				t.Fatalf("preset %q contains the inapplicable lap×bst cell", name)
-			}
-		}
+		checkSetCells(t, name, m.Set)
 		for _, c := range m.Store {
 			if _, err := workload.MixByName(c.Mix); err != nil {
 				t.Fatalf("preset %q names unknown mix: %v", name, err)
 			}
 		}
+		seen := map[string]bool{}
 		for _, c := range m.Overload {
 			if _, err := workload.MixByName(c.Mix); err != nil {
 				t.Fatalf("preset %q names unknown mix: %v", name, err)
@@ -151,9 +155,42 @@ func TestPresets(t *testing.T) {
 	if _, ok := Preset("no-such-matrix"); ok {
 		t.Fatal("unknown preset should not resolve")
 	}
-	// Differently-sized matrices must never share cell IDs: Compare
-	// joins by ID, and a smoke-vs-full join would gate on non-comparable
-	// measurements.
+	// Every figure is a preset of the same runner and answers to the same
+	// rules; its views may only read cells its matrix measures.
+	if len(FigureIDs()) != 10 {
+		t.Fatalf("FigureIDs lists %d figures, want the paper's five and five ablations", len(FigureIDs()))
+	}
+	for _, id := range FigureIDs() {
+		f, ok := FigurePreset(id, 2, false, false)
+		if !ok {
+			t.Fatalf("figure %q missing", id)
+		}
+		if len(f.Set) == 0 || len(f.Views) == 0 {
+			t.Fatalf("figure %q has no cells or no views", id)
+		}
+		checkSetCells(t, "fig-"+id, f.Set)
+		measured := map[string]bool{}
+		for _, c := range f.Set {
+			measured[c.ID()] = true
+		}
+		for _, v := range f.Views {
+			for _, row := range v.Rows {
+				if len(row.Cells) > len(v.Cols) {
+					t.Fatalf("figure %q view %q row %q: %d cells under %d columns", id, v.Title, row.Label, len(row.Cells), len(v.Cols))
+				}
+			}
+			for _, c := range v.cells() {
+				if !measured[c.ID()] {
+					t.Fatalf("figure %q view %q reads unmeasured cell %s", id, v.Title, c.ID())
+				}
+			}
+		}
+	}
+	if _, ok := FigurePreset("no-such-figure", 2, false, false); ok {
+		t.Fatal("unknown figure should not resolve")
+	}
+	// Differently-sized matrices must never share cell IDs: a reader
+	// joining two reports by ID would pair non-comparable measurements.
 	smoke, _ := Preset("smoke")
 	full, _ := Preset("full")
 	smokeIDs := map[string]bool{}
@@ -173,27 +210,21 @@ func TestPresets(t *testing.T) {
 			t.Errorf("smoke and full share cell id %s", c.ID())
 		}
 	}
-}
-
-// TestFromTablesFig9Shape converts a real (tiny) figure run and checks
-// cell identity, units and repeat statistics survive the conversion.
-func TestFromTablesFig9Shape(t *testing.T) {
-	o := harness.Options{Threads: 2, Duration: 10 * time.Millisecond, Repeats: 2}
-	tables := harness.Fig9(o)
-	rep := FromTables(map[string]string{"figures": "9"}, map[string][]*harness.Table{"9": tables})
-	if err := rep.Validate(); err != nil {
-		t.Fatal(err)
+	// The same point has the same ID whoever names it: Figure 7's
+	// automatic cells at the small BST size are the full matrix's.
+	f7, _ := FigurePreset("7", 2, false, false)
+	fullIDs := map[string]bool{}
+	for _, c := range full.Set {
+		fullIDs[c.ID()] = true
 	}
-	for _, c := range rep.Cells {
-		if !strings.HasPrefix(c.ID, "fig-9/") {
-			t.Fatalf("cell id %q lacks figure prefix", c.ID)
+	shared := 0
+	for _, c := range f7.Set {
+		if fullIDs[c.ID()] {
+			shared++
 		}
-		if c.Unit != "pwbs/op" || !c.LowerIsBetter {
-			t.Fatalf("fig9 cells are flush rates, got %+v", c)
-		}
-		if c.Value.N != o.Repeats {
-			t.Fatalf("cell %q lost repeat statistics: %+v", c.ID, c.Value)
-		}
+	}
+	if shared == 0 {
+		t.Error("Figure 7 and the full matrix name the same 10K-key points but share no cell ID")
 	}
 }
 

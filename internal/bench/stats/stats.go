@@ -1,8 +1,8 @@
 // Package stats is the leaf statistics kernel of the bench subsystem:
 // summary statistics over repeated benchmark samples. It is a separate
-// package (rather than part of internal/bench) so that internal/harness
-// can fold its repetition through the same code without an import cycle
-// — internal/bench imports internal/harness to run figure matrices.
+// package (rather than part of internal/bench) so that benchmark/, a
+// module of its own, can fold its segments through the same code without
+// importing the matrix runner and everything it drives.
 package stats
 
 import "math"

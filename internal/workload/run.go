@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,14 +74,6 @@ type Result struct {
 	PWBs      uint64  `json:"pwbs"`
 	PFences   uint64  `json:"pfences"`
 	PWBsPerOp float64 `json:"pwbs_per_op"`
-
-	// NsPerOp is wall-clock thread-nanoseconds per operation
-	// (elapsed × threads / ops — the inverse of per-thread throughput).
-	NsPerOp float64 `json:"ns_per_op,omitempty"`
-	// AllocsPerOp is Go heap allocations per operation across the
-	// measured window (runtime mallocs delta / ops) — the runner's own
-	// overhead, which the zero-allocation op loop holds at ≈0.
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
 // OpenLoopSchedule computes one worker's slice of a fixed-rate global
@@ -103,8 +94,8 @@ func OpenLoopSchedule(rate float64, w, workers int) (step, offset time.Duration)
 
 // Load bulk-inserts key indices [0, records) through threads parallel
 // sessions (the YCSB load phase) and returns its wall time and
-// throughput. Unlike the figure harness's Prefill, latency modeling stays
-// on: loading a durable store pays its flushes, and the report says so.
+// throughput. Unlike the set cells' prefill (internal/bench), latency
+// modeling stays on: loading a durable store pays its flushes, and the report says so.
 func Load(st *store.Store, records uint64, threads int) (time.Duration, float64) {
 	if threads < 1 {
 		threads = 1
@@ -175,13 +166,11 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	for k := range kindCounts {
 		kindCounts[k] = make([]uint64, sp.Threads)
 	}
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
 	// Workers watch the deadline themselves, from the per-op timestamp
 	// they already take for the latency histogram — no stop flag, no
 	// sleeping coordinator whose timer wake-up lags when the workers
-	// saturate every P (see harness.RunWorkload).
+	// saturate every P (see bench.Instance.run).
 	deadline := start.Add(sp.Duration)
 	for t := 0; t < sp.Threads; t++ {
 		wg.Add(1)
@@ -269,8 +258,6 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
 
 	all := mergeLatency(hists)
 	quantile := func(q float64) time.Duration { return time.Duration(all.Quantile(q)) }
@@ -307,11 +294,6 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 	}
 	if res.Ops > 0 {
 		res.PWBsPerOp = float64(res.PWBs) / float64(res.Ops)
-		res.NsPerOp = float64(elapsed.Nanoseconds()) * float64(sp.Threads) / float64(res.Ops)
-		// Mallocs counts every heap allocation process-wide; the per-run
-		// fixed cost (sessions, histograms, generators warm-up) amortizes
-		// to ~0 over the ops of any real window.
-		res.AllocsPerOp = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(res.Ops)
 	}
 	return res, nil
 }
