@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"flit/internal/audit"
-	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/bst"
 	"flit/internal/dstruct/hashtable"
@@ -50,7 +49,7 @@ func main() {
 			mcfg := pmem.DefaultConfig(1 << 22)
 			mcfg.PWBCost, mcfg.PFenceCost, mcfg.PFenceEntryCost = 0, 0, 0
 			mem := pmem.New(mcfg)
-			aud := audit.New(core.NewFliT(core.NewHashTable(1<<16)), mem)
+			aud := audit.NewFliT(1<<16, mem)
 			cfg := dstruct.Config{
 				Heap: pheap.New(mem), Policy: aud, Mode: mode,
 				RootSlot: 0, Stride: dstruct.StrideFor(aud.Inner),

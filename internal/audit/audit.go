@@ -7,6 +7,14 @@
 //   - Condition 4: at every shared store and at operation completion, all
 //     dependencies must be persisted.
 //
+// A policy wrapper sees a shared store only before and after it, and a
+// p-store's own trailing fence drains whatever the thread had pending — so
+// the check after the store cannot tell a dependency fenced *before* the
+// store linearized from one swept up afterwards. For FliT the auditor
+// closes that gap (NewFliT): a p-store tags its location after the
+// dependency fence and before it applies, and the audited counter scheme
+// runs the Condition-4 check at that instant.
+//
 // At each checkpoint the auditor inspects the simulated persistent shadow:
 // a dependency (addr, value) is discharged if the shadow holds the value,
 // or if the volatile layer has moved past it (a newer store linearized on
@@ -50,13 +58,45 @@ type Auditor struct {
 	Mem   *pmem.Memory
 
 	mu         sync.Mutex
-	deps       map[*pmem.Thread]map[pmem.Addr]uint64
+	threads    map[*pmem.Thread]*threadState
 	violations []Violation
+}
+
+// threadState is one thread's dependency set, and the shared store it is
+// inside (the checkpoint a tag-time check reports).
+type threadState struct {
+	deps map[pmem.Addr]uint64
+	in   string
 }
 
 // New wraps inner with auditing against mem's persistent shadow.
 func New(inner core.Policy, mem *pmem.Memory) *Auditor {
-	return &Auditor{Inner: inner, Mem: mem, deps: make(map[*pmem.Thread]map[pmem.Addr]uint64)}
+	return &Auditor{Inner: inner, Mem: mem, threads: make(map[*pmem.Thread]*threadState)}
+}
+
+// NewFliT audits the flit-HT policy (a counter table of htBytes) with
+// Condition 4 also checked at the instant each p-store linearizes, not
+// only once it has returned: a dependency fence that is skipped when the
+// thread does have write-backs in flight is flagged at the store that
+// needed it, even though that store's trailing fence persists the
+// dependency a moment later.
+func NewFliT(htBytes int, mem *pmem.Memory) *Auditor {
+	a := New(nil, mem)
+	a.Inner = core.NewFliT(tagCheck{core.NewHashTable(htBytes), a})
+	return a
+}
+
+// tagCheck is the counter scheme NewFliT hands its policy. Algorithm 4
+// tags a p-store's location after the leading fence and before the apply,
+// so Inc is exactly where "all dependencies persisted" must already hold.
+type tagCheck struct {
+	core.CounterScheme
+	a *Auditor
+}
+
+func (s tagCheck) Inc(t *pmem.Thread, addr pmem.Addr) {
+	s.a.check(t, s.a.stateOf(t).in+", before it linearizes")
+	s.CounterScheme.Inc(t, addr)
 }
 
 // Violations returns all recorded violations.
@@ -66,25 +106,25 @@ func (a *Auditor) Violations() []Violation {
 	return append([]Violation(nil), a.violations...)
 }
 
-func (a *Auditor) depsOf(t *pmem.Thread) map[pmem.Addr]uint64 {
+func (a *Auditor) stateOf(t *pmem.Thread) *threadState {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	d := a.deps[t]
-	if d == nil {
-		d = make(map[pmem.Addr]uint64)
-		a.deps[t] = d
+	st := a.threads[t]
+	if st == nil {
+		st = &threadState{deps: make(map[pmem.Addr]uint64)}
+		a.threads[t] = st
 	}
-	return d
+	return st
 }
 
 // record adds a dependency (Conditions 2 and 3).
 func (a *Auditor) record(t *pmem.Thread, addr pmem.Addr, v uint64) {
-	a.depsOf(t)[addr] = v &^ core.DirtyBit
+	a.stateOf(t).deps[addr] = v &^ core.DirtyBit
 }
 
 // check verifies Condition 4 and clears discharged dependencies.
 func (a *Auditor) check(t *pmem.Thread, where string) {
-	d := a.depsOf(t)
+	d := a.stateOf(t).deps
 	for addr, want := range d {
 		shadow := a.Mem.PersistedWord(addr) &^ core.DirtyBit
 		if shadow == want {
@@ -124,6 +164,7 @@ func (a *Auditor) Load(t *pmem.Thread, addr pmem.Addr, pflag bool) uint64 {
 // Store delegates (the inner leading fence runs first), then checks
 // Condition 4 and records the Condition-2 dependency for p-stores.
 func (a *Auditor) Store(t *pmem.Thread, addr pmem.Addr, v uint64, pflag bool) {
+	a.stateOf(t).in = "shared store"
 	a.Inner.Store(t, addr, v, pflag)
 	a.check(t, "shared store")
 	if pflag {
@@ -134,6 +175,7 @@ func (a *Auditor) Store(t *pmem.Thread, addr pmem.Addr, v uint64, pflag bool) {
 // CAS delegates, then checks Condition 4; a successful p-CAS records its
 // new value as a dependency.
 func (a *Auditor) CAS(t *pmem.Thread, addr pmem.Addr, old, new uint64, pflag bool) bool {
+	a.stateOf(t).in = "shared CAS"
 	ok := a.Inner.CAS(t, addr, old, new, pflag)
 	a.check(t, "shared CAS")
 	if ok && pflag {
@@ -144,6 +186,7 @@ func (a *Auditor) CAS(t *pmem.Thread, addr pmem.Addr, old, new uint64, pflag boo
 
 // FAA delegates, then checks Condition 4 and records the new value.
 func (a *Auditor) FAA(t *pmem.Thread, addr pmem.Addr, delta uint64, pflag bool) uint64 {
+	a.stateOf(t).in = "shared FAA"
 	prev := a.Inner.FAA(t, addr, delta, pflag)
 	a.check(t, "shared FAA")
 	if pflag {
@@ -154,6 +197,7 @@ func (a *Auditor) FAA(t *pmem.Thread, addr pmem.Addr, delta uint64, pflag bool) 
 
 // Exchange delegates, then checks Condition 4 and records the new value.
 func (a *Auditor) Exchange(t *pmem.Thread, addr pmem.Addr, v uint64, pflag bool) uint64 {
+	a.stateOf(t).in = "shared exchange"
 	prev := a.Inner.Exchange(t, addr, v, pflag)
 	a.check(t, "shared exchange")
 	if pflag {

@@ -36,7 +36,7 @@ func TestConformingSequenceHasNoViolations(t *testing.T) {
 func TestPersistObjectThenShareIsConforming(t *testing.T) {
 	m := newMem(1 << 12)
 	th := m.RegisterThread()
-	a := New(core.NewFliT(core.NewHashTable(1<<14)), m)
+	a := NewFliT(1<<14, m)
 	// Private init, batched flush, then publish: the canonical node-init
 	// pattern. The leading fence of the publishing p-store must discharge
 	// the object dependencies.
@@ -85,50 +85,119 @@ func TestSupersededDependencyIsExcused(t *testing.T) {
 	}
 }
 
+// auditSet runs the fixed single-threaded insert/delete/contains mix on
+// one structure × mode under NewFliT's auditor — the policy as shipped,
+// or whatever mutate makes of it — and returns the violations.
+func auditSet(name string, mode dstruct.Mode, mutate func(*core.FliT) core.Policy) []Violation {
+	m := newMem(1 << 20)
+	aud := NewFliT(1<<16, m)
+	if mutate != nil {
+		aud.Inner = mutate(aud.Inner.(*core.FliT))
+	}
+	cfg := dstruct.Config{
+		Heap: pheap.New(m), Policy: aud, Mode: mode,
+		RootSlot: 0, Stride: dstruct.StrideFor(aud.Inner),
+	}
+	var set dstruct.Set
+	switch name {
+	case "list":
+		set = list.New(cfg)
+	case "hashtable":
+		set = hashtable.New(cfg, 16)
+	case "skiplist":
+		set = skiplist.New(cfg)
+	case "bst":
+		set = bst.New(cfg)
+	case "lockmap":
+		set = lockmap.New(cfg, 16)
+	}
+	th := set.NewThread()
+	for i := 0; i < 600; i++ {
+		k := uint64(i*7) % 97
+		switch i % 3 {
+		case 0:
+			th.Insert(k, k)
+		case 1:
+			th.Delete(k)
+		default:
+			th.Contains(k)
+		}
+	}
+	return aud.Violations()
+}
+
 // TestDataStructuresConformUnderAudit runs every structure × durability
 // mode single-threaded under the auditor: zero violations proves each
-// call-site pflag assignment satisfies Condition 4 mechanically.
+// call-site pflag assignment satisfies Condition 4 mechanically — and,
+// with the check also run as each p-store linearizes, that the policy's
+// conditional dependency fence (core's fenceDeps) is issued every time a
+// dependency is still in flight.
 func TestDataStructuresConformUnderAudit(t *testing.T) {
 	for _, mode := range dstruct.Modes {
 		for _, name := range []string{"list", "hashtable", "skiplist", "bst", "lockmap"} {
 			t.Run(name+"/"+mode.String(), func(t *testing.T) {
-				m := newMem(1 << 20)
-				aud := New(core.NewFliT(core.NewHashTable(1<<16)), m)
-				cfg := dstruct.Config{
-					Heap: pheap.New(m), Policy: aud, Mode: mode,
-					RootSlot: 0, Stride: dstruct.StrideFor(aud.Inner),
-				}
-				var set dstruct.Set
-				switch name {
-				case "list":
-					set = list.New(cfg)
-				case "hashtable":
-					set = hashtable.New(cfg, 16)
-				case "skiplist":
-					set = skiplist.New(cfg)
-				case "bst":
-					set = bst.New(cfg)
-				case "lockmap":
-					set = lockmap.New(cfg, 16)
-				}
-				th := set.NewThread()
-				for i := 0; i < 600; i++ {
-					k := uint64(i*7) % 97
-					switch i % 3 {
-					case 0:
-						th.Insert(k, k)
-					case 1:
-						th.Delete(k)
-					default:
-						th.Contains(k)
-					}
-				}
-				if vs := aud.Violations(); len(vs) != 0 {
+				if vs := auditSet(name, mode, nil); len(vs) != 0 {
 					t.Fatalf("%d P-V violations, first: %v", len(vs), vs[0])
 				}
 			})
 		}
 	}
+}
+
+// noDepFence is FliT with the dependency fence of CAS and Store — the
+// shared stores the list issues — removed outright instead of made
+// conditional on the write-back queue: the planted bug the conformance
+// run above must be able to see.
+type noDepFence struct{ *core.FliT }
+
+func (p noDepFence) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
+	t.CheckCrash()
+	if !pflag {
+		t.Store(a, v)
+		return
+	}
+	p.C.Inc(t, a)
+	t.Store(a, v)
+	t.PWB(a)
+	t.PFence()
+	p.C.Dec(t, a)
+}
+
+func (p noDepFence) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	t.CheckCrash()
+	if !pflag {
+		return t.CAS(a, old, new)
+	}
+	p.C.Inc(t, a)
+	ok := t.CAS(a, old, new)
+	if ok {
+		t.PWB(a)
+		t.PFence()
+	}
+	p.C.Dec(t, a)
+	if !ok && p.C.Tagged(t, a) {
+		t.PWB(a)
+	}
+	return ok
+}
+
+// TestSkippedDependencyFenceIsLocalized: an NVTraverse insert flushes the
+// fresh node with PersistObject and relies on the linking p-CAS's leading
+// fence to persist it before the link exists. With that fence skipped the
+// node is still un-persisted as the CAS linearizes — a window the CAS's
+// own trailing fence closes again before it returns, which is why only
+// the check at tag time can see it. Every violation must name that CAS.
+func TestSkippedDependencyFenceIsLocalized(t *testing.T) {
+	vs := auditSet("list", dstruct.NVTraverse, func(f *core.FliT) core.Policy { return noDepFence{f} })
+	if len(vs) == 0 {
+		t.Fatal("always-skipped dependency fence passed the audit — the conformance run has no teeth")
+	}
+	for _, v := range vs {
+		if v.Checkpoint != "shared CAS, before it linearizes" {
+			t.Fatalf("violation not localized at the linking CAS: %v", v)
+		}
+	}
+	t.Logf("%d violations, first: %v", len(vs), vs[0])
 }
 
 // TestBrokenModeIsLocalized: downgrading the decisive link CAS to a

@@ -72,6 +72,11 @@ type Cell struct {
 	P50Ns   int64  `json:"p50_ns,omitempty"`
 	P95Ns   int64  `json:"p95_ns,omitempty"`
 	P99Ns   int64  `json:"p99_ns,omitempty"`
+
+	// PFencesElided counts the dependency fences the policy found empty
+	// and did not issue; PFences + PFencesElided is the number of fences
+	// Algorithm 4 asks for.
+	PFencesElided uint64 `json:"pfences_elided,omitempty"`
 }
 
 // NewReport stamps a report with the environment: git revision, Go

@@ -237,6 +237,7 @@ func (m Matrix) Run() (*Report, error) {
 // window is what one timed window of any cell kind hands the fold.
 type window struct {
 	ops, pwbs, pfences   uint64
+	elided               uint64 // dependency fences not issued
 	opsPerSec, pwbsPerOp float64
 	p50, p95, p99        time.Duration
 	// aux is the cell kind's own rate, if it has one: ops per batch for
@@ -273,6 +274,7 @@ func (m Matrix) repeat(run func(time.Duration) (window, error)) (fold, error) {
 		f.head.Ops += w.ops
 		f.head.PWBs += w.pwbs
 		f.head.PFences += w.pfences
+		f.head.PFencesElided += w.elided
 		f.head.P50Ns += w.p50.Nanoseconds()
 		f.head.P95Ns += w.p95.Nanoseconds()
 		f.head.P99Ns += w.p99.Nanoseconds()
@@ -357,7 +359,7 @@ func (m Matrix) runEmbedded(rep *Report, id string, opts store.Options, spec wor
 		spec.Duration = d
 		r, err := workload.Run(st, spec)
 		return window{
-			ops: r.Ops, pwbs: r.PWBs, pfences: r.PFences,
+			ops: r.Ops, pwbs: r.PWBs, pfences: r.PFences, elided: r.PFencesElided,
 			opsPerSec: r.OpsPerSec, pwbsPerOp: r.PWBsPerOp,
 			p50: r.P50, p95: r.P95, p99: r.P99,
 		}, err
@@ -414,7 +416,7 @@ func (m Matrix) runWire(rep *Report, id string, c NetCell, sopts server.Options,
 			return window{ops: r.Ops, opsPerSec: r.OpsPerSec, p50: r.P50, p99: r.P99, aux: r.ShedRate}, nil
 		}
 		return window{
-			ops: r.ServerOps, pwbs: r.PWBs, pfences: r.PFences,
+			ops: r.ServerOps, pwbs: r.PWBs, pfences: r.PFences, elided: r.PFencesElided,
 			opsPerSec: r.OpsPerSec, pwbsPerOp: r.PWBsPerOp,
 			p50: r.P50, p95: r.P95, p99: r.P99, aux: r.OpsPerBatch,
 		}, nil

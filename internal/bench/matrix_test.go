@@ -52,6 +52,13 @@ func TestMatrixRunTiny(t *testing.T) {
 	if stp == nil || stp.Value.Mean <= 0 || stp.P99Ns <= 0 {
 		t.Fatalf("store cell missing latency/throughput: %+v", stp)
 	}
+	// Both cells open shared stores on an empty write-back queue (a
+	// delete's mark CAS, an in-place Put): the dependency fence they do
+	// not issue is still reported.
+	if tput.PFences == 0 || tput.PFencesElided == 0 || stp.PFences == 0 || stp.PFencesElided == 0 {
+		t.Fatalf("issued/elided fence counts missing: set %d/%d, store %d/%d",
+			tput.PFences, tput.PFencesElided, stp.PFences, stp.PFencesElided)
+	}
 }
 
 // TestMatrixRunOverloadTiny drives one rate-capped overload cell and

@@ -299,7 +299,7 @@ func (inst *Instance) run(c SetCell, threads int, d time.Duration) window {
 	}
 	mstats := inst.Mem.TotalStats()
 	return window{
-		ops: ops, pwbs: mstats.PWBs, pfences: mstats.PFences,
+		ops: ops, pwbs: mstats.PWBs, pfences: mstats.PFences, elided: mstats.ElidedFences,
 		opsPerSec: float64(ops) / elapsed.Seconds(), pwbsPerOp: float64(mstats.PWBs) / float64(ops),
 	}
 }

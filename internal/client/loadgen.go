@@ -111,6 +111,7 @@ type Result struct {
 	ServerBatches uint64  `json:"server_batches"`
 	PWBs          uint64  `json:"pwbs"`
 	PFences       uint64  `json:"pfences"`
+	PFencesElided uint64  `json:"pfences_elided,omitempty"`
 	PWBsPerOp     float64 `json:"pwbs_per_op"`
 	PFencesPerOp  float64 `json:"pfences_per_op"`
 	OpsPerBatch   float64 `json:"ops_per_batch"`
@@ -398,6 +399,7 @@ func Run(dial func() (net.Conn, error), sp Spec) (Result, error) {
 		ServerBatches: after.Batches - before.Batches,
 		PWBs:          after.PWBs - before.PWBs,
 		PFences:       after.PFences - before.PFences,
+		PFencesElided: after.PFencesElided - before.PFencesElided,
 		ServerShed:    (after.ShedBusy + after.ShedDraining) - (before.ShedBusy + before.ShedDraining),
 	}
 	if total := res.Ops + res.Shed; total > 0 {

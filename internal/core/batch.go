@@ -225,6 +225,16 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 // fence leaves every deferred store persisted — holding its tag longer
 // would only make readers re-flush already-durable lines.
 //
+// "Issued a fence" is read off the Stats.PFences delta, which an elided
+// dependency fence (fenceDeps) does not move — correctly: a fence that
+// was not issued persisted nothing. The delegated instruction's leading
+// fence is elided only when nothing is pending, and held tags have their
+// lines pending (Store's pwbOnce) unless a private p-store's fence drained
+// them in between, so a batch with deferred stores sees the fence and
+// releases here even when the CAS fails. In the drained case the stores
+// are already durable and their tags simply wait for the next fence or
+// Flush. batch_test.go pins both ends.
+//
 //flit:hotpath
 func (d *Deferred) releaseTagsIfFenced(t *pmem.Thread, fencesBefore uint64) {
 	if t.Stats.PFences == fencesBefore || len(d.tags) == 0 {

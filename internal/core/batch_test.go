@@ -198,3 +198,46 @@ func TestDeferredCASDelegates(t *testing.T) {
 		t.Fatal("p-CAS under the batch skeleton was not immediately persistent")
 	}
 }
+
+// TestDeferredFailedCASReleasesTags pins what releaseTagsIfFenced infers
+// from the fence count now that the delegated CAS's dependency fence is
+// conditional (fenceDeps). A batch holding a deferred p-store has that
+// store's line pending, so even a *failed* p-CAS — which fences nothing
+// of its own — issues the leading fence: one fence, one line drained,
+// the store durable, its tag released. An idle batch's failed p-CAS
+// issues no fence at all and there is nothing to release.
+func TestDeferredFailedCASReleasesTags(t *testing.T) {
+	const a, b = pmem.Addr(64), pmem.Addr(256) // different lines
+
+	m, th := newDeferredMem(t)
+	f := NewFliT(NewHashTable(1 << 12))
+	d := NewDeferred(f)
+	d.Store(th, a, 42, P)
+	if d.CAS(th, b, 9, 1, P) {
+		t.Fatal("CAS with a stale value succeeded")
+	}
+	if got := th.Stats; got.PFences != 1 || got.Drained != 1 || got.ElidedFences != 0 {
+		t.Fatalf("deferred store + failed p-CAS: PFences=%d Drained=%d ElidedFences=%d, want 1/1/0",
+			got.PFences, got.Drained, got.ElidedFences)
+	}
+	if m.PersistedWord(a) != 42 {
+		t.Fatal("the CAS's dependency fence did not persist the deferred store")
+	}
+	if n, _ := LiveTagCount(f); n != 0 || len(d.tags) != 0 {
+		t.Fatalf("tags not released after the fence: %d live, %d held", n, len(d.tags))
+	}
+
+	_, th = newDeferredMem(t)
+	f = NewFliT(NewHashTable(1 << 12))
+	d = NewDeferred(f)
+	if d.CAS(th, b, 9, 1, P) {
+		t.Fatal("CAS with a stale value succeeded")
+	}
+	if got := th.Stats; got.PFences != 0 || got.Drained != 0 || got.ElidedFences != 1 {
+		t.Fatalf("idle batch, failed p-CAS: PFences=%d Drained=%d ElidedFences=%d, want 0/0/1",
+			got.PFences, got.Drained, got.ElidedFences)
+	}
+	if n, _ := LiveTagCount(f); n != 0 || len(d.tags) != 0 {
+		t.Fatalf("idle batch holds tags: %d live, %d held", n, len(d.tags))
+	}
+}

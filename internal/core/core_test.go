@@ -484,3 +484,111 @@ func TestPackedDecDoesNotCarryIntoNeighbor(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedStoreInstructionStream pins the persistence instructions of
+// every shared-store primitive: the dependency fence is issued exactly
+// when the thread has a write-back in flight (fenceDeps) and counted as
+// elided otherwise, and nothing else about the stream depends on the
+// queue. Each entry gives what the primitive adds after its dependency
+// fence — flushes, fences, and how many of its own lines those fences
+// drain; the two thread states differ only in the leading fence:
+//
+//	idle:    PFences = fences,   ElidedFences = 1, Drained = drained
+//	pending: PFences = fences+1, ElidedFences = 0, Drained = drained+1
+//
+// The pending rows and every pwbs column are what an unconditional
+// leading fence gave too: no flush was added or lost.
+func TestSharedStoreInstructionStream(t *testing.T) {
+	type after struct{ pwbs, fences, drained uint64 }
+	var (
+		persisted = after{1, 1, 1} // flush the written line, fence it
+		nothing   = after{}        // v-instruction, or a failure that saw no pending store
+	)
+	ops := []string{"Store", "CAS-success", "CAS-failure", "FAA", "Exchange"}
+	// A failed p-CAS is a p-load: FliT and link-and-persist find no tag /
+	// dirty bit here and flush nothing, Plain flushes and leaves the
+	// fence to the next store or completion, Izraelevitz fences at once.
+	failedPCAS := map[string]after{
+		"flit-HT(64KB)":    nothing,
+		"flit-adjacent":    nothing,
+		"plain":            {pwbs: 1},
+		"izraelevitz":      persisted,
+		"link-and-persist": nothing,
+	}
+	const (
+		a     = pmem.Addr(64)  // even: Adjacent keeps its counter at a+1
+		other = pmem.Addr(256) // a different line, for the pending state
+	)
+	for _, mk := range []func() Policy{
+		func() Policy { return NewFliT(NewHashTable(64 << 10)) },
+		func() Policy { return NewFliT(Adjacent{}) },
+		func() Policy { return Plain{} },
+		func() Policy { return Izraelevitz{} },
+		func() Policy { return LinkAndPersist{} },
+	} {
+		name := mk().Name()
+		for _, op := range ops {
+			if (op == "FAA" || op == "Exchange") && !mk().SupportsRMW() {
+				continue
+			}
+			for _, pending := range []bool{false, true} {
+				for _, pflag := range []bool{P, V} {
+					want := nothing
+					if pflag {
+						want = persisted
+						if op == "CAS-failure" {
+							want = failedPCAS[name]
+						}
+					}
+					state, flag := "idle", "v"
+					if pending {
+						state = "pending"
+					}
+					if pflag {
+						flag = "p"
+					}
+					t.Run(name+"/"+op+"/"+state+"/"+flag, func(t *testing.T) {
+						pol := mk()
+						th := newMem(1 << 12).RegisterThread()
+						th.Store(a, 10)
+						wantStats := pmem.Stats{PWBs: want.pwbs, PFences: want.fences, Drained: want.drained, ElidedFences: 1}
+						if pending {
+							th.PWB(other)
+							wantStats.PFences++
+							wantStats.Drained++
+							wantStats.ElidedFences = 0
+						}
+						before := th.Stats
+						switch op {
+						case "Store":
+							pol.Store(th, a, 11, pflag)
+						case "CAS-success":
+							if !pol.CAS(th, a, 10, 11, pflag) {
+								t.Fatal("CAS with the current value failed")
+							}
+						case "CAS-failure":
+							if pol.CAS(th, a, 9, 11, pflag) {
+								t.Fatal("CAS with a stale value succeeded")
+							}
+						case "FAA":
+							pol.FAA(th, a, 1, pflag)
+						case "Exchange":
+							pol.Exchange(th, a, 11, pflag)
+						}
+						got := pmem.Stats{
+							PWBs:         th.Stats.PWBs - before.PWBs,
+							PFences:      th.Stats.PFences - before.PFences,
+							Drained:      th.Stats.Drained - before.Drained,
+							ElidedFences: th.Stats.ElidedFences - before.ElidedFences,
+						}
+						if got != wantStats {
+							t.Fatalf("(PWBs, PFences, ElidedFences, Drained) = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
+								got.PWBs, got.PFences, got.ElidedFences, got.Drained,
+								wantStats.PWBs, wantStats.PFences, wantStats.ElidedFences, wantStats.Drained)
+						}
+					})
+				}
+			}
+		}
+	}
+}

@@ -3,8 +3,8 @@ package core
 import "flit/internal/pmem"
 
 // FliT is the paper's Algorithm 4 ("Flush if Tagged"). Every shared store
-// fences first (persisting the thread's dependencies — P-V Condition 4);
-// a p-store additionally tags its location's flit-counter, writes, flushes,
+// first fences the thread's dependencies (P-V Condition 4) — when it has
+// any in flight, see fenceDeps; a p-store additionally tags its location's flit-counter, writes, flushes,
 // fences, and untags; a p-load flushes its location only while tagged.
 // This elides nearly every load-side flush: in steady state a location's
 // pending-store window is tiny, so loads almost never see a tag.
@@ -35,8 +35,40 @@ func (f *FliT) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 	return v
 }
 
+// fenceDeps is the leading fence of every shared store, in every policy:
+// the thread's dependencies persist before the store linearizes (P-V
+// Condition 4). It is issued only when the thread has write-backs in
+// flight. With nothing pending the condition holds vacuously — every
+// dependency is already durable — so the fence would order nothing and is
+// counted as elided instead:
+//
+//   - a p-load that saw no tag (no dirty bit) read a value its writer
+//     flushed and fenced before untagging, and one that saw a tag — or any
+//     p-load under Plain — flushed the line onto *this* thread's queue
+//     (Izraelevitz fenced it on the spot);
+//   - a failed p-CAS carries the same obligation and discharges it the
+//     same way;
+//   - the thread's own p-stores fenced before they returned, and
+//     PersistObject's flushes sit on this queue until a fence takes them.
+//
+// So an un-persisted dependency implies a non-empty queue, and an empty
+// queue implies there is nothing for the fence to wait for. This is the
+// software twin of a thread-local "flushed since my last fence" flag kept
+// beside a pwb wrapper. Only the dependency fence is conditional: the
+// fence that persists a p-store's own value, StorePrivate's, Complete's
+// and Deferred.Flush's are always issued.
+//
+//flit:hotpath
+func fenceDeps(t *pmem.Thread) {
+	if t.Pending() == 0 {
+		t.Stats.ElidedFences++
+		return
+	}
+	t.PFence()
+}
+
 // Each shared-store primitive spells out Algorithm 4's skeleton —
-// leading fence, tag, apply, flush+fence, untag — directly around its
+// dependency fence, tag, apply, flush+fence, untag — directly around its
 // memory instruction rather than threading an apply closure through a
 // shared helper: the closure allocation and indirect call sat on every
 // instrumented store of every workload. persistTagged is the shared
@@ -57,7 +89,7 @@ func (f *FliT) persistTagged(t *pmem.Thread, a pmem.Addr) {
 //flit:hotpath
 func (f *FliT) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 	t.CheckCrash()
-	t.PFence() // dependencies persist before the store linearizes
+	fenceDeps(t) // dependencies persist before the store linearizes
 	if !pflag {
 		t.Store(a, v)
 		return
@@ -72,7 +104,7 @@ func (f *FliT) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 //flit:hotpath
 func (f *FliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	t.CheckCrash()
-	t.PFence() // dependencies persist before the store linearizes
+	fenceDeps(t) // dependencies persist before the store linearizes
 	if !pflag {
 		return t.CAS(a, old, new)
 	}
@@ -102,7 +134,7 @@ func (f *FliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) boo
 //flit:hotpath
 func (f *FliT) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
 	t.CheckCrash()
-	t.PFence() // dependencies persist before the store linearizes
+	fenceDeps(t) // dependencies persist before the store linearizes
 	if !pflag {
 		return t.FAA(a, delta)
 	}
@@ -117,7 +149,7 @@ func (f *FliT) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64
 //flit:hotpath
 func (f *FliT) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) uint64 {
 	t.CheckCrash()
-	t.PFence() // dependencies persist before the store linearizes
+	fenceDeps(t) // dependencies persist before the store linearizes
 	if !pflag {
 		return t.Exchange(a, v)
 	}

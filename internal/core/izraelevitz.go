@@ -29,12 +29,14 @@ func (Izraelevitz) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 
 // The store primitives spell out the fence-apply-flush-fence sequence
 // directly (no apply-closure indirection on the hot path; see the note
-// in flit.go).
+// in flit.go). The leading fence is fenceDeps: every p-load and p-store
+// of this construction fences on the spot, so it is only ever non-empty
+// after a PersistObject.
 
 // Store writes with flush+fence on p-stores.
 func (Izraelevitz) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	t.Store(a, v)
 	if pflag {
 		t.PWB(a)
@@ -48,7 +50,7 @@ func (Izraelevitz) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 // construction's uniform treatment of acquire reads.
 func (Izraelevitz) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	ok := t.CAS(a, old, new)
 	if pflag {
 		t.PWB(a)
@@ -60,7 +62,7 @@ func (Izraelevitz) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool)
 // FAA fetch-and-adds with flush+fence on p-FAA.
 func (Izraelevitz) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	prev := t.FAA(a, delta)
 	if pflag {
 		t.PWB(a)
@@ -72,7 +74,7 @@ func (Izraelevitz) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) ui
 // Exchange swaps with flush+fence on p-exchange.
 func (Izraelevitz) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) uint64 {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	prev := t.Exchange(a, v)
 	if pflag {
 		t.PWB(a)

@@ -47,12 +47,13 @@ func lapHelp(t *pmem.Thread, a pmem.Addr, raw uint64) {
 	t.CAS(a, raw, raw&^DirtyBit)
 }
 
-// CAS installs new if the logical value equals old. A p-CAS writes
+// CAS installs new if the logical value equals old, after fencing the
+// thread's in-flight dependencies (fenceDeps). A p-CAS writes
 // new|DirtyBit, flushes, fences, then clears the bit (unless a helper
 // already did).
 func (LinkAndPersist) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	t.CheckCrash()
-	t.PFence() // dependencies persist before the store linearizes
+	fenceDeps(t) // dependencies persist before the store linearizes
 	for {
 		raw := t.Load(a)
 		if raw&^DirtyBit != old {
@@ -86,10 +87,10 @@ func (LinkAndPersist) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bo
 }
 
 // Store emulates an unconditional write with a CAS loop, preserving the
-// no-blind-write discipline.
+// no-blind-write discipline; the same dependency fence leads it.
 func (lp LinkAndPersist) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	for {
 		raw := t.Load(a)
 		if raw&DirtyBit != 0 {

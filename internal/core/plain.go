@@ -28,12 +28,14 @@ func (Plain) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 
 // The store primitives spell out the fence-apply-flush-fence sequence
 // directly (no apply-closure indirection on the hot path; see the note
-// in flit.go).
+// in flit.go). The leading fence is fenceDeps: issued only when the
+// thread has write-backs in flight — under Plain, whenever a p-load
+// preceded the store.
 
 // Store writes with flush+fence on p-stores.
 func (Plain) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	t.Store(a, v)
 	if pflag {
 		t.PWB(a)
@@ -47,7 +49,7 @@ func (Plain) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 // completion).
 func (Plain) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	ok := t.CAS(a, old, new)
 	if pflag {
 		t.PWB(a)
@@ -61,7 +63,7 @@ func (Plain) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool 
 // FAA fetch-and-adds with flush+fence on p-FAA.
 func (Plain) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	prev := t.FAA(a, delta)
 	if pflag {
 		t.PWB(a)
@@ -73,7 +75,7 @@ func (Plain) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
 // Exchange swaps with flush+fence on p-exchange.
 func (Plain) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) uint64 {
 	t.CheckCrash()
-	t.PFence()
+	fenceDeps(t)
 	prev := t.Exchange(a, v)
 	if pflag {
 		t.PWB(a)

@@ -20,29 +20,45 @@ import (
 // windowFliT drives the mutation self-test. It reimplements the flit
 // store protocol with the tag window held open between a successful p-CAS
 // and its flush+fence (modeling a slow clwb/sfence: the schedule shape
-// under which the pre-read flush earns its keep), and — when broken — it
-// skips that pre-read flush: a p-load that observes a tagged (pending,
-// possibly unpersisted) value returns it without flushing, and a failed
-// p-CAS likewise drops its observed-value obligation. An operation can
-// then complete depending on a value a crash at the right boundary loses,
-// which the enumerator must find; the un-broken variant under the same
-// window must sail through (no false positives from slow hardware).
+// under which the pre-read flush and the dependency fence earn their
+// keep), and plants one of two bugs in it:
+//
+//   - brokenLoad skips the pre-read flush: a p-load that observes a tagged
+//     (pending, possibly unpersisted) value returns it without flushing,
+//     and a failed p-CAS likewise drops its observed-value obligation. An
+//     operation can then complete depending on a value a crash at the
+//     right boundary loses.
+//   - noDepFence skips the CAS's dependency fence *always*, where the
+//     shipped policy skips it only on an empty write-back queue
+//     (core's fenceDeps). A fresh node flushed by PersistObject is then
+//     still in its inserter's queue while the link to it is visible and
+//     tagged, so a reader flushes and fences the link first: a crash
+//     there recovers a pointer to a node that never reached memory.
+//
+// The enumerator must find both; the un-broken variant under the same
+// window — conditional dependency fence included — must sail through (no
+// false positives from slow hardware).
 type windowFliT struct {
 	*core.FliT
-	broken bool
+	bug windowBug
 }
 
+type windowBug int
+
+const (
+	slowWindow windowBug = iota // the control: correct protocol, slow hardware
+	brokenLoad
+	noDepFence
+)
+
 func (p windowFliT) Name() string {
-	if p.broken {
-		return "flit-broken-load"
-	}
-	return "flit-slow-window"
+	return [...]string{"flit-slow-window", "flit-broken-load", "flit-no-dep-fence"}[p.bug]
 }
 
 func (p windowFliT) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 	t.CheckCrash()
 	v := t.Load(a)
-	if !p.broken && pflag && p.C.Tagged(t, a) {
+	if p.bug != brokenLoad && pflag && p.C.Tagged(t, a) {
 		t.PWB(a)
 	}
 	return v
@@ -50,7 +66,9 @@ func (p windowFliT) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 
 func (p windowFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	t.CheckCrash()
-	t.PFence()
+	if p.bug != noDepFence && t.Pending() != 0 {
+		t.PFence() // the dependency fence, conditional as shipped
+	}
 	if !pflag {
 		return t.CAS(a, old, new)
 	}
@@ -62,7 +80,7 @@ func (p windowFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool
 		t.PFence()
 	}
 	p.C.Dec(t, a)
-	if !ok && !p.broken && p.C.Tagged(t, a) {
+	if !ok && p.bug != brokenLoad && p.C.Tagged(t, a) {
 		t.PWB(a)
 	}
 	return ok
@@ -104,7 +122,7 @@ func TestBrokenLoadPolicyIsCaught(t *testing.T) {
 	var sample string
 	for seed := int64(1); seed <= maxSeed && !caught; seed++ {
 		for _, target := range targets[:2] { // list and hashtable: densest overlap
-			pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), true}
+			pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), brokenLoad}
 			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.Automatic), target.Target, mutationOpts(seed))
 			if rep.Violation != nil {
 				caught = true
@@ -119,21 +137,59 @@ func TestBrokenLoadPolicyIsCaught(t *testing.T) {
 	t.Logf("caught as expected:\n%s", sample)
 }
 
-// TestSlowWindowPolicyPasses is the mutation test's control: the same
-// held-open tag window with the *correct* load protocol must produce zero
-// violations — the enumerator's stamping discipline must not mistake slow
-// persists for lost ones.
+// TestSkippedDependencyFenceIsCaught: a p-CAS that never fences its
+// dependencies must be detected wherever an NVTraverse insert runs the
+// list protocol — PersistObject hands the fresh node to exactly that
+// fence, then the linking CAS publishes it — both on the list itself and
+// on the hashtable, whose buckets are the same code.
+func TestSkippedDependencyFenceIsCaught(t *testing.T) {
+	for _, target := range crashtest.Targets()[:2] {
+		t.Run(target.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), noDepFence}
+				rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.NVTraverse), target.Target, mutationOpts(seed))
+				if rep.Violation != nil {
+					t.Logf("caught as expected (seed %d):\n%s", seed, rep.Violation.Error())
+					return
+				}
+			}
+			t.Fatal("always-skipped dependency fence passed the enumerator — dlcheck has no teeth")
+		})
+	}
+}
+
+// TestSlowWindowPolicyPasses is the mutation tests' control: the same
+// held-open tag window with the *correct* protocol — pre-read flush kept,
+// dependency fence issued whenever the queue is non-empty — must produce
+// zero violations on the runs that catch the mutants: the enumerator's
+// stamping discipline must not mistake slow persists for lost ones, and
+// skipping an empty dependency fence must be safe.
+//
+// The NVTraverse control runs on the hashtable only. On the bare list a
+// held-open window also widens the open link-into-pred bug of the v-load
+// modes (ROADMAP item 1: an insert linking behind a predecessor whose own
+// incoming link is still unfenced) from ~1 in 600 executions to ~1 in 10,
+// with the leading fence unconditional just the same; the hashtable's
+// chains are too short to reach it.
 func TestSlowWindowPolicyPasses(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
+	targets := crashtest.Targets()
 	for _, seed := range seeds {
-		for _, target := range crashtest.Targets()[:2] {
-			pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), false}
-			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.Automatic), target.Target, mutationOpts(seed))
+		for _, run := range []struct {
+			target crashtest.Target
+			mode   dstruct.Mode
+		}{
+			{targets[0], dstruct.Automatic},
+			{targets[1], dstruct.Automatic},
+			{targets[1], dstruct.NVTraverse},
+		} {
+			pol := windowFliT{core.NewFliT(core.NewHashTable(1 << 14)), slowWindow}
+			rep := dlcheck.RunSet(dlcheck.NewConfig(pol, run.mode), run.target.Target, mutationOpts(seed))
 			if rep.Violation != nil {
-				t.Fatalf("%s seed %d: slow-but-correct window flagged: %v", target.Name, seed, rep.Violation)
+				t.Fatalf("%s/%s seed %d: slow-but-correct window flagged: %v", run.target.Name, run.mode, seed, rep.Violation)
 			}
 		}
 	}

@@ -10,11 +10,16 @@ type Stats struct {
 	Stores   uint64 // store instructions
 	RMWs     uint64 // CAS/FAA/Exchange instructions
 	PWBs     uint64 // persistent write-backs issued
-	PFences  uint64 // fences issued
+	PFences  uint64 // fences issued: every PFence/Drain call, each draining the queue, empty or not
 	Drained  uint64 // pending write-backs drained by fences
 	Misses   uint64 // post-invalidation misses charged (InvalidateOnPWB)
 	Ops      uint64 // completed high-level operations (set by callers)
 	FailedOp uint64 // crashed/aborted high-level operations (set by callers)
+
+	// ElidedFences counts the dependency fences a policy proved empty
+	// (nothing pending on the thread) and did not issue; they are not in
+	// PFences. PFences + ElidedFences is what Algorithm 4 asks for.
+	ElidedFences uint64
 }
 
 // Add accumulates o into s.
@@ -25,6 +30,7 @@ func (s *Stats) Add(o *Stats) {
 	s.PWBs += o.PWBs
 	s.PFences += o.PFences
 	s.Drained += o.Drained
+	s.ElidedFences += o.ElidedFences
 	s.Misses += o.Misses
 	s.Ops += o.Ops
 	s.FailedOp += o.FailedOp
@@ -226,6 +232,14 @@ func (t *Thread) Drain() int { return t.drain() }
 // coalesce anyway: a pending line drains once, with its final contents,
 // at the next fence.
 func (t *Thread) LinePending(a Addr) bool { return t.wb.has(LineOf(a)) }
+
+// Pending reports how many distinct lines the thread has flushed since
+// its last fence — what a PFence issued now would drain. Zero means a
+// fence would order nothing: the policies use it to skip a dependency
+// fence with no dependencies (core.fenceDeps).
+//
+//flit:hotpath
+func (t *Thread) Pending() int { return len(t.wb.lines) }
 
 // drain is the one write-back path: each pending line is written back
 // under its drainLock (see Memory.drainLock for what the lock guards and

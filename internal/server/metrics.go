@@ -132,6 +132,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Sample("flit_pwbs_total", "", float64(st.PWBs))
 	p.Meta("flit_pfences_total", "counter", "PFence instructions issued serving requests")
 	p.Sample("flit_pfences_total", "", float64(st.PFences))
+	p.Meta("flit_pfences_elided_total", "counter", "dependency fences found empty and not issued (issued + elided = fences Algorithm 4 asks for)")
+	p.Sample("flit_pfences_elided_total", "", float64(st.PFencesElided))
 	p.Meta("flit_shards", "gauge", "store shard count")
 	p.Sample("flit_shards", "", float64(st.Shards))
 	p.Meta("flit_pheap_watermark_words", "gauge", "persistent-heap allocation high-water mark in words; steady under churn when reclamation recycles")

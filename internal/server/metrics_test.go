@@ -230,6 +230,41 @@ func TestMetricsDisabled(t *testing.T) {
 	}
 }
 
+// TestElidedFencesReported: the dependency fences a policy finds empty
+// are not issued, but stay countable — STATS and the metrics page carry
+// them beside the issued fences. A fresh-key Put's publishing CAS always
+// has the node's lines pending (nothing elided); a Delete's mark and
+// unlink CASes each open on an empty queue.
+func TestElidedFencesReported(t *testing.T) {
+	srv, c := pipeServer(t, newTestStore(t), server.Options{})
+	if _, err := c.Put([]byte("k"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.PFences == 0 || st.PFencesElided != 0 {
+		t.Fatalf("after a fresh-key Put: pfences=%d pfences_elided=%d, want >0 / 0", st.PFences, st.PFencesElided)
+	}
+	if _, err := c.Delete([]byte("k")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PFencesElided != 2 {
+		t.Fatalf("after the Delete: pfences_elided=%d over the wire, want 2", st.PFencesElided)
+	}
+	var buf bytes.Buffer
+	if err := srv.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := metrics.ValidateExposition(buf.Bytes()); err != nil {
+		t.Fatalf("page invalid: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "flit_pfences_elided_total 2\n") {
+		t.Fatalf("page missing the elided-fence counter:\n%s", buf.String())
+	}
+}
+
 // TestMetricsHandler scrapes the HTTP endpoint end-to-end and checks
 // content type and exposition validity.
 func TestMetricsHandler(t *testing.T) {

@@ -130,6 +130,10 @@ type Stats struct {
 
 	PWBs    uint64 `json:"pwbs"`    // PWB instructions issued serving requests
 	PFences uint64 `json:"pfences"` // PFence instructions issued serving requests
+	// PFencesElided counts the dependency fences the policy found empty
+	// and did not issue (pmem.Stats.ElidedFences); PFences + PFencesElided
+	// is what Algorithm 4 asks for.
+	PFencesElided uint64 `json:"pfences_elided"`
 
 	// Resilience accounting (compatible v2 extensions — JSON ignores
 	// unknown fields, so older clients are unaffected). Shed counts are
@@ -190,6 +194,7 @@ type Server struct {
 	drained   atomic.Uint64
 	pwbs      atomic.Uint64
 	pfences   atomic.Uint64
+	elided    atomic.Uint64 // dependency fences not issued (Stats.PFencesElided)
 
 	// Resilience state. The shed counters are striped (batchers write on
 	// their own stripe); conn-level counters are plain atomics — they
@@ -280,6 +285,8 @@ func (s *Server) Stats() Stats {
 		Policy:    s.st.Opts().Policy,
 		PWBs:      s.pwbs.Load(),
 		PFences:   s.pfences.Load(),
+
+		PFencesElided: s.elided.Load(),
 
 		ShedBusy:      s.shedBusy.Load(),
 		ShedDraining:  s.shedDraining.Load(),
@@ -756,7 +763,7 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	// batcher reads; each batch folds its own delta into the server atomics.
 	// The baseline is re-read per batch, so a ResetStats cannot unseat it.
 	ts := &b.bs.Thread().Stats
-	pwbs0, pfences0 := ts.PWBs, ts.PFences
+	pwbs0, pfences0, elided0 := ts.PWBs, ts.PFences, ts.ElidedFences
 	// With metrics on, service time is measured at batch granularity —
 	// three clock reads per Exec, since one per op would cost more than a
 	// simulated store op does: [t0,t1) brackets the execution loop and is
@@ -808,6 +815,9 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 		pfences := ts.PFences - pfences0
 		b.srv.pwbs.Add(ts.PWBs - pwbs0)
 		b.srv.pfences.Add(pfences)
+		if elided := ts.ElidedFences - elided0; elided != 0 { // rare here: deferred Puts have no leading fence
+			b.srv.elided.Add(elided)
+		}
 		if m != nil {
 			m.Commit.RecordNs(int64(time.Since(b.srv.epoch) - t1))
 			share := int64(t1-t0) / int64(storeOps)

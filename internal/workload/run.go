@@ -74,6 +74,9 @@ type Result struct {
 	PWBs      uint64  `json:"pwbs"`
 	PFences   uint64  `json:"pfences"`
 	PWBsPerOp float64 `json:"pwbs_per_op"`
+
+	// PFencesElided counts dependency fences found empty and not issued.
+	PFencesElided uint64 `json:"pfences_elided,omitempty"`
 }
 
 // OpenLoopSchedule computes one worker's slice of a fixed-rate global
@@ -288,6 +291,8 @@ func Run(st *store.Store, sp Spec) (Result, error) {
 		Adds:    sum(kindCounts[Add]),
 		PWBs:    stats.PWBs,
 		PFences: stats.PFences,
+
+		PFencesElided: stats.ElidedFences,
 	}
 	if elapsed > 0 {
 		res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
