@@ -80,6 +80,7 @@ func runWorkload(name string, cfg dstruct.Config, ops int, keys uint64) {
 	if name == "queue" {
 		q := queue.New(cfg)
 		th := q.NewThread()
+		defer th.Close()
 		for i := 0; i < ops; i++ {
 			if i%3 == 0 {
 				th.Dequeue()
@@ -103,6 +104,7 @@ func runWorkload(name string, cfg dstruct.Config, ops int, keys uint64) {
 		set = lockmap.New(cfg, 16)
 	}
 	th := set.NewThread()
+	defer th.Close()
 	for i := 0; i < ops; i++ {
 		k := uint64(i*7) % keys
 		switch i % 3 {

@@ -42,7 +42,7 @@ func main() {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			th := kv.NewThread().(*hashtable.Thread)
+			th := kv.Open(dstruct.ThreadOpts{})
 			// Crash this writer after a pseudo-random number of memory
 			// instructions — mid-operation, wherever that lands.
 			th.Ctx().T.SetCrashAfter(int64(1_500 + w*911))
@@ -71,7 +71,8 @@ func main() {
 	cfg2.Heap = pheap.Recover(mem2, watermark)
 	kv2 := hashtable.Recover(cfg2)
 
-	th := kv2.NewThread().(*hashtable.Thread)
+	th := kv2.Open(dstruct.ThreadOpts{})
+	defer th.Close()
 	lost := 0
 	for w := range acked {
 		for _, key := range acked[w] {

@@ -34,7 +34,8 @@ func main() {
 	}
 
 	l := list.New(cfg)
-	th := l.NewThread().(*list.Thread)
+	th := l.Open(dstruct.ThreadOpts{})
+	defer th.Close()
 	for k := uint64(1); k <= 10; k++ {
 		th.Insert(k, k*100)
 	}
@@ -56,7 +57,8 @@ func main() {
 	l2 := list.Recover(cfg2)
 
 	fmt.Println("after recovery:", keys(l2.Snapshot()))
-	th2 := l2.NewThread().(*list.Thread)
+	th2 := l2.Open(dstruct.ThreadOpts{})
+	defer th2.Close()
 	if v, ok := th2.Get(5); ok {
 		fmt.Printf("recovered value for key 5: %d\n", v)
 	}

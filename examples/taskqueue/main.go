@@ -38,7 +38,7 @@ func main() {
 		go func(p int) {
 			defer wg.Done()
 			th := q.NewThread()
-			th.T().SetCrashAfter(int64(2_000 + p*777))
+			th.Ctx().T.SetCrashAfter(int64(2_000 + p*777))
 			pmem.RunToCrash(func() {
 				for i := 0; i < 1000; i++ {
 					job := uint64(p*1000 + i + 1)
@@ -55,7 +55,7 @@ func main() {
 		go func(c int) {
 			defer wg.Done()
 			th := q.NewThread()
-			th.T().SetCrashAfter(int64(1_500 + c*901))
+			th.Ctx().T.SetCrashAfter(int64(1_500 + c*901))
 			pmem.RunToCrash(func() {
 				for {
 					if job, ok := th.Dequeue(); ok {
@@ -79,6 +79,7 @@ func main() {
 
 	// Drain the recovered queue and audit exactly-once delivery.
 	th := q2.NewThread()
+	defer th.Close()
 	recovered := map[uint64]bool{}
 	for {
 		job, ok := th.Dequeue()

@@ -19,7 +19,7 @@ var HandleClose = &Analyzer{
 	Name: "handleclose",
 	Doc: "flow-sensitive check that acquired handles (pmem.Memory.RegisterThread, " +
 		"pheap.Heap.NewArena, store.Open sessions, reclaim.Domain.NewHandle, " +
-		"dstruct table Open handles) reach Release/Close on every path out of the " +
+		"dstruct Open/NewThread handles) reach Release/Close on every path out of the " +
 		"acquiring function, including error returns and explicit panics",
 	Run: runHandleClose,
 }
@@ -60,18 +60,20 @@ var handleSpecs = []handleSpec{
 		releaseNames: map[string]bool{"Close": true},
 		what:         "reclamation handle",
 	},
-	{
-		pkgSuffix:    "internal/dstruct/hashtable",
-		acquireNames: map[string]bool{"Open": true},
-		releaseNames: map[string]bool{"Close": true},
-		what:         "table thread handle",
-	},
-	{
-		pkgSuffix:    "internal/dstruct/list",
-		acquireNames: map[string]bool{"Open": true},
-		releaseNames: map[string]bool{"Close": true},
-		what:         "list thread handle",
-	},
+}
+
+// Every durable structure hands out per-goroutine handles the same way —
+// dstruct.Config.Open underneath, Open/NewThread on the structure (and on
+// the dstruct.Set interface) on top — and every one of them is Closed.
+func init() {
+	for _, sub := range []string{"", "/list", "/hashtable", "/skiplist", "/bst", "/lockmap", "/queue"} {
+		handleSpecs = append(handleSpecs, handleSpec{
+			pkgSuffix:    "internal/dstruct" + sub,
+			acquireNames: map[string]bool{"Open": true, "NewThread": true},
+			releaseNames: map[string]bool{"Close": true},
+			what:         "structure thread handle",
+		})
+	}
 }
 
 func runHandleClose(pass *Pass) error {

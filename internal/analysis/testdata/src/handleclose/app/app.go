@@ -5,6 +5,7 @@ package app
 import (
 	"errors"
 
+	"flit/internal/analysis/testdata/src/handleclose/internal/dstruct"
 	"flit/internal/analysis/testdata/src/handleclose/internal/pheap"
 	"flit/internal/analysis/testdata/src/handleclose/internal/pmem"
 	"flit/internal/analysis/testdata/src/handleclose/internal/reclaim"
@@ -102,4 +103,27 @@ func deferredClosure(m *pmem.Memory) uint64 {
 		t.Release()
 	}()
 	return t.Work()
+}
+
+// anchored is the structure constructors' shape: a context opened for the
+// construction and closed before returning.
+func anchored(cfg dstruct.Config) {
+	c := cfg.Open()
+	c.Close()
+}
+
+// prefillLeak is the bench/crashtest leak: a Set handle that is never
+// closed keeps its pmem thread, arena and reclamation slot.
+func prefillLeak(s dstruct.Set) {
+	th := s.NewThread() // want "structure thread handle acquired here is never released"
+	th.Insert(1, 1)
+}
+
+// openLeak forgets the context on the early return.
+func openLeak(cfg dstruct.Config, skip bool) {
+	c := cfg.Open()
+	if skip {
+		return // want "function returns without releasing structure thread handle"
+	}
+	c.Close()
 }

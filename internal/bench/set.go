@@ -218,6 +218,7 @@ func (inst *Instance) prefill() {
 	saved := inst.Mem.Config()
 	inst.Mem.SetCosts(0, 0, 0, 0)
 	th := inst.Set.NewThread()
+	defer th.Close()
 	keys := make([]uint64, 0, inst.keyRange/2)
 	for k := uint64(0); k < inst.keyRange; k += 2 {
 		keys = append(keys, k)
@@ -275,6 +276,7 @@ func (inst *Instance) run(c SetCell, threads int, d time.Duration) window {
 		go func(t int) {
 			defer wg.Done()
 			th := inst.Set.NewThread()
+			defer th.Close()
 			rng := rand.New(rand.NewSource(int64(0xC0FFEE + t*7919)))
 			var zipf *rand.Zipf
 			if c.ZipfS > 1 {

@@ -111,12 +111,34 @@ func TestPolicyLabels(t *testing.T) {
 	}
 }
 
+// TestRepeatedCellReleasesItsThreads: prefill and every repeat of a cell
+// open their own handles; each must give its pmem thread back, on every
+// structure — a cell used to leak `threads` pmem threads and arenas per
+// repeat.
+func TestRepeatedCellReleasesItsThreads(t *testing.T) {
+	for _, ds := range DataStructures {
+		c := SetCell{DS: ds, Policy: core.PolicyHT, Mode: dstruct.NVTraverse, KeyRange: 64, UpdatePct: 50}
+		inst, err := NewInstance(c, true, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline := len(inst.Mem.Threads())
+		for repeat := 0; repeat < 3; repeat++ {
+			inst.run(c, 3, time.Millisecond)
+		}
+		if got := len(inst.Mem.Threads()); got != baseline {
+			t.Errorf("%s: %d pmem threads registered after 3 repeats of a 3-thread cell, %d before", ds, got, baseline)
+		}
+	}
+}
+
 // opCounter is a SetThread that only counts what it is asked to do.
 type opCounter struct{ inserts, deletes, contains int }
 
 func (o *opCounter) Insert(k, v uint64) bool { o.inserts++; return true }
 func (o *opCounter) Delete(k uint64) bool    { o.deletes++; return true }
 func (o *opCounter) Contains(k uint64) bool  { o.contains++; return true }
+func (o *opCounter) Close()                  {}
 
 // TestUpdateSplitIsEven counts what the workload loop issues over a fixed
 // number of draws: §6 splits updates 50/50 between inserts and deletes

@@ -95,6 +95,7 @@ func Run(cfg dstruct.Config, target Target, opts Options) (*hist.Violation, Inst
 		setup.Insert(uint64(k), uint64(k)+1000)
 		initial[uint64(k)] = true
 	}
+	setup.Close()
 
 	clock := &hist.Clock{}
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -140,6 +141,11 @@ func Run(cfg dstruct.Config, target Target, opts Options) (*hist.Violation, Inst
 
 	wm := cfg.Heap.Watermark()
 	img := cfg.Heap.Mem().CrashImage(opts.CrashMode, opts.Seed^0x5ca1ab1e)
+	// Only now: releasing a pmem thread discards the write-backs a crashed
+	// worker left pending, which the image above had to see.
+	for _, th := range threads {
+		th.Close()
+	}
 	mem2 := pmem.NewFromImage(img, cfg.Heap.Mem().Config())
 	cfg2 := cfg
 	cfg2.Heap = pheap.Recover(mem2, wm)
@@ -153,7 +159,7 @@ func Run(cfg dstruct.Config, target Target, opts Options) (*hist.Violation, Inst
 }
 
 // ctxOf extracts the dstruct.Ctx from any target's thread type.
-func ctxOf(th dstruct.SetThread) dstruct.Ctx {
-	type hasCtx interface{ Ctx() dstruct.Ctx }
+func ctxOf(th dstruct.SetThread) *dstruct.Ctx {
+	type hasCtx interface{ Ctx() *dstruct.Ctx }
 	return th.(hasCtx).Ctx()
 }

@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"flit/internal/core"
@@ -136,6 +137,113 @@ func TestObserverPersistsWhatItSaw(t *testing.T) {
 	}
 }
 
+// setOp is one checker operation of a frozen-writer scenario.
+type setOp struct {
+	kind hist.Kind
+	key  uint64
+}
+
+// frozenScenario prefills keys 1–9 except absent, freezes each writer in
+// turn after its stallAt[i]-th successful p-CAS, runs the observers to
+// completion on top of what the frozen writers left visible, crashes, and
+// checks the recovered state against the recorded history. ok is false if
+// a writer completed without reaching its freeze.
+func frozenScenario(target Target, mode dstruct.Mode, absent []uint64, writers []setOp, stallAt []int, observers []setOp) (v *hist.Violation, ok bool) {
+	pol := newStallFliT(-1)
+	cfg := dlcheck.NewConfig(pol, mode)
+	inst := target.New(cfg)
+	initial := map[uint64]bool{}
+	setup := inst.Set.NewThread()
+	for k := uint64(1); k < 10; k++ {
+		if !slices.Contains(absent, k) {
+			setup.Insert(k, k+100)
+			initial[k] = true
+		}
+	}
+	clock := &hist.Clock{}
+	var recs []*hist.Recorder
+	for i, w := range writers {
+		rec := hist.NewRecorder(clock)
+		recs = append(recs, rec)
+		rec.Begin(w.kind, w.key)
+		*pol.stallIn = stallAt[i]
+		if !pmem.RunToCrash(func() { applySet(inst.Set.NewThread(), w.kind, w.key) }) {
+			return nil, false
+		}
+	}
+	for _, o := range observers {
+		rec := hist.NewRecorder(clock)
+		recs = append(recs, rec)
+		tok := rec.Begin(o.kind, o.key)
+		rec.Finish(tok, applySet(inst.Set.NewThread(), o.kind, o.key))
+	}
+	final := map[uint64]bool{}
+	for k := range target.Recover(recoverOnto(cfg)).Snapshot() {
+		final[k] = true
+	}
+	return hist.Check(recs, initial, final), true
+}
+
+// forEachFrozenCell runs body on every lock-free target × durability mode
+// (a writer frozen inside the lock map's critical section blocks every
+// observer).
+func forEachFrozenCell(t *testing.T, body func(t *testing.T, target Target, mode dstruct.Mode)) {
+	for _, target := range Targets() {
+		if target.Name == "lockmap" {
+			continue
+		}
+		for _, mode := range dstruct.Modes {
+			t.Run(target.Name+"/"+mode.String(), func(t *testing.T) { body(t, target, mode) })
+		}
+	}
+}
+
+// TestInsertBehindPendingPredecessor: Insert(5) is frozen with its link in
+// node 4 visible but unpersisted, and a second thread completes Insert(6)
+// behind node 5. The acknowledged key 6 hangs off node 5, so it survives a
+// crash only if the link *into* node 5 does: an insert's linking CAS rests
+// on the link through which its predecessor was reached, not just on the
+// one it swings.
+func TestInsertBehindPendingPredecessor(t *testing.T) {
+	forEachFrozenCell(t, func(t *testing.T, target Target, mode dstruct.Mode) {
+		v, ok := frozenScenario(target, mode, []uint64{5, 6},
+			[]setOp{{hist.Insert, 5}}, []int{0},
+			[]setOp{{hist.Insert, 6}})
+		if !ok {
+			t.Fatal("Insert(5) completed without a p-CAS to freeze at")
+		}
+		if v != nil {
+			t.Fatalf("Insert(6) acknowledged behind the pending node 5: %v", v)
+		}
+	})
+}
+
+// TestHelpedUnlinkRestsOnTheMark: an Insert(0) is frozen with its link at
+// the front of the chain visible but unpersisted, then a Delete(1) is
+// frozen after each of its p-CASes in turn — in particular with its mark
+// visible but unpersisted. A second Delete(1) helps unlink the marked
+// node with a p-CAS of its own and answers false, and a Contains(1)
+// answers false off that unlink too. The unlink sits in the pending node
+// 0, so a crash loses it together with the link into that node; what
+// survives is the old path to node 1, and only a persisted mark keeps the
+// key absent. A helper therefore has to persist the mark it read with a
+// v-load before it unlinks on the strength of it.
+func TestHelpedUnlinkRestsOnTheMark(t *testing.T) {
+	forEachFrozenCell(t, func(t *testing.T, target Target, mode dstruct.Mode) {
+		for stallAt := 0; ; stallAt++ {
+			v, ok := frozenScenario(target, mode, nil,
+				[]setOp{{hist.Insert, 0}, {hist.Delete, 1}}, []int{0, stallAt},
+				[]setOp{{hist.Delete, 1}, {hist.Contains, 1}})
+			if !ok {
+				return // stallAt is past the Delete's last p-CAS
+			}
+			if v != nil {
+				t.Fatalf("Delete(1) frozen after p-CAS %d, then Delete(1) and Contains(1) answered absent: %v", stallAt, v)
+			}
+		}
+	})
+}
+
 // TestQueueVolatileEndsTrailDurableState: the queue's head and tail live
 // in volatile memory and later operations trust them without re-reading
 // the marks and links they stand for, so neither may move past state that
@@ -167,7 +275,7 @@ func TestQueueVolatileEndsTrailDurableState(t *testing.T) {
 				t.Fatal("first operation completed without a p-CAS to freeze at")
 			}
 			helper := q.NewThread()
-			helper.T().SetCrashAfter(helperCrash)
+			helper.Ctx().T.SetCrashAfter(helperCrash)
 			pmem.RunToCrash(func() { op(helper, 11) })
 			took, _ := op(q.NewThread(), 12)
 

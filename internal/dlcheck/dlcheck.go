@@ -434,11 +434,21 @@ func enumerate(rep *Report, base []uint64, records []pmem.PersistRecord, budget 
 // surviving objects.
 func RunSet(cfg dstruct.Config, tgt Target, opts Options) *Report {
 	inst := tgt.New(cfg)
+	var opened []dstruct.SetThread // Run opens sessions one at a time
+	defer func() {
+		for _, th := range opened {
+			th.Close()
+		}
+	}()
 	return Run(Harness{
-		Name:       tgt.Name,
-		Mem:        cfg.Heap.Mem(),
-		Policy:     cfg.Policy,
-		NewSession: func() BatchExecutor { return SetExecutor{inst.Set.NewThread()} },
+		Name:   tgt.Name,
+		Mem:    cfg.Heap.Mem(),
+		Policy: cfg.Policy,
+		NewSession: func() BatchExecutor {
+			th := inst.Set.NewThread()
+			opened = append(opened, th)
+			return SetExecutor{th}
+		},
 		Recover: func(img []uint64) (map[uint64]bool, error) {
 			cfg2 := cfg
 			cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), cfg.Heap.Watermark())

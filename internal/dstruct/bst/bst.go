@@ -56,33 +56,23 @@ type BST struct {
 
 // New creates an empty tree anchored at cfg's root slot: sentinels R and S
 // with three infinity leaves, persisted, root pointing at R. It rejects
-// policies without FAA/Exchange? No — it rejects nothing except
 // link-and-persist, whose stolen bit collides with the NM tag bits.
 func New(cfg dstruct.Config) *BST {
 	if _, lap := cfg.Policy.(core.LinkAndPersist); lap {
 		panic("bst: link-and-persist is inapplicable — the NM-BST uses every spare word bit (paper §6.4)")
 	}
-	t := cfg.Heap.Mem().RegisterThread()
-	ar := cfg.Heap.NewArena()
-	pol := cfg.Policy
-	mkNode := func(key, val uint64, left, right pmem.Addr) pmem.Addr {
-		n := ar.Alloc(cfg.Words(NumFields))
-		pol.StorePrivate(t, cfg.Field(n, fKey), key, core.V)
-		pol.StorePrivate(t, cfg.Field(n, fVal), val, core.V)
-		pol.StorePrivate(t, cfg.Field(n, fLeft), uint64(left), core.V)
-		pol.StorePrivate(t, cfg.Field(n, fRight), uint64(right), core.V)
-		pol.PersistObject(t, n, cfg.Words(NumFields))
+	c := cfg.Open(nil, dstruct.ThreadOpts{})
+	mkNode := func(key uint64, left, right pmem.Addr) pmem.Addr {
+		n := c.Ar.Alloc(c.Words(NumFields))
+		c.InitPrivate(n, key, 0, uint64(left), uint64(right))
 		return n
 	}
-	l0 := mkNode(inf0, 0, 0, 0)
-	l1 := mkNode(inf1, 0, 0, 0)
-	l2 := mkNode(inf2, 0, 0, 0)
-	s := mkNode(inf1, 0, l0, l1)
-	r := mkNode(inf2, 0, s, l2)
-	pol.Store(t, cfg.Root(), uint64(r), core.P)
-	pol.Complete(t)
-	ar.Release()
-	t.Release()
+	l0 := mkNode(inf0, 0, 0)
+	l1 := mkNode(inf1, 0, 0)
+	l2 := mkNode(inf2, 0, 0)
+	s := mkNode(inf1, l0, l1)
+	c.Publish(mkNode(inf2, s, l2))
+	c.Close()
 	return Attach(cfg)
 }
 
@@ -103,27 +93,32 @@ type Thread struct {
 	c dstruct.Ctx
 }
 
-// NewThread creates a per-goroutine handle.
-func (b *BST) NewThread() dstruct.SetThread { return b.newThread() }
+// NewThread creates a standalone per-goroutine handle — the Set
+// interface's spelling of Open(ThreadOpts{}).
+func (b *BST) NewThread() dstruct.SetThread { return b.Open(dstruct.ThreadOpts{}) }
 
-func (b *BST) newThread() *Thread { return &Thread{b: b, c: b.cfg.NewCtx(b.dom)} }
+// Open creates a per-goroutine handle; see dstruct.ThreadOpts.
+func (b *BST) Open(o dstruct.ThreadOpts) *Thread {
+	return &Thread{b: b, c: b.cfg.Open(b.dom, o)}
+}
+
+// Close releases the handle; see dstruct.Ctx.Close.
+func (t *Thread) Close() { t.c.Close() }
 
 // Ctx exposes the thread's execution context (stats, crash injection).
-func (t *Thread) Ctx() dstruct.Ctx { return t.c }
-
-func (b *BST) travP() bool { return b.cfg.Mode == dstruct.Automatic }
+func (t *Thread) Ctx() *dstruct.Ctx { return &t.c }
 
 // cleanupP is the pflag of loads and of the tag CAS inside cleanup: the
 // NVtraverse methodology persists the whole critical phase; Manual lets
 // recovery repair lost tags.
-func (b *BST) cleanupP() bool { return b.cfg.Mode != dstruct.Manual }
+func (t *Thread) cleanupP() bool { return t.c.Mode != dstruct.Manual }
 
 // childField returns the address of node's child edge toward key.
 func (t *Thread) childField(node pmem.Addr, nodeKey, key uint64) pmem.Addr {
 	if key < nodeKey {
-		return t.b.cfg.Field(node, fLeft)
+		return t.c.Field(node, fLeft)
 	}
-	return t.b.cfg.Field(node, fRight)
+	return t.c.Field(node, fRight)
 }
 
 // seekRec is the NM seek record: ancestor's edge to successor is the last
@@ -140,16 +135,16 @@ type seekRec struct {
 
 // seek walks from the sentinels to the leaf for key.
 func (t *Thread) seek(key uint64) seekRec {
-	cfg := &t.b.cfg
-	pol := cfg.Policy
-	travP := t.b.travP()
-	sr := seekRec{ancestor: t.b.r, successor: t.b.s, parent: t.b.s, parentEdge: cfg.Field(t.b.r, fLeft)}
-	leafEdge := cfg.Field(t.b.s, fLeft) // key < inf1: always left of S
-	parentRaw := pol.Load(t.c.T, leafEdge, travP)
+	c := &t.c
+	pol := c.Policy
+	travP := c.TravP()
+	sr := seekRec{ancestor: t.b.r, successor: t.b.s, parent: t.b.s, parentEdge: c.Field(t.b.r, fLeft)}
+	leafEdge := c.Field(t.b.s, fLeft) // key < inf1: always left of S
+	parentRaw := pol.Load(c.T, leafEdge, travP)
 	sr.leaf = dstruct.Ptr(parentRaw)
-	sr.leafKey = pol.Load(t.c.T, cfg.Field(sr.leaf, fKey), travP)
+	sr.leafKey = pol.Load(c.T, c.Field(sr.leaf, fKey), travP)
 	curEdge := t.childField(sr.leaf, sr.leafKey, key)
-	curRaw := pol.Load(t.c.T, curEdge, travP)
+	curRaw := pol.Load(c.T, curEdge, travP)
 	for {
 		cur := dstruct.Ptr(curRaw)
 		if cur == pmem.NilAddr {
@@ -161,39 +156,23 @@ func (t *Thread) seek(key uint64) seekRec {
 		}
 		sr.parent, sr.parentEdge = sr.leaf, leafEdge
 		sr.leaf, leafEdge = cur, curEdge
-		sr.leafKey = pol.Load(t.c.T, cfg.Field(cur, fKey), travP)
+		sr.leafKey = pol.Load(c.T, c.Field(cur, fKey), travP)
 		parentRaw = curRaw
 		curEdge = t.childField(cur, sr.leafKey, key)
-		curRaw = pol.Load(t.c.T, curEdge, travP)
+		curRaw = pol.Load(c.T, curEdge, travP)
 	}
 }
 
-// transition re-examines, with p-loads, the two links a response rests
-// on at the traversal/critical boundary: the edge into parent and parent's
-// edge toward the key (see list.transition; redundant under Automatic).
-func (t *Thread) transition(sr seekRec, edge pmem.Addr) {
-	if t.b.cfg.Mode != dstruct.Automatic {
-		t.b.cfg.Policy.Load(t.c.T, sr.parentEdge, core.P)
-		t.b.cfg.Policy.Load(t.c.T, edge, core.P)
-	}
-}
-
-// initNode writes a fresh node (see list.initNode for the mode split).
-func (t *Thread) initNode(n pmem.Addr, key, val uint64, left, right pmem.Addr) {
-	cfg := &t.b.cfg
-	pol := cfg.Policy
-	if cfg.Mode == dstruct.Automatic {
-		pol.Store(t.c.T, cfg.Field(n, fKey), key, core.P)
-		pol.Store(t.c.T, cfg.Field(n, fVal), val, core.P)
-		pol.Store(t.c.T, cfg.Field(n, fLeft), uint64(left), core.P)
-		pol.Store(t.c.T, cfg.Field(n, fRight), uint64(right), core.P)
-		return
-	}
-	pol.StorePrivate(t.c.T, cfg.Field(n, fKey), key, core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(n, fVal), val, core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(n, fLeft), uint64(left), core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(n, fRight), uint64(right), core.V)
-	pol.PersistObject(t.c.T, n, cfg.Words(NumFields))
+// settle ends the traversal phase of an operation that sought key: it
+// locates parent's edge toward key and transitions on the two links a
+// response or the next CAS rests on — the edge into parent and that edge
+// (see dstruct.Ctx.Transition).
+func (t *Thread) settle(sr seekRec, key uint64) (edge pmem.Addr) {
+	c := &t.c
+	pkey := c.Policy.Load(c.T, c.Field(sr.parent, fKey), c.TravP())
+	edge = t.childField(sr.parent, pkey, key)
+	c.Transition(sr.parentEdge, edge)
+	return edge
 }
 
 // Insert adds key→val if absent.
@@ -201,90 +180,73 @@ func (t *Thread) Insert(key, val uint64) bool {
 	if key >= dstruct.KeyMax {
 		panic("bst: key out of range")
 	}
-	cfg := &t.b.cfg
-	pol := cfg.Policy
-	t.c.H.Enter()
+	c := &t.c
+	pol := c.Policy
+	c.H.Enter()
 	for {
 		sr := t.seek(key)
-		pkey := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), t.b.travP())
-		edge := t.childField(sr.parent, pkey, key)
+		edge := t.settle(sr, key)
 		if sr.leafKey == key {
-			t.transition(sr, edge)
-			pol.Complete(t.c.T)
-			t.c.H.Exit()
+			c.Done()
 			return false
 		}
-		t.transition(sr, edge)
-		newLeaf := t.c.Ar.Alloc(cfg.Words(NumFields))
-		t.initNode(newLeaf, key, val, 0, 0)
-		newInt := t.c.Ar.Alloc(cfg.Words(NumFields))
+		newLeaf := c.Ar.Alloc(c.Words(NumFields))
+		c.InitNode(newLeaf, key, val, 0, 0)
+		newInt := c.Ar.Alloc(c.Words(NumFields))
 		if key < sr.leafKey {
-			t.initNode(newInt, sr.leafKey, 0, newLeaf, sr.leaf)
+			c.InitNode(newInt, sr.leafKey, 0, uint64(newLeaf), uint64(sr.leaf))
 		} else {
-			t.initNode(newInt, key, 0, sr.leaf, newLeaf)
+			c.InitNode(newInt, key, 0, uint64(sr.leaf), uint64(newLeaf))
 		}
-		if pol.CAS(t.c.T, edge, uint64(sr.leaf), uint64(newInt), core.P) {
-			pol.Complete(t.c.T)
-			t.c.H.Exit()
+		if pol.CAS(c.T, edge, uint64(sr.leaf), uint64(newInt), core.P) {
+			c.Done()
 			return true
 		}
 		// Never shared: reuse directly.
-		t.c.Ar.Free(newLeaf, cfg.Words(NumFields))
-		t.c.Ar.Free(newInt, cfg.Words(NumFields))
-		raw := pol.Load(t.c.T, edge, t.b.travP())
-		if dstruct.Ptr(raw) == sr.leaf && (dstruct.Flagged(raw) || dstruct.Tagged(raw)) {
-			t.cleanup(key, sr) // help the obstructing delete
-		}
+		c.Ar.Free(newLeaf, c.Words(NumFields))
+		c.Ar.Free(newInt, c.Words(NumFields))
+		t.helpObstructor(key, sr, edge)
+	}
+}
+
+// helpObstructor runs the cleanup of the delete whose flag or tag on
+// edge made this thread's CAS fail, if that is what happened.
+func (t *Thread) helpObstructor(key uint64, sr seekRec, edge pmem.Addr) {
+	raw := t.c.Policy.Load(t.c.T, edge, t.c.TravP())
+	if dstruct.Ptr(raw) == sr.leaf && (dstruct.Flagged(raw) || dstruct.Tagged(raw)) {
+		t.cleanup(key, sr)
 	}
 }
 
 // Delete removes key if present: flag the parent→leaf edge (injection),
 // then cleanup until the leaf is gone.
 func (t *Thread) Delete(key uint64) bool {
-	cfg := &t.b.cfg
-	pol := cfg.Policy
-	t.c.H.Enter()
+	c := &t.c
+	c.H.Enter()
 	injecting := true
 	var leaf pmem.Addr
 	for {
 		sr := t.seek(key)
 		if injecting {
+			edge := t.settle(sr, key)
 			if sr.leafKey != key {
-				pkey := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), t.b.travP())
-				t.transition(sr, t.childField(sr.parent, pkey, key))
-				pol.Complete(t.c.T)
-				t.c.H.Exit()
+				c.Done()
 				return false
 			}
-			pkey := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), t.b.travP())
-			edge := t.childField(sr.parent, pkey, key)
-			t.transition(sr, edge)
-			if pol.CAS(t.c.T, edge, uint64(sr.leaf), uint64(sr.leaf)|core.FlagBit, core.P) {
+			if c.Policy.CAS(c.T, edge, uint64(sr.leaf), uint64(sr.leaf)|core.FlagBit, core.P) {
 				injecting = false
 				leaf = sr.leaf
 				if t.cleanup(key, sr) {
-					pol.Complete(t.c.T)
-					t.c.H.Exit()
+					c.Done()
 					return true
 				}
 			} else {
-				raw := pol.Load(t.c.T, edge, t.b.travP())
-				if dstruct.Ptr(raw) == sr.leaf && (dstruct.Flagged(raw) || dstruct.Tagged(raw)) {
-					t.cleanup(key, sr)
-				}
+				t.helpObstructor(key, sr, edge)
 			}
-		} else {
-			if sr.leaf != leaf {
-				// Someone finished our removal.
-				pol.Complete(t.c.T)
-				t.c.H.Exit()
-				return true
-			}
-			if t.cleanup(key, sr) {
-				pol.Complete(t.c.T)
-				t.c.H.Exit()
-				return true
-			}
+		} else if sr.leaf != leaf || t.cleanup(key, sr) {
+			// Someone finished our removal, or this cleanup did.
+			c.Done()
+			return true
 		}
 	}
 }
@@ -294,18 +256,18 @@ func (t *Thread) Delete(key uint64) bool {
 // sibling's flag). Returns whether this thread's swing succeeded; if so it
 // retires the removed parent and leaf.
 func (t *Thread) cleanup(key uint64, sr seekRec) bool {
-	cfg := &t.b.cfg
-	pol := cfg.Policy
-	cp := t.b.cleanupP()
-	ak := pol.Load(t.c.T, cfg.Field(sr.ancestor, fKey), cp)
+	c := &t.c
+	pol := c.Policy
+	cp := t.cleanupP()
+	ak := pol.Load(c.T, c.Field(sr.ancestor, fKey), cp)
 	succField := t.childField(sr.ancestor, ak, key)
-	pk := pol.Load(t.c.T, cfg.Field(sr.parent, fKey), cp)
+	pk := pol.Load(c.T, c.Field(sr.parent, fKey), cp)
 	childField := t.childField(sr.parent, pk, key)
-	siblingField := cfg.Field(sr.parent, fLeft)
+	siblingField := c.Field(sr.parent, fLeft)
 	if childField == siblingField {
-		siblingField = cfg.Field(sr.parent, fRight)
+		siblingField = c.Field(sr.parent, fRight)
 	}
-	childRaw := pol.Load(t.c.T, childField, cp)
+	childRaw := pol.Load(c.T, childField, cp)
 	if !dstruct.Flagged(childRaw) {
 		// The pending delete targets the other side; keep that side's
 		// subtree and remove the (flagged) original sibling.
@@ -313,100 +275,65 @@ func (t *Thread) cleanup(key uint64, sr seekRec) bool {
 	}
 	// Freeze the kept edge so it cannot change while we splice it up.
 	for {
-		v := pol.Load(t.c.T, siblingField, cp)
+		v := pol.Load(c.T, siblingField, cp)
 		if dstruct.Tagged(v) {
 			break
 		}
-		if pol.CAS(t.c.T, siblingField, v, v|core.TagBit, cp) {
+		if pol.CAS(c.T, siblingField, v, v|core.TagBit, cp) {
 			break
 		}
 	}
-	v := pol.Load(t.c.T, siblingField, cp)
+	v := pol.Load(c.T, siblingField, cp)
 	kept := uint64(dstruct.Ptr(v)) | (v & core.FlagBit) // untag, keep flag
 	// The swing is a p-store in every mode: it makes parent and leaf
 	// unreachable, and they are retired for reuse below.
-	if !pol.CAS(t.c.T, succField, uint64(sr.successor), kept, core.P) {
+	if !pol.CAS(c.T, succField, uint64(sr.successor), kept, core.P) {
 		return false
 	}
-	removedField := cfg.Field(sr.parent, fLeft)
+	removedField := c.Field(sr.parent, fLeft)
 	if removedField == siblingField {
-		removedField = cfg.Field(sr.parent, fRight)
+		removedField = c.Field(sr.parent, fRight)
 	}
-	removed := dstruct.Ptr(pol.Load(t.c.T, removedField, cp))
-	t.c.H.Retire(sr.parent, cfg.Words(NumFields))
+	removed := dstruct.Ptr(pol.Load(c.T, removedField, cp))
+	c.H.Retire(sr.parent, c.Words(NumFields))
 	if removed != pmem.NilAddr {
-		t.c.H.Retire(removed, cfg.Words(NumFields))
+		c.H.Retire(removed, c.Words(NumFields))
 	}
 	return true
 }
 
 // Contains reports whether key is present.
 func (t *Thread) Contains(key uint64) bool {
-	pol := t.b.cfg.Policy
 	t.c.H.Enter()
 	sr := t.seek(key)
-	found := sr.leafKey == key
-	pkey := pol.Load(t.c.T, t.b.cfg.Field(sr.parent, fKey), t.b.travP())
-	t.transition(sr, t.childField(sr.parent, pkey, key))
-	pol.Complete(t.c.T)
-	t.c.H.Exit()
-	return found
+	t.settle(sr, key)
+	t.c.Done()
+	return sr.leafKey == key
 }
 
 // Get returns the value stored under key, if present.
 func (t *Thread) Get(key uint64) (uint64, bool) {
-	pol := t.b.cfg.Policy
-	t.c.H.Enter()
+	c := &t.c
+	c.H.Enter()
 	sr := t.seek(key)
 	var v uint64
 	found := sr.leafKey == key
 	if found {
-		v = pol.Load(t.c.T, t.b.cfg.Field(sr.leaf, fVal), t.b.travP())
+		v = c.Policy.Load(c.T, c.Field(sr.leaf, fVal), c.TravP())
 	}
-	pkey := pol.Load(t.c.T, t.b.cfg.Field(sr.parent, fKey), t.b.travP())
-	t.transition(sr, t.childField(sr.parent, pkey, key))
-	pol.Complete(t.c.T)
-	t.c.H.Exit()
+	t.settle(sr, key)
+	c.Done()
 	return v, found
 }
 
 // Snapshot reads all live user pairs (test helper; callers quiescent).
-func (b *BST) Snapshot() map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	mem := b.cfg.Heap.Mem()
-	var walk func(raw uint64)
-	walk = func(raw uint64) {
-		n := dstruct.Ptr(raw)
-		if n == pmem.NilAddr || dstruct.Flagged(raw) {
-			return
-		}
-		l := mem.VolatileWord(b.cfg.Field(n, fLeft))
-		r := mem.VolatileWord(b.cfg.Field(n, fRight))
-		if dstruct.Ptr(l) == pmem.NilAddr && dstruct.Ptr(r) == pmem.NilAddr {
-			k := mem.VolatileWord(b.cfg.Field(n, fKey))
-			if k < dstruct.KeyMax {
-				out[k] = mem.VolatileWord(b.cfg.Field(n, fVal))
-			}
-			return
-		}
-		walk(l)
-		walk(r)
-	}
-	walk(uint64(b.r))
-	return out
-}
+func (b *BST) Snapshot() map[uint64]uint64 { return gather(&b.cfg, uint64(b.r)) }
 
-// Recover rebuilds a durably consistent tree from the image at cfg's root
-// slot: leaves reachable through unflagged edges survive (a persisted flag
-// is a delete that may take effect — see the package comment); flags and
-// tags are discarded with the old structure, and survivors are re-inserted
-// in median order into a fresh tree at the same root, yielding a balanced
-// rebuild.
-//
-//flit:rawpersist recovery is single-threaded; the rebuild fences once after re-insertion
-func Recover(cfg dstruct.Config) *BST {
+// gather reads the user pairs of the leaves reachable from rootRaw through
+// unflagged edges, in volatile or recovered memory alike; the visited set
+// ends the walk on a corrupt cyclic image.
+func gather(cfg *dstruct.Config, rootRaw uint64) map[uint64]uint64 {
 	mem := cfg.Heap.Mem()
-	rootRaw := mem.VolatileWord(cfg.Root())
 	pairs := make(map[uint64]uint64)
 	seen := make(map[pmem.Addr]bool)
 	var walk func(raw uint64)
@@ -428,9 +355,23 @@ func Recover(cfg dstruct.Config) *BST {
 		walk(r)
 	}
 	walk(rootRaw)
+	return pairs
+}
+
+// Recover rebuilds a durably consistent tree from the image at cfg's root
+// slot: leaves reachable through unflagged edges survive (a persisted flag
+// is a delete that may take effect — see the package comment); flags and
+// tags are discarded with the old structure, and survivors are re-inserted
+// in median order into a fresh tree at the same root, yielding a balanced
+// rebuild.
+//
+//flit:rawpersist recovery is single-threaded; the rebuild fences once after re-insertion
+func Recover(cfg dstruct.Config) *BST {
+	pairs := gather(&cfg, cfg.Heap.Mem().VolatileWord(cfg.Root()))
 
 	b := New(cfg)
-	th := b.newThread()
+	th := b.Open(dstruct.ThreadOpts{})
+	defer th.Close()
 	keys := make([]uint64, 0, len(pairs))
 	for k := range pairs {
 		keys = append(keys, k)

@@ -6,16 +6,17 @@ import (
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/dstest"
+	"flit/internal/pmem"
 )
 
 func factory(cfg dstruct.Config) dstest.Instance {
 	b := New(cfg)
-	return dstest.Instance{Set: b, Cfg: cfg, Snapshot: b.Snapshot}
+	return dstest.Instance{Set: b, Snapshot: b.Snapshot}
 }
 
 func recoverer(cfg dstruct.Config) dstest.Instance {
 	b := Recover(cfg)
-	return dstest.Instance{Set: b, Cfg: cfg, Snapshot: b.Snapshot}
+	return dstest.Instance{Set: b, Snapshot: b.Snapshot}
 }
 
 func TestSequentialAgainstModel(t *testing.T) {
@@ -65,7 +66,7 @@ func TestLinkAndPersistRejected(t *testing.T) {
 func TestGet(t *testing.T) {
 	cfg := dstest.Configs(1<<18, false)[0]
 	b := New(cfg)
-	th := b.newThread()
+	th := b.Open(dstruct.ThreadOpts{})
 	th.Insert(10, 100)
 	th.Insert(20, 200)
 	if v, ok := th.Get(10); !ok || v != 100 {
@@ -80,13 +81,48 @@ func TestGet(t *testing.T) {
 	}
 }
 
+// TestCrashedThreadDoesNotWedgeReclamation: a handle that dies by crash
+// injection mid-operation stays pinned in its epoch forever. Its
+// reclamation slot is registered with its pmem thread as owner, so epoch
+// advancement adopts it (the orphan rule) and churn by the survivors keeps
+// reusing memory; an ownerless slot would strand every later retiree and
+// the watermark would climb with the churn.
+func TestCrashedThreadDoesNotWedgeReclamation(t *testing.T) {
+	cfg := dstest.Configs(1<<20, false)[0]
+	b := New(cfg)
+	victim := b.Open(dstruct.ThreadOpts{})
+	victim.Insert(1, 1) // its slot has entered an epoch
+	victim.Ctx().T.SetCrashAfter(3)
+	if !pmem.RunToCrash(func() { victim.Insert(2, 2) }) {
+		t.Fatal("armed crash did not fire during the victim's operation")
+	}
+	th := b.Open(dstruct.ThreadOpts{})
+	defer th.Close()
+	churn := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			for k := uint64(100); k < 164; k++ {
+				th.Insert(k, k)
+			}
+			for k := uint64(100); k < 164; k++ {
+				th.Delete(k)
+			}
+		}
+	}
+	churn(10)
+	w0 := cfg.Heap.Watermark()
+	churn(200)
+	if w := cfg.Heap.Watermark(); w > 2*w0 {
+		t.Fatalf("crashed thread wedged reclamation: watermark %d words after churn, %d after warm-up (bound 2×)", w, w0)
+	}
+}
+
 // TestExternalTreeInvariants checks BST ordering and external-tree shape
 // after churn: every internal node has two children; leaves partition the
 // key space by the internal keys.
 func TestExternalTreeInvariants(t *testing.T) {
 	cfg := dstest.Configs(1<<20, false)[0]
 	b := New(cfg)
-	th := b.newThread()
+	th := b.Open(dstruct.ThreadOpts{})
 	for i := 0; i < 3000; i++ {
 		k := uint64((i * 37) % 500)
 		if i%3 == 0 {

@@ -18,11 +18,7 @@ import (
 )
 
 // Instance is a live data structure under test.
-type Instance struct {
-	Set      dstruct.Set
-	Cfg      dstruct.Config
-	Snapshot func() map[uint64]uint64
-}
+type Instance = dlcheck.Instance
 
 // Factory builds a fresh instance over cfg.
 type Factory func(cfg dstruct.Config) Instance
@@ -136,17 +132,7 @@ func DLCheck(t *testing.T, name string, cfg dstruct.Config, f Factory, r Recover
 	} else {
 		opts.Budget = 0
 	}
-	rep := dlcheck.RunSet(cfg, dlcheck.Target{
-		Name: name,
-		New: func(c dstruct.Config) dlcheck.Instance {
-			in := f(c)
-			return dlcheck.Instance{Set: in.Set, Snapshot: in.Snapshot}
-		},
-		Recover: func(c dstruct.Config) dlcheck.Instance {
-			in := r(c)
-			return dlcheck.Instance{Set: in.Set, Snapshot: in.Snapshot}
-		},
-	}, opts)
+	rep := dlcheck.RunSet(cfg, dlcheck.Target{Name: name, New: f, Recover: r}, opts)
 	if rep.Violation != nil {
 		t.Fatalf("dlcheck: %v", rep.Violation)
 	}
@@ -161,6 +147,7 @@ func SequentialModel(t *testing.T, cfg dstruct.Config, f Factory, keyRange int, 
 	t.Helper()
 	inst := f(cfg)
 	th := inst.Set.NewThread()
+	defer th.Close()
 	model := make(map[uint64]uint64)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < ops; i++ {
@@ -211,6 +198,7 @@ func ConcurrentStress(t *testing.T, cfg dstruct.Config, f Factory, keyRange, wor
 		go func(w int) {
 			defer wg.Done()
 			th := inst.Set.NewThread()
+			defer th.Close()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < iters; i++ {
 				k := uint64(rng.Intn(keyRange))
@@ -246,6 +234,7 @@ func CleanRecovery(t *testing.T, cfg dstruct.Config, f Factory, r Recoverer, n i
 	t.Helper()
 	inst := f(cfg)
 	th := inst.Set.NewThread()
+	defer th.Close()
 	model := map[uint64]uint64{}
 	for i := 0; i < n; i++ {
 		k := uint64(i)
@@ -273,6 +262,7 @@ func CleanRecovery(t *testing.T, cfg dstruct.Config, f Factory, r Recoverer, n i
 		}
 	}
 	th2 := rec.Set.NewThread()
+	defer th2.Close()
 	if !th2.Insert(uint64(n+1000), 5) || !th2.Contains(uint64(n+1000)) || !th2.Delete(uint64(n+1000)) {
 		t.Fatal("recovered structure not operational")
 	}
@@ -287,6 +277,7 @@ func RepeatedCrashes(t *testing.T, cfg dstruct.Config, f Factory, r Recoverer, r
 	inst := f(cfg)
 	model := map[uint64]uint64{}
 	th := inst.Set.NewThread()
+	defer th.Close()
 	for i := uint64(0); i < 100; i++ {
 		th.Insert(i, i+1)
 		model[i] = i + 1
@@ -325,5 +316,6 @@ func RepeatedCrashes(t *testing.T, cfg dstruct.Config, f Factory, r Recoverer, r
 				delete(model, k)
 			}
 		}
+		th.Close()
 	}
 }

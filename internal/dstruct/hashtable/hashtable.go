@@ -1,10 +1,13 @@
 // Package hashtable implements the paper's fourth benchmark structure: a
-// fixed-size hash table whose buckets are Harris linked lists. All list
-// mechanics (marking, unlinking, durability transitions) are inherited
-// from the list package; this package adds the persistent bucket array.
+// fixed-size hash table whose buckets are Harris linked lists. Marking and
+// unlinking are inherited from the list package and the durability
+// transitions from dstruct.Ctx through it; this package adds the
+// persistent bucket array.
 package hashtable
 
 import (
+	"math/bits"
+
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/list"
@@ -29,22 +32,9 @@ type Table struct {
 // of two), anchored at cfg's root slot.
 func New(cfg dstruct.Config, buckets int) *Table {
 	b := core.CeilPow2(buckets)
-	t := cfg.Heap.Mem().RegisterThread()
-	ar := cfg.Heap.NewArena()
-	base := ar.Alloc(cfg.Words(1 + b))
-	pol := cfg.Policy
-	pol.StorePrivate(t, cfg.Field(base, fCount), uint64(b), core.V)
-	for i := 0; i < b; i++ {
-		pol.StorePrivate(t, cfg.Field(base, 1+i), 0, core.V)
-	}
-	pol.PersistObject(t, base, cfg.Words(1+b))
-	// Publishing the header is a shared p-store: its leading fence orders
-	// the header contents before the root points at them.
-	pol.Store(t, cfg.Root(), uint64(base), core.P)
-	pol.Complete(t)
-	ar.Release()
-	t.Release()
-	return attach(cfg, base, uint64(b))
+	hdr := make([]uint64, 1+b) // count, then b empty bucket heads
+	hdr[fCount] = uint64(b)
+	return attach(cfg, cfg.Anchor(hdr...), uint64(b))
 }
 
 // Attach wraps the table persisted at cfg's root slot (e.g. in recovered
@@ -57,12 +47,8 @@ func Attach(cfg dstruct.Config) *Table {
 }
 
 func attach(cfg dstruct.Config, base pmem.Addr, b uint64) *Table {
-	t := &Table{cfg: cfg, l: list.Attach(cfg), base: base, buckets: b}
-	t.shift = 64
-	for e := b; e > 1; e >>= 1 {
-		t.shift--
-	}
-	return t
+	// shift leaves the top log2(b) bits of the multiplicative hash.
+	return &Table{cfg: cfg, l: list.Attach(cfg), base: base, buckets: b, shift: uint(64 - bits.Len64(b>>1))}
 }
 
 // Name returns "hashtable".
@@ -106,10 +92,9 @@ func (t *Table) Open(o dstruct.ThreadOpts) *Thread {
 }
 
 // Ctx exposes the thread's execution context (stats, crash injection).
-func (th *Thread) Ctx() dstruct.Ctx { return th.lt.Ctx() }
+func (th *Thread) Ctx() *dstruct.Ctx { return th.lt.Ctx() }
 
-// Close releases the handle's reclamation slot and any pmem thread or
-// arena the handle registered itself (see list.Thread.Close). Idempotent.
+// Close releases the handle (see dstruct.Ctx.Close). Idempotent.
 func (th *Thread) Close() { th.lt.Close() }
 
 // Insert adds key→val if absent.

@@ -10,13 +10,13 @@ import (
 func factory(buckets int) dstest.Factory {
 	return func(cfg dstruct.Config) dstest.Instance {
 		tb := New(cfg, buckets)
-		return dstest.Instance{Set: tb, Cfg: cfg, Snapshot: tb.Snapshot}
+		return dstest.Instance{Set: tb, Snapshot: tb.Snapshot}
 	}
 }
 
 func recoverer(cfg dstruct.Config) dstest.Instance {
 	tb := Recover(cfg)
-	return dstest.Instance{Set: tb, Cfg: cfg, Snapshot: tb.Snapshot}
+	return dstest.Instance{Set: tb, Snapshot: tb.Snapshot}
 }
 
 func TestSequentialAgainstModel(t *testing.T) {

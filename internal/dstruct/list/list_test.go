@@ -413,11 +413,11 @@ func TestRepeatedCrashes(t *testing.T) {
 	cfg := configs(1 << 20)[0]
 	inst := func(c dstruct.Config) dstest.Instance {
 		l := New(c)
-		return dstest.Instance{Set: l, Cfg: c, Snapshot: l.Snapshot}
+		return dstest.Instance{Set: l, Snapshot: l.Snapshot}
 	}
 	rec := func(c dstruct.Config) dstest.Instance {
 		l := Recover(c)
-		return dstest.Instance{Set: l, Cfg: c, Snapshot: l.Snapshot}
+		return dstest.Instance{Set: l, Snapshot: l.Snapshot}
 	}
 	dstest.RepeatedCrashes(t, cfg, inst, rec, 4)
 }
@@ -428,11 +428,11 @@ func TestRepeatedCrashes(t *testing.T) {
 func TestDurableLinearizabilityEnumerated(t *testing.T) {
 	inst := func(c dstruct.Config) dstest.Instance {
 		l := New(c)
-		return dstest.Instance{Set: l, Cfg: c, Snapshot: l.Snapshot}
+		return dstest.Instance{Set: l, Snapshot: l.Snapshot}
 	}
 	rec := func(c dstruct.Config) dstest.Instance {
 		l := Recover(c)
-		return dstest.Instance{Set: l, Cfg: c, Snapshot: l.Snapshot}
+		return dstest.Instance{Set: l, Snapshot: l.Snapshot}
 	}
 	for _, cfg := range dstest.DLConfigs(true) {
 		t.Run(dstest.Label(cfg), func(t *testing.T) {

@@ -17,6 +17,8 @@
 package lockmap
 
 import (
+	"math/bits"
+
 	"flit/internal/core"
 	"flit/internal/dstruct"
 	"flit/internal/pmem"
@@ -47,20 +49,9 @@ type Map struct {
 // two) anchored at cfg's root slot.
 func New(cfg dstruct.Config, buckets int) *Map {
 	b := core.CeilPow2(buckets)
-	t := cfg.Heap.Mem().RegisterThread()
-	ar := cfg.Heap.NewArena()
-	pol := cfg.Policy
-	base := ar.Alloc(cfg.Words(1 + 2*b))
-	pol.StorePrivate(t, cfg.Field(base, fCount), uint64(b), core.V)
-	for i := 0; i < 2*b; i++ {
-		pol.StorePrivate(t, cfg.Field(base, 1+i), 0, core.V)
-	}
-	pol.PersistObject(t, base, cfg.Words(1+2*b))
-	pol.Store(t, cfg.Root(), uint64(base), core.P)
-	pol.Complete(t)
-	ar.Release()
-	t.Release()
-	return attach(cfg, base, uint64(b))
+	hdr := make([]uint64, 1+2*b) // count, then b open locks and empty chains
+	hdr[fCount] = uint64(b)
+	return attach(cfg, cfg.Anchor(hdr...), uint64(b))
 }
 
 // Attach wraps the map persisted at cfg's root slot.
@@ -71,12 +62,8 @@ func Attach(cfg dstruct.Config) *Map {
 }
 
 func attach(cfg dstruct.Config, base pmem.Addr, b uint64) *Map {
-	m := &Map{cfg: cfg, base: base, buckets: b}
-	m.shift = 64
-	for e := b; e > 1; e >>= 1 {
-		m.shift--
-	}
-	return m
+	// shift leaves the top log2(b) bits of the multiplicative hash.
+	return &Map{cfg: cfg, base: base, buckets: b, shift: uint(64 - bits.Len64(b>>1))}
 }
 
 // Name returns "lockmap".
@@ -96,43 +83,47 @@ type Thread struct {
 	c dstruct.Ctx
 }
 
-// NewThread creates a per-goroutine handle.
-func (m *Map) NewThread() dstruct.SetThread { return m.newThread() }
+// NewThread creates a standalone per-goroutine handle — the Set
+// interface's spelling of Open(ThreadOpts{}).
+func (m *Map) NewThread() dstruct.SetThread { return m.Open(dstruct.ThreadOpts{}) }
 
-func (m *Map) newThread() *Thread {
-	ar := m.cfg.Heap.NewArena()
-	return &Thread{m: m, c: dstruct.Ctx{T: m.cfg.Heap.Mem().RegisterThread(), Ar: ar}}
+// Open creates a per-goroutine handle; see dstruct.ThreadOpts. Nodes are
+// freed under the bucket lock, so the handle has no reclamation slot.
+func (m *Map) Open(o dstruct.ThreadOpts) *Thread {
+	return &Thread{m: m, c: m.cfg.Open(nil, o)}
 }
 
+// Close releases the handle; see dstruct.Ctx.Close.
+func (t *Thread) Close() { t.c.Close() }
+
 // Ctx exposes the thread's execution context (stats, crash injection).
-func (t *Thread) Ctx() dstruct.Ctx { return t.c }
+func (t *Thread) Ctx() *dstruct.Ctx { return &t.c }
 
 // acquire spins on the bucket lock with volatile CAS: the lock word holds
 // no durable information.
 func (t *Thread) acquire(lock pmem.Addr) {
-	pol := t.m.cfg.Policy
-	for !pol.CAS(t.c.T, lock, 0, 1, core.V) {
+	for !t.c.Policy.CAS(t.c.T, lock, 0, 1, core.V) {
 	}
 }
 
 // release writes the lock open with a volatile store.
 func (t *Thread) release(lock pmem.Addr) {
-	t.m.cfg.Policy.Store(t.c.T, lock, 0, core.V)
+	t.c.Policy.Store(t.c.T, lock, 0, core.V)
 }
 
 // find walks the chain under the lock. All loads are private: nothing can
 // race, and everything reachable was persisted when linked.
 func (t *Thread) find(head pmem.Addr, key uint64) (predNext pmem.Addr, node pmem.Addr) {
-	cfg := &t.m.cfg
-	pol := cfg.Policy
+	c := &t.c
+	pol := c.Policy
 	predNext = head
-	n := dstruct.Ptr(pol.LoadPrivate(t.c.T, head, core.V))
+	n := dstruct.Ptr(pol.LoadPrivate(c.T, head, core.V))
 	for n != pmem.NilAddr {
-		if pol.LoadPrivate(t.c.T, cfg.Field(n, fKey), core.V) == key {
+		if pol.LoadPrivate(c.T, c.Field(n, fKey), core.V) == key {
 			return predNext, n
 		}
-		predNext = cfg.Field(n, fNext)
-		n = dstruct.Ptr(pol.LoadPrivate(t.c.T, predNext, core.V))
+		predNext = c.Field(n, fNext)
+		n = dstruct.Ptr(pol.LoadPrivate(c.T, predNext, core.V))
 	}
 	return predNext, pmem.NilAddr
 }
@@ -142,77 +133,68 @@ func (t *Thread) Insert(key, val uint64) bool {
 	if key >= dstruct.KeyMax {
 		panic("lockmap: key out of range")
 	}
-	cfg := &t.m.cfg
-	pol := cfg.Policy
+	c := &t.c
+	pol := c.Policy
 	lock, head := t.m.bucket(key)
 	t.acquire(lock)
 	_, n := t.find(head, key)
 	if n != pmem.NilAddr {
 		t.release(lock)
-		pol.Complete(t.c.T)
+		pol.Complete(c.T)
 		return false
 	}
-	node := t.c.Ar.Alloc(cfg.Words(NumFields))
-	pol.StorePrivate(t.c.T, cfg.Field(node, fKey), key, core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(node, fVal), val, core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(node, fNext),
-		pol.LoadPrivate(t.c.T, head, core.V), core.V)
-	pol.PersistObject(t.c.T, node, cfg.Words(NumFields))
-	pol.Complete(t.c.T) // node lines durable before the link can persist
-	pol.StorePrivate(t.c.T, head, uint64(node), core.P)
+	node := c.Ar.Alloc(c.Words(NumFields))
+	c.InitPrivate(node, key, val, pol.LoadPrivate(c.T, head, core.V))
+	pol.Complete(c.T) // node lines durable before the link can persist
+	pol.StorePrivate(c.T, head, uint64(node), core.P)
 	t.release(lock)
-	pol.Complete(t.c.T)
+	pol.Complete(c.T)
 	return true
 }
 
 // Delete removes key if present. The unlink is a private p-store: it must
 // be durable before the node's memory can be reused.
 func (t *Thread) Delete(key uint64) bool {
-	cfg := &t.m.cfg
-	pol := cfg.Policy
+	c := &t.c
+	pol := c.Policy
 	lock, head := t.m.bucket(key)
 	t.acquire(lock)
 	predNext, n := t.find(head, key)
 	if n == pmem.NilAddr {
 		t.release(lock)
-		pol.Complete(t.c.T)
+		pol.Complete(c.T)
 		return false
 	}
-	succ := pol.LoadPrivate(t.c.T, cfg.Field(n, fNext), core.V)
-	pol.StorePrivate(t.c.T, predNext, succ, core.P)
-	t.c.Ar.Free(n, cfg.Words(NumFields)) // safe: unlink persisted, lock held
+	succ := pol.LoadPrivate(c.T, c.Field(n, fNext), core.V)
+	pol.StorePrivate(c.T, predNext, succ, core.P)
+	c.Ar.Free(n, c.Words(NumFields)) // safe: unlink persisted, lock held
 	t.release(lock)
-	pol.Complete(t.c.T)
+	pol.Complete(c.T)
 	return true
 }
 
 // Contains reports whether key is present — with zero flushes: every link
 // it reads was persisted by the private p-store that wrote it.
 func (t *Thread) Contains(key uint64) bool {
-	pol := t.m.cfg.Policy
 	lock, head := t.m.bucket(key)
 	t.acquire(lock)
 	_, n := t.find(head, key)
 	t.release(lock)
-	pol.Complete(t.c.T)
+	t.c.Policy.Complete(t.c.T)
 	return n != pmem.NilAddr
 }
 
 // Get returns the value stored under key, if present.
-func (t *Thread) Get(key uint64) (uint64, bool) {
-	cfg := &t.m.cfg
-	pol := cfg.Policy
+func (t *Thread) Get(key uint64) (v uint64, ok bool) {
+	c := &t.c
 	lock, head := t.m.bucket(key)
 	t.acquire(lock)
-	defer t.release(lock)
-	_, n := t.find(head, key)
-	if n == pmem.NilAddr {
-		pol.Complete(t.c.T)
-		return 0, false
+	if _, n := t.find(head, key); n != pmem.NilAddr {
+		v, ok = c.Policy.LoadPrivate(c.T, c.Field(n, fVal), core.V), true
 	}
-	v := pol.LoadPrivate(t.c.T, cfg.Field(n, fVal), core.V)
-	pol.Complete(t.c.T)
-	return v, true
+	c.Policy.Complete(c.T)
+	t.release(lock)
+	return v, ok
 }
 
 // Snapshot reads all pairs (test helper; callers quiescent).

@@ -13,13 +13,13 @@ import (
 func factory(buckets int) dstest.Factory {
 	return func(cfg dstruct.Config) dstest.Instance {
 		m := New(cfg, buckets)
-		return dstest.Instance{Set: m, Cfg: cfg, Snapshot: m.Snapshot}
+		return dstest.Instance{Set: m, Snapshot: m.Snapshot}
 	}
 }
 
 func recoverer(cfg dstruct.Config) dstest.Instance {
 	m := Recover(cfg)
-	return dstest.Instance{Set: m, Cfg: cfg, Snapshot: m.Snapshot}
+	return dstest.Instance{Set: m, Snapshot: m.Snapshot}
 }
 
 func TestSequentialAgainstModel(t *testing.T) {
@@ -63,7 +63,7 @@ func TestRepeatedCrashes(t *testing.T) {
 func TestRecoveryClearsEvictedLocks(t *testing.T) {
 	cfg := dstest.Configs(1<<16, false)[0]
 	m := New(cfg, 8)
-	th := m.newThread()
+	th := m.Open(dstruct.ThreadOpts{})
 	th.Insert(5, 50)
 	// Simulate a crash while a lock was held AND evicted: force the lock
 	// word set in the volatile layer, then take a PersistAll image (every
@@ -77,7 +77,7 @@ func TestRecoveryClearsEvictedLocks(t *testing.T) {
 	cfg2 := cfg
 	cfg2.Heap = pheap.Recover(mem2, wm)
 	m2 := Recover(cfg2)
-	th2 := m2.newThread()
+	th2 := m2.Open(dstruct.ThreadOpts{})
 	// If the lock survived, this would spin forever; the test timing out
 	// is the failure mode.
 	if !th2.Contains(5) {
@@ -88,7 +88,7 @@ func TestRecoveryClearsEvictedLocks(t *testing.T) {
 func TestContainsIssuesNoFlushes(t *testing.T) {
 	cfg := dstest.Configs(1<<16, false)[0]
 	m := New(cfg, 8)
-	th := m.newThread()
+	th := m.Open(dstruct.ThreadOpts{})
 	for i := uint64(0); i < 50; i++ {
 		th.Insert(i, i)
 	}
@@ -110,7 +110,7 @@ func TestLinkAndPersistWorks(t *testing.T) {
 			continue
 		}
 		m := New(cfg, 8)
-		th := m.newThread()
+		th := m.Open(dstruct.ThreadOpts{})
 		if !th.Insert(1, 10) || !th.Contains(1) || !th.Delete(1) {
 			t.Fatal("link-and-persist lockmap broken")
 		}

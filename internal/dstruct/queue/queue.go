@@ -43,18 +43,8 @@ type Queue struct {
 // New creates an empty queue anchored at cfg's root slot: a persisted
 // sentinel node the recovery scan starts from.
 func New(cfg dstruct.Config) *Queue {
-	t := cfg.Heap.Mem().RegisterThread()
-	ar := cfg.Heap.NewArena()
-	pol := cfg.Policy
-	sentinel := ar.Alloc(cfg.Words(NumFields))
-	pol.StorePrivate(t, cfg.Field(sentinel, fVal), 0, core.V)
-	pol.StorePrivate(t, cfg.Field(sentinel, fNext), 0, core.V)
-	pol.StorePrivate(t, cfg.Field(sentinel, fTaken), 1, core.V) // sentinel counts as taken
-	pol.PersistObject(t, sentinel, cfg.Words(NumFields))
-	pol.Store(t, cfg.Root(), uint64(sentinel), core.P)
-	pol.Complete(t)
-	ar.Release()
-	t.Release()
+	fields := [NumFields]uint64{fTaken: 1} // the sentinel counts as taken
+	sentinel := cfg.Anchor(fields[:]...)
 	q := &Queue{cfg: cfg}
 	q.head.Store(uint64(sentinel))
 	q.tail.Store(uint64(sentinel))
@@ -63,20 +53,21 @@ func New(cfg dstruct.Config) *Queue {
 
 // Thread is a per-goroutine handle to the queue.
 type Thread struct {
-	q  *Queue
-	t  *pmem.Thread
-	ar interface {
-		Alloc(n int) pmem.Addr
-	}
+	q *Queue
+	c dstruct.Ctx
 }
 
-// NewThread creates a per-goroutine handle.
+// NewThread creates a per-goroutine handle. Dequeued nodes are never
+// reclaimed, so it has no reclamation slot.
 func (q *Queue) NewThread() *Thread {
-	return &Thread{q: q, t: q.cfg.Heap.Mem().RegisterThread(), ar: q.cfg.Heap.NewArena()}
+	return &Thread{q: q, c: q.cfg.Open(nil, dstruct.ThreadOpts{})}
 }
 
-// T exposes the pmem thread (stats, crash injection).
-func (t *Thread) T() *pmem.Thread { return t.t }
+// Close releases the handle; see dstruct.Ctx.Close.
+func (t *Thread) Close() { t.c.Close() }
+
+// Ctx exposes the thread's execution context (stats, crash injection).
+func (t *Thread) Ctx() *dstruct.Ctx { return &t.c }
 
 // volatile head/tail accesses: raw instructions, as the paper prescribes
 // for variables that never need persistence. We use atomic loads/CAS on
@@ -89,31 +80,28 @@ func (t *Thread) Enqueue(v uint64) {
 	if v&^core.PayloadMask != 0 {
 		panic("queue: value out of payload range")
 	}
-	cfg := &t.q.cfg
-	pol := cfg.Policy
-	node := t.ar.Alloc(cfg.Words(NumFields))
-	pol.StorePrivate(t.t, cfg.Field(node, fVal), v, core.V)
-	pol.StorePrivate(t.t, cfg.Field(node, fNext), 0, core.V)
-	pol.StorePrivate(t.t, cfg.Field(node, fTaken), 0, core.V)
-	pol.PersistObject(t.t, node, cfg.Words(NumFields))
+	c := &t.c
+	pol := c.Policy
+	node := c.Ar.Alloc(c.Words(NumFields))
+	c.InitPrivate(node, v, 0, 0)
 	for {
 		tail := t.loadTail()
-		nextAddr := cfg.Field(tail, fNext)
-		next := dstruct.Ptr(pol.Load(t.t, nextAddr, core.V))
+		nextAddr := c.Field(tail, fNext)
+		next := dstruct.Ptr(pol.Load(c.T, nextAddr, core.V))
 		if next != pmem.NilAddr {
 			// Help the lagging tail — but the volatile tail is what later
 			// enqueuers link behind without re-reading how it got there, so
 			// it may only move past a durable link: flush the link if its
 			// p-CAS is still pending, and fence, before publishing.
-			pol.Load(t.t, nextAddr, core.P)
-			pol.Complete(t.t)
+			pol.Load(c.T, nextAddr, core.P)
+			pol.Complete(c.T)
 			t.casTail(tail, next)
 			continue
 		}
 		// The link is the durable hand-off: p-CAS flushes and fences.
-		if pol.CAS(t.t, nextAddr, 0, uint64(node), core.P) {
+		if pol.CAS(c.T, nextAddr, 0, uint64(node), core.P) {
 			t.casTail(tail, node)
-			pol.Complete(t.t)
+			pol.Complete(c.T)
 			return
 		}
 	}
@@ -123,19 +111,19 @@ func (t *Thread) Enqueue(v uint64) {
 // the linearization point: a completed dequeue is durable, so the element
 // cannot resurrect after a crash.
 func (t *Thread) Dequeue() (uint64, bool) {
-	cfg := &t.q.cfg
-	pol := cfg.Policy
+	c := &t.c
+	pol := c.Policy
 	for {
 		head := t.loadHead()
-		next := dstruct.Ptr(pol.Load(t.t, cfg.Field(head, fNext), core.P))
+		next := dstruct.Ptr(pol.Load(c.T, c.Field(head, fNext), core.P))
 		if next == pmem.NilAddr {
-			pol.Complete(t.t)
+			pol.Complete(c.T)
 			return 0, false
 		}
-		v := pol.Load(t.t, cfg.Field(next, fVal), core.V) // immutable, persisted at init
-		if pol.CAS(t.t, cfg.Field(next, fTaken), 0, 1, core.P) {
+		v := pol.Load(c.T, c.Field(next, fVal), core.V) // immutable, persisted at init
+		if pol.CAS(c.T, c.Field(next, fTaken), 0, 1, core.P) {
 			t.casHead(head, next) // volatile cleanup; recovery tolerates lag
-			pol.Complete(t.t)
+			pol.Complete(c.T)
 			return v, true
 		}
 		// Someone else took it; advance head past the taken node and retry.
@@ -143,7 +131,7 @@ func (t *Thread) Dequeue() (uint64, bool) {
 		// re-reading marks, so it may only move past a durable mark: fence
 		// the flush the failed p-CAS left pending (the taker may still be
 		// inside its own) before publishing the advance.
-		pol.Complete(t.t)
+		pol.Complete(c.T)
 		t.casHead(head, next)
 	}
 }

@@ -149,7 +149,7 @@ func TestCrashRecovery(t *testing.T) {
 					go func(w int, crashAt int64, wseed int64) {
 						defer wg.Done()
 						th := q.NewThread()
-						th.T().SetCrashAfter(crashAt)
+						th.Ctx().T.SetCrashAfter(crashAt)
 						wrng := rand.New(rand.NewSource(wseed))
 						pmem.RunToCrash(func() {
 							for i := 0; i < 400; i++ {

@@ -48,28 +48,17 @@ type SkipList struct {
 	cfg  dstruct.Config
 	dom  *reclaim.Domain
 	head pmem.Addr
+	// seeds numbers the handles opened on this instance: handle i draws its
+	// tower heights from a generator seeded by i, so a run repeats.
+	seeds atomic.Int64
 }
-
-var seedCounter atomic.Int64
 
 // New creates an empty skiplist anchored at cfg's root slot: a full-height
 // head tower, persisted, with the root pointing at it.
 func New(cfg dstruct.Config) *SkipList {
-	t := cfg.Heap.Mem().RegisterThread()
-	ar := cfg.Heap.NewArena()
-	pol := cfg.Policy
-	head := ar.Alloc(cfg.Words(nodeFields(MaxLevel)))
-	pol.StorePrivate(t, cfg.Field(head, fKey), 0, core.V)
-	pol.StorePrivate(t, cfg.Field(head, fVal), 0, core.V)
-	pol.StorePrivate(t, cfg.Field(head, fLevel), MaxLevel, core.V)
-	for i := 0; i < MaxLevel; i++ {
-		pol.StorePrivate(t, cfg.Field(head, fNext0+i), 0, core.V)
-	}
-	pol.PersistObject(t, head, cfg.Words(nodeFields(MaxLevel)))
-	pol.Store(t, cfg.Root(), uint64(head), core.P)
-	pol.Complete(t)
-	ar.Release()
-	t.Release()
+	head := make([]uint64, nodeFields(MaxLevel)) // key 0, value 0, nil links
+	head[fLevel] = MaxLevel
+	cfg.Anchor(head...)
 	return Attach(cfg)
 }
 
@@ -89,19 +78,24 @@ type Thread struct {
 	rng *rand.Rand
 }
 
-// NewThread creates a per-goroutine handle.
-func (s *SkipList) NewThread() dstruct.SetThread { return s.newThread() }
+// NewThread creates a standalone per-goroutine handle — the Set
+// interface's spelling of Open(ThreadOpts{}).
+func (s *SkipList) NewThread() dstruct.SetThread { return s.Open(dstruct.ThreadOpts{}) }
 
-func (s *SkipList) newThread() *Thread {
+// Open creates a per-goroutine handle; see dstruct.ThreadOpts.
+func (s *SkipList) Open(o dstruct.ThreadOpts) *Thread {
 	return &Thread{
 		s:   s,
-		c:   s.cfg.NewCtx(s.dom),
-		rng: rand.New(rand.NewSource(0x5eed + seedCounter.Add(1))),
+		c:   s.cfg.Open(s.dom, o),
+		rng: rand.New(rand.NewSource(0x5eed + s.seeds.Add(1))),
 	}
 }
 
+// Close releases the handle; see dstruct.Ctx.Close.
+func (t *Thread) Close() { t.c.Close() }
+
 // Ctx exposes the thread's execution context (stats, crash injection).
-func (t *Thread) Ctx() dstruct.Ctx { return t.c }
+func (t *Thread) Ctx() *dstruct.Ctx { return &t.c }
 
 // randLevel draws a geometric(1/2) tower height in [1, MaxLevel].
 func (t *Thread) randLevel() int {
@@ -112,60 +106,57 @@ func (t *Thread) randLevel() int {
 	return lvl
 }
 
-func (s *SkipList) travP() bool { return s.cfg.Mode == dstruct.Automatic }
-
 // towerP reports whether tower (level >= 1) writes persist: Manual leaves
 // the index volatile and rebuilds it during recovery.
-func (s *SkipList) towerP() bool { return s.cfg.Mode != dstruct.Manual }
+func (t *Thread) towerP() bool { return t.c.Mode != dstruct.Manual }
 
 func (t *Thread) nextField(node pmem.Addr, lvl int) pmem.Addr {
-	return t.s.cfg.Field(node, fNext0+lvl)
+	return t.c.Field(node, fNext0+lvl)
 }
 
 // find returns, per level, the address of the link word preceding key and
 // the first node with key >= key, unlinking marked nodes on the way
 // (Harris helping per level). Bottom-level unlinks persist in every mode:
-// the bottom list is the durable set.
-func (t *Thread) find(key uint64) (predLinks, succs [MaxLevel]pmem.Addr) {
-	cfg := &t.s.cfg
-	pol := cfg.Policy
-	travP := t.s.travP()
+// the bottom list is the durable set. inLink is the bottom-level link
+// through which the node holding predLinks[0] was reached — predLinks[0]
+// itself when the walk came down onto that node from its tower, whose
+// links are only ever written after the bottom one has persisted.
+func (t *Thread) find(key uint64) (inLink pmem.Addr, predLinks, succs [MaxLevel]pmem.Addr) {
+	c := &t.c
+	pol := c.Policy
+	travP := c.TravP()
 retry:
 	pred := t.s.head
 	for lvl := MaxLevel - 1; lvl >= 0; lvl-- {
 		link := t.nextField(pred, lvl)
-		curr := dstruct.Ptr(pol.Load(t.c.T, link, travP))
+		inLink = link
+		curr := dstruct.Ptr(pol.Load(c.T, link, travP))
 		for curr != pmem.NilAddr {
-			raw := pol.Load(t.c.T, t.nextField(curr, lvl), travP)
+			raw := pol.Load(c.T, t.nextField(curr, lvl), travP)
 			if dstruct.Marked(raw) {
-				unlinkP := core.P
-				if lvl > 0 && !t.s.towerP() {
-					unlinkP = core.V
+				unlinkP := lvl == 0 || t.towerP()
+				if lvl == 0 {
+					// The durable unlink rests on the mark (see list.find).
+					c.Transition(t.nextField(curr, 0))
 				}
-				if !pol.CAS(t.c.T, link, uint64(curr), uint64(dstruct.Ptr(raw)), unlinkP) {
+				if !pol.CAS(c.T, link, uint64(curr), uint64(dstruct.Ptr(raw)), unlinkP) {
 					goto retry
 				}
 				curr = dstruct.Ptr(raw)
 				continue
 			}
-			k := pol.Load(t.c.T, cfg.Field(curr, fKey), travP)
+			k := pol.Load(c.T, c.Field(curr, fKey), travP)
 			if k >= key {
 				break
 			}
 			pred = curr
-			link = t.nextField(curr, lvl)
+			inLink, link = link, t.nextField(curr, lvl)
 			curr = dstruct.Ptr(raw)
 		}
 		predLinks[lvl] = link
 		succs[lvl] = curr
 	}
-	return predLinks, succs
-}
-
-func (t *Thread) transition(a pmem.Addr) {
-	if t.s.cfg.Mode != dstruct.Automatic {
-		t.s.cfg.Policy.Load(t.c.T, a, core.P)
-	}
+	return inLink, predLinks, succs
 }
 
 // Insert adds key→val if absent. The bottom-level link CAS linearizes (and
@@ -174,84 +165,63 @@ func (t *Thread) Insert(key, val uint64) bool {
 	if key >= dstruct.KeyMax {
 		panic("skiplist: key out of range")
 	}
-	cfg := &t.s.cfg
-	pol := cfg.Policy
+	c := &t.c
+	pol := c.Policy
 	topLevel := t.randLevel()
-	t.c.H.Enter()
+	c.H.Enter()
 	for {
-		predLinks, succs := t.find(key)
+		inLink, predLinks, succs := t.find(key)
 		if succs[0] != pmem.NilAddr &&
-			pol.Load(t.c.T, cfg.Field(succs[0], fKey), t.s.travP()) == key {
-			t.transition(predLinks[0])
-			pol.Complete(t.c.T)
-			t.c.H.Exit()
+			pol.Load(c.T, c.Field(succs[0], fKey), c.TravP()) == key {
+			c.Transition(predLinks[0])
+			c.Done()
 			return false
 		}
-		t.transition(predLinks[0])
-		node := t.c.Ar.Alloc(cfg.Words(nodeFields(topLevel)))
-		t.initNode(node, key, val, topLevel, &succs)
-		if !pol.CAS(t.c.T, predLinks[0], uint64(succs[0]), uint64(node), core.P) {
-			t.c.Ar.Free(node, cfg.Words(nodeFields(topLevel))) // never shared
+		c.Transition(inLink, predLinks[0])
+		node := c.Ar.Alloc(c.Words(nodeFields(topLevel)))
+		fields := [fNext0 + MaxLevel]uint64{fKey: key, fVal: val, fLevel: uint64(topLevel)}
+		for i := 0; i < topLevel; i++ {
+			fields[fNext0+i] = uint64(succs[i])
+		}
+		c.InitNode(node, fields[:nodeFields(topLevel)]...)
+		if !pol.CAS(c.T, predLinks[0], uint64(succs[0]), uint64(node), core.P) {
+			c.Ar.Free(node, c.Words(nodeFields(topLevel))) // never shared
 			continue
 		}
 		t.linkTowers(node, key, topLevel, &predLinks, &succs)
-		pol.Complete(t.c.T)
-		t.c.H.Exit()
+		c.Done()
 		return true
 	}
-}
-
-// initNode writes a fresh node. See list.initNode for the Automatic-vs-
-// optimized distinction.
-func (t *Thread) initNode(node pmem.Addr, key, val uint64, topLevel int, succs *[MaxLevel]pmem.Addr) {
-	cfg := &t.s.cfg
-	pol := cfg.Policy
-	if cfg.Mode == dstruct.Automatic {
-		pol.Store(t.c.T, cfg.Field(node, fKey), key, core.P)
-		pol.Store(t.c.T, cfg.Field(node, fVal), val, core.P)
-		pol.Store(t.c.T, cfg.Field(node, fLevel), uint64(topLevel), core.P)
-		for i := 0; i < topLevel; i++ {
-			pol.Store(t.c.T, t.nextField(node, i), uint64(succs[i]), core.P)
-		}
-		return
-	}
-	pol.StorePrivate(t.c.T, cfg.Field(node, fKey), key, core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(node, fVal), val, core.V)
-	pol.StorePrivate(t.c.T, cfg.Field(node, fLevel), uint64(topLevel), core.V)
-	for i := 0; i < topLevel; i++ {
-		pol.StorePrivate(t.c.T, t.nextField(node, i), uint64(succs[i]), core.V)
-	}
-	pol.PersistObject(t.c.T, node, cfg.Words(nodeFields(topLevel)))
 }
 
 // linkTowers links node into levels 1..topLevel-1, abandoning a level (and
 // the rest) if the node gets deleted concurrently — the standard
 // best-effort index maintenance.
 func (t *Thread) linkTowers(node pmem.Addr, key uint64, topLevel int, predLinks, succs *[MaxLevel]pmem.Addr) {
-	cfg := &t.s.cfg
-	pol := cfg.Policy
-	towerP := t.s.towerP()
+	c := &t.c
+	pol := c.Policy
+	towerP := t.towerP()
 	for lvl := 1; lvl < topLevel; lvl++ {
 		for {
-			if dstruct.Marked(pol.Load(t.c.T, t.nextField(node, 0), core.V)) {
+			if dstruct.Marked(pol.Load(c.T, t.nextField(node, 0), core.V)) {
 				return // node deleted; stop indexing it
 			}
-			if pol.CAS(t.c.T, predLinks[lvl], uint64(succs[lvl]), uint64(node), towerP) {
+			if pol.CAS(c.T, predLinks[lvl], uint64(succs[lvl]), uint64(node), towerP) {
 				break
 			}
-			pl, sc := t.find(key)
+			_, pl, sc := t.find(key)
 			if sc[0] != node {
 				return // removed (or superseded); stop
 			}
 			*predLinks, *succs = pl, sc
 			// Refresh our own forward pointer for this level; if the node
 			// got marked meanwhile, stop.
-			old := pol.Load(t.c.T, t.nextField(node, lvl), core.V)
+			old := pol.Load(c.T, t.nextField(node, lvl), core.V)
 			if dstruct.Marked(old) {
 				return
 			}
 			if old != uint64(succs[lvl]) &&
-				!pol.CAS(t.c.T, t.nextField(node, lvl), old, uint64(succs[lvl]), towerP) {
+				!pol.CAS(c.T, t.nextField(node, lvl), old, uint64(succs[lvl]), towerP) {
 				return
 			}
 		}
@@ -261,47 +231,45 @@ func (t *Thread) linkTowers(node pmem.Addr, key uint64, topLevel int, predLinks,
 // Delete removes key if present: towers are marked top-down, then the
 // bottom-level mark linearizes (persisted in every mode).
 func (t *Thread) Delete(key uint64) bool {
-	cfg := &t.s.cfg
-	pol := cfg.Policy
-	travP := t.s.travP()
-	towerP := t.s.towerP()
-	t.c.H.Enter()
+	c := &t.c
+	pol := c.Policy
+	travP := c.TravP()
+	towerP := t.towerP()
+	c.H.Enter()
 	for {
-		predLinks, succs := t.find(key)
+		_, predLinks, succs := t.find(key)
 		curr := succs[0]
-		if curr == pmem.NilAddr || pol.Load(t.c.T, cfg.Field(curr, fKey), travP) != key {
-			t.transition(predLinks[0])
-			pol.Complete(t.c.T)
-			t.c.H.Exit()
+		// Absent: the response rests on the link proving it. Present: the
+		// marks depend on curr being reachable.
+		c.Transition(predLinks[0])
+		if curr == pmem.NilAddr || pol.Load(c.T, c.Field(curr, fKey), travP) != key {
+			c.Done()
 			return false
 		}
-		t.transition(predLinks[0])
-		level := int(pol.Load(t.c.T, cfg.Field(curr, fLevel), travP))
+		level := int(pol.Load(c.T, c.Field(curr, fLevel), travP))
 		for lvl := level - 1; lvl >= 1; lvl-- {
 			for {
-				raw := pol.Load(t.c.T, t.nextField(curr, lvl), travP)
+				raw := pol.Load(c.T, t.nextField(curr, lvl), travP)
 				if dstruct.Marked(raw) {
 					break
 				}
-				if pol.CAS(t.c.T, t.nextField(curr, lvl), raw, raw|core.MarkBit, towerP) {
+				if pol.CAS(c.T, t.nextField(curr, lvl), raw, raw|core.MarkBit, towerP) {
 					break
 				}
 			}
 		}
 		for {
-			raw := pol.Load(t.c.T, t.nextField(curr, 0), travP)
+			raw := pol.Load(c.T, t.nextField(curr, 0), travP)
 			if dstruct.Marked(raw) {
 				// A concurrent delete linearized first; this response
 				// rests on its mark, which it may not have persisted yet.
-				t.transition(t.nextField(curr, 0))
-				pol.Complete(t.c.T)
-				t.c.H.Exit()
+				c.Transition(t.nextField(curr, 0))
+				c.Done()
 				return false
 			}
-			if pol.CAS(t.c.T, t.nextField(curr, 0), raw, raw|core.MarkBit, core.P) {
+			if pol.CAS(c.T, t.nextField(curr, 0), raw, raw|core.MarkBit, core.P) {
 				t.find(key) // physical cleanup
-				pol.Complete(t.c.T)
-				t.c.H.Exit()
+				c.Done()
 				return true
 			}
 		}
@@ -311,27 +279,36 @@ func (t *Thread) Delete(key uint64) bool {
 // Contains reports whether key is present (wait-free: skips marked nodes
 // without unlinking).
 func (t *Thread) Contains(key uint64) bool {
-	cfg := &t.s.cfg
-	pol := cfg.Policy
-	travP := t.s.travP()
-	t.c.H.Enter()
+	c := &t.c
+	pol := c.Policy
+	travP := c.TravP()
+	c.H.Enter()
 	pred := t.s.head
 	var link pmem.Addr
 	for lvl := MaxLevel - 1; lvl >= 0; lvl-- {
 		link = t.nextField(pred, lvl)
-		curr := dstruct.Ptr(pol.Load(t.c.T, link, travP))
+		curr := dstruct.Ptr(pol.Load(c.T, link, travP))
 		for curr != pmem.NilAddr {
-			raw := pol.Load(t.c.T, t.nextField(curr, lvl), travP)
+			raw := pol.Load(c.T, t.nextField(curr, lvl), travP)
 			if dstruct.Marked(raw) {
-				if lvl == 0 && !travP && pol.Load(t.c.T, cfg.Field(curr, fKey), travP) == key {
-					// Logically deleted: absence rests on the bottom mark,
-					// which the concurrent Delete may not have persisted yet.
-					t.transition(t.nextField(curr, 0))
+				if lvl == 0 && !travP {
+					// Skipped, but the answer may rest on it (as in
+					// list.ContainsAt). Sorting before key, it is a
+					// predecessor: what follows was reached through its
+					// link, not pred's. Holding key, it is logically
+					// deleted: absence rests on its bottom mark, which the
+					// concurrent Delete may not have persisted yet.
+					switch k := pol.Load(c.T, c.Field(curr, fKey), travP); {
+					case k < key:
+						link = t.nextField(curr, 0)
+					case k == key:
+						c.Transition(t.nextField(curr, 0))
+					}
 				}
 				curr = dstruct.Ptr(raw)
 				continue
 			}
-			k := pol.Load(t.c.T, cfg.Field(curr, fKey), travP)
+			k := pol.Load(c.T, c.Field(curr, fKey), travP)
 			if k < key {
 				pred = curr
 				link = t.nextField(curr, lvl)
@@ -339,34 +316,38 @@ func (t *Thread) Contains(key uint64) bool {
 				continue
 			}
 			if lvl == 0 && k == key {
-				t.transition(link)
-				t.transition(t.nextField(curr, 0))
-				pol.Complete(t.c.T)
-				t.c.H.Exit()
+				c.Transition(link, t.nextField(curr, 0))
+				c.Done()
 				return true
 			}
 			break
 		}
 	}
-	t.transition(link)
-	pol.Complete(t.c.T)
-	t.c.H.Exit()
+	c.Transition(link)
+	c.Done()
 	return false
 }
 
 // Snapshot reads the unmarked bottom-level pairs (test helper).
-func (s *SkipList) Snapshot() map[uint64]uint64 {
-	mem := s.cfg.Heap.Mem()
-	out := make(map[uint64]uint64)
-	curr := dstruct.Ptr(mem.VolatileWord(s.cfg.Field(s.head, fNext0)))
-	for curr != pmem.NilAddr {
-		raw := mem.VolatileWord(s.cfg.Field(curr, fNext0))
+func (s *SkipList) Snapshot() map[uint64]uint64 { return gather(&s.cfg, s.head) }
+
+// gather reads the unmarked pairs off the bottom level of the skiplist
+// headed at head, in volatile or recovered memory alike; the visited set
+// ends the walk on a corrupt cyclic image.
+func gather(cfg *dstruct.Config, head pmem.Addr) map[uint64]uint64 {
+	mem := cfg.Heap.Mem()
+	pairs := make(map[uint64]uint64)
+	seen := make(map[pmem.Addr]bool)
+	curr := dstruct.Ptr(mem.VolatileWord(cfg.Field(head, fNext0)))
+	for curr != pmem.NilAddr && !seen[curr] {
+		seen[curr] = true
+		raw := mem.VolatileWord(cfg.Field(curr, fNext0))
 		if !dstruct.Marked(raw) {
-			out[mem.VolatileWord(s.cfg.Field(curr, fKey))] = mem.VolatileWord(s.cfg.Field(curr, fVal))
+			pairs[mem.VolatileWord(cfg.Field(curr, fKey))] = mem.VolatileWord(cfg.Field(curr, fVal))
 		}
 		curr = dstruct.Ptr(raw)
 	}
-	return out
+	return pairs
 }
 
 // Recover rebuilds a durably consistent skiplist from the bottom level
@@ -376,21 +357,10 @@ func (s *SkipList) Snapshot() map[uint64]uint64 {
 //
 //flit:rawpersist recovery is single-threaded; the rebuild fences once after re-insertion
 func Recover(cfg dstruct.Config) *SkipList {
-	mem := cfg.Heap.Mem()
-	oldHead := dstruct.Ptr(mem.VolatileWord(cfg.Root()))
-	pairs := make(map[uint64]uint64)
-	seen := make(map[pmem.Addr]bool)
-	curr := dstruct.Ptr(mem.VolatileWord(cfg.Field(oldHead, fNext0)))
-	for curr != pmem.NilAddr && !seen[curr] {
-		seen[curr] = true
-		raw := mem.VolatileWord(cfg.Field(curr, fNext0))
-		if !dstruct.Marked(raw) {
-			pairs[mem.VolatileWord(cfg.Field(curr, fKey))] = mem.VolatileWord(cfg.Field(curr, fVal))
-		}
-		curr = dstruct.Ptr(raw)
-	}
+	pairs := gather(&cfg, dstruct.Ptr(cfg.Heap.Mem().VolatileWord(cfg.Root())))
 	s := New(cfg) // fresh head, root overwritten durably
-	th := s.newThread()
+	th := s.Open(dstruct.ThreadOpts{})
+	defer th.Close()
 	for k, v := range pairs {
 		th.Insert(k, v)
 	}

@@ -3,19 +3,22 @@ package skiplist
 import (
 	"testing"
 
+	"flit/internal/core"
+	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
 	"flit/internal/dstruct/dstest"
+	"flit/internal/pheap"
 	"flit/internal/pmem"
 )
 
 func factory(cfg dstruct.Config) dstest.Instance {
 	s := New(cfg)
-	return dstest.Instance{Set: s, Cfg: cfg, Snapshot: s.Snapshot}
+	return dstest.Instance{Set: s, Snapshot: s.Snapshot}
 }
 
 func recoverer(cfg dstruct.Config) dstest.Instance {
 	s := Recover(cfg)
-	return dstest.Instance{Set: s, Cfg: cfg, Snapshot: s.Snapshot}
+	return dstest.Instance{Set: s, Snapshot: s.Snapshot}
 }
 
 func TestSequentialAgainstModel(t *testing.T) {
@@ -56,7 +59,7 @@ func TestCleanRecovery(t *testing.T) {
 func TestTowersStayConsistent(t *testing.T) {
 	cfg := dstest.Configs(1<<22, false)[0]
 	s := New(cfg)
-	th := s.newThread()
+	th := s.Open(dstruct.ThreadOpts{})
 	for i := 0; i < 3000; i++ {
 		k := uint64(i % 200)
 		if i%3 == 0 {
@@ -91,7 +94,7 @@ func TestTowersStayConsistent(t *testing.T) {
 func TestRandLevelDistribution(t *testing.T) {
 	cfg := dstest.Configs(1<<16, false)[0]
 	s := New(cfg)
-	th := s.newThread()
+	th := s.Open(dstruct.ThreadOpts{})
 	counts := make([]int, MaxLevel+1)
 	for i := 0; i < 10000; i++ {
 		l := th.randLevel()
@@ -119,4 +122,121 @@ func TestDurableLinearizabilityEnumerated(t *testing.T) {
 			dstest.DLCheck(t, "skiplist", cfg, factory, recoverer, 1)
 		})
 	}
+}
+
+// stallOn is flit-HT whose next successful p-CAS on *word freezes its
+// thread right after the new value became visible: the word stays tagged
+// and un-flushed, exactly what a writer preempted inside its p-CAS leaves
+// behind (crash countdowns fire between policy instructions, never inside
+// one). Freezing disarms it.
+type stallOn struct {
+	*core.FliT
+	word *pmem.Addr
+}
+
+func (p stallOn) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	if !pflag || a != *p.word {
+		return p.FliT.CAS(t, a, old, new, pflag)
+	}
+	t.PFence()
+	p.C.Inc(t, a)
+	if !t.CAS(a, old, new) {
+		p.C.Dec(t, a)
+		return false
+	}
+	*p.word = pmem.NilAddr
+	panic(pmem.ErrCrashed)
+}
+
+// TestContainsThroughMarkedNode: Insert(5) is frozen with its link in node
+// 4's next word visible but unpersisted, Delete(4) is frozen the same way
+// with its mark in that word, and a third thread's Contains(5) walks
+// through the marked node 4 and answers "present". That answer rests on
+// node 4's next word — the link it reached 5 through — so a crash right
+// after it must recover key 5. The tooth is Contains as it was: it skipped
+// node 4 without moving its link along, transitioned on node 3's next word
+// instead, and lost the key.
+func TestContainsThroughMarkedNode(t *testing.T) {
+	for _, mode := range []dstruct.Mode{dstruct.NVTraverse, dstruct.Manual} {
+		for _, v := range []struct {
+			name     string
+			contains func(*Thread, uint64) bool
+		}{{"fixed", (*Thread).Contains}, {"old-code-tooth", containsBeforeFix}} {
+			t.Run(mode.String()+"/"+v.name, func(t *testing.T) {
+				pol := stallOn{core.NewFliT(core.NewHashTable(1 << 14)), new(pmem.Addr)}
+				cfg := dlcheck.NewConfig(pol, mode)
+				s := New(cfg)
+				setup := s.Open(dstruct.ThreadOpts{})
+				for k := uint64(0); k < 10; k++ {
+					if k != 5 {
+						setup.Insert(k, k+100)
+					}
+				}
+				mem := cfg.Heap.Mem()
+				n4 := s.head
+				for i := 0; i <= 4; i++ {
+					n4 = dstruct.Ptr(mem.VolatileWord(cfg.Field(n4, fNext0)))
+				}
+				for _, writer := range []func(*Thread){
+					func(th *Thread) { th.Insert(5, 105) },
+					func(th *Thread) { th.Delete(4) },
+				} {
+					*pol.word = cfg.Field(n4, fNext0)
+					if !pmem.RunToCrash(func() { writer(s.Open(dstruct.ThreadOpts{})) }) {
+						t.Fatal("writer completed without a p-CAS on node 4's next word to freeze at")
+					}
+				}
+				if !v.contains(s.Open(dstruct.ThreadOpts{}), 5) {
+					t.Fatal("Contains(5) = false with key 5 linked behind the marked node 4")
+				}
+				img := mem.CrashImage(pmem.DropUnfenced, 0)
+				cfg.Heap = pheap.Recover(pmem.NewFromImage(img, mem.Config()), cfg.Heap.Watermark())
+				_, kept := Recover(cfg).Snapshot()[5]
+				if tooth := v.name != "fixed"; kept == tooth {
+					t.Fatalf("Contains(5) answered true, then a crash: key 5 recovered = %v", kept)
+				}
+			})
+		}
+	}
+}
+
+// containsBeforeFix is Contains with the marked-node skip it had before:
+// link stays at the skipped node's predecessor.
+func containsBeforeFix(t *Thread, key uint64) bool {
+	c := &t.c
+	pol := c.Policy
+	travP := c.TravP()
+	c.H.Enter()
+	pred := t.s.head
+	var link pmem.Addr
+	for lvl := MaxLevel - 1; lvl >= 0; lvl-- {
+		link = t.nextField(pred, lvl)
+		curr := dstruct.Ptr(pol.Load(c.T, link, travP))
+		for curr != pmem.NilAddr {
+			raw := pol.Load(c.T, t.nextField(curr, lvl), travP)
+			if dstruct.Marked(raw) {
+				if lvl == 0 && !travP && pol.Load(c.T, c.Field(curr, fKey), travP) == key {
+					c.Transition(t.nextField(curr, 0))
+				}
+				curr = dstruct.Ptr(raw)
+				continue
+			}
+			k := pol.Load(c.T, c.Field(curr, fKey), travP)
+			if k < key {
+				pred = curr
+				link = t.nextField(curr, lvl)
+				curr = dstruct.Ptr(raw)
+				continue
+			}
+			if lvl == 0 && k == key {
+				c.Transition(link, t.nextField(curr, 0))
+				c.Done()
+				return true
+			}
+			break
+		}
+	}
+	c.Transition(link)
+	c.Done()
+	return false
 }
