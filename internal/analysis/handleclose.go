@@ -18,7 +18,7 @@ import (
 var HandleClose = &Analyzer{
 	Name: "handleclose",
 	Doc: "flow-sensitive check that acquired handles (pmem.Memory.RegisterThread, " +
-		"pheap.Heap.NewArena, store.Open sessions, reclaim.Domain.NewHandle, " +
+		"pheap.Heap.NewArena, store.Open sessions, reclaim.Domain.NewHandleOwned, " +
 		"dstruct Open/NewThread handles) reach Release/Close on every path out of the " +
 		"acquiring function, including error returns and explicit panics",
 	Run: runHandleClose,
@@ -56,7 +56,7 @@ var handleSpecs = []handleSpec{
 	},
 	{
 		pkgSuffix:    "internal/reclaim",
-		acquireNames: map[string]bool{"NewHandle": true, "NewHandleOwned": true},
+		acquireNames: map[string]bool{"NewHandleOwned": true},
 		releaseNames: map[string]bool{"Close": true},
 		what:         "reclamation handle",
 	},

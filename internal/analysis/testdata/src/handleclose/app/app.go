@@ -76,7 +76,7 @@ func missedBranchLeak(h *pheap.Heap, big bool) int {
 
 // panicLeak leaks on an explicit panic with no deferred release.
 func panicLeak(d *reclaim.Domain, bad bool) {
-	h := d.NewHandle()
+	h := d.NewHandleOwned()
 	if bad {
 		panic("bad") // want "function panics without releasing reclamation handle"
 	}

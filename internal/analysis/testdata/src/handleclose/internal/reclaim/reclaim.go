@@ -5,5 +5,5 @@ type Domain struct{}
 
 type Handle struct{}
 
-func (d *Domain) NewHandle() *Handle { return &Handle{} }
-func (h *Handle) Close()             {}
+func (d *Domain) NewHandleOwned() *Handle { return &Handle{} }
+func (h *Handle) Close()                  {}

@@ -17,9 +17,9 @@ func sample() *Report {
 	r.Add(Cell{ID: "set/bst/automatic/flit-ht/u50/throughput", Unit: "ops/s",
 		Value: stats.Summarize([]float64{1e6, 1.2e6}), Ops: 1000, PWBs: 500})
 	r.Add(Cell{ID: "set/bst/automatic/flit-ht/u50/pwbs_per_op", Unit: "pwbs/op",
-		Value: stats.Of(0.5), LowerIsBetter: true})
+		Value: stats.Summarize([]float64{0.5}), LowerIsBetter: true})
 	r.Add(Cell{ID: "store/a/zipfian/flit-ht/s4/throughput", Unit: "ops/s",
-		Value: stats.Of(2e5), P99Ns: 12345})
+		Value: stats.Summarize([]float64{2e5}), P99Ns: 12345})
 	return r
 }
 

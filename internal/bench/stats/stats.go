@@ -48,9 +48,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Of wraps a single observation.
-func Of(x float64) Summary { return Summary{N: 1, Mean: x, Min: x, Max: x} }
-
 // Scale multiplies the summary by k (unit conversions: ops/s → Mops/s).
 func (s Summary) Scale(k float64) Summary {
 	s.Mean *= k
@@ -62,6 +59,3 @@ func (s Summary) Scale(k float64) Summary {
 	}
 	return s
 }
-
-// IsZero reports whether the summary holds no observations.
-func (s Summary) IsZero() bool { return s.N == 0 }

@@ -17,15 +17,12 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestSummarizeEdge(t *testing.T) {
-	if s := Summarize(nil); !s.IsZero() {
+	if s := Summarize(nil); s != (Summary{}) {
 		t.Fatalf("empty: got %+v", s)
 	}
 	s := Summarize([]float64{3.5})
 	if s.N != 1 || s.Mean != 3.5 || s.Stddev != 0 || s.Min != 3.5 || s.Max != 3.5 {
 		t.Fatalf("single: got %+v", s)
-	}
-	if of := Of(3.5); of != s {
-		t.Fatalf("Of disagrees with Summarize: %+v vs %+v", of, s)
 	}
 }
 

@@ -66,8 +66,6 @@ type Deferred struct {
 	// incremented and not yet released (one entry per deferred p-store;
 	// duplicates balance because counters count).
 	tags []pmem.Addr
-	// stores counts deferred p-stores since the last Flush (stat hook).
-	stores int
 }
 
 type deferKind int
@@ -105,19 +103,12 @@ func NewDeferred(p Policy) *Deferred {
 	return d
 }
 
-// Inner returns the wrapped policy.
-func (d *Deferred) Inner() Policy { return d.inner }
-
 // Name returns the wrapped policy's name with a "+gc" (group commit)
 // suffix.
 func (d *Deferred) Name() string { return d.inner.Name() + "+gc" }
 
 // SupportsRMW defers to the wrapped policy.
 func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
-
-// DeferredStores reports the p-stores whose persistence the current
-// batch still holds (diagnostics; reset by Flush).
-func (d *Deferred) DeferredStores() int { return d.stores }
 
 // Flush is the group commit: one fence drains every line the batch
 // flushed (each distinct line exactly once — the PR 3 coalescing queue),
@@ -127,7 +118,6 @@ func (d *Deferred) DeferredStores() int { return d.stores }
 //
 //flit:hotpath
 func (d *Deferred) Flush(t *pmem.Thread) int {
-	d.stores = 0
 	if d.kind == deferNone {
 		return 0
 	}
@@ -205,13 +195,11 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 		t.Store(a, v)
 		pwbOnce(t, a)
 		d.tags = append(d.tags, a)
-		d.stores++
 	case deferFlush:
 		t.CheckCrash()
 		t.Store(a, v)
 		if pflag {
 			pwbOnce(t, a)
-			d.stores++
 		}
 	default:
 		d.inner.Store(t, a, v, pflag)

@@ -33,8 +33,8 @@ func TestDeferredKinds(t *testing.T) {
 		if d.kind != tc.kind {
 			t.Errorf("%s: kind = %d, want %d", tc.name, d.kind, tc.kind)
 		}
-		if d.Inner() != tc.pol {
-			t.Errorf("%s: Inner() lost the wrapped policy", tc.name)
+		if d.inner != tc.pol {
+			t.Errorf("%s: lost the wrapped policy", tc.name)
 		}
 		if d.Name() != tc.pol.Name()+"+gc" {
 			t.Errorf("%s: Name() = %q", tc.name, d.Name())
@@ -61,9 +61,6 @@ func TestDeferredStoreHoldsTagUntilFlush(t *testing.T) {
 	}
 	if th.M.PersistedWord(a) != 0 {
 		t.Fatal("deferred p-store persisted before Flush")
-	}
-	if got := d.DeferredStores(); got != 1 {
-		t.Fatalf("DeferredStores = %d, want 1", got)
 	}
 
 	if n := d.Flush(th); n != 1 {

@@ -168,18 +168,16 @@ func (t *Thread) insertAt(head pmem.Addr, key, val uint64, upsert bool) bool {
 	}
 }
 
-// Upsert inserts key→val if key is absent, or durably overwrites the value
-// in place if present. It reports whether a new node was inserted.
-func (t *Thread) Upsert(key, val uint64) bool { return t.UpsertAt(t.c.Root(), key, val) }
-
-// UpsertAt runs Upsert on the chain rooted at head. The in-place update is
-// a shared p-store on the value word: its leading fence orders the loads
-// that located the node, and the value is persisted before the operation
-// completes, so recovery observes either the old or the new value, never a
-// torn state. Overwriting a node that a concurrent Delete has already
-// marked is benign — the upsert linearizes immediately before the delete —
-// and writing a node another thread has retired is safe inside the epoch,
-// which blocks reuse until every current operation exits.
+// UpsertAt inserts key→val into the chain rooted at head if key is absent,
+// or durably overwrites the value in place if present. It reports whether a
+// new node was inserted. The in-place update is a shared p-store on the
+// value word: its leading fence orders the loads that located the node, and
+// the value is persisted before the operation completes, so recovery
+// observes either the old or the new value, never a torn state. Overwriting
+// a node that a concurrent Delete has already marked is benign — the upsert
+// linearizes immediately before the delete — and writing a node another
+// thread has retired is safe inside the epoch, which blocks reuse until
+// every current operation exits.
 func (t *Thread) UpsertAt(head pmem.Addr, key, val uint64) bool {
 	return t.insertAt(head, key, val, true)
 }

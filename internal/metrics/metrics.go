@@ -222,16 +222,6 @@ func (h *Hist) RecordNNs(ns int64, n uint64) {
 	}
 }
 
-// Count returns the number of observations (sum over buckets, so it
-// always agrees with a freshly read snapshot's Count).
-func (h *Hist) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Read fills s with a point-in-time snapshot. Concurrent-safe: each
 // word is loaded atomically. A snapshot taken while writers run can be
 // mid-record skewed (a bucket incremented but the sum not yet, or vice

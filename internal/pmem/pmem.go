@@ -154,8 +154,6 @@ type Memory struct {
 	// second re-reads the volatile line.
 	drainLock []uint32
 
-	crashArmed atomic.Bool
-
 	// trace, when non-nil, records every fence-drained line (see
 	// StartTrace). Attached/detached only while quiescent, like SetCosts.
 	trace *Trace
@@ -322,18 +320,6 @@ func (t *Thread) Release() {
 	m.threads[t.ID] = nil
 	m.freeIDs = append(m.freeIDs, t.ID)
 }
-
-// ArmCrash makes every subsequent instrumented instruction panic with
-// ErrCrashed. Workers running under RunToCrash stop at instruction
-// granularity, leaving their un-fenced write-backs pending — exactly the
-// state a real power failure would freeze.
-func (m *Memory) ArmCrash() { m.crashArmed.Store(true) }
-
-// CrashArmed reports whether a crash has been requested.
-func (m *Memory) CrashArmed() bool { return m.crashArmed.Load() }
-
-// DisarmCrash clears a previously armed crash (test helper).
-func (m *Memory) DisarmCrash() { m.crashArmed.Store(false) }
 
 // TotalStats sums the statistics of all live threads plus the retired
 // contributions of released ones.

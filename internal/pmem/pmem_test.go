@@ -160,6 +160,14 @@ func TestNewFromImage(t *testing.T) {
 func TestCrashInjectionCountdown(t *testing.T) {
 	m := newMem(64)
 	th := m.RegisterThread()
+	// A thread with no countdown never crashes.
+	if RunToCrash(func() {
+		for i := 0; i < 10; i++ {
+			th.CheckCrash()
+		}
+	}) {
+		t.Fatal("crashed without a countdown")
+	}
 	th.SetCrashAfter(2)
 	steps := 0
 	crashed := RunToCrash(func() {
@@ -175,21 +183,15 @@ func TestCrashInjectionCountdown(t *testing.T) {
 	if c := RunToCrash(func() { th.CheckCrash() }); c {
 		t.Fatal("countdown fired twice")
 	}
-}
-
-func TestCrashInjectionArmed(t *testing.T) {
-	m := newMem(64)
-	th := m.RegisterThread()
-	if RunToCrash(func() { th.CheckCrash() }) {
-		t.Fatal("crashed while disarmed")
-	}
-	m.ArmCrash()
-	if !RunToCrash(func() { th.CheckCrash() }) {
-		t.Fatal("did not crash while armed")
-	}
-	m.DisarmCrash()
-	if RunToCrash(func() { th.CheckCrash() }) {
-		t.Fatal("crashed after disarm")
+	// SetCrashAfter(-1) cancels a pending countdown.
+	th.SetCrashAfter(1)
+	th.SetCrashAfter(-1)
+	if RunToCrash(func() {
+		for i := 0; i < 10; i++ {
+			th.CheckCrash()
+		}
+	}) {
+		t.Fatal("crashed after the countdown was cancelled")
 	}
 }
 

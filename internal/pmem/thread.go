@@ -6,15 +6,13 @@ import "sync/atomic"
 // the owning thread; read them after the thread has stopped (or tolerate
 // slightly stale values).
 type Stats struct {
-	Loads    uint64 // load instructions
-	Stores   uint64 // store instructions
-	RMWs     uint64 // CAS/FAA/Exchange instructions
-	PWBs     uint64 // persistent write-backs issued
-	PFences  uint64 // fences issued: every PFence/Drain call, each draining the queue, empty or not
-	Drained  uint64 // pending write-backs drained by fences
-	Misses   uint64 // post-invalidation misses charged (InvalidateOnPWB)
-	Ops      uint64 // completed high-level operations (set by callers)
-	FailedOp uint64 // crashed/aborted high-level operations (set by callers)
+	Loads   uint64 // load instructions
+	Stores  uint64 // store instructions
+	RMWs    uint64 // CAS/FAA/Exchange instructions
+	PWBs    uint64 // persistent write-backs issued
+	PFences uint64 // fences issued: every PFence/Drain call, each draining the queue, empty or not
+	Drained uint64 // pending write-backs drained by fences
+	Misses  uint64 // post-invalidation misses charged (InvalidateOnPWB)
 
 	// ElidedFences counts the dependency fences a policy proved empty
 	// (nothing pending on the thread) and did not issue; they are not in
@@ -32,17 +30,6 @@ func (s *Stats) Add(o *Stats) {
 	s.Drained += o.Drained
 	s.ElidedFences += o.ElidedFences
 	s.Misses += o.Misses
-	s.Ops += o.Ops
-	s.FailedOp += o.FailedOp
-}
-
-// PWBsPerOp returns the average number of PWB instructions per completed
-// operation, the quantity Figure 9 of the paper reports.
-func (s *Stats) PWBsPerOp() float64 {
-	if s.Ops == 0 {
-		return 0
-	}
-	return float64(s.PWBs) / float64(s.Ops)
 }
 
 // Thread is a per-goroutine handle to the memory: it owns a write-back
@@ -101,10 +88,11 @@ func (t *Thread) VirtualTime() uint64 { return t.vtime }
 // more CheckCrash calls. n < 0 disables the countdown.
 func (t *Thread) SetCrashAfter(n int64) { t.crashIn = n }
 
-// CheckCrash injects a crash if one is armed globally or the thread's
-// countdown expired. Instrumented instruction wrappers (internal/core)
-// call it once per instruction, so crashes land between — never inside —
-// atomic memory instructions, as on real hardware.
+// CheckCrash injects a crash when the thread's SetCrashAfter countdown
+// expires; a thread with no countdown never crashes here. Instrumented
+// instruction wrappers (internal/core) call it once per instruction, so
+// crashes land between — never inside — atomic memory instructions, as on
+// real hardware.
 //
 //flit:hotpath
 func (t *Thread) CheckCrash() {
@@ -115,10 +103,6 @@ func (t *Thread) CheckCrash() {
 			panic(ErrCrashed)
 		}
 		t.crashIn--
-	}
-	if t.M.crashArmed.Load() {
-		t.crashed.Store(true)
-		panic(ErrCrashed)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func TestCloseFreesBagsWhenQuiescent(t *testing.T) {
 	a := newArena()
 	d := NewDomain()
-	h := d.NewHandle(a)
+	h := d.NewHandleOwned(a, nil)
 	h.Enter()
 	for i := 0; i < 8; i++ {
 		h.Retire(a.Alloc(4), 4)
@@ -39,10 +39,10 @@ func TestCloseFreesBagsWhenQuiescent(t *testing.T) {
 func TestCloseOrphansBehindPinnedReader(t *testing.T) {
 	a := newArena()
 	d := NewDomain()
-	reader := d.NewHandle(a)
+	reader := d.NewHandleOwned(a, nil)
 	reader.Enter() // pins the epoch for the whole first act
 
-	h := d.NewHandle(a)
+	h := d.NewHandleOwned(a, nil)
 	h.Enter()
 	for i := 0; i < 8; i++ {
 		h.Retire(a.Alloc(4), 4)
@@ -57,7 +57,7 @@ func TestCloseOrphansBehindPinnedReader(t *testing.T) {
 	}
 
 	reader.Exit()
-	h2 := d.NewHandle(a)
+	h2 := d.NewHandleOwned(a, nil)
 	for i := 0; i < 10*advancePeriod; i++ {
 		h2.Enter()
 		h2.Retire(a.Alloc(1), 1)
@@ -92,7 +92,7 @@ func TestCrashedOwnerAdopted(t *testing.T) {
 		t.Fatal("armed crash countdown did not fire")
 	}
 
-	writer := d.NewHandle(a)
+	writer := d.NewHandleOwned(a, nil)
 	start := d.Epoch()
 	for i := 0; i < 10*advancePeriod; i++ {
 		writer.Enter()
@@ -125,7 +125,7 @@ func TestLiveOwnerStillPins(t *testing.T) {
 	reader := d.NewHandleOwned(a, th) // owner set but never crashes
 	reader.Enter()
 	start := d.Epoch()
-	writer := d.NewHandle(a)
+	writer := d.NewHandleOwned(a, nil)
 	for i := 0; i < 5*advancePeriod; i++ {
 		writer.Enter()
 		writer.Retire(a.Alloc(1), 1)
@@ -149,7 +149,7 @@ func TestHandleChurnBounded(t *testing.T) {
 	a := newArena()
 	d := NewDomain()
 	for i := 0; i < 64; i++ {
-		h := d.NewHandle(a)
+		h := d.NewHandleOwned(a, nil)
 		for j := 0; j < 2*advancePeriod; j++ {
 			h.Enter()
 			h.Retire(a.Alloc(2), 2)

@@ -90,16 +90,11 @@ type Handle struct {
 	unsafeImmediate bool
 }
 
-// NewHandle registers a thread with the domain. Freed blocks are returned
-// to arena once safe.
-func (d *Domain) NewHandle(arena *pheap.Arena) *Handle {
-	return d.NewHandleOwned(arena, nil)
-}
-
-// NewHandleOwned is NewHandle with the owning pmem thread recorded, which
-// arms the orphan rule: if the owner dies by crash injection while the
-// handle is pinned, epoch advancement adopts the handle instead of
-// stalling on its announcement forever.
+// NewHandleOwned registers a thread with the domain; freed blocks are
+// returned to arena once safe. A non-nil owner arms the orphan rule: if
+// the owner dies by crash injection while the handle is pinned, epoch
+// advancement adopts the handle instead of stalling on its announcement
+// forever. A nil owner (unit tests) never arms it.
 func (d *Domain) NewHandleOwned(arena *pheap.Arena, owner *pmem.Thread) *Handle {
 	h := &Handle{d: d, s: &slot{}, arena: arena, owner: owner}
 	h.s.announce.Store(quiescent)

@@ -17,7 +17,7 @@ func newArena() *pheap.Arena {
 func TestRetireEventuallyFrees(t *testing.T) {
 	a := newArena()
 	d := NewDomain()
-	h := d.NewHandle(a)
+	h := d.NewHandleOwned(a, nil)
 	for i := 0; i < 10*advancePeriod; i++ {
 		h.Enter()
 		p := a.Alloc(8)
@@ -37,8 +37,8 @@ func TestRetireEventuallyFrees(t *testing.T) {
 func TestPinnedReaderBlocksAdvance(t *testing.T) {
 	a := newArena()
 	d := NewDomain()
-	writer := d.NewHandle(a)
-	reader := d.NewHandle(a)
+	writer := d.NewHandleOwned(a, nil)
+	reader := d.NewHandleOwned(a, nil)
 
 	reader.Enter() // pins the current epoch
 	start := d.Epoch()
@@ -66,7 +66,7 @@ func TestPinnedReaderBlocksAdvance(t *testing.T) {
 func TestNoBlockFreedWithinTwoEpochsOfRetire(t *testing.T) {
 	a := newArena()
 	d := NewDomain()
-	h := d.NewHandle(a)
+	h := d.NewHandleOwned(a, nil)
 	h.Enter()
 	p := a.Alloc(8)
 	h.Retire(p, 8)
@@ -90,7 +90,7 @@ func TestConcurrentRetireStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			a := heap.NewArena()
-			h := d.NewHandle(a)
+			h := d.NewHandleOwned(a, nil)
 			live := make([]pmem.Addr, 0, 16)
 			for i := 0; i < iters; i++ {
 				h.Enter()

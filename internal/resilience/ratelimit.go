@@ -1,7 +1,6 @@
 // Package resilience holds the server/client hardening primitives for the
-// networked FliT store: a lock-free rate limiter (admission control), a
-// capped exponential backoff policy (client retries), and a fault-injecting
-// net.Conn wrapper (chaos harness).
+// networked FliT store: a lock-free rate limiter (admission control) and a
+// fault-injecting net.Conn wrapper (chaos harness).
 //
 // Everything in this package is dependency-free and safe for concurrent use
 // unless noted otherwise.

@@ -95,41 +95,3 @@ func TestLimiterConcurrentAdmissionBounded(t *testing.T) {
 		t.Fatalf("admitted %d under contention, want exactly 64", got)
 	}
 }
-
-func TestBackoffCapsAndJitters(t *testing.T) {
-	b := NewBackoff(time.Millisecond, 16*time.Millisecond, 42)
-	prevCeil := time.Duration(0)
-	for i := 0; i < 20; i++ {
-		d := b.Next()
-		if d <= 0 {
-			t.Fatalf("attempt %d: non-positive delay %v", i, d)
-		}
-		if d > 16*time.Millisecond {
-			t.Fatalf("attempt %d: delay %v above cap", i, d)
-		}
-		if d > prevCeil {
-			prevCeil = d
-		}
-	}
-	if b.Attempts() != 20 {
-		t.Fatalf("Attempts = %d, want 20", b.Attempts())
-	}
-	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatal("Reset did not rewind attempts")
-	}
-	// First post-reset delay is again bounded by Base.
-	if d := b.Next(); d > time.Millisecond {
-		t.Fatalf("post-reset delay %v exceeds base ceiling", d)
-	}
-}
-
-func TestBackoffDeterministicPerSeed(t *testing.T) {
-	a := NewBackoff(time.Millisecond, time.Second, 7)
-	b := NewBackoff(time.Millisecond, time.Second, 7)
-	for i := 0; i < 10; i++ {
-		if da, db := a.Next(), b.Next(); da != db {
-			t.Fatalf("attempt %d: seeds diverge (%v vs %v)", i, da, db)
-		}
-	}
-}

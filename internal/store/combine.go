@@ -300,36 +300,21 @@ func (c *combiner) run() {
 // execSlot applies one announced slot's ops through the combiner's
 // deferred handle, writing results into the slot. OpAdd traffic is
 // diverted into the net-delta accumulator (unless noCoalesce); every
-// other kind settles any pending delta on its key first, so results
-// always reflect vector order per key.
+// other op settles any pending delta on its key first, so results always
+// reflect vector order per key, and then runs through the sessions' op
+// switch (exec).
 //
 //flit:hotpath
 func (c *combiner) execSlot(sl *cslot) {
 	for j := 0; j < sl.n; j++ {
 		op := &sl.ops[j]
-		switch op.kind {
-		case OpAdd:
-			if !c.noCoalesce {
-				c.noteDelta(op.h, op.val)
-				sl.res[j] = Result{}
-				continue
-			}
-			v, ok := c.ht.Add(op.h, op.val)
-			sl.res[j] = Result{Val: v, Ok: ok}
-		case OpGet:
-			c.settleDelta(op.h)
-			v, ok := c.ht.Get(op.h)
-			sl.res[j] = Result{Val: v, Ok: ok}
-		case OpPut:
-			c.settleDelta(op.h)
-			sl.res[j] = Result{Ok: c.ht.Put(op.h, op.val&ValueMask)}
-		case OpDelete:
-			c.settleDelta(op.h)
-			sl.res[j] = Result{Ok: c.ht.Delete(op.h)}
-		case OpContains:
-			c.settleDelta(op.h)
-			sl.res[j] = Result{Ok: c.ht.Contains(op.h)}
+		if op.kind == OpAdd && !c.noCoalesce {
+			c.noteDelta(op.h, op.val)
+			sl.res[j] = Result{}
+			continue
 		}
+		c.settleDelta(op.h)
+		sl.res[j] = exec(c.ht, op.kind, op.h, op.val)
 	}
 }
 

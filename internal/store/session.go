@@ -51,16 +51,6 @@ func (m SessionMode) String() string {
 // SessionModes lists all modes.
 var SessionModes = []SessionMode{Direct, Batched, Combined}
 
-// SessionModeByName resolves a mode name as printed by String.
-func SessionModeByName(name string) (SessionMode, bool) {
-	for _, m := range SessionModes {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
 // Key constrains the session key type: string for convenience, []byte for
 // allocation-free hot loops reusing one buffer. Both hash identically
 // (HashKey ≡ HashKeyBytes on equal bytes), so sessions of different key
@@ -204,13 +194,14 @@ func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 		return c.res1[0]
 	}
 	c.pending++
-	return c.exec(c.ths[shardIdx(h, len(c.ths))], kind, h, val)
+	return exec(c.ths[shardIdx(h, len(c.ths))], kind, h, val)
 }
 
-// exec runs one op on one table handle.
+// exec runs one op on one table handle: the one op switch, shared by
+// Direct and Batched sessions and by the combiners.
 //
 //flit:hotpath
-func (c *sessionCore) exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Result {
+func exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Result {
 	switch kind {
 	case OpGet:
 		v, ok := sh.Get(h)
@@ -283,9 +274,6 @@ type Sess[K Key] struct {
 func Open[K Key](s *Store, mode SessionMode) *Sess[K] {
 	return &Sess[K]{c: newSessionCore(s, mode)}
 }
-
-// Mode returns the session's mode.
-func (s *Sess[K]) Mode() SessionMode { return s.c.mode }
 
 // Thread exposes the session's pmem thread (stats, crash injection).
 // Combined sessions execute nothing themselves — their operations run on

@@ -371,9 +371,6 @@ func shardIdx(h uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-// ShardOf returns the shard index serving key.
-func (s *Store) ShardOf(key []byte) int { return shardIdx(HashKeyBytes(key), len(s.tables)) }
-
 // Snapshot unions all shard snapshots, keyed by hashed key (test and
 // checker helper).
 //
