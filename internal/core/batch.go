@@ -5,8 +5,8 @@ import "flit/internal/pmem"
 // Deferred is the group-commit batch skeleton over the closure-free
 // policies: a Policy whose shared p-stores and operation completions
 // leave their *trailing* persistence obligations open until an explicit
-// Flush — the single fence a batching server issues per pipeline batch
-// before acknowledging any of the batch's operations.
+// Flush — the one fence (none, if nothing is pending) a batching server
+// issues per pipeline batch before acknowledging any of its operations.
 //
 // What is deferred, and why it stays durably linearizable:
 //
@@ -111,17 +111,33 @@ func (d *Deferred) Name() string { return d.inner.Name() + "+gc" }
 func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
 
 // Flush is the group commit: one fence drains every line the batch
-// flushed (each distinct line exactly once — the PR 3 coalescing queue),
-// then the batch's flit-tags are released. It returns the number of
-// lines drained. After Flush returns, every operation executed since the
+// flushed (each distinct line exactly once — the coalescing queue), then
+// the batch's flit-tags are released. It returns the number of lines
+// drained. After Flush returns, every operation executed since the
 // previous Flush is persistent and may be acknowledged.
+//
+// The fence is conditional, by fenceDeps' argument: it is issued only
+// when the thread has write-backs in flight, and otherwise counted as
+// elided. Everything the batch must persist before its acks sits on this
+// thread's queue — its deferred stores' lines (pwbOnce re-enqueues after
+// any intervening drain) and every flush obligation its p-loads and
+// failed p-CASes picked up — so an empty queue means a fence issued now
+// would order nothing: a batch of Gets that saw no tag acks without one.
+// Held tags are still released: with the queue empty, their lines were
+// drained by an earlier fence of this batch (a private p-store's; a
+// delegated RMW's fence releases them on the spot).
 //
 //flit:hotpath
 func (d *Deferred) Flush(t *pmem.Thread) int {
 	if d.kind == deferNone {
 		return 0
 	}
-	n := t.Drain()
+	n := 0
+	if t.Pending() == 0 {
+		t.Stats.ElidedFences++
+	} else {
+		n = t.Drain()
+	}
 	if d.flit != nil {
 		// Untag strictly after the fence: a reader observing the tag up
 		// to this point flushes the value itself, as Algorithm 4's

@@ -141,14 +141,94 @@ func TestDeferredFlushPersistsLoadObligations(t *testing.T) {
 	if reader.Stats.PWBs != 1 {
 		t.Fatalf("reader issued %d PWBs for a tagged line, want 1", reader.Stats.PWBs)
 	}
+	// The reader's batch wrote nothing, yet it owes a fence: the flush its
+	// tagged load picked up. A commit that skipped read-only batches would
+	// ack 7 with the writer's value still volatile.
 	rd.Flush(reader)
+	if reader.Stats.PFences != 1 || reader.Stats.ElidedFences != 0 {
+		t.Fatalf("read-only batch with a load-side flush: PFences=%d ElidedFences=%d, want 1/0",
+			reader.Stats.PFences, reader.Stats.ElidedFences)
+	}
 	if m.PersistedWord(a) != 7 {
 		t.Fatal("reader's Flush did not persist the tagged value it observed")
 	}
 }
 
+// TestDeferredFlushFencesOnlyPending pins the conditional group-commit
+// fence per policy: Flush fences iff the batch left write-backs on the
+// thread's queue and otherwise counts an elided fence. A batch that only
+// p-loaded a clean word owes nothing under FliT and link-and-persist (no
+// tag, no dirty bit, no flush) but fences under Plain and Izraelevitz,
+// whose p-loads always flush. A deferred store is pending under every
+// policy but link-and-persist, whose stores are CASes persisted in place.
+// Either way the batch's value is durable once Flush returns.
+func TestDeferredFlushFencesOnlyPending(t *testing.T) {
+	type fences struct{ issued, elided uint64 }
+	for _, tc := range []struct {
+		pol         Policy
+		load, store fences
+	}{
+		{NewFliT(NewHashTable(1 << 12)), fences{0, 1}, fences{1, 0}},
+		{NewFliT(Adjacent{}), fences{0, 1}, fences{1, 0}},
+		{Plain{}, fences{1, 0}, fences{1, 0}},
+		{Izraelevitz{}, fences{1, 0}, fences{1, 0}},
+		{LinkAndPersist{}, fences{0, 1}, fences{0, 1}},
+	} {
+		m, th := newDeferredMem(t)
+		d := NewDeferred(tc.pol)
+		const a = pmem.Addr(64)
+		flush := func(step string, want fences, val uint64) {
+			t.Helper()
+			before := th.Stats
+			d.Flush(th)
+			got := fences{th.Stats.PFences - before.PFences, th.Stats.ElidedFences - before.ElidedFences}
+			if got != want {
+				t.Errorf("%s, %s: Flush (issued, elided) = %v, want %v", tc.pol.Name(), step, got, want)
+			}
+			// Link-and-persist persists its value with the dirty bit up.
+			if p := m.PersistedWord(a) &^ DirtyBit; p != val || th.Pending() != 0 {
+				t.Errorf("%s, %s: persisted %d with %d lines pending after Flush, want %d and none",
+					tc.pol.Name(), step, p, th.Pending(), val)
+			}
+		}
+		d.Load(th, a, P)
+		flush("clean p-load", tc.load, 0)
+		d.Store(th, a, 5, P)
+		flush("p-store", tc.store, 5)
+		flush("empty batch", fences{0, 1}, 5)
+	}
+}
+
+// TestDeferredFlushReleasesDrainedTags: a deferred store whose line an
+// earlier fence of the batch already drained (a private p-store's, which
+// does not release tags) leaves the queue empty. Flush then elides its
+// fence but still releases the held tag: the value is durable, and a tag
+// left behind would make every reader re-flush the line forever.
+func TestDeferredFlushReleasesDrainedTags(t *testing.T) {
+	m, th := newDeferredMem(t)
+	f := NewFliT(NewHashTable(1 << 12))
+	d := NewDeferred(f)
+	const a, b = pmem.Addr(64), pmem.Addr(256) // different lines
+	d.Store(th, a, 42, P)
+	d.StorePrivate(th, b, 1, P)
+	if th.Pending() != 0 || len(d.tags) != 1 {
+		t.Fatalf("after the private p-store: %d lines pending, %d tags held, want 0 / 1", th.Pending(), len(d.tags))
+	}
+	fences := th.Stats.PFences
+	if n := d.Flush(th); n != 0 || th.Stats.PFences != fences || th.Stats.ElidedFences != 1 {
+		t.Fatalf("Flush drained %d lines, issued %d fences, elided %d, want 0 / 0 / 1",
+			n, th.Stats.PFences-fences, th.Stats.ElidedFences)
+	}
+	if n, _ := LiveTagCount(f); n != 0 || len(d.tags) != 0 {
+		t.Fatalf("tags not released by the elided Flush: %d live, %d held", n, len(d.tags))
+	}
+	if m.PersistedWord(a) != 42 {
+		t.Fatalf("persisted word = %d, want 42", m.PersistedWord(a))
+	}
+}
+
 // TestDeferredPassThrough: no-persist defers nothing and Flush does
-// nothing.
+// nothing — not even count an elided fence.
 func TestDeferredPassThrough(t *testing.T) {
 	_, th := newDeferredMem(t)
 	d := NewDeferred(NoPersist{})
@@ -157,8 +237,8 @@ func TestDeferredPassThrough(t *testing.T) {
 	if n := d.Flush(th); n != 0 {
 		t.Fatalf("no-persist Flush drained %d lines, want 0", n)
 	}
-	if th.Stats.PWBs != 0 || th.Stats.PFences != 0 {
-		t.Fatal("no-persist pass-through issued persistence instructions")
+	if th.Stats.PWBs != 0 || th.Stats.PFences != 0 || th.Stats.ElidedFences != 0 {
+		t.Fatal("no-persist pass-through issued or counted persistence instructions")
 	}
 }
 

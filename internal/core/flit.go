@@ -54,9 +54,9 @@ func (f *FliT) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 // So an un-persisted dependency implies a non-empty queue, and an empty
 // queue implies there is nothing for the fence to wait for. This is the
 // software twin of a thread-local "flushed since my last fence" flag kept
-// beside a pwb wrapper. Only the dependency fence is conditional: the
-// fence that persists a p-store's own value, StorePrivate's, Complete's
-// and Deferred.Flush's are always issued.
+// beside a pwb wrapper. The group-commit fence (Deferred.Flush) is
+// conditional by the same argument; the fence that persists a p-store's
+// own value, StorePrivate's and Complete's are always issued.
 //
 //flit:hotpath
 func fenceDeps(t *pmem.Thread) {

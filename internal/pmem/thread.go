@@ -14,9 +14,10 @@ type Stats struct {
 	Drained uint64 // pending write-backs drained by fences
 	Misses  uint64 // post-invalidation misses charged (InvalidateOnPWB)
 
-	// ElidedFences counts the dependency fences a policy proved empty
-	// (nothing pending on the thread) and did not issue; they are not in
-	// PFences. PFences + ElidedFences is what Algorithm 4 asks for.
+	// ElidedFences counts the dependency and group-commit fences a policy
+	// proved empty (nothing pending on the thread) and did not issue; they
+	// are not in PFences. PFences + ElidedFences is what Algorithm 4 (and
+	// one fence per committed batch) asks for.
 	ElidedFences uint64
 }
 

@@ -12,15 +12,16 @@
 // order (same-key requests keep their order trivially): each key is hashed
 // once, by the session call that executes it with persistence deferred
 // (core.Deferred), and the whole window commits under ONE fence
-// via the coalescing write-back queue before any response exists. The ack
-// rule is the durable-linearizability contract: a response frame
-// exists only for operations whose effects a single shared PFence has
-// already persisted, so "acknowledged ⇒ persisted" holds at every crash
-// point — verified systematically by the batched dlcheck battery
+// via the coalescing write-back queue before any response exists — or
+// under none, when the window left nothing on the queue (a window of
+// Gets that saw no flit-tag). The ack rule is the durable-linearizability
+// contract: a response frame exists only for operations whose effects
+// are already persisted, so "acknowledged ⇒ persisted" holds at every
+// crash point — verified systematically by the batched dlcheck battery
 // (internal/crashtest.RunStoreDL in store.Batched mode).
 //
-// Compared with per-operation persistence, the batch pays one completion
-// fence per pipeline instead of one per op, and its deferred stores
+// Compared with per-operation persistence, the batch pays at most one
+// completion fence per pipeline instead of one per op, and its deferred stores
 // coalesce repeated flushes of hot lines — the fence- and
 // flush-amortization of flat-combining persistent designs, applied at
 // the service boundary.
@@ -121,7 +122,7 @@ type Stats struct {
 	Version   int    `json:"v"`          // StatsVersion of the emitting server
 	Conns     uint64 `json:"conns"`      // connections accepted
 	OpsServed uint64 `json:"ops_served"` // store ops acknowledged
-	Batches   uint64 `json:"batches"`    // group commits issued
+	Batches   uint64 `json:"batches"`    // group commits, fenced or elided
 	Drained   uint64 `json:"drained"`    // lines drained by group commits
 	MaxBatch  int    `json:"max_batch"`
 
@@ -130,9 +131,10 @@ type Stats struct {
 
 	PWBs    uint64 `json:"pwbs"`    // PWB instructions issued serving requests
 	PFences uint64 `json:"pfences"` // PFence instructions issued serving requests
-	// PFencesElided counts the dependency fences the policy found empty
-	// and did not issue (pmem.Stats.ElidedFences); PFences + PFencesElided
-	// is what Algorithm 4 asks for.
+	// PFencesElided counts the dependency and group-commit fences the
+	// policy found empty and did not issue (pmem.Stats.ElidedFences);
+	// PFences + PFencesElided is what Algorithm 4 plus one fence per batch
+	// asks for.
 	PFencesElided uint64 `json:"pfences_elided"`
 
 	// Resilience accounting (compatible v2 extensions — JSON ignores
@@ -801,8 +803,10 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 			resp.Flag = b.bs.Contains(req.Key)
 		}
 	}
-	// The group commit: only after this fence do the batch's results exist
-	// as far as any client can observe. Pure PING/STATS commits nothing.
+	// The group commit: only after it do the batch's results exist as far
+	// as any client can observe. It is one fence, or none when the batch
+	// left nothing pending (core.Deferred.Flush). Pure PING/STATS commits
+	// nothing.
 	if storeOps > 0 {
 		var t1 time.Duration
 		if m != nil {
@@ -815,7 +819,7 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 		pfences := ts.PFences - pfences0
 		b.srv.pwbs.Add(ts.PWBs - pwbs0)
 		b.srv.pfences.Add(pfences)
-		if elided := ts.ElidedFences - elided0; elided != 0 { // rare here: deferred Puts have no leading fence
+		if elided := ts.ElidedFences - elided0; elided != 0 { // an empty commit, or a Delete's CASes
 			b.srv.elided.Add(elided)
 		}
 		if m != nil {

@@ -100,6 +100,50 @@ func TestBatchCommitIsTheDurabilityBoundary(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCommitFencesWhatItRead: the group-commit fence is issued
+// iff the batch left a write-back pending. A Get that saw no flit-tag
+// commits without one; a Get that read another
+// session's in-flight overwrite flushed that line and must fence it, or
+// the value it acknowledged would not survive the crash below (the
+// writer never commits).
+func TestReadOnlyCommitFencesWhatItRead(t *testing.T) {
+	st := newBatchStore(t, core.PolicyHT)
+	w := store.Open[string](st, store.Batched)
+	w.Put("clean", 1)
+	w.Put("hot", 1)
+	w.Commit()
+
+	r := store.Open[string](st, store.Batched)
+	commit := func(what string, wantFences, wantElided uint64) {
+		t.Helper()
+		before := r.Thread().Stats
+		r.Commit()
+		after := r.Thread().Stats
+		if f, e := after.PFences-before.PFences, after.ElidedFences-before.ElidedFences; f != wantFences || e != wantElided {
+			t.Fatalf("%s: commit issued %d fences, elided %d; want %d, %d", what, f, e, wantFences, wantElided)
+		}
+	}
+	if v, ok := r.Get("clean"); !ok || v != 1 {
+		t.Fatalf("Get(clean) = %d,%v", v, ok)
+	}
+	commit("Get of a committed key", 0, 1)
+
+	w.Put("hot", 2) // in-place overwrite: tagged and pending on w's queue only
+	if v, ok := r.Get("hot"); !ok || v != 2 {
+		t.Fatalf("Get(hot) = %d,%v, want the in-flight 2", v, ok)
+	}
+	commit("Get of an in-flight overwrite", 1, 0)
+
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+	st2, _, err := store.Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := store.Open[string](st2, store.Direct).Get("hot"); !ok || v != 2 {
+		t.Fatalf("acknowledged read of hot=2 lost at the crash: recovered %d,%v", v, ok)
+	}
+}
+
 // TestBatchTagsQuiesce: after Commit, no flit-counter stays tagged (the
 // dlcheck quiescence oracle at service granularity).
 func TestBatchTagsQuiesce(t *testing.T) {

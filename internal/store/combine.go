@@ -290,7 +290,8 @@ func (c *combiner) run() {
 	c.flushDeltas()
 	// THE fence: one Flush persists the whole window (each dirty line
 	// drained once via the coalescing write-back queue) and releases the
-	// deferred flit-tags. Only now are the window's results durable.
+	// deferred flit-tags; a window that left nothing pending needs none.
+	// Only now are the window's results durable.
 	c.d.Flush(c.t)
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)

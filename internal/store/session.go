@@ -288,7 +288,9 @@ func (s *Sess[K]) Pending() int { return s.c.pending }
 // Commit is the group commit (Batched mode): one fence persists every
 // operation executed since the previous Commit, then the batch's
 // deferred flit-tags are released; it returns the number of cache lines
-// drained. Only after Commit may a Batched session's results be exposed.
+// drained. A batch that left nothing pending (Gets that saw no flit-tag)
+// is already durable and commits without a fence (core.Deferred.Flush).
+// Only after Commit may a Batched session's results be exposed.
 // In Direct and Combined modes Commit is a no-op returning 0.
 func (s *Sess[K]) Commit() int { return s.c.commit() }
 
