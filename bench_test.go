@@ -410,8 +410,10 @@ func BenchmarkStoreWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreRecovery measures shard-parallel post-crash rebuild of a
-// loaded store; the serial/parallel ratio is reported as a metric.
+// BenchmarkStoreRecovery measures shard-parallel post-crash recovery of a
+// loaded store; the serial/parallel ratio and the PWBs and PFences one
+// recovery issues are reported as metrics. The image of a quiescent store
+// is clean, so its recovery keeps every chain and issues neither.
 func BenchmarkStoreRecovery(b *testing.B) {
 	const records = 20_000
 	for _, shards := range []int{1, 8} {
@@ -423,6 +425,7 @@ func BenchmarkStoreRecovery(b *testing.B) {
 			cfg := st.Mem().Config()
 			opts := st.Opts()
 			var recovering time.Duration
+			var pwbs, pfences uint64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -434,6 +437,8 @@ func BenchmarkStoreRecovery(b *testing.B) {
 					b.Fatal(err)
 				}
 				recovering += rs.Elapsed
+				s := mem2.TotalStats()
+				pwbs, pfences = pwbs+s.PWBs, pfences+s.PFences
 				var serial time.Duration
 				for _, d := range rs.Shards {
 					serial += d
@@ -444,6 +449,8 @@ func BenchmarkStoreRecovery(b *testing.B) {
 				b.ReportMetric(float64(rs.Keys), "keys")
 			}
 			b.ReportMetric(float64(records)*float64(b.N)/recovering.Seconds(), "keys/s")
+			b.ReportMetric(float64(pwbs)/float64(b.N), "pwbs/recovery")
+			b.ReportMetric(float64(pfences)/float64(b.N), "pfences/recovery")
 		})
 	}
 }

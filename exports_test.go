@@ -42,9 +42,6 @@ var exportExceptions = map[string]string{
 	"internal/store.SessionModes":              "the mode list the store and workload tests range over",
 
 	"internal/bench.ReportMetrics": "adapter the root package's Go benchmarks (bench_test.go) report through",
-
-	"internal/bench/stats.Summary.Scale": "test-only; goes with its test TestScale in a later diet",
-	"internal/resilience.FaultListener":  "test-only; the chaos harness wraps each dialed conn with WrapConn instead — goes with TestFaultListenerWrapsAccepted in a later diet",
 }
 
 // exportExemptDirs hold test-support drivers: their exports serve the

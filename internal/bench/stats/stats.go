@@ -47,15 +47,3 @@ func Summarize(xs []float64) Summary {
 	}
 	return s
 }
-
-// Scale multiplies the summary by k (unit conversions: ops/s → Mops/s).
-func (s Summary) Scale(k float64) Summary {
-	s.Mean *= k
-	s.Stddev *= math.Abs(k)
-	s.Min *= k
-	s.Max *= k
-	if k < 0 {
-		s.Min, s.Max = s.Max, s.Min
-	}
-	return s
-}

@@ -25,14 +25,3 @@ func TestSummarizeEdge(t *testing.T) {
 		t.Fatalf("single: got %+v", s)
 	}
 }
-
-func TestScale(t *testing.T) {
-	s := Summarize([]float64{1e6, 3e6}).Scale(1e-6)
-	if s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Fatalf("got %+v", s)
-	}
-	neg := Summarize([]float64{1, 3}).Scale(-1)
-	if neg.Min != -3 || neg.Max != -1 || neg.Stddev < 0 {
-		t.Fatalf("negative scale: got %+v", neg)
-	}
-}

@@ -97,6 +97,16 @@ func StrideFor(p core.Policy) int {
 	return 1
 }
 
+// StrideForName is StrideFor of the policy core.NewPolicyByName would
+// build for name, without building it (a flit-HT policy zeroes a counter
+// table).
+func StrideForName(name string) int {
+	if name == core.PolicyAdjacent {
+		return core.AdjacentStride
+	}
+	return 1
+}
+
 // Field returns the address of persisted field i of the object at base.
 func (c *Config) Field(base pmem.Addr, i int) pmem.Addr {
 	return base + pmem.Addr(i*c.Stride)

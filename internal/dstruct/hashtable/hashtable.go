@@ -144,7 +144,7 @@ func (th *Thread) Get(key uint64) (uint64, bool) {
 func (t *Table) Snapshot() map[uint64]uint64 {
 	var pairs []list.Pair
 	for i := 0; i < int(t.buckets); i++ {
-		pairs = list.GatherAt(&t.cfg, t.cfg.Field(t.base, 1+i), pairs)
+		pairs, _, _ = list.GatherAt(&t.cfg, t.cfg.Field(t.base, 1+i), pairs)
 	}
 	out := make(map[uint64]uint64, len(pairs))
 	for _, p := range pairs {
@@ -155,27 +155,39 @@ func (t *Table) Snapshot() map[uint64]uint64 {
 
 // Recover rebuilds a durably consistent table from the structure persisted
 // at cfg's root slot. The bucket array itself survives as-is (it is
-// immutable after construction); each bucket chain is gathered and
-// re-laid-out clean, like list recovery.
+// immutable after construction); a clean bucket chain stays where it lies
+// and every other one is gathered and re-laid-out, like list recovery.
 func Recover(cfg dstruct.Config) *Table {
-	tbl, _ := BeginRecover(cfg).Complete()
+	r := BeginRecover(cfg)
+	cfg.Heap.RaiseWatermark(uint64(r.End()))
+	tbl, _ := r.Complete()
 	return tbl
 }
 
 // Recovery is a two-phase table recovery: BeginRecover gathers every
-// bucket's surviving pairs into process memory, Complete rebuilds the
-// chains and fences. The split exists because recovery may run with a
-// stale allocation watermark (the embedding process crashed before it
-// could carry the newer one forward), in which case the rebuild's fresh
-// nodes can land on addresses still holding chains that have not been
-// gathered yet. Within one table the two phases order that correctly;
+// bucket's surviving pairs into process memory and sorts the buckets into
+// clean ones, already exactly what a rebuild would write (list.GatherAt),
+// and dirty ones; Complete rebuilds the dirty chains and fences, and keeps
+// the clean ones where they lie.
+//
+// The split exists because recovery may run with a stale allocation
+// watermark (the embedding process crashed before it could carry the
+// newer one forward). Then the rebuild's fresh nodes can land on addresses
+// still holding chains that have not been gathered yet, or chains kept in
+// place. Within one table the two phases order the first correctly;
 // recoveries sharing one heap (the store's shard-parallel rebuild) must
-// additionally barrier between everyone's gather and anyone's rebuild.
+// additionally barrier between everyone's gather and anyone's rebuild. For
+// the second, the heap's watermark must be raised past every recovery's
+// End before any of them completes.
 type Recovery struct {
 	tbl *Table
 	// Bucket i's pairs are pairs[off[i]:off[i+1]], in chain order.
 	pairs []list.Pair
 	off   []int
+	// dirty lists, ascending, the buckets Complete rebuilds; end is one
+	// past the highest node of the chains it keeps.
+	dirty []int
+	end   pmem.Addr
 }
 
 // BeginRecover attaches the persisted table and gathers every bucket's
@@ -185,11 +197,23 @@ func BeginRecover(cfg dstruct.Config) *Recovery {
 	b := int(tbl.buckets)
 	r := &Recovery{tbl: tbl, pairs: make([]list.Pair, 0, b), off: make([]int, b+1)}
 	for i := 0; i < b; i++ {
-		r.pairs = list.GatherAt(&tbl.cfg, cfg.Field(tbl.base, 1+i), r.pairs)
+		var clean bool
+		var end pmem.Addr
+		r.pairs, clean, end = list.GatherAt(&tbl.cfg, cfg.Field(tbl.base, 1+i), r.pairs)
 		r.off[i+1] = len(r.pairs)
+		if clean {
+			r.end = max(r.end, end)
+		} else {
+			r.dirty = append(r.dirty, i)
+		}
 	}
 	return r
 }
+
+// End returns one past the highest node of the chains Complete keeps in
+// place (0 when there are none): the watermark the table's heap must reach
+// before anything allocates.
+func (r *Recovery) End() pmem.Addr { return r.end }
 
 // Pairs returns the gathered pairs, bucket after bucket — the table's
 // surviving contents, for callers that redistribute keys across tables
@@ -198,12 +222,16 @@ func BeginRecover(cfg dstruct.Config) *Recovery {
 func (r *Recovery) Pairs() []list.Pair { return r.pairs }
 
 // CompleteWith is Complete with the table's final contents overridden:
-// the chains are rebuilt to hold exactly pairs, partitioned by the table's
-// own bucket hash with a stable counting sort (of equal keys the last in
-// pairs wins). It is how re-sharding recovery moves keys between shards,
-// and may be called again on the same Recovery to rebuild the table to a
-// second set of contents.
+// every chain is dirty and rebuilt to hold exactly pairs, partitioned by
+// the table's own bucket hash with a stable counting sort (of equal keys
+// the last in pairs wins). It is how re-sharding recovery moves keys
+// between shards, and may be called again on the same Recovery to rebuild
+// the table to a second set of contents.
 func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
+	r.dirty = r.dirty[:0]
+	for i := range r.tbl.buckets {
+		r.dirty = append(r.dirty, int(i))
+	}
 	clear(r.off)
 	for _, p := range pairs {
 		r.off[r.tbl.BucketOf(p.Key)]++
@@ -222,29 +250,35 @@ func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
 	return r.Complete()
 }
 
-// Complete rebuilds every bucket chain from the gathered pairs (phase
-// two), returning the recovered table and its key count. Two fences: all
-// the new nodes first, then the bucket heads that publish them. Under one
-// fence the line holding heads 0–7 — queued while bucket 0 was rebuilt —
-// would drain before the nodes of buckets 1–7, and a crash in between
-// leaves seven heads pointing at nodes the image never received.
+// Complete rebuilds the dirty bucket chains from the gathered pairs (phase
+// two) and keeps the clean ones where they lie, returning the recovered
+// table and its key count. With no dirty bucket it takes no thread, arena
+// or fence. Otherwise two fences: all the new nodes first, then the bucket
+// heads that publish them. Under one fence the line holding heads 0–7 —
+// queued while bucket 0 was rebuilt — would drain before the nodes of
+// buckets 1–7, and a crash in between leaves seven heads pointing at nodes
+// the image never received.
 //
 //flit:rawpersist recovery is single-threaded; one fence persists all rebuilt nodes, a second the heads
 func (r *Recovery) Complete() (*Table, int) {
+	n := len(r.pairs)
+	if len(r.dirty) == 0 {
+		return r.tbl, n
+	}
 	cfg := &r.tbl.cfg
 	t := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
-	n := 0
-	firsts := make([]pmem.Addr, r.tbl.buckets)
-	for i := range firsts {
+	firsts := make([]pmem.Addr, len(r.dirty))
+	for j, i := range r.dirty {
+		pairs := r.pairs[r.off[i]:r.off[i+1]]
 		var k int
-		firsts[i], k = list.Rebuild(cfg, t, ar, r.pairs[r.off[i]:r.off[i+1]])
-		n += k
+		firsts[j], k = list.Rebuild(cfg, t, ar, pairs)
+		n += k - len(pairs)
 	}
 	t.PFence()
-	for i, first := range firsts {
+	for j, i := range r.dirty {
 		head := cfg.Field(r.tbl.base, 1+i)
-		t.Store(head, uint64(first))
+		t.Store(head, uint64(firsts[j]))
 		t.PWB(head)
 	}
 	t.PFence()

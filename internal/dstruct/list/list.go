@@ -365,7 +365,8 @@ func (t *Thread) GetAt(head pmem.Addr, key uint64) (uint64, bool) {
 // state directly (test helper; callers must be quiescent).
 func (l *List) Snapshot() map[uint64]uint64 {
 	out := make(map[uint64]uint64)
-	for _, p := range GatherAt(&l.cfg, l.cfg.Root(), nil) {
+	pairs, _, _ := GatherAt(&l.cfg, l.cfg.Root(), nil)
+	for _, p := range pairs {
 		out[p.Key] = p.Val
 	}
 	return out

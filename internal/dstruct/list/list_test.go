@@ -251,7 +251,10 @@ func TestRecoveryIgnoresCycles(t *testing.T) {
 			}
 
 			sentinel := Pair{Key: 99, Val: 99}
-			got := GatherAt(&cfg, cfg.Root(), []Pair{sentinel})
+			got, clean, _ := GatherAt(&cfg, cfg.Root(), []Pair{sentinel})
+			if clean {
+				t.Fatal("gather called a bent chain clean: recovery would keep it")
+			}
 			if got[0] != sentinel {
 				t.Fatalf("gather overwrote the caller's prefix: %v", got[0])
 			}
@@ -293,9 +296,16 @@ func TestRecoverPublishesHeadAfterNodes(t *testing.T) {
 	cfg := configs(1 << 14)[0]
 	th := New(cfg).Open(dstruct.ThreadOpts{})
 	const keys = 40
-	for k := uint64(1); k <= keys; k++ {
+	for k := uint64(0); k <= keys; k++ {
 		th.Insert(k, k*10)
 	}
+	// Key 0 is cut between its Delete's marking CAS and the unlink: a
+	// marked node makes the chain dirty, so recovery rebuilds it.
+	raw := cfg.Heap.Mem().RegisterThread()
+	mark := cfg.Field(dstruct.Ptr(raw.Load(cfg.Root())), fNext)
+	raw.Store(mark, raw.Load(mark)|core.MarkBit)
+	raw.PWB(mark)
+	raw.PFence()
 	wm := cfg.Heap.Watermark()
 	img := cfg.Heap.Mem().CrashImage(pmem.DropUnfenced, 1)
 	recoverOn := func(img []uint64) (dstruct.Config, *pmem.Memory) {
@@ -310,12 +320,16 @@ func TestRecoverPublishesHeadAfterNodes(t *testing.T) {
 	Recover(cfg2)
 	mem2.StopTrace()
 	recs := tr.Records()
+	t.Logf("%d persist records", len(recs))
+	if len(recs) == 0 {
+		t.Fatal("the recovery persisted nothing: the sweep has no boundary to cut")
+	}
 
 	check := func(img []uint64, what string) {
 		t.Helper()
 		cfg3, _ := recoverOn(img)
 		Recover(cfg3)
-		if got := GatherAt(&cfg3, cfg3.Root(), nil); len(got) != keys {
+		if got, _, _ := GatherAt(&cfg3, cfg3.Root(), nil); len(got) != keys {
 			t.Fatalf("%s: recovered %d keys, want %d", what, len(got), keys)
 		}
 	}
@@ -338,6 +352,94 @@ func TestRecoverPublishesHeadAfterNodes(t *testing.T) {
 	}
 }
 
+// TestGatherJudgesClean: a chain as inserts leave it is clean, and each
+// word a rebuild would write differently makes it dirty — a flag bit on the
+// head or on a next link, keys out of order, and under flit-adjacent a
+// non-zero counter word beside any field. A clean chain's end is one past
+// its highest node.
+func TestGatherJudgesClean(t *testing.T) {
+	const ht, adjacent = 0, 3 // configs' first flit-HT and flit-adjacent entries
+	for _, tc := range []struct {
+		name  string
+		cfg   int
+		bend  func(cfg *dstruct.Config, head pmem.Addr, nodes []pmem.Addr) pmem.Addr // the word to set a bit in
+		clean bool
+	}{
+		{"as-inserted", ht, nil, true},
+		{"head-flag", ht, func(_ *dstruct.Config, head pmem.Addr, _ []pmem.Addr) pmem.Addr { return head }, false},
+		{"next-flag", ht, func(c *dstruct.Config, _ pmem.Addr, n []pmem.Addr) pmem.Addr { return c.Field(n[2], fNext) }, false},
+		{"key-order", ht, func(c *dstruct.Config, _ pmem.Addr, n []pmem.Addr) pmem.Addr { return c.Field(n[2], fKey) }, false},
+		{"adjacent/as-inserted", adjacent, nil, true},
+		{"adjacent/key-counter", adjacent, func(c *dstruct.Config, _ pmem.Addr, n []pmem.Addr) pmem.Addr { return c.Field(n[3], fKey) + 1 }, false},
+		{"adjacent/next-counter", adjacent, func(c *dstruct.Config, _ pmem.Addr, n []pmem.Addr) pmem.Addr { return c.Field(n[4], fNext) + 1 }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := configs(1 << 14)[tc.cfg]
+			th := New(cfg).Open(dstruct.ThreadOpts{})
+			for k := uint64(1); k <= 6; k++ {
+				th.Insert(k*2, k)
+			}
+			th.Close()
+			mem := cfg.Heap.Mem()
+			var nodes []pmem.Addr
+			for n := dstruct.Ptr(mem.VolatileWord(cfg.Root())); n != pmem.NilAddr; n = dstruct.Ptr(mem.VolatileWord(cfg.Field(n, fNext))) {
+				nodes = append(nodes, n)
+			}
+			if tc.bend != nil {
+				// A set bit 62 is a flag bit on a link, and puts a key above
+				// every later one.
+				a := tc.bend(&cfg, cfg.Root(), nodes)
+				mem.SetVolatileWord(a, mem.VolatileWord(a)|core.DirtyBit)
+			}
+			pairs, clean, end := GatherAt(&cfg, cfg.Root(), nil)
+			if clean != tc.clean {
+				t.Fatalf("GatherAt judged the chain clean=%v, want %v", clean, tc.clean)
+			}
+			if len(pairs) != len(nodes) {
+				t.Fatalf("gathered %d pairs from %d nodes", len(pairs), len(nodes))
+			}
+			if want := slices.Max(nodes) + pmem.Addr(cfg.Words(NumFields)); end != want {
+				t.Fatalf("GatherAt reported end %d, want %d (one past the highest node)", end, want)
+			}
+		})
+	}
+}
+
+// TestRecoverKeepsCleanChainInPlace: recovering a clean image writes and
+// fences nothing, and leaves every node where it was — even with a stale
+// watermark below the chain, which the recovery must raise past it: new
+// inserts after it then cannot land on a kept node.
+func TestRecoverKeepsCleanChainInPlace(t *testing.T) {
+	cfg := configs(1 << 14)[0]
+	th := New(cfg).Open(dstruct.ThreadOpts{})
+	const keys = 40
+	for k := uint64(1); k <= keys; k++ {
+		th.Insert(k, k*10)
+	}
+	th.Close()
+	img := cfg.Heap.Mem().CrashImage(pmem.DropUnfenced, 1)
+	mem := pmem.NewFromImage(img, cfg.Heap.Mem().Config())
+	cfg2 := cfg
+	cfg2.Heap = pheap.Recover(mem, 0) // stale: below every node
+	before, _, end := GatherAt(&cfg2, cfg2.Root(), nil)
+	l2 := Recover(cfg2)
+	if s := mem.TotalStats(); s.PWBs != 0 || s.PFences != 0 {
+		t.Fatalf("recovering a clean chain issued %d PWBs and %d PFences, want none", s.PWBs, s.PFences)
+	}
+	if wm := cfg2.Heap.Watermark(); wm < uint64(end) {
+		t.Fatalf("watermark %d after recovery is below the kept chain's end %d", wm, end)
+	}
+	th2 := l2.Open(dstruct.ThreadOpts{})
+	for k := uint64(keys + 1); k <= 2*keys; k++ {
+		th2.Insert(k, k*10)
+	}
+	th2.Close()
+	after, _, _ := GatherAt(&cfg2, cfg2.Root(), nil)
+	if !slices.Equal(after[:keys], before) || len(after) != 2*keys {
+		t.Fatalf("after recovery and %d fresh inserts the chain holds %v, want the %d kept pairs first", keys, after, keys)
+	}
+}
+
 // TestRebuildKeepsLastOfEqualKeys pins the duplicate rule a merge of
 // several tables' gathers relies on: of equal keys the last one wins, and
 // the count returned is of nodes written, not of pairs handed in.
@@ -352,9 +454,9 @@ func TestRebuildKeepsLastOfEqualKeys(t *testing.T) {
 		t.Fatalf("Rebuild wrote %d nodes, want 3", n)
 	}
 	raw.Store(cfg.Root(), uint64(first))
-	got := GatherAt(&cfg, cfg.Root(), nil)
-	if want := []Pair{{3, 2}, {5, 1}, {7, 3}}; !slices.Equal(got, want) {
-		t.Fatalf("rebuilt chain holds %v, want %v", got, want)
+	got, clean, _ := GatherAt(&cfg, cfg.Root(), nil)
+	if want := []Pair{{3, 2}, {5, 1}, {7, 3}}; !slices.Equal(got, want) || !clean {
+		t.Fatalf("rebuilt chain holds %v (clean %v), want %v, clean", got, clean, want)
 	}
 }
 

@@ -19,10 +19,22 @@ type Pair struct{ Key, Val uint64 }
 // node is marked in every crash image — and are discarded. Brent's cycle
 // detection rides along (one compare per node), so a corrupt cyclic image
 // costs a second walk, not a hang: each distinct node still counts once.
-func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) []Pair {
+//
+// clean reports that the chain is already exactly what Rebuild would write
+// for those pairs, so recovery may keep it where it lies: every link word,
+// head included, is a plain pointer with no flag bit, the keys rise
+// strictly to nil (which also rules out a cycle), and under a stride that
+// puts each field's flit-counter beside it every counter word is zero — a
+// stale non-zero counter would tag its field for the rest of the run. end
+// is one past the highest node walked, which a kept chain needs the heap's
+// watermark to cover (pheap.Heap.RaiseWatermark).
+func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) (pairs []Pair, clean bool, end pmem.Addr) {
 	mem := cfg.Heap.Mem()
-	first := dstruct.Ptr(mem.VolatileWord(head))
+	headRaw := mem.VolatileWord(head)
+	first := dstruct.Ptr(headRaw)
+	clean = headRaw == uint64(first)
 	base := len(dst)
+	var prevKey uint64
 	// The tortoise rests on the node visited at each power-of-two step;
 	// meeting it again lam steps later means the chain loops with period lam.
 	tortoise, power, lam := pmem.NilAddr, 1, 0
@@ -43,14 +55,36 @@ func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) []Pair {
 				dst, curr = gatherNode(cfg, mem, curr, dst)
 				scout = dstruct.Ptr(mem.VolatileWord(cfg.Field(scout, fNext)))
 			}
-			return dst
+			return dst, false, end
 		}
 		if lam == power {
 			tortoise, power, lam = curr, 2*power, 0
 		}
-		dst, curr = gatherNode(cfg, mem, curr, dst)
+		nextRaw := mem.VolatileWord(cfg.Field(curr, fNext))
+		key := mem.VolatileWord(cfg.Field(curr, fKey))
+		clean = clean && nextRaw == uint64(dstruct.Ptr(nextRaw)) && (curr == first || key > prevKey) &&
+			(cfg.Stride == 1 || countersZero(cfg, mem, curr))
+		prevKey = key
+		end = max(end, curr+pmem.Addr(cfg.Words(NumFields)))
+		if !dstruct.Marked(nextRaw) {
+			dst = append(dst, Pair{key, mem.VolatileWord(cfg.Field(curr, fVal))})
+		}
+		curr = dstruct.Ptr(nextRaw)
 	}
-	return dst
+	return dst, clean, end
+}
+
+// countersZero reports whether every word between node n's fields — the
+// flit-counters of a policy that places them beside their field — is zero.
+func countersZero(cfg *dstruct.Config, mem *pmem.Memory, n pmem.Addr) bool {
+	for f := 0; f < NumFields; f++ {
+		for w := 1; w < cfg.Stride; w++ {
+			if mem.VolatileWord(cfg.Field(n, f)+pmem.Addr(w)) != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // gatherNode appends node n's pair to dst unless n is marked, and returns
@@ -98,16 +132,23 @@ func Rebuild(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, pairs []Pair)
 }
 
 // Recover rebuilds a durably consistent list from the structure persisted
-// at cfg's root slot: surviving pairs are gathered, re-laid-out into a
-// clean chain, persisted, and the result attached. cfg.Heap must be a
-// pheap.Recover heap over the crash image, so new nodes cannot overwrite
-// surviving data.
+// at cfg's root slot and attaches it. A clean chain (see GatherAt) is kept
+// where it lies: the heap's watermark is raised past its nodes, and nothing
+// is written or fenced. Otherwise the surviving pairs are re-laid-out into
+// a fresh chain, its nodes fenced, then the head that publishes them.
+// cfg.Heap must be a pheap.Recover heap over the crash image, so new nodes
+// cannot overwrite surviving data.
 //
 //flit:rawpersist recovery fences the rebuilt nodes, then the head that publishes them
 func Recover(cfg dstruct.Config) *List {
+	pairs, clean, end := GatherAt(&cfg, cfg.Root(), nil)
+	if clean {
+		cfg.Heap.RaiseWatermark(uint64(end))
+		return Attach(cfg)
+	}
 	t := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
-	first, _ := Rebuild(&cfg, t, ar, GatherAt(&cfg, cfg.Root(), nil))
+	first, _ := Rebuild(&cfg, t, ar, pairs)
 	t.PFence()
 	t.Store(cfg.Root(), uint64(first))
 	t.PWB(cfg.Root())

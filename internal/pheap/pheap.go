@@ -137,6 +137,21 @@ func (h *Heap) Mem() *pmem.Memory { return h.mem }
 // a simulated crash.
 func (h *Heap) Watermark() uint64 { return h.bump.Load() }
 
+// RaiseWatermark moves the bump pointer up to w, rounded up to a whole
+// line (chunks stay line-aligned), unless it is already there: no later
+// allocation hands out a word below w. Recovery calls it before it
+// allocates, for the surviving objects it keeps where they lie — a stale
+// carried watermark need not cover them.
+func (h *Heap) RaiseWatermark(w uint64) {
+	w = (w + pmem.WordsPerLine - 1) &^ uint64(pmem.WordsPerLine-1)
+	for {
+		old := h.bump.Load()
+		if old >= w || h.bump.CompareAndSwap(old, w) {
+			return
+		}
+	}
+}
+
 // NumRootSlots returns the size of this heap's root region.
 func (h *Heap) NumRootSlots() int { return h.roots }
 

@@ -188,27 +188,3 @@ func (c *faultConn) blackholeRead() (int, error) {
 		_ = n // discard silently
 	}
 }
-
-// FaultListener wraps every accepted connection with the same Faults,
-// bumping the seed per connection so each one draws a distinct but
-// reproducible fault schedule.
-type FaultListener struct {
-	net.Listener
-	F Faults
-
-	mu   sync.Mutex
-	next int64
-}
-
-func (l *FaultListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	f := l.F
-	f.Seed += l.next
-	l.next++
-	l.mu.Unlock()
-	return WrapConn(c, f), nil
-}

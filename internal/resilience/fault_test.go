@@ -141,44 +141,3 @@ func TestFaultConnDelaysEveryN(t *testing.T) {
 		t.Fatalf("3 delayed writes took %v, want >= 30ms", el)
 	}
 }
-
-func TestFaultListenerWrapsAccepted(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("tcp listen unavailable: %v", err)
-	}
-	fl := &FaultListener{Listener: ln, F: Faults{Seed: 9, ResetAfterBytes: 1}}
-	defer fl.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		c, err := fl.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer c.Close()
-		if _, ok := c.(*faultConn); !ok {
-			done <- errors.New("accepted conn not fault-wrapped")
-			return
-		}
-		buf := make([]byte, 16)
-		c.Read(buf)
-		_, err = c.Read(buf)
-		if !errors.Is(err, ErrInjectedReset) {
-			done <- errors.New("accepted conn did not inject reset")
-			return
-		}
-		done <- nil
-	}()
-
-	c, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	c.Write(make([]byte, 16))
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}

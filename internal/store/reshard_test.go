@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"flit/internal/core"
 	"flit/internal/dstruct/hashtable"
 	"flit/internal/dstruct/list"
 	"flit/internal/pmem"
@@ -272,6 +273,9 @@ func sweepBoundaries(t *testing.T, st *Store, counts []int, rebuild func(*pmem.M
 	img, cfg, wm0 := imageOfStore(st)
 	recs, wm1 := traced(t, img, cfg, func(mem *pmem.Memory) (*Store, RecoveryStats, error) { return rebuild(mem, wm0) })
 	t.Logf("%d persist records", len(recs))
+	if len(recs) == 0 {
+		t.Fatal("the rebuild persisted nothing: the sweep has no boundary to cut")
+	}
 	var fails []string
 	img = append([]uint64(nil), img...)
 	for k := 0; k <= len(recs); k++ {
@@ -302,8 +306,11 @@ func sweepBoundaries(t *testing.T, st *Store, counts []int, rebuild func(*pmem.M
 	return fails
 }
 
-// sweepStore is the populated four-shard store the sweeps rebuild: 300
-// live keys and the marked nodes of 40 deleted ones.
+// sweepStore is the populated four-shard store the sweeps rebuild: 340
+// keys, 40 of them deleted and unlinked, and in every other bucket a
+// Delete cut between its marking CAS and its unlink — a marked node still
+// linked, persisted. So a recovery keeps half the chains where they lie
+// and rebuilds the other half.
 func sweepStore(t *testing.T) *Store {
 	t.Helper()
 	st := newTestStore(t, Options{Shards: 4, Buckets: 16, HTBytes: 1 << 14, MemWords: 1 << 16})
@@ -315,6 +322,13 @@ func sweepStore(t *testing.T) *Store {
 		sess.Delete(fmt.Sprintf("eb-%d", k))
 	}
 	sess.Close()
+	th := st.mem.RegisterThread()
+	defer th.Release()
+	for _, next := range memoryOf(st).markable(func(_, b int) bool { return b%2 == 0 }) {
+		th.Store(next, st.mem.VolatileWord(next)|core.MarkBit)
+		th.PWB(next)
+		th.PFence()
+	}
 	return st
 }
 

@@ -179,23 +179,21 @@ func New(opts Options) (*Store, error) {
 	if o.Shards < 1 || o.Shards > MaxShards {
 		return nil, fmt.Errorf("store: shard count %d outside [1,%d]", o.Shards, MaxShards)
 	}
-	probe, err := core.NewPolicyByName(o.Policy, 1<<10, o.HTBytes)
-	if err != nil {
-		return nil, err
-	}
-	stride := dstruct.StrideFor(probe)
+	// The memory is sized by the stride, and the per-line counter policy by
+	// the memory: name the stride, then build the one policy the store keeps.
+	stride := dstruct.StrideForName(o.Policy)
 	words := o.MemWords
 	if words == 0 {
 		words = o.memWords(stride)
+	}
+	pol, err := core.NewPolicyByName(o.Policy, words, o.HTBytes)
+	if err != nil {
+		return nil, err
 	}
 	mcfg := pmem.DefaultConfig(words)
 	mcfg.InvalidateOnPWB = o.Invalidate
 	mcfg.VirtualClock = o.VirtualClock
 	mem := pmem.New(mcfg)
-	pol, err := core.NewPolicyByName(o.Policy, mem.Words(), o.HTBytes)
-	if err != nil {
-		return nil, err
-	}
 	st := &Store{
 		opts:   o,
 		mem:    mem,
@@ -504,9 +502,12 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 // fresh rebuild nodes can land on addresses still holding another shard's
 // not-yet-gathered chains. Gathering writes nothing, so once every shard
 // has its pairs in process memory the rebuilds may clobber those regions
-// freely.
+// freely — all but the clean chains recovery keeps where they lie, which
+// is why the barrier also raises the watermark past every kept node
+// before anything allocates.
 //
-// With no reshard pending each table is rebuilt from its own gather. A
+// With no reshard pending each table rebuilds its dirty buckets from its
+// own gather and keeps the clean ones. A
 // pending reshard redistributes by the target count — a non-doubling one
 // moves keys BETWEEN serving shards too (k%old ≠ k%new with both below
 // old) — building the new version beside the old one before the old is
@@ -549,6 +550,9 @@ func (s *Store) rebuild(g geometry) RecoveryStats {
 	phase(func(i int) { recovering[i] = hashtable.BeginRecover(s.cfgShard(g, i)) })
 
 	if g.target == g.serving {
+		for _, r := range recovering {
+			s.heap.RaiseWatermark(uint64(r.End()))
+		}
 		phase(func(i int) { s.tables[i], keys[i] = recovering[i].Complete() })
 	} else {
 		// in[j] are the pairs other tables hold for shard j, stay[j] the
