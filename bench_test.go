@@ -392,9 +392,9 @@ func BenchmarkStoreWorkload(b *testing.B) {
 				workload.Load(st, records, runtime.GOMAXPROCS(0))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := workload.Run(st, workload.Spec{
+					res, err := workload.Run(st, store.Direct, workload.Spec{
 						Mix: mix, Dist: dist,
-						Threads:  runtime.GOMAXPROCS(0),
+						Workers:  runtime.GOMAXPROCS(0),
 						Duration: 50 * time.Millisecond,
 						Records:  records, Seed: int64(i),
 					})

@@ -52,7 +52,7 @@ func main() {
 	conns := flag.Int("conns", 1, "parallel connections")
 	depth := flag.Int("depth", 16, "closed-loop pipeline frames per connection")
 	rate := flag.Float64("rate", 0, "open-loop arrival rate in ops/s across all connections (0 = closed loop)")
-	maxInflight := flag.Int("max-inflight", 0, "open-loop cap on outstanding frames per connection; arrivals over it are dropped and counted (0 = unbounded)")
+	maxInflight := flag.Int("max-inflight", 0, "open-loop cap on outstanding frames per connection; arrivals over it are dropped and counted (0 = 1024)")
 	duration := flag.Duration("duration", 3*time.Second, "measured window")
 	seed := flag.Int64("seed", 1, "workload seed")
 	load := flag.Bool("load", false, "bulk-insert the keyspace over the wire before the run")
@@ -96,9 +96,11 @@ func main() {
 	}
 
 	sp := client.Spec{
-		Mix: *mix, Dist: *dist, ZipfS: *zipfS, Records: *records,
-		Conns: *conns, Depth: *depth, Rate: *rate, MaxInflight: *maxInflight,
-		Duration: *duration, Seed: *seed,
+		Spec: workload.Spec{
+			Mix: *mix, Dist: *dist, ZipfS: *zipfS, Records: *records,
+			Workers: *conns, Depth: *depth, Duration: *duration, Seed: *seed,
+		},
+		Rate: *rate, MaxInflight: *maxInflight,
 	}
 	if !*jsonOut {
 		sp.Progress = progressPrinter(*live, network, target)
@@ -141,7 +143,7 @@ func main() {
 // server-side interval costs polled over a dedicated STATS connection.
 // The callback runs on the load generator's monitor goroutine, so the
 // dedicated connection never races the workers.
-func progressPrinter(live bool, network, target string) func(client.Progress) {
+func progressPrinter(live bool, network, target string) func(workload.Progress) {
 	var statsC *client.Conn
 	var prev server.Stats
 	if live {
@@ -152,7 +154,7 @@ func progressPrinter(live bool, network, target string) func(client.Progress) {
 			fmt.Fprintf(os.Stderr, "flitload: -live stats connection: %v\n", err)
 		}
 	}
-	return func(p client.Progress) {
+	return func(p workload.Progress) {
 		line := fmt.Sprintf("flitload: %6.1fs %9d ops %9.0f ops/s p50=%-9v p99=%-9v",
 			p.Elapsed.Seconds(), p.Ops, p.OpsPerSec, p.P50, p.P99)
 		if statsC != nil {

@@ -45,10 +45,10 @@
 //     string keys hashed into the instrumented keyspace, one hashtable
 //     shard per persistent root, a self-describing superblock, and
 //     shard-parallel post-crash recovery
-//   - internal/workload: a YCSB-style workload subsystem (mixes A-F,
-//     uniform/zipfian/latest distributions, closed- and open-loop
-//     runners) driven by cmd/flitbench's matrices, which emit JSON
-//     performance reports
+//   - internal/workload: a YCSB-style workload subsystem (mixes A-G,
+//     uniform/zipfian/latest distributions, one closed-loop driver the
+//     in-process runner and the network load generator share) driven
+//     by cmd/flitbench's matrices, which emit JSON performance reports
 //   - internal/server, internal/client: the network front-end — a
 //     pipelined binary protocol whose per-connection batches execute
 //     with persistence deferred and commit under one shared fence

@@ -197,7 +197,7 @@ func (m Matrix) Run() (*Report, error) {
 	}
 	for _, c := range m.Store {
 		err := m.runEmbedded(rep, c.ID(),
-			store.Options{Shards: c.Shards, Policy: c.Policy},
+			store.Options{Shards: c.Shards, Policy: c.Policy}, store.Direct,
 			workload.Spec{Mix: c.Mix, Dist: c.Dist, Records: c.Records})
 		if err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
@@ -213,10 +213,10 @@ func (m Matrix) Run() (*Report, error) {
 			store.Options{
 				Shards: c.Shards, Policy: c.Policy,
 				CombineWindow: c.Window, CombineNoCoalesce: c.NoCoalesce,
-			},
+			}, store.Combined,
 			workload.Spec{
 				Mix: c.Mix, Dist: c.Dist, Records: c.Records,
-				Mode: store.Combined, Depth: c.Depth, HotKeys: c.HotKeys,
+				Depth: c.Depth, HotKeys: c.HotKeys,
 			})
 		if err != nil {
 			return nil, fmt.Errorf("bench: cell %s: %w", c.ID(), err)
@@ -343,21 +343,21 @@ func (m Matrix) loadedStore(opts store.Options, records uint64) (*store.Store, e
 }
 
 // runEmbedded measures one in-process store cell through the workload
-// runner in spec's session mode: a StoreCell runs Direct sessions (per-op
+// runner in the given session mode: a StoreCell runs Direct sessions (per-op
 // persistence), a CombineCell runs Combined sessions at its vector depth —
 // every worker a concurrent announcer, every window fenced once by
 // whichever announcer wins the shard's combiner lock. One measurement for
 // every mode lets combine cells compare directly against the per-op store
 // cells and the server-side net cells.
-func (m Matrix) runEmbedded(rep *Report, id string, opts store.Options, spec workload.Spec) error {
+func (m Matrix) runEmbedded(rep *Report, id string, opts store.Options, mode store.SessionMode, spec workload.Spec) error {
 	st, err := m.loadedStore(opts, spec.Records)
 	if err != nil {
 		return err
 	}
-	spec.Threads, spec.Seed = m.Threads, m.Seed
+	spec.Workers, spec.Seed = m.Threads, m.Seed
 	f, err := m.repeat(func(d time.Duration) (window, error) {
 		spec.Duration = d
-		r, err := workload.Run(st, spec)
+		r, err := workload.Run(st, mode, spec)
 		return window{
 			ops: r.Ops, pwbs: r.PWBs, pfences: r.PFences, elided: r.PFencesElided,
 			opsPerSec: r.OpsPerSec, pwbsPerOp: r.PWBsPerOp,
@@ -399,10 +399,10 @@ func (m Matrix) runWire(rep *Report, id string, c NetCell, sopts server.Options,
 		go srv.ServeConn(sc)
 		return cc, nil
 	}
-	spec := client.Spec{
+	spec := client.Spec{Spec: workload.Spec{
 		Mix: c.Mix, Dist: c.Dist, Records: c.Records,
-		Conns: c.Conns, Depth: c.Depth, Seed: m.Seed,
-	}
+		Workers: c.Conns, Depth: c.Depth, Seed: m.Seed,
+	}}
 	f, err := m.repeat(func(d time.Duration) (window, error) {
 		spec.Duration = d
 		r, err := client.Run(dial, spec)

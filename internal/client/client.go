@@ -2,7 +2,8 @@
 // connection over the server's length-prefixed binary protocol, plus a
 // load generator (loadgen.go) that drives the YCSB workload mixes
 // through pipelined connections — the feeder the server's group-commit
-// batching is designed for.
+// batching is designed for. Its closed loop is workload's shared driver
+// with a connection as the executor; its open loop is its own.
 package client
 
 import (

@@ -1,7 +1,12 @@
 package client_test
 
 import (
+	"encoding/json"
+	"maps"
 	"net"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,10 +51,10 @@ func TestLoadAndRunClosedLoop(t *testing.T) {
 		t.Fatalf("load phase left %d keys, want %d", len(snap), records)
 	}
 
-	res, err := client.Run(dial, client.Spec{
+	res, err := client.Run(dial, client.Spec{Spec: workload.Spec{
 		Mix: "a", Dist: workload.DistZipfian, Records: records,
-		Conns: 2, Depth: 16, Duration: 150 * time.Millisecond, Seed: 1,
-	})
+		Workers: 2, Depth: 16, Duration: 150 * time.Millisecond, Seed: 1,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +82,10 @@ func TestRunOpenLoop(t *testing.T) {
 	if err := client.Load(dial, 256, 1, 16); err != nil {
 		t.Fatal(err)
 	}
-	res, err := client.Run(dial, client.Spec{
+	res, err := client.Run(dial, client.Spec{Spec: workload.Spec{
 		Mix: "b", Dist: workload.DistUniform, Records: 256,
-		Conns: 2, Rate: 2000, Duration: 200 * time.Millisecond, Seed: 3,
-	})
+		Workers: 2, Duration: 200 * time.Millisecond, Seed: 3,
+	}, Rate: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +110,13 @@ func TestRunProgressAndServerQuantiles(t *testing.T) {
 	if err := client.Load(dial, 256, 1, 16); err != nil {
 		t.Fatal(err)
 	}
-	var snaps []client.Progress
-	res, err := client.Run(dial, client.Spec{
+	var snaps []workload.Progress
+	res, err := client.Run(dial, client.Spec{Spec: workload.Spec{
 		Mix: "a", Dist: workload.DistUniform, Records: 256,
-		Conns: 2, Depth: 8, Duration: 150 * time.Millisecond, Seed: 7,
-		Progress:      func(p client.Progress) { snaps = append(snaps, p) },
+		Workers: 2, Depth: 8, Duration: 150 * time.Millisecond, Seed: 7,
+		Progress:      func(p workload.Progress) { snaps = append(snaps, p) },
 		ProgressEvery: 20 * time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +163,10 @@ func TestRunScanAndRMWFrames(t *testing.T) {
 		if err := client.Load(dial, 256, 1, 16); err != nil {
 			t.Fatal(err)
 		}
-		res, err := client.Run(dial, client.Spec{
+		res, err := client.Run(dial, client.Spec{Spec: workload.Spec{
 			Mix: mix, Dist: workload.DistUniform, Records: 256,
-			Conns: 1, Depth: 8, Duration: 100 * time.Millisecond, Seed: 5,
-		})
+			Workers: 1, Depth: 8, Duration: 100 * time.Millisecond, Seed: 5,
+		}})
 		if err != nil {
 			t.Fatalf("mix %s: %v", mix, err)
 		}
@@ -187,10 +192,10 @@ func TestRunClosedLoopShedsUnderRateLimit(t *testing.T) {
 		// outcomes are fine — the run below is the subject.
 		_ = err
 	}
-	res, err := client.Run(dial, client.Spec{
+	res, err := client.Run(dial, client.Spec{Spec: workload.Spec{
 		Mix: "a", Dist: workload.DistUniform, Records: 256,
-		Conns: 2, Depth: 8, Duration: 200 * time.Millisecond, Seed: 11,
-	})
+		Workers: 2, Depth: 8, Duration: 200 * time.Millisecond, Seed: 11,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +246,10 @@ func TestRunOpenLoopBackpressure(t *testing.T) {
 			Seed: 13, DelayEvery: 1, ReadDelay: 5 * time.Millisecond,
 		}), nil
 	}
-	res, err := client.Run(slowDial, client.Spec{
+	res, err := client.Run(slowDial, client.Spec{Spec: workload.Spec{
 		Mix: "b", Dist: workload.DistUniform, Records: 128,
-		Conns: 1, Rate: 20000, MaxInflight: 16,
-		Duration: 200 * time.Millisecond, Seed: 13,
-	})
+		Workers: 1, Duration: 200 * time.Millisecond, Seed: 13,
+	}, Rate: 20000, MaxInflight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,5 +258,71 @@ func TestRunOpenLoopBackpressure(t *testing.T) {
 	}
 	if res.Ops == 0 {
 		t.Fatalf("backpressure starved the run entirely: %+v", res)
+	}
+}
+
+// TestRunRejectsMixWithAdds: the wire has no ADD opcode, so a mix with
+// Add ops (G) is rejected — naming the mix, before anything is dialed —
+// in the closed and the open loop alike, and the shared translation
+// refuses a store Add instead of indexing past its opcode table.
+func TestRunRejectsMixWithAdds(t *testing.T) {
+	_, pipe := pipeDialer(t, server.Options{})
+	dials := 0
+	dial := func() (net.Conn, error) { dials++; return pipe() }
+	for _, rate := range []float64{0, 2000} {
+		_, err := client.Run(dial, client.Spec{Spec: workload.Spec{
+			Mix: "g", Records: 64, Depth: 4, Duration: 50 * time.Millisecond,
+		}, Rate: rate})
+		if err == nil || !strings.Contains(err.Error(), `"g"`) || dials != 0 {
+			t.Fatalf("rate %v: mix g ran over the wire: err %v after %d dials", rate, err, dials)
+		}
+	}
+	if _, err := server.WireRequest(store.Op[[]byte]{Kind: store.OpAdd, Key: []byte("k")}); err == nil {
+		t.Fatal("a store Add translated to a wire request")
+	}
+}
+
+// TestResultJSONKeys pins flitload -json's key set: every field filled,
+// so no omitempty key hides.
+func TestResultJSONKeys(t *testing.T) {
+	var res client.Result
+	fill(reflect.ValueOf(&res).Elem())
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"conns", "depth", "dist", "dropped", "elapsed_ns", "inserts", "max_ns", "mix",
+		"ops", "ops_per_batch", "ops_per_sec", "p50_ns", "p95_ns", "p99_ns",
+		"pfences", "pfences_elided", "pfences_per_op", "pwbs", "pwbs_per_op",
+		"rate", "reads", "rmws", "scans", "server_batches", "server_commit_p99_ns",
+		"server_op_max_ns", "server_ops", "server_p50_ns", "server_p95_ns",
+		"server_p99_ns", "server_shed", "shed", "shed_rate", "updates",
+	}
+	if got := slices.Sorted(maps.Keys(m)); !slices.Equal(got, want) {
+		t.Fatalf("flitload -json keys\n got %q\nwant %q", got, want)
+	}
+}
+
+// fill sets every field of the struct v, embedded structs' included, to
+// a non-zero value.
+func fill(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			fill(f)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Float64:
+			f.SetFloat(1)
+		}
 	}
 }

@@ -214,7 +214,10 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 					hk := store.HashKey(key)
 					kind := hist.Kind(wrng.Intn(3))
 					toks = append(toks, rec.Begin(kind, hk))
-					req := wireReq(opFor(kind, key, uint64(budget+i)))
+					req, err := server.WireRequest(opFor(kind, key, uint64(budget+i)))
+					if err != nil {
+						panic(err) // opFor spells no op without an opcode
+					}
 					c.Send(&req)
 				}
 				if err := c.Flush(); err != nil {

@@ -23,20 +23,22 @@ type wireExec struct{ c *client.Conn }
 func (e wireExec) thread() *pmem.Thread { return nil }
 
 func (e wireExec) exec(ops []store.Op[string], res []store.Result) {
-	reqs := make([]server.Request, len(ops))
-	for i, op := range ops {
-		reqs[i] = wireReq(op)
-		e.c.Send(&reqs[i])
+	for _, op := range ops {
+		req, err := server.WireRequest(op)
+		if err != nil {
+			panic(err)
+		}
+		e.c.Send(&req)
 	}
 	if err := e.c.Flush(); err != nil {
 		panic(err)
 	}
-	for i := range reqs {
+	for i := range ops {
 		resp, err := e.c.Recv()
 		if err != nil {
 			panic(err)
 		}
-		res[i] = wireResult(reqs[i].Op, resp)
+		res[i] = server.WireResult(ops[i].Kind, resp)
 	}
 }
 

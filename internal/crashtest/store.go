@@ -48,35 +48,19 @@ type batcherExec struct {
 	resps []server.Response
 }
 
-// wireOps maps store op kinds onto wire opcodes (OpAdd has none).
-var wireOps = [...]byte{
-	store.OpGet: server.OpGet, store.OpPut: server.OpPut,
-	store.OpDelete: server.OpDelete, store.OpContains: server.OpContains,
-}
-
-// wireReq translates a store op into its wire request.
-func wireReq(op store.Op[string]) server.Request {
-	return server.Request{Op: wireOps[op.Kind], Key: []byte(op.Key), Val: op.Val}
-}
-
-// wireResult translates a wire response back into the store's result
-// shape: Ok is "present" for GET and the flag for everything else.
-func wireResult(op byte, resp *server.Response) store.Result {
-	if op == server.OpGet {
-		return store.Result{Val: resp.Val, Ok: resp.Status == server.StatusOK}
-	}
-	return store.Result{Ok: resp.Flag}
-}
-
 func (e *batcherExec) exec(ops []store.Op[string], res []store.Result) {
 	e.reqs, e.resps = e.reqs[:0], e.resps[:0]
 	for _, op := range ops {
-		e.reqs = append(e.reqs, wireReq(op))
+		req, err := server.WireRequest(op)
+		if err != nil {
+			panic(err) // opFor spells no op without an opcode
+		}
+		e.reqs = append(e.reqs, req)
 		e.resps = append(e.resps, server.Response{})
 	}
 	e.b.Exec(e.reqs, e.resps)
 	for i := range e.resps {
-		res[i] = wireResult(e.reqs[i].Op, &e.resps[i])
+		res[i] = server.WireResult(ops[i].Kind, &e.resps[i])
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"flit/internal/store"
 )
 
 // ErrMalformed tags protocol-violation decode errors (bad length
@@ -115,6 +117,31 @@ type Response struct {
 	// buf is ReadResponse's reused frame buffer; Body aliases it until
 	// the next ReadResponse on the same Response.
 	buf []byte
+}
+
+// wireOps maps store op kinds onto wire opcodes; store.OpAdd has none.
+var wireOps = [...]byte{
+	store.OpGet: OpGet, store.OpPut: OpPut,
+	store.OpDelete: OpDelete, store.OpContains: OpContains,
+}
+
+// WireRequest translates a store op into its wire request. The request's
+// key aliases op's when K is []byte.
+func WireRequest[K store.Key](op store.Op[K]) (Request, error) {
+	if int(op.Kind) >= len(wireOps) {
+		return Request{}, fmt.Errorf("server: store op kind %d has no wire opcode", op.Kind)
+	}
+	return Request{Op: wireOps[op.Kind], Key: []byte(op.Key), Val: op.Val}, nil
+}
+
+// WireResult translates the response to a request for a store op of the
+// given kind into the store's result shape: Ok is "present" for a GET
+// and the flag for everything else.
+func WireResult(kind store.OpKind, resp *Response) store.Result {
+	if kind == store.OpGet {
+		return store.Result{Val: resp.Val, Ok: resp.Status == StatusOK}
+	}
+	return store.Result{Ok: resp.Flag}
 }
 
 // hasKey reports whether op carries a key field.

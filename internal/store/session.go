@@ -228,20 +228,6 @@ func errUnknownOp(kind OpKind) error {
 	return fmt.Errorf("store: unknown OpKind %d", kind)
 }
 
-// apply executes a pre-hashed op vector, filling res (len(res) must equal
-// len(ops)). Direct mode runs each op to completion; Batched mode runs
-// the vector as one uncommitted batch (caller commits); Combined mode
-// announces per-shard groups and waits for the combiners.
-func (c *sessionCore) apply(ops []hashedOp, res []Result) {
-	if c.mode == Combined {
-		c.applyCombined(ops, res)
-		return
-	}
-	for i := range ops {
-		res[i] = c.do1(ops[i].kind, ops[i].h, ops[i].val)
-	}
-}
-
 // commit is the group commit (Batched mode): one fence persists every
 // operation since the previous commit; returns lines drained. Direct and
 // Combined sessions have nothing deferred, so commit is a no-op.
@@ -263,7 +249,8 @@ func (c *sessionCore) commit() int {
 type Sess[K Key] struct {
 	c *sessionCore
 
-	// hops is scratch for Apply: the hashed spelling of the op vector.
+	// hops is scratch for a Combined Apply: the hashed spelling of the op
+	// vector.
 	hops []hashedOp
 }
 
@@ -350,9 +337,17 @@ func (s *Sess[K]) Apply(ops []Op[K], res []Result) {
 	if len(res) < len(ops) {
 		panic("store: Apply result slice shorter than op vector")
 	}
+	if s.c.mode != Combined {
+		// Direct and Batched run each op in place: no hashed copy of the
+		// vector, which only the combiners' announcement needs.
+		for i := range ops {
+			res[i] = s.c.do1(ops[i].Kind, hashKey(ops[i].Key), ops[i].Val)
+		}
+		return
+	}
 	s.hops = s.hops[:0]
 	for i := range ops {
 		s.hops = append(s.hops, hashedOp{kind: ops[i].Kind, h: hashKey(ops[i].Key), val: ops[i].Val})
 	}
-	s.c.apply(s.hops, res[:len(ops)])
+	s.c.applyCombined(s.hops, res[:len(ops)])
 }

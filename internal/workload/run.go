@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,66 +13,93 @@ import (
 	"flit/internal/store"
 )
 
-// Spec describes one timed run against a store.
+// Spec describes one timed closed-loop run: the fields the in-process
+// runner (Run) and the network load generator (client.Run) share.
 type Spec struct {
-	Mix      string  // workload letter a–f
-	Dist     string  // uniform | zipfian | latest
-	ZipfS    float64 // zipfian skew; ≤1 selects DefaultZipfS
-	Threads  int
-	Duration time.Duration
+	Mix   string  // workload letter a–g
+	Dist  string  // uniform (default) | zipfian | latest
+	ZipfS float64 // zipfian skew; ≤1 selects DefaultZipfS
 	// Records is the keyspace size at run start (the loaded record
 	// count); D/E inserts grow it.
 	Records uint64
 	// ScanMax bounds workload E's point-read bursts (default 16).
 	ScanMax int
-	// Rate switches the runner to open-loop arrivals: operations are
-	// fired on a fixed schedule at Rate ops/s total (split evenly across
-	// threads) instead of back-to-back, and latency is measured from the
-	// scheduled arrival — queueing delay under overload is charged to
-	// the store, the coordinated-omission-free spelling. Zero keeps the
-	// closed loop. Incompatible with Depth > 1.
-	Rate float64
-	Seed int64
-
-	// Mode selects the session mode each worker runs under (zero value:
-	// store.Direct). Batched workers commit once per window; Combined
-	// workers announce each window to the per-shard flat combiners.
-	Mode store.SessionMode
-	// Depth is the operations per window (default 1): workers collect
-	// Depth generated ops and execute them as one vector Apply. With
-	// Depth > 1 the latency histogram records one sample per window —
-	// window completion latency — and RMW decomposes into a Get and a
-	// Put slot (a vector window cannot thread one op's read into its
-	// write).
-	Depth int
 	// HotKeys, when non-zero, confines non-insert key draws to the
 	// uniform window [0, HotKeys) — mix G's contention knob.
 	HotKeys uint64
+	// Workers is the number of closed-loop workers (default 1): store
+	// sessions in-process, connections over the wire.
+	Workers int
+	// Depth is the store ops per window (default 1): a worker generates
+	// ops until their expansion fills Depth slots, then executes the
+	// window as one vector.
+	Depth    int
+	Duration time.Duration
+	Seed     int64
+
+	// Progress, when set, is called about once per ProgressEvery
+	// (default 1s) from Drive's own goroutine with a live snapshot of the
+	// run, read from the workers' lock-free histograms without stopping
+	// them.
+	Progress      func(Progress)
+	ProgressEvery time.Duration
 }
 
-// Result aggregates one run: throughput, tail latency, flush behaviour.
-type Result struct {
-	Mix       string        `json:"mix"`
-	Dist      string        `json:"dist"`
-	Threads   int           `json:"threads"`
-	Elapsed   time.Duration `json:"elapsed_ns"`
-	Ops       uint64        `json:"ops"`
-	OpsPerSec float64       `json:"ops_per_sec"`
+// Normalized returns sp with its defaults filled and its mix resolved, or
+// the reason no run can start from it.
+func (sp Spec) Normalized() (Spec, Mix, error) {
+	mix, err := MixByName(sp.Mix)
+	if err != nil {
+		return sp, mix, err
+	}
+	if sp.Records == 0 {
+		return sp, mix, fmt.Errorf("workload: spec needs Records > 0")
+	}
+	sp.Dist, sp.ScanMax = cmp.Or(sp.Dist, DistUniform), cmp.Or(max(sp.ScanMax, 0), 16)
+	sp.Workers, sp.Depth = max(sp.Workers, 1), max(sp.Depth, 1)
+	return sp, mix, nil
+}
+
+// Progress is one live snapshot of a running load, delivered to
+// Spec.Progress. Ops is cumulative; the rate and quantiles cover the
+// interval since the previous callback.
+type Progress struct {
+	Elapsed   time.Duration // since the measured window opened
+	Ops       uint64        // operations completed so far
+	OpsPerSec float64       // interval throughput
+	P50       time.Duration // interval latency
+	P99       time.Duration
+}
+
+// Measured is what the closed-loop driver measures: the part of a run's
+// result both runners report.
+type Measured struct {
+	Elapsed time.Duration `json:"elapsed_ns"`
+	// Ops counts completed generated operations (a scan burst is one op);
+	// each one added exactly one latency sample.
+	Ops       uint64  `json:"ops"`
+	OpsPerSec float64 `json:"ops_per_sec"`
 
 	P50 time.Duration `json:"p50_ns"`
 	P95 time.Duration `json:"p95_ns"`
 	P99 time.Duration `json:"p99_ns"`
 	Max time.Duration `json:"max_ns"`
 
-	// Rate echoes the open-loop arrival rate (0: closed loop).
-	Rate float64 `json:"rate,omitempty"`
-
 	Reads   uint64 `json:"reads"`
 	Updates uint64 `json:"updates"`
 	Inserts uint64 `json:"inserts"`
 	RMWs    uint64 `json:"rmws"`
 	Scans   uint64 `json:"scans"`
-	Adds    uint64 `json:"adds,omitempty"`
+	Adds    uint64 `json:"-"` // no wire opcode: flitload's JSON has no key
+	// Shed counts ops the executor refused unexecuted (the server's
+	// BUSY/DRAINING); they are in neither Ops nor the histogram.
+	Shed uint64 `json:"shed,omitempty"`
+}
+
+// Result aggregates one in-process run: the driver's measurements plus
+// the run's flush counts.
+type Result struct {
+	Measured
 
 	PWBs      uint64  `json:"pwbs"`
 	PFences   uint64  `json:"pfences"`
@@ -79,20 +109,235 @@ type Result struct {
 	PFencesElided uint64 `json:"pfences_elided,omitempty"`
 }
 
-// OpenLoopSchedule computes one worker's slice of a fixed-rate global
-// arrival schedule: the step between the worker's own arrivals and its
-// staggered first-arrival offset, such that the union over workers is
-// evenly spaced at rate ops/s (not workers-sized lockstep bursts). The
-// step is clamped to >= 1ns — an absurd rate would otherwise truncate
-// it to zero and the schedule could never reach its deadline. Shared by
-// the in-process runner and the network load generator so the two
-// open-loop measurements stay comparable.
-func OpenLoopSchedule(rate float64, w, workers int) (step, offset time.Duration) {
-	step = time.Duration(float64(time.Second) * float64(workers) / rate)
-	if step < 1 {
-		step = 1
+// Executor runs one worker's windows of store ops.
+type Executor interface {
+	// ExecBatch executes ops in order, filling res[i] with ops[i]'s
+	// outcome and setting shed[i] (false on entry) when ops[i] was
+	// refused unexecuted. A non-nil error ends the worker: ErrDraining
+	// after this window is counted, any other error fails the run.
+	ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) error
+}
+
+// ErrDraining is an executor's report that it takes no more windows
+// (the server is shutting down).
+var ErrDraining = errors.New("workload: executor draining")
+
+// Worker is one driver worker: its generator, its key buffers and the
+// tallies the driver merges. Its methods run on the worker's goroutine,
+// except Finish, which one other goroutine may own instead.
+type Worker struct {
+	ID       int
+	Deadline time.Time
+
+	gen   *Generator
+	depth int
+	bufs  [][]byte // one key buffer per window slot
+
+	hist  *metrics.Hist
+	kinds [numKinds]uint64
+	shed  uint64
+}
+
+// Drive runs sp: it fills the spec's defaults, builds each worker's
+// generator (seed + w·7919, one keyspace limit shared by all), runs body
+// once per worker on its own goroutine until the deadline, feeds the
+// Progress monitor, and merges the workers' histograms and tallies.
+// A body usually opens an executor and returns w.Closed on it.
+func Drive(sp Spec, body func(w *Worker) error) (Measured, error) {
+	sp, mix, err := sp.Normalized()
+	if err != nil {
+		return Measured{}, err
 	}
-	return step, time.Duration(w) * step / time.Duration(workers)
+	var limit atomic.Uint64
+	limit.Store(sp.Records)
+	ws := make([]*Worker, sp.Workers)
+	hists := make([]*metrics.Hist, sp.Workers)
+	for i := range ws {
+		g, err := NewGenerator(mix, sp.Dist, sp.ZipfS, sp.Records, &limit, sp.ScanMax, sp.HotKeys, sp.Seed+int64(i)*7919)
+		if err != nil {
+			return Measured{}, err
+		}
+		// A window closes at Depth slots, so it holds at most Depth-1
+		// slots plus one op's expansion: a ScanMax burst or an RMW pair.
+		w := &Worker{ID: i, gen: g, depth: sp.Depth, hist: metrics.NewHist(),
+			bufs: make([][]byte, sp.Depth+sp.ScanMax)}
+		for j := range w.bufs {
+			w.bufs[j] = make([]byte, 0, len(KeyPrefix)+keyDigits)
+		}
+		ws[i], hists[i] = w, w.hist
+	}
+
+	start := time.Now()
+	var elapsed time.Duration
+	errs := make([]error, len(ws))
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		// Workers watch the deadline themselves, from the clock reading
+		// they already take for latency — no stop flag, no sleeping
+		// coordinator whose wake-up lags when the workers saturate every P.
+		w.Deadline = start.Add(sp.Duration)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = body(w)
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		elapsed = time.Since(start)
+		close(done)
+	}()
+	// Meanwhile this goroutine is the Progress monitor, if there is one.
+	var tick <-chan time.Time
+	if sp.Progress != nil {
+		t := time.NewTicker(cmp.Or(max(sp.ProgressEvery, 0), time.Second))
+		defer t.Stop()
+		tick = t.C
+	}
+	var prev metrics.HistSnapshot
+	for prevT, running := start, true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-tick:
+			cur, now := mergeLatency(hists), time.Now()
+			interval := cur
+			interval.Sub(&prev)
+			sp.Progress(Progress{
+				Elapsed: now.Sub(start), Ops: cur.Count,
+				OpsPerSec: float64(interval.Count) / now.Sub(prevT).Seconds(),
+				P50:       time.Duration(interval.Quantile(0.50)),
+				P99:       time.Duration(interval.Quantile(0.99)),
+			})
+			prev, prevT = cur, now
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return Measured{}, err
+	}
+
+	all := mergeLatency(hists)
+	q := func(x float64) time.Duration { return time.Duration(all.Quantile(x)) }
+	var kinds [numKinds]uint64
+	m := Measured{Elapsed: elapsed, Ops: all.Count, P50: q(0.50), P95: q(0.95), P99: q(0.99), Max: time.Duration(all.MaxNs)}
+	for _, w := range ws {
+		for k, n := range w.kinds {
+			kinds[k] += n
+		}
+		m.Shed += w.shed
+	}
+	m.Reads, m.Updates, m.Inserts = kinds[Read], kinds[Update], kinds[Insert]
+	m.RMWs, m.Scans, m.Adds = kinds[ReadModifyWrite], kinds[Scan], kinds[Add]
+	if elapsed > 0 {
+		m.OpsPerSec = float64(m.Ops) / elapsed.Seconds()
+	}
+	return m, nil
+}
+
+// mergeLatency folds the workers' private histograms (one each, so the
+// op loop records without sharing a cache line) into the run's latency
+// distribution.
+func mergeLatency(hists []*metrics.Hist) metrics.HistSnapshot {
+	var all, one metrics.HistSnapshot
+	for _, h := range hists {
+		h.Read(&one)
+		all.Merge(&one)
+	}
+	return all
+}
+
+// Next generates the worker's next op and appends its store ops to ops —
+// the one rule turning a generated op into store ops. RMW is a Get slot
+// and a blind Put slot (a vector cannot thread one op's read into its
+// write); a Scan is a burst of ScanLen point Gets. Each slot's key renders
+// into that slot's own buffer, so the keys stay valid until the next
+// window.
+func (w *Worker) Next(ops []store.Op[[]byte]) ([]store.Op[[]byte], OpKind) {
+	op := w.gen.Next()
+	switch op.Kind {
+	case Read:
+		ops = w.slot(ops, store.OpGet, op.Key, 0)
+	case Update:
+		ops = w.slot(ops, store.OpPut, op.Key, op.Key^uint64(w.ID))
+	case Insert:
+		ops = w.slot(ops, store.OpPut, op.Key, op.Key)
+	case ReadModifyWrite:
+		ops = w.slot(ops, store.OpGet, op.Key, 0)
+		ops = w.slot(ops, store.OpPut, op.Key, op.Key+1)
+	case Scan:
+		n := w.gen.limit.Load()
+		for j := uint64(0); j < uint64(op.ScanLen); j++ {
+			ops = w.slot(ops, store.OpGet, (op.Key+j)%n, 0)
+		}
+	case Add:
+		ops = w.slot(ops, store.OpAdd, op.Key, op.Delta)
+	}
+	return ops, op.Kind
+}
+
+// slot appends one store op on key index key to ops. The key renders into
+// the slot's own buffer, sized for every key below 10^16.
+func (w *Worker) slot(ops []store.Op[[]byte], kind store.OpKind, key, val uint64) []store.Op[[]byte] {
+	return append(ops, store.Op[[]byte]{Kind: kind, Key: AppendKey(w.bufs[len(ops)][:0], key), Val: val})
+}
+
+// Finish records one op of the given kind: refused unexecuted if shed,
+// else completed after lat.
+func (w *Worker) Finish(kind OpKind, shed bool, lat time.Duration) {
+	if shed {
+		w.shed++
+		return
+	}
+	w.hist.Record(lat)
+	w.kinds[kind]++
+}
+
+// Closed is the closed loop: generate a window of Depth slots, execute
+// it, and charge the window's latency — one clock reading per window,
+// the gap since the previous one — to each of its completed ops, until
+// the deadline. An op with any slot shed counts as refused instead.
+func (w *Worker) Closed(ex Executor) error {
+	var kinds []OpKind
+	var ends []int // one past each op's last slot
+	ops := make([]store.Op[[]byte], 0, len(w.bufs))
+	res := make([]store.Result, len(w.bufs))
+	shed := make([]bool, len(w.bufs))
+	for prev := time.Now(); !prev.After(w.Deadline); {
+		ops, kinds, ends = ops[:0], kinds[:0], ends[:0]
+		for len(ops) < w.depth {
+			var kind OpKind
+			ops, kind = w.Next(ops)
+			kinds, ends = append(kinds, kind), append(ends, len(ops))
+		}
+		clear(shed[:len(ops)])
+		err := ex.ExecBatch(ops, res[:len(ops)], shed[:len(ops)])
+		if err != nil && !errors.Is(err, ErrDraining) {
+			return err
+		}
+		now := time.Now()
+		lat, from := now.Sub(prev), 0
+		for i, kind := range kinds {
+			w.Finish(kind, slices.Contains(shed[from:ends[i]], true), lat)
+			from = ends[i]
+		}
+		prev = now
+		if err != nil {
+			return nil
+		}
+	}
+	return nil
+}
+
+// sessExec executes windows through one store session: a vector Apply,
+// then the group commit (a no-op outside Batched mode). A session never
+// sheds.
+type sessExec struct{ s *store.Sess[[]byte] }
+
+func (e sessExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, _ []bool) error {
+	e.s.Apply(ops, res)
+	e.s.Commit()
+	return nil
 }
 
 // Load bulk-inserts key indices [0, records) through threads parallel
@@ -100,9 +345,7 @@ func OpenLoopSchedule(rate float64, w, workers int) (step, offset time.Duration)
 // throughput. Unlike the set cells' prefill (internal/bench), latency
 // modeling stays on: loading a durable store pays its flushes, and the report says so.
 func Load(st *store.Store, records uint64, threads int) (time.Duration, float64) {
-	if threads < 1 {
-		threads = 1
-	}
+	threads = max(threads, 1)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
@@ -119,252 +362,27 @@ func Load(st *store.Store, records uint64, threads int) (time.Duration, float64)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	ops := float64(records) / elapsed.Seconds()
-	return elapsed, ops
+	return elapsed, float64(records) / elapsed.Seconds()
 }
 
-// Run drives st with the spec's mix and distribution for the configured
-// duration and returns throughput, latency percentiles and flush counts.
-// Memory statistics are reset at the start of the measured window, so the
-// flush counts are the run's alone.
-func Run(st *store.Store, sp Spec) (Result, error) {
-	mix, err := MixByName(sp.Mix)
+// Run drives st with sp's mix through sp.Workers sessions of the given
+// mode for sp.Duration and returns throughput, latency percentiles and
+// flush counts. Memory statistics are reset at the start of the run, so
+// the flush counts are the run's alone.
+func Run(st *store.Store, mode store.SessionMode, sp Spec) (Result, error) {
+	st.Mem().ResetStats()
+	m, err := Drive(sp, func(w *Worker) error {
+		sess := store.Open[[]byte](st, mode)
+		defer sess.Close()
+		return w.Closed(sessExec{sess})
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	if sp.Threads < 1 {
-		sp.Threads = 1
-	}
-	if sp.Records == 0 {
-		return Result{}, fmt.Errorf("workload: spec needs Records > 0")
-	}
-	if sp.Dist == "" {
-		sp.Dist = DistUniform
-	}
-	if sp.Depth < 1 {
-		sp.Depth = 1
-	}
-	if sp.Depth > 1 && sp.Rate > 0 {
-		return Result{}, fmt.Errorf("workload: open-loop arrivals (Rate) and windowed execution (Depth > 1) are mutually exclusive")
-	}
-	if sp.ScanMax < 1 {
-		sp.ScanMax = 16
-	}
-
-	var limit atomic.Uint64
-	limit.Store(sp.Records)
-	gens := make([]*Generator, sp.Threads)
-	for t := range gens {
-		g, err := NewGenerator(mix, sp.Dist, sp.ZipfS, sp.Records, &limit, sp.ScanMax, sp.HotKeys, sp.Seed+int64(t)*7919)
-		if err != nil {
-			return Result{}, err
-		}
-		gens[t] = g
-	}
-
-	st.Mem().ResetStats()
-	var wg sync.WaitGroup
-	hists := make([]*metrics.Hist, sp.Threads)
-	var kindCounts [numKinds][]uint64
-	for k := range kindCounts {
-		kindCounts[k] = make([]uint64, sp.Threads)
-	}
-	start := time.Now()
-	// Workers watch the deadline themselves, from the per-op timestamp
-	// they already take for the latency histogram — no stop flag, no
-	// sleeping coordinator whose timer wake-up lags when the workers
-	// saturate every P (see bench.Instance.run).
-	deadline := start.Add(sp.Duration)
-	for t := 0; t < sp.Threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sess := store.Open[[]byte](st, sp.Mode)
-			g := gens[t]
-			h := metrics.NewHist()
-			hists[t] = h
-			if sp.Depth > 1 {
-				runWindowed(sess, g, sp, h, &limit, kindCounts[:], t, deadline)
-				return
-			}
-			// The op loop is allocation-free: keys render into one reused
-			// buffer (AppendKey + the byte-key session API), and latency is
-			// taken from one clock reading per op — consecutive timestamps
-			// delimit each operation, so an op's recorded latency includes
-			// the (tiny) generator step that precedes it rather than paying
-			// a second time.Now call to exclude it.
-			keyBuf := make([]byte, 0, len(KeyPrefix)+20)
-			key := func(i uint64) []byte {
-				keyBuf = AppendKey(keyBuf[:0], i)
-				return keyBuf
-			}
-			// Open loop: each worker owns every sp.Threads-th slot of the
-			// global arrival schedule; an op whose slot has not arrived
-			// yet waits, an op running late starts immediately and its
-			// queueing delay lands in the histogram.
-			var step time.Duration
-			var next time.Time
-			open := sp.Rate > 0
-			if open {
-				var off time.Duration
-				step, off = OpenLoopSchedule(sp.Rate, t, sp.Threads)
-				next = start.Add(off)
-			}
-			batched := sp.Mode == store.Batched
-			prev := time.Now()
-			for {
-				if open {
-					if !next.Before(deadline) {
-						break
-					}
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-				} else if prev.After(deadline) {
-					break
-				}
-				op := g.Next()
-				switch op.Kind {
-				case Read:
-					sess.Get(key(op.Key))
-				case Update:
-					sess.Put(key(op.Key), op.Key^uint64(t))
-				case Insert:
-					sess.Put(key(op.Key), op.Key)
-				case ReadModifyWrite:
-					v, _ := sess.Get(key(op.Key))
-					sess.Put(key(op.Key), v+1)
-				case Scan:
-					n := limit.Load()
-					for j := uint64(0); j < uint64(op.ScanLen); j++ {
-						sess.Get(key((op.Key + j) % n))
-					}
-				case Add:
-					sess.Add(key(op.Key), op.Delta)
-				}
-				if batched {
-					// Depth-1 batched degenerates to a commit per op; the
-					// group-commit win needs Depth > 1.
-					sess.Commit()
-				}
-				now := time.Now()
-				if open {
-					h.Record(now.Sub(next))
-					next = next.Add(step)
-				} else {
-					h.Record(now.Sub(prev))
-				}
-				prev = now
-				kindCounts[op.Kind][t]++
-			}
-		}(t)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	all := mergeLatency(hists)
-	quantile := func(q float64) time.Duration { return time.Duration(all.Quantile(q)) }
-	sum := func(xs []uint64) uint64 {
-		var s uint64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
 	stats := st.Mem().TotalStats()
-	var ops uint64
-	for k := range kindCounts {
-		ops += sum(kindCounts[k])
-	}
-	res := Result{
-		Mix: sp.Mix, Dist: sp.Dist, Threads: sp.Threads, Rate: sp.Rate,
-		// Ops counts generated operations (a scan burst is one op), which
-		// equals the histogram count at Depth 1; windowed runs record one
-		// latency sample per window, so the histogram undercounts there.
-		Elapsed: elapsed, Ops: ops,
-		P50: quantile(0.50), P95: quantile(0.95), P99: quantile(0.99), Max: time.Duration(all.MaxNs),
-		Reads:   sum(kindCounts[Read]),
-		Updates: sum(kindCounts[Update]),
-		Inserts: sum(kindCounts[Insert]),
-		RMWs:    sum(kindCounts[ReadModifyWrite]),
-		Scans:   sum(kindCounts[Scan]),
-		Adds:    sum(kindCounts[Add]),
-		PWBs:    stats.PWBs,
-		PFences: stats.PFences,
-
-		PFencesElided: stats.ElidedFences,
-	}
-	if elapsed > 0 {
-		res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
-	}
-	if res.Ops > 0 {
-		res.PWBsPerOp = float64(res.PWBs) / float64(res.Ops)
+	res := Result{Measured: m, PWBs: stats.PWBs, PFences: stats.PFences, PFencesElided: stats.ElidedFences}
+	if m.Ops > 0 {
+		res.PWBsPerOp = float64(res.PWBs) / float64(m.Ops)
 	}
 	return res, nil
-}
-
-// mergeLatency folds the workers' private histograms (one each, so the
-// op loop records without sharing a cache line) into the run's latency
-// distribution.
-func mergeLatency(hists []*metrics.Hist) metrics.HistSnapshot {
-	var all, one metrics.HistSnapshot
-	for _, h := range hists {
-		h.Read(&one)
-		all.Merge(&one)
-	}
-	return all
-}
-
-// runWindowed is the Depth>1 worker loop: collect a window of generated
-// ops, execute it as one vector Apply, commit (Batched) and record the
-// window's completion latency as one histogram sample. RMW decomposes
-// into a Get slot and a Put slot; a Scan expands into its point-read
-// burst; both may run a window a few slots past Depth rather than split
-// an operation across windows.
-func runWindowed(sess *store.Sess[[]byte], g *Generator, sp Spec, h *metrics.Hist, limit *atomic.Uint64, kindCounts [][]uint64, t int, deadline time.Time) {
-	maxWin := sp.Depth + sp.ScanMax
-	ops := make([]store.Op[[]byte], 0, maxWin)
-	res := make([]store.Result, maxWin)
-	bufs := make([][]byte, maxWin)
-	for i := range bufs {
-		bufs[i] = make([]byte, 0, len(KeyPrefix)+20)
-	}
-	key := func(slot int, i uint64) []byte {
-		bufs[slot] = AppendKey(bufs[slot][:0], i)
-		return bufs[slot]
-	}
-	batched := sp.Mode == store.Batched
-	prev := time.Now()
-	for !prev.After(deadline) {
-		ops = ops[:0]
-		for len(ops) < sp.Depth {
-			op := g.Next()
-			switch op.Kind {
-			case Read:
-				ops = append(ops, store.Op[[]byte]{Kind: store.OpGet, Key: key(len(ops), op.Key)})
-			case Update:
-				ops = append(ops, store.Op[[]byte]{Kind: store.OpPut, Key: key(len(ops), op.Key), Val: op.Key ^ uint64(t)})
-			case Insert:
-				ops = append(ops, store.Op[[]byte]{Kind: store.OpPut, Key: key(len(ops), op.Key), Val: op.Key})
-			case ReadModifyWrite:
-				ops = append(ops, store.Op[[]byte]{Kind: store.OpGet, Key: key(len(ops), op.Key)})
-				ops = append(ops, store.Op[[]byte]{Kind: store.OpPut, Key: key(len(ops), op.Key), Val: op.Key + 1})
-			case Scan:
-				n := limit.Load()
-				for j := uint64(0); j < uint64(op.ScanLen); j++ {
-					ops = append(ops, store.Op[[]byte]{Kind: store.OpGet, Key: key(len(ops), (op.Key+j)%n)})
-				}
-			case Add:
-				ops = append(ops, store.Op[[]byte]{Kind: store.OpAdd, Key: key(len(ops), op.Key), Val: op.Delta})
-			}
-			kindCounts[op.Kind][t]++
-		}
-		sess.Apply(ops, res[:len(ops)])
-		if batched {
-			sess.Commit()
-		}
-		now := time.Now()
-		h.Record(now.Sub(prev))
-		prev = now
-	}
 }

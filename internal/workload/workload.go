@@ -1,8 +1,11 @@
 // Package workload is a YCSB-style workload subsystem for FliT-Store: the
-// six core operation mixes (A–F), uniform / zipfian / latest key
-// distributions, and a runner that drives store sessions while recording
-// throughput, tail latency (p50/p95/p99) and per-policy flush counts from
-// the pmem statistics.
+// six core operation mixes (A–F) plus the counter mix G, uniform /
+// zipfian / latest key distributions, and one closed-loop driver (Drive)
+// that turns generated ops into windows of store ops, hands them to an
+// Executor and records throughput and tail latency (p50/p95/p99). Run
+// drives store sessions with it and adds per-policy flush counts from the
+// pmem statistics; the network load generator (internal/client) drives
+// pipelined connections with it.
 //
 // Deviations from YCSB proper, forced by the simulated substrate, are
 // deliberate and documented: records are fixed 64-bit values rather than

@@ -192,8 +192,8 @@ func TestRunSmoke(t *testing.T) {
 	st := newTestStore(t)
 	Load(st, 500, 2)
 	for _, mixName := range []string{"a", "d", "e", "f"} {
-		res, err := Run(st, Spec{
-			Mix: mixName, Dist: DistZipfian, Threads: 2,
+		res, err := Run(st, store.Direct, Spec{
+			Mix: mixName, Dist: DistZipfian, Workers: 2,
 			Duration: 25 * time.Millisecond, Records: 500, Seed: 3,
 		})
 		if err != nil {
@@ -231,45 +231,14 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunRejectsBadSpecs(t *testing.T) {
 	st := newTestStore(t)
-	if _, err := Run(st, Spec{Mix: "z", Records: 10, Duration: time.Millisecond}); err == nil {
+	if _, err := Run(st, store.Direct, Spec{Mix: "z", Records: 10, Duration: time.Millisecond}); err == nil {
 		t.Fatal("Run accepted unknown mix")
 	}
-	if _, err := Run(st, Spec{Mix: "a", Duration: time.Millisecond}); err == nil {
+	if _, err := Run(st, store.Direct, Spec{Mix: "a", Duration: time.Millisecond}); err == nil {
 		t.Fatal("Run accepted zero records")
 	}
-	if _, err := Run(st, Spec{Mix: "a", Records: 10, Dist: "pareto", Duration: time.Millisecond}); err == nil {
+	if _, err := Run(st, store.Direct, Spec{Mix: "a", Records: 10, Dist: "pareto", Duration: time.Millisecond}); err == nil {
 		t.Fatal("Run accepted unknown distribution")
-	}
-}
-
-// TestRunOpenLoop: the open-loop runner paces arrivals to the target
-// rate — throughput tracks the schedule, not the store's speed — and
-// still reports sane latency percentiles measured from the schedule.
-func TestRunOpenLoop(t *testing.T) {
-	st := newTestStore(t)
-	Load(st, 500, 2)
-	res, err := Run(st, Spec{
-		Mix: "b", Dist: DistUniform, Threads: 2,
-		Duration: 200 * time.Millisecond, Records: 500, Seed: 7,
-		Rate: 2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rate != 2000 {
-		t.Fatalf("Result.Rate = %v, want 2000", res.Rate)
-	}
-	// 2000/s over 200ms ≈ 400 scheduled arrivals. Generous slack for
-	// scheduler jitter, but pacing must bind in both directions — the
-	// closed loop would run two orders of magnitude more ops here.
-	if res.Ops > 500 {
-		t.Fatalf("open loop ran %d ops at 2000/s over 200ms: pacing is not limiting", res.Ops)
-	}
-	if res.Ops < 100 {
-		t.Fatalf("open loop ran only %d ops at 2000/s over 200ms", res.Ops)
-	}
-	if res.P50 <= 0 || res.Max < res.P99 || res.P99 < res.P50 {
-		t.Fatalf("implausible open-loop percentiles p50=%v p99=%v max=%v", res.P50, res.P99, res.Max)
 	}
 }
 
@@ -354,10 +323,10 @@ func TestRunWindowedModes(t *testing.T) {
 		for _, mixName := range []string{"a", "f", "g"} {
 			st := newTestStore(t)
 			Load(st, 300, 2)
-			res, err := Run(st, Spec{
-				Mix: mixName, Dist: DistUniform, Threads: 2,
+			res, err := Run(st, mode, Spec{
+				Mix: mixName, Dist: DistUniform, Workers: 2,
 				Duration: 20 * time.Millisecond, Records: 300, Seed: 5,
-				Mode: mode, Depth: 8, HotKeys: 2,
+				Depth: 8, HotKeys: 2,
 			})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", mode, mixName, err)
@@ -369,11 +338,5 @@ func TestRunWindowedModes(t *testing.T) {
 				t.Fatalf("%v/g: no adds recorded", mode)
 			}
 		}
-	}
-	if _, err := Run(newTestStore(t), Spec{
-		Mix: "a", Dist: DistUniform, Threads: 1, Duration: time.Millisecond,
-		Records: 10, Depth: 4, Rate: 100,
-	}); err == nil {
-		t.Fatal("Run accepted open-loop arrivals with Depth > 1")
 	}
 }
