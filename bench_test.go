@@ -16,6 +16,8 @@ import (
 	"flit/internal/bench"
 	"flit/internal/core"
 	"flit/internal/dstruct"
+	"flit/internal/dstruct/hashtable"
+	"flit/internal/dstruct/list"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 	"flit/internal/store"
@@ -413,46 +415,78 @@ func BenchmarkStoreWorkload(b *testing.B) {
 // BenchmarkStoreRecovery measures shard-parallel post-crash recovery of a
 // loaded store; the serial/parallel ratio and the PWBs and PFences one
 // recovery issues are reported as metrics. The image of a quiescent store
-// is clean, so its recovery keeps every chain and issues neither.
+// is clean, so its recovery keeps every chain and issues neither; the
+// dirty image has a mark planted in every bucket, so its recovery gathers
+// and rebuilds every chain.
 func BenchmarkStoreRecovery(b *testing.B) {
 	const records = 20_000
-	for _, shards := range []int{1, 8} {
-		b.Run(map[int]string{1: "shards=1", 8: "shards=8"}[shards], func(b *testing.B) {
-			st := newBenchStore(b, store.Options{Shards: shards, ExpectedKeys: records * 2})
-			workload.Load(st, records, runtime.GOMAXPROCS(0))
-			wm := st.Heap().Watermark()
-			img := st.Mem().CrashImage(pmem.DropUnfenced, 7)
-			cfg := st.Mem().Config()
-			opts := st.Opts()
-			var recovering time.Duration
-			var pwbs, pfences uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				mem2 := pmem.NewFromImage(img, cfg)
-				b.StartTimer()
-				_, rs, err := store.Recover(mem2, wm, opts)
-				if err != nil {
-					b.Fatal(err)
+	for _, image := range []string{"clean", "dirty"} {
+		for _, shards := range []int{1, 8} {
+			b.Run(image+"/shards="+strconv.Itoa(shards), func(b *testing.B) {
+				st := newBenchStore(b, store.Options{Shards: shards, ExpectedKeys: records * 2})
+				workload.Load(st, records, runtime.GOMAXPROCS(0))
+				wm := st.Heap().Watermark()
+				img := st.Mem().CrashImage(pmem.DropUnfenced, 7)
+				keys := records
+				if image == "dirty" {
+					keys -= markEveryBucket(st, img)
 				}
-				recovering += rs.Elapsed
-				s := mem2.TotalStats()
-				pwbs, pfences = pwbs+s.PWBs, pfences+s.PFences
-				var serial time.Duration
-				for _, d := range rs.Shards {
-					serial += d
+				cfg := st.Mem().Config()
+				opts := st.Opts()
+				var recovering time.Duration
+				var pwbs, pfences uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					mem2 := pmem.NewFromImage(img, cfg)
+					b.StartTimer()
+					_, rs, err := store.Recover(mem2, wm, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rs.Keys != keys {
+						b.Fatalf("recovered %d keys, want %d", rs.Keys, keys)
+					}
+					recovering += rs.Elapsed
+					s := mem2.TotalStats()
+					pwbs, pfences = pwbs+s.PWBs, pfences+s.PFences
+					var serial time.Duration
+					for _, d := range rs.Shards {
+						serial += d
+					}
+					if rs.Elapsed > 0 {
+						b.ReportMetric(float64(serial)/float64(rs.Elapsed), "x_parallel")
+					}
+					b.ReportMetric(float64(rs.Keys), "keys")
+					b.ReportMetric(float64(rs.Rebuilt), "rebuilt")
 				}
-				if rs.Elapsed > 0 {
-					b.ReportMetric(float64(serial)/float64(rs.Elapsed), "x_parallel")
-				}
-				b.ReportMetric(float64(rs.Keys), "keys")
-			}
-			b.ReportMetric(float64(records)*float64(b.N)/recovering.Seconds(), "keys/s")
-			b.ReportMetric(float64(pwbs)/float64(b.N), "pwbs/recovery")
-			b.ReportMetric(float64(pfences)/float64(b.N), "pfences/recovery")
-		})
+				b.ReportMetric(float64(keys)*float64(b.N)/recovering.Seconds(), "keys/s")
+				b.ReportMetric(float64(pwbs)/float64(b.N), "pwbs/recovery")
+				b.ReportMetric(float64(pfences)/float64(b.N), "pfences/recovery")
+			})
+		}
 	}
+}
+
+// markEveryBucket plants a Harris mark on the first node of every
+// non-empty bucket chain in img, the crash image of st — a Delete cut
+// between its marking CAS and its unlink in every bucket — and returns
+// how many it planted. Shard i's table anchors at heap root slot 1+i
+// (slot 0 holds the store's superblock).
+func markEveryBucket(st *store.Store, img []uint64) int {
+	marked := 0
+	for i := 0; i < st.NumShards(); i++ {
+		cfg := dstruct.Config{Heap: st.Heap(), RootSlot: 1 + i, Stride: 1}
+		tb := hashtable.Attach(cfg)
+		for bkt := 0; bkt < tb.Buckets(); bkt++ {
+			if first := dstruct.Ptr(img[cfg.Field(tb.Base(), 1+bkt)]); first != pmem.NilAddr {
+				img[cfg.Field(first, list.NumFields-1)] |= core.MarkBit
+				marked++
+			}
+		}
+	}
+	return marked
 }
 
 // BenchmarkArenaAlloc measures the persistent allocator's hot paths: an

@@ -105,8 +105,8 @@ func main() {
 			os.Exit(2)
 		}
 		st = st2
-		fmt.Printf("flitstored: recovered %d keys in %v across %d shards\n",
-			rs.Keys, rs.Elapsed.Round(0), len(rs.Shards))
+		fmt.Printf("flitstored: recovered %d keys in %v across %d shards, %d bucket chains rebuilt\n",
+			rs.Keys, rs.Elapsed.Round(0), len(rs.Shards), rs.Rebuilt)
 	}
 
 	network, addr := "tcp", *listen

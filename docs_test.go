@@ -1,11 +1,16 @@
 // Docs that execute: every `go run ./cmd/…` command the prose documents
 // quote is held to the binaries as built — the command exists, each flag
 // is one its -h lists, and each -matrix / -fig / -ds value is a name the
-// flag's usage enumerates — so a deleted subcommand, flag or battery
+// flag's usage enumerates — and every `go test` line to the tree: its
+// packages exist and its -run / -bench patterns name declared tests and
+// benchmarks. So a deleted subcommand, flag, battery, test or benchmark
 // name fails here instead of in a reader's terminal.
 package flit_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -28,10 +33,11 @@ var (
 	shellTail   = regexp.MustCompile(`\s(#|\||>|<|&|;|2>).*$`)
 )
 
-// docCommands extracts the `go run ./cmd/…` commands of a markdown file:
-// one per line of a fenced block (backslash continuations joined) and
-// one per inline code span (which may wrap across lines).
-func docCommands(t *testing.T, path string) []docCommand {
+// docCommands extracts the commands of a markdown file that begin with
+// prefix ("go run ", "go test "): one per line of a fenced block
+// (backslash continuations joined) and one per inline code span (which
+// may wrap across lines). words starts after prefix.
+func docCommands(t *testing.T, path, prefix string) []docCommand {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -47,15 +53,18 @@ func docCommands(t *testing.T, path string) []docCommand {
 	}
 	var cmds []docCommand
 	for _, r := range regions {
-		_, rest, ok := strings.Cut(r, "go run ")
-		if !ok || !strings.HasPrefix(rest, "./cmd/") {
+		_, rest, ok := strings.Cut(strings.Join(strings.Fields(r), " "), prefix)
+		if !ok {
 			continue
 		}
-		rest = shellTail.ReplaceAllString(strings.Join(strings.Fields(rest), " "), "")
+		rest = shellTail.ReplaceAllString(" "+rest, "")
 		cmds = append(cmds, docCommand{where: path, words: strings.Fields(rest)})
 	}
 	return cmds
 }
+
+// docFiles are the documents whose commands must execute.
+var docFiles = []string{"EXPERIMENTS.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
 
 // cmdFlag is one flag of a built binary, as its -h prints it.
 type cmdFlag struct {
@@ -96,8 +105,12 @@ var nameWord = regexp.MustCompile(`[A-Za-z0-9][A-Za-z0-9-]*`)
 func TestDocsCommandsExecute(t *testing.T) {
 	gobin := goTool(t)
 	var cmds []docCommand
-	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
-		cmds = append(cmds, docCommands(t, doc)...)
+	for _, doc := range docFiles {
+		for _, c := range docCommands(t, doc, "go run ") {
+			if len(c.words) > 0 && strings.HasPrefix(c.words[0], "./cmd/") {
+				cmds = append(cmds, c)
+			}
+		}
 	}
 	// The extraction itself must not rot: EXPERIMENTS.md alone quotes
 	// dozens of commands.
@@ -167,4 +180,139 @@ func TestDocsCommandsExecute(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testFlagValued are the `go test` flags the docs quote that take a value
+// as the next word; every other flag is a boolean or carries "=value".
+var testFlagValued = map[string]bool{"run": true, "bench": true, "benchtime": true, "count": true, "cpu": true, "fuzz": true}
+
+// TestDocsGoTestLinesResolve holds every quoted `go test` line to the
+// tree: each package it names exists, and each alternative of its -run or
+// -bench pattern matches a Test (Fuzz, Example) or Benchmark function
+// declared in one of those packages — so a renamed or deleted test fails
+// here, not in a reader's terminal.
+func TestDocsGoTestLinesResolve(t *testing.T) {
+	var cmds []docCommand
+	for _, doc := range docFiles {
+		cmds = append(cmds, docCommands(t, doc, "go test ")...)
+	}
+	if len(cmds) < 20 {
+		t.Fatalf("extracted only %d `go test` lines from the docs", len(cmds))
+	}
+	decls := map[string][]string{} // package directory → its declared function names
+	for _, c := range cmds {
+		line := "go test " + strings.Join(c.words, " ")
+		var pkgs []string
+		patterns := map[string]string{} // flag → pattern
+		for i := 0; i < len(c.words); i++ {
+			w := c.words[i]
+			if !strings.HasPrefix(w, "-") {
+				pkgs = append(pkgs, w)
+				continue
+			}
+			name, value, hasValue := strings.Cut(strings.TrimLeft(w, "-"), "=")
+			if !hasValue && testFlagValued[name] && i+1 < len(c.words) {
+				i++
+				value = c.words[i]
+			}
+			if name == "run" || name == "bench" {
+				patterns[name] = strings.Trim(value, `'"`)
+			}
+		}
+		if len(pkgs) == 0 {
+			pkgs = []string{"."}
+		}
+		var dirs []string
+		for _, p := range pkgs {
+			root, tree := strings.CutSuffix(p, "/...")
+			if st, err := os.Stat(root); err != nil || !st.IsDir() || !strings.HasPrefix(p, ".") {
+				t.Errorf("%s: `%s`: %s is not a package directory of this tree", c.where, line, p)
+				continue
+			}
+			if !tree {
+				dirs = append(dirs, filepath.Clean(root))
+				continue
+			}
+			filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+				if err == nil && d.IsDir() {
+					dirs = append(dirs, filepath.Clean(path))
+				}
+				return err
+			})
+		}
+		for flag, pattern := range patterns {
+			prefixes := []string{"Test", "Fuzz", "Example"}
+			if flag == "bench" {
+				prefixes = []string{"Benchmark"}
+			}
+			for _, alt := range topLevelAlternatives(pattern) {
+				if alt == "^$" {
+					continue // matches nothing, on purpose
+				}
+				re, err := regexp.Compile(strings.Split(alt, "/")[0])
+				if err != nil {
+					t.Errorf("%s: `%s`: -%s alternative %q: %v", c.where, line, flag, alt, err)
+					continue
+				}
+				found := false
+				for _, dir := range dirs {
+					if _, ok := decls[dir]; !ok {
+						decls[dir] = declaredFuncs(t, dir)
+					}
+					for _, fn := range decls[dir] {
+						for _, p := range prefixes {
+							found = found || strings.HasPrefix(fn, p) && re.MatchString(fn)
+						}
+					}
+				}
+				if !found {
+					t.Errorf("%s: `%s`: -%s alternative %q matches no %s function in %v", c.where, line, flag, alt, strings.Join(prefixes, "/"), pkgs)
+				}
+			}
+		}
+	}
+}
+
+// topLevelAlternatives splits a regexp at the | signs outside any group.
+func topLevelAlternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, r := range pattern {
+		switch r {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
+// declaredFuncs parses the Go files of one package directory and returns
+// the names of its top-level functions.
+func declaredFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, f := range files {
+		file, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				names = append(names, fn.Name.Name)
+			}
+		}
+	}
+	return names
 }

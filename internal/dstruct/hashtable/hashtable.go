@@ -40,15 +40,28 @@ func New(cfg dstruct.Config, buckets int) *Table {
 // Attach wraps the table persisted at cfg's root slot (e.g. in recovered
 // memory) without modifying it.
 func Attach(cfg dstruct.Config) *Table {
-	mem := cfg.Heap.Mem()
-	base := dstruct.Ptr(mem.VolatileWord(cfg.Root()))
-	b := mem.VolatileWord(cfg.Field(base, fCount))
+	base, b := header(cfg)
 	return attach(cfg, base, b)
 }
 
+// header reads the persisted table's header address and bucket count.
+func header(cfg dstruct.Config) (pmem.Addr, uint64) {
+	mem := cfg.Heap.Mem()
+	base := dstruct.Ptr(mem.VolatileWord(cfg.Root()))
+	return base, mem.VolatileWord(cfg.Field(base, fCount))
+}
+
 func attach(cfg dstruct.Config, base pmem.Addr, b uint64) *Table {
-	// shift leaves the top log2(b) bits of the multiplicative hash.
-	return &Table{cfg: cfg, l: list.Attach(cfg), base: base, buckets: b, shift: uint(64 - bits.Len64(b>>1))}
+	return &Table{cfg: cfg, l: list.Attach(cfg), base: base, buckets: b, shift: shiftFor(b)}
+}
+
+// shiftFor is the bucket hash's shift for b buckets: it leaves the top
+// log2(b) bits of the multiplicative hash.
+func shiftFor(b uint64) uint { return uint(64 - bits.Len64(b>>1)) }
+
+// bucketOf is the table's placement rule (Table.BucketOf).
+func bucketOf(key uint64, shift uint) int {
+	return int((key * 0x9E3779B97F4A7C15) >> shift)
 }
 
 // Name returns "hashtable".
@@ -63,9 +76,7 @@ func (t *Table) Base() pmem.Addr { return t.base }
 
 // BucketOf returns the index of the bucket serving key: the table's
 // placement rule, exported so a key hash can be tested against it.
-func (t *Table) BucketOf(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> t.shift)
-}
+func (t *Table) BucketOf(key uint64) int { return bucketOf(key, t.shift) }
 
 // bucketHead returns the address of the bucket link word for key.
 func (t *Table) bucketHead(key uint64) pmem.Addr {
@@ -144,7 +155,7 @@ func (th *Thread) Get(key uint64) (uint64, bool) {
 func (t *Table) Snapshot() map[uint64]uint64 {
 	var pairs []list.Pair
 	for i := 0; i < int(t.buckets); i++ {
-		pairs, _, _ = list.GatherAt(&t.cfg, t.cfg.Field(t.base, 1+i), pairs)
+		pairs, _, _, _ = list.GatherAt(&t.cfg, t.cfg.Field(t.base, 1+i), pairs, true)
 	}
 	out := make(map[uint64]uint64, len(pairs))
 	for _, p := range pairs {
@@ -158,17 +169,19 @@ func (t *Table) Snapshot() map[uint64]uint64 {
 // immutable after construction); a clean bucket chain stays where it lies
 // and every other one is gathered and re-laid-out, like list recovery.
 func Recover(cfg dstruct.Config) *Table {
-	r := BeginRecover(cfg)
+	r := BeginRecover(cfg, false)
 	cfg.Heap.RaiseWatermark(uint64(r.End()))
-	tbl, _ := r.Complete()
-	return tbl
+	r.Complete()
+	return Attach(cfg)
 }
 
-// Recovery is a two-phase table recovery: BeginRecover gathers every
-// bucket's surviving pairs into process memory and sorts the buckets into
-// clean ones, already exactly what a rebuild would write (list.GatherAt),
-// and dirty ones; Complete rebuilds the dirty chains and fences, and keeps
-// the clean ones where they lie.
+// Recovery is a two-phase table recovery: BeginRecover walks every bucket
+// chain and sorts the buckets into clean ones, already exactly what a
+// rebuild would write (list.GatherAt), and dirty ones, whose surviving
+// pairs it copies into process memory; Complete rebuilds the dirty chains
+// and fences, and keeps the clean ones where they lie. Neither phase reads
+// cfg.Policy or attaches the table: the caller attaches it (Attach) once
+// Complete has returned, so it may build the policy while the walk runs.
 //
 // The split exists because recovery may run with a stale allocation
 // watermark (the embedding process crashed before it could carry the
@@ -180,31 +193,40 @@ func Recover(cfg dstruct.Config) *Table {
 // the second, the heap's watermark must be raised past every recovery's
 // End before any of them completes.
 type Recovery struct {
-	tbl *Table
-	// Bucket i's pairs are pairs[off[i]:off[i+1]], in chain order.
-	pairs []list.Pair
-	off   []int
-	// dirty lists, ascending, the buckets Complete rebuilds; end is one
-	// past the highest node of the chains it keeps.
-	dirty []int
+	cfg     dstruct.Config
+	base    pmem.Addr
+	buckets int
+	shift   uint
+	pairs   []list.Pair
+	// dirty lists, ascending, the buckets Complete rebuilds and where in
+	// pairs each one's surviving pairs lie; kept counts the pairs of the
+	// chains it keeps, and end is one past their highest node.
+	dirty []span
+	kept  int
 	end   pmem.Addr
 }
 
-// BeginRecover attaches the persisted table and gathers every bucket's
-// surviving pairs (phase one; writes nothing).
-func BeginRecover(cfg dstruct.Config) *Recovery {
-	tbl := Attach(cfg)
-	b := int(tbl.buckets)
-	r := &Recovery{tbl: tbl, pairs: make([]list.Pair, 0, b), off: make([]int, b+1)}
-	for i := 0; i < b; i++ {
+// span is bucket's share of a Recovery's pairs: pairs[lo:hi].
+type span struct{ bucket, lo, hi int }
+
+// BeginRecover walks every bucket chain of the table persisted at cfg's
+// root slot (phase one; writes nothing). A clean chain is only counted,
+// unless all is set: then every bucket's pairs are copied out, for a
+// caller that redistributes keys across tables (Pairs, CompleteWith).
+func BeginRecover(cfg dstruct.Config, all bool) *Recovery {
+	base, b := header(cfg)
+	r := &Recovery{cfg: cfg, base: base, buckets: int(b), shift: shiftFor(b)}
+	for i := 0; i < r.buckets; i++ {
+		lo := len(r.pairs)
+		var n int
 		var clean bool
 		var end pmem.Addr
-		r.pairs, clean, end = list.GatherAt(&tbl.cfg, cfg.Field(tbl.base, 1+i), r.pairs)
-		r.off[i+1] = len(r.pairs)
+		r.pairs, n, clean, end = list.GatherAt(&r.cfg, cfg.Field(base, 1+i), r.pairs, all)
 		if clean {
+			r.kept += n
 			r.end = max(r.end, end)
 		} else {
-			r.dirty = append(r.dirty, i)
+			r.dirty = append(r.dirty, span{i, lo, len(r.pairs)})
 		}
 	}
 	return r
@@ -215,10 +237,14 @@ func BeginRecover(cfg dstruct.Config) *Recovery {
 // before anything allocates.
 func (r *Recovery) End() pmem.Addr { return r.end }
 
-// Pairs returns the gathered pairs, bucket after bucket — the table's
-// surviving contents, for callers that redistribute keys across tables
-// (the store's re-sharding recovery) and rebuild with CompleteWith. The
-// slice is the Recovery's own: read-only, and stale once Complete runs.
+// Dirty returns the number of bucket chains Complete rebuilds.
+func (r *Recovery) Dirty() int { return len(r.dirty) }
+
+// Pairs returns the gathered pairs, bucket after bucket: the dirty
+// buckets' only, or, when BeginRecover was asked for all, the table's
+// whole surviving contents, for callers that redistribute keys across
+// tables (the store's re-sharding recovery) and rebuild with CompleteWith.
+// The slice is the Recovery's own: read-only, and stale once Complete runs.
 func (r *Recovery) Pairs() []list.Pair { return r.pairs }
 
 // CompleteWith is Complete with the table's final contents overridden:
@@ -227,62 +253,61 @@ func (r *Recovery) Pairs() []list.Pair { return r.pairs }
 // the last in pairs wins). It is how re-sharding recovery moves keys
 // between shards, and may be called again on the same Recovery to rebuild
 // the table to a second set of contents.
-func (r *Recovery) CompleteWith(pairs []list.Pair) (*Table, int) {
-	r.dirty = r.dirty[:0]
-	for i := range r.tbl.buckets {
-		r.dirty = append(r.dirty, int(i))
-	}
-	clear(r.off)
+func (r *Recovery) CompleteWith(pairs []list.Pair) int {
+	r.dirty, r.kept = make([]span, r.buckets), 0
 	for _, p := range pairs {
-		r.off[r.tbl.BucketOf(p.Key)]++
+		r.dirty[bucketOf(p.Key, r.shift)].hi++
 	}
-	for i := 1; i < len(r.off); i++ {
-		r.off[i] += r.off[i-1]
+	for i := range r.dirty {
+		r.dirty[i].bucket = i
+		if i > 0 {
+			r.dirty[i].hi += r.dirty[i-1].hi
+		}
+		r.dirty[i].lo = r.dirty[i].hi
 	}
-	// off[i] is now bucket i's end. Filling each bucket from its end, last
-	// pair first, keeps the pairs' order and leaves off[i] at its start.
+	// Filling each bucket from its end, last pair first, keeps the pairs'
+	// order and leaves lo at the bucket's start.
 	r.pairs = make([]list.Pair, len(pairs))
 	for j := len(pairs) - 1; j >= 0; j-- {
-		i := r.tbl.BucketOf(pairs[j].Key)
-		r.off[i]--
-		r.pairs[r.off[i]] = pairs[j]
+		d := &r.dirty[bucketOf(pairs[j].Key, r.shift)]
+		d.lo--
+		r.pairs[d.lo] = pairs[j]
 	}
 	return r.Complete()
 }
 
 // Complete rebuilds the dirty bucket chains from the gathered pairs (phase
 // two) and keeps the clean ones where they lie, returning the recovered
-// table and its key count. With no dirty bucket it takes no thread, arena
-// or fence. Otherwise two fences: all the new nodes first, then the bucket
+// table's key count. With no dirty bucket it takes no thread, arena or
+// fence. Otherwise two fences: all the new nodes first, then the bucket
 // heads that publish them. Under one fence the line holding heads 0–7 —
 // queued while bucket 0 was rebuilt — would drain before the nodes of
 // buckets 1–7, and a crash in between leaves seven heads pointing at nodes
 // the image never received.
 //
 //flit:rawpersist recovery is single-threaded; one fence persists all rebuilt nodes, a second the heads
-func (r *Recovery) Complete() (*Table, int) {
-	n := len(r.pairs)
+func (r *Recovery) Complete() int {
+	n := r.kept
 	if len(r.dirty) == 0 {
-		return r.tbl, n
+		return n
 	}
-	cfg := &r.tbl.cfg
+	cfg := &r.cfg
 	t := cfg.Heap.Mem().RegisterThread()
 	ar := cfg.Heap.NewArena()
 	firsts := make([]pmem.Addr, len(r.dirty))
-	for j, i := range r.dirty {
-		pairs := r.pairs[r.off[i]:r.off[i+1]]
+	for j, d := range r.dirty {
 		var k int
-		firsts[j], k = list.Rebuild(cfg, t, ar, pairs)
-		n += k - len(pairs)
+		firsts[j], k = list.Rebuild(cfg, t, ar, r.pairs[d.lo:d.hi])
+		n += k
 	}
 	t.PFence()
-	for j, i := range r.dirty {
-		head := cfg.Field(r.tbl.base, 1+i)
+	for j, d := range r.dirty {
+		head := cfg.Field(r.base, 1+d.bucket)
 		t.Store(head, uint64(firsts[j]))
 		t.PWB(head)
 	}
 	t.PFence()
 	ar.Release()
 	t.Release()
-	return r.tbl, n
+	return n
 }

@@ -1,6 +1,7 @@
 package hashtable
 
 import (
+	"slices"
 	"testing"
 
 	"flit/internal/core"
@@ -78,11 +79,12 @@ func TestRecoveryIgnoresCycles(t *testing.T) {
 	drop(c[2], c[len(c)-1])
 	// Bucket 3 stays intact.
 
-	rec := BeginRecover(cfg)
+	rec := BeginRecover(cfg, true)
 	if got := len(rec.Pairs()); got != len(want) {
 		t.Fatalf("gather returned %d pairs, want %d (each distinct unmarked node once)", got, len(want))
 	}
-	tb2, n := rec.Complete()
+	n := rec.Complete()
+	tb2 := Attach(cfg)
 	if n != len(want) {
 		t.Fatalf("Complete reported %d keys, want %d", n, len(want))
 	}
@@ -131,7 +133,8 @@ func TestCompleteWithPartitions(t *testing.T) {
 		pairs = append(pairs, list.Pair{Key: k, Val: k + 1}) // later copy wins
 		want[k] = k + 1
 	}
-	tb2, n := BeginRecover(cfg).CompleteWith(pairs)
+	n := BeginRecover(cfg, true).CompleteWith(pairs)
+	tb2 := Attach(cfg)
 	if n != len(want) {
 		t.Fatalf("CompleteWith reported %d keys, want %d", n, len(want))
 	}
@@ -143,6 +146,53 @@ func TestCompleteWithPartitions(t *testing.T) {
 	for k, v := range want {
 		if g, ok := th2.Get(k); !ok || g != v {
 			t.Fatalf("Get(%d) = (%d,%v) after CompleteWith, want (%d,true): wrong bucket or stale copy", k, g, ok, v)
+		}
+	}
+}
+
+// TestGatherCopiesOnlyDirtyBuckets: without a redistribution pending, the
+// gather copies out the pairs of the dirty buckets alone — here the one
+// bucket holding a planted mark, every pair of it but the marked node's —
+// and only counts the clean chains, which Complete keeps in place.
+func TestGatherCopiesOnlyDirtyBuckets(t *testing.T) {
+	cfg := dstest.Configs(1<<16, false)[0]
+	const buckets, keys = 8, 64
+	tb := New(cfg, buckets)
+	th := tb.Open(dstruct.ThreadOpts{})
+	for k := uint64(1); k <= keys; k++ {
+		th.Insert(k, k*10)
+	}
+	th.Close()
+
+	var before [buckets][]pmem.Addr
+	for i := range before {
+		before[i] = chainNodes(t, tb, i, keys)
+	}
+	const b = 5
+	mem := cfg.Heap.Mem()
+	c := before[b]
+	if len(c) < 2 {
+		t.Fatalf("bucket %d holds %d nodes, want at least 2", b, len(c))
+	}
+	next := cfg.Field(c[1], nodeNext)
+	mem.SetVolatileWord(next, mem.VolatileWord(next)|core.MarkBit)
+	var want []list.Pair
+	for i, n := range c {
+		if i != 1 {
+			want = append(want, list.Pair{Key: mem.VolatileWord(cfg.Field(n, nodeKey)), Val: mem.VolatileWord(cfg.Field(n, nodeKey+1))})
+		}
+	}
+
+	rec := BeginRecover(cfg, false)
+	if got := rec.Pairs(); rec.Dirty() != 1 || !slices.Equal(got, want) {
+		t.Fatalf("gather found %d dirty buckets and copied %v, want 1 and bucket %d's surviving pairs %v", rec.Dirty(), got, b, want)
+	}
+	if n := rec.Complete(); n != keys-1 {
+		t.Fatalf("Complete reported %d keys, want %d", n, keys-1)
+	}
+	for i := range before {
+		if got := chainNodes(t, tb, i, keys); (i == b) == slices.Equal(got, before[i]) {
+			t.Fatalf("bucket %d's chain is %v after recovery, was %v: want the clean ones kept, the dirty one rebuilt", i, got, before[i])
 		}
 	}
 }

@@ -251,7 +251,7 @@ func TestRecoveryIgnoresCycles(t *testing.T) {
 			}
 
 			sentinel := Pair{Key: 99, Val: 99}
-			got, clean, _ := GatherAt(&cfg, cfg.Root(), []Pair{sentinel})
+			got, _, clean, _ := GatherAt(&cfg, cfg.Root(), []Pair{sentinel}, true)
 			if clean {
 				t.Fatal("gather called a bent chain clean: recovery would keep it")
 			}
@@ -329,7 +329,7 @@ func TestRecoverPublishesHeadAfterNodes(t *testing.T) {
 		t.Helper()
 		cfg3, _ := recoverOn(img)
 		Recover(cfg3)
-		if got, _, _ := GatherAt(&cfg3, cfg3.Root(), nil); len(got) != keys {
+		if got, _, _, _ := GatherAt(&cfg3, cfg3.Root(), nil, true); len(got) != keys {
 			t.Fatalf("%s: recovered %d keys, want %d", what, len(got), keys)
 		}
 	}
@@ -391,15 +391,25 @@ func TestGatherJudgesClean(t *testing.T) {
 				a := tc.bend(&cfg, cfg.Root(), nodes)
 				mem.SetVolatileWord(a, mem.VolatileWord(a)|core.DirtyBit)
 			}
-			pairs, clean, end := GatherAt(&cfg, cfg.Root(), nil)
+			pairs, n, clean, end := GatherAt(&cfg, cfg.Root(), nil, true)
 			if clean != tc.clean {
 				t.Fatalf("GatherAt judged the chain clean=%v, want %v", clean, tc.clean)
 			}
-			if len(pairs) != len(nodes) {
-				t.Fatalf("gathered %d pairs from %d nodes", len(pairs), len(nodes))
+			if len(pairs) != len(nodes) || n != len(nodes) {
+				t.Fatalf("gathered %d pairs and counted %d from %d nodes", len(pairs), n, len(nodes))
 			}
 			if want := slices.Max(nodes) + pmem.Addr(cfg.Words(NumFields)); end != want {
 				t.Fatalf("GatherAt reported end %d, want %d (one past the highest node)", end, want)
+			}
+			// Without all, a clean chain is only counted, and a dirty one is
+			// copied whole: the nodes walked before the bent word too.
+			want := pairs
+			if clean {
+				want = nil
+			}
+			got, n2, clean2, end2 := GatherAt(&cfg, cfg.Root(), nil, false)
+			if !slices.Equal(got, want) || n2 != n || clean2 != clean || end2 != end {
+				t.Fatalf("GatherAt without all copied %v, counted %d, clean=%v, end %d; want %v, %d, %v, %d", got, n2, clean2, end2, want, n, clean, end)
 			}
 		})
 	}
@@ -421,7 +431,7 @@ func TestRecoverKeepsCleanChainInPlace(t *testing.T) {
 	mem := pmem.NewFromImage(img, cfg.Heap.Mem().Config())
 	cfg2 := cfg
 	cfg2.Heap = pheap.Recover(mem, 0) // stale: below every node
-	before, _, end := GatherAt(&cfg2, cfg2.Root(), nil)
+	before, _, _, end := GatherAt(&cfg2, cfg2.Root(), nil, true)
 	l2 := Recover(cfg2)
 	if s := mem.TotalStats(); s.PWBs != 0 || s.PFences != 0 {
 		t.Fatalf("recovering a clean chain issued %d PWBs and %d PFences, want none", s.PWBs, s.PFences)
@@ -434,7 +444,7 @@ func TestRecoverKeepsCleanChainInPlace(t *testing.T) {
 		th2.Insert(k, k*10)
 	}
 	th2.Close()
-	after, _, _ := GatherAt(&cfg2, cfg2.Root(), nil)
+	after, _, _, _ := GatherAt(&cfg2, cfg2.Root(), nil, true)
 	if !slices.Equal(after[:keys], before) || len(after) != 2*keys {
 		t.Fatalf("after recovery and %d fresh inserts the chain holds %v, want the %d kept pairs first", keys, after, keys)
 	}
@@ -454,7 +464,7 @@ func TestRebuildKeepsLastOfEqualKeys(t *testing.T) {
 		t.Fatalf("Rebuild wrote %d nodes, want 3", n)
 	}
 	raw.Store(cfg.Root(), uint64(first))
-	got, clean, _ := GatherAt(&cfg, cfg.Root(), nil)
+	got, _, clean, _ := GatherAt(&cfg, cfg.Root(), nil, true)
 	if want := []Pair{{3, 2}, {5, 1}, {7, 3}}; !slices.Equal(got, want) || !clean {
 		t.Fatalf("rebuilt chain holds %v (clean %v), want %v, clean", got, clean, want)
 	}

@@ -13,12 +13,15 @@ import (
 type Pair struct{ Key, Val uint64 }
 
 // GatherAt reads the persisted chain rooted at head in (recovered) memory
-// and appends its surviving pairs to dst in chain order: nodes whose next
-// word carries the Harris mark were logically deleted before the crash —
-// the marking CAS is a p-instruction in every durability mode, so a marked
-// node is marked in every crash image — and are discarded. Brent's cycle
-// detection rides along (one compare per node), so a corrupt cyclic image
-// costs a second walk, not a hang: each distinct node still counts once.
+// and reports the pairs that survive in it: nodes whose next word carries
+// the Harris mark were logically deleted before the crash — the marking
+// CAS is a p-instruction in every durability mode, so a marked node is
+// marked in every crash image — and are discarded. n is how many pairs
+// survive. They are appended to dst in chain order when the chain is
+// dirty, or when all is set; a clean chain is otherwise only counted, and
+// pairs comes back as dst. Brent's cycle detection rides along (one
+// compare per node), so a corrupt cyclic image costs a second walk, not a
+// hang: each distinct node still counts once.
 //
 // clean reports that the chain is already exactly what Rebuild would write
 // for those pairs, so recovery may keep it where it lies: every link word,
@@ -28,11 +31,12 @@ type Pair struct{ Key, Val uint64 }
 // stale non-zero counter would tag its field for the rest of the run. end
 // is one past the highest node walked, which a kept chain needs the heap's
 // watermark to cover (pheap.Heap.RaiseWatermark).
-func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) (pairs []Pair, clean bool, end pmem.Addr) {
+func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair, all bool) (pairs []Pair, n int, clean bool, end pmem.Addr) {
 	mem := cfg.Heap.Mem()
 	headRaw := mem.VolatileWord(head)
 	first := dstruct.Ptr(headRaw)
 	clean = headRaw == uint64(first)
+	copying := all || !clean
 	base := len(dst)
 	var prevKey uint64
 	// The tortoise rests on the node visited at each power-of-two step;
@@ -42,7 +46,8 @@ func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) (pairs []Pair, cl
 		if curr == tortoise {
 			// The walk so far read some nodes twice. Redo it with a scout
 			// lam nodes ahead: the walk catches it at the loop's entry, and
-			// from there once more per node of the loop.
+			// from there once more per node of the loop. (A loop cannot
+			// keep its keys rising, so the chain is dirty and copied.)
 			scout := first
 			for i := 0; i < lam; i++ {
 				scout = dstruct.Ptr(mem.VolatileWord(cfg.Field(scout, fNext)))
@@ -55,23 +60,35 @@ func GatherAt(cfg *dstruct.Config, head pmem.Addr, dst []Pair) (pairs []Pair, cl
 				dst, curr = gatherNode(cfg, mem, curr, dst)
 				scout = dstruct.Ptr(mem.VolatileWord(cfg.Field(scout, fNext)))
 			}
-			return dst, false, end
+			return dst, len(dst) - base, false, end
 		}
 		if lam == power {
 			tortoise, power, lam = curr, 2*power, 0
 		}
 		nextRaw := mem.VolatileWord(cfg.Field(curr, fNext))
 		key := mem.VolatileWord(cfg.Field(curr, fKey))
-		clean = clean && nextRaw == uint64(dstruct.Ptr(nextRaw)) && (curr == first || key > prevKey) &&
-			(cfg.Stride == 1 || countersZero(cfg, mem, curr))
+		if clean && !(nextRaw == uint64(dstruct.Ptr(nextRaw)) && (curr == first || key > prevKey) &&
+			(cfg.Stride == 1 || countersZero(cfg, mem, curr))) {
+			clean = false
+			if !copying {
+				// The nodes before curr were only counted: copy them now.
+				for p := first; p != curr; {
+					dst, p = gatherNode(cfg, mem, p, dst)
+				}
+				copying = true
+			}
+		}
 		prevKey = key
 		end = max(end, curr+pmem.Addr(cfg.Words(NumFields)))
 		if !dstruct.Marked(nextRaw) {
-			dst = append(dst, Pair{key, mem.VolatileWord(cfg.Field(curr, fVal))})
+			n++
+			if copying {
+				dst = append(dst, Pair{key, mem.VolatileWord(cfg.Field(curr, fVal))})
+			}
 		}
 		curr = dstruct.Ptr(nextRaw)
 	}
-	return dst, clean, end
+	return dst, n, clean, end
 }
 
 // countersZero reports whether every word between node n's fields — the
@@ -141,7 +158,7 @@ func Rebuild(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, pairs []Pair)
 //
 //flit:rawpersist recovery fences the rebuilt nodes, then the head that publishes them
 func Recover(cfg dstruct.Config) *List {
-	pairs, clean, end := GatherAt(&cfg, cfg.Root(), nil)
+	pairs, _, clean, end := GatherAt(&cfg, cfg.Root(), nil, false)
 	if clean {
 		cfg.Heap.RaiseWatermark(uint64(end))
 		return Attach(cfg)

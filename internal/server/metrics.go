@@ -194,6 +194,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		p.Sample("flit_recovery_total_seconds", "", rs.Elapsed.Seconds())
 		p.Meta("flit_recovery_keys", "gauge", "keys present after the last recovery")
 		p.Sample("flit_recovery_keys", "", float64(rs.Keys))
+		p.Meta("flit_recovery_rebuilt_buckets", "gauge", "bucket chains the last recovery rewrote (0 on a clean image)")
+		p.Sample("flit_recovery_rebuilt_buckets", "", float64(rs.Rebuilt))
 	}
 	return p.Flush()
 }

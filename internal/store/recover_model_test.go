@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -444,10 +445,12 @@ func TestRecoverIgnoresCycles(t *testing.T) {
 // TestRecoverAllocsPerKey pins recovery's Go-heap diet at the benchmark's
 // shape (4 096 keys, 8 shards, one key per bucket on average): the gather
 // is one flat slice per shard, so what remains is per shard and per
-// goroutine, not per bucket or per key (one of them per shard is the
-// slice of chain starts the rebuild holds between its nodes' fence and its
-// heads'). The map-per-bucket gather this replaced made several
-// allocations per key.
+// goroutine, not per bucket or per key. The map-per-bucket gather this
+// replaced made several allocations per key. It pins bytes too: the
+// image is clean, so the gather only counts its chains and copies no
+// pair, and what is left besides the policy's 1 MB counter table is a
+// few bytes per key (≈ 37 while every chain's pairs were copied into a
+// slice and indexed by one offset per bucket).
 func TestRecoverAllocsPerKey(t *testing.T) {
 	const keys = 4096
 	st := newTestStore(t, Options{Shards: 8, ExpectedKeys: 2 * keys})
@@ -463,6 +466,8 @@ func TestRecoverAllocsPerKey(t *testing.T) {
 		mems[i] = pmem.NewFromImage(img, cfg)
 	}
 	run := 0
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	allocs := testing.AllocsPerRun(len(mems)-1, func() {
 		_, rs, err := Recover(mems[run], wm, opts)
 		if err != nil || rs.Keys != keys {
@@ -470,8 +475,14 @@ func TestRecoverAllocsPerKey(t *testing.T) {
 		}
 		run++
 	})
-	t.Logf("store.Recover: %.0f allocations for %d keys = %.4f per key", allocs, keys, allocs/keys)
+	runtime.ReadMemStats(&m1)
+	const table = 1 << 20 // the flit-HT counter table, Options.HTBytes' default
+	perKey := (float64(m1.TotalAlloc-m0.TotalAlloc)/float64(len(mems)) - table) / keys
+	t.Logf("store.Recover: %.0f allocations for %d keys = %.4f per key; %.2f B per key besides the counter table", allocs, keys, allocs/keys, perKey)
 	if allocs/keys > 0.05 {
 		t.Fatalf("store.Recover made %.0f allocations for %d keys, want ≤ 0.05 per key", allocs, keys)
+	}
+	if perKey > 4 {
+		t.Fatalf("store.Recover allocated %.2f B per key besides the counter table, want ≤ 4", perKey)
 	}
 }

@@ -99,8 +99,8 @@ func TestRecoverWithStaleWatermark(t *testing.T) {
 
 // TestCleanImageRecoversInPlace: in the image of a quiescent store every
 // Delete has unlinked what it marked, so every chain is clean, and its
-// recovery issues no PWB and no PFence and leaves the watermark where it
-// was carried. Under flit-adjacent a live store's last flushes catch
+// recovery rebuilds no chain, issues no PWB and no PFence, and leaves the
+// watermark where it was carried. Under flit-adjacent a live store's last flushes catch
 // counters mid-operation, so its image starts from a recovered store,
 // whose rebuilt nodes carry zero counters; one non-zero counter word then
 // makes exactly its own chain dirty.
@@ -135,9 +135,9 @@ func TestCleanImageRecoversInPlace(t *testing.T) {
 				return st2, rs, mem.TotalStats()
 			}
 			st2, rs, s := recoverCounted(img)
-			if s.PWBs != 0 || s.PFences != 0 || st2.Heap().Watermark() != wm || rs.Keys != 240 {
-				t.Fatalf("a clean image recovered %d keys with %d PWBs and %d PFences, watermark %d → %d; want 240 keys, none, unchanged",
-					rs.Keys, s.PWBs, s.PFences, wm, st2.Heap().Watermark())
+			if s.PWBs != 0 || s.PFences != 0 || st2.Heap().Watermark() != wm || rs.Keys != 240 || rs.Rebuilt != 0 {
+				t.Fatalf("a clean image recovered %d keys with %d PWBs and %d PFences, %d chains rebuilt, watermark %d → %d; want 240 keys, none, none, unchanged",
+					rs.Keys, s.PWBs, s.PFences, rs.Rebuilt, wm, st2.Heap().Watermark())
 			}
 			if policy != core.PolicyAdjacent {
 				return
@@ -150,8 +150,8 @@ func TestCleanImageRecoversInPlace(t *testing.T) {
 			if ok, _ := imageOf(dirty, st).clean(hdrs[2], b); ok {
 				t.Fatal("the image model calls a chain with a non-zero counter word clean")
 			}
-			if _, _, s := recoverCounted(dirty); s.PWBs == 0 || s.PFences != 2 {
-				t.Fatalf("one non-zero counter word: recovery issued %d PWBs and %d PFences, want its chain rebuilt under the two fences", s.PWBs, s.PFences)
+			if _, rs, s := recoverCounted(dirty); s.PWBs == 0 || s.PFences != 2 || rs.Rebuilt != 1 {
+				t.Fatalf("one non-zero counter word: recovery issued %d PWBs and %d PFences and rebuilt %d chains, want its one chain rebuilt under the two fences", s.PWBs, s.PFences, rs.Rebuilt)
 			}
 		})
 	}

@@ -74,6 +74,9 @@ func Reshard(mem *pmem.Memory, watermark uint64, opts Options, newShards int) (*
 //
 //flit:rawpersist reshard activation writes directory anchors and the superblock activation word with explicit fence ordering
 func (s *Store) activate(g *geometry, newShards int) {
+	if s.policy == nil {
+		s.policy = s.newPolicy() // the grown shards' tables are built under it
+	}
 	t := s.mem.RegisterThread()
 	defer t.Release()
 	ar := s.heap.NewArena()

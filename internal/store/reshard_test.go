@@ -376,7 +376,7 @@ func singlePhaseReshard(mem *pmem.Memory, wm uint64, opts Options, target int) (
 	recovering := make([]*hashtable.Recovery, g.target)
 	finals := make([][]list.Pair, g.target)
 	for i := range recovering {
-		recovering[i] = hashtable.BeginRecover(st.cfgShard(g, i))
+		recovering[i] = hashtable.BeginRecover(st.cfgShard(g, i), true)
 		for _, p := range recovering[i].Pairs() {
 			j := shardIdx(p.Key, g.target)
 			finals[j] = append(finals[j], p)
@@ -384,7 +384,8 @@ func singlePhaseReshard(mem *pmem.Memory, wm uint64, opts Options, target int) (
 	}
 	st.opts.Shards, st.tables = g.target, make([]*hashtable.Table, g.target)
 	for i, r := range recovering {
-		st.tables[i], _ = r.CompleteWith(finals[i])
+		r.CompleteWith(finals[i])
+		st.tables[i] = hashtable.Attach(st.cfgShard(g, i))
 	}
 	th := mem.RegisterThread()
 	st.sbWrite(th, fShards, uint64(g.target))
@@ -425,7 +426,7 @@ func oneFenceRecover(mem *pmem.Memory, wm uint64, opts Options) (*Store, Recover
 	}
 	recovering := make([]*hashtable.Recovery, g.target)
 	for i := range recovering {
-		recovering[i] = hashtable.BeginRecover(st.cfgShard(g, i))
+		recovering[i] = hashtable.BeginRecover(st.cfgShard(g, i), true)
 	}
 	st.opts.Shards, st.tables = g.target, make([]*hashtable.Table, g.target)
 	for i, r := range recovering {

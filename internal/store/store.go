@@ -397,13 +397,18 @@ func (s *Store) Snapshot() map[uint64]uint64 {
 
 // RecoveryStats reports one post-crash rebuild.
 type RecoveryStats struct {
-	// Elapsed is the wall time of the shard-parallel rebuild.
+	// Elapsed is the wall time of the shard-parallel rebuild, the policy's
+	// construction (built beside the gather) included.
 	Elapsed time.Duration
 	// Shards holds per-shard rebuild times; max(Shards) ≈ Elapsed when
 	// enough cores are available, sum(Shards) is the serial cost avoided.
 	Shards []time.Duration
 	// Keys is the number of keys present after recovery.
 	Keys int
+	// Rebuilt is the number of bucket chains rewritten: 0 on a clean
+	// image, whose chains all stay where they lie; a reshard rewrites
+	// every chain of a table once per phase the table takes part in.
+	Rebuilt int
 }
 
 // geometry is what the superblock says about the shard tables.
@@ -419,20 +424,19 @@ type geometry struct {
 }
 
 // attach opens the store persisted in mem as far as its superblock: the
-// policy, the recovered heap and the geometry, no tables yet (Recover
-// documents the arguments).
+// recovered heap and the geometry, no policy and no tables yet (Recover
+// documents the arguments; rebuild builds both).
 func attach(mem *pmem.Memory, watermark uint64, opts Options) (*Store, geometry, error) {
 	o := opts.withDefaults()
 	var g geometry
-	pol, err := core.NewPolicyByName(o.Policy, mem.Words(), o.HTBytes)
-	if err != nil {
-		return nil, g, err
+	if !slices.Contains(core.PolicyNames(), o.Policy) {
+		return nil, g, fmt.Errorf("store: unknown policy %q (known: %v)", o.Policy, core.PolicyNames())
 	}
-	stride := dstruct.StrideFor(pol)
+	stride := dstruct.StrideForName(o.Policy)
 	// Probe the superblock before the root-region size is known: slot 0's
 	// address does not depend on it.
 	probeHeap := pheap.RecoverWithRoots(mem, watermark, 1)
-	probeCfg := dstruct.Config{Heap: probeHeap, Policy: pol, Mode: o.Mode, RootSlot: superRoot, Stride: stride}
+	probeCfg := dstruct.Config{Heap: probeHeap, Mode: o.Mode, RootSlot: superRoot, Stride: stride}
 	sb := dstruct.Ptr(mem.VolatileWord(probeCfg.Root()))
 	if sb == pmem.NilAddr || mem.VolatileWord(probeCfg.Field(sb, fMagic)) != Magic2 {
 		return nil, g, fmt.Errorf("store: no superblock in recovered memory (root slot %d = %d)", superRoot, sb)
@@ -462,10 +466,16 @@ func attach(mem *pmem.Memory, watermark uint64, opts Options) (*Store, geometry,
 		opts:   o,
 		mem:    mem,
 		heap:   pheap.RecoverWithRoots(mem, watermark, g.base+1),
-		policy: pol,
 		stride: stride,
 		sbAddr: sb,
 	}, g, nil
+}
+
+// newPolicy builds the policy opts name over the store's memory (attach
+// has checked the name).
+func (s *Store) newPolicy() core.Policy {
+	pol, _ := core.NewPolicyByName(s.opts.Policy, s.mem.Words(), s.opts.HTBytes)
+	return pol
 }
 
 // cfgShard addresses shard i's anchor: a root slot below g.base, a
@@ -481,8 +491,10 @@ func (s *Store) cfgShard(g geometry, i int) dstruct.Config {
 // The superblock (fixed root slot 0) self-describes shard counts and
 // buckets; opts supplies what is deliberately volatile — policy, mode,
 // sizing hints — and must match the pre-crash configuration, as with any
-// persistent layout. All shards recover in parallel, each on its own
-// goroutine with its own pmem thread and arena. A crash during a reshard
+// persistent layout. All shards are gathered in parallel, each on its own
+// goroutine, and the policy is built beside them; a shard with chains to
+// rebuild then rebuilds them on a goroutine with its own pmem thread and
+// arena. A crash during a reshard
 // (superblock fNewShards > fShards) recovers to the NEW shard count: see
 // rebuild.
 func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, RecoveryStats, error) {
@@ -496,6 +508,11 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 // rebuild gathers and rebuilds every table g describes and installs them
 // as the store's shards.
 //
+// A clean chain's gather only walks and counts it: its pairs are copied
+// into process memory only when a reshard will move them. The policy is
+// built during the gather, and the tables are attached under it once
+// everything has joined.
+//
 // Every table is gathered before any is rebuilt (a global barrier): when
 // the carried watermark is stale (the process crashed during a previous
 // recovery before it could hand the newer watermark forward), a shard's
@@ -507,11 +524,12 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 // before anything allocates.
 //
 // With no reshard pending each table rebuilds its dirty buckets from its
-// own gather and keeps the clean ones. A
-// pending reshard redistributes by the target count — a non-doubling one
-// moves keys BETWEEN serving shards too (k%old ≠ k%new with both below
-// old) — building the new version beside the old one before the old is
-// dropped (MOD's rule), in two barriered phases:
+// own gather and keeps the clean ones; a table with no dirty bucket
+// starts no goroutine. A pending reshard redistributes by the target
+// count — a non-doubling one moves keys BETWEEN serving shards too
+// (k%old ≠ k%new with both below old) — building the new version beside
+// the old one before the old is dropped (MOD's rule), in two barriered
+// phases:
 //
 //	A. every table that GAINS keys is rebuilt to its own whole gather plus
 //	   the keys arriving from other tables, and fences;
@@ -528,32 +546,59 @@ func Recover(mem *pmem.Memory, watermark uint64, opts Options) (*Store, Recovery
 // loses, so it still rebuilds each table exactly once.
 func (s *Store) rebuild(g geometry) RecoveryStats {
 	n := g.target
+	reshard := g.target != g.serving
 	rs := RecoveryStats{Shards: make([]time.Duration, n)}
 	keys := make([]int, n)
 	recovering := make([]*hashtable.Recovery, n)
 	s.opts.Shards, s.tables = n, make([]*hashtable.Table, n)
 	start := time.Now()
+	var wg sync.WaitGroup
+	// spawn runs do(i) for table i on a goroutine of its own; wg.Wait joins.
+	spawn := func(i int, do func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t0 := time.Now()
+			do(i)
+			rs.Shards[i] += time.Since(t0)
+		}()
+	}
 	// phase runs do(i) for every table in parallel and waits for all.
 	phase := func(do func(i int)) {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t0 := time.Now()
-				do(i)
-				rs.Shards[i] += time.Since(t0)
-			}(i)
+		for i := range n {
+			spawn(i, do)
 		}
 		wg.Wait()
 	}
-	phase(func(i int) { recovering[i] = hashtable.BeginRecover(s.cfgShard(g, i)) })
+	for i := range n {
+		cfg := s.cfgShard(g, i)
+		spawn(i, func(i int) { recovering[i] = hashtable.BeginRecover(cfg, reshard) })
+	}
+	// The gather reads no policy, so the policy — a flit-HT one allocates
+	// and zeroes its counter table — is built beside it (unless a reshard's
+	// activation needed it first), and joined before any table is attached.
+	if s.policy == nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.policy = s.newPolicy()
+		}()
+	}
+	wg.Wait()
 
-	if g.target == g.serving {
+	if !reshard {
 		for _, r := range recovering {
 			s.heap.RaiseWatermark(uint64(r.End()))
 		}
-		phase(func(i int) { s.tables[i], keys[i] = recovering[i].Complete() })
+		for i, r := range recovering {
+			if r.Dirty() == 0 {
+				keys[i] = r.Complete() // keeps every chain: no thread, no write
+				continue
+			}
+			rs.Rebuilt += r.Dirty()
+			spawn(i, func(i int) { keys[i] = recovering[i].Complete() })
+		}
+		wg.Wait()
 	} else {
 		// in[j] are the pairs other tables hold for shard j, stay[j] the
 		// pairs of table j's own gather that remain in it.
@@ -572,17 +617,28 @@ func (s *Store) rebuild(g geometry) RecoveryStats {
 		gains := func(i int) bool { return len(in[i]) > 0 }
 		phase(func(i int) {
 			if gains(i) {
-				s.tables[i], keys[i] = recovering[i].CompleteWith(slices.Concat(in[i], recovering[i].Pairs()))
+				keys[i] = recovering[i].CompleteWith(slices.Concat(in[i], recovering[i].Pairs()))
 			}
 		})
 		phase(func(i int) {
 			if loses[i] || !gains(i) {
-				s.tables[i], keys[i] = recovering[i].CompleteWith(slices.Concat(in[i], stay[i]))
+				keys[i] = recovering[i].CompleteWith(slices.Concat(in[i], stay[i]))
 			}
 		})
+		for i := range n {
+			if gains(i) {
+				rs.Rebuilt += g.buckets
+			}
+			if loses[i] || !gains(i) {
+				rs.Rebuilt += g.buckets
+			}
+		}
 		t := s.mem.RegisterThread()
 		s.sbWrite(t, fShards, uint64(n))
 		t.Release()
+	}
+	for i := range s.tables {
+		s.tables[i] = hashtable.Attach(s.cfgShard(g, i))
 	}
 	rs.Elapsed = time.Since(start)
 	for _, k := range keys {

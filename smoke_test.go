@@ -263,6 +263,7 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 		"flit_batch_ops_sum",
 		"flit_recovery_seconds{shard=\"0\"}",
 		"flit_recovery_keys 1024",
+		"flit_recovery_rebuilt_buckets 0", // a quiescent store's image is clean
 	} {
 		if !strings.Contains(scrapeOut.String(), want) {
 			t.Fatalf("scrape missing %q:\n%s", want, scrapeOut.String())
@@ -302,7 +303,8 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 			} `json:"metrics"`
 		} `json:"stats"`
 		Recovery *struct {
-			Keys int `json:"Keys"`
+			Keys    int  `json:"Keys"`
+			Rebuilt *int `json:"Rebuilt"`
 		} `json:"recovery"`
 	}
 	if err := json.Unmarshal(data, &final); err != nil {
@@ -312,7 +314,7 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 		final.Stats.Metrics == nil || final.Stats.Metrics.OpP99Ns <= 0 {
 		t.Fatalf("stats-json missing v2 metrics: %s", data)
 	}
-	if final.Recovery == nil || final.Recovery.Keys != 1024 {
+	if final.Recovery == nil || final.Recovery.Keys != 1024 || final.Recovery.Rebuilt == nil || *final.Recovery.Rebuilt != 0 {
 		t.Fatalf("stats-json missing recovery stats: %s", data)
 	}
 }
