@@ -1,15 +1,13 @@
 // Command flitcrash runs crash-recovery validation in two modes.
 //
-// The default mode is randomized: workers hammer a durable structure,
-// crash at seeded instruction counts, the persistent image is recovered,
-// and the surviving state is checked for durable linearizability.
-//
-// With -dlcheck it runs the systematic enumerator (internal/dlcheck)
-// instead: one recorded execution per round is checked at every
-// PWB/PFence boundary (bounded by -dlbudget) across the structures, the
-// durable queue and the sharded store. On a violation the minimal repro
-// trace (crash boundary + truncated schedule + recovered-state diff) is
-// printed and, with -dltrace, written to a file for CI artifacts.
+// The default mode is the systematic enumerator (internal/dlcheck): one
+// recorded execution per round is checked at every PWB/PFence boundary
+// (bounded by -dlbudget) across the structures, the durable queue and the
+// sharded store — the fenced prefix at each boundary, and an image in
+// which the lines the draining fence still held persist out of order. On
+// a violation the minimal repro trace (crash boundary + truncated
+// schedule + recovered-state diff) is printed and, with -dltrace, written
+// to a file for CI artifacts.
 //
 // With -chaos it runs the service-boundary battery (internal/crashtest
 // chaos harness): real client pipelines against the network server under
@@ -24,10 +22,9 @@
 //
 // Usage:
 //
-//	flitcrash -rounds 200
-//	flitcrash -ds bst -mode manual -policy flit-adjacent -rounds 50 -v
-//	flitcrash -dlcheck -rounds 2 -dlbudget 64 -dltrace dlcheck-trace.txt
-//	flitcrash -dlcheck -ds store -dlbudget 0
+//	flitcrash -rounds 2 -dlbudget 64 -dltrace dlcheck-trace.txt
+//	flitcrash -ds bst -mode manual -policy flit-adjacent -rounds 5 -v
+//	flitcrash -ds store -dlbudget 0
 //	flitcrash -chaos -rounds 2 -chaostrace chaos-trace.txt
 package main
 
@@ -42,7 +39,6 @@ import (
 	"flit/internal/crashtest"
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
-	"flit/internal/pmem"
 	"flit/internal/store"
 )
 
@@ -101,69 +97,22 @@ func modesFor(filter string) []dstruct.Mode {
 }
 
 func main() {
-	rounds := flag.Int("rounds", 60, "seeded crash rounds per combination")
-	dsFilter := flag.String("ds", "", "restrict to one structure (list|hashtable|skiplist|bst|lockmap; with -dlcheck also queue|store|store-batched|store-combined|store-reshard)")
+	rounds := flag.Int("rounds", 2, "seeded runs per combination")
+	dsFilter := flag.String("ds", "", "restrict to one structure or service (list|hashtable|skiplist|bst|lockmap|queue|store|store-batched|store-combined|store-reshard)")
 	modeFilter := flag.String("mode", "", "restrict to one durability mode (automatic|nvtraverse|manual)")
 	polFilter := flag.String("policy", "", "restrict to one policy (flit-ht|flit-adjacent|flit-packed|flit-perline|plain|izraelevitz|link-and-persist)")
 	seed0 := flag.Int64("seed", 1, "first seed")
-	verbose := flag.Bool("v", false, "print every round")
-	dl := flag.Bool("dlcheck", false, "systematic mode: check every PWB/PFence boundary of recorded executions")
-	dlBudget := flag.Int("dlbudget", 512, "crash points checked per dlcheck run (0 = every boundary)")
-	dlTrace := flag.String("dltrace", "", "write violation repro traces to this file (dlcheck mode)")
+	verbose := flag.Bool("v", false, "print every run")
+	dlBudget := flag.Int("dlbudget", 512, "crash points checked per run (0 = every boundary)")
+	dlTrace := flag.String("dltrace", "", "write violation repro traces to this file")
 	chaos := flag.Bool("chaos", false, "chaos mode: fault-injected client/server scenarios, crash, recover, check acked ops")
 	chaosTrace := flag.String("chaostrace", "", "write chaos failure traces to this file (chaos mode)")
 	flag.Parse()
 
-	if *dl && *chaos {
-		fmt.Fprintln(os.Stderr, "flitcrash: -dlcheck and -chaos are mutually exclusive")
-		os.Exit(2)
-	}
-	if *dl {
-		os.Exit(runDLCheck(*rounds, *dsFilter, *modeFilter, *polFilter, *seed0, *dlBudget, *dlTrace, *verbose))
-	}
 	if *chaos {
 		os.Exit(runChaos(*rounds, *seed0, *polFilter, *chaosTrace, *verbose))
 	}
-
-	crashModes := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset, pmem.PersistAll}
-	start := time.Now()
-	total, failures := 0, 0
-
-	for _, target := range crashtest.Targets() {
-		if *dsFilter != "" && target.Name != *dsFilter {
-			continue
-		}
-		for _, mode := range modesFor(*modeFilter) {
-			for _, polName := range policiesFor(*polFilter, target.WithLAP, core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain) {
-				for r := 0; r < *rounds; r++ {
-					seed := *seed0 + int64(r)
-					cm := crashModes[r%len(crashModes)]
-					// The enumerator's config serves the randomized rounds
-					// too: a small virtual-clock heap (crash validation
-					// never reads a latency number).
-					cfg := dlcheck.NewConfig(policyByName(polName, dlcheck.Words), mode)
-					v, _ := crashtest.Run(cfg, target, crashtest.DefaultOptions(seed, cm))
-					total++
-					if v != nil {
-						failures++
-						fmt.Printf("VIOLATION %s/%s/%s seed=%d crash=%v\n%v\n",
-							target.Name, mode, polName, seed, cm, v)
-					} else if *verbose {
-						fmt.Printf("ok %s/%s/%s seed=%d crash=%v\n", target.Name, mode, polName, seed, cm)
-					}
-				}
-			}
-		}
-	}
-	if total == 0 {
-		fmt.Fprintf(os.Stderr, "flitcrash: no rounds matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst; queue|store need -dlcheck; link-and-persist applies only to list|hashtable|skiplist|lockmap)\n",
-			*dsFilter, *modeFilter, *polFilter)
-		os.Exit(2)
-	}
-	fmt.Printf("flitcrash: %d rounds, %d violations, %v\n", total, failures, time.Since(start).Round(time.Millisecond))
-	if failures > 0 {
-		os.Exit(1)
-	}
+	os.Exit(runDLCheck(*rounds, *dsFilter, *modeFilter, *polFilter, *seed0, *dlBudget, *dlTrace, *verbose))
 }
 
 // runDLCheck drives the systematic battery: structures × modes ×
@@ -231,9 +180,8 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 	}
 
 	// The sharded store, once per way of reaching it. Link-and-persist
-	// applies at service granularity too (the randomized store battery
-	// covers it); keep it enumerated so the failed-p-CAS dirty-flush path
-	// is checked here as well.
+	// applies at service granularity too, so the failed-p-CAS dirty-flush
+	// path is checked here as well.
 	for _, sv := range []struct {
 		name      string
 		mode      store.SessionMode
@@ -266,18 +214,18 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 	}
 
 	if total == 0 {
-		fmt.Fprintf(os.Stderr, "flitcrash: no dlcheck runs matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst|queue|store|store-batched|store-combined|store-reshard; the queue is manual-only, link-and-persist applies only to list|hashtable|skiplist|lockmap|queue)\n",
+		fmt.Fprintf(os.Stderr, "flitcrash: no runs matched -ds %q / -mode %q / -policy %q (structures: list|hashtable|skiplist|lockmap|bst|queue|store|store-batched|store-combined|store-reshard; the queue is manual-only, link-and-persist applies only to list|hashtable|skiplist|lockmap|queue)\n",
 			dsFilter, modeFilter, polFilter)
 		return 2
 	}
-	fmt.Printf("flitcrash -dlcheck: %d runs, %d persist records, %d crash points checked, %d violations, %v\n",
+	fmt.Printf("flitcrash: %d runs, %d persist records, %d crash points checked, %d violations, %v\n",
 		total, records, points, len(violations), time.Since(start).Round(time.Millisecond))
 	if len(violations) > 0 {
 		if tracePath != "" {
 			if err := os.WriteFile(tracePath, []byte(strings.Join(violations, "\n\n")), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "flitcrash: writing %s: %v\n", tracePath, err)
 			} else {
-				fmt.Printf("flitcrash -dlcheck: repro traces written to %s\n", tracePath)
+				fmt.Printf("flitcrash: repro traces written to %s\n", tracePath)
 			}
 		}
 		return 1

@@ -32,8 +32,9 @@
 //   - internal/audit:  a runtime P-V Interface conformance checker that
 //     localizes Definition-1 violations to the offending instruction
 //   - internal/hist:   a durable-linearizability checker for set histories
-//   - internal/crashtest: randomized crash-recovery validation for single
-//     structures and whole stores
+//   - internal/dlcheck, internal/crashtest: crash-recovery validation of
+//     single structures and whole stores at every persist boundary of a
+//     recorded execution, and at the service boundary under faults
 //   - internal/bench: the one experiment runner — every figure and
 //     ablation of the paper's evaluation section is a preset of its
 //     matrix, rendered from the same machine-readable report

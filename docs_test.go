@@ -1,13 +1,16 @@
 // Docs that execute: every `go run ./cmd/…` command the prose documents
 // quote is held to the binaries as built — the command exists, each flag
 // is one its -h lists, and each -matrix / -fig / -ds value is a name the
-// flag's usage enumerates — and every `go test` line to the tree: its
+// flag's usage enumerates — every `go test` line to the tree: its
 // packages exist and its -run / -bench patterns name declared tests and
-// benchmarks. So a deleted subcommand, flag, battery, test or benchmark
-// name fails here instead of in a reader's terminal.
+// benchmarks — and every `bash benchmark/run.sh` line to the benchmark's
+// flags and BENCHMARK.json's workloads. So a deleted subcommand, flag,
+// battery, test, benchmark or workload name fails here instead of in a
+// reader's terminal.
 package flit_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -182,9 +185,76 @@ func TestDocsCommandsExecute(t *testing.T) {
 	}
 }
 
+// TestDocsBenchmarkLinesResolve holds every quoted `bash benchmark/run.sh`
+// line to the benchmark as built: each flag is one the binary's -h lists,
+// each --workload a name BENCHMARK.json defines, and the compare
+// subcommand takes files, no flags. benchmark/ is only read and built.
+func TestDocsBenchmarkLinesResolve(t *testing.T) {
+	var cmds []docCommand
+	for _, doc := range docFiles {
+		cmds = append(cmds, docCommands(t, doc, "bash benchmark/run.sh ")...)
+	}
+	if len(cmds) < 10 {
+		t.Fatalf("extracted only %d `bash benchmark/run.sh` lines from the docs", len(cmds))
+	}
+	bin := filepath.Join(t.TempDir(), "flit-benchmark")
+	build := exec.Command(goTool(t), "build", "-C", "benchmark", "-o", bin, ".")
+	build.Env = append(os.Environ(), "GOWORK=off")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build -C benchmark: %v\n%s", err, out)
+	}
+	flags := helpFlags(t, bin)
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]bool{}
+	for _, w := range spec.Workloads {
+		workloads[w.Name] = true
+	}
+	for _, c := range cmds {
+		line := "bash benchmark/run.sh " + strings.Join(c.words, " ")
+		args := c.words
+		if len(args) > 0 && args[0] == "compare" {
+			for _, a := range args[1:] {
+				if strings.HasPrefix(a, "-") {
+					t.Errorf("%s: `%s`: compare takes result files, not flag %s", c.where, line, a)
+				}
+			}
+			continue
+		}
+		for i := 0; i < len(args); i++ {
+			name, value, hasValue := strings.Cut(strings.TrimLeft(args[i], "-"), "=")
+			if !strings.HasPrefix(args[i], "-") {
+				t.Errorf("%s: `%s`: positional argument %q — the benchmark's one subcommand is compare", c.where, line, args[i])
+				break
+			}
+			f := flags[name]
+			if f == nil {
+				t.Errorf("%s: `%s`: the benchmark has no flag -%s", c.where, line, name)
+				break
+			}
+			if f.takesValue && !hasValue {
+				if i++; i == len(args) {
+					t.Errorf("%s: `%s`: flag -%s needs a value", c.where, line, name)
+					break
+				}
+				value = args[i]
+			}
+			if name == "workload" && !workloads[value] {
+				t.Errorf("%s: `%s`: workload %q is not one BENCHMARK.json defines", c.where, line, value)
+			}
+		}
+	}
+}
+
 // testFlagValued are the `go test` flags the docs quote that take a value
 // as the next word; every other flag is a boolean or carries "=value".
-var testFlagValued = map[string]bool{"run": true, "bench": true, "benchtime": true, "count": true, "cpu": true, "fuzz": true}
+var testFlagValued = map[string]bool{"run": true, "bench": true, "benchtime": true, "count": true, "cpu": true, "fuzz": true, "tags": true, "timeout": true}
 
 // TestDocsGoTestLinesResolve holds every quoted `go test` line to the
 // tree: each package it names exists, and each alternative of its -run or

@@ -6,58 +6,15 @@ import (
 	"flit/internal/core"
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
-	"flit/internal/pmem"
 	"flit/internal/store"
-	"flit/internal/workload"
 )
 
-// TestStoreBatchedDurableLinearizability is the randomized battery over
-// the batched (group-commit) request path: pipelined batches, crash
-// injection landing between and inside batches, shard-parallel
-// recovery, exact per-key checking. Mid-batch crashes freeze whole
-// batches as pending — the ack rule under test is that nothing responds
-// before its batch's commit fence.
-func TestStoreBatchedDurableLinearizability(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	crashModes := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset, pmem.PersistAll}
-	policies := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyLAP}
-	if testing.Short() {
-		policies = policies[:2]
-	}
-	for _, policy := range policies {
-		modes := []dstruct.Mode{dstruct.Automatic}
-		if policy == core.PolicyHT {
-			modes = dstruct.Modes
-		}
-		t.Run(policy, func(t *testing.T) {
-			for _, mode := range modes {
-				for _, cm := range crashModes {
-					for _, seed := range seeds {
-						st := newCrashStoreMode(t, policy, mode)
-						workload.Load(st, 200, 2)
-						opts := DefaultStoreOptions(seed, cm)
-						opts.KeyRange = 300
-						opts.KeyOf = workload.Key
-						verdict, err := RunStore(st, store.Batched, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if verdict.Violation != nil {
-							t.Fatalf("mode %v crash mode %v seed %d: %v", mode, cm, seed, verdict.Violation)
-						}
-						sess := store.Open[string](verdict.Store, store.Direct)
-						if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
-							t.Fatalf("mode %v crash mode %v seed %d: recovered store inoperable", mode, cm, seed)
-						}
-					}
-				}
-			}
-		})
-	}
-}
+// TestStoreBatchedDurableLinearizability is storeBattery over the batched
+// (group-commit) request path: pipelined batches, crash boundaries
+// between and inside batches — a batch whose commit fence has not
+// drained leaves its operations pending — and the ack rule under test
+// that nothing responds before its batch's commit fence.
+func TestStoreBatchedDurableLinearizability(t *testing.T) { storeBattery(t, store.Batched) }
 
 // TestStoreBatchedDL is the systematic battery over the batched path:
 // every (budgeted) persist boundary of recorded batched executions,
@@ -142,28 +99,10 @@ func TestStoreBatchedFencesAmortized(t *testing.T) {
 	}
 }
 
-// TestStoreBatchedCheckerHasTeeth: with persistence disabled, the
-// batched commit persists nothing — DropUnfenced rounds must surface a
-// violation, proving the battery checks the ack rule rather than the
-// code path's shape.
-func TestStoreBatchedCheckerHasTeeth(t *testing.T) {
-	caught := false
-	for seed := int64(1); seed <= 6 && !caught; seed++ {
-		st := newCrashStore(t, core.PolicyNoPersist)
-		workload.Load(st, 200, 2)
-		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
-		opts.KeyRange = 300
-		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, store.Batched, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caught = verdict.Violation != nil
-	}
-	if !caught {
-		t.Fatal("no-persist store passed the batched crash checker — the battery has no teeth")
-	}
-}
+// TestStoreBatchedCheckerHasTeeth is storeTooth over the batched path:
+// with persistence disabled the commit persists nothing, proving the
+// battery checks the ack rule rather than the code path's shape.
+func TestStoreBatchedCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Batched) }
 
 // TestStoreBatchedDLCheckerHasTeeth: the systematic batched battery
 // must reject no-persist too — completed batched ops that never

@@ -55,8 +55,8 @@ type ChaosScenario struct {
 	// Conns workers each run OpsPerConn recorded operations, pipelining
 	// up to Depth frames per flush.
 	Conns, OpsPerConn, Depth int
-	// KeyRange sizes the keyspace (widened like RunStore when too hot for
-	// the exact checker).
+	// KeyRange sizes the keyspace (widened when too hot for the exact
+	// checker).
 	KeyRange uint64
 	// OpTimeout bounds every client flush/receive so blackholed or wedged
 	// connections fail instead of hanging the battery (default 250ms).

@@ -10,15 +10,59 @@ import (
 )
 
 // The net-delta battery of the embedded flat-combining path checks a
-// different contract from RunStore's set membership — counter intervals
-// at window granularity — so it keeps its own driver. As in every Combined
-// round, countdowns arm on the combiner threads (store.CombinerThreads),
-// and a firing one kills the whole simulated process (sticky Store crash
-// flag), freezing every in-flight window as pending.
+// different contract from the enumerator's set membership — counter
+// intervals at window granularity — so it keeps its own driver, the one
+// left that crashes at seeded instruction countdowns. They arm on the
+// combiner threads (store.CombinerThreads), and a firing one kills the
+// whole simulated process (sticky Store crash flag), freezing every
+// in-flight window as pending.
 
 // combineAddBase offsets the counter keys of the net-delta battery so
 // signed ±1 churn never drives a stored value negative.
 const combineAddBase = uint64(1) << 20
+
+// crashSeed decorrelates a crash image's RandomSubset draws from the
+// round's workload seed.
+const crashSeed = 0x5ca1ab1e
+
+// StoreOptions parameterizes one net-delta crash round.
+type StoreOptions struct {
+	Workers int
+	// OpsPerWorker is each worker's budget (workers usually crash first).
+	OpsPerWorker int
+	// KeyOf renders a counter's index as its store key.
+	KeyOf func(uint64) string
+	// MinCrash/MaxCrash bound the instruction countdowns.
+	MinCrash, MaxCrash int64
+	CrashMode          pmem.CrashMode
+	Seed               int64
+}
+
+// DefaultStoreOptions returns four workers of 96 operations each, crashing
+// after 200 to 6000 instructions.
+func DefaultStoreOptions(seed int64, mode pmem.CrashMode) StoreOptions {
+	return StoreOptions{
+		Workers: 4, OpsPerWorker: 96,
+		MinCrash: 200, MaxCrash: 6000,
+		CrashMode: mode, Seed: seed,
+	}
+}
+
+// normalized fills the defaults.
+func (o StoreOptions) normalized() StoreOptions {
+	if o.KeyOf == nil {
+		o.KeyOf = func(i uint64) string { return fmt.Sprintf("key-%d", i) }
+	}
+	if o.MaxCrash < o.MinCrash {
+		o.MaxCrash = o.MinCrash
+	}
+	return o
+}
+
+// countdown draws one seeded instruction countdown.
+func (o StoreOptions) countdown(rng *rand.Rand) int64 {
+	return o.MinCrash + rng.Int63n(o.MaxCrash-o.MinCrash+1)
+}
 
 // AddsVerdict is the outcome of one net-delta crash round.
 type AddsVerdict struct {

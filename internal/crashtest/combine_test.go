@@ -8,56 +8,14 @@ import (
 	"flit/internal/dstruct"
 	"flit/internal/pmem"
 	"flit/internal/store"
-	"flit/internal/workload"
 )
 
-// TestStoreCombinedDurableLinearizability is the randomized battery over
-// the embedded flat-combining path: workers announce op vectors to the
-// per-shard combiners, crash injection lands on the combiner threads —
-// mid-window, which freezes every in-flight Apply in the process as
-// pending history — and the recovered key set is checked exactly. The
-// ack rule under test: nothing responds before its window's one fence.
-func TestStoreCombinedDurableLinearizability(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	crashModes := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset, pmem.PersistAll}
-	policies := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyLAP}
-	if testing.Short() {
-		policies = policies[:2]
-	}
-	for _, policy := range policies {
-		modes := []dstruct.Mode{dstruct.Automatic}
-		if policy == core.PolicyHT {
-			modes = dstruct.Modes
-		}
-		t.Run(policy, func(t *testing.T) {
-			for _, mode := range modes {
-				for _, cm := range crashModes {
-					for _, seed := range seeds {
-						st := newCrashStoreMode(t, policy, mode)
-						workload.Load(st, 200, 2)
-						opts := DefaultStoreOptions(seed, cm)
-						opts.KeyRange = 300
-						opts.KeyOf = workload.Key
-						verdict, err := RunStore(st, store.Combined, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if verdict.Violation != nil {
-							t.Fatalf("mode %v crash mode %v seed %d: %v", mode, cm, seed, verdict.Violation)
-						}
-						sess := store.Open[string](verdict.Store, store.Direct)
-						if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
-							t.Fatalf("mode %v crash mode %v seed %d: recovered store inoperable", mode, cm, seed)
-						}
-					}
-				}
-			}
-		})
-	}
-}
+// TestStoreCombinedDurableLinearizability is storeBattery over the
+// embedded flat-combining path: workers announce op vectors to the
+// per-shard combiners, whose windows may merge several sessions' vectors,
+// and the ack rule under test is that nothing responds before its
+// window's one fence.
+func TestStoreCombinedDurableLinearizability(t *testing.T) { storeBattery(t, store.Combined) }
 
 // TestStoreCombinedDL is the systematic battery over the combining path:
 // every (budgeted) persist boundary of recorded combined executions,
@@ -103,28 +61,8 @@ func TestStoreCombinedDL(t *testing.T) {
 	}
 }
 
-// TestStoreCombinedCheckerHasTeeth: with persistence disabled, the
-// combiner's window fence persists nothing — DropUnfenced rounds must
-// surface a violation, proving the battery checks the ack rule rather
-// than the code path's shape.
-func TestStoreCombinedCheckerHasTeeth(t *testing.T) {
-	caught := false
-	for seed := int64(1); seed <= 6 && !caught; seed++ {
-		st := newCrashStore(t, core.PolicyNoPersist)
-		workload.Load(st, 200, 2)
-		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
-		opts.KeyRange = 300
-		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, store.Combined, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caught = verdict.Violation != nil
-	}
-	if !caught {
-		t.Fatal("no-persist store passed the combined crash checker — the battery has no teeth")
-	}
-}
+// TestStoreCombinedCheckerHasTeeth is storeTooth over the combining path.
+func TestStoreCombinedCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Combined) }
 
 // TestStoreCombinedDLCheckerHasTeeth: the systematic combined battery
 // must reject no-persist too — acknowledged combined ops that never

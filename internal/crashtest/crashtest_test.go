@@ -2,17 +2,20 @@ package crashtest
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"flit/internal/core"
+	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
+	"flit/internal/hist"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 )
 
 // policies under crash test. DirectMap is covered in dstest; here we focus
 // on the schemes with distinct persistence-ordering behaviour.
-func policies(memWords int, withLAP bool) []core.Policy {
+func policies(withLAP bool) []core.Policy {
 	ps := []core.Policy{
 		core.NewFliT(core.NewHashTable(1 << 14)),
 		core.NewFliT(core.Adjacent{}),
@@ -25,53 +28,43 @@ func policies(memWords int, withLAP bool) []core.Policy {
 	return ps
 }
 
-func mkConfig(pol core.Policy, mode dstruct.Mode, words int) dstruct.Config {
-	mc := pmem.DefaultConfig(words)
-	// Crash tests never read a latency number: the virtual clock keeps
-	// the modeled costs (unlike the old cost-zeroing) at spin-free speed.
-	mc.VirtualClock = true
-	return dstruct.Config{
-		Heap: pheap.New(pmem.New(mc)), Policy: pol, Mode: mode,
-		RootSlot: 0, Stride: dstruct.StrideFor(pol),
-	}
+// setShape is the registry battery's shape: four workers of 120
+// operations over 24 keys, half of them prefilled — longer chains, deeper
+// trees and more node reuse than the enumerator's dense default — with a
+// strided sample of 32 boundaries per recorded execution.
+func setShape(seed int64) dlcheck.Options {
+	return dlcheck.Options{Workers: 4, OpsPerWorker: 120, KeyRange: 24, Prefill: 12, Budget: 32, Seed: seed}
 }
 
 // TestDurableLinearizability is the central correctness experiment: every
-// structure × durability mode × policy × crash mode, across seeds, must
-// produce a recovered state explainable by some linearization.
+// structure × durability mode × policy, across seeds, at setShape. Each
+// checked boundary's fenced prefix and eviction image must recover a state
+// explainable by some linearization, and the structure recovered from the
+// final image must stay usable.
 func TestDurableLinearizability(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6}
+	seeds := []int64{1, 2}
 	if testing.Short() {
-		seeds = seeds[:2]
+		seeds = seeds[:1]
 	}
-	pols := func(memWords int, withLAP bool) []core.Policy {
-		ps := policies(memWords, withLAP)
-		if testing.Short() {
-			// Keep one FliT scheme plus the plain baseline; the full
-			// matrix runs in the default (scheduled/full) suite.
-			ps = ps[:1]
-			ps = append(ps, core.Plain{})
-		}
-		return ps
-	}
-	crashModes := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset, pmem.PersistAll}
 	for _, target := range Targets() {
 		for _, mode := range dstruct.Modes {
-			for _, pol := range pols(1<<20, target.WithLAP) {
+			pols := policies(target.WithLAP)
+			if testing.Short() {
+				// Keep one FliT scheme plus the plain baseline; the full
+				// matrix runs in the default (scheduled/full) suite.
+				pols = []core.Policy{pols[0], core.Plain{}}
+			}
+			for _, pol := range pols {
 				name := fmt.Sprintf("%s/%s/%s", target.Name, mode, pol.Name())
 				t.Run(name, func(t *testing.T) {
-					for _, cm := range crashModes {
-						for _, seed := range seeds {
-							cfg := mkConfig(pol, mode, 1<<20)
-							v, rec := Run(cfg, target, DefaultOptions(seed, cm))
-							if v != nil {
-								t.Fatalf("crash mode %v seed %d: %v", cm, seed, v)
-							}
-							// The recovered structure must remain usable.
-							th := rec.Set.NewThread()
-							if !th.Insert(9999, 1) || !th.Contains(9999) || !th.Delete(9999) {
-								t.Fatalf("crash mode %v seed %d: recovered set inoperable", cm, seed)
-							}
+					for _, seed := range seeds {
+						cfg := dlcheck.NewConfig(pol, mode)
+						if rep := dlcheck.RunSet(cfg, target.Target, setShape(seed)); rep.Violation != nil {
+							t.Fatalf("seed %d: %v", seed, rep.Violation)
+						}
+						th := target.Recover(recoverOnto(cfg)).Set.NewThread()
+						if !th.Insert(9999, 1) || !th.Contains(9999) || !th.Delete(9999) {
+							t.Fatalf("seed %d: recovered set inoperable", seed)
 						}
 					}
 				})
@@ -108,32 +101,48 @@ func (b brokenPolicy) StorePrivate(t *pmem.Thread, a pmem.Addr, v uint64, p bool
 func (b brokenPolicy) PersistObject(t *pmem.Thread, a pmem.Addr, n int) {}
 
 func TestBrokenPolicyIsCaught(t *testing.T) {
-	// Under DropUnfenced, a policy that never persists must be detected:
-	// the prefilled completed inserts cannot survive.
+	// A policy that never persists must be detected: the prefilled
+	// completed inserts cannot survive.
 	for _, target := range Targets() {
 		t.Run(target.Name, func(t *testing.T) {
-			caught := false
-			for seed := int64(1); seed <= 4 && !caught; seed++ {
-				cfg := mkConfig(brokenPolicy{core.NewFliT(core.NewHashTable(1 << 14))},
-					dstruct.Automatic, 1<<20)
-				v, _ := Run(cfg, target, DefaultOptions(seed, pmem.DropUnfenced))
-				caught = v != nil
-			}
-			if !caught {
+			cfg := dlcheck.NewConfig(brokenPolicy{core.NewFliT(core.NewHashTable(1 << 14))}, dstruct.Automatic)
+			if rep := dlcheck.RunSet(cfg, target.Target, setShape(1)); rep.Violation == nil {
 				t.Fatal("broken policy passed the checker — the crash harness has no teeth")
 			}
 		})
 	}
 }
 
-// TestPersistAllAlwaysCleanRecovers: under eADR-like semantics everything
-// volatile persists, so even the NoPersist policy must recover exactly.
+// TestPersistAllAlwaysCleanRecovers: under eADR-like semantics
+// (pmem.PersistAll) everything volatile persists, so even the NoPersist
+// policy must recover a durably linearizable state from a crash that lands
+// mid-operation.
 func TestPersistAllAlwaysCleanRecovers(t *testing.T) {
 	for _, target := range Targets() {
 		t.Run(target.Name, func(t *testing.T) {
-			cfg := mkConfig(core.NoPersist{}, dstruct.Automatic, 1<<20)
-			v, _ := Run(cfg, target, DefaultOptions(77, pmem.PersistAll))
-			if v != nil {
+			cfg := dlcheck.NewConfig(core.NoPersist{}, dstruct.Automatic)
+			inst := target.New(cfg)
+			th := inst.Set.NewThread()
+			th.(interface{ Ctx() *dstruct.Ctx }).Ctx().T.SetCrashAfter(1500)
+			rec := hist.NewRecorder(&hist.Clock{})
+			rng := rand.New(rand.NewSource(77))
+			if !pmem.RunToCrash(func() {
+				for {
+					kind, key := hist.Kind(rng.Intn(3)), uint64(rng.Intn(24))
+					tok := rec.Begin(kind, key)
+					rec.Finish(tok, applySet(th, kind, key))
+				}
+			}) {
+				t.Fatal("the run ended without the crash")
+			}
+			img := cfg.Heap.Mem().CrashImage(pmem.PersistAll, 0)
+			cfg2 := cfg
+			cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), cfg.Heap.Watermark())
+			final := map[uint64]bool{}
+			for k := range target.Recover(cfg2).Snapshot() {
+				final[k] = true
+			}
+			if v := hist.Check([]*hist.Recorder{rec}, map[uint64]bool{}, final); v != nil {
 				t.Fatalf("PersistAll violated: %v", v)
 			}
 		})

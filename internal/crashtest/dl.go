@@ -12,10 +12,9 @@ import (
 )
 
 // This file wires the queue and the store into the systematic enumerator
-// (internal/dlcheck): the same targets and recovery paths as the
-// randomized rounds, but every PWB/PFence boundary of a recorded
-// execution checked instead of one random image per round. (The set
-// structures need no adapter: a Target embeds its dlcheck.Target.)
+// (internal/dlcheck): every PWB/PFence boundary of a recorded execution
+// is recovered and checked. (The set structures need no adapter: a
+// Target embeds its dlcheck.Target.)
 
 // RunQueueDL runs the systematic checker against the durable FIFO queue.
 func RunQueueDL(cfg dstruct.Config, opts dlcheck.Options) *dlcheck.Report {

@@ -73,11 +73,11 @@ func TestStoreReshardDLEnumerated(t *testing.T) {
 }
 
 // TestStructureDLEnumeratedViaTargets spot-checks the Target→dlcheck
-// adapter used by flitcrash -dlcheck (the structure batteries themselves
+// adapter used by flitcrash (the structure batteries themselves
 // live with the structures, via dstest.DLCheck).
 func TestStructureDLEnumeratedViaTargets(t *testing.T) {
 	target := Targets()[0] // list
-	cfg := mkConfig(core.NewFliT(core.NewHashTable(1<<14)), dstruct.Automatic, 1<<16)
+	cfg := dlcheck.NewConfig(core.NewFliT(core.NewHashTable(1<<14)), dstruct.Automatic)
 	rep := dlcheck.RunSet(cfg, target.Target, dlcheck.DefaultOptions(1))
 	if rep.Violation != nil {
 		t.Fatal(rep.Violation)

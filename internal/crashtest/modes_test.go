@@ -20,8 +20,6 @@ import (
 // framing, window detection and response ordering included.
 type wireExec struct{ c *client.Conn }
 
-func (e wireExec) thread() *pmem.Thread { return nil }
-
 func (e wireExec) exec(ops []store.Op[string], res []store.Result) {
 	for _, op := range ops {
 		req, err := server.WireRequest(op)

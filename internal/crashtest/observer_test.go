@@ -15,13 +15,13 @@ import (
 )
 
 // The batteries in this file are the deterministic, single-goroutine form
-// of races the randomized and enumerated batteries only hit by schedule
-// luck: a writer is frozen between making a p-CAS visible and persisting
-// it — the window a preempted goroutine leaves open for as long as the
-// scheduler likes — and other threads then run complete operations on top
-// of what they can see. Those responses are acknowledged, so a crash right
-// after them must recover a state that agrees with them; the frozen
-// writer's own operation stays pending, free to take effect or vanish.
+// of races the enumerated batteries only hit by schedule luck: a writer
+// is frozen between making a p-CAS visible and persisting it — the window
+// a preempted goroutine leaves open for as long as the scheduler likes —
+// and other threads then run complete operations on top of what they can
+// see. Those responses are acknowledged, so a crash right after them must
+// recover a state that agrees with them; the frozen writer's own
+// operation stays pending, free to take effect or vanish.
 
 // stallFliT is FliT (hashed counters) whose p-CAS can freeze its thread
 // right after the new value became visible: the location stays tagged and

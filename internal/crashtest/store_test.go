@@ -2,9 +2,11 @@ package crashtest
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"flit/internal/core"
+	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
@@ -19,10 +21,12 @@ func newCrashStore(t *testing.T, policy string) *store.Store {
 func newCrashStoreMode(t *testing.T, policy string, mode dstruct.Mode) *store.Store {
 	t.Helper()
 	st, err := store.New(store.Options{
-		Shards: 8, ExpectedKeys: 1 << 12, Policy: policy, HTBytes: 1 << 14, Mode: mode,
-		// Crash rounds never read a latency number; the virtual clock
-		// keeps the modeled costs without burning their wall time.
-		VirtualClock: true,
+		Shards: 8, ExpectedKeys: 1 << 10, Policy: policy, HTBytes: 1 << 14, Mode: mode,
+		// Every checked crash boundary copies the image: a small memory
+		// keeps that cheap. Crash rounds never read a latency number; the
+		// virtual clock keeps the modeled costs without burning their wall
+		// time.
+		MemWords: 1 << 17, VirtualClock: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,51 +34,48 @@ func newCrashStoreMode(t *testing.T, policy string, mode dstruct.Mode) *store.St
 	return st
 }
 
-// TestStoreDurableLinearizability is the service-level analogue of
-// TestDurableLinearizability: whole-store histories across sessions,
-// crash injection, shard-parallel recovery, per-key exact checking.
-func TestStoreDurableLinearizability(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	crashModes := []pmem.CrashMode{pmem.DropUnfenced, pmem.RandomSubset, pmem.PersistAll}
+// storeShape is the service battery's shape: 200 keys loaded before the
+// recorded run, four workers of 96 operations over 300 keys, and a
+// strided sample of 32 boundaries per recorded execution.
+func storeShape(seed int64) dlcheck.Options {
+	return dlcheck.Options{Workers: 4, OpsPerWorker: 96, KeyRange: 300, Prefill: 200, Budget: 32, Seed: seed}
+}
+
+// storeBattery is the service-level analogue of TestDurableLinearizability
+// for one session mode: whole-store histories across sessions of an
+// eight-shard store, every checked boundary recovered shard-parallel and
+// checked per key, and the store recovered from the final image must
+// cover every shard and stay operational. The service layer leans on
+// Upsert's in-place value p-store, so the FliT policy runs under every
+// durability mode, the others under Automatic.
+func storeBattery(t *testing.T, sm store.SessionMode) {
+	seeds := []int64{1, 2}
 	policies := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyLAP}
 	if testing.Short() {
-		policies = policies[:2]
+		seeds, policies = seeds[:1], policies[:2]
 	}
 	for _, policy := range policies {
-		// The service layer leans on Upsert's in-place value p-store;
-		// exercise it under every durability mode for the FliT policy,
-		// automatic-only for the rest.
 		modes := []dstruct.Mode{dstruct.Automatic}
 		if policy == core.PolicyHT {
 			modes = dstruct.Modes
 		}
 		t.Run(policy, func(t *testing.T) {
 			for _, mode := range modes {
-				for _, cm := range crashModes {
-					for _, seed := range seeds {
-						st := newCrashStoreMode(t, policy, mode)
-						workload.Load(st, 200, 2)
-						opts := DefaultStoreOptions(seed, cm)
-						opts.KeyRange = 300
-						opts.KeyOf = workload.Key
-						verdict, err := RunStore(st, store.Direct, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if verdict.Violation != nil {
-							t.Fatalf("mode %v crash mode %v seed %d: %v", mode, cm, seed, verdict.Violation)
-						}
-						if len(verdict.Recovery.Shards) != 8 {
-							t.Fatalf("recovery covered %d shards, want 8", len(verdict.Recovery.Shards))
-						}
-						// The recovered store must stay operational.
-						sess := store.Open[string](verdict.Store, store.Direct)
-						if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
-							t.Fatalf("mode %v crash mode %v seed %d: recovered store inoperable", mode, cm, seed)
-						}
+				for _, seed := range seeds {
+					st := newCrashStoreMode(t, policy, mode)
+					if rep := RunStoreDL(st, sm, 0, storeShape(seed)); rep.Violation != nil {
+						t.Fatalf("mode %v seed %d: %v", mode, seed, rep.Violation)
+					}
+					st2, rstats, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(rstats.Shards) != 8 {
+						t.Fatalf("recovery covered %d shards, want 8", len(rstats.Shards))
+					}
+					sess := store.Open[string](st2, store.Direct)
+					if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
+						t.Fatalf("mode %v seed %d: recovered store inoperable", mode, seed)
 					}
 				}
 			}
@@ -82,29 +83,24 @@ func TestStoreDurableLinearizability(t *testing.T) {
 	}
 }
 
-// TestStoreCheckerHasTeeth: the no-persist baseline under DropUnfenced
-// must lose completed operations — and the checker must notice.
-func TestStoreCheckerHasTeeth(t *testing.T) {
-	caught := false
-	for seed := int64(1); seed <= 6 && !caught; seed++ {
-		st := newCrashStore(t, core.PolicyNoPersist)
-		workload.Load(st, 200, 2)
-		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
-		opts.KeyRange = 300
-		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, store.Direct, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caught = verdict.Violation != nil
-	}
-	if !caught {
-		t.Fatal("no-persist store passed the crash checker — the store harness has no teeth")
+// storeTooth runs the service shape over the no-persist baseline: the
+// loaded keys never persist, so the battery must report a violation.
+func storeTooth(t *testing.T, sm store.SessionMode) {
+	if rep := RunStoreDL(newCrashStore(t, core.PolicyNoPersist), sm, 0, storeShape(1)); rep.Violation == nil {
+		t.Fatalf("no-persist store passed the %v battery — it has no teeth", sm)
 	}
 }
 
+// TestStoreDurableLinearizability is storeBattery over Direct sessions.
+func TestStoreDurableLinearizability(t *testing.T) { storeBattery(t, store.Direct) }
+
+// TestStoreCheckerHasTeeth is storeTooth over Direct sessions.
+func TestStoreCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Direct) }
+
 // TestStoreRepeatedCrashCycles chains crash→recover→mutate rounds on one
-// store lineage.
+// store lineage: each round's writes leave the store quiescent, the
+// DropUnfenced image must recover exactly what they acknowledged, and the
+// recovered store carries the next round.
 func TestStoreRepeatedCrashCycles(t *testing.T) {
 	st := newCrashStore(t, core.PolicyHT)
 	workload.Load(st, 300, 2)
@@ -113,22 +109,20 @@ func TestStoreRepeatedCrashCycles(t *testing.T) {
 		rounds = 2
 	}
 	for round := 0; round < rounds; round++ {
-		opts := DefaultStoreOptions(int64(100+round), pmem.RandomSubset)
-		opts.KeyRange = 400
-		opts.KeyOf = workload.Key
-		verdict, err := RunStore(st, store.Direct, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if verdict.Violation != nil {
-			t.Fatalf("round %d: %v", round, verdict.Violation)
-		}
-		st = verdict.Store
-		// Mutate between crashes so each round persists fresh state.
 		sess := store.Open[string](st, store.Direct)
 		for i := 0; i < 50; i++ {
 			sess.Put(fmt.Sprintf("round%d-%d", round, i), uint64(i))
+			sess.Delete(workload.Key(uint64(round*50 + i)))
 		}
+		want := st.Snapshot()
+		st2, _, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st2.Snapshot(); !maps.Equal(got, want) {
+			t.Fatalf("round %d: recovered %d keys, the acknowledged store held %d", round, len(got), len(want))
+		}
+		st = st2
 	}
 }
 

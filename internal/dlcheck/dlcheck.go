@@ -3,12 +3,12 @@
 // before a crash survives it — *systematically* rather than
 // probabilistically.
 //
-// The randomized crash harness (internal/crashtest) interrupts threads at
-// seeded instruction counts and materializes one crash image per round;
-// it can exercise a schedule but never exhaust its crash points. dlcheck
-// instead records one complete concurrent execution together with its
-// persist trace (pmem.StartTrace: every cache line a PFence drains, in
-// global shadow-write order, stamped against the same logical clock the
+// A randomized harness that interrupts threads at seeded instruction
+// counts materializes one crash image per round; it can exercise a
+// schedule but never exhaust its crash points. dlcheck instead records
+// one complete concurrent execution together with its persist trace
+// (pmem.StartTrace: every cache line a PFence drains, in global
+// shadow-write order, stamped against the same logical clock the
 // history recorders use) and then re-reads that single execution as a
 // family of crashed executions — one per PWB/PFence boundary:
 //
@@ -23,7 +23,13 @@
 //   - the recovered structure's contents at boundary k must then be
 //     explainable by a linearization of that truncated history — the
 //     durable rule — decided exactly by the hist checkers (per-key
-//     Wing–Gong search for sets, whole-history FIFO search for queues).
+//     Wing–Gong search for sets, whole-history FIFO search for queues);
+//   - when the fence draining at boundary k still holds two or more
+//     lines, one seeded eviction image is checked too: a subset of those
+//     lines persisted out of drain order, the RandomSubset state in which
+//     pending write-backs race the failure. A bug that leans on the order a
+//     fence drains its own queue — a link flushed behind its node, one
+//     fence for both — is invisible to every prefix and shows only here.
 //
 // Scope: the hist checkers decide key membership (and, for queues,
 // FIFO order) — values are not modeled, so a crash that loses an
@@ -57,6 +63,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -357,7 +364,14 @@ func Run(h Harness, opts Options) *Report {
 
 	perKey := hist.Gather(recs)
 	guardPerKeyWindow(perKey)
-	enumerate(rep, base, records, opts.Budget, setBoundaryCheck(h.Recover, initial, perKey))
+	var starts []int64
+	for _, ops := range perKey {
+		for _, op := range ops {
+			starts = append(starts, op.Start)
+		}
+	}
+	slices.Sort(starts)
+	enumerate(rep, base, records, opts.Budget, opts.Seed, starts, setBoundaryCheck(h.Recover, initial, perKey))
 	return rep
 }
 
@@ -406,11 +420,16 @@ func newReport(name string, pol core.Policy, records []pmem.PersistRecord, opts 
 }
 
 // enumerate walks the budgeted crash boundaries in order, maintaining
-// the incremental image, and invokes check at each; check's violation
-// (if any) is completed with the boundary coordinates and ends the walk.
-func enumerate(rep *Report, base []uint64, records []pmem.PersistRecord, budget int,
+// the incremental image, and invokes check at each: on the fenced prefix,
+// then on one eviction image when the fence draining at the boundary
+// still holds two or more lines (see evictable). starts are the recorded
+// operations' invocation stamps, sorted; seed draws the evictions. check's
+// violation (if any) is completed with the boundary coordinates and ends
+// the walk.
+func enumerate(rep *Report, base []uint64, records []pmem.PersistRecord, budget int, seed int64, starts []int64,
 	check func(img []uint64, stamp int64) *Violation) {
 	img := append([]uint64(nil), base...)
+	rng := rand.New(rand.NewSource(seed))
 	applied := 0
 	for _, k := range crashPoints(len(records), budget) {
 		for applied < k {
@@ -419,12 +438,69 @@ func enumerate(rep *Report, base []uint64, records []pmem.PersistRecord, budget 
 		}
 		stamp, boundary := boundaryStamp(records, k)
 		rep.Points++
-		if v := check(img, stamp); v != nil {
+		v := check(img, stamp)
+		if pend := evictable(records, k, stamp, starts); v == nil && len(pend) > 1 {
+			v = checkEvicted(img, pend, rng, func(img []uint64) *Violation { return check(img, stamp) })
+		}
+		if v != nil {
 			v.Target, v.Point, v.Stamp, v.Boundary = rep.Name, k, stamp, boundary
 			rep.Violation = v
 			return
 		}
 	}
+}
+
+// evictable returns the write-backs a crash at boundary k may persist in
+// any order — RandomSubset's pending half, where a fence's lines race the
+// failure: the rest of the fence that drains record k. The run stops
+// before a record another fence drained and before the next operation
+// invocation, so the image is still a crash state the history truncated
+// at stamp explains: a line's drained content holds only writes of
+// operations invoked by then.
+func evictable(records []pmem.PersistRecord, k int, stamp int64, starts []int64) []pmem.PersistRecord {
+	if k >= len(records) {
+		return nil
+	}
+	next := int64(math.MaxInt64)
+	if i := sort.Search(len(starts), func(i int) bool { return starts[i] > stamp }); i < len(starts) {
+		next = starts[i]
+	}
+	end := k
+	for end < len(records) && records[end].Thread == records[k].Thread &&
+		records[end].Epoch == records[k].Epoch && records[end].Stamp < next {
+		end++
+	}
+	return records[k:end]
+}
+
+// checkEvicted checks img with a seeded subset of pend persisted on top.
+// A subset that is a prefix of the drain order is a fenced-prefix image,
+// so one of the others is drawn.
+func checkEvicted(img []uint64, pend []pmem.PersistRecord, rng *rand.Rand, check func(img []uint64) *Violation) *Violation {
+	n := min(len(pend), 62)
+	var mask uint64
+	for mask&(mask+1) == 0 {
+		mask = rng.Uint64() & (1<<n - 1)
+	}
+	var saved []uint64
+	var lines []pmem.Line
+	for i := 0; i < n; i++ {
+		if mask&(1<<i) != 0 {
+			base := pmem.Addr(pend[i].Line) << pmem.LineShift
+			saved = append(saved, img[base:base+pmem.WordsPerLine]...)
+			lines = append(lines, pend[i].Line)
+			pmem.ApplyRecord(img, pend[i])
+		}
+	}
+	v := check(img)
+	for i, l := range lines {
+		base := pmem.Addr(l) << pmem.LineShift
+		copy(img[base:base+pmem.WordsPerLine], saved[i*pmem.WordsPerLine:])
+	}
+	if v != nil {
+		v.Reason = fmt.Sprintf("eviction: of the %d lines the fence was draining, only lines %v persisted; %s", len(pend), lines, v.Reason)
+	}
+	return v
 }
 
 // RunSet is Run over a cfg-constructed data structure target: recovery

@@ -192,6 +192,44 @@ func TestSlowWindowPolicyPasses(t *testing.T) {
 	}
 }
 
+// linkFirstFliT is FliT whose shared p-CAS publishes without a fence of
+// its own: the new value goes in with a raw CAS and is flushed onto the
+// queue behind what the thread flushed before it — a fresh node's lines —
+// and the operation's completion fence drains them all in that order. So
+// every fenced prefix holds a node before the link to it, and only an
+// image in which the draining fence's lines persist out of order can
+// recover the link alone.
+type linkFirstFliT struct{ *core.FliT }
+
+func (p linkFirstFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	if !pflag {
+		return p.FliT.CAS(t, a, old, new, pflag)
+	}
+	t.CheckCrash()
+	if !t.CAS(a, old, new) {
+		return false
+	}
+	t.PWB(a)
+	return true
+}
+
+// TestEvictionOnlyBugIsCaught: linkFirstFliT under NVTraverse, whose
+// inserts flush their fresh node without fencing it, passes every fenced
+// prefix of a one-worker run (no reader can observe the window), so only
+// the eviction image can catch it — and must.
+func TestEvictionOnlyBugIsCaught(t *testing.T) {
+	pol := linkFirstFliT{core.NewFliT(core.NewHashTable(1 << 14))}
+	opts := dlcheck.Options{Workers: 1, OpsPerWorker: 18, KeyRange: 8, Prefill: 4, Budget: 0, Seed: 1}
+	rep := dlcheck.RunSet(dlcheck.NewConfig(pol, dstruct.NVTraverse), crashtest.Targets()[0].Target, opts)
+	if rep.Violation == nil {
+		t.Fatal("a link persisted ahead of its node passed the enumerator — the eviction image has no teeth")
+	}
+	if !strings.Contains(rep.Violation.Reason, "eviction") {
+		t.Fatalf("caught by a fenced prefix, not the eviction image:\n%v", rep.Violation)
+	}
+	t.Logf("caught as expected:\n%s", rep.Violation.Error())
+}
+
 // TestNoPersistPolicyIsCaught: the non-persistent baseline must fail
 // deterministically — its prefill never reaches the base image, so even
 // the first boundary is unexplainable.

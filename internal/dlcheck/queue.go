@@ -109,7 +109,11 @@ func RunQueue(h QueueHarness, opts Options) *Report {
 		panic(fmt.Sprintf("dlcheck: %d queue ops exceed the exact checker's window; shorten the run", len(allOps)))
 	}
 
-	enumerate(rep, base, records, opts.Budget, func(img []uint64, stamp int64) *Violation {
+	starts := make([]int64, len(allOps))
+	for i, op := range allOps {
+		starts[i] = op.Start
+	}
+	enumerate(rep, base, records, opts.Budget, opts.Seed, starts, func(img []uint64, stamp int64) *Violation {
 		trunc := hist.TruncateQ(allOps, stamp)
 		final, err := h.Recover(img)
 		if err != nil {

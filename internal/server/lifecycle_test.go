@@ -44,7 +44,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 	const panics = 20
 	for i := 0; i < panics; i++ {
 		armed := s.NewBatcher()
-		armed.Session().Thread().SetCrashAfter(3)
+		armed.bs.Thread().SetCrashAfter(3)
 		s.putBatcher(armed)
 
 		cc, sc := net.Pipe()
@@ -135,5 +135,40 @@ func TestServerCloseDrainsPool(t *testing.T) {
 	s.putBatcher(late)
 	if n := len(st.Mem().Threads()); n != base {
 		t.Fatalf("post-Close putBatcher parked a session: %d threads, want %d", n, base)
+	}
+}
+
+// TestBatcherDirect drives the batch executor without a transport — the
+// path the crash batteries enumerate.
+func TestBatcherDirect(t *testing.T) {
+	st := newLifecycleStore(t)
+	srv := New(st, Options{})
+	b := srv.NewBatcher()
+	reqs := []Request{
+		{Op: OpPut, Key: []byte("x"), Val: 1},
+		{Op: OpPut, Key: []byte("y"), Val: 2},
+		{Op: OpGet, Key: []byte("x")},
+		{Op: OpPing},
+		{Op: OpDelete, Key: []byte("y")},
+	}
+	resps := make([]Response, len(reqs))
+	b.Exec(reqs, resps)
+	if !resps[0].Flag || !resps[1].Flag {
+		t.Fatal("puts did not insert")
+	}
+	if resps[2].Status != StatusOK || resps[2].Val != 1 {
+		t.Fatalf("get = %+v", resps[2])
+	}
+	if resps[3].Status != StatusOK {
+		t.Fatalf("ping = %+v", resps[3])
+	}
+	if !resps[4].Flag {
+		t.Fatal("delete missed")
+	}
+	if b.bs.Pending() != 0 {
+		t.Fatal("Exec left the batch uncommitted")
+	}
+	if n, ok := core.LiveTagCount(st.Policy()); !ok || n != 0 {
+		t.Fatalf("live tags after Exec = %d, want 0", n)
 	}
 }

@@ -27,7 +27,7 @@ func TestServeConnPanicIsolation(t *testing.T) {
 	// Arm the pooled batcher: the next connection's first Exec trips the
 	// injected crash a few instrumented instructions in.
 	armed := s.NewBatcher()
-	armed.Session().Thread().SetCrashAfter(3)
+	armed.bs.Thread().SetCrashAfter(3)
 	s.putBatcher(armed)
 
 	roundTrip := func(cc net.Conn, req *Request) (Response, error) {

@@ -746,9 +746,6 @@ func (s *Server) putBatcher(b *Batcher) {
 	s.idleMu.Unlock()
 }
 
-// Session exposes the underlying batch session (crash injection, stats).
-func (b *Batcher) Session() *store.Sess[[]byte] { return b.bs }
-
 // Close releases the batcher's session (thread, arena, reclamation
 // slots). Called when the batcher leaves service — a poisoned session
 // after a handler panic, or pool drain at server close. Idempotent.

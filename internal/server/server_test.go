@@ -214,41 +214,6 @@ func TestServerOverTCP(t *testing.T) {
 	}
 }
 
-// TestBatcherDirect drives the batch executor without a transport — the
-// path the crash batteries enumerate.
-func TestBatcherDirect(t *testing.T) {
-	st := newTestStore(t)
-	srv := server.New(st, server.Options{})
-	b := srv.NewBatcher()
-	reqs := []server.Request{
-		{Op: server.OpPut, Key: []byte("x"), Val: 1},
-		{Op: server.OpPut, Key: []byte("y"), Val: 2},
-		{Op: server.OpGet, Key: []byte("x")},
-		{Op: server.OpPing},
-		{Op: server.OpDelete, Key: []byte("y")},
-	}
-	resps := make([]server.Response, len(reqs))
-	b.Exec(reqs, resps)
-	if !resps[0].Flag || !resps[1].Flag {
-		t.Fatal("puts did not insert")
-	}
-	if resps[2].Status != server.StatusOK || resps[2].Val != 1 {
-		t.Fatalf("get = %+v", resps[2])
-	}
-	if resps[3].Status != server.StatusOK {
-		t.Fatalf("ping = %+v", resps[3])
-	}
-	if !resps[4].Flag {
-		t.Fatal("delete missed")
-	}
-	if b.Session().Pending() != 0 {
-		t.Fatal("Exec left the batch uncommitted")
-	}
-	if n, ok := core.LiveTagCount(st.Policy()); !ok || n != 0 {
-		t.Fatalf("live tags after Exec = %d, want 0", n)
-	}
-}
-
 // TestBatcherStatsSurviveResetStats: every workload.Run zeroes the
 // memory's per-thread counters (pmem.Memory.ResetStats) under whatever
 // batchers the server has pooled. A batcher that remembered its thread's
