@@ -14,50 +14,14 @@ import (
 // between and inside batches — a batch whose commit fence has not
 // drained leaves its operations pending — and the ack rule under test
 // that nothing responds before its batch's commit fence.
-func TestStoreBatchedDurableLinearizability(t *testing.T) { storeBattery(t, store.Batched) }
+func TestStoreBatchedDurableLinearizability(t *testing.T) { storeBattery(t, store.Batched, storeShape) }
 
-// TestStoreBatchedDL is the systematic battery over the batched path:
-// every (budgeted) persist boundary of recorded batched executions,
-// across policies and durability modes. This is the enumeration the
-// server's ack rule rests on: a response only ever follows its batch's
-// commit fence, so no checked boundary may lose an acknowledged op.
-func TestStoreBatchedDL(t *testing.T) {
-	budget := 0 // every boundary
-	seeds := []int64{1, 2}
-	policies := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyIz, core.PolicyLAP}
-	if testing.Short() {
-		budget = 64
-		seeds = seeds[:1]
-	}
-	for _, policy := range policies {
-		modes := []dstruct.Mode{dstruct.Automatic}
-		if policy == core.PolicyHT {
-			modes = dstruct.Modes
-		}
-		t.Run(policy, func(t *testing.T) {
-			for _, mode := range modes {
-				for _, seed := range seeds {
-					st, err := NewDLStore(policy, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := RunStoreDL(st, store.Batched, 0, opts)
-					if rep.Violation != nil {
-						t.Fatalf("mode %v seed %d: %v", mode, seed, rep.Violation)
-					}
-					if rep.Points < 2 {
-						t.Fatalf("mode %v seed %d: only %d crash points checked", mode, seed, rep.Points)
-					}
-					if policy == core.PolicyHT && rep.LiveTags != 0 {
-						t.Fatalf("mode %v seed %d: %d live tags after batched run", mode, seed, rep.LiveTags)
-					}
-				}
-			}
-		})
-	}
-}
+// TestStoreBatchedDL is storeBattery over the batched path at
+// denseShape: every persist boundary of recorded batched executions. This
+// is the enumeration the server's ack rule rests on: a response only ever
+// follows its batch's commit fence, so no checked boundary may lose an
+// acknowledged op.
+func TestStoreBatchedDL(t *testing.T) { storeBattery(t, store.Batched, denseShape) }
 
 // TestStoreBatchedFencesAmortized: the batched path must actually
 // batch — the same recorded op budget issues fewer PFence instructions
@@ -102,24 +66,8 @@ func TestStoreBatchedFencesAmortized(t *testing.T) {
 // TestStoreBatchedCheckerHasTeeth is storeTooth over the batched path:
 // with persistence disabled the commit persists nothing, proving the
 // battery checks the ack rule rather than the code path's shape.
-func TestStoreBatchedCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Batched) }
+func TestStoreBatchedCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Batched, storeShape) }
 
-// TestStoreBatchedDLCheckerHasTeeth: the systematic batched battery
-// must reject no-persist too — completed batched ops that never
-// persisted show up at the first crash boundary.
-func TestStoreBatchedDLCheckerHasTeeth(t *testing.T) {
-	caught := false
-	for seed := int64(1); seed <= 4 && !caught; seed++ {
-		st, err := NewDLStore(core.PolicyNoPersist, dstruct.Automatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := dlcheck.DefaultOptions(seed)
-		opts.Budget = 16
-		rep := RunStoreDL(st, store.Batched, 0, opts)
-		caught = rep.Violation != nil
-	}
-	if !caught {
-		t.Fatal("no-persist store passed the batched systematic battery")
-	}
-}
+// TestStoreBatchedDLCheckerHasTeeth is storeTooth over the batched path at
+// denseShape.
+func TestStoreBatchedDLCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Batched, denseShape) }

@@ -27,32 +27,14 @@ const crashSeed = 0x5ca1ab1e
 
 // StoreOptions parameterizes one net-delta crash round.
 type StoreOptions struct {
-	Workers int
-	// OpsPerWorker is each worker's budget (workers usually crash first).
-	OpsPerWorker int
-	// KeyOf renders a counter's index as its store key.
-	KeyOf func(uint64) string
 	// MinCrash/MaxCrash bound the instruction countdowns.
 	MinCrash, MaxCrash int64
 	CrashMode          pmem.CrashMode
 	Seed               int64
 }
 
-// DefaultStoreOptions returns four workers of 96 operations each, crashing
-// after 200 to 6000 instructions.
-func DefaultStoreOptions(seed int64, mode pmem.CrashMode) StoreOptions {
-	return StoreOptions{
-		Workers: 4, OpsPerWorker: 96,
-		MinCrash: 200, MaxCrash: 6000,
-		CrashMode: mode, Seed: seed,
-	}
-}
-
-// normalized fills the defaults.
+// normalized clamps MaxCrash to at least MinCrash.
 func (o StoreOptions) normalized() StoreOptions {
-	if o.KeyOf == nil {
-		o.KeyOf = func(i uint64) string { return fmt.Sprintf("key-%d", i) }
-	}
 	if o.MaxCrash < o.MinCrash {
 		o.MaxCrash = o.MinCrash
 	}
@@ -99,6 +81,8 @@ type AddsVerdict struct {
 // selects all-+1 deltas instead of ±1, giving the no-persist tooth a
 // drift the pending interval cannot absorb.
 func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys int, biased bool) (AddsVerdict, error) {
+	// Four workers of 96 operations each; they usually crash first.
+	const workers, opsPerWorker = 4, 96
 	opts = opts.normalized()
 	if window <= 0 {
 		window = 16
@@ -112,15 +96,15 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 	seed := store.Open[string](st, store.Direct)
 	keys := make([]string, hotKeys)
 	for i := range keys {
-		keys[i] = opts.KeyOf(uint64(i))
+		keys[i] = fmt.Sprintf("key-%d", i)
 		seed.Put(keys[i], combineAddBase)
 	}
 	seed.Close()
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	sessions := make([]*store.Sess[string], opts.Workers)
-	seeds := make([]int64, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
+	sessions := make([]*store.Sess[string], workers)
+	seeds := make([]int64, workers)
+	for w := 0; w < workers; w++ {
 		sessions[w] = store.Open[string](st, store.Combined)
 		seeds[w] = rng.Int63()
 	}
@@ -130,9 +114,9 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 
 	// Per-worker, per-key ledgers: acknowledged net deltas, and the
 	// positive/negative delta sums of the window in flight at the crash.
-	acked := make([][]int64, opts.Workers)
-	pendPos := make([][]int64, opts.Workers)
-	pendNeg := make([][]int64, opts.Workers)
+	acked := make([][]int64, workers)
+	pendPos := make([][]int64, workers)
+	pendNeg := make([][]int64, workers)
 	for w := range acked {
 		acked[w] = make([]int64, hotKeys)
 		pendPos[w] = make([]int64, hotKeys)
@@ -142,7 +126,7 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 	var crashed, ackedWindows int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -153,7 +137,7 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 			cur := make([]int64, hotKeys)    // in-flight window net per key
 			curPos := make([]int64, hotKeys) // in-flight positive sum per key
 			curNeg := make([]int64, hotKeys) // in-flight negative sum per key
-			windows := opts.OpsPerWorker / window
+			windows := opsPerWorker / window
 			if windows < 1 {
 				windows = 1
 			}
@@ -226,7 +210,7 @@ func RunStoreCombinedAdds(st *store.Store, opts StoreOptions, window, hotKeys in
 			return v, nil
 		}
 		var ack, lo, hi int64
-		for w := 0; w < opts.Workers; w++ {
+		for w := 0; w < workers; w++ {
 			ack += acked[w][k]
 			lo += pendNeg[w][k]
 			hi += pendPos[w][k]

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"flit/internal/core"
-	"flit/internal/dlcheck"
-	"flit/internal/dstruct"
 	"flit/internal/pmem"
 	"flit/internal/store"
 )
@@ -15,74 +13,23 @@ import (
 // per-shard combiners, whose windows may merge several sessions' vectors,
 // and the ack rule under test is that nothing responds before its
 // window's one fence.
-func TestStoreCombinedDurableLinearizability(t *testing.T) { storeBattery(t, store.Combined) }
-
-// TestStoreCombinedDL is the systematic battery over the combining path:
-// every (budgeted) persist boundary of recorded combined executions,
-// across policies and durability modes. Concurrent sessions' vectors
-// merge into shared combiner windows here, so the enumeration covers
-// boundaries inside multi-session windows — executed-but-unfenced
-// operations from several announcers at once.
-func TestStoreCombinedDL(t *testing.T) {
-	budget := 0 // every boundary
-	seeds := []int64{1, 2}
-	policies := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyIz, core.PolicyLAP}
-	if testing.Short() {
-		budget = 64
-		seeds = seeds[:1]
-	}
-	for _, policy := range policies {
-		modes := []dstruct.Mode{dstruct.Automatic}
-		if policy == core.PolicyHT {
-			modes = dstruct.Modes
-		}
-		t.Run(policy, func(t *testing.T) {
-			for _, mode := range modes {
-				for _, seed := range seeds {
-					st, err := NewDLStore(policy, mode)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts := dlcheck.DefaultOptions(seed)
-					opts.Budget = budget
-					rep := RunStoreDL(st, store.Combined, 0, opts)
-					if rep.Violation != nil {
-						t.Fatalf("mode %v seed %d: %v", mode, seed, rep.Violation)
-					}
-					if rep.Points < 2 {
-						t.Fatalf("mode %v seed %d: only %d crash points checked", mode, seed, rep.Points)
-					}
-					if policy == core.PolicyHT && rep.LiveTags != 0 {
-						t.Fatalf("mode %v seed %d: %d live tags after combined run", mode, seed, rep.LiveTags)
-					}
-				}
-			}
-		})
-	}
+func TestStoreCombinedDurableLinearizability(t *testing.T) {
+	storeBattery(t, store.Combined, storeShape)
 }
+
+// TestStoreCombinedDL is storeBattery over the combining path at
+// denseShape. Concurrent sessions' vectors merge into shared combiner
+// windows here, so the enumeration covers boundaries inside multi-session
+// windows — executed-but-unfenced operations from several announcers at
+// once.
+func TestStoreCombinedDL(t *testing.T) { storeBattery(t, store.Combined, denseShape) }
 
 // TestStoreCombinedCheckerHasTeeth is storeTooth over the combining path.
-func TestStoreCombinedCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Combined) }
+func TestStoreCombinedCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Combined, storeShape) }
 
-// TestStoreCombinedDLCheckerHasTeeth: the systematic combined battery
-// must reject no-persist too — acknowledged combined ops that never
-// persisted show up at the first crash boundary.
-func TestStoreCombinedDLCheckerHasTeeth(t *testing.T) {
-	caught := false
-	for seed := int64(1); seed <= 4 && !caught; seed++ {
-		st, err := NewDLStore(core.PolicyNoPersist, dstruct.Automatic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := dlcheck.DefaultOptions(seed)
-		opts.Budget = 16
-		rep := RunStoreDL(st, store.Combined, 0, opts)
-		caught = rep.Violation != nil
-	}
-	if !caught {
-		t.Fatal("no-persist store passed the combined systematic battery")
-	}
-}
+// TestStoreCombinedDLCheckerHasTeeth is storeTooth over the combining
+// path at denseShape.
+func TestStoreCombinedDLCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Combined, denseShape) }
 
 // TestStoreCombinedAddsCrashSafety is the net-delta battery: windows of
 // ±1 deltas over a few hot counters, crash countdowns on the combiner
@@ -107,11 +54,10 @@ func TestStoreCombinedAddsCrashSafety(t *testing.T) {
 			for _, cm := range crashModes {
 				for _, seed := range seeds {
 					st := newCrashStore(t, policy)
-					opts := DefaultStoreOptions(seed, cm)
 					// Coalescing collapses a whole round's adds into ~100
-					// instrumented instructions per combiner thread;
-					// tighten the countdowns so crashes still land mid-run.
-					opts.MinCrash, opts.MaxCrash = 10, 150
+					// instrumented instructions per combiner thread, so the
+					// countdowns are tight enough to land mid-run.
+					opts := StoreOptions{MinCrash: 10, MaxCrash: 150, CrashMode: cm, Seed: seed}
 					verdict, err := RunStoreCombinedAdds(st, opts, 16, 4, false)
 					if err != nil {
 						t.Fatal(err)
@@ -136,8 +82,7 @@ func TestStoreCombinedAddsCheckerHasTeeth(t *testing.T) {
 	caught := false
 	for seed := int64(1); seed <= 4 && !caught; seed++ {
 		st := newCrashStore(t, core.PolicyNoPersist)
-		opts := DefaultStoreOptions(seed, pmem.DropUnfenced)
-		opts.MinCrash, opts.MaxCrash = 10, 150
+		opts := StoreOptions{MinCrash: 10, MaxCrash: 150, CrashMode: pmem.DropUnfenced, Seed: seed}
 		verdict, err := RunStoreCombinedAdds(st, opts, 16, 4, true)
 		if err != nil {
 			t.Fatal(err)

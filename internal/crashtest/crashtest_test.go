@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"flit/internal/core"
@@ -36,11 +37,72 @@ func setShape(seed int64) dlcheck.Options {
 	return dlcheck.Options{Workers: 4, OpsPerWorker: 120, KeyRange: 24, Prefill: 12, Budget: 32, Seed: seed}
 }
 
+// crashSetMidRun is the set battery's countdown round at shape: it
+// inserts keys [0, shape.Prefill), arms a seeded countdown of 50 to 4000
+// instructions on each of shape.Workers threads, and runs their recorded
+// operations until each crashes or finishes its shape.OpsPerWorker. The cm
+// image is recovered and checked against the history; the recovered
+// instance, rebuilt from whatever the crash left dirty, is returned for
+// further use.
+func crashSetMidRun(cfg dstruct.Config, target Target, shape dlcheck.Options, cm pmem.CrashMode) (*hist.Violation, Instance) {
+	inst := target.New(cfg)
+	setup := inst.Set.NewThread()
+	initial := make(map[uint64]bool, shape.Prefill)
+	for k := range uint64(shape.Prefill) {
+		setup.Insert(k, k+1000)
+		initial[k] = true
+	}
+	setup.Close()
+
+	clock := &hist.Clock{}
+	rng := rand.New(rand.NewSource(shape.Seed))
+	recs := make([]*hist.Recorder, shape.Workers)
+	threads := make([]dstruct.SetThread, shape.Workers)
+	seeds := make([]int64, shape.Workers)
+	for w := range threads {
+		recs[w], threads[w], seeds[w] = hist.NewRecorder(clock), inst.Set.NewThread(), rng.Int63()
+		threads[w].(interface{ Ctx() *dstruct.Ctx }).Ctx().T.SetCrashAfter(50 + rng.Int63n(3951))
+	}
+	var wg sync.WaitGroup
+	for w := range threads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(seeds[w]))
+			pmem.RunToCrash(func() {
+				for range shape.OpsPerWorker {
+					kind, key := hist.Kind(wrng.Intn(3)), uint64(wrng.Intn(shape.KeyRange))
+					tok := recs[w].Begin(kind, key)
+					recs[w].Finish(tok, applySet(threads[w], kind, key))
+				}
+			})
+		}()
+	}
+	wg.Wait()
+
+	wm := cfg.Heap.Watermark()
+	img := cfg.Heap.Mem().CrashImage(cm, shape.Seed^crashSeed)
+	// Only now: releasing a pmem thread discards the write-backs a crashed
+	// worker left pending, which the image above had to see.
+	for _, th := range threads {
+		th.Close()
+	}
+	cfg2 := cfg
+	cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), wm)
+	rec := target.Recover(cfg2)
+	final := make(map[uint64]bool)
+	for k := range rec.Snapshot() {
+		final[k] = true
+	}
+	return hist.Check(recs, initial, final), rec
+}
+
 // TestDurableLinearizability is the central correctness experiment: every
 // structure × durability mode × policy, across seeds, at setShape. Each
 // checked boundary's fenced prefix and eviction image must recover a state
-// explainable by some linearization, and the structure recovered from the
-// final image must stay usable.
+// explainable by some linearization; so must a RandomSubset image of a
+// countdown crash that lands mid-operation. The structures recovered from
+// that image and from the enumerated run's final image must stay usable.
 func TestDurableLinearizability(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
@@ -62,9 +124,15 @@ func TestDurableLinearizability(t *testing.T) {
 						if rep := dlcheck.RunSet(cfg, target.Target, setShape(seed)); rep.Violation != nil {
 							t.Fatalf("seed %d: %v", seed, rep.Violation)
 						}
-						th := target.Recover(recoverOnto(cfg)).Set.NewThread()
-						if !th.Insert(9999, 1) || !th.Contains(9999) || !th.Delete(9999) {
-							t.Fatalf("seed %d: recovered set inoperable", seed)
+						v, crashed := crashSetMidRun(dlcheck.NewConfig(pol, mode), target, setShape(seed), pmem.RandomSubset)
+						if v != nil {
+							t.Fatalf("seed %d, countdown crash: %v", seed, v)
+						}
+						for _, rec := range []Instance{target.Recover(recoverOnto(cfg)), crashed} {
+							th := rec.Set.NewThread()
+							if !th.Insert(9999, 1) || !th.Contains(9999) || !th.Delete(9999) {
+								t.Fatalf("seed %d: recovered set inoperable", seed)
+							}
 						}
 					}
 				})
@@ -101,13 +169,22 @@ func (b brokenPolicy) StorePrivate(t *pmem.Thread, a pmem.Addr, v uint64, p bool
 func (b brokenPolicy) PersistObject(t *pmem.Thread, a pmem.Addr, n int) {}
 
 func TestBrokenPolicyIsCaught(t *testing.T) {
-	// A policy that never persists must be detected: the prefilled
-	// completed inserts cannot survive.
+	// A policy that never persists must be detected, by the enumerator and
+	// by the countdown round: the prefilled completed inserts cannot
+	// survive.
+	broken := brokenPolicy{core.NewFliT(core.NewHashTable(1 << 14))}
 	for _, target := range Targets() {
 		t.Run(target.Name, func(t *testing.T) {
-			cfg := dlcheck.NewConfig(brokenPolicy{core.NewFliT(core.NewHashTable(1 << 14))}, dstruct.Automatic)
-			if rep := dlcheck.RunSet(cfg, target.Target, setShape(1)); rep.Violation == nil {
-				t.Fatal("broken policy passed the checker — the crash harness has no teeth")
+			if rep := dlcheck.RunSet(dlcheck.NewConfig(broken, dstruct.Automatic), target.Target, setShape(1)); rep.Violation == nil {
+				t.Fatal("broken policy passed the enumerator — the crash harness has no teeth")
+			}
+			caught := false
+			for seed := int64(1); seed <= 4 && !caught; seed++ {
+				v, _ := crashSetMidRun(dlcheck.NewConfig(broken, dstruct.Automatic), target, setShape(seed), pmem.DropUnfenced)
+				caught = v != nil
+			}
+			if !caught {
+				t.Fatal("broken policy passed the countdown round — it has no teeth")
 			}
 		})
 	}
@@ -115,34 +192,13 @@ func TestBrokenPolicyIsCaught(t *testing.T) {
 
 // TestPersistAllAlwaysCleanRecovers: under eADR-like semantics
 // (pmem.PersistAll) everything volatile persists, so even the NoPersist
-// policy must recover a durably linearizable state from a crash that lands
-// mid-operation.
+// policy must recover a durably linearizable state from countdown crashes
+// that land mid-operation.
 func TestPersistAllAlwaysCleanRecovers(t *testing.T) {
 	for _, target := range Targets() {
 		t.Run(target.Name, func(t *testing.T) {
 			cfg := dlcheck.NewConfig(core.NoPersist{}, dstruct.Automatic)
-			inst := target.New(cfg)
-			th := inst.Set.NewThread()
-			th.(interface{ Ctx() *dstruct.Ctx }).Ctx().T.SetCrashAfter(1500)
-			rec := hist.NewRecorder(&hist.Clock{})
-			rng := rand.New(rand.NewSource(77))
-			if !pmem.RunToCrash(func() {
-				for {
-					kind, key := hist.Kind(rng.Intn(3)), uint64(rng.Intn(24))
-					tok := rec.Begin(kind, key)
-					rec.Finish(tok, applySet(th, kind, key))
-				}
-			}) {
-				t.Fatal("the run ended without the crash")
-			}
-			img := cfg.Heap.Mem().CrashImage(pmem.PersistAll, 0)
-			cfg2 := cfg
-			cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), cfg.Heap.Watermark())
-			final := map[uint64]bool{}
-			for k := range target.Recover(cfg2).Snapshot() {
-				final[k] = true
-			}
-			if v := hist.Check([]*hist.Recorder{rec}, map[uint64]bool{}, final); v != nil {
+			if v, _ := crashSetMidRun(cfg, target, setShape(77), pmem.PersistAll); v != nil {
 				t.Fatalf("PersistAll violated: %v", v)
 			}
 		})

@@ -2,12 +2,15 @@ package crashtest
 
 import (
 	"fmt"
-	"maps"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flit/internal/core"
 	"flit/internal/dlcheck"
 	"flit/internal/dstruct"
+	"flit/internal/hist"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
 	"flit/internal/store"
@@ -34,27 +37,121 @@ func newCrashStoreMode(t *testing.T, policy string, mode dstruct.Mode) *store.St
 	return st
 }
 
-// storeShape is the service battery's shape: 200 keys loaded before the
-// recorded run, four workers of 96 operations over 300 keys, and a
+// storeShape is the service battery's wide shape: 200 keys loaded before
+// the recorded run, four workers of 96 operations over 300 keys, and a
 // strided sample of 32 boundaries per recorded execution.
 func storeShape(seed int64) dlcheck.Options {
 	return dlcheck.Options{Workers: 4, OpsPerWorker: 96, KeyRange: 300, Prefill: 200, Budget: 32, Seed: seed}
 }
 
-// storeBattery is the service-level analogue of TestDurableLinearizability
-// for one session mode: whole-store histories across sessions of an
-// eight-shard store, every checked boundary recovered shard-parallel and
-// checked per key, and the store recovered from the final image must
-// cover every shard and stay operational. The service layer leans on
-// Upsert's in-place value p-store, so the FliT policy runs under every
-// durability mode, the others under Automatic.
-func storeBattery(t *testing.T, sm store.SessionMode) {
-	seeds := []int64{1, 2}
-	policies := []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyLAP}
+// denseShape is the enumerator's default shape — few keys, so operations
+// contend on them — at every boundary (64 of them under -short).
+func denseShape(seed int64) dlcheck.Options {
+	opts := dlcheck.DefaultOptions(seed)
+	opts.Budget = 0
 	if testing.Short() {
-		seeds, policies = seeds[:1], policies[:2]
+		opts.Budget = 64
 	}
-	for _, policy := range policies {
+	return opts
+}
+
+// crashMidRun is the service battery's countdown round at shape: it puts
+// shape.Prefill keys, opens shape.Workers executors of mode sm, arms a
+// seeded countdown on every live thread of st's memory — the workers'
+// own, a batcher's, the combiners' — and runs each worker's recorded op
+// vectors until it crashes or finishes its shape.OpsPerWorker. A crash inside a vector leaves all of it pending.
+// The cm image is recovered shard-parallel and checked against the
+// history; the recovered store, rebuilt from whatever the crash left
+// dirty, is returned to carry on.
+func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlcheck.Options, cm pmem.CrashMode) (*hist.Violation, *store.Store) {
+	t.Helper()
+	load := store.Open[string](st, store.Direct)
+	for k := range uint64(shape.Prefill) {
+		load.Put(dlStoreKey(k), k)
+	}
+	load.Close()
+	initial := make(map[uint64]bool)
+	for h := range st.Snapshot() {
+		initial[h] = true
+	}
+
+	maxBatch := 1
+	if sm != store.Direct {
+		maxBatch = dlMaxBatch
+	}
+	newExec := executors(st, sm, maxBatch)
+	clock := &hist.Clock{}
+	rng := rand.New(rand.NewSource(shape.Seed))
+	recs := make([]*hist.Recorder, shape.Workers)
+	execs := make([]*dlExec, shape.Workers)
+	seeds := make([]int64, shape.Workers)
+	for w := range execs {
+		recs[w], execs[w], seeds[w] = hist.NewRecorder(clock), &dlExec{executor: newExec()}, rng.Int63()
+	}
+	// A store operation passes a handful of crash checks, so countdowns
+	// below four per operation land all through the run.
+	for _, th := range st.Mem().Threads() {
+		th.SetCrashAfter(1 + rng.Int63n(int64(4*shape.OpsPerWorker)))
+	}
+	var crashed atomic.Int64
+	var wg sync.WaitGroup
+	for w := range execs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(seeds[w]))
+			ops := make([]dlcheck.BatchOp, 0, maxBatch)
+			toks := make([]int, 0, maxBatch)
+			res := make([]bool, maxBatch)
+			if pmem.RunToCrash(func() {
+				for n := 0; n < shape.OpsPerWorker; n += len(ops) {
+					ops, toks = ops[:0], toks[:0]
+					for range min(1+wrng.Intn(maxBatch), shape.OpsPerWorker-n) {
+						op := dlcheck.BatchOp{Kind: hist.Kind(wrng.Intn(3)), Key: uint64(wrng.Intn(shape.KeyRange)), Val: uint64(n)}
+						ops = append(ops, op)
+						toks = append(toks, recs[w].Begin(op.Kind, store.HashKey(dlStoreKey(op.Key))))
+					}
+					execs[w].ExecBatch(ops, res)
+					for i, tok := range toks {
+						recs[w].Finish(tok, res[i])
+					}
+				}
+			}) {
+				crashed.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if crashed.Load() == 0 {
+		t.Fatal("no countdown fired: the round crashed nothing mid-run")
+	}
+
+	st2, rstats, final, err := recoverKeySet(st, st.Mem().CrashImage(cm, shape.Seed^crashSeed), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rstats.Shards) != st.NumShards() {
+		t.Fatalf("recovery covered %d shards, want %d", len(rstats.Shards), st.NumShards())
+	}
+	return hist.Check(recs, initial, final), st2
+}
+
+// storeBattery is the service-level analogue of TestDurableLinearizability
+// for one session mode at one shape, over every policy: the FliT policy
+// under every durability mode (the service layer leans on Upsert's
+// in-place value p-store), the others under Automatic. Per seed, the
+// enumerator checks whole-store histories across sessions at every
+// (budgeted) persist boundary, each recovered shard-parallel and checked
+// per key; then an eight-shard store crashes mid-run at the same shape
+// and its RandomSubset image must check too. The stores recovered from
+// that image and from the enumerated run's final image must stay
+// operational.
+func storeBattery(t *testing.T, sm store.SessionMode, shape func(seed int64) dlcheck.Options) {
+	seeds := []int64{1, 2}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, policy := range []string{core.PolicyHT, core.PolicyAdjacent, core.PolicyPlain, core.PolicyIz, core.PolicyLAP} {
 		modes := []dstruct.Mode{dstruct.Automatic}
 		if policy == core.PolicyHT {
 			modes = dstruct.Modes
@@ -62,20 +159,30 @@ func storeBattery(t *testing.T, sm store.SessionMode) {
 		t.Run(policy, func(t *testing.T) {
 			for _, mode := range modes {
 				for _, seed := range seeds {
-					st := newCrashStoreMode(t, policy, mode)
-					if rep := RunStoreDL(st, sm, 0, storeShape(seed)); rep.Violation != nil {
+					st := newDLStore(t, policy, mode)
+					rep := RunStoreDL(st, sm, 0, shape(seed))
+					if rep.Violation != nil {
 						t.Fatalf("mode %v seed %d: %v", mode, seed, rep.Violation)
 					}
-					st2, rstats, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
+					if rep.Points < 2 {
+						t.Fatalf("mode %v seed %d: only %d crash points checked", mode, seed, rep.Points)
+					}
+					if policy == core.PolicyHT && rep.LiveTags != 0 {
+						t.Fatalf("mode %v seed %d: %d live tags after the run", mode, seed, rep.LiveTags)
+					}
+					v, crashed := crashMidRun(t, newCrashStoreMode(t, policy, mode), sm, shape(seed), pmem.RandomSubset)
+					if v != nil {
+						t.Fatalf("mode %v seed %d, countdown crash: %v", mode, seed, v)
+					}
+					final, _, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(rstats.Shards) != 8 {
-						t.Fatalf("recovery covered %d shards, want 8", len(rstats.Shards))
-					}
-					sess := store.Open[string](st2, store.Direct)
-					if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
-						t.Fatalf("mode %v seed %d: recovered store inoperable", mode, seed)
+					for _, rec := range []*store.Store{final, crashed} {
+						sess := store.Open[string](rec, store.Direct)
+						if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
+							t.Fatalf("mode %v seed %d: recovered store inoperable", mode, seed)
+						}
 					}
 				}
 			}
@@ -83,46 +190,47 @@ func storeBattery(t *testing.T, sm store.SessionMode) {
 	}
 }
 
-// storeTooth runs the service shape over the no-persist baseline: the
-// loaded keys never persist, so the battery must report a violation.
-func storeTooth(t *testing.T, sm store.SessionMode) {
-	if rep := RunStoreDL(newCrashStore(t, core.PolicyNoPersist), sm, 0, storeShape(1)); rep.Violation == nil {
-		t.Fatalf("no-persist store passed the %v battery — it has no teeth", sm)
+// storeTooth runs storeBattery's two checks at shape over the no-persist
+// baseline: the loaded keys never persist, so each must report a
+// violation.
+func storeTooth(t *testing.T, sm store.SessionMode, shape func(seed int64) dlcheck.Options) {
+	if rep := RunStoreDL(newDLStore(t, core.PolicyNoPersist, dstruct.Automatic), sm, 0, shape(1)); rep.Violation == nil {
+		t.Fatalf("no-persist store passed the %v enumeration — it has no teeth", sm)
+	}
+	if v, _ := crashMidRun(t, newCrashStore(t, core.PolicyNoPersist), sm, shape(1), pmem.DropUnfenced); v == nil {
+		t.Fatalf("no-persist store passed the %v countdown crash — it has no teeth", sm)
 	}
 }
 
 // TestStoreDurableLinearizability is storeBattery over Direct sessions.
-func TestStoreDurableLinearizability(t *testing.T) { storeBattery(t, store.Direct) }
+func TestStoreDurableLinearizability(t *testing.T) { storeBattery(t, store.Direct, storeShape) }
 
 // TestStoreCheckerHasTeeth is storeTooth over Direct sessions.
-func TestStoreCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Direct) }
+func TestStoreCheckerHasTeeth(t *testing.T) { storeTooth(t, store.Direct, storeShape) }
 
 // TestStoreRepeatedCrashCycles chains crash→recover→mutate rounds on one
-// store lineage: each round's writes leave the store quiescent, the
-// DropUnfenced image must recover exactly what they acknowledged, and the
-// recovered store carries the next round.
+// store lineage: each round crashes four workers mid-operation, its
+// RandomSubset image must check against the round's history, and the
+// store recovered from it — dirty buckets and all — is loaded, mutated
+// and crashed again in the next round.
 func TestStoreRepeatedCrashCycles(t *testing.T) {
 	st := newCrashStore(t, core.PolicyHT)
-	workload.Load(st, 300, 2)
 	rounds := 4
 	if testing.Short() {
 		rounds = 2
 	}
 	for round := 0; round < rounds; round++ {
+		shape := dlcheck.Options{Workers: 4, OpsPerWorker: 96, KeyRange: 400, Prefill: 300, Seed: int64(100 + round)}
+		v, st2 := crashMidRun(t, st, store.Direct, shape, pmem.RandomSubset)
+		if v != nil {
+			t.Fatalf("round %d: %v", round, v)
+		}
+		st = st2
+		// Mutate between crashes so each round persists fresh state.
 		sess := store.Open[string](st, store.Direct)
 		for i := 0; i < 50; i++ {
 			sess.Put(fmt.Sprintf("round%d-%d", round, i), uint64(i))
-			sess.Delete(workload.Key(uint64(round*50 + i)))
 		}
-		want := st.Snapshot()
-		st2, _, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := st2.Snapshot(); !maps.Equal(got, want) {
-			t.Fatalf("round %d: recovered %d keys, the acknowledged store held %d", round, len(got), len(want))
-		}
-		st = st2
 	}
 }
 
