@@ -110,11 +110,9 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 		sc.KeyRange = min
 	}
 
-	initial := make(map[uint64]bool)
-	for k := range st.Snapshot() {
-		initial[k] = true
-	}
+	initial := st.Snapshot()
 
+	wireKinds := storeKinds(store.Batched)
 	srv := server.New(st, sc.Server)
 	clock := &hist.Clock{}
 	rng := rand.New(rand.NewSource(seed))
@@ -191,6 +189,7 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 
 			budget := sc.OpsPerConn
 			toks := make([]int, 0, sc.Depth)
+			opKinds := make([]store.OpKind, 0, sc.Depth)
 			sawDraining := false
 			firstWindow := true
 			for budget > 0 && !sawDraining {
@@ -207,16 +206,17 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 					depth = budget
 				}
 				budget -= depth
-				toks = toks[:0]
+				toks, opKinds = toks[:0], opKinds[:0]
 				for i := 0; i < depth; i++ {
 					idx := uint64(wrng.Int63()) % sc.KeyRange
 					key := fmt.Sprintf("chaos-%d", idx)
 					hk := store.HashKey(key)
-					kind := hist.Kind(wrng.Intn(3))
-					toks = append(toks, rec.Begin(kind, hk))
-					req, err := server.WireRequest(opFor(kind, key, uint64(budget+i)))
+					kind := wireKinds[wrng.Intn(len(wireKinds))]
+					op := opFor(kind, key, uint64(budget+i))
+					toks, opKinds = append(toks, rec.Begin(kind, hk, op.Val)), append(opKinds, op.Kind)
+					req, err := server.WireRequest(op)
 					if err != nil {
-						panic(err) // opFor spells no op without an opcode
+						panic(err) // the wire alphabet has an opcode for every kind
 					}
 					c.Send(&req)
 				}
@@ -243,7 +243,8 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 						aShed++
 						sawDraining = true
 					default:
-						rec.Finish(toks[i], resp.Flag)
+						r := server.WireResult(opKinds[i], resp)
+						rec.Finish(toks[i], hist.Answer{Ok: r.Ok, Out: r.Val})
 						aAck++
 					}
 				}
@@ -282,8 +283,8 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	}
 	stats := srv.Stats()
 
-	img := st.Mem().CrashImage(pmem.DropUnfenced, seed^crashSeed)
-	_, rstats, final, err := recoverKeySet(st, img, nil, 0)
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 0)
+	_, rstats, final, err := recoverContents(st, img, nil, 0)
 	if err != nil {
 		return ChaosVerdict{}, fmt.Errorf("chaos %q: recover: %w", sc.Name, err)
 	}

@@ -1,8 +1,9 @@
 // Package crashtest wires the durable structures, the queue and the
-// sharded store into the crash batteries: the registry of set targets
-// and the store's executors for the systematic enumerator
-// (internal/dlcheck), the chaos harness at the service boundary, and the
-// net-delta battery of the combining path.
+// sharded store into the crash batteries: the registry of set targets,
+// the store's executors and per-path alphabets (Put, Get, Delete, Add;
+// a Combined session's Adds recorded blind) for the systematic
+// enumerator (internal/dlcheck), and the chaos harness at the service
+// boundary.
 package crashtest
 
 import (

@@ -47,10 +47,10 @@ func setShape(seed int64) dlcheck.Options {
 func crashSetMidRun(cfg dstruct.Config, target Target, shape dlcheck.Options, cm pmem.CrashMode) (*hist.Violation, Instance) {
 	inst := target.New(cfg)
 	setup := inst.Set.NewThread()
-	initial := make(map[uint64]bool, shape.Prefill)
+	initial := make(map[uint64]uint64, shape.Prefill)
 	for k := range uint64(shape.Prefill) {
 		setup.Insert(k, k+1000)
-		initial[k] = true
+		initial[k] = k + 1000
 	}
 	setup.Close()
 
@@ -70,10 +70,10 @@ func crashSetMidRun(cfg dstruct.Config, target Target, shape dlcheck.Options, cm
 			defer wg.Done()
 			wrng := rand.New(rand.NewSource(seeds[w]))
 			pmem.RunToCrash(func() {
-				for range shape.OpsPerWorker {
+				for n := range uint64(shape.OpsPerWorker) {
 					kind, key := hist.Kind(wrng.Intn(3)), uint64(wrng.Intn(shape.KeyRange))
-					tok := recs[w].Begin(kind, key)
-					recs[w].Finish(tok, applySet(threads[w], kind, key))
+					tok := recs[w].Begin(kind, key, n)
+					recs[w].Finish(tok, applySet(threads[w], kind, key, n))
 				}
 			})
 		}()
@@ -90,11 +90,7 @@ func crashSetMidRun(cfg dstruct.Config, target Target, shape dlcheck.Options, cm
 	cfg2 := cfg
 	cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), wm)
 	rec := target.Recover(cfg2)
-	final := make(map[uint64]bool)
-	for k := range rec.Snapshot() {
-		final[k] = true
-	}
-	return hist.Check(recs, initial, final), rec
+	return hist.Check(recs, initial, rec.Snapshot()), rec
 }
 
 // TestDurableLinearizability is the central correctness experiment: every

@@ -54,8 +54,9 @@ const dlMaxBatch = 6
 
 // RunStoreDL runs the systematic checker against a whole store reached
 // through sessions of the given mode: workers record service-level
-// histories, and every (budgeted) persist boundary is recovered with the
-// store's superblock probe and shard-parallel rebuild before checking.
+// histories over storeKinds(mode), and every (budgeted) persist boundary
+// is recovered with the store's superblock probe and shard-parallel
+// rebuild, then checked key by key and value by value.
 // Direct sessions are recorded per operation; Batched (the server's
 // group-commit executor) and Combined (the per-shard flat combiners, whose
 // windows may merge several sessions' vectors) pipeline vectors of varying
@@ -94,9 +95,10 @@ func RunStoreDL(st *store.Store, mode store.SessionMode, reshardTo int, opts dlc
 		Mem:        st.Mem(),
 		Policy:     st.Policy(),
 		MaxBatch:   maxBatch,
-		NewSession: func() dlcheck.BatchExecutor { return &dlExec{executor: newExec()} },
-		Recover: func(img []uint64) (map[uint64]bool, error) {
-			_, _, final, err := recoverKeySet(st, img, back, reshardTo)
+		NewSession: func() dlcheck.BatchExecutor { return newExec() },
+		Kinds:      storeKinds(mode),
+		Recover: func(img []uint64) (map[uint64]uint64, error) {
+			_, _, final, err := recoverContents(st, img, back, reshardTo)
 			return final, err
 		},
 	}, opts)

@@ -112,7 +112,7 @@ func TestStoreModesOneContract(t *testing.T) {
 
 				// No session is closed and nothing more is fenced: the image
 				// holds exactly what the returned results made durable.
-				st2, _, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
+				st2, _, _, err := recoverContents(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
 				if err != nil {
 					t.Fatalf("%s: recover: %v", path.name, err)
 				}

@@ -136,6 +136,39 @@ var mutants = []mutant{
 	pol.StorePrivate(c.T, head, uint64(node), core.P)`,
 		replacement: `	pol.StorePrivate(c.T, head, uint64(node), core.P)`,
 	},
+	{
+		// Put's in-place overwrite of a present key stops persisting: the
+		// key survives a crash with its old value.
+		name:        "upsert-overwrite-volatile",
+		origin:      "Upsert's in-place value p-store",
+		file:        "internal/dstruct/list/list.go",
+		snippet:     `pol.Store(c.T, c.Field(curr, fVal), val, core.P)`,
+		replacement: `pol.Store(c.T, c.Field(curr, fVal), val, core.V)`,
+	},
+	{
+		// The combiner acknowledges a window before it applies the
+		// window's coalesced Add deltas, so a crash after the ack loses
+		// an acknowledged Add.
+		name:   "window-acks-before-deltas",
+		origin: "net deltas settle before the window's fence",
+		file:   "internal/store/combine.go",
+		snippet: `	c.flushDeltas()
+	// THE fence: one Flush persists the whole window (each dirty line
+	// drained once via the coalescing write-back queue) and releases the
+	// deferred flit-tags; a window that left nothing pending needs none.
+	// Only now are the window's results durable.
+	c.d.Flush(c.t)
+	for _, sl := range c.served {
+		sl.state.Store(slotDone)
+	}
+`,
+		replacement: `	c.d.Flush(c.t)
+	for _, sl := range c.served {
+		sl.state.Store(slotDone)
+	}
+	c.flushDeltas()
+`,
+	},
 }
 
 // moduleRoot is the root of the tree this package was built from.

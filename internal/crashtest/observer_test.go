@@ -72,10 +72,11 @@ func recoverOnto(cfg dstruct.Config) dstruct.Config {
 	return cfg2
 }
 
-// applySet runs one checker operation on a set handle.
-func applySet(th dstruct.SetThread, kind hist.Kind, key uint64) bool {
-	var res [1]bool
-	dlcheck.SetExecutor{Th: th}.ExecBatch([]dlcheck.BatchOp{{Kind: kind, Key: key, Val: 7}}, res[:])
+// applySet runs one checker operation on a set handle; an Insert writes
+// val.
+func applySet(th dstruct.SetThread, kind hist.Kind, key, val uint64) hist.Answer {
+	var res [1]hist.Answer
+	dlcheck.SetExecutor{Th: th}.ExecBatch([]dlcheck.BatchOp{{Kind: kind, Key: key, Val: val}}, res[:])
 	return res[0]
 }
 
@@ -102,32 +103,29 @@ func TestObserverPersistsWhatItSaw(t *testing.T) {
 							inst := target.New(cfg)
 							// The writer toggles the key: a Delete finds it
 							// prefilled, an Insert finds it missing.
-							initial := map[uint64]bool{}
+							initial := map[uint64]uint64{}
 							setup := inst.Set.NewThread()
 							for k := uint64(0); k < 10; k++ {
 								if k != key || writer == hist.Delete {
 									setup.Insert(k, k+100)
-									initial[k] = true
+									initial[k] = k + 100
 								}
 							}
 							clock := &hist.Clock{}
 							wrec, orec := hist.NewRecorder(clock), hist.NewRecorder(clock)
 							w := inst.Set.NewThread()
-							wrec.Begin(writer, key)
+							wrec.Begin(writer, key, 7)
 							*pol.stallIn = stallAt
-							if !pmem.RunToCrash(func() { applySet(w, writer, key) }) {
+							if !pmem.RunToCrash(func() { applySet(w, writer, key, 7) }) {
 								return // stallAt is past the operation's last p-CAS
 							}
-							tok := orec.Begin(observer, key)
-							orec.Finish(tok, applySet(inst.Set.NewThread(), observer, key))
+							tok := orec.Begin(observer, key, 8)
+							orec.Finish(tok, applySet(inst.Set.NewThread(), observer, key, 8))
 
-							final := map[uint64]bool{}
-							for k := range target.Recover(recoverOnto(cfg)).Snapshot() {
-								final[k] = true
-							}
+							final := target.Recover(recoverOnto(cfg)).Snapshot()
 							if v := hist.Check([]*hist.Recorder{wrec, orec}, initial, final); v != nil {
 								t.Fatalf("writer frozen after p-CAS %d, observer answered %v: %v",
-									stallAt, orec.Ops()[0].Result, v)
+									stallAt, orec.Ops()[0].Ok, v)
 							}
 						}
 					})
@@ -152,12 +150,12 @@ func frozenScenario(target Target, mode dstruct.Mode, absent []uint64, writers [
 	pol := newStallFliT(-1)
 	cfg := dlcheck.NewConfig(pol, mode)
 	inst := target.New(cfg)
-	initial := map[uint64]bool{}
+	initial := map[uint64]uint64{}
 	setup := inst.Set.NewThread()
 	for k := uint64(1); k < 10; k++ {
 		if !slices.Contains(absent, k) {
 			setup.Insert(k, k+100)
-			initial[k] = true
+			initial[k] = k + 100
 		}
 	}
 	clock := &hist.Clock{}
@@ -165,23 +163,19 @@ func frozenScenario(target Target, mode dstruct.Mode, absent []uint64, writers [
 	for i, w := range writers {
 		rec := hist.NewRecorder(clock)
 		recs = append(recs, rec)
-		rec.Begin(w.kind, w.key)
+		rec.Begin(w.kind, w.key, 7)
 		*pol.stallIn = stallAt[i]
-		if !pmem.RunToCrash(func() { applySet(inst.Set.NewThread(), w.kind, w.key) }) {
+		if !pmem.RunToCrash(func() { applySet(inst.Set.NewThread(), w.kind, w.key, 7) }) {
 			return nil, false
 		}
 	}
 	for _, o := range observers {
 		rec := hist.NewRecorder(clock)
 		recs = append(recs, rec)
-		tok := rec.Begin(o.kind, o.key)
-		rec.Finish(tok, applySet(inst.Set.NewThread(), o.kind, o.key))
+		tok := rec.Begin(o.kind, o.key, 8)
+		rec.Finish(tok, applySet(inst.Set.NewThread(), o.kind, o.key, 8))
 	}
-	final := map[uint64]bool{}
-	for k := range target.Recover(recoverOnto(cfg)).Snapshot() {
-		final[k] = true
-	}
-	return hist.Check(recs, initial, final), true
+	return hist.Check(recs, initial, target.Recover(recoverOnto(cfg)).Snapshot()), true
 }
 
 // forEachFrozenCell runs body on every lock-free target × durability mode

@@ -55,57 +55,72 @@ func (e *batcherExec) exec(ops []store.Op[string], res []store.Result) {
 	}
 }
 
-// executors returns a factory of per-worker executors for mode; Batched
-// ones share one in-process server capped at maxBatch ops per commit.
-func executors(st *store.Store, mode store.SessionMode, maxBatch int) func() executor {
+// storeKinds is the operation alphabet the checker records on a store
+// path: Put, Get, Delete and Add — but no Add through the server, whose
+// wire has no ADD opcode.
+func storeKinds(mode store.SessionMode) []hist.Kind {
+	kinds := []hist.Kind{hist.Put, hist.Get, hist.Delete, hist.Add}
 	if mode == store.Batched {
-		srv := server.New(st, server.Options{MaxBatch: maxBatch})
-		return func() executor { return &batcherExec{b: srv.NewBatcher()} }
+		return kinds[:3]
 	}
-	return func() executor { return sessExec{store.Open[string](st, mode)} }
+	return kinds
 }
 
-// opFor spells a checker operation as a store op (Put ≡ set-Insert:
-// true iff the key was newly inserted).
-func opFor(kind hist.Kind, key string, val uint64) store.Op[string] {
-	switch kind {
-	case hist.Insert:
-		return store.Op[string]{Kind: store.OpPut, Key: key, Val: val}
-	case hist.Delete:
-		return store.Op[string]{Kind: store.OpDelete, Key: key}
-	default:
-		return store.Op[string]{Kind: store.OpContains, Key: key}
+// executors returns a factory of per-worker executors for mode; Batched
+// ones share one in-process server capped at maxBatch ops per commit.
+func executors(st *store.Store, mode store.SessionMode, maxBatch int) func() *dlExec {
+	if mode == store.Batched {
+		srv := server.New(st, server.Options{MaxBatch: maxBatch})
+		return func() *dlExec { return &dlExec{executor: &batcherExec{b: srv.NewBatcher()}} }
 	}
+	return func() *dlExec {
+		return &dlExec{executor: sessExec{store.Open[string](st, mode)}, blindAdds: mode == store.Combined}
+	}
+}
+
+// storeOps spells the checker's store kinds as store ops.
+var storeOps = map[hist.Kind]store.OpKind{hist.Put: store.OpPut, hist.Get: store.OpGet, hist.Delete: store.OpDelete, hist.Add: store.OpAdd}
+
+// opFor spells a checker operation of a store alphabet as a store op.
+func opFor(kind hist.Kind, key string, val uint64) store.Op[string] {
+	op, ok := storeOps[kind]
+	if !ok {
+		panic(fmt.Sprintf("crashtest: the store has no %v", kind))
+	}
+	return store.Op[string]{Kind: op, Key: key, Val: val}
 }
 
 // dlExec adapts an executor to the enumerator's uint64 key space.
 type dlExec struct {
 	executor
-	ops []store.Op[string]
-	res []store.Result
+	// blindAdds: the session coalesces Adds and answers none (Combined).
+	blindAdds bool
+	ops       []store.Op[string]
+	res       []store.Result
 }
 
-func (e *dlExec) ExecBatch(ops []dlcheck.BatchOp, results []bool) {
+func (e *dlExec) ExecBatch(ops []dlcheck.BatchOp, results []hist.Answer) {
 	e.ops, e.res = e.ops[:0], e.res[:0]
 	for _, op := range ops {
 		e.ops = append(e.ops, opFor(op.Kind, dlStoreKey(op.Key), op.Val))
 		e.res = append(e.res, store.Result{})
 	}
 	e.exec(e.ops, e.res)
-	for i := range e.res {
-		results[i] = e.res[i].Ok
+	for i, r := range e.res {
+		results[i] = hist.Answer{Ok: r.Ok, Out: r.Val, Blind: e.blindAdds && ops[i].Kind == hist.Add}
 	}
 }
 
-// recoverKeySet rebuilds st from the crash image img — superblock probe
+// recoverContents rebuilds st from the crash image img — superblock probe
 // plus shard-parallel recovery, under st's heap watermark as read now
 // (after every allocation the crashed run made, so recovery can never
 // allocate below anything it persisted) — and returns the recovered store
-// with its key set. A non-nil back translates each recovered hash; a hash
-// outside it is a key no recorded operation could have written (phantom).
-// With reshardTo > 0 the image is recovered through store.Reshard to that
-// shard count instead.
-func recoverKeySet(st *store.Store, img []uint64, back map[uint64]uint64, reshardTo int) (*store.Store, store.RecoveryStats, map[uint64]bool, error) {
+// with its contents, key → value. A non-nil back translates each
+// recovered hash; a hash outside it is a key no recorded operation could
+// have written (phantom). The checker reads the values as payloads
+// (hist.ValueMask ≡ store.ValueMask: LAP's dirty bit drops out). With
+// reshardTo > 0 the image is recovered through store.Reshard instead.
+func recoverContents(st *store.Store, img []uint64, back map[uint64]uint64, reshardTo int) (*store.Store, store.RecoveryStats, map[uint64]uint64, error) {
 	mem2 := pmem.NewFromImage(img, st.Mem().Config())
 	rebuild := store.Recover
 	if reshardTo > 0 {
@@ -117,16 +132,17 @@ func recoverKeySet(st *store.Store, img []uint64, back map[uint64]uint64, reshar
 	if err != nil {
 		return nil, rstats, nil, err
 	}
-	keys := make(map[uint64]bool)
-	for h := range st2.Snapshot() {
-		k := h
-		if back != nil {
-			var ok bool
-			if k, ok = back[h]; !ok {
-				return nil, rstats, nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
-			}
+	contents := st2.Snapshot()
+	if back == nil {
+		return st2, rstats, contents, nil
+	}
+	keys := make(map[uint64]uint64, len(contents))
+	for h, v := range contents {
+		k, ok := back[h]
+		if !ok {
+			return nil, rstats, nil, fmt.Errorf("recovered key hash %#x is outside the checker's namespace (phantom key)", h)
 		}
-		keys[k] = true
+		keys[k] = v
 	}
 	return st2, rstats, keys, nil
 }

@@ -55,14 +55,21 @@ func denseShape(seed int64) dlcheck.Options {
 	return opts
 }
 
+// crashSeed decorrelates a crash image's RandomSubset draws from the
+// round's workload seed.
+const crashSeed = 0x5ca1ab1e
+
 // crashMidRun is the service battery's countdown round at shape: it puts
 // shape.Prefill keys, opens shape.Workers executors of mode sm, arms a
 // seeded countdown on every live thread of st's memory — the workers'
 // own, a batcher's, the combiners' — and runs each worker's recorded op
-// vectors until it crashes or finishes its shape.OpsPerWorker. A crash inside a vector leaves all of it pending.
+// vectors, drawn from the enumerator's alphabet for sm (storeKinds), until
+// it crashes or finishes its shape.OpsPerWorker. A crash inside a vector
+// leaves all of it pending; a countdown firing on a combiner kills the
+// whole process and leaves every window in flight pending, Adds and all.
 // The cm image is recovered shard-parallel and checked against the
-// history; the recovered store, rebuilt from whatever the crash left
-// dirty, is returned to carry on.
+// history, values included; the recovered store, rebuilt from whatever
+// the crash left dirty, is returned to carry on.
 func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlcheck.Options, cm pmem.CrashMode) (*hist.Violation, *store.Store) {
 	t.Helper()
 	load := store.Open[string](st, store.Direct)
@@ -70,23 +77,21 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 		load.Put(dlStoreKey(k), k)
 	}
 	load.Close()
-	initial := make(map[uint64]bool)
-	for h := range st.Snapshot() {
-		initial[h] = true
-	}
+	initial := st.Snapshot()
 
 	maxBatch := 1
 	if sm != store.Direct {
 		maxBatch = dlMaxBatch
 	}
 	newExec := executors(st, sm, maxBatch)
+	kinds := storeKinds(sm)
 	clock := &hist.Clock{}
 	rng := rand.New(rand.NewSource(shape.Seed))
 	recs := make([]*hist.Recorder, shape.Workers)
 	execs := make([]*dlExec, shape.Workers)
 	seeds := make([]int64, shape.Workers)
 	for w := range execs {
-		recs[w], execs[w], seeds[w] = hist.NewRecorder(clock), &dlExec{executor: newExec()}, rng.Int63()
+		recs[w], execs[w], seeds[w] = hist.NewRecorder(clock), newExec(), rng.Int63()
 	}
 	// A store operation passes a handful of crash checks, so countdowns
 	// below four per operation land all through the run.
@@ -102,14 +107,17 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 			wrng := rand.New(rand.NewSource(seeds[w]))
 			ops := make([]dlcheck.BatchOp, 0, maxBatch)
 			toks := make([]int, 0, maxBatch)
-			res := make([]bool, maxBatch)
+			res := make([]hist.Answer, maxBatch)
 			if pmem.RunToCrash(func() {
 				for n := 0; n < shape.OpsPerWorker; n += len(ops) {
 					ops, toks = ops[:0], toks[:0]
 					for range min(1+wrng.Intn(maxBatch), shape.OpsPerWorker-n) {
-						op := dlcheck.BatchOp{Kind: hist.Kind(wrng.Intn(3)), Key: uint64(wrng.Intn(shape.KeyRange)), Val: uint64(n)}
+						op := dlcheck.BatchOp{Kind: kinds[wrng.Intn(len(kinds))], Key: uint64(wrng.Intn(shape.KeyRange)), Val: uint64(n)}
+						if op.Kind == hist.Add {
+							op.Val = uint64(2*wrng.Intn(2) - 1)
+						}
 						ops = append(ops, op)
-						toks = append(toks, recs[w].Begin(op.Kind, store.HashKey(dlStoreKey(op.Key))))
+						toks = append(toks, recs[w].Begin(op.Kind, store.HashKey(dlStoreKey(op.Key)), op.Val))
 					}
 					execs[w].ExecBatch(ops, res)
 					for i, tok := range toks {
@@ -126,7 +134,7 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 		t.Fatal("no countdown fired: the round crashed nothing mid-run")
 	}
 
-	st2, rstats, final, err := recoverKeySet(st, st.Mem().CrashImage(cm, shape.Seed^crashSeed), nil, 0)
+	st2, rstats, final, err := recoverContents(st, st.Mem().CrashImage(cm, shape.Seed^crashSeed), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +182,7 @@ func storeBattery(t *testing.T, sm store.SessionMode, shape func(seed int64) dlc
 					if v != nil {
 						t.Fatalf("mode %v seed %d, countdown crash: %v", mode, seed, v)
 					}
-					final, _, _, err := recoverKeySet(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
+					final, _, _, err := recoverContents(st, st.Mem().CrashImage(pmem.DropUnfenced, 0), nil, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -31,11 +31,12 @@
 //     fence drains its own queue — a link flushed behind its node, one
 //     fence for both — is invisible to every prefix and shows only here.
 //
-// Scope: the hist checkers decide key membership (and, for queues,
-// FIFO order) — values are not modeled, so a crash that loses an
-// in-place value overwrite while the key survives is invisible here;
-// the store's Upsert value durability is covered by its own test
-// (internal/store TestUpsertValueDurability).
+// Scope: the hist checkers decide a map's sequential specification —
+// which keys a recovered structure holds and the value of each — and,
+// for queues, FIFO order. Each harness names its operation alphabet
+// (Harness.Kinds): the sets run Insert, Delete and Contains; the store
+// runs Put, Get, Delete and, where its path has one, Add, whose blind
+// Combined form has its effect checked and no answer.
 //
 // Soundness leans on the trace's stamping discipline (see
 // pmem.PersistRecord): a record's stamp is drawn before its shadow write,
@@ -139,12 +140,13 @@ func (o Options) Normalized() Options {
 	return o
 }
 
-// BatchOp is one operation of a recorded execution (hist.Insert maps to
-// the store's Put: true iff newly inserted).
+// BatchOp is one operation of a recorded execution, with the semantics
+// of its hist.Kind.
 type BatchOp struct {
 	Kind hist.Kind
 	Key  uint64
-	Val  uint64
+	// Val is the value Insert and Put write, the delta Add adds.
+	Val uint64
 }
 
 // BatchExecutor is a per-goroutine operation handle: it executes one
@@ -153,27 +155,27 @@ type BatchOp struct {
 // the vector under a single commit fence; no result may be externalized
 // before that fence — the property under test.
 type BatchExecutor interface {
-	ExecBatch(ops []BatchOp, results []bool)
+	ExecBatch(ops []BatchOp, results []hist.Answer)
 }
 
 // SetExecutor adapts a per-operation set handle to BatchExecutor: each
 // op of the vector runs to completion in order.
 type SetExecutor struct{ Th dstruct.SetThread }
 
-func (e SetExecutor) ExecBatch(ops []BatchOp, results []bool) {
+func (e SetExecutor) ExecBatch(ops []BatchOp, results []hist.Answer) {
 	for i, op := range ops {
 		switch op.Kind {
 		case hist.Insert:
-			results[i] = e.Th.Insert(op.Key, op.Val)
+			results[i] = hist.Answer{Ok: e.Th.Insert(op.Key, op.Val)}
 		case hist.Delete:
-			results[i] = e.Th.Delete(op.Key)
+			results[i] = hist.Answer{Ok: e.Th.Delete(op.Key)}
 		default:
-			results[i] = e.Th.Contains(op.Key)
+			results[i] = hist.Answer{Ok: e.Th.Contains(op.Key)}
 		}
 	}
 }
 
-// Harness abstracts the set-semantics structure or service under check.
+// Harness abstracts the structure or service under check.
 // Sessions share the uint64 key space the recorders log; adapters that
 // speak another key language (the store's string keys) translate in both
 // directions. The target must be freshly constructed: the engine's
@@ -188,10 +190,14 @@ type Harness struct {
 	Policy core.Policy
 	// NewSession returns a fresh per-goroutine operation handle.
 	NewSession func() BatchExecutor
+	// Kinds is the operation alphabet the workers draw from (nil: the set
+	// kinds Insert, Delete and Contains); the prefill is spelled with its
+	// first kind, which must write a value (Insert or Put).
+	Kinds []hist.Kind
 	// Recover materializes the target from a crash image and returns its
-	// recovered key set. An error is reported as a violation (recovery
-	// must succeed from every reachable crash state).
-	Recover func(img []uint64) (map[uint64]bool, error)
+	// recovered contents, key → value. An error is reported as a
+	// violation (recovery must succeed from every reachable crash state).
+	Recover func(img []uint64) (map[uint64]uint64, error)
 	// MaxBatch bounds the (seeded, varying) operations per ExecBatch
 	// call. At <= 1 every operation is invoked, executed and answered on
 	// its own. Above 1 the history model is the pipeline's: a vector's
@@ -294,18 +300,22 @@ func Run(h Harness, opts Options) *Report {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
+	kinds := h.Kinds
+	if kinds == nil {
+		kinds = []hist.Kind{hist.Insert, hist.Delete, hist.Contains}
+	}
 
 	// Prefill outside the recorded history, as one vector: it completes
 	// (and fences) before the base image below is taken, so the image
 	// carries the initial state.
-	initial := make(map[uint64]bool, opts.Prefill)
+	initial := make(map[uint64]uint64, opts.Prefill)
 	if opts.Prefill > 0 {
 		ops := make([]BatchOp, opts.Prefill)
 		for k := range ops {
-			ops[k] = BatchOp{Kind: hist.Insert, Key: uint64(k), Val: uint64(k) + 1000}
-			initial[uint64(k)] = true
+			ops[k] = BatchOp{Kind: kinds[0], Key: uint64(k), Val: uint64(k) + 1000}
+			initial[uint64(k)] = ops[k].Val
 		}
-		h.NewSession().ExecBatch(ops, make([]bool, len(ops)))
+		h.NewSession().ExecBatch(ops, make([]hist.Answer, len(ops)))
 	}
 	base := h.Mem.CrashImage(pmem.DropUnfenced, 0)
 
@@ -325,7 +335,7 @@ func Run(h Harness, opts Options) *Report {
 			ex, rec := sessions[w], recs[w]
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*7919))
 			ops := make([]BatchOp, 0, maxBatch)
-			results := make([]bool, maxBatch)
+			results := make([]hist.Answer, maxBatch)
 			toks := make([]int, 0, maxBatch)
 			for done := 0; done < opts.OpsPerWorker; {
 				depth := 1
@@ -338,11 +348,14 @@ func Run(h Harness, opts Options) *Report {
 				ops, toks = ops[:0], toks[:0]
 				for i := 0; i < depth; i++ {
 					k := uint64(rng.Intn(opts.KeyRange))
-					kind := hist.Kind(rng.Intn(3))
-					ops = append(ops, BatchOp{Kind: kind, Key: k, Val: uint64(w*1000 + done + i)})
+					op := BatchOp{Kind: kinds[rng.Intn(len(kinds))], Key: k, Val: uint64(w*1000 + done + i)}
+					if op.Kind == hist.Add {
+						op.Val = uint64(2*rng.Intn(2) - 1) // ±1: windows of adds cancel
+					}
+					ops = append(ops, op)
 					// Invocation before execution: the target has
 					// accepted the request.
-					toks = append(toks, rec.Begin(kind, k))
+					toks = append(toks, rec.Begin(op.Kind, k, op.Val))
 				}
 				ex.ExecBatch(ops, results[:depth])
 				// Responses exist only now — after the vector's commit.
@@ -378,8 +391,8 @@ func Run(h Harness, opts Options) *Report {
 // setBoundaryCheck builds the per-boundary verdict function for
 // set-semantics targets: truncate the history at the crash stamp,
 // recover the image, decide with the exact checkers.
-func setBoundaryCheck(recover func(img []uint64) (map[uint64]bool, error),
-	initial map[uint64]bool, perKey map[uint64][]hist.Op) func(img []uint64, stamp int64) *Violation {
+func setBoundaryCheck(recover func(img []uint64) (map[uint64]uint64, error),
+	initial map[uint64]uint64, perKey map[uint64][]hist.Op) func(img []uint64, stamp int64) *Violation {
 	return func(img []uint64, stamp int64) *Violation {
 		trunc := make(map[uint64][]hist.Op, len(perKey))
 		for kk, ops := range perKey {
@@ -525,15 +538,10 @@ func RunSet(cfg dstruct.Config, tgt Target, opts Options) *Report {
 			opened = append(opened, th)
 			return SetExecutor{th}
 		},
-		Recover: func(img []uint64) (map[uint64]bool, error) {
+		Recover: func(img []uint64) (map[uint64]uint64, error) {
 			cfg2 := cfg
 			cfg2.Heap = pheap.Recover(pmem.NewFromImage(img, cfg.Heap.Mem().Config()), cfg.Heap.Watermark())
-			rec := tgt.Recover(cfg2)
-			final := make(map[uint64]bool)
-			for k := range rec.Snapshot() {
-				final[k] = true
-			}
-			return final, nil
+			return tgt.Recover(cfg2).Snapshot(), nil
 		},
 	}, opts)
 }
@@ -619,7 +627,7 @@ func guardPerKeyWindow(perKey map[uint64][]hist.Op) {
 }
 
 // renderSetSchedule formats a truncated multi-key history in invocation
-// order.
+// order, each operation with its input and its answer.
 func renderSetSchedule(perKey map[uint64][]hist.Op) string {
 	var all []hist.Op
 	for _, ops := range perKey {
@@ -628,40 +636,40 @@ func renderSetSchedule(perKey map[uint64][]hist.Op) string {
 	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 	var b strings.Builder
 	for _, op := range all {
-		end, res := "pending", "?"
-		if op.Completed {
-			end = fmt.Sprint(op.End)
-			res = fmt.Sprint(op.Result)
-		}
-		fmt.Fprintf(&b, "  [%d,%s] %s(%d) = %s\n", op.Start, end, op.Kind, op.Key, res)
+		fmt.Fprintf(&b, "  %v\n", op)
 	}
 	return b.String()
 }
 
-// setDiff summarizes how the recovered key set departs from the naive
-// expectation: phantom keys (present but never inserted nor prefilled)
-// and untouched prefill keys that vanished.
-func setDiff(initial, final map[uint64]bool, perKey map[uint64][]hist.Op) string {
+// setDiff summarizes the recovered state against the recorded run:
+// phantom keys (recovered, never written nor prefilled), untouched
+// prefill keys lost or changed, and the recovered state of every key the
+// history touched.
+func setDiff(initial, final map[uint64]uint64, perKey map[uint64][]hist.Op) string {
 	var phantoms, lost []uint64
+	var touched []string
 	for k := range final {
-		if !initial[k] && len(perKey[k]) == 0 {
+		if _, ok := initial[k]; !ok && len(perKey[k]) == 0 {
 			phantoms = append(phantoms, k)
 		}
 	}
 	for k := range initial {
-		if !final[k] && len(perKey[k]) == 0 {
+		if len(perKey[k]) == 0 && hist.StateOf(final, k) != hist.StateOf(initial, k) {
 			lost = append(lost, k)
 		}
 	}
-	sort.Slice(phantoms, func(i, j int) bool { return phantoms[i] < phantoms[j] })
-	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
-	var parts []string
+	for k := range perKey {
+		touched = append(touched, fmt.Sprintf("%d=%v", k, hist.StateOf(final, k)))
+	}
+	slices.Sort(phantoms)
+	slices.Sort(lost)
+	slices.Sort(touched)
+	parts := []string{fmt.Sprintf("recovered %d keys, initial %d", len(final), len(initial))}
 	if len(phantoms) > 0 {
 		parts = append(parts, fmt.Sprintf("phantom keys (recovered, never written): %v", phantoms))
 	}
 	if len(lost) > 0 {
-		parts = append(parts, fmt.Sprintf("lost untouched prefill keys: %v", lost))
+		parts = append(parts, fmt.Sprintf("untouched prefill keys lost or changed: %v", lost))
 	}
-	parts = append(parts, fmt.Sprintf("recovered %d keys, initial %d", len(final), len(initial)))
-	return strings.Join(parts, "; ")
+	return strings.Join(append(parts, "recovered state of the keys the run touched: "+strings.Join(touched, " ")), "; ")
 }

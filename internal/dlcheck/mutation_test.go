@@ -272,3 +272,28 @@ func TestViolationReproTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveredValuesAreChecked: a structure that recovers every key it
+// should but with a wrong value must fail — the set batteries check the
+// value each recovered key holds, not only its presence.
+func TestRecoveredValuesAreChecked(t *testing.T) {
+	tgt := crashtest.Targets()[0].Target // list
+	recover := tgt.Recover
+	tgt.Recover = func(cfg dstruct.Config) dlcheck.Instance {
+		inst := recover(cfg)
+		return dlcheck.Instance{Set: inst.Set, Snapshot: func() map[uint64]uint64 {
+			snap := inst.Snapshot()
+			for k := range snap {
+				snap[k]++
+			}
+			return snap
+		}}
+	}
+	rep := dlcheck.RunSet(dlcheck.NewConfig(core.NewFliT(core.NewHashTable(1<<14)), dstruct.Automatic), tgt, dlcheck.DefaultOptions(1))
+	if rep.Violation == nil {
+		t.Fatal("off-by-one recovered values passed the enumerator")
+	}
+	if msg := rep.Violation.Error(); !strings.Contains(msg, "recovered state") || !strings.Contains(msg, "insert(") {
+		t.Fatalf("repro trace does not show values:\n%s", msg)
+	}
+}

@@ -5,12 +5,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"flit/internal/core"
 )
 
 // mkOp builds a completed op.
-func mkOp(kind Kind, start, end int64, result bool) Op {
-	return Op{Kind: kind, Start: start, End: end, Result: result, Completed: true}
+func mkOp(kind Kind, start, end int64, ok bool) Op {
+	return Op{Kind: kind, Start: start, End: end, Answer: Answer{Ok: ok}, Completed: true}
 }
+
+// st is the state of a key holding 0 (present) or absent — what the set
+// kinds with In 0 leave behind.
+func st(present bool) State { return State{Present: present} }
 
 // pend builds a pending op.
 func pend(kind Kind, start int64) Op {
@@ -41,7 +47,7 @@ func TestSequentialHistories(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := CheckKey(c.ops, c.init, c.final); got != c.accept {
+			if got := CheckKey(c.ops, st(c.init), st(c.final)); got != c.accept {
 				t.Fatalf("CheckKey = %v, want %v", got, c.accept)
 			}
 		})
@@ -51,16 +57,16 @@ func TestSequentialHistories(t *testing.T) {
 func TestPendingOpsMayOrMayNotTakeEffect(t *testing.T) {
 	// A pending insert explains both presence and absence.
 	ops := []Op{pend(Insert, 1)}
-	if !CheckKey(ops, false, true) || !CheckKey(ops, false, false) {
+	if !CheckKey(ops, st(false), st(true)) || !CheckKey(ops, st(false), st(false)) {
 		t.Fatal("pending insert must allow both outcomes")
 	}
 	// A pending delete of a prefilled key likewise.
 	ops = []Op{pend(Delete, 1)}
-	if !CheckKey(ops, true, true) || !CheckKey(ops, true, false) {
+	if !CheckKey(ops, st(true), st(true)) || !CheckKey(ops, st(true), st(false)) {
 		t.Fatal("pending delete must allow both outcomes")
 	}
 	// But a pending insert cannot explain the loss of a prefilled key.
-	if CheckKey(ops[:0], true, false) {
+	if CheckKey(ops[:0], st(true), st(false)) {
 		t.Fatal("prefilled key lost with no delete accepted")
 	}
 }
@@ -72,7 +78,7 @@ func TestIntervalOrderRespected(t *testing.T) {
 		mkOp(Insert, 1, 2, true),
 		mkOp(Contains, 3, 4, false),
 	}
-	if CheckKey(ops, false, true) {
+	if CheckKey(ops, st(false), st(true)) {
 		t.Fatal("accepted contains=false strictly after completed insert")
 	}
 	// If they overlap, contains may linearize first: acceptable.
@@ -80,7 +86,7 @@ func TestIntervalOrderRespected(t *testing.T) {
 		mkOp(Insert, 1, 4, true),
 		mkOp(Contains, 2, 3, false),
 	}
-	if !CheckKey(ops, false, true) {
+	if !CheckKey(ops, st(false), st(true)) {
 		t.Fatal("rejected overlapping insert/contains")
 	}
 }
@@ -93,10 +99,10 @@ func TestConcurrentInsertDelete(t *testing.T) {
 		mkOp(Insert, 1, 10, true),
 		mkOp(Delete, 2, 9, true),
 	}
-	if !CheckKey(ops, false, false) {
+	if !CheckKey(ops, st(false), st(false)) {
 		t.Fatal("rejected insert;delete -> absent")
 	}
-	if CheckKey(ops, false, true) {
+	if CheckKey(ops, st(false), st(true)) {
 		t.Fatal("accepted impossible final=true for insert(true)+delete(true) from absent")
 	}
 }
@@ -108,12 +114,12 @@ func TestCrashedDeleteMayResurface(t *testing.T) {
 		pend(Delete, 5),
 		mkOp(Contains, 6, 7, true),
 	}
-	if !CheckKey(ops, true, true) {
+	if !CheckKey(ops, st(true), st(true)) {
 		t.Fatal("rejected pending delete that never took effect")
 	}
 	// contains=true completed, then recovered absent: the pending delete
 	// can still linearize after the contains. Accepted.
-	if !CheckKey(ops, true, false) {
+	if !CheckKey(ops, st(true), st(false)) {
 		t.Fatal("rejected pending delete linearized after the contains")
 	}
 }
@@ -122,9 +128,9 @@ func TestRecorderAndGather(t *testing.T) {
 	clock := &Clock{}
 	r1 := NewRecorder(clock)
 	r2 := NewRecorder(clock)
-	tok := r1.Begin(Insert, 7)
-	r1.Finish(tok, true)
-	r2.Begin(Delete, 7) // crashes pending
+	tok := r1.Begin(Insert, 7, 0)
+	r1.Finish(tok, Answer{Ok: true})
+	r2.Begin(Delete, 7, 0) // crashes pending
 	perKey := Gather([]*Recorder{r1, r2})
 	if len(perKey[7]) != 2 {
 		t.Fatalf("gathered %d ops, want 2", len(perKey[7]))
@@ -148,25 +154,25 @@ func TestRecorderAndGather(t *testing.T) {
 func TestCheckWholeHistory(t *testing.T) {
 	clock := &Clock{}
 	r := NewRecorder(clock)
-	tok := r.Begin(Insert, 1)
-	r.Finish(tok, true)
-	tok = r.Begin(Insert, 2)
-	r.Finish(tok, true)
-	tok = r.Begin(Delete, 2)
-	r.Finish(tok, true)
+	tok := r.Begin(Insert, 1, 0)
+	r.Finish(tok, Answer{Ok: true})
+	tok = r.Begin(Insert, 2, 0)
+	r.Finish(tok, Answer{Ok: true})
+	tok = r.Begin(Delete, 2, 0)
+	r.Finish(tok, Answer{Ok: true})
 
-	good := map[uint64]bool{1: true}
+	good := map[uint64]uint64{1: 0}
 	if v := Check([]*Recorder{r}, nil, good); v != nil {
 		t.Fatalf("valid history rejected: %v", v)
 	}
-	bad := map[uint64]bool{1: true, 2: true}
+	bad := map[uint64]uint64{1: 0, 2: 0}
 	if v := Check([]*Recorder{r}, nil, bad); v == nil {
 		t.Fatal("resurrected key accepted")
 	} else if v.Key != 2 {
 		t.Fatalf("violation on key %d, want 2", v.Key)
 	}
 	// A prefilled, untouched key must survive.
-	if v := Check([]*Recorder{r}, map[uint64]bool{9: true}, good); v == nil {
+	if v := Check([]*Recorder{r}, map[uint64]uint64{9: 0}, good); v == nil {
 		t.Fatal("lost prefilled key accepted")
 	}
 }
@@ -179,29 +185,29 @@ func TestQuickGeneratedSequentialHistoriesAccepted(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		clock := &Clock{}
 		r := NewRecorder(clock)
-		st := false
+		present := false
 		for i := 0; i < int(n%24); i++ {
 			kind := Kind(rng.Intn(3))
-			tok := r.Begin(kind, 1)
+			tok := r.Begin(kind, 1, 0)
 			var res bool
 			switch kind {
 			case Insert:
-				res = !st
-				st = true
+				res = !present
+				present = true
 			case Delete:
-				res = st
-				st = false
+				res = present
+				present = false
 			case Contains:
-				res = st
+				res = present
 			}
-			r.Finish(tok, res)
+			r.Finish(tok, Answer{Ok: res})
 		}
 		// Optionally leave one op pending, applied or not.
-		finals := []bool{st}
+		finals := []bool{present}
 		if rng.Intn(2) == 0 {
 			kind := Kind(rng.Intn(2))
-			r.Begin(kind, 1)
-			applied := st
+			r.Begin(kind, 1, 0)
+			applied := present
 			if kind == Insert {
 				applied = true
 			} else {
@@ -210,7 +216,7 @@ func TestQuickGeneratedSequentialHistoriesAccepted(t *testing.T) {
 			finals = append(finals, applied)
 		}
 		for _, fin := range finals {
-			if !CheckKey(r.Ops(), false, fin) {
+			if !CheckKey(r.Ops(), st(false), st(fin)) {
 				return false
 			}
 		}
@@ -227,19 +233,19 @@ func TestQuickMutatedHistoriesRejected(t *testing.T) {
 	f := func(n uint8) bool {
 		clock := &Clock{}
 		r := NewRecorder(clock)
-		st := false
+		present := false
 		for i := 0; i < 2+int(n%10); i++ {
 			var tok int
-			if st {
-				tok = r.Begin(Delete, 1)
-				st = false
+			if present {
+				tok = r.Begin(Delete, 1, 0)
+				present = false
 			} else {
-				tok = r.Begin(Insert, 1)
-				st = true
+				tok = r.Begin(Insert, 1, 0)
+				present = true
 			}
-			r.Finish(tok, true)
+			r.Finish(tok, Answer{Ok: true})
 		}
-		return !CheckKey(r.Ops(), false, !st) // flipped outcome must fail
+		return !CheckKey(r.Ops(), st(false), st(!present)) // flipped outcome must fail
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -256,5 +262,42 @@ func TestTooManyOpsPanics(t *testing.T) {
 			t.Fatal("no panic for oversized per-key history")
 		}
 	}()
-	CheckKey(ops, false, false)
+	CheckKey(ops, st(false), st(false))
+}
+
+// val builds a completed op of a map kind: input in, answer (ok, out).
+func val(kind Kind, start, end int64, in uint64, ok bool, out uint64) Op {
+	return Op{Kind: kind, In: in, Start: start, End: end, Answer: Answer{Ok: ok, Out: out}, Completed: true}
+}
+
+func TestMapHistories(t *testing.T) {
+	absent, has := State{}, func(v uint64) State { return State{true, v} }
+	blindAdd := Op{Kind: Add, In: 5, Start: 1, End: 2, Answer: Answer{Blind: true}, Completed: true}
+	cases := []struct {
+		name        string
+		ops         []Op
+		init, final State
+		accept      bool
+	}{
+		{"put overwrites", []Op{val(Put, 1, 2, 9, false, 0)}, has(3), has(9), true},
+		{"put overwrite lost", []Op{val(Put, 1, 2, 9, false, 0)}, has(3), has(3), false},
+		{"insert keeps old value", []Op{val(Insert, 1, 2, 9, false, 0)}, has(3), has(3), true},
+		{"get reads the put", []Op{val(Put, 1, 2, 9, true, 0), val(Get, 3, 4, 0, true, 9)}, absent, has(9), true},
+		{"get reads a stale value", []Op{val(Put, 1, 2, 9, false, 0), val(Get, 3, 4, 0, true, 3)}, has(3), has(9), false},
+		{"add sums", []Op{val(Add, 1, 2, 4, true, 7)}, has(3), has(7), true},
+		{"add on absent stores the delta", []Op{val(Add, 1, 2, 4, false, 4)}, absent, has(4), true},
+		{"add wraps", []Op{val(Add, 1, 2, ^uint64(0), true, ValueMask)}, has(0), has(ValueMask), true},
+		{"add answer wrong", []Op{val(Add, 1, 2, 4, true, 8)}, has(3), has(7), false},
+		{"blind add takes effect", []Op{blindAdd}, has(3), has(8), true},
+		{"blind add lost", []Op{blindAdd}, has(3), has(3), false},
+		{"pending add may vanish", []Op{{Kind: Add, In: 5, Start: 1, End: math.MaxInt64}}, has(3), has(3), true},
+		{"high bits are not compared", []Op{val(Put, 1, 2, 9|core.DirtyBit, true, 0)}, absent, has(9 | core.MarkBit), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := CheckKey(c.ops, c.init, c.final); got != c.accept {
+				t.Fatalf("CheckKey = %v, want %v", got, c.accept)
+			}
+		})
+	}
 }

@@ -146,9 +146,9 @@ func TestTruncateQ(t *testing.T) {
 
 func TestTruncateSet(t *testing.T) {
 	ops := []Op{
-		{Kind: Insert, Key: 1, Result: true, Completed: true, Start: 1, End: 4},
-		{Kind: Contains, Key: 1, Result: true, Completed: true, Start: 5, End: 8},
-		{Kind: Delete, Key: 1, Result: true, Completed: true, Start: 9, End: 10},
+		{Kind: Insert, Key: 1, Answer: Answer{Ok: true}, Completed: true, Start: 1, End: 4},
+		{Kind: Contains, Key: 1, Answer: Answer{Ok: true}, Completed: true, Start: 5, End: 8},
+		{Kind: Delete, Key: 1, Answer: Answer{Ok: true}, Completed: true, Start: 9, End: 10},
 	}
 	got := Truncate(ops, 6)
 	if len(got) != 2 {
@@ -157,16 +157,16 @@ func TestTruncateSet(t *testing.T) {
 	if !got[0].Completed {
 		t.Fatalf("completed op demoted: %+v", got[0])
 	}
-	if got[1].Completed || got[1].Result {
+	if got[1].Completed || got[1].Ok {
 		t.Fatalf("running op not demoted: %+v", got[1])
 	}
 	// The surviving completed insert still forces presence at this crash
 	// point; the dropped delete (invoked after the crash) no longer can
 	// explain absence.
-	if !CheckKey(got, false, true) {
+	if !CheckKey(got, st(false), st(true)) {
 		t.Fatal("truncated history rejected the forced outcome")
 	}
-	if CheckKey(got, false, false) {
+	if CheckKey(got, st(false), st(false)) {
 		t.Fatal("truncated history accepted absence the completed insert forbids")
 	}
 }

@@ -129,20 +129,6 @@ func (s *Store) initCombiners() {
 	})
 }
 
-// CombinerThreads returns the per-shard combiner execution threads, in
-// shard order, initializing the combiners if no Combined session has yet
-// been opened. Crash tests arm their countdowns here: announcing
-// sessions execute no instrumented instructions themselves, so in
-// Combined mode these are the threads where a crash can land.
-func (s *Store) CombinerThreads() []*pmem.Thread {
-	s.initCombiners()
-	ts := make([]*pmem.Thread, len(s.combiners))
-	for i, c := range s.combiners {
-		ts[i] = c.t
-	}
-	return ts
-}
-
 // register adds a new slot for one session, copy-on-write so a scanning
 // combiner never observes a partially-updated registry.
 func (c *combiner) register() *cslot {

@@ -264,7 +264,7 @@ func Open[K Key](s *Store, mode SessionMode) *Sess[K] {
 
 // Thread exposes the session's pmem thread (stats, crash injection).
 // Combined sessions execute nothing themselves — their operations run on
-// the combiner threads (Store.CombinerThreads) — so Thread returns nil.
+// the per-shard combiners' threads — so Thread returns nil.
 func (s *Sess[K]) Thread() *pmem.Thread { return s.c.t }
 
 // Pending reports the operations executed since the last Commit

@@ -164,49 +164,6 @@ func TestPutOverwritesDurably(t *testing.T) {
 	}
 }
 
-// TestUpsertValueDurability crashes Put's in-place overwrite at every
-// instruction boundary: a crashed overwrite must recover to the old or
-// the new value (never torn or absent), and a completed overwrite must
-// recover to the new value — the guarantee hist-based checkers cannot
-// see, since they track membership only.
-func TestUpsertValueDurability(t *testing.T) {
-	for _, policy := range []string{core.PolicyHT, core.PolicyPlain} {
-		for _, mode := range dstruct.Modes {
-			t.Run(fmt.Sprintf("%s/%s", policy, mode), func(t *testing.T) {
-				const v1, v2 = 111, 222
-				for countdown := int64(1); countdown < 40; countdown++ {
-					o := testOptions(4, policy)
-					o.Mode = mode
-					st := mustNew(t, o)
-					sess := Open[string](st, Direct)
-					sess.Put("k", v1)
-
-					sess.Thread().SetCrashAfter(countdown)
-					completed := !pmem.RunToCrash(func() { sess.Put("k", v2) })
-					sess.Thread().SetCrashAfter(-1)
-
-					wm := st.Heap().Watermark()
-					img := st.Mem().CrashImage(pmem.DropUnfenced, countdown)
-					st2, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), wm, o)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, ok := Open[string](st2, Direct).Get("k")
-					if !ok {
-						t.Fatalf("countdown %d: key vanished across the overwrite crash", countdown)
-					}
-					if completed && got != v2 {
-						t.Fatalf("countdown %d: completed overwrite recovered stale value %d", countdown, got)
-					}
-					if got != v1 && got != v2 {
-						t.Fatalf("countdown %d: torn value %d (want %d or %d)", countdown, got, v1, v2)
-					}
-				}
-			})
-		}
-	}
-}
-
 func TestConcurrentSessions(t *testing.T) {
 	st := mustNew(t, testOptions(8, core.PolicyHT))
 	const workers = 4
