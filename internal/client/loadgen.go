@@ -80,7 +80,8 @@ type Result struct {
 }
 
 // Load bulk-inserts key indices [0, records) through conns pipelined
-// connections (the YCSB load phase over the wire).
+// connections (the YCSB load phase over the wire), in windows of depth
+// Puts.
 func Load(dial func() (net.Conn, error), records uint64, conns, depth int) error {
 	conns, depth = max(conns, 1), max(depth, 1)
 	var wg sync.WaitGroup
@@ -94,38 +95,22 @@ func Load(dial func() (net.Conn, error), records uint64, conns, depth int) error
 				errs[w] = err
 				return
 			}
-			c := New(nc)
-			defer c.Close()
-			keyBuf := make([]byte, 0, 32)
-			req := server.Request{Op: server.OpPut}
-			for i := uint64(w); i < records; i += uint64(conns) {
-				keyBuf = workload.AppendKey(keyBuf[:0], i)
-				req.Key, req.Val = keyBuf, i
-				c.Send(&req)
-				if c.Pending() >= depth {
-					if errs[w] = drain(c); errs[w] != nil {
-						return
-					}
+			ex := ConnExec{New(nc)}
+			defer ex.C.Close()
+			keys := make([][]byte, depth)
+			ops := make([]store.Op[[]byte], 0, depth)
+			res, shed := make([]store.Result, depth), make([]bool, depth)
+			for i := uint64(w); i < records && errs[w] == nil; i += uint64(conns) {
+				ops = append(ops, store.Op[[]byte]{Kind: store.OpPut, Key: workload.AppendKey(keys[len(ops)][:0], i), Val: i})
+				if len(ops) == depth || i+uint64(conns) >= records {
+					_, errs[w] = ex.ExecBatch(ops, res[:len(ops)], shed[:len(ops)])
+					ops = ops[:0]
 				}
 			}
-			errs[w] = drain(c)
 		}(w)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// drain flushes and receives every in-flight response.
-func drain(c *Conn) error {
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	for c.Pending() > 0 {
-		if _, err := c.Recv(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Run drives the spec against the server behind dial and aggregates
@@ -163,7 +148,7 @@ func Run(dial func() (net.Conn, error), sp Spec) (Result, error) {
 		if sp.Rate > 0 {
 			return runOpen(c, w, sp.Rate, sp.MaxInflight, sp.Workers, &dropped)
 		}
-		return w.Closed(connExec{c})
+		return w.Closed(ConnExec{c})
 	})
 	if err != nil {
 		return Result{}, err
@@ -204,28 +189,30 @@ func Run(dial func() (net.Conn, error), sp Spec) (Result, error) {
 	return res, nil
 }
 
-// connExec executes the closed loop's windows over one pipelined
-// connection: every request of the window is sent, then flushed once,
-// then every response read back. BUSY and DRAINING answers mark their
-// op shed; DRAINING also ends the worker (the server is going away).
-type connExec struct{ c *Conn }
+// ConnExec executes windows over one pipelined connection: every
+// request of the window is sent, then flushed once, then every response
+// read back. BUSY and DRAINING answers mark their op shed; DRAINING also
+// returns workload.ErrDraining once the window is read (the server is
+// going away). A transport failure returns how many responses arrived
+// before it: the rest of the window may or may not have executed.
+type ConnExec struct{ C *Conn }
 
-func (e connExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) error {
+func (e ConnExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) (int, error) {
 	for i := range ops {
 		req, err := server.WireRequest(ops[i])
 		if err != nil {
-			return err
+			return 0, err
 		}
-		e.c.Send(&req)
+		e.C.Send(&req)
 	}
-	if err := e.c.Flush(); err != nil {
-		return err
+	if err := e.C.Flush(); err != nil {
+		return 0, err
 	}
 	var stop error
 	for i := range ops {
-		resp, err := e.c.Recv()
+		resp, err := e.C.Recv()
 		if err != nil {
-			return err
+			return i, err
 		}
 		if resp.Status == server.StatusDraining {
 			stop = workload.ErrDraining
@@ -233,7 +220,7 @@ func (e connExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []b
 		shed[i] = resp.Status == server.StatusBusy || resp.Status == server.StatusDraining
 		res[i] = server.WireResult(ops[i].Kind, resp)
 	}
-	return stop
+	return len(ops), stop
 }
 
 // openFrame carries one sent request frame from the open-loop sender to

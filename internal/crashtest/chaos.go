@@ -3,6 +3,7 @@ package crashtest
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -17,21 +18,25 @@ import (
 	"flit/internal/resilience"
 	"flit/internal/server"
 	"flit/internal/store"
+	"flit/internal/workload"
 )
 
 // This file is the chaos harness: it drives the REAL service path —
-// client.Conn pipelines over net.Pipe transports into server.ServeConn —
-// through injected transport faults (resilience.WrapConn) and resilience
-// policies (admission control, deadlines, drain), records every
-// operation's acknowledgement in the hist checker, then takes a
+// client.Conn pipelines over net.Pipe transports into server.ServeConn,
+// each window executed by client.ConnExec, the load generator's own
+// executor — through injected transport faults (resilience.WrapConn) and
+// resilience policies (admission control, deadlines, drain), records
+// every operation's acknowledgement in the hist checker, then takes a
 // DropUnfenced crash image and verifies the one invariant the whole
 // stack exists to keep: an acknowledged operation survives the crash.
 //
-// Responses the fault schedule destroys — and operations the server
-// sheds with BUSY/DRAINING — stay PENDING in the history: the checker
-// accepts either outcome for them, exactly the uncertainty a real client
-// is left with. Acknowledged operations are completed entries, and a
-// completed-but-unpersisted effect is a violation.
+// ConnExec reports how many of a window's ops got an answer. Answered
+// ops the server did not shed are acknowledged: completed entries, whose
+// effect a crash must not lose. Shed ops (BUSY/DRAINING) and the
+// unanswered rest of a window whose transport failed stay PENDING: the
+// checker accepts either outcome for them, exactly the uncertainty a
+// real client is left with. DRAINING ends a worker; any other error
+// redials.
 //
 // The image is taken after the scenario quiesces (all handlers exited,
 // every honest batch already committed), so the capture itself is
@@ -157,16 +162,15 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 		})
 	}
 
-	var mu sync.Mutex
-	var acked, shed, lost, redials int
+	// tallies[w] holds worker w's Acked, Shed, Lost and Redials.
+	tallies := make([]ChaosVerdict, sc.Conns)
 	var wg sync.WaitGroup
 	for w := 0; w < sc.Conns; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rec := recs[w]
+			rec, n := recs[w], &tallies[w]
 			wrng := rand.New(rand.NewSource(seeds[w]))
-			var aAck, aShed, aLost, aRedial int
 			connSeq := int64(0)
 			dial := func() *client.Conn {
 				cc, scn := net.Pipe()
@@ -187,12 +191,11 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 			c := dial()
 			defer func() { c.Close() }()
 
-			budget := sc.OpsPerConn
+			keys := make([][]byte, sc.Depth)
+			ops := make([]store.Op[[]byte], 0, sc.Depth)
 			toks := make([]int, 0, sc.Depth)
-			opKinds := make([]store.OpKind, 0, sc.Depth)
-			sawDraining := false
-			firstWindow := true
-			for budget > 0 && !sawDraining {
+			res, shed := make([]store.Result, sc.Depth), make([]bool, sc.Depth)
+			for budget := sc.OpsPerConn; budget > 0; {
 				// Any worker past half budget may pull the trigger once
 				// every worker is warmed — scheduling decides which one
 				// actually does, so the drain lands mid-load regardless
@@ -201,72 +204,46 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 					warmed.Load() == int32(sc.Conns) {
 					triggerDrain()
 				}
-				depth := 1 + wrng.Intn(sc.Depth)
-				if depth > budget {
-					depth = budget
-				}
+				depth := min(1+wrng.Intn(sc.Depth), budget)
 				budget -= depth
-				toks, opKinds = toks[:0], opKinds[:0]
-				for i := 0; i < depth; i++ {
-					idx := uint64(wrng.Int63()) % sc.KeyRange
-					key := fmt.Sprintf("chaos-%d", idx)
-					hk := store.HashKey(key)
+				ops, toks = ops[:0], toks[:0]
+				for i := range depth {
+					keys[i] = fmt.Appendf(keys[i][:0], "chaos-%d", uint64(wrng.Int63())%sc.KeyRange)
 					kind := wireKinds[wrng.Intn(len(wireKinds))]
-					op := opFor(kind, key, uint64(budget+i))
-					toks, opKinds = append(toks, rec.Begin(kind, hk, op.Val)), append(opKinds, op.Kind)
-					req, err := server.WireRequest(op)
-					if err != nil {
-						panic(err) // the wire alphabet has an opcode for every kind
-					}
-					c.Send(&req)
+					ops = append(ops, opFor(kind, keys[i], uint64(budget+i)))
+					toks = append(toks, rec.Begin(kind, store.HashKeyBytes(keys[i]), uint64(budget+i)))
 				}
-				if err := c.Flush(); err != nil {
-					// The whole window is in an unknown state: pending.
-					aLost += depth
+				clear(shed[:depth])
+				answered, err := client.ConnExec{C: c}.ExecBatch(ops, res[:depth], shed[:depth])
+				for i := range answered {
+					if shed[i] {
+						n.Shed++ // pending: the server says "not executed"
+						continue
+					}
+					rec.Finish(toks[i], hist.Answer{Ok: res[i].Ok, Out: res[i].Val})
+					n.Acked++
+				}
+				// The unanswered rest is in an unknown state: pending.
+				n.Lost += depth - answered
+				if budget+depth == sc.OpsPerConn {
+					warmed.Add(1) // its first window is done
+				}
+				if errors.Is(err, workload.ErrDraining) {
+					return
+				}
+				if err != nil {
 					c.Close()
 					c = dial()
-					aRedial++
-					continue
-				}
-				broken := false
-				for i := 0; i < depth; i++ {
-					resp, err := c.Recv()
-					if err != nil {
-						aLost += depth - i
-						broken = true
-						break
-					}
-					switch resp.Status {
-					case server.StatusBusy:
-						aShed++ // pending: the server says "not executed"
-					case server.StatusDraining:
-						aShed++
-						sawDraining = true
-					default:
-						r := server.WireResult(opKinds[i], resp)
-						rec.Finish(toks[i], hist.Answer{Ok: r.Ok, Out: r.Val})
-						aAck++
-					}
-				}
-				if broken {
-					c.Close()
-					c = dial()
-					aRedial++
-				}
-				if firstWindow {
-					firstWindow = false
-					warmed.Add(1)
+					n.Redials++
 				}
 			}
-			mu.Lock()
-			acked += aAck
-			shed += aShed
-			lost += aLost
-			redials += aRedial
-			mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
+	var v ChaosVerdict
+	for _, n := range tallies {
+		v.Acked, v.Shed, v.Lost, v.Redials = v.Acked+n.Acked, v.Shed+n.Shed, v.Lost+n.Lost, v.Redials+n.Redials
+	}
 
 	// Quiesce: every worker's connections are closed; wait for (or force)
 	// server teardown so no handler is mid-batch when the image is taken.
@@ -281,22 +258,15 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 	} else {
 		srv.Close()
 	}
-	stats := srv.Stats()
+	v.ServerStats = srv.Stats()
 
 	img := st.Mem().CrashImage(pmem.DropUnfenced, 0)
 	_, rstats, final, err := recoverContents(st, img, nil, 0)
 	if err != nil {
 		return ChaosVerdict{}, fmt.Errorf("chaos %q: recover: %w", sc.Name, err)
 	}
-	return ChaosVerdict{
-		Violation:   hist.Check(recs, initial, final),
-		Acked:       acked,
-		Shed:        shed,
-		Lost:        lost,
-		Redials:     redials,
-		ServerStats: stats,
-		Recovery:    rstats,
-	}, nil
+	v.Violation, v.Recovery = hist.Check(recs, initial, final), rstats
+	return v, nil
 }
 
 // ChaosScenarios is the standard battery: one cell per fault family,
@@ -355,6 +325,18 @@ func ChaosScenarios() []ChaosScenario {
 			Name:   "drain-mid-run",
 			Server: server.Options{MaxBatch: 8},
 			Conns:  4, OpsPerConn: 96, Depth: 8,
+			DrainMid: true,
+		},
+		{
+			// Drain onto buffered windows: a client flushes up to three
+			// server batches at once, so the drain finds requests read
+			// but not yet executed, and must answer them DRAINING. Slow
+			// readers hold each handler mid-window on its response write,
+			// and sixteen of them keep one there whenever the drain lands.
+			Name:   "drain-deep-pipeline",
+			Faults: resilience.Faults{DelayEvery: 1, ReadDelay: time.Millisecond},
+			Server: server.Options{MaxBatch: 8},
+			Conns:  16, OpsPerConn: 96, Depth: 24,
 			DrainMid: true,
 		},
 	}

@@ -82,6 +82,10 @@ func TestChaosScenarioShapes(t *testing.T) {
 				if !v.ServerStats.Draining {
 					t.Fatal("server does not report draining after Shutdown")
 				}
+			case "drain-deep-pipeline":
+				if v.ServerStats.ShedDraining == 0 {
+					t.Fatalf("drain found no buffered window to answer DRAINING: %+v", v)
+				}
 			}
 		})
 	}

@@ -13,32 +13,8 @@ import (
 	"flit/internal/pmem"
 	"flit/internal/server"
 	"flit/internal/store"
+	"flit/internal/workload"
 )
-
-// wireExec is the fourth way to reach the store: a real client.Conn
-// pipelining the vector over a net.Pipe into the server's ServeConn —
-// framing, window detection and response ordering included.
-type wireExec struct{ c *client.Conn }
-
-func (e wireExec) exec(ops []store.Op[string], res []store.Result) {
-	for _, op := range ops {
-		req, err := server.WireRequest(op)
-		if err != nil {
-			panic(err)
-		}
-		e.c.Send(&req)
-	}
-	if err := e.c.Flush(); err != nil {
-		panic(err)
-	}
-	for i := range ops {
-		resp, err := e.c.Recv()
-		if err != nil {
-			panic(err)
-		}
-		res[i] = server.WireResult(ops[i].Kind, resp)
-	}
-}
 
 // TestStoreModesOneContract is the differential statement of "the modes
 // are one contract": the same seeded op vectors (Get/Put/Delete/Contains,
@@ -53,18 +29,21 @@ func TestStoreModesOneContract(t *testing.T) {
 	const keys, vectors = 48, 400
 	paths := []struct {
 		name string
-		open func(st *store.Store) executor
+		open func(st *store.Store) workload.Executor
 	}{
-		{"direct", func(st *store.Store) executor { return executors(st, store.Direct, 1)() }},
-		{"batcher", func(st *store.Store) executor { return executors(st, store.Batched, 8)() }},
-		{"combined", func(st *store.Store) executor { return executors(st, store.Combined, 8)() }},
-		{"wire", func(st *store.Store) executor {
+		{"direct", func(st *store.Store) workload.Executor { return executors(st, store.Direct, 1)().ex }},
+		{"batcher", func(st *store.Store) workload.Executor { return executors(st, store.Batched, 8)().ex }},
+		{"combined", func(st *store.Store) workload.Executor { return executors(st, store.Combined, 8)().ex }},
+		// The fourth way to reach the store: a real client.Conn pipelining
+		// the vector over a net.Pipe into the server's ServeConn — framing,
+		// window detection and response ordering included.
+		{"wire", func(st *store.Store) workload.Executor {
 			srv := server.New(st, server.Options{MaxBatch: 8})
 			cc, sc := net.Pipe()
 			go srv.ServeConn(sc)
 			c := client.New(cc)
 			t.Cleanup(func() { c.Close(); srv.Close() })
-			return wireExec{c}
+			return client.ConnExec{C: c}
 		}},
 	}
 	for _, policy := range []string{core.PolicyHT, core.PolicyLAP} {
@@ -78,33 +57,35 @@ func TestStoreModesOneContract(t *testing.T) {
 				ex := path.open(st)
 				oracle := make(map[string]uint64)
 				rng := rand.New(rand.NewSource(11))
-				ops := make([]store.Op[string], 0, 8)
+				ops := make([]store.Op[[]byte], 0, 8)
 				want := make([]store.Result, 0, 8)
-				got := make([]store.Result, 8)
+				got, shed := make([]store.Result, 8), make([]bool, 8)
 				for v := 0; v < vectors; v++ {
 					ops, want = ops[:0], want[:0]
 					for depth := 1 + rng.Intn(8); depth > 0; depth-- {
-						key := fmt.Sprintf("k%d", rng.Intn(keys))
-						old, present := oracle[key]
+						key := fmt.Appendf(nil, "k%d", rng.Intn(keys))
+						old, present := oracle[string(key)]
 						switch store.OpKind(rng.Intn(4)) {
 						case store.OpGet:
-							ops = append(ops, store.Op[string]{Kind: store.OpGet, Key: key})
+							ops = append(ops, store.Op[[]byte]{Kind: store.OpGet, Key: key})
 							want = append(want, store.Result{Val: old, Ok: present})
 						case store.OpPut:
 							val := uint64(rng.Intn(1 << 16))
-							ops = append(ops, store.Op[string]{Kind: store.OpPut, Key: key, Val: val})
+							ops = append(ops, store.Op[[]byte]{Kind: store.OpPut, Key: key, Val: val})
 							want = append(want, store.Result{Ok: !present})
-							oracle[key] = val
+							oracle[string(key)] = val
 						case store.OpDelete:
-							ops = append(ops, store.Op[string]{Kind: store.OpDelete, Key: key})
+							ops = append(ops, store.Op[[]byte]{Kind: store.OpDelete, Key: key})
 							want = append(want, store.Result{Ok: present})
-							delete(oracle, key)
+							delete(oracle, string(key))
 						case store.OpContains:
-							ops = append(ops, store.Op[string]{Kind: store.OpContains, Key: key})
+							ops = append(ops, store.Op[[]byte]{Kind: store.OpContains, Key: key})
 							want = append(want, store.Result{Ok: present})
 						}
 					}
-					ex.exec(ops, got[:len(ops)])
+					if n, err := ex.ExecBatch(ops, got[:len(ops)], shed[:len(ops)]); n != len(ops) || err != nil {
+						t.Fatalf("%s: vector %d: %d of %d ops answered: %v", path.name, v, n, len(ops), err)
+					}
 					if !reflect.DeepEqual(got[:len(ops)], want) {
 						t.Fatalf("%s: vector %d %+v\nreturned %+v\noracle   %+v", path.name, v, ops, got[:len(ops)], want)
 					}

@@ -169,6 +169,16 @@ var mutants = []mutant{
 	c.flushDeltas()
 `,
 	},
+	{
+		// Coalescing drops every net +1 delta after it leaves pending:
+		// the window acknowledges an Add whose effect never reaches the
+		// table.
+		name:        "coalesce-drops-delta",
+		origin:      "net-delta coalescing applies every non-zero delta",
+		file:        "internal/store/combine.go",
+		snippet:     `		if d == 0 && c.ht.Contains(h) {`,
+		replacement: `		if d == 1 || d == 0 && c.ht.Contains(h) {`,
+	},
 }
 
 // moduleRoot is the root of the tree this package was built from.

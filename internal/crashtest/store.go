@@ -8,43 +8,35 @@ import (
 	"flit/internal/pmem"
 	"flit/internal/server"
 	"flit/internal/store"
+	"flit/internal/workload"
 )
 
 // The three session modes are one contract — a result is externalized
 // only after the fence that persists it — so they share one enumeration
 // (RunStoreDL, dl.go) and one recovery helper. What differs per mode is
-// confined to an executor: how an op vector reaches the store.
-
-// executor is one worker's handle on the store under some session mode.
-type executor interface {
-	// exec runs the op vector and fills res[i] with ops[i]'s outcome;
-	// when it returns, every result is durable.
-	exec(ops []store.Op[string], res []store.Result)
-}
-
-// sessExec drives a Direct session (each op runs to completion under its
-// own fence) or a Combined one (the vector is announced to the per-shard
-// combiners; Apply returns after their window fences).
-type sessExec struct{ sess *store.Sess[string] }
-
-func (e sessExec) exec(ops []store.Op[string], res []store.Result) { e.sess.Apply(ops, res) }
+// confined to a workload.Executor: how a window of store ops reaches the
+// store.
 
 // batcherExec drives the network server's group-commit executor
 // (server.Batcher over a Batched session) — the code the wire protocol
 // runs, minus the sockets: pipeline-order execution, deferred persistence,
-// one commit fence, then (and only then) responses.
+// one commit fence, then (and only then) responses. It stays in-process,
+// rather than a client.ConnExec over a pipe, so that a crash countdown
+// fires on the worker's own goroutine, inside pmem.RunToCrash: behind a
+// pipe it would fire on ServeConn's goroutine, whose deferred release
+// recovers it as a handler panic.
 type batcherExec struct {
 	b     *server.Batcher
 	reqs  []server.Request
 	resps []server.Response
 }
 
-func (e *batcherExec) exec(ops []store.Op[string], res []store.Result) {
+func (e *batcherExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, _ []bool) (int, error) {
 	e.reqs, e.resps = e.reqs[:0], e.resps[:0]
 	for _, op := range ops {
 		req, err := server.WireRequest(op)
 		if err != nil {
-			panic(err) // opFor spells no op without an opcode
+			return 0, err
 		}
 		e.reqs = append(e.reqs, req)
 		e.resps = append(e.resps, server.Response{})
@@ -53,6 +45,7 @@ func (e *batcherExec) exec(ops []store.Op[string], res []store.Result) {
 	for i := range e.resps {
 		res[i] = server.WireResult(ops[i].Kind, &e.resps[i])
 	}
+	return len(ops), nil
 }
 
 // storeKinds is the operation alphabet the checker records on a store
@@ -66,15 +59,16 @@ func storeKinds(mode store.SessionMode) []hist.Kind {
 	return kinds
 }
 
-// executors returns a factory of per-worker executors for mode; Batched
-// ones share one in-process server capped at maxBatch ops per commit.
+// executors returns a factory of per-worker checker sessions for mode;
+// Batched ones share one in-process server capped at maxBatch ops per
+// commit.
 func executors(st *store.Store, mode store.SessionMode, maxBatch int) func() *dlExec {
 	if mode == store.Batched {
 		srv := server.New(st, server.Options{MaxBatch: maxBatch})
-		return func() *dlExec { return &dlExec{executor: &batcherExec{b: srv.NewBatcher()}} }
+		return func() *dlExec { return &dlExec{ex: &batcherExec{b: srv.NewBatcher()}} }
 	}
 	return func() *dlExec {
-		return &dlExec{executor: sessExec{store.Open[string](st, mode)}, blindAdds: mode == store.Combined}
+		return &dlExec{ex: workload.SessExec{S: store.Open[[]byte](st, mode)}, blindAdds: mode == store.Combined}
 	}
 }
 
@@ -82,30 +76,34 @@ func executors(st *store.Store, mode store.SessionMode, maxBatch int) func() *dl
 var storeOps = map[hist.Kind]store.OpKind{hist.Put: store.OpPut, hist.Get: store.OpGet, hist.Delete: store.OpDelete, hist.Add: store.OpAdd}
 
 // opFor spells a checker operation of a store alphabet as a store op.
-func opFor(kind hist.Kind, key string, val uint64) store.Op[string] {
+func opFor(kind hist.Kind, key []byte, val uint64) store.Op[[]byte] {
 	op, ok := storeOps[kind]
 	if !ok {
 		panic(fmt.Sprintf("crashtest: the store has no %v", kind))
 	}
-	return store.Op[string]{Kind: op, Key: key, Val: val}
+	return store.Op[[]byte]{Kind: op, Key: key, Val: val}
 }
 
-// dlExec adapts an executor to the enumerator's uint64 key space.
+// dlExec adapts a workload.Executor to the enumerator's alphabet
+// (dlcheck.BatchExecutor) and uint64 key space.
 type dlExec struct {
-	executor
+	ex workload.Executor
 	// blindAdds: the session coalesces Adds and answers none (Combined).
 	blindAdds bool
-	ops       []store.Op[string]
+	ops       []store.Op[[]byte]
 	res       []store.Result
+	shed      []bool
 }
 
 func (e *dlExec) ExecBatch(ops []dlcheck.BatchOp, results []hist.Answer) {
-	e.ops, e.res = e.ops[:0], e.res[:0]
+	e.ops, e.res, e.shed = e.ops[:0], e.res[:0], e.shed[:0]
 	for _, op := range ops {
-		e.ops = append(e.ops, opFor(op.Kind, dlStoreKey(op.Key), op.Val))
-		e.res = append(e.res, store.Result{})
+		e.ops = append(e.ops, opFor(op.Kind, []byte(dlStoreKey(op.Key)), op.Val))
+		e.res, e.shed = append(e.res, store.Result{}), append(e.shed, false)
 	}
-	e.exec(e.ops, e.res)
+	if n, err := e.ex.ExecBatch(e.ops, e.res, e.shed); n != len(ops) || err != nil {
+		panic(fmt.Sprintf("crashtest: an in-process executor answered %d of %d ops: %v", n, len(ops), err))
+	}
 	for i, r := range e.res {
 		results[i] = hist.Answer{Ok: r.Ok, Out: r.Val, Blind: e.blindAdds && ops[i].Kind == hist.Add}
 	}

@@ -320,19 +320,11 @@ func Run(h Harness, opts Options) *Report {
 	base := h.Mem.CrashImage(pmem.DropUnfenced, 0)
 
 	clock := &hist.Clock{}
-	trace := h.Mem.StartTrace(clock.Now)
 	recs := make([]*hist.Recorder, opts.Workers)
-	sessions := make([]BatchExecutor, opts.Workers)
-	for w := range recs {
-		recs[w] = hist.NewRecorder(clock)
-		sessions[w] = h.NewSession()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ex, rec := sessions[w], recs[w]
+	records := traced(h.Mem, clock, opts.Workers, func(w int) func() {
+		rec, ex := hist.NewRecorder(clock), h.NewSession()
+		recs[w] = rec
+		return func() {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*7919))
 			ops := make([]BatchOp, 0, maxBatch)
 			results := make([]hist.Answer, maxBatch)
@@ -364,12 +356,9 @@ func Run(h Harness, opts Options) *Report {
 				}
 				done += depth
 			}
-		}(w)
-	}
-	wg.Wait()
-	h.Mem.StopTrace()
+		}
+	})
 
-	records := trace.Records()
 	rep := newReport(h.Name, h.Policy, records, opts)
 	if rep.Violation != nil {
 		return rep
@@ -386,6 +375,30 @@ func Run(h Harness, opts Options) *Report {
 	slices.Sort(starts)
 	enumerate(rep, base, records, opts.Budget, opts.Seed, starts, setBoundaryCheck(h.Recover, initial, perKey))
 	return rep
+}
+
+// traced records one concurrent execution under mem's persist trace,
+// stamped by clock: with the trace on it opens the workers one by one
+// (open(w) sets worker w up and returns its body), runs every body on its
+// own goroutine, waits for all of them and stops the trace. It is the one
+// place the checkers spawn recorded workers.
+func traced(mem *pmem.Memory, clock *hist.Clock, workers int, open func(w int) func()) []pmem.PersistRecord {
+	trace := mem.StartTrace(clock.Now)
+	bodies := make([]func(), workers)
+	for w := range bodies {
+		bodies[w] = open(w)
+	}
+	var wg sync.WaitGroup
+	for _, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body()
+		}()
+	}
+	wg.Wait()
+	mem.StopTrace()
+	return trace.Records()
 }
 
 // setBoundaryCheck builds the per-boundary verdict function for

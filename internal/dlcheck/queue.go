@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"flit/internal/core"
 	"flit/internal/hist"
@@ -63,19 +62,11 @@ func RunQueue(h QueueHarness, opts Options) *Report {
 	base := h.Mem.CrashImage(pmem.DropUnfenced, 0)
 
 	clock := &hist.Clock{}
-	trace := h.Mem.StartTrace(clock.Now)
 	recs := make([]*hist.QRecorder, opts.Workers)
-	sessions := make([]QueueSession, opts.Workers)
-	for w := range recs {
-		recs[w] = hist.NewQRecorder(clock)
-		sessions[w] = h.NewSession()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			th, rec := sessions[w], recs[w]
+	records := traced(h.Mem, clock, opts.Workers, func(w int) func() {
+		rec, th := hist.NewQRecorder(clock), h.NewSession()
+		recs[w] = rec
+		return func() {
 			rng := rand.New(rand.NewSource(opts.Seed + int64(w)*104729))
 			for i := 0; i < opts.OpsPerWorker; i++ {
 				if rng.Intn(2) == 0 {
@@ -89,12 +80,8 @@ func RunQueue(h QueueHarness, opts Options) *Report {
 					rec.FinishDequeue(tok, v, ok)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	h.Mem.StopTrace()
-
-	records := trace.Records()
+		}
+	})
 	rep := newReport(h.Name, h.Policy, records, opts)
 	if rep.Violation != nil {
 		return rep

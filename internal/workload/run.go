@@ -109,13 +109,17 @@ type Result struct {
 	PFencesElided uint64 `json:"pfences_elided,omitempty"`
 }
 
-// Executor runs one worker's windows of store ops.
+// Executor runs one worker's windows of store ops — the one interface
+// for it: a store session (SessExec), a pipelined connection
+// (client.ConnExec), the crash batteries' in-process server batcher.
 type Executor interface {
 	// ExecBatch executes ops in order, filling res[i] with ops[i]'s
 	// outcome and setting shed[i] (false on entry) when ops[i] was
-	// refused unexecuted. A non-nil error ends the worker: ErrDraining
+	// refused unexecuted. The first answered ops got an answer (result
+	// or shed); the rest, past a transport that died mid-window, may or
+	// may not have executed. A non-nil error ends the worker: ErrDraining
 	// after this window is counted, any other error fails the run.
-	ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) error
+	ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) (answered int, err error)
 }
 
 // ErrDraining is an executor's report that it takes no more windows
@@ -311,7 +315,7 @@ func (w *Worker) Closed(ex Executor) error {
 			kinds, ends = append(kinds, kind), append(ends, len(ops))
 		}
 		clear(shed[:len(ops)])
-		err := ex.ExecBatch(ops, res[:len(ops)], shed[:len(ops)])
+		_, err := ex.ExecBatch(ops, res[:len(ops)], shed[:len(ops)])
 		if err != nil && !errors.Is(err, ErrDraining) {
 			return err
 		}
@@ -329,15 +333,15 @@ func (w *Worker) Closed(ex Executor) error {
 	return nil
 }
 
-// sessExec executes windows through one store session: a vector Apply,
-// then the group commit (a no-op outside Batched mode). A session never
-// sheds.
-type sessExec struct{ s *store.Sess[[]byte] }
+// SessExec executes windows through one store session: a vector Apply,
+// then the group commit (a no-op outside Batched mode), so every result
+// is durable when it returns. A session answers every op and never sheds.
+type SessExec struct{ S *store.Sess[[]byte] }
 
-func (e sessExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, _ []bool) error {
-	e.s.Apply(ops, res)
-	e.s.Commit()
-	return nil
+func (e SessExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, _ []bool) (int, error) {
+	e.S.Apply(ops, res)
+	e.S.Commit()
+	return len(ops), nil
 }
 
 // Load bulk-inserts key indices [0, records) through threads parallel
@@ -374,7 +378,7 @@ func Run(st *store.Store, mode store.SessionMode, sp Spec) (Result, error) {
 	m, err := Drive(sp, func(w *Worker) error {
 		sess := store.Open[[]byte](st, mode)
 		defer sess.Close()
-		return w.Closed(sessExec{sess})
+		return w.Closed(SessExec{sess})
 	})
 	if err != nil {
 		return Result{}, err

@@ -19,7 +19,7 @@ type fakeExec struct {
 	stopErr        error
 }
 
-func (f *fakeExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) error {
+func (f *fakeExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) (int, error) {
 	f.windows++
 	f.slots += len(ops)
 	if f.shedWin != nil && f.shedWin(f.windows) {
@@ -28,9 +28,9 @@ func (f *fakeExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []
 		}
 	}
 	if f.stopAt > 0 && f.windows >= f.stopAt {
-		return f.stopErr
+		return len(ops), f.stopErr
 	}
-	return nil
+	return len(ops), nil
 }
 
 // samples is the number of latency samples the workers recorded.
@@ -95,7 +95,7 @@ func TestEveryCompletedOpIsOneSample(t *testing.T) {
 					ws[w.ID] = w
 					sess := store.Open[[]byte](st, mode)
 					defer sess.Close()
-					return w.Closed(countExec{sessExec{sess}, &windows[w.ID]})
+					return w.Closed(countExec{SessExec{sess}, &windows[w.ID]})
 				})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", mode, mix, err)
@@ -116,7 +116,7 @@ type countExec struct {
 	windows *int
 }
 
-func (c countExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) error {
+func (c countExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, shed []bool) (int, error) {
 	*c.windows++
 	return c.Executor.ExecBatch(ops, res, shed)
 }
