@@ -2,36 +2,43 @@ package core
 
 import "flit/internal/pmem"
 
-// Deferred is the group-commit batch skeleton over the closure-free
-// policies: a Policy whose shared p-stores and operation completions
-// leave their *trailing* persistence obligations open until an explicit
-// Flush — the one fence (none, if nothing is pending) a batching server
-// issues per pipeline batch before acknowledging any of its operations.
+// Deferred is the commit-window skeleton over the closure-free policies:
+// a Policy whose shared p-stores and operation completions leave their
+// *trailing* persistence obligations open until the window commits. The
+// P-V Interface asks only that an operation's p-stores be persistent by
+// its operation_completion(), so a window may hold one operation or many:
+//
+//   - a window of one (Commit) ends every operation of the store's Direct
+//     sessions: the operation's completion fence, always issued, then the
+//     release of the tags the operation holds;
+//   - a group commit (Flush) ends a Batched session's batch, a combiner's
+//     window or a server pipeline batch: one fence (none, if nothing is
+//     pending) before any of the window's operations is acknowledged.
 //
 // What is deferred, and why it stays durably linearizable:
 //
 //   - FliT (Algorithm 4): a p-store tags its flit-counter, applies and
-//     flushes, but neither fences nor untags; Flush fences once and then
-//     releases every tag held by the batch. Until then the location
-//     reads as tagged, so a concurrent p-load (any thread, any session)
-//     flushes it and persists it under its own completion — exactly the
-//     tag protocol's contract. Nothing an acknowledged operation
-//     observed can be lost: its own effects drain at its batch's Flush
-//     before the ack, and foreign pending stores it read were flushed by
-//     its own tagged loads.
+//     flushes, but neither fences nor untags; the commit fences once and
+//     then releases every tag held by the window. Until then the
+//     location reads as tagged, so a concurrent p-load (any thread, any
+//     session) flushes it and persists it under its own completion —
+//     exactly the tag protocol's contract. Nothing an acknowledged
+//     operation observed can be lost: its own effects drain at its
+//     window's commit before the ack, and foreign pending stores it read
+//     were flushed by its own tagged loads.
 //   - Plain / Izraelevitz: no tags — every p-load already flushes its
 //     location unconditionally, which is the same reader-side guarantee
 //     made stronger; deferring the store-side and load-side fences to
-//     Flush keeps ack ⇒ persisted.
+//     the commit keeps ack ⇒ persisted.
 //   - Link-and-persist: every store is a dirty-bit CAS and is left fully
 //     persisted (CASes are never deferred, see below); only the
 //     operation-completion fence — covering load-side dirty flushes —
-//     moves to Flush.
+//     moves to the commit.
 //
 // What is NOT deferred: CAS, FAA and Exchange delegate to the wrapped
 // policy untouched. They are the pointer-publishing instructions of the
 // structures (a list insert's link, a delete's mark and unlink), and two
-// of their fences carry crash-image ordering the batch must not relax:
+// of their fences carry crash-image ordering a window must not relax:
 // the leading fence drains a fresh node's contents before the link that
 // publishes it can enter the write-back queue (otherwise line coalescing
 // could persist the link ahead of the contents in a crash prefix), and
@@ -51,18 +58,18 @@ import "flit/internal/pmem"
 // in one batch (hot zipfian keys, the 3 field stores of a fresh node)
 // flush once.
 //
-// A Deferred instance carries per-batch state (the held tags) and must
+// A Deferred instance carries per-window state (the held tags) and must
 // not be shared between goroutines; wrap one per session. The wrapped
 // policy's shared state (flit-counter tables) is unchanged and remains
-// shared with plain sessions. Flush must be called before the batch's
-// results are exposed; the store's Batched sessions and the network server
+// shared with every other session. Commit or Flush must be called before
+// the window's results are exposed; the store's sessions and combiners
 // own that discipline.
 type Deferred struct {
 	inner Policy
-	flit  *FliT // non-nil iff inner is a FliT policy
+	c     CounterScheme // the FliT policy's flit-counters; nil iff inner is not FliT
 	kind  deferKind
 
-	// tags are the addresses whose flit-counters this batch has
+	// tags are the addresses whose flit-counters this window has
 	// incremented and not yet released (one entry per deferred p-store;
 	// duplicates balance because counters count).
 	tags []pmem.Addr
@@ -81,18 +88,18 @@ const (
 	// (link-and-persist: stores are CASes and stay fully persisted).
 	deferComplete
 	// deferNone passes everything through (no-persist and unknown
-	// policies; Flush is a no-op — there is nothing to commit).
+	// policies; Commit and Flush are no-ops — there is nothing to commit).
 	deferNone
 )
 
-// NewDeferred wraps p in the group-commit batch skeleton. Every known
-// policy is supported; policies with nothing to defer (no-persist)
-// degrade to a transparent pass-through whose Flush does nothing.
+// NewDeferred wraps p in the commit-window skeleton. Every known policy
+// is supported; policies with nothing to defer (no-persist) degrade to a
+// transparent pass-through whose Commit and Flush do nothing.
 func NewDeferred(p Policy) *Deferred {
 	d := &Deferred{inner: p}
 	switch ip := p.(type) {
 	case *FliT:
-		d.flit, d.kind = ip, deferFlit
+		d.c, d.kind = ip.C, deferFlit
 	case Plain, Izraelevitz:
 		d.kind = deferFlush
 	case LinkAndPersist:
@@ -138,16 +145,43 @@ func (d *Deferred) Flush(t *pmem.Thread) int {
 	} else {
 		n = t.Drain()
 	}
-	if d.flit != nil {
-		// Untag strictly after the fence: a reader observing the tag up
-		// to this point flushes the value itself, as Algorithm 4's
-		// persistTagged ordering requires.
-		for _, a := range d.tags {
-			d.flit.C.Dec(t, a)
-		}
-		d.tags = d.tags[:0]
+	if len(d.tags) != 0 {
+		d.releaseTags(t)
 	}
 	return n
+}
+
+// Commit ends a window of one operation — a Direct session's op — at its
+// operation_completion(): the completion fence, always issued, persists
+// the operation's deferred stores and every flush obligation its loads
+// picked up, then the operation's tags are released. Unlike Flush it does
+// not skip an empty fence: whether the completion fence of an operation
+// that left nothing pending may be dropped is a decision of its own
+// (the per-op completion fence of every policy, FliT.Complete included),
+// not a side effect of the window.
+//
+//flit:hotpath
+func (d *Deferred) Commit(t *pmem.Thread) {
+	if d.kind == deferNone {
+		return
+	}
+	t.PFence() // the operation's completion fence: always issued
+	if len(d.tags) != 0 {
+		d.releaseTags(t)
+	}
+}
+
+// releaseTags untags every location the window's deferred p-stores hold,
+// strictly after the fence that persisted them: a reader observing a tag
+// up to this point flushes the value itself, as Algorithm 4's
+// persistTagged ordering requires. Only FliT policies hold tags.
+//
+//flit:hotpath
+func (d *Deferred) releaseTags(t *pmem.Thread) {
+	for _, a := range d.tags {
+		d.c.Dec(t, a)
+	}
+	d.tags = d.tags[:0]
 }
 
 // pwbOnce flushes a's line unless it is already pending on the queue.
@@ -159,10 +193,10 @@ func pwbOnce(t *pmem.Thread, a pmem.Addr) {
 	}
 }
 
-// Load is the wrapped policy's shared-load with the batch dedup: a flush
-// obligation against a line this batch already holds pending is elided —
-// the line drains, with its final contents, at this batch's Flush before
-// any of the batch's responses escape.
+// Load is the wrapped policy's shared-load with the window dedup: a flush
+// obligation against a line this window already holds pending is elided —
+// the line drains, with its final contents, at this window's commit
+// before any of its responses escape.
 //
 //flit:hotpath
 func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
@@ -170,7 +204,7 @@ func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 	case deferFlit:
 		t.CheckCrash()
 		v := t.Load(a)
-		if pflag && d.flit.C.Tagged(t, a) {
+		if pflag && d.c.Tagged(t, a) {
 			pwbOnce(t, a)
 		}
 		return v
@@ -179,8 +213,8 @@ func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 		v := t.Load(a)
 		if pflag {
 			// Plain flushes with the fence deferred to completion;
-			// Izraelevitz fences immediately. Under group commit both
-			// defer the fence to Flush — the batch boundary is the
+			// Izraelevitz fences immediately. In a window both defer
+			// the fence to the commit — the window boundary is the
 			// completion the construction's fence was buying.
 			pwbOnce(t, a)
 		}
@@ -191,12 +225,13 @@ func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 }
 
 // Store applies a shared store whose trailing persistence is deferred to
-// Flush. Under FliT the location stays tagged until then, so concurrent
-// readers carry the flush obligation exactly as for any in-flight
-// p-store; under Plain/Izraelevitz readers flush unconditionally. The
-// leading dependency fence is elided with the trailing one: the batch's
-// deferred stores are non-publishing writes (see the type comment), and
-// every pointer-publishing CAS still fences ahead of itself.
+// the window's commit. Under FliT the location stays tagged until then, so
+// concurrent readers carry the flush obligation exactly as for any
+// in-flight p-store; under Plain/Izraelevitz readers flush
+// unconditionally. The leading dependency fence is elided with the
+// trailing one: the window's deferred stores are non-publishing writes
+// (see the type comment), and every pointer-publishing CAS still fences
+// ahead of itself.
 //
 //flit:hotpath
 func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
@@ -207,7 +242,7 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 			t.Store(a, v)
 			return
 		}
-		d.flit.C.Inc(t, a)
+		d.c.Inc(t, a)
 		t.Store(a, v)
 		pwbOnce(t, a)
 		d.tags = append(d.tags, a)
@@ -234,30 +269,26 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 // was not issued persisted nothing. The delegated instruction's leading
 // fence is elided only when nothing is pending, and held tags have their
 // lines pending (Store's pwbOnce) unless a private p-store's fence drained
-// them in between, so a batch with deferred stores sees the fence and
+// them in between, so a window with deferred stores sees the fence and
 // releases here even when the CAS fails. In the drained case the stores
 // are already durable and their tags simply wait for the next fence or
-// Flush. batch_test.go pins both ends.
+// commit. batch_test.go pins both ends.
 //
 //flit:hotpath
 func (d *Deferred) releaseTagsIfFenced(t *pmem.Thread, fencesBefore uint64) {
-	if t.Stats.PFences == fencesBefore || len(d.tags) == 0 {
-		return
+	if t.Stats.PFences != fencesBefore && len(d.tags) != 0 {
+		d.releaseTags(t)
 	}
-	for _, a := range d.tags {
-		d.flit.C.Dec(t, a)
-	}
-	d.tags = d.tags[:0]
 }
 
 // CAS delegates untouched: publishing instructions keep their leading
-// and trailing fences (see the type comment for why the batch must not
-// relax them). Their fences persist the batch's deferred stores as a
+// and trailing fences (see the type comment for why a window must not
+// relax them). Their fences persist the window's deferred stores as a
 // side effect, so the held tags are released on the spot.
 //
 //flit:hotpath
 func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
-	if d.flit == nil {
+	if d.c == nil {
 		return d.inner.CAS(t, a, old, new, pflag)
 	}
 	before := t.Stats.PFences
@@ -270,7 +301,7 @@ func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool)
 //
 //flit:hotpath
 func (d *Deferred) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
-	if d.flit == nil {
+	if d.c == nil {
 		return d.inner.FAA(t, a, delta, pflag)
 	}
 	before := t.Stats.PFences
@@ -283,7 +314,7 @@ func (d *Deferred) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) ui
 //
 //flit:hotpath
 func (d *Deferred) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) uint64 {
-	if d.flit == nil {
+	if d.c == nil {
 		return d.inner.Exchange(t, a, v, pflag)
 	}
 	before := t.Stats.PFences
@@ -316,9 +347,9 @@ func (d *Deferred) PersistObject(t *pmem.Thread, base pmem.Addr, n int) {
 	d.inner.PersistObject(t, base, n)
 }
 
-// Complete defers the operation-completion fence to Flush: the batch
-// boundary is where the operation's response escapes, so that is where
-// its dependencies must be persistent — not earlier.
+// Complete defers the operation-completion fence to the window's commit:
+// the window boundary is where the operation's response escapes, so that
+// is where its dependencies must be persistent — not earlier.
 //
 //flit:hotpath
 func (d *Deferred) Complete(t *pmem.Thread) {

@@ -199,6 +199,43 @@ func TestDeferredFlushFencesOnlyPending(t *testing.T) {
 	}
 }
 
+// TestDeferredCommitAlwaysFences pins a window of one: Commit issues the
+// operation's completion fence whether or not anything is pending, and
+// only then releases the op's tags, so the op's deferred value is durable
+// and untagged once Commit returns.
+func TestDeferredCommitAlwaysFences(t *testing.T) {
+	for _, pol := range []Policy{
+		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), Plain{}, Izraelevitz{}, LinkAndPersist{},
+	} {
+		m, th := newDeferredMem(t)
+		d := NewDeferred(pol)
+		const a = pmem.Addr(64)
+		commit := func(step string, val uint64) {
+			t.Helper()
+			before := th.Stats
+			d.Commit(th)
+			if f, e := th.Stats.PFences-before.PFences, th.Stats.ElidedFences-before.ElidedFences; f != 1 || e != 0 {
+				t.Errorf("%s, %s: Commit issued %d fences, elided %d, want 1, 0", pol.Name(), step, f, e)
+			}
+			if p := m.PersistedWord(a) &^ DirtyBit; p != val || th.Pending() != 0 || len(d.tags) != 0 {
+				t.Errorf("%s, %s: persisted %d with %d lines pending and %d tags held after Commit, want %d and none",
+					pol.Name(), step, p, th.Pending(), len(d.tags), val)
+			}
+		}
+		d.Load(th, a, P)
+		d.Complete(th)
+		commit("clean p-load", 0)
+		d.Store(th, a, 5, P)
+		d.Complete(th)
+		commit("p-store", 5)
+		if f, ok := pol.(*FliT); ok {
+			if n, _ := LiveTagCount(f); n != 0 {
+				t.Errorf("%s: %d live tags after Commit, want 0", pol.Name(), n)
+			}
+		}
+	}
+}
+
 // TestDeferredFlushReleasesDrainedTags: a deferred store whose line an
 // earlier fence of the batch already drained (a private p-store's, which
 // does not release tags) leaves the queue empty. Flush then elides its
@@ -227,13 +264,14 @@ func TestDeferredFlushReleasesDrainedTags(t *testing.T) {
 	}
 }
 
-// TestDeferredPassThrough: no-persist defers nothing and Flush does
-// nothing — not even count an elided fence.
+// TestDeferredPassThrough: no-persist defers nothing, and neither Commit
+// nor Flush does anything — not even count an elided fence.
 func TestDeferredPassThrough(t *testing.T) {
 	_, th := newDeferredMem(t)
 	d := NewDeferred(NoPersist{})
 	d.Store(th, 64, 1, P)
 	d.Complete(th)
+	d.Commit(th)
 	if n := d.Flush(th); n != 0 {
 		t.Fatalf("no-persist Flush drained %d lines, want 0", n)
 	}

@@ -52,6 +52,17 @@ var mutants = []mutant{
 		replacement: `	t.Stats.ElidedFences++`,
 	},
 	{
+		// A Direct op's commit window releases its tags without the
+		// completion fence, so its deferred value p-store is acked while
+		// still on the write-back queue.
+		name:   "direct-commit-skips-fence",
+		origin: "a Direct op's completion fence",
+		file:   "internal/core/batch.go",
+		snippet: `	t.PFence() // the operation's completion fence: always issued
+`,
+		replacement: ``,
+	},
+	{
 		// Pinned by TestInsertBehindPendingPredecessor.
 		name:   "insert-ignores-incoming-link",
 		origin: "traversal rule: an insert rests on its incoming link",

@@ -16,9 +16,12 @@ import (
 type SessionMode int
 
 const (
-	// Direct executes each operation to completion under the store's
-	// policy: persistence (flush + fence + untag) happens inside the
-	// operation, exactly as the paper's per-op FliT discipline.
+	// Direct commits after every operation: each op is a commit window of
+	// one under the same skeleton Batched sessions use (core.Deferred).
+	// Its stores apply and flush, and the operation's completion fence —
+	// always issued — persists them before the tags it holds are released
+	// (core.Deferred.Commit), so an op's p-stores ride one fence, not one
+	// each. Results are durable when the call returns.
 	Direct SessionMode = iota
 	// Batched executes operations under the group-commit skeleton
 	// (core.Deferred): stores apply and flush immediately but the fence
@@ -106,12 +109,13 @@ type sessionCore struct {
 	st   *Store
 	mode SessionMode
 
-	// Direct/Batched execution state: one pmem thread, one arena, one
-	// handle per shard table, opened once (nil in Combined mode — combined
+	// Direct/Batched execution state: one pmem thread, one arena, the
+	// commit window every table handle's policy runs through, one handle
+	// per shard table, opened once (nil in Combined mode — combined
 	// sessions own no execution resources, the per-shard combiners do).
 	t   *pmem.Thread
 	ar  *pheap.Arena
-	d   *core.Deferred // Batched only
+	d   *core.Deferred
 	ths []*hashtable.Thread
 
 	// Combined announcement state: this session's slot at each shard's
@@ -139,11 +143,8 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 	}
 	c.t = s.mem.RegisterThread()
 	c.ar = s.heap.NewArena()
-	o := dstruct.ThreadOpts{T: c.t, Arena: c.ar}
-	if mode == Batched {
-		c.d = core.NewDeferred(s.policy)
-		o.Policy = c.d
-	}
+	c.d = core.NewDeferred(s.policy)
+	o := dstruct.ThreadOpts{T: c.t, Arena: c.ar, Policy: c.d}
 	c.ths = make([]*hashtable.Thread, len(s.tables))
 	for i, tbl := range s.tables {
 		c.ths[i] = tbl.Open(o)
@@ -152,9 +153,11 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 }
 
 // close releases everything the session holds: combiner slots in Combined
-// mode; otherwise any still-deferred batch is quietly committed (tolerating
-// a simulated crash), every table handle's reclamation slot is closed, and
-// the arena and pmem thread are returned for reuse. Idempotent.
+// mode; otherwise any still-open window — a Batched session's batch, or
+// the op a crash interrupted in either mode — is quietly committed
+// (tolerating a simulated crash), so no flit-counter stays tagged, every
+// table handle's reclamation slot is closed, and the arena and pmem
+// thread are returned for reuse. Idempotent.
 func (c *sessionCore) close() {
 	if c.closed {
 		return
@@ -166,12 +169,12 @@ func (c *sessionCore) close() {
 		}
 		return
 	}
-	if c.d != nil {
-		// A Batched session's uncommitted results were never exposed, but
-		// its stores already hit the table — commit them rather than leave
-		// flit-tags dangling. The flush of a crashed or poisoned session
-		// may itself panic; the batch was never acknowledged, so dropping
-		// it is a legal crash point, and close still releases everything.
+	if c.pending > 0 {
+		// An open window's results were never exposed, but its stores
+		// already hit the table — commit them rather than leave flit-tags
+		// dangling. The flush of a crashed or poisoned session may itself
+		// panic; the window was never acknowledged, so dropping it is a
+		// legal crash point, and close still releases everything.
 		func() {
 			defer func() { recover() }()
 			c.d.Flush(c.t)
@@ -184,7 +187,8 @@ func (c *sessionCore) close() {
 	c.t.Release()
 }
 
-// do1 routes a single operation through the mode's execution path.
+// do1 routes a single operation through the mode's execution path. A
+// Direct op is a window of one: it commits before it returns.
 //
 //flit:hotpath
 func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
@@ -194,7 +198,12 @@ func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 		return c.res1[0]
 	}
 	c.pending++
-	return exec(c.ths[shardIdx(h, len(c.ths))], kind, h, val)
+	r := exec(c.ths[shardIdx(h, len(c.ths))], kind, h, val)
+	if c.mode == Direct {
+		c.d.Commit(c.t)
+		c.pending = 0
+	}
+	return r
 }
 
 // exec runs one op on one table handle: the one op switch, shared by
@@ -229,13 +238,14 @@ func errUnknownOp(kind OpKind) error {
 }
 
 // commit is the group commit (Batched mode): one fence persists every
-// operation since the previous commit; returns lines drained. Direct and
-// Combined sessions have nothing deferred, so commit is a no-op.
+// operation since the previous commit; returns lines drained. Direct ops
+// committed as they returned and Combined windows commit at the
+// combiner, so commit is a no-op for them.
 func (c *sessionCore) commit() int {
-	c.pending = 0
-	if c.d == nil {
+	if c.mode != Batched {
 		return 0
 	}
+	c.pending = 0
 	return c.d.Flush(c.t)
 }
 
@@ -268,8 +278,8 @@ func Open[K Key](s *Store, mode SessionMode) *Sess[K] {
 func (s *Sess[K]) Thread() *pmem.Thread { return s.c.t }
 
 // Pending reports the operations executed since the last Commit
-// (meaningful in Batched mode; Direct and Combined operations are
-// already durable when they return).
+// (Batched mode; Direct and Combined operations are already durable when
+// they return, so it reads 0 between them).
 func (s *Sess[K]) Pending() int { return s.c.pending }
 
 // Commit is the group commit (Batched mode): one fence persists every
@@ -284,8 +294,9 @@ func (s *Sess[K]) Commit() int { return s.c.commit() }
 // Close releases the session's execution resources — epoch-reclamation
 // slots, the heap arena (surrendering its free lists for reuse), and the
 // pmem thread (its ID and stats fold back into the memory's totals); a
-// Combined session instead withdraws its combiner slots. A Batched
-// session's still-deferred batch is committed first. Sessions MUST be
+// Combined session instead withdraws its combiner slots. A still-open
+// window — a Batched session's uncommitted batch, or a Direct op a crash
+// interrupted — is committed first. Sessions MUST be
 // closed when abandoned: an open session pins the reclamation epoch and a
 // thread slot, which is unbounded memory growth under connection churn.
 // Close is idempotent and safe after a simulated crash (the pending batch
