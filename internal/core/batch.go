@@ -1,12 +1,16 @@
 package core
 
-import "flit/internal/pmem"
+import (
+	"flit/internal/pmem"
+	"flit/internal/reclaim"
+)
 
 // Deferred is the commit-window skeleton over the closure-free policies:
-// a Policy whose shared p-stores and operation completions leave their
-// *trailing* persistence obligations open until the window commits. The
-// P-V Interface asks only that an operation's p-stores be persistent by
-// its operation_completion(), so a window may hold one operation or many:
+// a Policy whose shared p-stores, p-RMWs and operation completions leave
+// their *trailing* persistence obligations open until the window commits.
+// The P-V Interface asks only that an operation's p-stores be persistent
+// by its operation_completion(), so a window may hold one operation or
+// many:
 //
 //   - a window of one (Commit) ends every operation of the store's Direct
 //     sessions: the operation's completion fence, always issued, then the
@@ -17,36 +21,33 @@ import "flit/internal/pmem"
 //
 // What is deferred, and why it stays durably linearizable:
 //
-//   - FliT (Algorithm 4): a p-store tags its flit-counter, applies and
-//     flushes, but neither fences nor untags; the commit fences once and
-//     then releases every tag held by the window. Until then the
-//     location reads as tagged, so a concurrent p-load (any thread, any
-//     session) flushes it and persists it under its own completion —
-//     exactly the tag protocol's contract. Nothing an acknowledged
-//     operation observed can be lost: its own effects drain at its
-//     window's commit before the ack, and foreign pending stores it read
-//     were flushed by its own tagged loads.
+//   - FliT (Algorithm 4): a p-store, p-CAS, p-FAA or p-Exchange tags its
+//     flit-counter, applies and flushes, but neither fences nor untags;
+//     the commit fences once and then releases every tag held by the
+//     window. Until then the location reads as tagged, so a concurrent
+//     p-load (any thread, any session) flushes it and persists it under
+//     its own completion — exactly the tag protocol's contract. Nothing
+//     an acknowledged operation observed can be lost: its own effects
+//     drain at its window's commit before the ack, and foreign pending
+//     stores it read were flushed by its own tagged loads.
 //   - Plain / Izraelevitz: no tags — every p-load already flushes its
 //     location unconditionally, which is the same reader-side guarantee
 //     made stronger; deferring the store-side and load-side fences to
 //     the commit keeps ack ⇒ persisted.
-//   - Link-and-persist: every store is a dirty-bit CAS and is left fully
-//     persisted (CASes are never deferred, see below); only the
-//     operation-completion fence — covering load-side dirty flushes —
-//     moves to the commit.
+//   - Link-and-persist: every store is a dirty-bit CAS and keeps its own
+//     fences (the dirty bit may only be cleared once the value is
+//     durable); only the operation-completion fence — covering load-side
+//     dirty flushes — moves to the commit.
 //
-// What is NOT deferred: CAS, FAA and Exchange delegate to the wrapped
-// policy untouched. They are the pointer-publishing instructions of the
-// structures (a list insert's link, a delete's mark and unlink), and two
-// of their fences carry crash-image ordering a window must not relax:
-// the leading fence drains a fresh node's contents before the link that
-// publishes it can enter the write-back queue (otherwise line coalescing
-// could persist the link ahead of the contents in a crash prefix), and
-// the unlink's trailing fence persists unreachability before the node is
-// retired for reuse. Deferred stores therefore cover exactly the
-// non-publishing writes — fresh-node field initialization and in-place
-// value overwrites — whose early or late persistence is independently
-// consistent.
+// Only the trailing fences move. An RMW's leading fence (fenceDeps) stays
+// where Algorithm 4 puts it, because it orders one write before another:
+// a fresh node's contents drain before the link that publishes it can
+// enter the write-back queue (otherwise line coalescing could persist the
+// link ahead of the contents in a crash prefix), and a Delete's mark
+// drains before its unlink. The unlink's trailing fence used to carry a
+// second ordering — the node's unreachability persists before the node
+// is reused — which belongs to the allocator, not to the write: the
+// window holds it by retiring at its commit (Retire), after the fence.
 //
 // A deferred p-store also elides its PWB instruction when the target
 // line is already pending on the thread's write-back queue
@@ -58,30 +59,41 @@ import "flit/internal/pmem"
 // in one batch (hot zipfian keys, the 3 field stores of a fresh node)
 // flush once.
 //
-// A Deferred instance carries per-window state (the held tags) and must
-// not be shared between goroutines; wrap one per session. The wrapped
-// policy's shared state (flit-counter tables) is unchanged and remains
-// shared with every other session. Commit or Flush must be called before
-// the window's results are exposed; the store's sessions and combiners
-// own that discipline.
+// A Deferred instance carries per-window state (the held tags and
+// retirees) and must not be shared between goroutines; wrap one per
+// session. The wrapped policy's shared state (flit-counter tables) is
+// unchanged and remains shared with every other session. Commit or Flush
+// must be called before the window's results are exposed; the store's
+// sessions and combiners own that discipline.
 type Deferred struct {
 	inner Policy
 	c     CounterScheme // the FliT policy's flit-counters; nil iff inner is not FliT
 	kind  deferKind
 
 	// tags are the addresses whose flit-counters this window has
-	// incremented and not yet released (one entry per deferred p-store;
-	// duplicates balance because counters count).
+	// incremented and not yet released (one entry per deferred p-store or
+	// p-RMW; duplicates balance because counters count).
 	tags []pmem.Addr
+
+	// retirees are the blocks this window's unlinks made unreachable,
+	// held until the commit fence persists the unlinks (Retire).
+	retirees []retiree
+}
+
+// retiree is one block waiting for its window's commit.
+type retiree struct {
+	h *reclaim.Handle
+	p pmem.Addr
+	n int
 }
 
 type deferKind int
 
 const (
-	// deferFlit defers untag+fence of shared p-stores and the completion
-	// fence (FliT policies).
+	// deferFlit defers untag+fence of shared p-stores and p-RMWs and the
+	// completion fence (FliT policies).
 	deferFlit deferKind = iota
-	// deferFlush defers store-side and load-side fences (Plain,
+	// deferFlush defers store-side, RMW-side and load-side fences (Plain,
 	// Izraelevitz: readers flush unconditionally, so no tags exist).
 	deferFlush
 	// deferComplete defers only the operation-completion fence
@@ -126,13 +138,14 @@ func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
 // The fence is conditional, by fenceDeps' argument: it is issued only
 // when the thread has write-backs in flight, and otherwise counted as
 // elided. Everything the batch must persist before its acks sits on this
-// thread's queue — its deferred stores' lines (pwbOnce re-enqueues after
-// any intervening drain) and every flush obligation its p-loads and
+// thread's queue — its deferred stores' and RMWs' lines (pwbOnce
+// re-enqueues after any intervening drain) and every flush obligation its p-loads and
 // failed p-CASes picked up — so an empty queue means a fence issued now
 // would order nothing: a batch of Gets that saw no tag acks without one.
 // Held tags are still released: with the queue empty, their lines were
-// drained by an earlier fence of this batch (a private p-store's; a
-// delegated RMW's fence releases them on the spot).
+// drained by an earlier fence of this batch (a private p-store's; an
+// RMW's leading fence releases them on the spot). The batch's retirees
+// are handed over last (retire).
 //
 //flit:hotpath
 func (d *Deferred) Flush(t *pmem.Thread) int {
@@ -148,17 +161,20 @@ func (d *Deferred) Flush(t *pmem.Thread) int {
 	if len(d.tags) != 0 {
 		d.releaseTags(t)
 	}
+	if len(d.retirees) != 0 {
+		d.retire(t)
+	}
 	return n
 }
 
 // Commit ends a window of one operation — a Direct session's op — at its
 // operation_completion(): the completion fence, always issued, persists
-// the operation's deferred stores and every flush obligation its loads
-// picked up, then the operation's tags are released. Unlike Flush it does
-// not skip an empty fence: whether the completion fence of an operation
-// that left nothing pending may be dropped is a decision of its own
-// (the per-op completion fence of every policy, FliT.Complete included),
-// not a side effect of the window.
+// the operation's deferred stores and RMWs and every flush obligation its
+// loads picked up, then the operation's tags are released and its
+// retirees handed over. Unlike Flush it does not skip an empty fence:
+// whether the completion fence of an operation that left nothing pending
+// may be dropped is a decision of its own (the per-op completion fence of
+// every policy, FliT.Complete included), not a side effect of the window.
 //
 //flit:hotpath
 func (d *Deferred) Commit(t *pmem.Thread) {
@@ -169,12 +185,16 @@ func (d *Deferred) Commit(t *pmem.Thread) {
 	if len(d.tags) != 0 {
 		d.releaseTags(t)
 	}
+	if len(d.retirees) != 0 {
+		d.retire(t)
+	}
 }
 
-// releaseTags untags every location the window's deferred p-stores hold,
-// strictly after the fence that persisted them: a reader observing a tag
-// up to this point flushes the value itself, as Algorithm 4's
-// persistTagged ordering requires. Only FliT policies hold tags.
+// releaseTags untags every location the window's deferred p-stores and
+// p-RMWs hold, strictly after the fence that persisted them: a reader
+// observing a tag up to this point flushes the value itself, as
+// Algorithm 4's persistTagged ordering requires. Only FliT policies hold
+// tags.
 //
 //flit:hotpath
 func (d *Deferred) releaseTags(t *pmem.Thread) {
@@ -182,6 +202,39 @@ func (d *Deferred) releaseTags(t *pmem.Thread) {
 		d.c.Dec(t, a)
 	}
 	d.tags = d.tags[:0]
+}
+
+// Retire takes a block that an unlink of this window made unreachable.
+// The unlink's trailing fence is the window's commit, so the block may not
+// begin its grace period before that fence: it is queued and handed to h
+// at Commit or Flush (retire). Link-and-persist's CASes and the
+// pass-through persist before they return, and their blocks go straight
+// to h.
+//
+//flit:hotpath
+func (d *Deferred) Retire(h *reclaim.Handle, p pmem.Addr, n int) {
+	if d.kind == deferComplete || d.kind == deferNone {
+		h.Retire(p, n)
+		return
+	}
+	d.retirees = append(d.retirees, retiree{h, p, n})
+}
+
+// retire hands the window's retirees to their reclamation handles, after
+// the commit fence persisted the unlinks that retired them. A window whose
+// thread a crash killed hands nothing over: its unlinks may never have
+// persisted, so its blocks leak, as under libvmmalloc, rather than reach
+// a free list while a recovered image can still point at them. Sessions
+// reach here after a crash only through Sess.Close's quiet commit.
+//
+//flit:hotpath
+func (d *Deferred) retire(t *pmem.Thread) {
+	if !t.Crashed() {
+		for _, r := range d.retirees {
+			r.h.Retire(r.p, r.n)
+		}
+	}
+	d.retirees = d.retirees[:0]
 }
 
 // pwbOnce flushes a's line unless it is already pending on the queue.
@@ -229,9 +282,9 @@ func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
 // concurrent readers carry the flush obligation exactly as for any
 // in-flight p-store; under Plain/Izraelevitz readers flush
 // unconditionally. The leading dependency fence is elided with the
-// trailing one: the window's deferred stores are non-publishing writes
-// (see the type comment), and every pointer-publishing CAS still fences
-// ahead of itself.
+// trailing one: a plain store publishes nothing in the structures (fresh
+// node fields, in-place value overwrites), and every pointer-publishing
+// RMW still fences ahead of itself.
 //
 //flit:hotpath
 func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
@@ -244,8 +297,7 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 		}
 		d.c.Inc(t, a)
 		t.Store(a, v)
-		pwbOnce(t, a)
-		d.tags = append(d.tags, a)
+		d.hold(t, a)
 	case deferFlush:
 		t.CheckCrash()
 		t.Store(a, v)
@@ -257,70 +309,127 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 	}
 }
 
-// releaseTagsIfFenced releases every held tag when a delegated
-// instruction issued a fence. Any fence on this thread drains the whole
-// write-back queue, and every deferred store keeps its latest value
-// pending (pwbOnce re-enqueues after each intervening drain), so a
-// fence leaves every deferred store persisted — holding its tag longer
-// would only make readers re-flush already-durable lines.
-//
-// "Issued a fence" is read off the Stats.PFences delta, which an elided
-// dependency fence (fenceDeps) does not move — correctly: a fence that
-// was not issued persisted nothing. The delegated instruction's leading
-// fence is elided only when nothing is pending, and held tags have their
-// lines pending (Store's pwbOnce) unless a private p-store's fence drained
-// them in between, so a window with deferred stores sees the fence and
-// releases here even when the CAS fails. In the drained case the stores
-// are already durable and their tags simply wait for the next fence or
-// commit. batch_test.go pins both ends.
+// hold is the deferred epilogue of an applied, tagged FliT p-store or
+// p-RMW: flush the line once and keep the tag until the window's next
+// fence.
 //
 //flit:hotpath
-func (d *Deferred) releaseTagsIfFenced(t *pmem.Thread, fencesBefore uint64) {
-	if t.Stats.PFences != fencesBefore && len(d.tags) != 0 {
+func (d *Deferred) hold(t *pmem.Thread, a pmem.Addr) {
+	pwbOnce(t, a)
+	d.tags = append(d.tags, a)
+}
+
+// leadingFence is an RMW's leading fence inside the window: the policies'
+// conditional dependency fence (fenceDeps), after which the thread's
+// queue is empty either way. Every held tag's value was flushed by this
+// window and has drained since — at this fence, or at an earlier one
+// (a private p-store's) if the fence was elided — so the tags are
+// released on the spot: holding them longer would only make readers
+// re-flush durable lines.
+//
+//flit:hotpath
+func (d *Deferred) leadingFence(t *pmem.Thread) {
+	fenceDeps(t)
+	if len(d.tags) != 0 {
 		d.releaseTags(t)
 	}
 }
 
-// CAS delegates untouched: publishing instructions keep their leading
-// and trailing fences (see the type comment for why a window must not
-// relax them). Their fences persist the window's deferred stores as a
-// side effect, so the held tags are released on the spot.
+// CAS is Algorithm 4's shared-store for compare-and-swap with its
+// trailing persistence deferred like Store's: the leading fence stays
+// (leadingFence), and a successful p-CAS tags, applies and flushes,
+// holding its tag until the window's commit. A failed p-CAS wrote nothing but
+// observed the current value, so it keeps a p-load's obligation (see
+// FliT.CAS): flush if another p-store is still pending — under Plain and
+// Izraelevitz, always — with the fence at the commit. Link-and-persist's
+// dirty-bit CAS keeps its own fences.
 //
 //flit:hotpath
 func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
-	if d.c == nil {
+	switch d.kind {
+	case deferFlit:
+		t.CheckCrash()
+		d.leadingFence(t)
+		if !pflag {
+			return t.CAS(a, old, new)
+		}
+		d.c.Inc(t, a)
+		if t.CAS(a, old, new) {
+			d.hold(t, a)
+			return true
+		}
+		d.c.Dec(t, a)
+		if d.c.Tagged(t, a) {
+			pwbOnce(t, a)
+		}
+		return false
+	case deferFlush:
+		t.CheckCrash()
+		d.leadingFence(t)
+		ok := t.CAS(a, old, new)
+		if pflag {
+			pwbOnce(t, a)
+		}
+		return ok
+	default:
 		return d.inner.CAS(t, a, old, new, pflag)
 	}
-	before := t.Stats.PFences
-	ok := d.inner.CAS(t, a, old, new, pflag)
-	d.releaseTagsIfFenced(t, before)
-	return ok
 }
 
-// FAA delegates untouched (tag release as for CAS).
+// FAA is Algorithm 4's shared-store for fetch-and-add, deferred as CAS.
 //
 //flit:hotpath
 func (d *Deferred) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
-	if d.c == nil {
+	switch d.kind {
+	case deferFlit:
+		t.CheckCrash()
+		d.leadingFence(t)
+		if !pflag {
+			return t.FAA(a, delta)
+		}
+		d.c.Inc(t, a)
+		prev := t.FAA(a, delta)
+		d.hold(t, a)
+		return prev
+	case deferFlush:
+		t.CheckCrash()
+		d.leadingFence(t)
+		prev := t.FAA(a, delta)
+		if pflag {
+			pwbOnce(t, a)
+		}
+		return prev
+	default:
 		return d.inner.FAA(t, a, delta, pflag)
 	}
-	before := t.Stats.PFences
-	prev := d.inner.FAA(t, a, delta, pflag)
-	d.releaseTagsIfFenced(t, before)
-	return prev
 }
 
-// Exchange delegates untouched (tag release as for CAS).
+// Exchange is Algorithm 4's shared-store for swap, deferred as CAS.
 //
 //flit:hotpath
 func (d *Deferred) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) uint64 {
-	if d.c == nil {
+	switch d.kind {
+	case deferFlit:
+		t.CheckCrash()
+		d.leadingFence(t)
+		if !pflag {
+			return t.Exchange(a, v)
+		}
+		d.c.Inc(t, a)
+		prev := t.Exchange(a, v)
+		d.hold(t, a)
+		return prev
+	case deferFlush:
+		t.CheckCrash()
+		d.leadingFence(t)
+		prev := t.Exchange(a, v)
+		if pflag {
+			pwbOnce(t, a)
+		}
+		return prev
+	default:
 		return d.inner.Exchange(t, a, v, pflag)
 	}
-	before := t.Stats.PFences
-	prev := d.inner.Exchange(t, a, v, pflag)
-	d.releaseTagsIfFenced(t, before)
-	return prev
 }
 
 // LoadPrivate delegates: private loads never flush.

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"flit/internal/pheap"
 	"flit/internal/pmem"
+	"flit/internal/reclaim"
 )
 
 func newDeferredMem(t *testing.T) (*pmem.Memory, *pmem.Thread) {
@@ -159,20 +161,20 @@ func TestDeferredFlushPersistsLoadObligations(t *testing.T) {
 // thread's queue and otherwise counts an elided fence. A batch that only
 // p-loaded a clean word owes nothing under FliT and link-and-persist (no
 // tag, no dirty bit, no flush) but fences under Plain and Izraelevitz,
-// whose p-loads always flush. A deferred store is pending under every
-// policy but link-and-persist, whose stores are CASes persisted in place.
-// Either way the batch's value is durable once Flush returns.
+// whose p-loads always flush. A deferred store or p-CAS is pending under
+// every policy but link-and-persist, whose stores are CASes persisted in
+// place. Either way the batch's value is durable once Flush returns.
 func TestDeferredFlushFencesOnlyPending(t *testing.T) {
 	type fences struct{ issued, elided uint64 }
 	for _, tc := range []struct {
-		pol         Policy
-		load, store fences
+		pol              Policy
+		load, store, cas fences
 	}{
-		{NewFliT(NewHashTable(1 << 12)), fences{0, 1}, fences{1, 0}},
-		{NewFliT(Adjacent{}), fences{0, 1}, fences{1, 0}},
-		{Plain{}, fences{1, 0}, fences{1, 0}},
-		{Izraelevitz{}, fences{1, 0}, fences{1, 0}},
-		{LinkAndPersist{}, fences{0, 1}, fences{0, 1}},
+		{NewFliT(NewHashTable(1 << 12)), fences{0, 1}, fences{1, 0}, fences{1, 0}},
+		{NewFliT(Adjacent{}), fences{0, 1}, fences{1, 0}, fences{1, 0}},
+		{Plain{}, fences{1, 0}, fences{1, 0}, fences{1, 0}},
+		{Izraelevitz{}, fences{1, 0}, fences{1, 0}, fences{1, 0}},
+		{LinkAndPersist{}, fences{0, 1}, fences{0, 1}, fences{0, 1}},
 	} {
 		m, th := newDeferredMem(t)
 		d := NewDeferred(tc.pol)
@@ -195,7 +197,9 @@ func TestDeferredFlushFencesOnlyPending(t *testing.T) {
 		flush("clean p-load", tc.load, 0)
 		d.Store(th, a, 5, P)
 		flush("p-store", tc.store, 5)
-		flush("empty batch", fences{0, 1}, 5)
+		d.CAS(th, a, 5, 6, P)
+		flush("p-CAS", tc.cas, 6)
+		flush("empty batch", fences{0, 1}, 6)
 	}
 }
 
@@ -299,28 +303,196 @@ func TestDeferredPlainStoreDeferred(t *testing.T) {
 	}
 }
 
-// TestDeferredCASDelegates: publishing instructions keep the wrapped
-// policy's full fence discipline — a successful p-CAS is persistent
-// before it returns, batch or no batch.
+// TestDeferredCASDelegates: link-and-persist's dirty-bit CAS keeps its
+// own fences under the window (the bit may be cleared only once the value
+// is durable), so its p-CAS is persistent before it returns, batch or no
+// batch; no-persist's passes through without persisting at all.
 func TestDeferredCASDelegates(t *testing.T) {
 	m, th := newDeferredMem(t)
-	d := NewDeferred(NewFliT(NewHashTable(1 << 12)))
+	d := NewDeferred(LinkAndPersist{})
 	const a = pmem.Addr(64)
 	if !d.CAS(th, a, 0, 5, P) {
 		t.Fatal("CAS failed")
 	}
-	if m.PersistedWord(a) != 5 {
-		t.Fatal("p-CAS under the batch skeleton was not immediately persistent")
+	if m.PersistedWord(a)&^DirtyBit != 5 || th.Pending() != 0 {
+		t.Fatal("link-and-persist p-CAS under the window was not immediately persistent")
+	}
+
+	m, th = newDeferredMem(t)
+	d = NewDeferred(NoPersist{})
+	if !d.CAS(th, a, 0, 5, P) {
+		t.Fatal("CAS failed")
+	}
+	if m.PersistedWord(a) != 0 || th.Stats.PWBs != 0 || th.Stats.PFences != 0 {
+		t.Fatal("no-persist p-CAS under the window persisted something")
 	}
 }
 
-// TestDeferredFailedCASReleasesTags pins what releaseTagsIfFenced infers
-// from the fence count now that the delegated CAS's dependency fence is
-// conditional (fenceDeps). A batch holding a deferred p-store has that
-// store's line pending, so even a *failed* p-CAS — which fences nothing
-// of its own — issues the leading fence: one fence, one line drained,
-// the store durable, its tag released. An idle batch's failed p-CAS
-// issues no fence at all and there is nothing to release.
+// TestDeferredRMWHoldsUntilCommit pins the window's RMWs per deferring
+// policy: a successful p-CAS, p-FAA or p-Exchange applies and flushes but
+// does not fence — under FliT its tag is held — until the commit; any
+// fence in between (another RMW's leading fence) persists it and releases
+// the tag on the spot; a failed p-CAS holds no tag of its own and leaves
+// the flit-counter as it found it.
+func TestDeferredRMWHoldsUntilCommit(t *testing.T) {
+	const a, b = pmem.Addr(64), pmem.Addr(256) // different lines
+	rmws := []struct {
+		name  string
+		apply func(d *Deferred, th *pmem.Thread, a pmem.Addr) uint64 // returns the value a now holds
+	}{
+		{"CAS", func(d *Deferred, th *pmem.Thread, a pmem.Addr) uint64 {
+			if !d.CAS(th, a, 0, 5, P) {
+				t.Fatal("CAS failed")
+			}
+			return 5
+		}},
+		{"FAA", func(d *Deferred, th *pmem.Thread, a pmem.Addr) uint64 { return d.FAA(th, a, 3, P) + 3 }},
+		{"Exchange", func(d *Deferred, th *pmem.Thread, a pmem.Addr) uint64 { d.Exchange(th, a, 9, P); return 9 }},
+	}
+	for _, pol := range []Policy{
+		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), Plain{}, Izraelevitz{},
+	} {
+		f, _ := pol.(*FliT)
+		tagged := func(th *pmem.Thread, a pmem.Addr) bool { return f != nil && f.C.Tagged(th, a) }
+		for _, rmw := range rmws {
+			name := pol.Name() + "/" + rmw.name
+			for _, end := range []string{"Commit", "Flush"} {
+				m, th := newDeferredMem(t)
+				d := NewDeferred(pol)
+				v := rmw.apply(d, th, a)
+				if th.Stats.PFences != 0 || th.Stats.PWBs != 1 || m.PersistedWord(a) != 0 {
+					t.Fatalf("%s: the RMW issued %d fences and %d pwbs and persisted %d, want 0 / 1 / nothing",
+						name, th.Stats.PFences, th.Stats.PWBs, m.PersistedWord(a))
+				}
+				if f != nil && (!tagged(th, a) || len(d.tags) != 1) {
+					t.Fatalf("%s: the RMW's tag is not held (%d held)", name, len(d.tags))
+				}
+				if end == "Commit" {
+					d.Commit(th)
+				} else {
+					d.Flush(th)
+				}
+				if th.Stats.PFences != 1 || m.PersistedWord(a) != v || tagged(th, a) || len(d.tags) != 0 {
+					t.Fatalf("%s, %s: %d fences, persisted %d (want 1, %d), tag still held: %v",
+						name, end, th.Stats.PFences, m.PersistedWord(a), v, tagged(th, a))
+				}
+			}
+
+			// An intervening fence: the next RMW's leading fence drains
+			// the first and releases its tag, and holds its own.
+			m, th := newDeferredMem(t)
+			d := NewDeferred(pol)
+			v := rmw.apply(d, th, a)
+			rmw.apply(d, th, b)
+			if th.Stats.PFences != 1 || m.PersistedWord(a) != v || tagged(th, a) {
+				t.Fatalf("%s: after the next RMW's leading fence: %d fences, persisted %d (want 1, %d), first tag held: %v",
+					name, th.Stats.PFences, m.PersistedWord(a), v, tagged(th, a))
+			}
+			if f != nil && (!tagged(th, b) || len(d.tags) != 1) {
+				t.Fatalf("%s: the second RMW's tag is not the one held (%d held)", name, len(d.tags))
+			}
+			if m.PersistedWord(b) != 0 {
+				t.Fatalf("%s: the second RMW persisted before the commit", name)
+			}
+			d.Commit(th)
+			if n, _ := LiveTagCount(pol); n != 0 {
+				t.Fatalf("%s: %d live tags after Commit", name, n)
+			}
+		}
+
+		// A failed p-CAS on a line another window holds tagged: no tag of
+		// its own, the writer's tag untouched, and the line flushed onto
+		// this thread's queue (always, under Plain and Izraelevitz).
+		m, writer := newDeferredMem(t)
+		wd := NewDeferred(pol)
+		wd.Store(writer, a, 7, P)
+		before, _ := LiveTagCount(pol)
+		reader := m.RegisterThread()
+		rd := NewDeferred(pol)
+		if rd.CAS(reader, a, 0, 1, P) {
+			t.Fatalf("%s: CAS with a stale value succeeded", pol.Name())
+		}
+		if after, _ := LiveTagCount(pol); after != before || len(rd.tags) != 0 {
+			t.Fatalf("%s: failed p-CAS moved the live tags %d → %d, holds %d", pol.Name(), before, after, len(rd.tags))
+		}
+		if reader.Stats.PWBs != 1 || reader.Stats.PFences != 0 {
+			t.Fatalf("%s: failed p-CAS on an in-flight line: %d pwbs, %d fences, want 1 / 0",
+				pol.Name(), reader.Stats.PWBs, reader.Stats.PFences)
+		}
+		rd.Commit(reader)
+		if m.PersistedWord(a) != 7 {
+			t.Fatalf("%s: the reader's commit did not persist the value its failed p-CAS observed", pol.Name())
+		}
+		wd.Commit(writer)
+	}
+}
+
+// TestDeferredRetireWaitsForCommit: a window holds the blocks its unlinks
+// retire until its commit fence, and only then hands them to the
+// reclamation handle; a window whose thread a crash killed hands nothing
+// over; link-and-persist and no-persist, whose CASes are persisted (or
+// never are) when they return, hand them over at once.
+func TestDeferredRetireWaitsForCommit(t *testing.T) {
+	frees := func(h *reclaim.Handle, ar *pheap.Arena) uint64 {
+		h.Flush() // every bucket to the arena, grace period or not
+		_, n, _ := ar.AllocStats()
+		return n
+	}
+	for _, tc := range []struct {
+		pol  Policy
+		held bool
+	}{
+		{NewFliT(NewHashTable(1 << 12)), true},
+		{Plain{}, true},
+		{Izraelevitz{}, true},
+		{LinkAndPersist{}, false},
+		{NoPersist{}, false},
+	} {
+		for _, end := range []string{"Commit", "Flush", "crash"} {
+			m, th := newDeferredMem(t)
+			ar := pheap.New(m).NewArena()
+			h := reclaim.NewDomain().NewHandleOwned(ar, th)
+			d := NewDeferred(tc.pol)
+			d.Retire(h, 512, 4)
+			want := uint64(0) // held until the commit
+			if !tc.held {
+				want = 1
+			}
+			if n := frees(h, ar); n != want {
+				t.Fatalf("%s: %d blocks freed before the commit, want %d", tc.pol.Name(), n, want)
+			}
+			switch end {
+			case "Commit":
+				d.Commit(th)
+			case "Flush":
+				d.Flush(th)
+			case "crash":
+				th.SetCrashAfter(0)
+				func() {
+					defer func() { recover() }()
+					d.Complete(th)
+				}()
+				d.Flush(th) // Sess.Close's quiet commit of a crashed window
+			}
+			if end != "crash" || !tc.held {
+				want = 1
+			}
+			if n := frees(h, ar); n != want {
+				t.Fatalf("%s, %s: %d blocks freed, want %d", tc.pol.Name(), end, n, want)
+			}
+			if len(d.retirees) != 0 {
+				t.Fatalf("%s, %s: the window still holds %d retirees", tc.pol.Name(), end, len(d.retirees))
+			}
+		}
+	}
+}
+
+// TestDeferredFailedCASReleasesTags pins Deferred.leadingFence, the window's
+// leading RMW fence. A batch holding a deferred p-store has that store's
+// line pending, so even a *failed* p-CAS — which fences nothing of its
+// own — issues the leading fence: one fence, one line drained, the store
+// durable, its tag released. An idle batch's failed p-CAS issues no fence
+// at all and there is nothing to release.
 func TestDeferredFailedCASReleasesTags(t *testing.T) {
 	const a, b = pmem.Addr(64), pmem.Addr(256) // different lines
 

@@ -63,6 +63,38 @@ var mutants = []mutant{
 		replacement: ``,
 	},
 	{
+		// A window's p-CAS releases its flit-tag as soon as it has
+		// flushed, before the commit fence persists it: a reader that
+		// sees the new link no longer sees a tag, so it neither flushes
+		// the link nor waits for it, and acks what a crash then loses.
+		name:   "window-rmw-untags-early",
+		origin: "a window's RMW holds its tag until the commit",
+		file:   "internal/core/batch.go",
+		snippet: `		if t.CAS(a, old, new) {
+			d.hold(t, a)
+			return true
+		}`,
+		replacement: `		if t.CAS(a, old, new) {
+			pwbOnce(t, a)
+			d.c.Dec(t, a)
+			return true
+		}`,
+	},
+	{
+		// A window hands an unlinked node to reclamation at once, before
+		// its commit fence persists the unlink: the node can be reused
+		// while a crash image still reaches it.
+		name:   "window-retires-before-commit",
+		origin: "a window retires at its commit",
+		file:   "internal/dstruct/dstruct.go",
+		snippet: `	if c.win != nil {
+		c.win.Retire(c.H, p, n)
+		return
+	}
+`,
+		replacement: ``,
+	},
+	{
 		// Pinned by TestInsertBehindPendingPredecessor.
 		name:   "insert-ignores-incoming-link",
 		origin: "traversal rule: an insert rests on its incoming link",

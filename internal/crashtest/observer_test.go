@@ -12,6 +12,7 @@ import (
 	"flit/internal/hist"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
+	"flit/internal/store"
 )
 
 // The batteries in this file are the deterministic, single-goroutine form
@@ -283,6 +284,51 @@ func TestQueueVolatileEndsTrailDurableState(t *testing.T) {
 				}
 			} else if len(rec) == 0 || rec[len(rec)-1] != 12 {
 				t.Fatalf("helper frozen at instruction %d: completed enqueue of 12 lost, recovered %v", helperCrash, rec)
+			}
+		}
+	}
+}
+
+// TestObserverPersistsWindowedWrite: a Batched session's open window is a
+// frozen writer that needs no stall. Its fresh Put's link CAS, or its
+// Delete's mark and unlink, are applied and visible but wait for the
+// window's commit to persist (under FliT, still tagged). A Direct session
+// then reads the key and is acknowledged; a crash before the window
+// commits must recover what the reader saw.
+func TestObserverPersistsWindowedWrite(t *testing.T) {
+	for _, pol := range []string{core.PolicyHT, core.PolicyPlain} {
+		for _, mode := range dstruct.Modes {
+			for writer, name := range map[store.OpKind]string{store.OpPut: "Put", store.OpDelete: "Delete"} {
+				st, err := store.New(store.Options{
+					Shards: 1, ExpectedKeys: 64, Policy: pol,
+					HTBytes: 1 << 14, Mode: mode, VirtualClock: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if writer == store.OpDelete {
+					load := store.Open[string](st, store.Direct)
+					load.Put("o", 1)
+					load.Close()
+				}
+				w := store.Open[string](st, store.Batched)
+				w.Apply([]store.Op[string]{{Kind: writer, Key: "o", Val: 1}}, make([]store.Result, 1))
+				r := store.Open[string](st, store.Direct)
+				_, saw := r.Get("o")
+
+				img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+				rec, _, err := store.Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs := store.Open[string](rec, store.Direct)
+				if _, ok := rs.Get("o"); ok != saw {
+					t.Errorf("%s/%s: a reader acknowledged present=%v over an open window's %s, recovered present=%v",
+						pol, mode, saw, name, ok)
+				}
+				rs.Close()
+				r.Close()
+				w.Close()
 			}
 		}
 	}

@@ -286,7 +286,8 @@ func (t *Thread) cleanup(key uint64, sr seekRec) bool {
 	v := pol.Load(c.T, siblingField, cp)
 	kept := uint64(dstruct.Ptr(v)) | (v & core.FlagBit) // untag, keep flag
 	// The swing is a p-store in every mode: it makes parent and leaf
-	// unreachable, and they are retired for reuse below.
+	// unreachable, and they are retired for reuse below, once it is
+	// persistent (dstruct.Ctx.Retire).
 	if !pol.CAS(c.T, succField, uint64(sr.successor), kept, core.P) {
 		return false
 	}
@@ -295,9 +296,9 @@ func (t *Thread) cleanup(key uint64, sr seekRec) bool {
 		removedField = c.Field(sr.parent, fRight)
 	}
 	removed := dstruct.Ptr(pol.Load(c.T, removedField, cp))
-	c.H.Retire(sr.parent, c.Words(NumFields))
+	c.Retire(sr.parent, c.Words(NumFields))
 	if removed != pmem.NilAddr {
-		c.H.Retire(removed, c.Words(NumFields))
+		c.Retire(removed, c.Words(NumFields))
 	}
 	return true
 }

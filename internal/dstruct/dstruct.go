@@ -157,6 +157,9 @@ type Ctx struct {
 	T  *pmem.Thread
 	Ar *pheap.Arena
 	H  *reclaim.Handle
+	// win is Policy as a commit window (core.Deferred), nil under a raw
+	// policy: where Retire queues.
+	win *core.Deferred
 	// ownsT/ownsAr record whether Open registered the pmem thread/arena
 	// itself (nil ThreadOpts fields), in which case Close releases them;
 	// resources passed in by the caller stay the caller's to release.
@@ -174,6 +177,7 @@ func (c Config) Open(dom *reclaim.Domain, o ThreadOpts) Ctx {
 		c.Policy = o.Policy
 	}
 	x := Ctx{Config: c, T: o.T, Ar: o.Arena}
+	x.win, _ = c.Policy.(*core.Deferred)
 	if x.T == nil {
 		x.T, x.ownsT = c.Heap.Mem().RegisterThread(), true
 	}
@@ -297,6 +301,22 @@ func (c Config) Anchor(fields ...uint64) pmem.Addr {
 func (c *Ctx) Done() {
 	c.Policy.Complete(c.T)
 	c.H.Exit()
+}
+
+// Retire schedules the n-word block at p, which this handle's own unlink
+// just made unreachable, for reuse. The unlink must persist before the
+// block can be reused. A raw policy's p-CAS fenced before it returned, so
+// the block goes straight to the reclamation handle; under a commit window
+// the unlink persists at the window's commit, so the window holds the
+// block until then (core.Deferred.Retire).
+//
+//flit:hotpath
+func (c *Ctx) Retire(p pmem.Addr, n int) {
+	if c.win != nil {
+		c.win.Retire(c.H, p, n)
+		return
+	}
+	c.H.Retire(p, n)
 }
 
 // SetThread is a per-thread handle to a concurrent set. Handles are not

@@ -7,10 +7,12 @@
 // durability Mode: Automatic issues every access as a p-instruction;
 // NVTraverse and Manual traverse with v-loads and re-examine the decisive
 // links with p-loads at the traversal/critical transition. Unlink CASes
-// are p-instructions in every mode: a node is retired to the reclamation
-// domain right after it is unlinked, so the unlink must be persistent
-// before the node's memory can be reused (otherwise the persistent image
-// could point into recycled memory).
+// are p-instructions in every mode: the unlink must be persistent before
+// the node's memory can be reused (otherwise the persistent image could
+// point into recycled memory), so the node is retired through
+// dstruct.Ctx.Retire, which hands it to the reclamation domain once the
+// unlink is persistent — at once under a raw policy, whose p-CAS fences
+// before it returns, and at the commit fence under a commit window.
 package list
 
 import (
@@ -98,8 +100,8 @@ retry:
 		nextRaw := pol.Load(c.T, c.Field(curr, fNext), travP)
 		if dstruct.Marked(nextRaw) {
 			// curr is logically deleted: unlink it. The unlink is a
-			// p-instruction in every mode — curr is retired immediately
-			// after, so its unreachability must persist before reuse. It
+			// p-instruction in every mode — curr's unreachability must
+			// persist before it is reused, which Retire waits for. It
 			// rests on the mark, which the Delete may not have persisted
 			// yet: an unlink that outlives its mark resurrects curr when
 			// the crash also loses the link into pred.
@@ -108,7 +110,7 @@ retry:
 			if !pol.CAS(c.T, predLink, uint64(curr), uint64(succ), core.P) {
 				goto retry
 			}
-			c.H.Retire(curr, c.Words(NumFields))
+			c.Retire(curr, c.Words(NumFields))
 			curr = succ
 			continue
 		}
@@ -240,7 +242,9 @@ func (t *Thread) AddAt(head pmem.Addr, key, delta uint64) (uint64, bool) {
 }
 
 // Delete removes key if present. The marking CAS is the linearization
-// point and is persisted in every mode; the physical unlink is also
+// point and is persisted in every mode: by its own fence under a raw
+// policy; under a commit window by the unlink's leading fence, or by the
+// window's commit when the unlink fails. The physical unlink is also
 // persisted (see package comment) but its failure is benign — find() of
 // any later operation finishes the job.
 func (t *Thread) Delete(key uint64) bool { return t.DeleteAt(t.c.Root(), key) }
@@ -272,7 +276,7 @@ func (t *Thread) DeleteAt(head pmem.Addr, key uint64) bool {
 		}
 		// Physical unlink; on failure a traversal will help.
 		if pol.CAS(c.T, predLink, uint64(curr), nextRaw, core.P) {
-			c.H.Retire(curr, c.Words(NumFields))
+			c.Retire(curr, c.Words(NumFields))
 		} else {
 			t.find(head, key)
 		}

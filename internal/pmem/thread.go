@@ -235,6 +235,12 @@ func (t *Thread) drain() int {
 	t.Stats.PFences++
 	m := t.M
 	n := len(t.wb.lines)
+	if n == 0 {
+		// An empty fence is counted and charged like any other, but it
+		// drains nothing, and an empty queue has nothing to reset.
+		t.charge(m.cfg.PFenceCost)
+		return 0
+	}
 	tr := m.trace
 	for _, l := range t.wb.lines {
 		m.lockLine(l)

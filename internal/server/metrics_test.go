@@ -234,16 +234,16 @@ func TestMetricsDisabled(t *testing.T) {
 // policy finds empty are not issued, but stay countable — STATS and the
 // metrics page carry them beside the issued fences. A fresh-key Put's
 // publishing CAS has the node's lines pending (its dependency fence is
-// issued) and its own trailing fence empties the queue, so the batch's
-// commit fence is elided; a Delete's mark and unlink CASes each open on
-// an empty queue, and so does its commit.
+// issued) and leaves its own line pending for the batch's commit fence;
+// a Delete's mark CAS opens on an empty queue (the one elided fence), its
+// unlink's dependency fence drains the mark, and the commit the unlink.
 func TestElidedFencesReported(t *testing.T) {
 	srv, c := pipeServer(t, newTestStore(t), server.Options{})
 	if _, err := c.Put([]byte("k"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Stats(); st.PFences != 2 || st.PFencesElided != 1 {
-		t.Fatalf("after a fresh-key Put: pfences=%d pfences_elided=%d, want 2 / 1", st.PFences, st.PFencesElided)
+	if st := srv.Stats(); st.PFences != 2 || st.PFencesElided != 0 {
+		t.Fatalf("after a fresh-key Put: pfences=%d pfences_elided=%d, want 2 / 0", st.PFences, st.PFencesElided)
 	}
 	if _, err := c.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
@@ -252,8 +252,8 @@ func TestElidedFencesReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PFencesElided != 4 {
-		t.Fatalf("after the Delete: pfences_elided=%d over the wire, want 4", st.PFencesElided)
+	if st.PFencesElided != 1 {
+		t.Fatalf("after the Delete: pfences_elided=%d over the wire, want 1", st.PFencesElided)
 	}
 	var buf bytes.Buffer
 	if err := srv.WriteMetrics(&buf); err != nil {
@@ -262,7 +262,7 @@ func TestElidedFencesReported(t *testing.T) {
 	if _, err := metrics.ValidateExposition(buf.Bytes()); err != nil {
 		t.Fatalf("page invalid: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "flit_pfences_elided_total 4\n") {
+	if !strings.Contains(buf.String(), "flit_pfences_elided_total 1\n") {
 		t.Fatalf("page missing the elided-fence counter:\n%s", buf.String())
 	}
 }

@@ -816,7 +816,7 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 		pfences := ts.PFences - pfences0
 		b.srv.pwbs.Add(ts.PWBs - pwbs0)
 		b.srv.pfences.Add(pfences)
-		if elided := ts.ElidedFences - elided0; elided != 0 { // an empty commit, or a Delete's CASes
+		if elided := ts.ElidedFences - elided0; elided != 0 { // an empty commit, or a CAS's dependency fence
 			b.srv.elided.Add(elided)
 		}
 		if m != nil {

@@ -18,8 +18,9 @@ type SessionMode int
 const (
 	// Direct commits after every operation: each op is a commit window of
 	// one under the same skeleton Batched sessions use (core.Deferred).
-	// Its stores apply and flush, and the operation's completion fence —
-	// always issued — persists them before the tags it holds are released
+	// Its stores and RMWs apply and flush, and the operation's completion
+	// fence — always issued — persists them before the tags it holds are
+	// released and the nodes it unlinked are retired
 	// (core.Deferred.Commit), so an op's p-stores ride one fence, not one
 	// each. Results are durable when the call returns.
 	Direct SessionMode = iota
