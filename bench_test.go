@@ -166,12 +166,11 @@ func BenchmarkMatrixSmoke(b *testing.B) {
 
 // BenchmarkMatrixSmokeVClock is BenchmarkMatrixSmoke under pmem's
 // virtual-clock cost mode: same modeled costs and near-identical
-// pwbs/op cells, no calibrated spin loops. Skipping the spin burn collapses the
-// YCSB load phases outright and — because per-op wall cost no longer
-// carries spin-granularity noise — lets the measured windows shrink to a
-// third while each still collects more ops than the longer spin-mode
-// window does, for a ≥2x wall-clock win overall. Throughput cells are
-// not comparable with the spin variant's; pwbs/op cells are identical.
+// pwbs/op cells, no calibrated spin loops. Because per-op wall cost no
+// longer carries spin-granularity noise, the measured windows shrink to
+// a fraction while each still collects more ops than the longer
+// spin-mode window does. Throughput cells are not comparable with the
+// spin variant's; pwbs/op cells are identical.
 func BenchmarkMatrixSmokeVClock(b *testing.B) {
 	m, ok := bench.Preset("smoke")
 	if !ok {
@@ -382,35 +381,6 @@ func BenchmarkHashKey(b *testing.B) {
 
 // benchSink keeps measured results live.
 var benchSink uint64
-
-// BenchmarkStoreWorkload runs the YCSB-style mixes; each iteration is one
-// timed window, with throughput and tail latency reported as metrics.
-func BenchmarkStoreWorkload(b *testing.B) {
-	const records = 10_000
-	for _, mix := range []string{"a", "b", "c", "f"} {
-		for _, dist := range []string{workload.DistUniform, workload.DistZipfian} {
-			b.Run(mix+"/"+dist, func(b *testing.B) {
-				st := newBenchStore(b, store.Options{Shards: 8, ExpectedKeys: records * 2})
-				workload.Load(st, records, runtime.GOMAXPROCS(0))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := workload.Run(st, store.Direct, workload.Spec{
-						Mix: mix, Dist: dist,
-						Workers:  runtime.GOMAXPROCS(0),
-						Duration: 50 * time.Millisecond,
-						Records:  records, Seed: int64(i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(res.OpsPerSec, "ops/s")
-					b.ReportMetric(float64(res.P99.Nanoseconds()), "p99_ns")
-					b.ReportMetric(res.PWBsPerOp, "pwbs/op")
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkStoreRecovery measures shard-parallel post-crash recovery of a
 // loaded store; the serial/parallel ratio and the PWBs and PFences one

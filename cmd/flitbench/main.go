@@ -1,8 +1,8 @@
-// Command flitbench drives internal/bench, the repo's one experiment
-// runner: it regenerates the tables and figures of the FliT paper's
-// evaluation section (§6) on the simulated-NVRAM substrate, and runs the
-// named benchmark matrices. Both are views of the same cells — a figure
-// is a preset matrix plus the tables rendered from its report.
+// Command flitbench drives internal/bench, the runner of the FliT
+// paper's evaluation section (§6): it regenerates the tables and figures
+// on the simulated-NVRAM substrate, and runs the named set-cell matrices.
+// Both are views of the same cells — a figure is a preset matrix plus the
+// tables rendered from its report.
 //
 // Usage:
 //
@@ -19,10 +19,11 @@
 // counters), ablation-iz (Izraelevitz et al. baseline), ablation-zipf
 // (access skew).
 //
-// Matrices: smoke (a small fixed grid), groupcommit, combining, overload,
-// full (the nightly grid). A report records one run on one machine; it
-// is not a gate — performance claims are rows of `benchmark/run.sh
-// compare` (see benchmark/README.md).
+// Matrices: smoke (a small fixed grid of structures × policies) and full
+// (every structure and headline policy). A report records one run on one
+// machine; it is not a gate. The store and its network front-end are
+// timed by benchmark/, and performance claims are rows of
+// `benchmark/run.sh compare` (see benchmark/README.md).
 //
 // Absolute throughput is simulated-memory throughput; the paper's shapes
 // (who wins, by what factor, where crossovers fall) are the reproduction
@@ -43,7 +44,7 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate (5,6,7,8,9,ablation-inv,ablation-pack,ablation-line,ablation-iz,ablation-zipf,all)")
-	matrix := flag.String("matrix", "", fmt.Sprintf("run a declarative benchmark matrix instead of figures (%s)", strings.Join(bench.PresetNames(), "|")))
+	matrix := flag.String("matrix", "", fmt.Sprintf("run a named set-cell matrix instead of figures (%s)", strings.Join(bench.PresetNames(), "|")))
 	duration := flag.Duration("duration", 250*time.Millisecond, "measured duration per cell")
 	warmup := flag.Duration("warmup", 0, "matrix mode: discarded warm-up window per cell (0 disables; default duration/2)")
 	threads := flag.Int("threads", runtime.GOMAXPROCS(0), "worker threads (the paper used 44)")
@@ -51,7 +52,6 @@ func main() {
 	invalidate := flag.Bool("invalidate", false, "model the invalidating clwb of Cascade Lake everywhere")
 	out := flag.String("out", "", "also append output to this file")
 	repeats := flag.Int("repeats", 1, "average each cell over N runs (the paper used 5)")
-	seed := flag.Int64("seed", 1, "matrix mode: workload generator seed")
 	vclock := flag.Bool("vclock", false, "virtual-clock cost accounting (no spin loops; pwbs/op cells identical, throughput cells not comparable with spin-mode reports)")
 	csv := flag.String("csv", "", "also append CSV-formatted tables to this file")
 	jsonOut := flag.String("json", "", "write a machine-readable BenchReport (see internal/bench) to this file")
@@ -66,7 +66,7 @@ func main() {
 	}
 
 	if *matrix != "" {
-		runMatrix(*matrix, *threads, *duration, *warmup, *repeats, *seed, *vclock, *jsonOut)
+		runMatrix(*matrix, *threads, *duration, *warmup, *repeats, *vclock, *jsonOut)
 		return
 	}
 
@@ -140,7 +140,7 @@ func main() {
 
 // runMatrix executes a preset matrix, applying whichever measurement
 // flags the user set explicitly.
-func runMatrix(name string, threads int, duration, warmup time.Duration, repeats int, seed int64, vclock bool, jsonOut string) {
+func runMatrix(name string, threads int, duration, warmup time.Duration, repeats int, vclock bool, jsonOut string) {
 	m, ok := bench.Preset(name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "flitbench: unknown matrix %q (known: %s)\n", name, strings.Join(bench.PresetNames(), ", "))
@@ -163,9 +163,6 @@ func runMatrix(name string, threads int, duration, warmup time.Duration, repeats
 	}
 	if set["repeats"] {
 		m.Repeats = repeats
-	}
-	if set["seed"] {
-		m.Seed = seed
 	}
 	start := time.Now()
 	rep, err := m.Run()

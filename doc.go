@@ -47,9 +47,9 @@
 //     shard per persistent root, a self-describing superblock, and
 //     shard-parallel post-crash recovery
 //   - internal/workload: a YCSB-style workload subsystem (mixes A-G,
-//     uniform/zipfian/latest distributions, one closed-loop driver the
-//     in-process runner and the network load generator share) driven
-//     by cmd/flitbench's matrices, which emit JSON performance reports
+//     uniform/zipfian/latest distributions, the closed-loop driver of
+//     the network load generator, and the one Executor interface over
+//     windows of store ops)
 //   - internal/server, internal/client: the network front-end — a
 //     pipelined binary protocol whose per-connection batches execute
 //     with persistence deferred and commit under one shared fence
@@ -57,6 +57,6 @@
 //     by cmd/flitstored and driven by the cmd/flitload generator
 //
 // See DESIGN.md for the package inventory and EXPERIMENTS.md for how to
-// regenerate the paper's figures and the store's performance reports.
+// regenerate the paper's figures and time the store (benchmark/).
 // Start with examples/quickstart.
 package flit

@@ -1,14 +1,13 @@
-// Package bench is the repo's one experiment runner. A Matrix declares
-// cells — structure-level points (SetCell: policy × data structure ×
-// durability mode × workload), YCSB mixes against the FliT-Store
-// embedded, behind the group-commit server, through the flat combiners
-// and under admission control — and Run measures each through one
+// Package bench is the runner of the paper's §6 experiments. A Matrix
+// declares structure-level cells (SetCell: policy × data structure ×
+// durability mode × workload), and Run measures each through one
 // schedule (discarded warm-up, repeated windows folded by
 // internal/bench/stats) into one versioned machine-readable Report. The
-// figures and ablations of the paper's §6 are presets of the same
-// runner (FigurePreset): set cells plus Views that render the paper's
-// tables from the Report. cmd/flitbench (-fig / -matrix / -json) and the
-// Go-benchmark adapter in bench_test.go are its emitters.
+// figures and ablations of §6 are presets of the same runner
+// (FigurePreset): set cells plus Views that render the paper's tables
+// from the Report. cmd/flitbench (-fig / -matrix / -json) and the
+// Go-benchmark adapter in bench_test.go are its emitters. The store and
+// its network front-end are timed by benchmark/, not here.
 //
 // A Report is a record of one run on one machine, not a gate:
 // performance claims are rows of `benchmark/run.sh compare` (see
@@ -44,7 +43,7 @@ type Report struct {
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	// Config records the knobs that shaped the run (threads, duration,
-	// repeats, seed, matrix/figure ids) as strings, for humans and for
+	// repeats, matrix/figure ids) as strings, for humans and for
 	// "are these comparable?" checks.
 	Config map[string]string `json:"config,omitempty"`
 	Cells  []Cell            `json:"cells"`
@@ -64,14 +63,11 @@ type Cell struct {
 	// counts).
 	LowerIsBetter bool `json:"lower_is_better,omitempty"`
 
-	// Optional raw counts and tail latencies, populated by runners that
-	// track them (matrix store cells).
+	// Raw counts summed over the measured windows, carried by
+	// */throughput cells.
 	Ops     uint64 `json:"ops,omitempty"`
 	PWBs    uint64 `json:"pwbs,omitempty"`
 	PFences uint64 `json:"pfences,omitempty"`
-	P50Ns   int64  `json:"p50_ns,omitempty"`
-	P95Ns   int64  `json:"p95_ns,omitempty"`
-	P99Ns   int64  `json:"p99_ns,omitempty"`
 
 	// PFencesElided counts the dependency fences the policy found empty
 	// and did not issue; PFences + PFencesElided is the number of fences

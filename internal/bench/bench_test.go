@@ -18,8 +18,8 @@ func sample() *Report {
 		Value: stats.Summarize([]float64{1e6, 1.2e6}), Ops: 1000, PWBs: 500})
 	r.Add(Cell{ID: "set/bst/automatic/flit-ht/u50/pwbs_per_op", Unit: "pwbs/op",
 		Value: stats.Summarize([]float64{0.5}), LowerIsBetter: true})
-	r.Add(Cell{ID: "store/a/zipfian/flit-ht/s4/throughput", Unit: "ops/s",
-		Value: stats.Summarize([]float64{2e5}), P99Ns: 12345})
+	r.Add(Cell{ID: "set/list/automatic/flit-ht/u5/throughput", Unit: "ops/s",
+		Value: stats.Summarize([]float64{2e5}), PFences: 12345})
 	return r
 }
 
@@ -83,7 +83,7 @@ func TestValidate(t *testing.T) {
 
 func TestFindAndAdd(t *testing.T) {
 	r := sample()
-	if c := r.Find("store/a/zipfian/flit-ht/s4/throughput"); c == nil || c.P99Ns != 12345 {
+	if c := r.Find("set/list/automatic/flit-ht/u5/throughput"); c == nil || c.PFences != 12345 {
 		t.Fatalf("Find returned %+v", c)
 	}
 	if r.Find("nope") != nil {

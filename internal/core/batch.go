@@ -147,10 +147,19 @@ func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
 // RMW's leading fence releases them on the spot). The batch's retirees
 // are handed over last (retire).
 //
+// A window whose thread a crash killed does not commit: Flush panics
+// pmem.ErrCrashed whether or not anything is pending, so it drains
+// nothing, its tags stay held and its retirees leak. A stale tag only
+// makes readers flush (Lemma 5.1); releasing it over an undrained line
+// would let a reader acknowledge a value that never persists.
+//
 //flit:hotpath
 func (d *Deferred) Flush(t *pmem.Thread) int {
 	if d.kind == deferNone {
 		return 0
+	}
+	if t.Crashed() {
+		panic(pmem.ErrCrashed)
 	}
 	n := 0
 	if t.Pending() == 0 {
@@ -162,7 +171,7 @@ func (d *Deferred) Flush(t *pmem.Thread) int {
 		d.releaseTags(t)
 	}
 	if len(d.retirees) != 0 {
-		d.retire(t)
+		d.retire()
 	}
 	return n
 }
@@ -175,6 +184,7 @@ func (d *Deferred) Flush(t *pmem.Thread) int {
 // whether the completion fence of an operation that left nothing pending
 // may be dropped is a decision of its own (the per-op completion fence of
 // every policy, FliT.Complete included), not a side effect of the window.
+// On a thread a crash killed the fence panics, as in Flush.
 //
 //flit:hotpath
 func (d *Deferred) Commit(t *pmem.Thread) {
@@ -186,7 +196,7 @@ func (d *Deferred) Commit(t *pmem.Thread) {
 		d.releaseTags(t)
 	}
 	if len(d.retirees) != 0 {
-		d.retire(t)
+		d.retire()
 	}
 }
 
@@ -222,17 +232,14 @@ func (d *Deferred) Retire(h *reclaim.Handle, p pmem.Addr, n int) {
 
 // retire hands the window's retirees to their reclamation handles, after
 // the commit fence persisted the unlinks that retired them. A window whose
-// thread a crash killed hands nothing over: its unlinks may never have
-// persisted, so its blocks leak, as under libvmmalloc, rather than reach
-// a free list while a recovered image can still point at them. Sessions
-// reach here after a crash only through Sess.Close's quiet commit.
+// thread a crash killed never gets here — its commit fence panics — so
+// its blocks leak, as under libvmmalloc, rather than reach a free list
+// while a recovered image can still point at them.
 //
 //flit:hotpath
-func (d *Deferred) retire(t *pmem.Thread) {
-	if !t.Crashed() {
-		for _, r := range d.retirees {
-			r.h.Retire(r.p, r.n)
-		}
+func (d *Deferred) retire() {
+	for _, r := range d.retirees {
+		r.h.Retire(r.p, r.n)
 	}
 	d.retirees = d.retirees[:0]
 }

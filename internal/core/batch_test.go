@@ -429,9 +429,10 @@ func TestDeferredRMWHoldsUntilCommit(t *testing.T) {
 
 // TestDeferredRetireWaitsForCommit: a window holds the blocks its unlinks
 // retire until its commit fence, and only then hands them to the
-// reclamation handle; a window whose thread a crash killed hands nothing
-// over; link-and-persist and no-persist, whose CASes are persisted (or
-// never are) when they return, hand them over at once.
+// reclamation handle; a window whose thread a crash killed does not
+// commit (its Flush panics pmem.ErrCrashed) and hands nothing over;
+// link-and-persist and no-persist, whose CASes are persisted (or never
+// are) when they return, hand them over at once.
 func TestDeferredRetireWaitsForCommit(t *testing.T) {
 	frees := func(h *reclaim.Handle, ar *pheap.Arena) uint64 {
 		h.Flush() // every bucket to the arena, grace period or not
@@ -472,7 +473,10 @@ func TestDeferredRetireWaitsForCommit(t *testing.T) {
 					defer func() { recover() }()
 					d.Complete(th)
 				}()
-				d.Flush(th) // Sess.Close's quiet commit of a crashed window
+				// Sess.Close's quiet commit of a crashed window.
+				if crashed := pmem.RunToCrash(func() { d.Flush(th) }); crashed != (d.kind != deferNone) {
+					t.Fatalf("%s: a crashed window's Flush crashed=%v", tc.pol.Name(), crashed)
+				}
 			}
 			if end != "crash" || !tc.held {
 				want = 1
@@ -480,8 +484,8 @@ func TestDeferredRetireWaitsForCommit(t *testing.T) {
 			if n := frees(h, ar); n != want {
 				t.Fatalf("%s, %s: %d blocks freed, want %d", tc.pol.Name(), end, n, want)
 			}
-			if len(d.retirees) != 0 {
-				t.Fatalf("%s, %s: the window still holds %d retirees", tc.pol.Name(), end, len(d.retirees))
+			if held := uint64(len(d.retirees)); held != 1-want {
+				t.Fatalf("%s, %s: the window still holds %d retirees, want %d", tc.pol.Name(), end, held, 1-want)
 			}
 		}
 	}

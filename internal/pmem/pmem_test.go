@@ -68,6 +68,29 @@ func TestPWBWithoutFenceIsNotDurable(t *testing.T) {
 	}
 }
 
+// TestCrashedThreadDrainsNothing: once crash injection has killed a
+// thread, its fence panics ErrCrashed and persists nothing, so cleanup
+// running after the crash cannot write the dead thread's queue into the
+// image the crash left.
+func TestCrashedThreadDrainsNothing(t *testing.T) {
+	m := newMem(64)
+	th := m.RegisterThread()
+	th.Store(8, 1)
+	th.PWB(8)
+	th.SetCrashAfter(0)
+	if !RunToCrash(th.CheckCrash) {
+		t.Fatal("armed crash did not fire")
+	}
+	for _, fence := range []func(){th.PFence, func() { th.Drain() }} {
+		if !RunToCrash(fence) {
+			t.Fatal("a crashed thread's fence returned")
+		}
+	}
+	if img := m.CrashImage(DropUnfenced, 1); img[8] != 0 || th.Stats.PFences != 0 {
+		t.Fatalf("a crashed thread's fence persisted %d and counted %d fences", img[8], th.Stats.PFences)
+	}
+}
+
 func TestFenceDrainsLineGranularity(t *testing.T) {
 	m := newMem(64)
 	th := m.RegisterThread()

@@ -228,10 +228,15 @@ func (t *Thread) Pending() int { return len(t.wb.lines) }
 
 // drain is the one write-back path: each pending line is written back
 // under its drainLock (see Memory.drainLock for what the lock guards and
-// why it keeps the shadow forward-only).
+// why it keeps the shadow forward-only). A thread a crash killed drains
+// nothing: its fence panics ErrCrashed, so cleanup code running after
+// the crash (a session's Close) cannot persist what the crash dropped.
 //
 //flit:hotpath
 func (t *Thread) drain() int {
+	if t.crashed.Load() {
+		panic(ErrCrashed)
+	}
 	t.Stats.PFences++
 	m := t.M
 	n := len(t.wb.lines)

@@ -90,15 +90,6 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// OpsTotal sums the per-type op counters.
-func (m *Metrics) OpsTotal() uint64 {
-	var n uint64
-	for i := range m.Ops {
-		n += m.Ops[i].Load()
-	}
-	return n
-}
-
 // LatSnapshot fills s with the union of the per-type latency
 // histograms — the "all ops" service-time distribution.
 func (m *Metrics) LatSnapshot(s *metrics.HistSnapshot) {
@@ -109,9 +100,6 @@ func (m *Metrics) LatSnapshot(s *metrics.HistSnapshot) {
 		s.Merge(&one)
 	}
 }
-
-// Metrics returns the server's metric bundle, or nil when disabled.
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // WriteMetrics renders the server's full Prometheus text exposition
 // page: cumulative counters (always), the histogram families and open-

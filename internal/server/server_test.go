@@ -214,9 +214,9 @@ func TestServerOverTCP(t *testing.T) {
 	}
 }
 
-// TestBatcherStatsSurviveResetStats: every workload.Run zeroes the
-// memory's per-thread counters (pmem.Memory.ResetStats) under whatever
-// batchers the server has pooled. A batcher that remembered its thread's
+// TestBatcherStatsSurviveResetStats: a measurement that zeroes the
+// memory's per-thread counters (pmem.Memory.ResetStats) does so under
+// whatever batchers the server has pooled. A batcher that remembered its thread's
 // counters across batches would then fold a ~2^64 "delta" into the server
 // totals; the published counts must instead stay the instructions
 // actually issued.

@@ -8,55 +8,143 @@ import (
 	"flit/internal/workload"
 )
 
-// BenchmarkSessionCommit runs one op stream — alternating in-place Put and
-// Get on uniform keys of a loaded store (8 shards, flit-ht, automatic,
-// virtual clock) — through every session mode, one Apply of depth ops and
-// one Commit per window; b.N counts ops. Beside ns/op it reports the exact
-// persistence cost per op, summed over every pmem thread (a Combined
-// session's ops run on the shard combiners' threads): fences/op and lines
-// drained/op. Direct commits each op on its own fence at either depth;
-// Batched and Combined commit a window under one fence, none when the
-// window left nothing pending.
-func BenchmarkSessionCommit(b *testing.B) {
-	const records = 1 << 12
-	keys := make([][]byte, records)
+// commitStream is one session running the commit-window op stream:
+// alternating in-place Put and Get on uniform keys of a loaded store (8
+// shards, flit-ht, automatic, virtual clock), one Apply of depth ops and
+// one Commit per window. BenchmarkSessionCommit times it and
+// TestSessionCommitCounts pins its exact persistence cost.
+type commitStream struct {
+	st   *store.Store
+	sess *store.Sess[[]byte]
+	keys [][]byte
+	ops  []store.Op[[]byte]
+	res  []store.Result
+	next uint64 // ops generated so far
+}
+
+const (
+	commitRecords = 1 << 12
+	commitShards  = 8
+)
+
+func newCommitStream(tb testing.TB, mode store.SessionMode, depth int) *commitStream {
+	st, err := store.New(store.Options{Shards: commitShards, ExpectedKeys: 2 * commitRecords, VirtualClock: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	workload.Load(st, commitRecords, 1)
+	keys := make([][]byte, commitRecords)
 	for i := range keys {
 		keys[i] = workload.AppendKey(nil, uint64(i))
 	}
+	sess := store.Open[[]byte](st, mode)
+	tb.Cleanup(sess.Close)
+	return &commitStream{st: st, sess: sess, keys: keys,
+		ops: make([]store.Op[[]byte], depth), res: make([]store.Result, depth)}
+}
+
+// op is the stream's i-th op (1-based): a Put when i is odd, else a Get.
+func (c *commitStream) op(i uint64) store.Op[[]byte] {
+	op := store.Op[[]byte]{Kind: store.OpGet, Key: c.keys[(i*2654435761)&(commitRecords-1)]}
+	if i&1 == 1 {
+		op.Kind, op.Val = store.OpPut, i
+	}
+	return op
+}
+
+// run executes whole windows until at least n ops ran and returns how
+// many did.
+func (c *commitStream) run(n int) int {
+	done := 0
+	for ; done < n; done += len(c.ops) {
+		for j := range c.ops {
+			c.next++
+			c.ops[j] = c.op(c.next)
+		}
+		c.sess.Apply(c.ops, c.res)
+		c.sess.Commit()
+	}
+	return done
+}
+
+// measure runs n ops and returns fences and lines drained per op, summed
+// over every pmem thread (a Combined session's ops run on the shard
+// combiners' threads).
+func (c *commitStream) measure(n int) (fences, drained float64) {
+	before := c.st.Mem().TotalStats()
+	done := float64(c.run(n))
+	after := c.st.Mem().TotalStats()
+	return float64(after.PFences-before.PFences) / done, float64(after.Drained-before.Drained) / done
+}
+
+// BenchmarkSessionCommit times the commit-window op stream (commitStream)
+// through every session mode; b.N counts ops. Beside ns/op it reports the
+// exact persistence cost per op that TestSessionCommitCounts pins:
+// fences/op and lines drained/op.
+func BenchmarkSessionCommit(b *testing.B) {
 	for _, mode := range store.SessionModes {
 		for _, depth := range []int{1, 32} {
 			b.Run(fmt.Sprintf("%s/d%d", mode, depth), func(b *testing.B) {
-				st, err := store.New(store.Options{Shards: 8, ExpectedKeys: 2 * records, VirtualClock: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				workload.Load(st, records, 1)
-				sess := store.Open[[]byte](st, mode)
-				defer sess.Close()
-				ops := make([]store.Op[[]byte], depth)
-				res := make([]store.Result, depth)
-				var next uint64
-				before := st.Mem().TotalStats()
+				c := newCommitStream(b, mode, depth)
 				b.ReportAllocs()
 				b.ResetTimer()
-				done := 0
-				for ; done < b.N; done += depth {
-					for j := range ops {
-						next++
-						ops[j] = store.Op[[]byte]{Kind: store.OpGet, Key: keys[(next*2654435761)&(records-1)]}
-						if next&1 == 1 {
-							ops[j].Kind, ops[j].Val = store.OpPut, next
-						}
-					}
-					sess.Apply(ops, res)
-					sess.Commit()
-				}
+				fences, drained := c.measure(b.N)
 				b.StopTimer()
-				after := st.Mem().TotalStats()
-				n := float64(done)
-				b.ReportMetric(float64(after.PFences-before.PFences)/n, "fences/op")
-				b.ReportMetric(float64(after.Drained-before.Drained)/n, "drained/op")
+				b.ReportMetric(fences, "fences/op")
+				b.ReportMetric(drained, "drained/op")
 			})
 		}
 	}
+}
+
+// TestSessionCommitCounts pins the commit-window stream's exact
+// persistence cost per mode and depth over a fixed op count. Direct
+// commits each op on its own fence at either depth. Batched and Combined
+// commit a window under one fence, none when the window left nothing
+// pending: a Batched window is the whole Apply, a Combined one is each
+// shard's share of it, so a Combined Apply pays one fence per shard its
+// Puts touched. Every in-place Put drains its value's line once and a
+// Get drains nothing: 0.5 lines per op everywhere.
+func TestSessionCommitCounts(t *testing.T) {
+	const n = 4096
+	for _, mode := range store.SessionModes {
+		for _, depth := range []int{1, 32} {
+			c := newCommitStream(t, mode, depth)
+			var want float64
+			switch {
+			case mode == store.Direct:
+				want = 1
+			case depth == 1:
+				want = 0.5
+			case mode == store.Batched:
+				want = 1.0 / float64(depth)
+			default:
+				want = float64(shardsPut(c, n, depth)) / n
+			}
+			fences, drained := c.measure(n)
+			if fences != want || drained != 0.5 {
+				t.Errorf("%s/d%d: %v fences/op and %v drained/op, want %v and 0.5", mode, depth, fences, drained, want)
+			}
+		}
+	}
+}
+
+// shardsPut counts, over the stream's first n ops in windows of depth,
+// the shards each window's Puts touch.
+func shardsPut(c *commitStream, n, depth int) int {
+	total := 0
+	for w := 0; w < n/depth; w++ {
+		var touched [commitShards]bool
+		for j := 1; j <= depth; j++ {
+			if op := c.op(uint64(w*depth + j)); op.Kind == store.OpPut {
+				touched[store.HashKeyBytes(op.Key)%commitShards] = true
+			}
+		}
+		for _, hit := range touched {
+			if hit {
+				total++
+			}
+		}
+	}
+	return total
 }

@@ -74,11 +74,7 @@ func (sl *cslot) announce() { sl.state.Store(slotAnnounced) }
 // pmem thread, a deferred policy wrapper, one hashtable handle — the
 // shard equivalent of a Batched session).
 type combiner struct {
-	st *Store
-	// window is the target operation count per combined window: the
-	// combiner keeps sweeping the slots until it has executed at least
-	// this many operations or the shard goes idle, then fences once.
-	window     int
+	st         *Store
 	noCoalesce bool
 
 	lock  atomic.Uint32
@@ -115,7 +111,6 @@ func (s *Store) initCombiners() {
 			d := core.NewDeferred(s.policy)
 			c := &combiner{
 				st:         s,
-				window:     s.opts.CombineWindow,
 				noCoalesce: s.opts.CombineNoCoalesce,
 				t:          t,
 				d:          d,
@@ -230,6 +225,11 @@ func (c *combiner) await(sl *cslot) {
 	}
 }
 
+// combineWindow is the target operation count per combined window: the
+// combiner keeps sweeping the slots until it has executed at least this
+// many operations or the shard goes idle, then fences once.
+const combineWindow = 32
+
 // maxIdleSweeps bounds combiner lingering: after this many consecutive
 // empty sweeps (each preceded by a yield, so announcers on the same P
 // get to publish) the combiner closes the window even if it is short.
@@ -250,7 +250,7 @@ func (c *combiner) run() {
 	}()
 	executed, idle := 0, 0
 	c.served = c.served[:0]
-	for executed < c.window && idle < maxIdleSweeps {
+	for executed < combineWindow && idle < maxIdleSweeps {
 		slots := *c.slots.Load()
 		found := 0
 		for _, sl := range slots {

@@ -122,3 +122,44 @@ func TestCrashedSessionDoesNotWedgeReclamation(t *testing.T) {
 		t.Fatalf("crashed session wedged reclamation: watermark %d words after churn, warmup %d (bound 2×)", w, w0)
 	}
 }
+
+// TestCrashedSessionCloseKeepsImage: closing a session whose thread a
+// crash killed persists nothing. A Batched in-place Put 1 → 2 is left
+// uncommitted and the next op crashes: the DropUnfenced image recovers 1
+// before Close and still 1 after it. The dead window's tag stays held, so
+// another session's Get of the key flushes the value, and its commit
+// persists 2.
+func TestCrashedSessionCloseKeepsImage(t *testing.T) {
+	st := newTestStore(t, Options{})
+	recovered := func() uint64 {
+		t.Helper()
+		img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+		rst, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := Open[string](rst, Direct).Get("k")
+		return v
+	}
+	sess := Open[string](st, Batched)
+	sess.Put("k", 1)
+	sess.Commit()
+	sess.Put("k", 2)
+	sess.Thread().SetCrashAfter(0)
+	if !pmem.RunToCrash(func() { sess.Get("other") }) {
+		t.Fatal("armed crash did not fire during the next op")
+	}
+	if v := recovered(); v != 1 {
+		t.Fatalf("image after the crash recovers %d, want 1", v)
+	}
+	sess.Close()
+	if v := recovered(); v != 1 {
+		t.Fatalf("closing the crashed session persisted its window: image recovers %d, want 1", v)
+	}
+	if v, ok := Open[string](st, Direct).Get("k"); !ok || v != 2 {
+		t.Fatalf("live Get = (%d,%v), want (2,true)", v, ok)
+	}
+	if v := recovered(); v != 2 {
+		t.Fatalf("a Get over the held tag did not persist what it read: image recovers %d, want 2", v)
+	}
+}

@@ -154,11 +154,12 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 }
 
 // close releases everything the session holds: combiner slots in Combined
-// mode; otherwise any still-open window — a Batched session's batch, or
-// the op a crash interrupted in either mode — is quietly committed
-// (tolerating a simulated crash), so no flit-counter stays tagged, every
-// table handle's reclamation slot is closed, and the arena and pmem
-// thread are returned for reuse. Idempotent.
+// mode; otherwise a Batched session's still-open batch is quietly
+// committed, so no flit-counter stays tagged, every table handle's
+// reclamation slot is closed, and the arena and pmem thread are returned
+// for reuse. The window of a session whose thread a crash killed is not
+// committed: its commit panics (core.Deferred.Flush), so nothing drains
+// after the crash and its tags stay held. Idempotent.
 func (c *sessionCore) close() {
 	if c.closed {
 		return
@@ -173,9 +174,9 @@ func (c *sessionCore) close() {
 	if c.pending > 0 {
 		// An open window's results were never exposed, but its stores
 		// already hit the table — commit them rather than leave flit-tags
-		// dangling. The flush of a crashed or poisoned session may itself
-		// panic; the window was never acknowledged, so dropping it is a
-		// legal crash point, and close still releases everything.
+		// dangling. The flush of a crashed session panics, and a poisoned
+		// one's may; the window was never acknowledged, so dropping it is
+		// a legal crash point, and close still releases everything.
 		func() {
 			defer func() { recover() }()
 			c.d.Flush(c.t)
@@ -295,14 +296,14 @@ func (s *Sess[K]) Commit() int { return s.c.commit() }
 // Close releases the session's execution resources — epoch-reclamation
 // slots, the heap arena (surrendering its free lists for reuse), and the
 // pmem thread (its ID and stats fold back into the memory's totals); a
-// Combined session instead withdraws its combiner slots. A still-open
-// window — a Batched session's uncommitted batch, or a Direct op a crash
-// interrupted — is committed first. Sessions MUST be
+// Combined session instead withdraws its combiner slots. A Batched
+// session's uncommitted batch is committed first. Sessions MUST be
 // closed when abandoned: an open session pins the reclamation epoch and a
 // thread slot, which is unbounded memory growth under connection churn.
-// Close is idempotent and safe after a simulated crash (the pending batch
-// is then lost, exactly as power loss would lose it). The session must
-// not be used after Close.
+// Close is idempotent and safe after a simulated crash: the open window
+// is then lost, exactly as power loss would lose it, and Close persists
+// none of it; its flit-tags stay held, so readers of its values flush
+// them. The session must not be used after Close.
 func (s *Sess[K]) Close() { s.c.close() }
 
 // Get returns the value stored under key, if present.

@@ -94,17 +94,10 @@ type Options struct {
 	// smoke matrices — anything that never reads a latency number — run
 	// several times faster under it.
 	VirtualClock bool
-	// CombineWindow is the per-shard flat combiner's target operation
-	// count per combined window (default 32): the combiner lingers,
-	// re-sweeping the announcement slots, until it has collected this
-	// many operations or the shard goes idle, then commits the window
-	// under one fence. Larger windows amortize the fence further at the
-	// cost of announcement latency.
-	CombineWindow int
 	// CombineNoCoalesce disables VSA-style net-delta coalescing in the
 	// combiner: every OpAdd executes individually (and returns its real
-	// result). The bench matrix uses it as the honest baseline the
-	// coalesced mix-G cells are compared against.
+	// result). TestCombinedCoalescingElidesPWBs uses it as the baseline
+	// the coalesced window is compared against.
 	CombineNoCoalesce bool
 }
 
@@ -126,9 +119,6 @@ func (o Options) withDefaults() Options {
 	o.Buckets = core.CeilPow2(o.Buckets)
 	if o.Policy == "" {
 		o.Policy = core.PolicyHT
-	}
-	if o.CombineWindow == 0 {
-		o.CombineWindow = 32
 	}
 	return o
 }

@@ -13,8 +13,8 @@ import (
 	"flit/internal/store"
 )
 
-// Spec describes one timed closed-loop run: the fields the in-process
-// runner (Run) and the network load generator (client.Run) share.
+// Spec describes one timed closed-loop run (Drive): the fields the
+// network load generator (client.Run) and the in-process drivers share.
 type Spec struct {
 	Mix   string  // workload letter a–g
 	Dist  string  // uniform (default) | zipfian | latest
@@ -72,7 +72,7 @@ type Progress struct {
 }
 
 // Measured is what the closed-loop driver measures: the part of a run's
-// result both runners report.
+// result the load generator (client.Result) reports.
 type Measured struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Ops counts completed generated operations (a scan burst is one op);
@@ -94,19 +94,6 @@ type Measured struct {
 	// Shed counts ops the executor refused unexecuted (the server's
 	// BUSY/DRAINING); they are in neither Ops nor the histogram.
 	Shed uint64 `json:"shed,omitempty"`
-}
-
-// Result aggregates one in-process run: the driver's measurements plus
-// the run's flush counts.
-type Result struct {
-	Measured
-
-	PWBs      uint64  `json:"pwbs"`
-	PFences   uint64  `json:"pfences"`
-	PWBsPerOp float64 `json:"pwbs_per_op"`
-
-	// PFencesElided counts dependency fences found empty and not issued.
-	PFencesElided uint64 `json:"pfences_elided,omitempty"`
 }
 
 // Executor runs one worker's windows of store ops — the one interface
@@ -367,26 +354,4 @@ func Load(st *store.Store, records uint64, threads int) (time.Duration, float64)
 	wg.Wait()
 	elapsed := time.Since(start)
 	return elapsed, float64(records) / elapsed.Seconds()
-}
-
-// Run drives st with sp's mix through sp.Workers sessions of the given
-// mode for sp.Duration and returns throughput, latency percentiles and
-// flush counts. Memory statistics are reset at the start of the run, so
-// the flush counts are the run's alone.
-func Run(st *store.Store, mode store.SessionMode, sp Spec) (Result, error) {
-	st.Mem().ResetStats()
-	m, err := Drive(sp, func(w *Worker) error {
-		sess := store.Open[[]byte](st, mode)
-		defer sess.Close()
-		return w.Closed(SessExec{sess})
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	stats := st.Mem().TotalStats()
-	res := Result{Measured: m, PWBs: stats.PWBs, PFences: stats.PFences, PFencesElided: stats.ElidedFences}
-	if m.Ops > 0 {
-		res.PWBsPerOp = float64(res.PWBs) / float64(m.Ops)
-	}
-	return res, nil
 }

@@ -2,10 +2,10 @@
 // six core operation mixes (A–F) plus the counter mix G, uniform /
 // zipfian / latest key distributions, and one closed-loop driver (Drive)
 // that turns generated ops into windows of store ops, hands them to an
-// Executor and records throughput and tail latency (p50/p95/p99). Run
-// drives store sessions with it and adds per-policy flush counts from the
-// pmem statistics; the network load generator (internal/client) drives
-// pipelined connections with it.
+// Executor and records throughput and tail latency (p50/p95/p99). The
+// network load generator (internal/client) drives pipelined connections
+// with it; SessExec is the executor over a store session, which the
+// crash batteries drive.
 //
 // Deviations from YCSB proper, forced by the simulated substrate, are
 // deliberate and documented: records are fixed 64-bit values rather than

@@ -188,11 +188,22 @@ func TestLoadPopulates(t *testing.T) {
 	}
 }
 
+// driveSessions runs sp's closed loop over st, one session of the given
+// mode per worker.
+func driveSessions(st *store.Store, mode store.SessionMode, sp Spec) (Measured, error) {
+	return Drive(sp, func(w *Worker) error {
+		sess := store.Open[[]byte](st, mode)
+		defer sess.Close()
+		return w.Closed(SessExec{sess})
+	})
+}
+
 func TestRunSmoke(t *testing.T) {
 	st := newTestStore(t)
 	Load(st, 500, 2)
 	for _, mixName := range []string{"a", "d", "e", "f"} {
-		res, err := Run(st, store.Direct, Spec{
+		before := st.Mem().TotalStats().PWBs
+		res, err := driveSessions(st, store.Direct, Spec{
 			Mix: mixName, Dist: DistZipfian, Workers: 2,
 			Duration: 25 * time.Millisecond, Records: 500, Seed: 3,
 		})
@@ -205,7 +216,7 @@ func TestRunSmoke(t *testing.T) {
 		if res.P50 <= 0 || res.P99 < res.P95 || res.P95 < res.P50 {
 			t.Fatalf("mix %s: implausible percentiles p50=%v p95=%v p99=%v", mixName, res.P50, res.P95, res.P99)
 		}
-		if res.PWBs == 0 {
+		if st.Mem().TotalStats().PWBs == before {
 			t.Fatalf("mix %s: flit-ht workload issued no PWBs", mixName)
 		}
 		switch mixName {
@@ -231,14 +242,14 @@ func TestRunSmoke(t *testing.T) {
 
 func TestRunRejectsBadSpecs(t *testing.T) {
 	st := newTestStore(t)
-	if _, err := Run(st, store.Direct, Spec{Mix: "z", Records: 10, Duration: time.Millisecond}); err == nil {
-		t.Fatal("Run accepted unknown mix")
+	if _, err := driveSessions(st, store.Direct, Spec{Mix: "z", Records: 10, Duration: time.Millisecond}); err == nil {
+		t.Fatal("Drive accepted unknown mix")
 	}
-	if _, err := Run(st, store.Direct, Spec{Mix: "a", Duration: time.Millisecond}); err == nil {
-		t.Fatal("Run accepted zero records")
+	if _, err := driveSessions(st, store.Direct, Spec{Mix: "a", Duration: time.Millisecond}); err == nil {
+		t.Fatal("Drive accepted zero records")
 	}
-	if _, err := Run(st, store.Direct, Spec{Mix: "a", Records: 10, Dist: "pareto", Duration: time.Millisecond}); err == nil {
-		t.Fatal("Run accepted unknown distribution")
+	if _, err := driveSessions(st, store.Direct, Spec{Mix: "a", Records: 10, Dist: "pareto", Duration: time.Millisecond}); err == nil {
+		t.Fatal("Drive accepted unknown distribution")
 	}
 }
 
@@ -316,14 +327,14 @@ func TestHotKeysKnob(t *testing.T) {
 	}
 }
 
-// TestRunWindowedModes drives the windowed runner (Depth > 1) in every
+// TestRunWindowedModes drives windowed sessions (Depth > 1) in every
 // session mode, including mix G under the Combined net-delta path.
 func TestRunWindowedModes(t *testing.T) {
 	for _, mode := range store.SessionModes {
 		for _, mixName := range []string{"a", "f", "g"} {
 			st := newTestStore(t)
 			Load(st, 300, 2)
-			res, err := Run(st, mode, Spec{
+			res, err := driveSessions(st, mode, Spec{
 				Mix: mixName, Dist: DistUniform, Workers: 2,
 				Duration: 20 * time.Millisecond, Records: 300, Seed: 5,
 				Depth: 8, HotKeys: 2,
