@@ -148,6 +148,10 @@ type branchResult struct {
 	localEffect bool
 	// localCommit: the branch committed (and no effect followed).
 	localCommit bool
+	// dirtyReturn: some return inside the list left an uncommitted
+	// effect — a callee exit its caller inherits even when every such
+	// path returns (a switch whose cases each return an op's result).
+	dirtyReturn bool
 }
 
 // evalStmts walks list with entry dirtiness `dirty`, reporting ack
@@ -172,6 +176,12 @@ func (a *ackAnalysis) evalStmts(list []ast.Stmt, dirty bool) branchResult {
 			}
 		}
 	}
+	// eval evaluates a nested list, carrying its dirty returns out.
+	eval := func(list []ast.Stmt, dirty bool) branchResult {
+		r := a.evalStmts(list, dirty)
+		res.dirtyReturn = res.dirtyReturn || r.dirtyReturn
+		return r
+	}
 	for _, s := range list {
 		switch st := s.(type) {
 		case *ast.ReturnStmt:
@@ -179,6 +189,7 @@ func (a *ackAnalysis) evalStmts(list []ast.Stmt, dirty bool) branchResult {
 			res.terminated = true
 			if cur {
 				res.localEffect = res.localEffect || cur
+				res.dirtyReturn = true
 			}
 			return res
 		case *ast.BranchStmt:
@@ -189,14 +200,14 @@ func (a *ackAnalysis) evalStmts(list []ast.Stmt, dirty bool) branchResult {
 				a.scanExprEvents(st.Init, apply)
 			}
 			a.scanExprEvents(st.Cond, apply)
-			thenR := a.evalStmts(st.Body.List, cur)
+			thenR := eval(st.Body.List, cur)
 			var elseR branchResult
 			hasElse := st.Else != nil
 			if hasElse {
 				if blk, ok := st.Else.(*ast.BlockStmt); ok {
-					elseR = a.evalStmts(blk.List, cur)
+					elseR = eval(blk.List, cur)
 				} else {
-					elseR = a.evalStmts([]ast.Stmt{st.Else}, cur)
+					elseR = eval([]ast.Stmt{st.Else}, cur)
 				}
 			}
 			cur = joinBranchState(cur, []branchResult{thenR, elseR}, hasElse)
@@ -220,19 +231,19 @@ func (a *ackAnalysis) evalStmts(list []ast.Stmt, dirty bool) branchResult {
 			if st.Init != nil {
 				a.scanExprEvents(st.Init, apply)
 			}
-			bodyR := a.evalStmts(st.Body.List, cur)
+			bodyR := eval(st.Body.List, cur)
 			cur = joinBranchState(cur, []branchResult{bodyR}, false)
 			if bodyR.localEffect {
 				res.localEffect = true
 			}
 		case *ast.RangeStmt:
-			bodyR := a.evalStmts(st.Body.List, cur)
+			bodyR := eval(st.Body.List, cur)
 			cur = joinBranchState(cur, []branchResult{bodyR}, false)
 			if bodyR.localEffect {
 				res.localEffect = true
 			}
 		case *ast.BlockStmt:
-			r := a.evalStmts(st.List, cur)
+			r := eval(st.List, cur)
 			cur = joinBranchState(cur, []branchResult{r}, true)
 			res.localEffect = res.localEffect || r.localEffect
 			res.localCommit = (res.localCommit || r.localCommit) && !cur
@@ -244,7 +255,7 @@ func (a *ackAnalysis) evalStmts(list []ast.Stmt, dirty bool) branchResult {
 			var results []branchResult
 			hasDefault := false
 			forEachClause(st, func(body []ast.Stmt, isDefault bool) {
-				results = append(results, a.evalStmts(body, cur))
+				results = append(results, eval(body, cur))
 				hasDefault = hasDefault || isDefault
 			})
 			cur = joinBranchState(cur, results, hasDefault)
@@ -254,7 +265,7 @@ func (a *ackAnalysis) evalStmts(list []ast.Stmt, dirty bool) branchResult {
 				}
 			}
 		case *ast.LabeledStmt:
-			r := a.evalStmts([]ast.Stmt{st.Stmt}, cur)
+			r := eval([]ast.Stmt{st.Stmt}, cur)
 			cur = joinBranchState(cur, []branchResult{r}, true)
 			res.localEffect = res.localEffect || r.localEffect
 			if r.terminated {
@@ -475,7 +486,7 @@ func (a *ackAnalysis) summarizeBody(body *ast.BlockStmt) *ackSummary {
 	r := a.evalStmts(body.List, false)
 	a.report = saved
 	s := &ackSummary{
-		dirtyAtExit: r.localEffect,
+		dirtyAtExit: r.localEffect || r.dirtyReturn,
 		commits:     r.localCommit,
 	}
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -53,3 +53,23 @@ func recycleSlots(sl *slot, ht *table) {
 	sl.state.Store(slotEmpty)
 	sl.state.Store(slotAnnounced)
 }
+
+// exec returns the effect of whichever case runs: every exit of the
+// callee leaves the batch dirty, though no path falls through.
+func exec(ht *table, put bool, k uint64) bool {
+	switch {
+	case put:
+		ht.Put(k, k)
+		return true
+	default:
+		return false
+	}
+}
+
+// badCombineViaExec runs its op through exec and flips done before the
+// flush: the callee's effect reaches the caller through its returns.
+func badCombineViaExec(sl *slot, d *deferred, ht *table) {
+	exec(ht, true, 5)
+	sl.state.Store(slotDone) // want "slot done-flip (slotDone) is reachable before the pending batch is committed"
+	d.Flush()
+}

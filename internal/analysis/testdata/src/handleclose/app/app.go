@@ -37,7 +37,7 @@ func releaseAllPaths(m *pmem.Memory, fail bool) error {
 }
 
 // storedInStruct escapes: ownership moves to the session (the
-// initCombiners / newSessionCore shape), released elsewhere.
+// newSessionCore shape), released elsewhere.
 func storedInStruct(m *pmem.Memory, h *pheap.Heap) *session {
 	t := m.RegisterThread()
 	ar := h.NewArena()

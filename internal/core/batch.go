@@ -64,7 +64,7 @@ import (
 // session. The wrapped policy's shared state (flit-counter tables) is
 // unchanged and remains shared with every other session. Commit or Flush
 // must be called before the window's results are exposed; the store's
-// sessions and combiners own that discipline.
+// sessions, its combiner among them, own that discipline.
 type Deferred struct {
 	inner Policy
 	c     CounterScheme // the FliT policy's flit-counters; nil iff inner is not FliT

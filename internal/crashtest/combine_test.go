@@ -8,7 +8,7 @@ import (
 
 // TestStoreCombinedDurableLinearizability is storeBattery over the
 // embedded flat-combining path: workers announce op vectors to the
-// per-shard combiners, whose windows may merge several sessions' vectors,
+// store's combiner, whose windows may merge several sessions' vectors,
 // and the ack rule under test is that nothing responds before its
 // window's one fence. The workers' ±1 Adds are coalesced and answered
 // blind, so every recovered counter must be the acknowledged deltas plus

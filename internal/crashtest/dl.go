@@ -58,7 +58,7 @@ const dlMaxBatch = 6
 // is recovered with the store's superblock probe and shard-parallel
 // rebuild, then checked key by key and value by value.
 // Direct sessions are recorded per operation; Batched (the server's
-// group-commit executor) and Combined (the per-shard flat combiners, whose
+// group-commit executor) and Combined (the store's flat combiner, whose
 // windows may merge several sessions' vectors) pipeline vectors of varying
 // depth, every response recorded only after its vector's commit fence.
 //

@@ -196,16 +196,16 @@ var mutants = []mutant{
 		origin: "net deltas settle before the window's fence",
 		file:   "internal/store/combine.go",
 		snippet: `	c.flushDeltas()
-	// THE fence: one Flush persists the whole window (each dirty line
-	// drained once via the coalescing write-back queue) and releases the
-	// deferred flit-tags; a window that left nothing pending needs none.
-	// Only now are the window's results durable.
-	c.d.Flush(c.t)
+	// THE fence: the Batched session's commit persists the whole window
+	// (each dirty line drained once via the coalescing write-back queue)
+	// and releases the deferred flit-tags; a window that left nothing
+	// pending needs none. Only now are the window's results durable.
+	c.x.commit()
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)
 	}
 `,
-		replacement: `	c.d.Flush(c.t)
+		replacement: `	c.x.commit()
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)
 	}
@@ -219,8 +219,8 @@ var mutants = []mutant{
 		name:        "coalesce-drops-delta",
 		origin:      "net-delta coalescing applies every non-zero delta",
 		file:        "internal/store/combine.go",
-		snippet:     `		if d == 0 && c.ht.Contains(h) {`,
-		replacement: `		if d == 1 || d == 0 && c.ht.Contains(h) {`,
+		snippet:     `		if d == 0 && c.exec(OpContains, h, 0).Ok {`,
+		replacement: `		if d == 1 || d == 0 && c.exec(OpContains, h, 0).Ok {`,
 	},
 }
 

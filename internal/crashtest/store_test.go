@@ -62,10 +62,10 @@ const crashSeed = 0x5ca1ab1e
 // crashMidRun is the service battery's countdown round at shape: it puts
 // shape.Prefill keys, opens shape.Workers executors of mode sm, arms a
 // seeded countdown on every live thread of st's memory — the workers'
-// own, a batcher's, the combiners' — and runs each worker's recorded op
+// own, a batcher's, the combiner's — and runs each worker's recorded op
 // vectors, drawn from the enumerator's alphabet for sm (storeKinds), until
 // it crashes or finishes its shape.OpsPerWorker. A crash inside a vector
-// leaves all of it pending; a countdown firing on a combiner kills the
+// leaves all of it pending; a countdown firing on the combiner kills the
 // whole process and leaves every window in flight pending, Adds and all.
 // The cm image is recovered shard-parallel and checked against the
 // history, values included; the recovered store, rebuilt from whatever
@@ -94,9 +94,18 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 		recs[w], execs[w], seeds[w] = hist.NewRecorder(clock), newExec(), rng.Int63()
 	}
 	// A store operation passes a handful of crash checks, so countdowns
-	// below four per operation land all through the run.
+	// below four per operation land all through a worker's run. In a
+	// Combined round the one live thread is the combiner's, which runs
+	// every worker's operations: its countdown spans all of them and is
+	// drawn from their second half, so the crash lands after windows were
+	// acknowledged rather than in the first one.
+	first, span := int64(1), int64(4*shape.OpsPerWorker)
+	if sm == store.Combined {
+		span = int64(4*shape.Workers*shape.OpsPerWorker) / 2
+		first += span
+	}
 	for _, th := range st.Mem().Threads() {
-		th.SetCrashAfter(1 + rng.Int63n(int64(4*shape.OpsPerWorker)))
+		th.SetCrashAfter(first + rng.Int63n(span))
 	}
 	var crashed atomic.Int64
 	var wg sync.WaitGroup

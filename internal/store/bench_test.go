@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"flit/internal/store"
@@ -27,7 +28,9 @@ const (
 	commitShards  = 8
 )
 
-func newCommitStream(tb testing.TB, mode store.SessionMode, depth int) *commitStream {
+// loadedStore is the store the commit-window benchmarks run on and its
+// loaded keys.
+func loadedStore(tb testing.TB) (*store.Store, [][]byte) {
 	st, err := store.New(store.Options{Shards: commitShards, ExpectedKeys: 2 * commitRecords, VirtualClock: true})
 	if err != nil {
 		tb.Fatal(err)
@@ -37,6 +40,11 @@ func newCommitStream(tb testing.TB, mode store.SessionMode, depth int) *commitSt
 	for i := range keys {
 		keys[i] = workload.AppendKey(nil, uint64(i))
 	}
+	return st, keys
+}
+
+func newCommitStream(tb testing.TB, mode store.SessionMode, depth int) *commitStream {
+	st, keys := loadedStore(tb)
 	sess := store.Open[[]byte](st, mode)
 	tb.Cleanup(sess.Close)
 	return &commitStream{st: st, sess: sess, keys: keys,
@@ -68,8 +76,8 @@ func (c *commitStream) run(n int) int {
 }
 
 // measure runs n ops and returns fences and lines drained per op, summed
-// over every pmem thread (a Combined session's ops run on the shard
-// combiners' threads).
+// over every pmem thread (a Combined session's ops run on the thread of
+// the store's combiner).
 func (c *commitStream) measure(n int) (fences, drained float64) {
 	before := c.st.Mem().TotalStats()
 	done := float64(c.run(n))
@@ -97,14 +105,49 @@ func BenchmarkSessionCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkCombinedAnnouncers runs 1 to 16 concurrent Combined sessions,
+// each issuing depth-1 in-place Puts on the loaded store's uniform keys;
+// b.N counts Puts over all sessions. It reports ns/op and the exact
+// fences/op and pwbs/op summed over every pmem thread: what one
+// store-wide combining window saves as announcers pile up.
+func BenchmarkCombinedAnnouncers(b *testing.B) {
+	for _, n := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+			st, keys := loadedStore(b)
+			sess := make([]*store.Sess[[]byte], n)
+			for w := range sess {
+				sess[w] = store.Open[[]byte](st, store.Combined)
+				b.Cleanup(sess[w].Close)
+			}
+			before := st.Mem().TotalStats()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w, s := range sess {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := uint64(w); i < uint64(b.N); i += uint64(n) {
+						s.Put(keys[(i*2654435761)&(commitRecords-1)], i)
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			after := st.Mem().TotalStats()
+			b.ReportMetric(float64(after.PFences-before.PFences)/float64(b.N), "fences/op")
+			b.ReportMetric(float64(after.PWBs-before.PWBs)/float64(b.N), "pwbs/op")
+		})
+	}
+}
+
 // TestSessionCommitCounts pins the commit-window stream's exact
 // persistence cost per mode and depth over a fixed op count. Direct
 // commits each op on its own fence at either depth. Batched and Combined
 // commit a window under one fence, none when the window left nothing
-// pending: a Batched window is the whole Apply, a Combined one is each
-// shard's share of it, so a Combined Apply pays one fence per shard its
-// Puts touched. Every in-place Put drains its value's line once and a
-// Get drains nothing: 0.5 lines per op everywhere.
+// pending: a Batched window is the whole Apply, and so is a lone
+// Combined session's, whichever shards its ops touch. Every in-place Put
+// drains its value's line once and a Get drains nothing: 0.5 lines per
+// op everywhere.
 func TestSessionCommitCounts(t *testing.T) {
 	const n = 4096
 	for _, mode := range store.SessionModes {
@@ -116,10 +159,8 @@ func TestSessionCommitCounts(t *testing.T) {
 				want = 1
 			case depth == 1:
 				want = 0.5
-			case mode == store.Batched:
-				want = 1.0 / float64(depth)
 			default:
-				want = float64(shardsPut(c, n, depth)) / n
+				want = 1.0 / float64(depth)
 			}
 			fences, drained := c.measure(n)
 			if fences != want || drained != 0.5 {
@@ -127,24 +168,4 @@ func TestSessionCommitCounts(t *testing.T) {
 			}
 		}
 	}
-}
-
-// shardsPut counts, over the stream's first n ops in windows of depth,
-// the shards each window's Puts touch.
-func shardsPut(c *commitStream, n, depth int) int {
-	total := 0
-	for w := 0; w < n/depth; w++ {
-		var touched [commitShards]bool
-		for j := 1; j <= depth; j++ {
-			if op := c.op(uint64(w*depth + j)); op.Kind == store.OpPut {
-				touched[store.HashKeyBytes(op.Key)%commitShards] = true
-			}
-		}
-		for _, hit := range touched {
-			if hit {
-				total++
-			}
-		}
-	}
-	return total
 }

@@ -1,15 +1,14 @@
-// Per-shard flat combining for embedded concurrent writers.
+// Store-wide flat combining for embedded concurrent writers.
 //
-// The group-commit path (Batched-mode sessions) amortizes fences
-// for a network pipeline: one goroutine owns the batch, so deferral is
-// free. Embedded concurrent writers have no such owner — each session
-// fencing per op is exactly the per-op durability cost the ROADMAP's
-// flat-combining item targets. Here, sessions ANNOUNCE operations into a
-// per-shard slot array instead of executing them; one winner takes the
-// shard's combiner lock, collects every announced slot, executes the
-// whole window through the deferred group-commit skeleton, commits it
-// under ONE fence via the coalescing write-back queue, and only then
-// publishes results back into the slots. Losers spin on their slot.
+// The group-commit path (Batched-mode sessions) amortizes fences for a
+// network pipeline: one goroutine owns the batch, so deferral is free.
+// Embedded concurrent writers have no such owner — each session fencing
+// per op is exactly the per-op durability cost flat combining targets.
+// Here, sessions ANNOUNCE operations into a slot instead of executing
+// them; one winner takes the store's combiner lock, collects every
+// announced slot, executes the whole window through the combiner's own
+// Batched session, commits it under ONE fence, and only then publishes
+// results back into the slots. Losers spin on their slot.
 //
 // On top rides VSA-style net-delta coalescing: within one combining
 // window the combiner sums OpAdd deltas per key in volatile memory and
@@ -26,9 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"flit/internal/core"
-	"flit/internal/dstruct"
-	"flit/internal/dstruct/hashtable"
 	"flit/internal/pmem"
 )
 
@@ -38,13 +34,13 @@ import (
 // — done is the owner's durability acknowledgment.
 const (
 	slotEmpty uint32 = iota
-	// slotAnnounced: owner has published ops/n/res and waits.
+	// slotAnnounced: owner has published ops/res and waits.
 	slotAnnounced
 	// slotClaimed: the combiner has executed (or is executing) the slot
 	// within the current window; results are written but NOT yet durable.
 	slotClaimed
 	// slotDone: window fenced; results in res are durable. Owner resets
-	// the slot to slotEmpty after copying them out.
+	// the slot to slotEmpty after reading them.
 	slotDone
 )
 
@@ -52,38 +48,27 @@ const (
 // lines; the state word is 4 bytes).
 const combinePad = 60
 
-// cslot is one session's announcement slot at one shard's combiner. The
-// owner writes ops/n/res-capacity, then releases them with the
-// state.Store(slotAnnounced); the combiner acquires via state.Load, so
-// the non-atomic fields never race.
+// cslot is one Combined session's announcement slot. The owner points
+// ops and res at its vector, then releases them with the
+// state.Store(slotAnnounced); the combiner acquires via state.Load and
+// releases the results with state.Store(slotDone), so the non-atomic
+// fields never race.
 type cslot struct {
 	state atomic.Uint32
 	_     [combinePad]byte
-	n     int
 	ops   []hashedOp
 	res   []Result
 }
 
-// announce publishes the slot's prepared ops to the combiner.
-//
-//flit:hotpath
-func (sl *cslot) announce() { sl.state.Store(slotAnnounced) }
-
-// combiner is one shard's flat combiner: the combining lock, the slot
-// registry, and the execution state the lock holder uses (a dedicated
-// pmem thread, a deferred policy wrapper, one hashtable handle — the
-// shard equivalent of a Batched session).
+// combiner is the store's flat combiner: the combining lock, the slot
+// registry, and x, the Batched session the lock holder executes and
+// commits every window through.
 type combiner struct {
-	st         *Store
-	noCoalesce bool
+	x *sessionCore
 
 	lock  atomic.Uint32
 	slots atomic.Pointer[[]*cslot]
 	regMu sync.Mutex // serializes copy-on-write slot registration
-
-	t  *pmem.Thread
-	d  *core.Deferred
-	ht *hashtable.Thread
 
 	// Net-delta state, live only within a window: pending[h] is the
 	// accumulated OpAdd delta not yet applied to the table; dkeys keeps
@@ -96,31 +81,17 @@ type combiner struct {
 	served []*cslot
 }
 
-// initCombiners builds one combiner per shard at the first use of a
-// Combined session. Each combiner owns its execution resources outright;
-// they are exercised only under its lock.
-func (s *Store) initCombiners() {
+// initCombiner builds the store's combiner at the first use of a
+// Combined session. Its Batched session is exercised only under its lock.
+func (s *Store) initCombiner() {
 	if s.combCrashed.Load() {
 		panic(pmem.ErrCrashed)
 	}
 	s.combOnce.Do(func() {
-		s.combiners = make([]*combiner, len(s.tables))
-		for i, sh := range s.tables {
-			t := s.mem.RegisterThread()
-			ar := s.heap.NewArena()
-			d := core.NewDeferred(s.policy)
-			c := &combiner{
-				st:         s,
-				noCoalesce: s.opts.CombineNoCoalesce,
-				t:          t,
-				d:          d,
-				ht:         sh.Open(dstruct.ThreadOpts{T: t, Arena: ar, Policy: d}),
-				pending:    make(map[uint64]uint64),
-			}
-			empty := make([]*cslot, 0)
-			c.slots.Store(&empty)
-			s.combiners[i] = c
-		}
+		c := &combiner{x: newSessionCore(s, Batched), pending: make(map[uint64]uint64)}
+		empty := make([]*cslot, 0)
+		c.slots.Store(&empty)
+		s.comb = c
 	})
 }
 
@@ -154,50 +125,22 @@ func (c *combiner) deregister(sl *cslot) {
 	c.regMu.Unlock()
 }
 
-// applyCombined groups the hashed op vector by shard, announces each
-// group to its shard's combiner, waits for every window to commit, and
-// gathers results back into res in vector order.
+// applyCombined announces the hashed op vector in the session's slot,
+// with res as the slot's result vector, and returns once the window that
+// executed it has committed.
 //
 //flit:hotpath
 func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
-	st := c.st
-	if st.combCrashed.Load() {
-		// The simulated process already crashed (a combiner hit its crash
-		// countdown); every thread of the process dies with it.
+	cb := c.st.comb
+	if c.st.combCrashed.Load() {
+		// The simulated process already crashed (the combiner hit its
+		// crash countdown); every thread of the process dies with it.
 		panic(pmem.ErrCrashed)
 	}
-	c.touched = c.touched[:0]
-	for i := range ops {
-		sh := shardIdx(ops[i].h, len(st.combiners))
-		sl := c.slots[sh]
-		if len(c.idxs[sh]) == 0 {
-			sl.ops = sl.ops[:0]
-			c.touched = append(c.touched, sh)
-		}
-		sl.ops = append(sl.ops, ops[i])
-		c.idxs[sh] = append(c.idxs[sh], i)
-	}
-	for _, sh := range c.touched {
-		sl := c.slots[sh]
-		sl.n = len(sl.ops)
-		if cap(sl.res) < sl.n {
-			sl.res = make([]Result, sl.n)
-		} else {
-			sl.res = sl.res[:sl.n]
-		}
-		sl.announce()
-	}
-	for _, sh := range c.touched {
-		st.combiners[sh].await(c.slots[sh])
-	}
-	for _, sh := range c.touched {
-		sl := c.slots[sh]
-		for j, idx := range c.idxs[sh] {
-			res[idx] = sl.res[j]
-		}
-		c.idxs[sh] = c.idxs[sh][:0]
-		sl.state.Store(slotEmpty)
-	}
+	c.slot.ops, c.slot.res = ops, res
+	c.slot.state.Store(slotAnnounced)
+	cb.await(c.slot)
+	c.slot.state.Store(slotEmpty)
 }
 
 // await blocks until sl reaches slotDone: spin, yielding to let the
@@ -210,9 +153,9 @@ func (c *combiner) await(sl *cslot) {
 		if sl.state.Load() == slotDone {
 			return
 		}
-		if c.st.combCrashed.Load() {
+		if c.x.st.combCrashed.Load() {
 			// Whole-process crash model: the combiner died mid-window, so
-			// this thread dies too. The lock is never released — the shard
+			// this thread dies too. The lock is never released — the store
 			// stays frozen, as a crashed process's memory would.
 			panic(pmem.ErrCrashed)
 		}
@@ -227,81 +170,81 @@ func (c *combiner) await(sl *cslot) {
 
 // combineWindow is the target operation count per combined window: the
 // combiner keeps sweeping the slots until it has executed at least this
-// many operations or the shard goes idle, then fences once.
+// many operations or a sweep finds nothing announced, then fences once.
 const combineWindow = 32
 
-// maxIdleSweeps bounds combiner lingering: after this many consecutive
-// empty sweeps (each preceded by a yield, so announcers on the same P
-// get to publish) the combiner closes the window even if it is short.
-const maxIdleSweeps = 4
-
 // run executes one combined window under the combiner lock: sweep the
-// slot registry, execute announced slots through the deferred skeleton,
-// linger while more work arrives (up to the window target), then commit
-// everything under one fence and publish done. A crash countdown firing
-// mid-window panics through run with the lock held and the sticky
-// combCrashed flag set, killing the whole simulated process.
+// slot registry and execute announced slots until the window holds
+// combineWindow ops or a sweep finds none, then commit everything under
+// one fence and publish done. Nobody waiting means nothing to linger
+// for: the window closes at once. A crash countdown firing mid-window
+// panics through run with the lock held and the sticky combCrashed flag
+// set, killing the whole simulated process.
 func (c *combiner) run() {
 	defer func() {
 		if r := recover(); r != nil {
-			c.st.combCrashed.Store(true)
+			c.x.st.combCrashed.Store(true)
 			panic(r)
 		}
 	}()
-	executed, idle := 0, 0
 	c.served = c.served[:0]
-	for executed < combineWindow && idle < maxIdleSweeps {
-		slots := *c.slots.Load()
+	for executed := 0; executed < combineWindow; {
 		found := 0
-		for _, sl := range slots {
+		for _, sl := range *c.slots.Load() {
 			if sl.state.Load() != slotAnnounced {
 				continue
 			}
 			sl.state.Store(slotClaimed)
 			c.execSlot(sl)
 			c.served = append(c.served, sl)
-			found += sl.n
+			found += len(sl.ops)
 		}
 		if found == 0 {
-			idle++
-			runtime.Gosched()
-			continue
+			break
 		}
-		idle = 0
 		executed += found
 	}
 	if len(c.served) == 0 {
 		return
 	}
 	c.flushDeltas()
-	// THE fence: one Flush persists the whole window (each dirty line
-	// drained once via the coalescing write-back queue) and releases the
-	// deferred flit-tags; a window that left nothing pending needs none.
-	// Only now are the window's results durable.
-	c.d.Flush(c.t)
+	// THE fence: the Batched session's commit persists the whole window
+	// (each dirty line drained once via the coalescing write-back queue)
+	// and releases the deferred flit-tags; a window that left nothing
+	// pending needs none. Only now are the window's results durable.
+	c.x.commit()
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)
 	}
 }
 
+// exec runs one op on its shard's handle in the combiner's Batched
+// session, through the sessions' one op switch. Not through do1: flitvet
+// ackorder reads do1's Direct-mode commit as a commit, and would stop
+// seeing the window's effects before its done-flips.
+//
+//flit:hotpath
+func (c *combiner) exec(kind OpKind, h, val uint64) Result {
+	return exec(c.x.ths[shardIdx(h, len(c.x.ths))], kind, h, val)
+}
+
 // execSlot applies one announced slot's ops through the combiner's
-// deferred handle, writing results into the slot. OpAdd traffic is
-// diverted into the net-delta accumulator (unless noCoalesce); every
-// other op settles any pending delta on its key first, so results always
-// reflect vector order per key, and then runs through the sessions' op
-// switch (exec).
+// Batched session, writing results into the slot. OpAdd traffic is
+// diverted into the net-delta accumulator; every other op settles any
+// pending delta on its key first, so results always reflect vector order
+// per key, and then runs on its shard (exec).
 //
 //flit:hotpath
 func (c *combiner) execSlot(sl *cslot) {
-	for j := 0; j < sl.n; j++ {
+	for j := range sl.ops {
 		op := &sl.ops[j]
-		if op.kind == OpAdd && !c.noCoalesce {
+		if op.kind == OpAdd {
 			c.noteDelta(op.h, op.val)
 			sl.res[j] = Result{}
 			continue
 		}
 		c.settleDelta(op.h)
-		sl.res[j] = exec(c.ht, op.kind, op.h, op.val)
+		sl.res[j] = c.exec(op.kind, op.h, op.val)
 	}
 }
 
@@ -329,7 +272,7 @@ func (c *combiner) settleDelta(h uint64) {
 		return
 	}
 	delete(c.pending, h)
-	c.ht.Add(h, d)
+	c.exec(OpAdd, h, d)
 }
 
 // flushDeltas commits the window's surviving net deltas, one store per
@@ -349,10 +292,10 @@ func (c *combiner) flushDeltas() {
 			continue // settled mid-window by a same-key operation
 		}
 		delete(c.pending, h)
-		if d == 0 && c.ht.Contains(h) {
+		if d == 0 && c.exec(OpContains, h, 0).Ok {
 			continue
 		}
-		c.ht.Add(h, d)
+		c.exec(OpAdd, h, d)
 	}
 	c.dkeys = c.dkeys[:0]
 }

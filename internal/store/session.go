@@ -29,12 +29,12 @@ const (
 	// and untagging are held until Commit, which persists the whole batch
 	// under one fence. Results MUST NOT be exposed before Commit returns.
 	Batched
-	// Combined announces operations to the store's per-shard flat
-	// combiners: one winner thread per shard executes every announced
-	// operation and commits the window under ONE fence before publishing
-	// results, so results are durable — and safe to expose — as soon as
-	// the call returns. FAA traffic (Add) is additionally coalesced to
-	// net deltas within a window unless Options.CombineNoCoalesce is set.
+	// Combined announces operations to the store's one flat combiner:
+	// whichever announcer wins its lock executes every announced operation,
+	// across all shards, through the combiner's Batched session and commits
+	// the window under ONE fence before publishing results, so results are
+	// durable — and safe to expose — as soon as the call returns. FAA
+	// traffic (Add) is additionally coalesced to net deltas within a window.
 	Combined
 )
 
@@ -113,19 +113,17 @@ type sessionCore struct {
 	// Direct/Batched execution state: one pmem thread, one arena, the
 	// commit window every table handle's policy runs through, one handle
 	// per shard table, opened once (nil in Combined mode — combined
-	// sessions own no execution resources, the per-shard combiners do).
+	// sessions own no execution resources, the store's combiner does).
 	t   *pmem.Thread
 	ar  *pheap.Arena
 	d   *core.Deferred
 	ths []*hashtable.Thread
 
-	// Combined announcement state: this session's slot at each shard's
-	// combiner, plus scratch reused across Apply calls.
-	slots   []*cslot
-	idxs    [][]int // per shard: original op index of each slot entry
-	touched []int   // shards announced to in the current Apply
-	op1     [1]hashedOp
-	res1    [1]Result
+	// Combined announcement state: this session's slot at the store's
+	// combiner, plus a single-op vector reused across calls.
+	slot *cslot
+	op1  [1]hashedOp
+	res1 [1]Result
 
 	pending int
 	closed  bool
@@ -134,12 +132,8 @@ type sessionCore struct {
 func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 	c := &sessionCore{st: s, mode: mode}
 	if mode == Combined {
-		s.initCombiners()
-		c.slots = make([]*cslot, len(s.combiners))
-		c.idxs = make([][]int, len(s.combiners))
-		for i, cb := range s.combiners {
-			c.slots[i] = cb.register()
-		}
+		s.initCombiner()
+		c.slot = s.comb.register()
 		return c
 	}
 	c.t = s.mem.RegisterThread()
@@ -153,7 +147,7 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 	return c
 }
 
-// close releases everything the session holds: combiner slots in Combined
+// close releases everything the session holds: its combiner slot in Combined
 // mode; otherwise a Batched session's still-open batch is quietly
 // committed, so no flit-counter stays tagged, every table handle's
 // reclamation slot is closed, and the arena and pmem thread are returned
@@ -166,9 +160,7 @@ func (c *sessionCore) close() {
 	}
 	c.closed = true
 	if c.mode == Combined {
-		for i, cb := range c.st.combiners {
-			cb.deregister(c.slots[i])
-		}
+		c.st.comb.deregister(c.slot)
 		return
 	}
 	if c.pending > 0 {
@@ -209,7 +201,7 @@ func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 }
 
 // exec runs one op on one table handle: the one op switch, shared by
-// Direct and Batched sessions and by the combiners.
+// Direct and Batched sessions and so by the combiner.
 //
 //flit:hotpath
 func exec(sh *hashtable.Thread, kind OpKind, h, val uint64) Result {
@@ -257,7 +249,7 @@ func (c *sessionCore) commit() int {
 // compose on one store: Direct and Batched sessions interleave through
 // the structures' lock-free protocols (in-flight deferred stores stay
 // flit-tagged, so other sessions' p-loads carry their flush obligation),
-// and Combined sessions serialize per shard through the combiner.
+// and Combined sessions serialize through the store's combiner.
 type Sess[K Key] struct {
 	c *sessionCore
 
@@ -276,7 +268,7 @@ func Open[K Key](s *Store, mode SessionMode) *Sess[K] {
 
 // Thread exposes the session's pmem thread (stats, crash injection).
 // Combined sessions execute nothing themselves — their operations run on
-// the per-shard combiners' threads — so Thread returns nil.
+// the thread of the store's combiner — so Thread returns nil.
 func (s *Sess[K]) Thread() *pmem.Thread { return s.c.t }
 
 // Pending reports the operations executed since the last Commit
@@ -296,7 +288,7 @@ func (s *Sess[K]) Commit() int { return s.c.commit() }
 // Close releases the session's execution resources — epoch-reclamation
 // slots, the heap arena (surrendering its free lists for reuse), and the
 // pmem thread (its ID and stats fold back into the memory's totals); a
-// Combined session instead withdraws its combiner slots. A Batched
+// Combined session instead withdraws its combiner slot. A Batched
 // session's uncommitted batch is committed first. Sessions MUST be
 // closed when abandoned: an open session pins the reclamation epoch and a
 // thread slot, which is unbounded memory growth under connection churn.
@@ -342,17 +334,17 @@ func (s *Sess[K]) Add(key K, delta uint64) (uint64, bool) {
 // Apply executes the op vector, writing each operation's outcome into
 // res (len(res) must be at least len(ops)). Direct mode runs each op to
 // completion in order. Batched mode executes the vector as one
-// uncommitted batch — the caller owns the Commit. Combined mode groups
-// the vector by shard, announces each group to its combiner, and returns
-// once every group's window has committed: results are durable on
-// return. Within one Apply, ops on the same key execute in vector order.
+// uncommitted batch — the caller owns the Commit. Combined mode announces
+// the whole vector to the store's combiner and returns once the window
+// that executed it has committed: results are durable on return. Within
+// one Apply, ops on the same key execute in vector order.
 func (s *Sess[K]) Apply(ops []Op[K], res []Result) {
 	if len(res) < len(ops) {
 		panic("store: Apply result slice shorter than op vector")
 	}
 	if s.c.mode != Combined {
 		// Direct and Batched run each op in place: no hashed copy of the
-		// vector, which only the combiners' announcement needs.
+		// vector, which only the combiner's announcement needs.
 		for i := range ops {
 			res[i] = s.c.do1(ops[i].Kind, hashKey(ops[i].Key), ops[i].Val)
 		}

@@ -181,12 +181,14 @@ func TestCombinedConcurrent(t *testing.T) {
 
 // TestCombinedCoalescingElidesPWBs is the VSA property at unit scale: a
 // window of self-cancelling adds on one hot key persists far fewer lines
-// coalesced than with CombineNoCoalesce.
+// coalesced by a Combined session than executed one by one in a Batched
+// session's window.
 func TestCombinedCoalescingElidesPWBs(t *testing.T) {
-	run := func(noCoalesce bool) uint64 {
-		st := newTestStore(t, Options{CombineNoCoalesce: noCoalesce})
-		s := Open[string](st, Combined)
+	run := func(mode SessionMode) uint64 {
+		st := newTestStore(t, Options{})
+		s := Open[string](st, mode)
 		s.Put("hot", addBase)
+		s.Commit()
 		const n = 256
 		ops := make([]Op[string], n)
 		for i := range ops {
@@ -199,10 +201,12 @@ func TestCombinedCoalescingElidesPWBs(t *testing.T) {
 		res := make([]Result, n)
 		st.Mem().ResetStats()
 		s.Apply(ops, res)
+		s.Commit()
 		return st.Mem().TotalStats().PWBs
 	}
-	plain := run(true)
-	coalesced := run(false)
+	plain := run(Batched)
+	coalesced := run(Combined)
+	t.Logf("%d PWBs uncoalesced, %d coalesced", plain, coalesced)
 	if coalesced*10 > plain {
 		t.Fatalf("coalesced window used %d PWBs vs %d uncoalesced; want ≥10x reduction", coalesced, plain)
 	}

@@ -86,19 +86,12 @@ type Options struct {
 	Mode dstruct.Mode
 	// MemWords overrides the derived simulated-memory size.
 	MemWords int
-	// Invalidate models the invalidating clwb of Cascade Lake.
-	Invalidate bool
 	// VirtualClock charges latency costs to per-thread virtual-time
 	// counters instead of spin loops (see pmem.Config.VirtualClock):
 	// same modeled-cost ordering, no wall-clock burn. Crash tests and
 	// smoke matrices — anything that never reads a latency number — run
 	// several times faster under it.
 	VirtualClock bool
-	// CombineNoCoalesce disables VSA-style net-delta coalescing in the
-	// combiner: every OpAdd executes individually (and returns its real
-	// result). TestCombinedCoalescingElidesPWBs uses it as the baseline
-	// the coalesced window is compared against.
-	CombineNoCoalesce bool
 }
 
 func (o Options) withDefaults() Options {
@@ -154,11 +147,11 @@ type Store struct {
 	recovered *RecoveryStats
 
 	// Flat-combining state (see combine.go), built once by the first
-	// Combined session. combCrashed is the whole-process crash flag: a
-	// combiner whose crash countdown fires sets it, and every Combined
+	// Combined session. combCrashed is the whole-process crash flag: the
+	// combiner sets it when its crash countdown fires, and every Combined
 	// session touching the store thereafter dies with pmem.ErrCrashed.
 	combOnce    sync.Once
-	combiners   []*combiner
+	comb        *combiner
 	combCrashed atomic.Bool
 }
 
@@ -181,7 +174,6 @@ func New(opts Options) (*Store, error) {
 		return nil, err
 	}
 	mcfg := pmem.DefaultConfig(words)
-	mcfg.InvalidateOnPWB = o.Invalidate
 	mcfg.VirtualClock = o.VirtualClock
 	mem := pmem.New(mcfg)
 	st := &Store{
@@ -348,10 +340,10 @@ func hashKey[K Key](key K) uint64 {
 }
 
 // shardIdx is the one routing rule, h mod n, for every path that places a
-// hashed key on one of n shards: sessions, combiners and recovery. Placement is persisted (a key's shard is where recovery
-// looks for it), so the result is exactly h % n for every n; a power-of-
-// two count — the default 8 — takes it with a mask instead of a 64-bit
-// hardware divide.
+// hashed key on one of n shards: sessions, the combiner and recovery.
+// Placement is persisted (a key's shard is where recovery looks for it),
+// so the result is exactly h % n for every n; a power-of-two count — the
+// default 8 — takes it with a mask instead of a 64-bit hardware divide.
 func shardIdx(h uint64, n int) int {
 	if n&(n-1) == 0 {
 		return int(h & uint64(n-1))

@@ -22,11 +22,6 @@ type Spec struct {
 	// Records is the keyspace size at run start (the loaded record
 	// count); D/E inserts grow it.
 	Records uint64
-	// ScanMax bounds workload E's point-read bursts (default 16).
-	ScanMax int
-	// HotKeys, when non-zero, confines non-insert key draws to the
-	// uniform window [0, HotKeys) — mix G's contention knob.
-	HotKeys uint64
 	// Workers is the number of closed-loop workers (default 1): store
 	// sessions in-process, connections over the wire.
 	Workers int
@@ -55,7 +50,7 @@ func (sp Spec) Normalized() (Spec, Mix, error) {
 	if sp.Records == 0 {
 		return sp, mix, fmt.Errorf("workload: spec needs Records > 0")
 	}
-	sp.Dist, sp.ScanMax = cmp.Or(sp.Dist, DistUniform), cmp.Or(max(sp.ScanMax, 0), 16)
+	sp.Dist = cmp.Or(sp.Dist, DistUniform)
 	sp.Workers, sp.Depth = max(sp.Workers, 1), max(sp.Depth, 1)
 	return sp, mix, nil
 }
@@ -144,14 +139,14 @@ func Drive(sp Spec, body func(w *Worker) error) (Measured, error) {
 	ws := make([]*Worker, sp.Workers)
 	hists := make([]*metrics.Hist, sp.Workers)
 	for i := range ws {
-		g, err := NewGenerator(mix, sp.Dist, sp.ZipfS, sp.Records, &limit, sp.ScanMax, sp.HotKeys, sp.Seed+int64(i)*7919)
+		g, err := NewGenerator(mix, sp.Dist, sp.ZipfS, sp.Records, &limit, defaultScanMax, 0, sp.Seed+int64(i)*7919)
 		if err != nil {
 			return Measured{}, err
 		}
 		// A window closes at Depth slots, so it holds at most Depth-1
-		// slots plus one op's expansion: a ScanMax burst or an RMW pair.
+		// slots plus one op's expansion: a scan burst or an RMW pair.
 		w := &Worker{ID: i, gen: g, depth: sp.Depth, hist: metrics.NewHist(),
-			bufs: make([][]byte, sp.Depth+sp.ScanMax)}
+			bufs: make([][]byte, sp.Depth+defaultScanMax)}
 		for j := range w.bufs {
 			w.bufs[j] = make([]byte, 0, len(KeyPrefix)+keyDigits)
 		}

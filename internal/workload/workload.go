@@ -84,8 +84,8 @@ func (m Mix) Validate() error {
 // Mixes are the YCSB core workloads — A update-heavy, B read-heavy,
 // C read-only, D read-latest, E "scan"-heavy (see package comment),
 // F read-modify-write — plus G, the churny counter mix: FAA-heavy,
-// self-cancelling ±1 deltas, usually run with a small HotKeys knob so
-// traffic piles onto one counter. G exists to measure net-delta
+// self-cancelling ±1 deltas, usually drawn with a small hotKeys window
+// (NewGenerator) so traffic piles onto one counter. G exists to measure net-delta
 // coalescing honestly: its logical op stream nets to ~nothing.
 var Mixes = []Mix{
 	{Name: "a", Read: 50, Update: 50},
@@ -118,6 +118,10 @@ const (
 // DefaultZipfS is the default zipfian skew. YCSB's canonical constant is
 // 0.99 but Go's rand.Zipf requires s > 1; 1.1 gives a comparably hot head.
 const DefaultZipfS = 1.1
+
+// defaultScanMax bounds workload E's point-read bursts when NewGenerator
+// is given no bound, and always in Drive.
+const defaultScanMax = 16
 
 // KeyPrefix starts every canonical workload key; the index follows as a
 // zero-padded 16-digit decimal (YCSB's "user<id>" convention).
@@ -178,7 +182,8 @@ type Generator struct {
 
 // NewGenerator builds a generator for mix over dist. records is the
 // initial keyspace size; limit (shared across threads, pre-set to
-// records) tracks growth from inserts. zipfS ≤ 1 selects DefaultZipfS.
+// records) tracks growth from inserts. zipfS ≤ 1 selects DefaultZipfS,
+// and scanMax < 1 defaultScanMax.
 // hotKeys, when non-zero, confines every non-insert key draw to the
 // uniform window [0, hotKeys) regardless of dist — the single-hot-key
 // knob (hotKeys=1) that concentrates mix G's counter churn. The mix
@@ -194,7 +199,7 @@ func NewGenerator(mix Mix, dist string, zipfS float64, records uint64, limit *at
 		zipfS = DefaultZipfS
 	}
 	if scanMax < 1 {
-		scanMax = 16
+		scanMax = defaultScanMax
 	}
 	rng := rand.New(rand.NewSource(seed))
 	g := &Generator{mix: mix, dist: dist, rng: rng, zipfS: zipfS, limit: limit, scanMax: scanMax, hotKeys: hotKeys}

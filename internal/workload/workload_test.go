@@ -337,7 +337,7 @@ func TestRunWindowedModes(t *testing.T) {
 			res, err := driveSessions(st, mode, Spec{
 				Mix: mixName, Dist: DistUniform, Workers: 2,
 				Duration: 20 * time.Millisecond, Records: 300, Seed: 5,
-				Depth: 8, HotKeys: 2,
+				Depth: 8,
 			})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", mode, mixName, err)
