@@ -233,7 +233,7 @@ func BenchmarkPLoadUntagged(b *testing.B) {
 // flush) for contrast.
 func BenchmarkPLoadPlain(b *testing.B) {
 	_, th := newBenchMem(b)
-	pol := core.Plain{}
+	pol := core.NewPlain()
 	pol.Store(th, 64, 1, core.P)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -88,11 +88,11 @@ func TestSupersededDependencyIsExcused(t *testing.T) {
 // auditSet runs the fixed single-threaded insert/delete/contains mix on
 // one structure × mode under NewFliT's auditor — the policy as shipped,
 // or whatever mutate makes of it — and returns the violations.
-func auditSet(name string, mode dstruct.Mode, mutate func(*core.FliT) core.Policy) []Violation {
+func auditSet(name string, mode dstruct.Mode, mutate func(*core.Deferred) core.Policy) []Violation {
 	m := newMem(1 << 20)
 	aud := NewFliT(1<<16, m)
 	if mutate != nil {
-		aud.Inner = mutate(aud.Inner.(*core.FliT))
+		aud.Inner = mutate(aud.Inner.(*core.Deferred))
 	}
 	cfg := dstruct.Config{
 		Heap: pheap.New(m), Policy: aud, Mode: mode,
@@ -148,34 +148,36 @@ func TestDataStructuresConformUnderAudit(t *testing.T) {
 // shared stores the list issues — removed outright instead of made
 // conditional on the write-back queue: the planted bug the conformance
 // run above must be able to see.
-type noDepFence struct{ *core.FliT }
+type noDepFence struct{ *core.Deferred }
 
 func (p noDepFence) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
+	c := core.Counters(p.Deferred)
 	t.CheckCrash()
 	if !pflag {
 		t.Store(a, v)
 		return
 	}
-	p.C.Inc(t, a)
+	c.Inc(t, a)
 	t.Store(a, v)
 	t.PWB(a)
 	t.PFence()
-	p.C.Dec(t, a)
+	c.Dec(t, a)
 }
 
 func (p noDepFence) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	c := core.Counters(p.Deferred)
 	t.CheckCrash()
 	if !pflag {
 		return t.CAS(a, old, new)
 	}
-	p.C.Inc(t, a)
+	c.Inc(t, a)
 	ok := t.CAS(a, old, new)
 	if ok {
 		t.PWB(a)
 		t.PFence()
 	}
-	p.C.Dec(t, a)
-	if !ok && p.C.Tagged(t, a) {
+	c.Dec(t, a)
+	if !ok && c.Tagged(t, a) {
 		t.PWB(a)
 	}
 	return ok
@@ -188,7 +190,7 @@ func (p noDepFence) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool
 // own trailing fence closes again before it returns, which is why only
 // the check at tag time can see it. Every violation must name that CAS.
 func TestSkippedDependencyFenceIsLocalized(t *testing.T) {
-	vs := auditSet("list", dstruct.NVTraverse, func(f *core.FliT) core.Policy { return noDepFence{f} })
+	vs := auditSet("list", dstruct.NVTraverse, func(f *core.Deferred) core.Policy { return noDepFence{f} })
 	if len(vs) == 0 {
 		t.Fatal("always-skipped dependency fence passed the audit — the conformance run has no teeth")
 	}

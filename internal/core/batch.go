@@ -5,13 +5,17 @@ import (
 	"flit/internal/reclaim"
 )
 
-// Deferred is the commit-window skeleton over the closure-free policies:
-// a Policy whose shared p-stores, p-RMWs and operation completions leave
-// their *trailing* persistence obligations open until the window commits.
-// The P-V Interface asks only that an operation's p-stores be persistent
-// by its operation_completion(), so a window may hold one operation or
-// many:
+// Deferred is Algorithm 4 written once: the shared-store skeleton —
+// dependency fence, tag, apply, flush, fence, untag — of every
+// flush-based policy, with its trailing persistence obligations closed at
+// a commit. The P-V Interface asks only that an operation's p-stores be
+// persistent by its operation_completion(), so a commit may close one
+// instruction, one operation or many:
 //
+//   - a raw policy (NewFliT, NewPlain, NewIzraelevitz) commits after
+//     every instruction, exactly as the paper states Algorithm 4 and its
+//     baselines: an applied p-store or p-RMW flushes, fences and untags
+//     before it returns, and Complete is the commit's fence;
 //   - a window of one (Commit) ends every operation of the store's Direct
 //     sessions: the operation's completion fence, always issued, then the
 //     release of the tags the operation holds;
@@ -19,17 +23,17 @@ import (
 //     window or a server pipeline batch: one fence (none, if nothing is
 //     pending) before any of the window's operations is acknowledged.
 //
-// What is deferred, and why it stays durably linearizable:
+// What a window defers, and why it stays durably linearizable:
 //
-//   - FliT (Algorithm 4): a p-store, p-CAS, p-FAA or p-Exchange tags its
-//     flit-counter, applies and flushes, but neither fences nor untags;
-//     the commit fences once and then releases every tag held by the
-//     window. Until then the location reads as tagged, so a concurrent
-//     p-load (any thread, any session) flushes it and persists it under
-//     its own completion — exactly the tag protocol's contract. Nothing
-//     an acknowledged operation observed can be lost: its own effects
-//     drain at its window's commit before the ack, and foreign pending
-//     stores it read were flushed by its own tagged loads.
+//   - FliT: a p-store, p-CAS, p-FAA or p-Exchange tags its flit-counter,
+//     applies and flushes, but neither fences nor untags; the commit
+//     fences once and then releases every tag held by the window. Until
+//     then the location reads as tagged, so a concurrent p-load (any
+//     thread, any session) flushes it and persists it under its own
+//     completion — exactly the tag protocol's contract. Nothing an
+//     acknowledged operation observed can be lost: its own effects drain
+//     at its window's commit before the ack, and foreign pending stores
+//     it read were flushed by its own tagged loads.
 //   - Plain / Izraelevitz: no tags — every p-load already flushes its
 //     location unconditionally, which is the same reader-side guarantee
 //     made stronger; deferring the store-side and load-side fences to
@@ -49,26 +53,37 @@ import (
 // is reused — which belongs to the allocator, not to the write: the
 // window holds it by retiring at its commit (Retire), after the fence.
 //
-// A deferred p-store also elides its PWB instruction when the target
-// line is already pending on the thread's write-back queue
-// (pmem.Thread.LinePending): the queue coalesces repeated flushes of a
-// line into one drain regardless, so the second clwb is pure cost — a
-// dedup hardware cannot perform (it cannot see the software flush
-// window) but a software write-back tracker gets for free. This is where
-// group commit wins PWBs, not just fences: consecutive same-line stores
-// in one batch (hot zipfian keys, the 3 field stores of a fresh node)
-// flush once.
+// A window's flush elides its PWB instruction when the target line is
+// already pending on the thread's write-back queue (pwbOnce): the queue
+// coalesces repeated flushes of a line into one drain regardless, so the
+// second clwb is pure cost — a dedup hardware cannot perform (it cannot
+// see the software flush window) but a software write-back tracker gets
+// for free. This is where group commit wins PWBs, not just fences. A raw
+// policy issues every flush, as the paper counts them.
 //
-// A Deferred instance carries per-window state (the held tags and
-// retirees) and must not be shared between goroutines; wrap one per
-// session. The wrapped policy's shared state (flit-counter tables) is
-// unchanged and remains shared with every other session. Commit or Flush
-// must be called before the window's results are exposed; the store's
+// A window carries per-window state (the held tags and retirees) and
+// must not be shared between goroutines; wrap one per session with
+// NewDeferred. A raw policy holds nothing — its tags are released before
+// the instruction returns and its retirees go straight to the handle — so
+// one is shared by every thread of a structure. The flit-counter tables
+// are shared by a raw policy and every window over it. Commit or Flush
+// must be called before a window's results are exposed; the store's
 // sessions, its combiner among them, own that discipline.
 type Deferred struct {
+	name string
+	// inner is the policy a window over link-and-persist or no-persist
+	// (or any other policy) passes its instructions to; nil in the FliT
+	// and flush families, whose instructions are implemented here.
 	inner Policy
-	c     CounterScheme // the FliT policy's flit-counters; nil iff inner is not FliT
-	kind  deferKind
+	c     CounterScheme // the flit-counters; nil outside the FliT family
+	kind  family
+	// window is false for a raw policy, which commits after every
+	// instruction.
+	window bool
+	// eager is Izraelevitz's rule for a raw policy: a p-load, or a failed
+	// p-CAS, fences its flush on the spot instead of leaving the fence to
+	// the next shared store or completion.
+	eager bool
 
 	// tags are the addresses whose flit-counters this window has
 	// incremented and not yet released (one entry per deferred p-store or
@@ -87,47 +102,61 @@ type retiree struct {
 	n int
 }
 
-type deferKind int
+// family is how a policy tells a reader that a location may hold an
+// unpersisted store.
+type family int
 
 const (
-	// deferFlit defers untag+fence of shared p-stores and p-RMWs and the
-	// completion fence (FliT policies).
-	deferFlit deferKind = iota
-	// deferFlush defers store-side, RMW-side and load-side fences (Plain,
-	// Izraelevitz: readers flush unconditionally, so no tags exist).
-	deferFlush
-	// deferComplete defers only the operation-completion fence
-	// (link-and-persist: stores are CASes and stay fully persisted).
-	deferComplete
-	// deferNone passes everything through (no-persist and unknown
-	// policies; Commit and Flush are no-ops — there is nothing to commit).
-	deferNone
+	// flitFamily tags pending p-stores in flit-counters (FliT).
+	flitFamily family = iota
+	// flushFamily has no tags: every p-load flushes (Plain, Izraelevitz).
+	flushFamily
+	// dirtyFamily steals a dirty bit from the word and keeps its stores'
+	// fences (link-and-persist): a window defers only completion.
+	dirtyFamily
+	// noneFamily persists nothing (no-persist and unknown policies): a
+	// window passes everything through and its commits do nothing.
+	noneFamily
 )
 
-// NewDeferred wraps p in the commit-window skeleton. Every known policy
-// is supported; policies with nothing to defer (no-persist) degrade to a
+// NewDeferred opens a commit window over p. Every known policy is
+// supported; policies with nothing to defer (no-persist) degrade to a
 // transparent pass-through whose Commit and Flush do nothing.
 func NewDeferred(p Policy) *Deferred {
-	d := &Deferred{inner: p}
-	switch ip := p.(type) {
-	case *FliT:
-		d.c, d.kind = ip.C, deferFlit
-	case Plain, Izraelevitz:
-		d.kind = deferFlush
+	d := &Deferred{name: p.Name() + "+gc", inner: p, kind: noneFamily, window: true}
+	switch r := p.(type) {
+	case *Deferred:
+		d.inner, d.c, d.kind = r.inner, r.c, r.kind
 	case LinkAndPersist:
-		d.kind = deferComplete
-	default:
-		d.kind = deferNone
+		d.kind = dirtyFamily
 	}
 	return d
 }
 
-// Name returns the wrapped policy's name with a "+gc" (group commit)
-// suffix.
-func (d *Deferred) Name() string { return d.inner.Name() + "+gc" }
+// Counters returns the flit-counters p tags its pending p-stores with, or
+// nil when p is not a FliT policy (raw or window).
+func Counters(p Policy) CounterScheme {
+	if d, ok := p.(*Deferred); ok {
+		return d.c
+	}
+	return nil
+}
 
-// SupportsRMW defers to the wrapped policy.
-func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
+// Window returns p as a commit window, or nil when p commits after every
+// instruction (a raw policy) or is not a Deferred at all.
+func Window(p Policy) *Deferred {
+	if d, ok := p.(*Deferred); ok && d.window {
+		return d
+	}
+	return nil
+}
+
+// Name returns the policy's name; a window's carries a "+gc" (group
+// commit) suffix.
+func (d *Deferred) Name() string { return d.name }
+
+// SupportsRMW reports false only for link-and-persist.
+func (d *Deferred) SupportsRMW() bool { return d.inner == nil || d.inner.SupportsRMW() }
 
 // Flush is the group commit: one fence drains every line the batch
 // flushed (each distinct line exactly once — the coalescing queue), then
@@ -139,13 +168,13 @@ func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
 // when the thread has write-backs in flight, and otherwise counted as
 // elided. Everything the batch must persist before its acks sits on this
 // thread's queue — its deferred stores' and RMWs' lines (pwbOnce
-// re-enqueues after any intervening drain) and every flush obligation its p-loads and
-// failed p-CASes picked up — so an empty queue means a fence issued now
-// would order nothing: a batch of Gets that saw no tag acks without one.
-// Held tags are still released: with the queue empty, their lines were
-// drained by an earlier fence of this batch (a private p-store's; an
-// RMW's leading fence releases them on the spot). The batch's retirees
-// are handed over last (retire).
+// re-enqueues after any intervening drain) and every flush obligation its
+// p-loads and failed p-CASes picked up — so an empty queue means a fence
+// issued now would order nothing: a batch of Gets that saw no tag acks
+// without one. Held tags are still released: with the queue empty, their
+// lines were drained by an earlier fence of this batch (a private
+// p-store's; an RMW's leading fence releases them on the spot). The
+// batch's retirees are handed over last (retire).
 //
 // A window whose thread a crash killed does not commit: Flush panics
 // pmem.ErrCrashed whether or not anything is pending, so it drains
@@ -155,7 +184,7 @@ func (d *Deferred) SupportsRMW() bool { return d.inner.SupportsRMW() }
 //
 //flit:hotpath
 func (d *Deferred) Flush(t *pmem.Thread) int {
-	if d.kind == deferNone {
+	if d.kind == noneFamily {
 		return 0
 	}
 	if t.Crashed() {
@@ -176,19 +205,20 @@ func (d *Deferred) Flush(t *pmem.Thread) int {
 	return n
 }
 
-// Commit ends a window of one operation — a Direct session's op — at its
-// operation_completion(): the completion fence, always issued, persists
-// the operation's deferred stores and RMWs and every flush obligation its
-// loads picked up, then the operation's tags are released and its
-// retirees handed over. Unlike Flush it does not skip an empty fence:
-// whether the completion fence of an operation that left nothing pending
-// may be dropped is a decision of its own (the per-op completion fence of
-// every policy, FliT.Complete included), not a side effect of the window.
-// On a thread a crash killed the fence panics, as in Flush.
+// Commit ends an operation at its operation_completion() — a Direct
+// session's window of one, and every operation of a raw policy (Complete):
+// the completion fence, always issued, persists the operation's deferred
+// stores and RMWs and every flush obligation its loads picked up, then
+// the operation's tags are released and its retirees handed over. Unlike
+// Flush it does not skip an empty fence: whether the completion fence of
+// an operation that left nothing pending may be dropped is a decision of
+// its own, made here once for every flush-based policy, raw or window —
+// not a side effect of the window. On a thread a crash killed the fence
+// panics, as in Flush.
 //
 //flit:hotpath
 func (d *Deferred) Commit(t *pmem.Thread) {
-	if d.kind == deferNone {
+	if d.kind == noneFamily {
 		return
 	}
 	t.PFence() // the operation's completion fence: always issued
@@ -203,8 +233,8 @@ func (d *Deferred) Commit(t *pmem.Thread) {
 // releaseTags untags every location the window's deferred p-stores and
 // p-RMWs hold, strictly after the fence that persisted them: a reader
 // observing a tag up to this point flushes the value itself, as
-// Algorithm 4's persistTagged ordering requires. Only FliT policies hold
-// tags.
+// Algorithm 4's flush-fence-untag ordering requires. Only FliT policies
+// hold tags.
 //
 //flit:hotpath
 func (d *Deferred) releaseTags(t *pmem.Thread) {
@@ -214,16 +244,16 @@ func (d *Deferred) releaseTags(t *pmem.Thread) {
 	d.tags = d.tags[:0]
 }
 
-// Retire takes a block that an unlink of this window made unreachable.
-// The unlink's trailing fence is the window's commit, so the block may not
-// begin its grace period before that fence: it is queued and handed to h
-// at Commit or Flush (retire). Link-and-persist's CASes and the
-// pass-through persist before they return, and their blocks go straight
-// to h.
+// Retire takes a block that an unlink made unreachable. In a window the
+// unlink's trailing fence is the commit, so the block may not begin its
+// grace period before that fence: it is queued and handed to h at Commit
+// or Flush (retire). A raw policy's unlink fenced before it returned, and
+// link-and-persist's CASes and the pass-through persist (or never do)
+// before they return, so their blocks go straight to h.
 //
 //flit:hotpath
 func (d *Deferred) Retire(h *reclaim.Handle, p pmem.Addr, n int) {
-	if d.kind == deferComplete || d.kind == deferNone {
+	if !d.window || d.kind >= dirtyFamily {
 		h.Retire(p, n)
 		return
 	}
@@ -253,86 +283,53 @@ func pwbOnce(t *pmem.Thread, a pmem.Addr) {
 	}
 }
 
-// Load is the wrapped policy's shared-load with the window dedup: a flush
-// obligation against a line this window already holds pending is elided —
-// the line drains, with its final contents, at this window's commit
-// before any of its responses escape.
+// observed discharges the flush obligation of a p-load, or of a failed
+// p-CAS, that may have read an unpersisted value. A window's flush is
+// deduplicated against its queue and fenced by its commit — the line
+// drains, with its final contents, before any of the window's responses
+// escape. A raw policy flushes every time, with the fence left to the next
+// shared store or completion; Izraelevitz fences on the spot.
 //
 //flit:hotpath
-func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
-	switch d.kind {
-	case deferFlit:
-		t.CheckCrash()
-		v := t.Load(a)
-		if pflag && d.c.Tagged(t, a) {
-			pwbOnce(t, a)
-		}
-		return v
-	case deferFlush:
-		t.CheckCrash()
-		v := t.Load(a)
-		if pflag {
-			// Plain flushes with the fence deferred to completion;
-			// Izraelevitz fences immediately. In a window both defer
-			// the fence to the commit — the window boundary is the
-			// completion the construction's fence was buying.
-			pwbOnce(t, a)
-		}
-		return v
-	default:
-		return d.inner.Load(t, a, pflag)
+func (d *Deferred) observed(t *pmem.Thread, a pmem.Addr) {
+	if d.window {
+		pwbOnce(t, a)
+		return
+	}
+	t.PWB(a)
+	if d.eager {
+		t.PFence()
 	}
 }
 
-// Store applies a shared store whose trailing persistence is deferred to
-// the window's commit. Under FliT the location stays tagged until then, so
-// concurrent readers carry the flush obligation exactly as for any
-// in-flight p-store; under Plain/Izraelevitz readers flush
-// unconditionally. The leading dependency fence is elided with the
-// trailing one: a plain store publishes nothing in the structures (fresh
-// node fields, in-place value overwrites), and every pointer-publishing
-// RMW still fences ahead of itself.
+// applied is the epilogue of an applied p-store or p-RMW (tagged, under
+// FliT). A raw policy commits it at once: flush, fence — the new value is
+// persisted before untagging — and untag. A window flushes the line once
+// and holds the tag until its next fence.
 //
 //flit:hotpath
-func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
-	switch d.kind {
-	case deferFlit:
-		t.CheckCrash()
-		if !pflag {
-			t.Store(a, v)
-			return
+func (d *Deferred) applied(t *pmem.Thread, a pmem.Addr) {
+	if !d.window {
+		t.PWB(a)
+		t.PFence()
+		if d.c != nil {
+			d.c.Dec(t, a)
 		}
-		d.c.Inc(t, a)
-		t.Store(a, v)
-		d.hold(t, a)
-	case deferFlush:
-		t.CheckCrash()
-		t.Store(a, v)
-		if pflag {
-			pwbOnce(t, a)
-		}
-	default:
-		d.inner.Store(t, a, v, pflag)
+		return
 	}
-}
-
-// hold is the deferred epilogue of an applied, tagged FliT p-store or
-// p-RMW: flush the line once and keep the tag until the window's next
-// fence.
-//
-//flit:hotpath
-func (d *Deferred) hold(t *pmem.Thread, a pmem.Addr) {
 	pwbOnce(t, a)
-	d.tags = append(d.tags, a)
+	if d.c != nil {
+		d.tags = append(d.tags, a)
+	}
 }
 
-// leadingFence is an RMW's leading fence inside the window: the policies'
-// conditional dependency fence (fenceDeps), after which the thread's
-// queue is empty either way. Every held tag's value was flushed by this
-// window and has drained since — at this fence, or at an earlier one
-// (a private p-store's) if the fence was elided — so the tags are
-// released on the spot: holding them longer would only make readers
-// re-flush durable lines.
+// leadingFence is the leading fence of a shared RMW, and of a raw
+// policy's shared store: the conditional dependency fence (fenceDeps),
+// after which the thread's queue is empty either way. Every tag a window
+// holds was flushed by the window and has drained since — at this fence,
+// or at an earlier one (a private p-store's) if the fence was elided — so
+// the tags are released on the spot: holding them longer would only make
+// readers re-flush durable lines.
 //
 //flit:hotpath
 func (d *Deferred) leadingFence(t *pmem.Thread) {
@@ -342,19 +339,81 @@ func (d *Deferred) leadingFence(t *pmem.Thread) {
 	}
 }
 
-// CAS is Algorithm 4's shared-store for compare-and-swap with its
-// trailing persistence deferred like Store's: the leading fence stays
-// (leadingFence), and a successful p-CAS tags, applies and flushes,
-// holding its tag until the window's commit. A failed p-CAS wrote nothing but
-// observed the current value, so it keeps a p-load's obligation (see
-// FliT.CAS): flush if another p-store is still pending — under Plain and
-// Izraelevitz, always — with the fence at the commit. Link-and-persist's
-// dirty-bit CAS keeps its own fences.
+// Load is Algorithm 4's shared-load: a FliT p-load flushes its location
+// only while it is tagged, a flush-family p-load always (observed).
+//
+//flit:hotpath
+func (d *Deferred) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
+	switch d.kind {
+	case flitFamily:
+		t.CheckCrash()
+		v := t.Load(a)
+		if pflag && d.c.Tagged(t, a) {
+			d.observed(t, a)
+		}
+		return v
+	case flushFamily:
+		t.CheckCrash()
+		v := t.Load(a)
+		if pflag {
+			d.observed(t, a)
+		}
+		return v
+	default:
+		return d.inner.Load(t, a, pflag)
+	}
+}
+
+// Store is Algorithm 4's shared-store for a plain write. A raw policy
+// leads it with the dependency fence; a window elides that fence with the
+// trailing one: a plain store publishes nothing in the structures (fresh
+// node fields, in-place value overwrites), and every pointer-publishing
+// RMW still fences ahead of itself.
+//
+//flit:hotpath
+func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
+	switch d.kind {
+	case flitFamily:
+		t.CheckCrash()
+		if !d.window {
+			fenceDeps(t)
+		}
+		if !pflag {
+			t.Store(a, v)
+			return
+		}
+		d.c.Inc(t, a)
+		t.Store(a, v)
+		d.applied(t, a)
+	case flushFamily:
+		t.CheckCrash()
+		if !d.window {
+			fenceDeps(t)
+		}
+		t.Store(a, v)
+		if pflag {
+			d.applied(t, a)
+		}
+	default:
+		d.inner.Store(t, a, v, pflag)
+	}
+}
+
+// CAS is Algorithm 4's shared-store for compare-and-swap: the leading
+// fence, then a successful p-CAS tags, applies and persists (applied). A
+// failed p-CAS wrote nothing, but it observed the current value and the
+// thread may act on that observation (a queue skipping a taken node, a
+// helper seeing a mark), so it carries a p-load's obligation (observed):
+// flush if another p-store is still pending — under Plain and
+// Izraelevitz, always. Without it an operation can complete depending on
+// a value a crash then loses — the hole the dlcheck enumerator catches on
+// the durable queue. Link-and-persist's dirty-bit CAS keeps its own
+// fences.
 //
 //flit:hotpath
 func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	switch d.kind {
-	case deferFlit:
+	case flitFamily:
 		t.CheckCrash()
 		d.leadingFence(t)
 		if !pflag {
@@ -362,20 +421,24 @@ func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool)
 		}
 		d.c.Inc(t, a)
 		if t.CAS(a, old, new) {
-			d.hold(t, a)
+			d.applied(t, a)
 			return true
 		}
 		d.c.Dec(t, a)
 		if d.c.Tagged(t, a) {
-			pwbOnce(t, a)
+			d.observed(t, a)
 		}
 		return false
-	case deferFlush:
+	case flushFamily:
 		t.CheckCrash()
 		d.leadingFence(t)
 		ok := t.CAS(a, old, new)
 		if pflag {
-			pwbOnce(t, a)
+			if ok {
+				d.applied(t, a)
+			} else {
+				d.observed(t, a)
+			}
 		}
 		return ok
 	default:
@@ -383,12 +446,12 @@ func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool)
 	}
 }
 
-// FAA is Algorithm 4's shared-store for fetch-and-add, deferred as CAS.
+// FAA is Algorithm 4's shared-store for fetch-and-add, persisted as CAS.
 //
 //flit:hotpath
 func (d *Deferred) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) uint64 {
 	switch d.kind {
-	case deferFlit:
+	case flitFamily:
 		t.CheckCrash()
 		d.leadingFence(t)
 		if !pflag {
@@ -396,14 +459,14 @@ func (d *Deferred) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) ui
 		}
 		d.c.Inc(t, a)
 		prev := t.FAA(a, delta)
-		d.hold(t, a)
+		d.applied(t, a)
 		return prev
-	case deferFlush:
+	case flushFamily:
 		t.CheckCrash()
 		d.leadingFence(t)
 		prev := t.FAA(a, delta)
 		if pflag {
-			pwbOnce(t, a)
+			d.applied(t, a)
 		}
 		return prev
 	default:
@@ -411,12 +474,12 @@ func (d *Deferred) FAA(t *pmem.Thread, a pmem.Addr, delta uint64, pflag bool) ui
 	}
 }
 
-// Exchange is Algorithm 4's shared-store for swap, deferred as CAS.
+// Exchange is Algorithm 4's shared-store for swap, persisted as CAS.
 //
 //flit:hotpath
 func (d *Deferred) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) uint64 {
 	switch d.kind {
-	case deferFlit:
+	case flitFamily:
 		t.CheckCrash()
 		d.leadingFence(t)
 		if !pflag {
@@ -424,14 +487,14 @@ func (d *Deferred) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) u
 		}
 		d.c.Inc(t, a)
 		prev := t.Exchange(a, v)
-		d.hold(t, a)
+		d.applied(t, a)
 		return prev
-	case deferFlush:
+	case flushFamily:
 		t.CheckCrash()
 		d.leadingFence(t)
 		prev := t.Exchange(a, v)
 		if pflag {
-			pwbOnce(t, a)
+			d.applied(t, a)
 		}
 		return prev
 	default:
@@ -439,39 +502,65 @@ func (d *Deferred) Exchange(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) u
 	}
 }
 
-// LoadPrivate delegates: private loads never flush.
+// LoadPrivate is Algorithm 4's private-load: no tag check and no flush —
+// a private location has no pending p-store by another thread.
 //
 //flit:hotpath
 func (d *Deferred) LoadPrivate(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
-	return d.inner.LoadPrivate(t, a, pflag)
+	if d.inner != nil {
+		return d.inner.LoadPrivate(t, a, pflag)
+	}
+	t.CheckCrash()
+	return t.Load(a)
 }
 
-// StorePrivate delegates: the optimized modes' private stores are
-// volatile (their persistence rides PersistObject), and a private
-// p-store's immediate fence is rare enough not to batch.
+// StorePrivate is Algorithm 4's private-store: no counter, no leading
+// fence; a p-store still flushes and fences before returning, in a window
+// too — the optimized modes' private stores are volatile (their
+// persistence rides PersistObject), and a private p-store's immediate
+// fence is rare enough not to batch.
 //
 //flit:hotpath
 func (d *Deferred) StorePrivate(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
-	d.inner.StorePrivate(t, a, v, pflag)
+	if d.inner != nil {
+		d.inner.StorePrivate(t, a, v, pflag)
+		return
+	}
+	t.CheckCrash()
+	t.Store(a, v)
+	if pflag {
+		t.PWB(a)
+		t.PFence()
+	}
 }
 
-// PersistObject delegates: its flushes land on the same queue and drain
-// at the next fence — the publishing CAS's leading fence, as always.
+// PersistObject flushes the object's lines without fencing: they drain at
+// the next fence — the publishing CAS's leading fence, as always.
 //
 //flit:hotpath
 func (d *Deferred) PersistObject(t *pmem.Thread, base pmem.Addr, n int) {
-	d.inner.PersistObject(t, base, n)
+	if d.inner != nil {
+		d.inner.PersistObject(t, base, n)
+		return
+	}
+	t.CheckCrash()
+	persistObject(t, base, n)
 }
 
-// Complete defers the operation-completion fence to the window's commit:
-// the window boundary is where the operation's response escapes, so that
-// is where its dependencies must be persistent — not earlier.
+// Complete is operation_completion(). A raw policy commits: its fence
+// persists every dependency of the finished operation. A window defers
+// the fence to its commit: the window boundary is where the operation's
+// response escapes, so that is where its dependencies must be persistent
+// — not earlier.
 //
 //flit:hotpath
 func (d *Deferred) Complete(t *pmem.Thread) {
-	if d.kind == deferNone {
+	if d.kind == noneFamily {
 		d.inner.Complete(t)
 		return
 	}
 	t.CheckCrash()
+	if !d.window {
+		d.Commit(t)
+	}
 }

@@ -17,29 +17,36 @@ func newDeferredMem(t *testing.T) (*pmem.Memory, *pmem.Thread) {
 }
 
 // TestDeferredKinds pins the wrapper's dispatch: which policies defer
-// what.
+// what, and that a window over a raw policy shares its flit-counters and
+// is a window while the raw policy is not.
 func TestDeferredKinds(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pol  Policy
-		kind deferKind
+		kind family
 	}{
-		{"flit-ht", NewFliT(NewHashTable(1 << 12)), deferFlit},
-		{"flit-adjacent", NewFliT(Adjacent{}), deferFlit},
-		{"plain", Plain{}, deferFlush},
-		{"izraelevitz", Izraelevitz{}, deferFlush},
-		{"link-and-persist", LinkAndPersist{}, deferComplete},
-		{"no-persist", NoPersist{}, deferNone},
+		{"flit-ht", NewFliT(NewHashTable(1 << 12)), flitFamily},
+		{"flit-adjacent", NewFliT(Adjacent{}), flitFamily},
+		{"plain", NewPlain(), flushFamily},
+		{"izraelevitz", NewIzraelevitz(), flushFamily},
+		{"link-and-persist", LinkAndPersist{}, dirtyFamily},
+		{"no-persist", NoPersist{}, noneFamily},
 	} {
 		d := NewDeferred(tc.pol)
 		if d.kind != tc.kind {
 			t.Errorf("%s: kind = %d, want %d", tc.name, d.kind, tc.kind)
 		}
-		if d.inner != tc.pol {
-			t.Errorf("%s: lost the wrapped policy", tc.name)
+		if Counters(d) != Counters(tc.pol) {
+			t.Errorf("%s: the window does not share the policy's counters", tc.name)
+		}
+		if Window(d) != d || Window(tc.pol) != nil {
+			t.Errorf("%s: Window(window) = %v, Window(policy) = %v", tc.name, Window(d), Window(tc.pol))
 		}
 		if d.Name() != tc.pol.Name()+"+gc" {
 			t.Errorf("%s: Name() = %q", tc.name, d.Name())
+		}
+		if d.SupportsRMW() != tc.pol.SupportsRMW() {
+			t.Errorf("%s: SupportsRMW() = %v", tc.name, d.SupportsRMW())
 		}
 	}
 }
@@ -55,7 +62,7 @@ func TestDeferredStoreHoldsTagUntilFlush(t *testing.T) {
 	const a = pmem.Addr(64)
 
 	d.Store(th, a, 42, P)
-	if !f.C.Tagged(th, a) {
+	if !f.c.Tagged(th, a) {
 		t.Fatal("deferred p-store did not leave the location tagged")
 	}
 	if n, _ := LiveTagCount(f); n != 1 {
@@ -68,7 +75,7 @@ func TestDeferredStoreHoldsTagUntilFlush(t *testing.T) {
 	if n := d.Flush(th); n != 1 {
 		t.Fatalf("Flush drained %d lines, want 1", n)
 	}
-	if f.C.Tagged(th, a) {
+	if f.c.Tagged(th, a) {
 		t.Fatal("location still tagged after Flush")
 	}
 	if n, _ := LiveTagCount(f); n != 0 {
@@ -114,7 +121,7 @@ func TestDeferredDedupsSameLinePWBs(t *testing.T) {
 // deferring kind; the batch fence is Flush's.
 func TestDeferredCompleteDefersFence(t *testing.T) {
 	for _, pol := range []Policy{
-		NewFliT(Adjacent{}), Plain{}, Izraelevitz{}, LinkAndPersist{},
+		NewFliT(Adjacent{}), NewPlain(), NewIzraelevitz(), LinkAndPersist{},
 	} {
 		_, th := newDeferredMem(t)
 		d := NewDeferred(pol)
@@ -172,8 +179,8 @@ func TestDeferredFlushFencesOnlyPending(t *testing.T) {
 	}{
 		{NewFliT(NewHashTable(1 << 12)), fences{0, 1}, fences{1, 0}, fences{1, 0}},
 		{NewFliT(Adjacent{}), fences{0, 1}, fences{1, 0}, fences{1, 0}},
-		{Plain{}, fences{1, 0}, fences{1, 0}, fences{1, 0}},
-		{Izraelevitz{}, fences{1, 0}, fences{1, 0}, fences{1, 0}},
+		{NewPlain(), fences{1, 0}, fences{1, 0}, fences{1, 0}},
+		{NewIzraelevitz(), fences{1, 0}, fences{1, 0}, fences{1, 0}},
 		{LinkAndPersist{}, fences{0, 1}, fences{0, 1}, fences{0, 1}},
 	} {
 		m, th := newDeferredMem(t)
@@ -209,7 +216,7 @@ func TestDeferredFlushFencesOnlyPending(t *testing.T) {
 // and untagged once Commit returns.
 func TestDeferredCommitAlwaysFences(t *testing.T) {
 	for _, pol := range []Policy{
-		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), Plain{}, Izraelevitz{}, LinkAndPersist{},
+		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), NewPlain(), NewIzraelevitz(), LinkAndPersist{},
 	} {
 		m, th := newDeferredMem(t)
 		d := NewDeferred(pol)
@@ -232,10 +239,8 @@ func TestDeferredCommitAlwaysFences(t *testing.T) {
 		d.Store(th, a, 5, P)
 		d.Complete(th)
 		commit("p-store", 5)
-		if f, ok := pol.(*FliT); ok {
-			if n, _ := LiveTagCount(f); n != 0 {
-				t.Errorf("%s: %d live tags after Commit, want 0", pol.Name(), n)
-			}
+		if n, _ := LiveTagCount(pol); n != 0 {
+			t.Errorf("%s: %d live tags after Commit, want 0", pol.Name(), n)
 		}
 	}
 }
@@ -288,7 +293,7 @@ func TestDeferredPassThrough(t *testing.T) {
 // flushes without fencing, and Flush persists it.
 func TestDeferredPlainStoreDeferred(t *testing.T) {
 	m, th := newDeferredMem(t)
-	d := NewDeferred(Plain{})
+	d := NewDeferred(NewPlain())
 	const a = pmem.Addr(64)
 	d.Store(th, a, 9, P)
 	if th.Stats.PWBs != 1 || th.Stats.PFences != 0 {
@@ -350,10 +355,10 @@ func TestDeferredRMWHoldsUntilCommit(t *testing.T) {
 		{"Exchange", func(d *Deferred, th *pmem.Thread, a pmem.Addr) uint64 { d.Exchange(th, a, 9, P); return 9 }},
 	}
 	for _, pol := range []Policy{
-		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), Plain{}, Izraelevitz{},
+		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), NewPlain(), NewIzraelevitz(),
 	} {
-		f, _ := pol.(*FliT)
-		tagged := func(th *pmem.Thread, a pmem.Addr) bool { return f != nil && f.C.Tagged(th, a) }
+		c := Counters(pol)
+		tagged := func(th *pmem.Thread, a pmem.Addr) bool { return c != nil && c.Tagged(th, a) }
 		for _, rmw := range rmws {
 			name := pol.Name() + "/" + rmw.name
 			for _, end := range []string{"Commit", "Flush"} {
@@ -364,7 +369,7 @@ func TestDeferredRMWHoldsUntilCommit(t *testing.T) {
 					t.Fatalf("%s: the RMW issued %d fences and %d pwbs and persisted %d, want 0 / 1 / nothing",
 						name, th.Stats.PFences, th.Stats.PWBs, m.PersistedWord(a))
 				}
-				if f != nil && (!tagged(th, a) || len(d.tags) != 1) {
+				if c != nil && (!tagged(th, a) || len(d.tags) != 1) {
 					t.Fatalf("%s: the RMW's tag is not held (%d held)", name, len(d.tags))
 				}
 				if end == "Commit" {
@@ -388,7 +393,7 @@ func TestDeferredRMWHoldsUntilCommit(t *testing.T) {
 				t.Fatalf("%s: after the next RMW's leading fence: %d fences, persisted %d (want 1, %d), first tag held: %v",
 					name, th.Stats.PFences, m.PersistedWord(a), v, tagged(th, a))
 			}
-			if f != nil && (!tagged(th, b) || len(d.tags) != 1) {
+			if c != nil && (!tagged(th, b) || len(d.tags) != 1) {
 				t.Fatalf("%s: the second RMW's tag is not the one held (%d held)", name, len(d.tags))
 			}
 			if m.PersistedWord(b) != 0 {
@@ -444,8 +449,8 @@ func TestDeferredRetireWaitsForCommit(t *testing.T) {
 		held bool
 	}{
 		{NewFliT(NewHashTable(1 << 12)), true},
-		{Plain{}, true},
-		{Izraelevitz{}, true},
+		{NewPlain(), true},
+		{NewIzraelevitz(), true},
 		{LinkAndPersist{}, false},
 		{NoPersist{}, false},
 	} {
@@ -474,7 +479,7 @@ func TestDeferredRetireWaitsForCommit(t *testing.T) {
 					d.Complete(th)
 				}()
 				// Sess.Close's quiet commit of a crashed window.
-				if crashed := pmem.RunToCrash(func() { d.Flush(th) }); crashed != (d.kind != deferNone) {
+				if crashed := pmem.RunToCrash(func() { d.Flush(th) }); crashed != (d.kind != noneFamily) {
 					t.Fatalf("%s: a crashed window's Flush crashed=%v", tc.pol.Name(), crashed)
 				}
 			}

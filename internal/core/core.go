@@ -16,6 +16,14 @@
 // placement is pluggable (CounterScheme): adjacent to each word, in a
 // hash table of configurable size, packed eight to a word, or one per
 // cache line (the paper's future-work variant).
+//
+// Algorithm 4's shared-store skeleton is written once, in Deferred, for
+// FliT and for the flush-always baselines (plain, Izraelevitz): the raw
+// policies that NewFliT, NewPlain and NewIzraelevitz build commit after
+// every instruction, as the paper states Algorithm 4, and
+// NewDeferred opens a commit window over any policy that closes it once
+// per operation (Commit) or per batch (Flush). Link-and-persist (a dirty
+// bit in the word) and no-persist are policies of their own.
 package core
 
 import "flit/internal/pmem"

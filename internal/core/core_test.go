@@ -23,8 +23,8 @@ func allPolicies(memWords int) []Policy {
 		NewFliT(NewHashTable(4 << 10)),
 		NewFliT(NewPackedHashTable(4 << 10)),
 		NewFliT(NewDirectMap(memWords)),
-		Plain{},
-		Izraelevitz{},
+		NewPlain(),
+		NewIzraelevitz(),
 		LinkAndPersist{},
 		NoPersist{},
 	}
@@ -123,7 +123,7 @@ func TestFliTLoadSkipsFlushWhenUntagged(t *testing.T) {
 		t.Fatalf("untagged p-loads issued %d PWBs", th.Stats.PWBs-before)
 	}
 	// Plain, by contrast, flushes every p-load.
-	plain := Plain{}
+	plain := NewPlain()
 	before = th.Stats.PWBs
 	for i := 0; i < 100; i++ {
 		plain.Load(th, a, P)
@@ -522,8 +522,8 @@ func TestSharedStoreInstructionStream(t *testing.T) {
 	for _, mk := range []func() Policy{
 		func() Policy { return NewFliT(NewHashTable(64 << 10)) },
 		func() Policy { return NewFliT(Adjacent{}) },
-		func() Policy { return Plain{} },
-		func() Policy { return Izraelevitz{} },
+		func() Policy { return NewPlain() },
+		func() Policy { return NewIzraelevitz() },
 		func() Policy { return LinkAndPersist{} },
 	} {
 		name := mk().Name()

@@ -7,9 +7,9 @@ import (
 	"flit/internal/pmem"
 )
 
-// ExampleFliT shows the heart of the paper: a p-store persists before it
+// ExampleNewFliT shows the heart of the paper: a p-store persists before it
 // returns, and p-loads skip the flush whenever no store is pending.
-func ExampleFliT() {
+func ExampleNewFliT() {
 	mem := pmem.New(pmem.Config{Words: 1 << 10}) // zero-latency for the example
 	th := mem.RegisterThread()
 	pol := core.NewFliT(core.NewHashTable(1 << 12))
@@ -23,7 +23,7 @@ func ExampleFliT() {
 	}
 	fmt.Println("flushes issued by 1000 p-loads:", th.Stats.PWBs-before)
 
-	plain := core.Plain{}
+	plain := core.NewPlain()
 	before = th.Stats.PWBs
 	for i := 0; i < 1000; i++ {
 		plain.Load(th, 64, core.P) // plain flushes every p-load

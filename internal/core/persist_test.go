@@ -60,7 +60,7 @@ func TestPersistFacade(t *testing.T) {
 func TestPersistDefaultVolatile(t *testing.T) {
 	m := newMem(1 << 12)
 	th := m.RegisterThread()
-	v := NewPersist(Plain{}, 72, V)
+	v := NewPersist(NewPlain(), 72, V)
 	v.Store(th, 3)
 	if m.PersistedWord(72) != 0 {
 		t.Fatal("default-V store persisted")
@@ -110,8 +110,8 @@ func TestPolicyNames(t *testing.T) {
 		"flit-HT(1MB)":     NewFliT(NewHashTable(1 << 20)),
 		"flit-packed(4KB)": NewFliT(NewPackedHashTable(4 << 10)),
 		"flit-perline":     NewFliT(NewDirectMap(words)),
-		"plain":            Plain{},
-		"izraelevitz":      Izraelevitz{},
+		"plain":            NewPlain(),
+		"izraelevitz":      NewIzraelevitz(),
 		"link-and-persist": LinkAndPersist{},
 		"no-persist":       NoPersist{},
 	}

@@ -35,9 +35,9 @@ func NewPolicyByName(name string, memWords, htBytes int) (Policy, error) {
 	case PolicyNoPersist:
 		return NoPersist{}, nil
 	case PolicyPlain:
-		return Plain{}, nil
+		return NewPlain(), nil
 	case PolicyIz:
-		return Izraelevitz{}, nil
+		return NewIzraelevitz(), nil
 	case PolicyAdjacent:
 		return NewFliT(Adjacent{}), nil
 	case PolicyHT:

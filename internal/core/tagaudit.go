@@ -52,11 +52,7 @@ func (d *DirectMap) LiveTags() int {
 // scheme scatters its counters through the persistent heap, so it cannot).
 // ok is false when the policy exposes no auditable counters.
 func LiveTagCount(p Policy) (n int, ok bool) {
-	f, isFlit := p.(*FliT)
-	if !isFlit {
-		return 0, false
-	}
-	a, canAudit := f.C.(TagAuditor)
+	a, canAudit := Counters(p).(TagAuditor)
 	if !canAudit {
 		return 0, false
 	}

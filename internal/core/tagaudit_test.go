@@ -48,7 +48,7 @@ func TestLiveTagCountPolicies(t *testing.T) {
 	if _, ok := LiveTagCount(NewFliT(Adjacent{})); ok {
 		t.Fatal("flit-adjacent counters live in pmem and must not claim auditability")
 	}
-	if _, ok := LiveTagCount(Plain{}); ok {
+	if _, ok := LiveTagCount(NewPlain()); ok {
 		t.Fatal("plain has no counters to audit")
 	}
 }
@@ -70,11 +70,11 @@ func TestFailedPCASFlushesObservedValue(t *testing.T) {
 	}{
 		{
 			name: "flit-ht", pol: NewFliT(NewHashTable(1 << 10)),
-			tag:   func(th *pmem.Thread, p Policy) { p.(*FliT).C.Inc(th, addr) },
-			untag: func(th *pmem.Thread, p Policy) { p.(*FliT).C.Dec(th, addr) },
+			tag:   func(th *pmem.Thread, p Policy) { Counters(p).Inc(th, addr) },
+			untag: func(th *pmem.Thread, p Policy) { Counters(p).Dec(th, addr) },
 		},
-		{name: "plain", pol: Plain{}},
-		{name: "izraelevitz", pol: Izraelevitz{}},
+		{name: "plain", pol: NewPlain()},
+		{name: "izraelevitz", pol: NewIzraelevitz()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := pmem.New(pmem.Config{Words: 1 << 10})

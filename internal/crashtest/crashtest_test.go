@@ -20,8 +20,8 @@ func policies(withLAP bool) []core.Policy {
 	ps := []core.Policy{
 		core.NewFliT(core.NewHashTable(1 << 14)),
 		core.NewFliT(core.Adjacent{}),
-		core.Plain{},
-		core.Izraelevitz{},
+		core.NewPlain(),
+		core.NewIzraelevitz(),
 	}
 	if withLAP {
 		ps = append(ps, core.LinkAndPersist{})
@@ -110,7 +110,7 @@ func TestDurableLinearizability(t *testing.T) {
 			if testing.Short() {
 				// Keep one FliT scheme plus the plain baseline; the full
 				// matrix runs in the default (scheduled/full) suite.
-				pols = []core.Policy{pols[0], core.Plain{}}
+				pols = []core.Policy{pols[0], core.NewPlain()}
 			}
 			for _, pol := range pols {
 				name := fmt.Sprintf("%s/%s/%s", target.Name, mode, pol.Name())

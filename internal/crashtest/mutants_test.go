@@ -54,27 +54,37 @@ var mutants = []mutant{
 	{
 		// A Direct op's commit window releases its tags without the
 		// completion fence, so its deferred value p-store is acked while
-		// still on the write-back queue.
+		// still on the write-back queue. A raw policy's Complete, which
+		// commits through the same code, keeps its fence.
 		name:   "direct-commit-skips-fence",
 		origin: "a Direct op's completion fence",
 		file:   "internal/core/batch.go",
 		snippet: `	t.PFence() // the operation's completion fence: always issued
 `,
-		replacement: ``,
+		replacement: `	if !d.window {
+		t.PFence()
+	}
+`,
 	},
 	{
 		// A window's p-CAS releases its flit-tag as soon as it has
 		// flushed, before the commit fence persists it: a reader that
 		// sees the new link no longer sees a tag, so it neither flushes
 		// the link nor waits for it, and acks what a crash then loses.
+		// A raw policy's p-CAS, which shares the code, still commits at
+		// once.
 		name:   "window-rmw-untags-early",
 		origin: "a window's RMW holds its tag until the commit",
 		file:   "internal/core/batch.go",
 		snippet: `		if t.CAS(a, old, new) {
-			d.hold(t, a)
+			d.applied(t, a)
 			return true
 		}`,
 		replacement: `		if t.CAS(a, old, new) {
+			if !d.window {
+				d.applied(t, a)
+				return true
+			}
 			pwbOnce(t, a)
 			d.c.Dec(t, a)
 			return true

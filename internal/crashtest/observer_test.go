@@ -30,7 +30,7 @@ import (
 // countdowns (pmem.Thread.SetCrashAfter) cannot land there — they fire
 // between policy instructions, never inside one.
 type stallFliT struct {
-	*core.FliT
+	*core.Deferred
 	// stallIn counts successful p-CASes until the freeze (< 0: never).
 	// Shared by every handle on the structure; the test is sequential.
 	stallIn *int
@@ -42,14 +42,15 @@ func newStallFliT(stallIn int) stallFliT {
 
 func (p stallFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	if !pflag || *p.stallIn < 0 {
-		return p.FliT.CAS(t, a, old, new, pflag)
+		return p.Deferred.CAS(t, a, old, new, pflag)
 	}
+	c := core.Counters(p.Deferred)
 	t.CheckCrash()
 	t.PFence()
-	p.C.Inc(t, a)
+	c.Inc(t, a)
 	if !t.CAS(a, old, new) {
-		p.C.Dec(t, a)
-		if p.C.Tagged(t, a) {
+		c.Dec(t, a)
+		if c.Tagged(t, a) {
 			t.PWB(a)
 		}
 		return false
@@ -60,7 +61,7 @@ func (p stallFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool)
 	}
 	t.PWB(a)
 	t.PFence()
-	p.C.Dec(t, a)
+	c.Dec(t, a)
 	return true
 }
 

@@ -15,8 +15,8 @@ func dlPolicies(withLAP bool) []core.Policy {
 	ps := []core.Policy{
 		core.NewFliT(core.NewHashTable(1 << 14)),
 		core.NewFliT(core.Adjacent{}),
-		core.Plain{},
-		core.Izraelevitz{},
+		core.NewPlain(),
+		core.NewIzraelevitz(),
 	}
 	if withLAP {
 		ps = append(ps, core.LinkAndPersist{})
@@ -37,7 +37,7 @@ func TestEnumeratedSetsAllTargets(t *testing.T) {
 	for _, target := range crashtest.Targets() {
 		pols := dlPolicies(target.WithLAP)
 		if testing.Short() {
-			pols = []core.Policy{pols[0], core.Plain{}}
+			pols = []core.Policy{pols[0], core.NewPlain()}
 		}
 		for _, mode := range dstruct.Modes {
 			for _, pol := range pols {

@@ -39,7 +39,7 @@ import (
 // window — conditional dependency fence included — must sail through (no
 // false positives from slow hardware).
 type windowFliT struct {
-	*core.FliT
+	*core.Deferred
 	bug windowBug
 }
 
@@ -56,15 +56,17 @@ func (p windowFliT) Name() string {
 }
 
 func (p windowFliT) Load(t *pmem.Thread, a pmem.Addr, pflag bool) uint64 {
+	c := core.Counters(p.Deferred)
 	t.CheckCrash()
 	v := t.Load(a)
-	if p.bug != brokenLoad && pflag && p.C.Tagged(t, a) {
+	if p.bug != brokenLoad && pflag && c.Tagged(t, a) {
 		t.PWB(a)
 	}
 	return v
 }
 
 func (p windowFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	c := core.Counters(p.Deferred)
 	t.CheckCrash()
 	if p.bug != noDepFence && t.Pending() != 0 {
 		t.PFence() // the dependency fence, conditional as shipped
@@ -72,15 +74,15 @@ func (p windowFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool
 	if !pflag {
 		return t.CAS(a, old, new)
 	}
-	p.C.Inc(t, a)
+	c.Inc(t, a)
 	ok := t.CAS(a, old, new)
 	if ok {
 		holdWindow() // concurrent readers now see the tagged, unpersisted value
 		t.PWB(a)
 		t.PFence()
 	}
-	p.C.Dec(t, a)
-	if !ok && p.bug != brokenLoad && p.C.Tagged(t, a) {
+	c.Dec(t, a)
+	if !ok && p.bug != brokenLoad && c.Tagged(t, a) {
 		t.PWB(a)
 	}
 	return ok
@@ -199,11 +201,11 @@ func TestSlowWindowPolicyPasses(t *testing.T) {
 // every fenced prefix holds a node before the link to it, and only an
 // image in which the draining fence's lines persist out of order can
 // recover the link alone.
-type linkFirstFliT struct{ *core.FliT }
+type linkFirstFliT struct{ *core.Deferred }
 
 func (p linkFirstFliT) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
 	if !pflag {
-		return p.FliT.CAS(t, a, old, new, pflag)
+		return p.Deferred.CAS(t, a, old, new, pflag)
 	}
 	t.CheckCrash()
 	if !t.CAS(a, old, new) {

@@ -36,8 +36,8 @@ func Policies(memWords int, withLAP bool) []core.Policy {
 		core.NewFliT(core.Adjacent{}),
 		core.NewFliT(core.NewPackedHashTable(1 << 12)),
 		core.NewFliT(core.NewDirectMap(memWords)),
-		core.Plain{},
-		core.Izraelevitz{},
+		core.NewPlain(),
+		core.NewIzraelevitz(),
 		core.NoPersist{},
 	}
 	if withLAP {
@@ -110,8 +110,8 @@ func DLConfigs(withLAP bool) []dstruct.Config {
 	}
 	out = append(out,
 		mk(core.NewFliT(core.Adjacent{}), dstruct.Automatic),
-		mk(core.Plain{}, dstruct.Automatic),
-		mk(core.Izraelevitz{}, dstruct.Automatic),
+		mk(core.NewPlain(), dstruct.Automatic),
+		mk(core.NewIzraelevitz(), dstruct.Automatic),
 	)
 	if withLAP {
 		out = append(out, mk(core.LinkAndPersist{}, dstruct.Automatic))

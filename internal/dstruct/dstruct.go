@@ -89,10 +89,8 @@ type Config struct {
 
 // StrideFor returns the field stride a policy requires.
 func StrideFor(p core.Policy) int {
-	if f, ok := p.(*core.FliT); ok {
-		if _, adj := f.C.(core.Adjacent); adj {
-			return core.AdjacentStride
-		}
+	if _, adj := core.Counters(p).(core.Adjacent); adj {
+		return core.AdjacentStride
 	}
 	return 1
 }
@@ -177,7 +175,7 @@ func (c Config) Open(dom *reclaim.Domain, o ThreadOpts) Ctx {
 		c.Policy = o.Policy
 	}
 	x := Ctx{Config: c, T: o.T, Ar: o.Arena}
-	x.win, _ = c.Policy.(*core.Deferred)
+	x.win = core.Window(c.Policy)
 	if x.T == nil {
 		x.T, x.ownsT = c.Heap.Mem().RegisterThread(), true
 	}

@@ -24,7 +24,7 @@ func configs(words int) []dstruct.Config {
 		core.NewFliT(core.Adjacent{}),
 		core.NewFliT(core.NewPackedHashTable(1 << 12)),
 		core.NewFliT(core.NewDirectMap(words)),
-		core.Plain{},
+		core.NewPlain(),
 		core.LinkAndPersist{},
 		core.NoPersist{},
 	}

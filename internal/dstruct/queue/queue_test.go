@@ -25,8 +25,8 @@ func policies(words int) []core.Policy {
 	return []core.Policy{
 		core.NewFliT(core.NewHashTable(1 << 14)),
 		core.NewFliT(core.Adjacent{}),
-		core.Plain{},
-		core.Izraelevitz{},
+		core.NewPlain(),
+		core.NewIzraelevitz(),
 		core.LinkAndPersist{}, // the queue uses only CAS stores
 	}
 }
@@ -246,7 +246,7 @@ func TestCrashRecovery(t *testing.T) {
 }
 
 func TestValueRangePanics(t *testing.T) {
-	q := New(mkCfg(core.Plain{}, 1<<14))
+	q := New(mkCfg(core.NewPlain(), 1<<14))
 	th := q.NewThread()
 	defer func() {
 		if recover() == nil {

@@ -130,18 +130,19 @@ func TestDurableLinearizabilityEnumerated(t *testing.T) {
 // behind (crash countdowns fire between policy instructions, never inside
 // one). Freezing disarms it.
 type stallOn struct {
-	*core.FliT
+	*core.Deferred
 	word *pmem.Addr
 }
 
 func (p stallOn) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	c := core.Counters(p.Deferred)
 	if !pflag || a != *p.word {
-		return p.FliT.CAS(t, a, old, new, pflag)
+		return p.Deferred.CAS(t, a, old, new, pflag)
 	}
 	t.PFence()
-	p.C.Inc(t, a)
+	c.Inc(t, a)
 	if !t.CAS(a, old, new) {
-		p.C.Dec(t, a)
+		c.Dec(t, a)
 		return false
 	}
 	*p.word = pmem.NilAddr
