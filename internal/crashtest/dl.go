@@ -58,9 +58,8 @@ const dlMaxBatch = 6
 // is recovered with the store's superblock probe and shard-parallel
 // rebuild, then checked key by key and value by value.
 // Direct sessions are recorded per operation; Batched (the server's
-// group-commit executor) and Combined (the store's flat combiner, whose
-// windows may merge several sessions' vectors) pipeline vectors of varying
-// depth, every response recorded only after its vector's commit fence.
+// Batcher) and Combined sessions announce vectors of varying depth to the
+// store's combiner, every response recorded after its window's fence.
 //
 // With reshardTo > 0 every crash image is recovered through
 // store.Reshard to reshardTo shards instead of store.Recover: a reshard

@@ -150,7 +150,7 @@ var mutants = []mutant{
 		name:   "drain-acks-unexecuted",
 		origin: "graceful drain",
 		file:   "internal/server/server.go",
-		snippet: `		c.reject(n, StatusDraining, 0, &c.b.srv.shedDraining)
+		snippet: `		c.reject(n, StatusDraining, 0, &c.srv.shedDraining)
 `,
 		replacement: `		for i := range n {
 			c.resps[i] = Response{Status: StatusOK, Flag: true}
@@ -210,12 +210,12 @@ var mutants = []mutant{
 	// (each dirty line drained once via the coalescing write-back queue)
 	// and releases the deferred flit-tags; a window that left nothing
 	// pending needs none. Only now are the window's results durable.
-	c.x.commit()
+	c.account(c.x.commit())
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)
 	}
 `,
-		replacement: `	c.x.commit()
+		replacement: `	c.account(c.x.commit())
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)
 	}

@@ -17,10 +17,10 @@ import (
 // confined to a workload.Executor: how a window of store ops reaches the
 // store.
 
-// batcherExec drives the network server's group-commit executor
-// (server.Batcher over a Batched session) — the code the wire protocol
-// runs, minus the sockets: pipeline-order execution, deferred persistence,
-// one commit fence, then (and only then) responses. It stays in-process,
+// batcherExec drives the network server's executor (server.Batcher) — the
+// code the wire protocol runs, minus the sockets: one announcement per
+// batch, executed in a window shared with the other workers', one commit
+// fence, then (and only then) responses. It stays in-process,
 // rather than a client.ConnExec over a pipe, so that a crash countdown
 // fires on the worker's own goroutine, inside pmem.RunToCrash: behind a
 // pipe it would fire on ServeConn's goroutine, whose deferred release
@@ -60,8 +60,8 @@ func storeKinds(mode store.SessionMode) []hist.Kind {
 }
 
 // executors returns a factory of per-worker checker sessions for mode;
-// Batched ones share one in-process server capped at maxBatch ops per
-// commit.
+// Batched ones are batchers of one in-process server capped at maxBatch
+// ops per batch.
 func executors(st *store.Store, mode store.SessionMode, maxBatch int) func() *dlExec {
 	if mode == store.Batched {
 		srv := server.New(st, server.Options{MaxBatch: maxBatch})

@@ -95,12 +95,13 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 	}
 	// A store operation passes a handful of crash checks, so countdowns
 	// below four per operation land all through a worker's run. In a
-	// Combined round the one live thread is the combiner's, which runs
-	// every worker's operations: its countdown spans all of them and is
-	// drawn from their second half, so the crash lands after windows were
-	// acknowledged rather than in the first one.
+	// Combined round, and a Batched one (the server's executor, which
+	// announces to the combiner too), the one live thread is the
+	// combiner's, which runs every worker's operations: its countdown
+	// spans all of them and is drawn from their second half, so the crash
+	// lands after windows were acknowledged rather than in the first one.
 	first, span := int64(1), int64(4*shape.OpsPerWorker)
-	if sm == store.Combined {
+	if sm != store.Direct {
 		span = int64(4*shape.Workers*shape.OpsPerWorker) / 2
 		first += span
 	}
@@ -319,7 +320,9 @@ func TestStoreRecoveryIdempotentAndCrashDuringRecovery(t *testing.T) {
 	workload.Load(st, 200, 2)
 	// Interrupt a session mid-stream so the image is genuinely torn.
 	sess := store.Open[string](st, store.Direct)
-	sess.Thread().SetCrashAfter(700)
+	for _, th := range st.Mem().Threads() { // the session's, the one live thread
+		th.SetCrashAfter(700)
+	}
 	pmem.RunToCrash(func() {
 		for i := 0; ; i++ {
 			key := workload.Key(uint64(i % 300))

@@ -1,6 +1,8 @@
 package server_test
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"flit/internal/core"
@@ -78,3 +80,64 @@ func benchWire(b *testing.B, depth int) {
 
 func BenchmarkWireDepth1(b *testing.B)  { benchWire(b, 1) }
 func BenchmarkWireDepth32(b *testing.B) { benchWire(b, 32) }
+
+// BenchmarkExecConnections runs 1 to 16 goroutines, each with its own
+// Batcher (one connection's executor, socket-free), issuing depth-1
+// in-place Puts on preloaded keys; b.N counts Puts over all goroutines.
+// It reports ns/op and the exact fences/op and pwbs/op summed over every
+// pmem thread: what sharing the store's commit windows saves as
+// connections pile up. The idle=64 row runs one connection beside 64
+// registered idle ones, the slots every window's sweep reads.
+func BenchmarkExecConnections(b *testing.B) {
+	const records = 1 << 12
+	type shape struct{ conns, idle int }
+	shapes := []shape{{1, 0}, {2, 0}, {4, 0}, {8, 0}, {16, 0}, {1, 64}}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("conns=%d", sh.conns)
+		if sh.idle > 0 {
+			name += fmt.Sprintf(",idle=%d", sh.idle)
+		}
+		b.Run(name, func(b *testing.B) {
+			st, err := store.New(store.Options{Shards: 8, ExpectedKeys: 2 * records, VirtualClock: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			workload.Load(st, records, 1)
+			srv := server.New(st, server.Options{})
+			defer srv.Close()
+			for range sh.idle {
+				defer srv.NewBatcher().Close()
+			}
+			keys := make([][]byte, records)
+			for i := range keys {
+				keys[i] = workload.AppendKey(nil, uint64(i))
+			}
+			bts := make([]*server.Batcher, sh.conns)
+			for w := range bts {
+				bts[w] = srv.NewBatcher()
+				defer bts[w].Close()
+			}
+			before := st.Mem().TotalStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w, bt := range bts {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req := make([]server.Request, 1)
+					resp := make([]server.Response, 1)
+					for i := uint64(w); i < uint64(b.N); i += uint64(sh.conns) {
+						req[0] = server.Request{Op: server.OpPut, Key: keys[(i*2654435761)&(records-1)], Val: i}
+						bt.Exec(req, resp)
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			after := st.Mem().TotalStats()
+			b.ReportMetric(float64(after.PFences-before.PFences)/float64(b.N), "fences/op")
+			b.ReportMetric(float64(after.PWBs-before.PWBs)/float64(b.N), "pwbs/op")
+		})
+	}
+}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 
 	"flit/internal/core"
@@ -30,112 +32,182 @@ func lifecycleRoundTrip(cc net.Conn, req *Request) (Response, error) {
 	return resp, err
 }
 
-// TestRepeatedPanicsNoResourceGrowth is the poisoned-batcher leak
-// regression test: N connections in a row each trip an injected crash
-// panic mid-operation. Every poisoned batcher must be closed — its pmem
-// thread, arena and reclamation handles released — so the thread
-// registry ends where it started instead of growing by one session per
-// panic.
+// serveOne serves a fresh pipe connection on s and returns its client end
+// and a channel closed when the handler has returned.
+func serveOne(s *Server) (net.Conn, chan struct{}) {
+	cc, sc := net.Pipe()
+	done := make(chan struct{})
+	go func() { s.ServeConn(sc); close(done) }()
+	return cc, done
+}
+
+// fillHeap puts fresh keys through cc until the store's heap runs out,
+// which kills the connection: the Put that found no memory is never
+// answered. It returns how many Puts were answered.
+func fillHeap(t *testing.T, cc net.Conn) int {
+	t.Helper()
+	for i := 0; i < 1<<16; i++ {
+		key := []byte(fmt.Sprintf("fill-%d", i))
+		if _, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: key, Val: uint64(i)}); err != nil {
+			return i
+		}
+	}
+	t.Fatal("the heap never ran out")
+	return 0
+}
+
+// newFullableStore is a one-shard store whose heap runs out after a few
+// thousand fresh keys.
+func newFullableStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.New(store.Options{
+		Shards: 1, ExpectedKeys: 1 << 8, Policy: core.PolicyHT,
+		HTBytes: 1 << 14, VirtualClock: true, MemWords: 1 << 18,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestRepeatedPanicsNoResourceGrowth: connections that die of a panic in
+// their window withdraw their combiner slot like any other, so neither the
+// slot registry nor the pmem thread registry grows with the panic count.
 func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
-	st := newLifecycleStore(t)
-	s := New(st, Options{})
-	base := len(st.Mem().Threads())
-
 	const panics = 20
-	for i := 0; i < panics; i++ {
-		armed := s.NewBatcher()
-		armed.bs.Thread().SetCrashAfter(3)
-		s.putBatcher(armed)
-
-		cc, sc := net.Pipe()
-		done := make(chan struct{})
-		go func() { s.ServeConn(sc); close(done) }()
+	t.Run("full-heap", func(t *testing.T) {
+		// Each connection's first fresh-key Put finds the heap full and
+		// panics; the window hands the panic to that connection alone.
+		st := newFullableStore(t)
+		s := New(st, Options{})
+		cc, done := serveOne(s)
+		fillHeap(t, cc)
+		cc.Close()
+		<-done
+		slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
+		for i := 0; i < panics; i++ {
+			cc, done := serveOne(s)
+			if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte(fmt.Sprintf("over-%d", i)), Val: 1}); err == nil {
+				t.Fatalf("cycle %d: a Put past the full heap was answered: %+v", i, resp)
+			}
+			cc.Close()
+			<-done
+		}
+		if got := s.connErrs[causePanic].Load(); got != panics+1 {
+			t.Fatalf("connErrs[panic] = %d, want %d", got, panics+1)
+		}
+		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
+			t.Fatalf("after %d panics: %d slots, %d threads; want %d, %d", panics, n, m, slots, threads)
+		}
+		// The store is live: an in-place Put allocates nothing.
+		cc, done = serveOne(s)
+		if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte("fill-0"), Val: 7}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("in-place put after the panics = %+v, %v; want StatusOK", resp, err)
+		}
+		cc.Close()
+		<-done
+	})
+	t.Run("crash", func(t *testing.T) {
+		// After a crash every new connection fails as it opens its
+		// session, inside ServeConn's recover, and holds nothing after.
+		st := newLifecycleStore(t)
+		s := New(st, Options{})
+		cc, done := serveOne(s)
+		if _, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte("warm"), Val: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, th := range st.Mem().Threads() { // the combiner's, by now
+			th.SetCrashAfter(3)
+		}
 		if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte("boom"), Val: 1}); err == nil {
-			t.Fatalf("cycle %d: op on crashing conn was answered: %+v", i, resp)
+			t.Fatalf("the op that crashed was answered: %+v", resp)
 		}
 		cc.Close()
 		<-done
-	}
-
-	if got := s.connErrs[causePanic].Load(); got != panics {
-		t.Fatalf("connErrs[panic] = %d, want %d", got, panics)
-	}
-	// Crashed pmem threads cannot be reused (their slot is retired), so
-	// the registry may not shrink to exactly base — but it must not grow
-	// with the panic count beyond those dead slots plus the live pool.
-	if n := len(st.Mem().Threads()); n > base+panics {
-		t.Fatalf("thread registry grew past the crashed sessions: %d live, base %d, %d panics", n, base, panics)
-	}
-
-	// The server still works, and a healthy churn after the panic storm
-	// stays flat.
-	after := len(st.Mem().Threads())
-	for i := 0; i < 10; i++ {
-		cc, sc := net.Pipe()
-		done := make(chan struct{})
-		go func() { s.ServeConn(sc); close(done) }()
-		if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte("alive"), Val: uint64(i)}); err != nil || resp.Status != StatusOK {
-			t.Fatalf("post-panic put = %+v, %v; want StatusOK", resp, err)
+		slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
+		for i := 0; i < panics; i++ {
+			cc, done := serveOne(s)
+			if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpGet, Key: []byte("boom")}); err == nil {
+				t.Fatalf("cycle %d: a crashed store answered: %+v", i, resp)
+			}
+			cc.Close()
+			<-done
 		}
-		cc.Close()
-		<-done
-	}
-	if n := len(st.Mem().Threads()); n > after+1 {
-		t.Fatalf("healthy churn after panics grew threads: %d live, was %d", n, after)
-	}
+		if got := s.connErrs[causePanic].Load(); got != panics+1 {
+			t.Fatalf("connErrs[panic] = %d, want %d", got, panics+1)
+		}
+		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
+			t.Fatalf("after %d connections to a crashed store: %d slots, %d threads; want %d, %d", panics, n, m, slots, threads)
+		}
+	})
 }
 
-// TestConnectionChurnThreadsBounded: N sequential connect→op→disconnect
-// cycles reuse pooled batcher sessions, so the live pmem thread count
-// stays bounded by the pool high-water mark (one here), not the
-// connection count.
-func TestConnectionChurnThreadsBounded(t *testing.T) {
+// TestConnectionChurnReleasesSlots: a connection holds one combiner slot
+// and no pmem thread. After serial churn, concurrent churn and Close
+// cutting live connections, the slot registry is back where it started
+// and the thread count has not grown.
+func TestConnectionChurnReleasesSlots(t *testing.T) {
 	st := newLifecycleStore(t)
 	s := New(st, Options{})
-	base := len(st.Mem().Threads())
-
-	const cycles = 50
-	for i := 0; i < cycles; i++ {
-		cc, sc := net.Pipe()
-		done := make(chan struct{})
-		go func() { s.ServeConn(sc); close(done) }()
-		if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte("churn"), Val: uint64(i)}); err != nil || resp.Status != StatusOK {
-			t.Fatalf("cycle %d: put = %+v, %v", i, resp, err)
+	put := func(cc net.Conn, i int) {
+		if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte{'c', byte(i)}, Val: uint64(i)}); err != nil || resp.Status != StatusOK {
+			t.Errorf("connection %d: put = %+v, %v", i, resp, err)
 		}
+	}
+	// The first connection builds the store's combiner and its one thread.
+	cc, done := serveOne(s)
+	put(cc, 0)
+	cc.Close()
+	<-done
+	slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
+	check := func(when string) {
+		t.Helper()
+		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
+			t.Fatalf("%s: %d slots, %d threads; want %d, %d", when, n, m, slots, threads)
+		}
+	}
+
+	for i := 0; i < 20; i++ {
+		cc, done := serveOne(s)
+		put(cc, i)
 		cc.Close()
 		<-done
 	}
-	if n := len(st.Mem().Threads()); n > base+1 {
-		t.Fatalf("connection churn leaked threads: %d live after %d cycles, base %d", n, cycles, base)
+	check("after 20 serial connections")
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 10; j++ {
+				cc, done := serveOne(s)
+				put(cc, 10*i+j)
+				cc.Close()
+				<-done
+			}
+		}()
 	}
-}
+	wg.Wait()
+	check("after 8x10 concurrent connections")
 
-// TestServerCloseDrainsPool: Close must release every pooled batcher's
-// session resources, returning the thread registry to its pre-server
-// state.
-func TestServerCloseDrainsPool(t *testing.T) {
-	st := newLifecycleStore(t)
-	base := len(st.Mem().Threads())
-	s := New(st, Options{})
-
+	var live []chan struct{}
 	for i := 0; i < 4; i++ {
-		s.putBatcher(s.NewBatcher())
+		cc, done := serveOne(s)
+		put(cc, i)
+		defer cc.Close()
+		live = append(live, done)
 	}
-	if n := len(st.Mem().Threads()); n != base+4 {
-		t.Fatalf("pool setup: %d threads, want %d", n, base+4)
+	if n := st.WindowStats().Slots; n != slots+4 {
+		t.Fatalf("4 open connections hold %d slots, want %d", n, slots+4)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(st.Mem().Threads()); n != base {
-		t.Fatalf("Close left %d threads live, want %d (pool not drained)", n, base)
+	for _, done := range live {
+		<-done
 	}
-	// A batcher returned after Close is closed, not pooled.
-	late := s.NewBatcher()
-	s.putBatcher(late)
-	if n := len(st.Mem().Threads()); n != base {
-		t.Fatalf("post-Close putBatcher parked a session: %d threads, want %d", n, base)
-	}
+	check("after Close")
 }
 
 // TestBatcherDirect drives the batch executor without a transport — the
@@ -165,8 +237,8 @@ func TestBatcherDirect(t *testing.T) {
 	if !resps[4].Flag {
 		t.Fatal("delete missed")
 	}
-	if b.bs.Pending() != 0 {
-		t.Fatal("Exec left the batch uncommitted")
+	if ws := st.WindowStats(); ws.Windows != 1 || ws.Ops != 4 {
+		t.Fatalf("Exec ran %d windows acknowledging %d ops, want the batch's 4 store ops in one", ws.Windows, ws.Ops)
 	}
 	if n, ok := core.LiveTagCount(st.Policy()); !ok || n != 0 {
 		t.Fatalf("live tags after Exec = %d, want 0", n)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flit/internal/metrics"
+	"flit/internal/store"
 )
 
 // The server's observability layer. When Options.Metrics is set the
@@ -23,32 +24,12 @@ import (
 // exposition page carries counters only, STATS omits the v2 block, and
 // StartSampler declines to start.
 
-// Op kind indices for the per-op-type metrics families.
-const (
-	kindGet = iota
-	kindPut
-	kindDelete
-	kindContains
-	numOpKinds
-)
+// numOpKinds counts the per-op-type metrics families, indexed by store op
+// kind (see storeKind).
+const numOpKinds = int(store.OpContains) + 1
 
 // opKindNames are the `op` label values, indexed by kind.
 var opKindNames = [numOpKinds]string{"get", "put", "delete", "contains"}
-
-// opKind maps a store opcode to its metrics index. Only key-carrying
-// opcodes have one; callers gate on hasKey first.
-func opKind(op byte) int {
-	switch op {
-	case OpGet:
-		return kindGet
-	case OpPut:
-		return kindPut
-	case OpDelete:
-		return kindDelete
-	default:
-		return kindContains
-	}
-}
 
 // Metrics is the server's metric bundle. All fields are safe for
 // concurrent recording and concurrent reading; see internal/metrics.
@@ -57,19 +38,15 @@ type Metrics struct {
 	// writes on its own stripe, so connections never contend.
 	Ops [numOpKinds]metrics.Counter
 	// Lat is the op service time by type, in nanoseconds: each op's
-	// equal share of its batch's execution window (the executor pays
-	// three clock reads per batch, not one per op — see Batcher.Exec).
-	// It deliberately excludes the shared group-commit fence — that
-	// cost is visible on its own as Commit and BatchFences, because
-	// attributing a shared fence to any single op would be arbitrary.
+	// equal share of its batch's announce-to-durable time (the executor
+	// pays two clock reads per batch, not one per op — see Batcher.Exec).
 	Lat [numOpKinds]metrics.Hist
-	// Commit is the group-commit duration per batch (the single fence
-	// plus write-back drain), in nanoseconds.
+	// Commit is a batch's whole announce-to-durable time, in nanoseconds:
+	// the wait for the combiner, the window and its fence.
 	Commit metrics.Hist
-	// BatchOps is the store-op count per group commit (values, not ns).
-	BatchOps metrics.Hist
-	// BatchFences is the PFence count per group commit.
-	BatchFences metrics.Hist
+	// BatchOps and BatchFences are the store-op and PFence counts per
+	// commit window, which the store's combiner records for every window.
+	BatchOps, BatchFences *metrics.Hist
 	// Depth is the drained pipeline window size in request frames
 	// (store ops and PING/STATS alike) per Exec.
 	Depth metrics.Hist
@@ -77,15 +54,14 @@ type Metrics struct {
 	ConnsOpen metrics.Gauge
 }
 
-// NewMetrics builds an initialized bundle.
-func NewMetrics() *Metrics {
+// newMetrics builds an initialized bundle over st.
+func newMetrics(st *store.Store) *Metrics {
 	m := &Metrics{}
 	for i := range m.Lat {
 		m.Lat[i].Init()
 	}
 	m.Commit.Init()
-	m.BatchOps.Init()
-	m.BatchFences.Init()
+	m.BatchOps, m.BatchFences = st.WindowHists()
 	m.Depth.Init()
 	return m
 }
@@ -112,9 +88,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Sample("flit_conns_total", "", float64(st.Conns))
 	p.Meta("flit_ops_served_total", "counter", "store operations acknowledged (ack => persisted)")
 	p.Sample("flit_ops_served_total", "", float64(st.OpsServed))
-	p.Meta("flit_batches_total", "counter", "group commits issued")
+	p.Meta("flit_batches_total", "counter", "commit windows of the store's combiner")
 	p.Sample("flit_batches_total", "", float64(st.Batches))
-	p.Meta("flit_drained_lines_total", "counter", "cache lines drained by group commits")
+	p.Meta("flit_drained_lines_total", "counter", "cache lines drained by window commits")
 	p.Sample("flit_drained_lines_total", "", float64(st.Drained))
 	p.Meta("flit_pwbs_total", "counter", "PWB instructions issued serving requests")
 	p.Sample("flit_pwbs_total", "", float64(st.PWBs))
@@ -126,7 +102,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Sample("flit_shards", "", float64(st.Shards))
 	p.Meta("flit_pheap_watermark_words", "gauge", "persistent-heap allocation high-water mark in words; steady under churn when reclamation recycles")
 	p.Sample("flit_pheap_watermark_words", "", float64(s.st.Heap().Watermark()))
-	p.Meta("flit_mem_threads", "gauge", "live registered pmem threads (released slots excluded)")
+	p.Meta("flit_mem_threads", "gauge", "live registered pmem threads (released slots excluded); connections register none, the store's combiner one")
 	p.Sample("flit_mem_threads", "", float64(len(s.st.Mem().Threads())))
 	p.Meta("flit_max_batch", "gauge", "group commit size cap")
 	p.Sample("flit_max_batch", "", float64(st.MaxBatch))
@@ -154,18 +130,18 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 			p.Sample("flit_ops_total", fmt.Sprintf("op=%q", name), float64(m.Ops[k].Load()))
 		}
 		var snap metrics.HistSnapshot
-		p.Meta("flit_op_seconds", "histogram", "op service time by type (equal share of the batch execution window, excluding the shared group-commit fence)")
+		p.Meta("flit_op_seconds", "histogram", "op service time by type (equal share of the batch's announce-to-durable time)")
 		for k, name := range opKindNames {
 			m.Lat[k].Read(&snap)
 			p.Histogram("flit_op_seconds", fmt.Sprintf("op=%q", name), &snap, 1e-9)
 		}
-		p.Meta("flit_commit_seconds", "histogram", "group-commit duration per batch (fence + write-back drain)")
+		p.Meta("flit_commit_seconds", "histogram", "announce-to-durable time per batch (combiner wait + window + fence)")
 		m.Commit.Read(&snap)
 		p.Histogram("flit_commit_seconds", "", &snap, 1e-9)
-		p.Meta("flit_batch_ops", "histogram", "store operations per group commit")
+		p.Meta("flit_batch_ops", "histogram", "store operations per commit window")
 		m.BatchOps.Read(&snap)
 		p.Histogram("flit_batch_ops", "", &snap, 1)
-		p.Meta("flit_batch_pfences", "histogram", "PFence instructions per group commit")
+		p.Meta("flit_batch_pfences", "histogram", "PFence instructions per commit window")
 		m.BatchFences.Read(&snap)
 		p.Histogram("flit_batch_pfences", "", &snap, 1)
 		p.Meta("flit_pipeline_depth", "histogram", "drained pipeline window size in request frames")

@@ -119,19 +119,17 @@ type Response struct {
 	buf []byte
 }
 
-// wireOps maps store op kinds onto wire opcodes; store.OpAdd has none.
-var wireOps = [...]byte{
-	store.OpGet: OpGet, store.OpPut: OpPut,
-	store.OpDelete: OpDelete, store.OpContains: OpContains,
-}
+// storeKind maps a key-carrying wire opcode onto its store op kind: the
+// opcodes list Get, Put, Delete and Contains in the store's order.
+func storeKind(op byte) store.OpKind { return store.OpKind(op - OpGet) }
 
 // WireRequest translates a store op into its wire request. The request's
-// key aliases op's when K is []byte.
+// key aliases op's when K is []byte. store.OpAdd has no opcode.
 func WireRequest[K store.Key](op store.Op[K]) (Request, error) {
-	if int(op.Kind) >= len(wireOps) {
+	if op.Kind > store.OpContains {
 		return Request{}, fmt.Errorf("server: store op kind %d has no wire opcode", op.Kind)
 	}
-	return Request{Op: wireOps[op.Kind], Key: []byte(op.Key), Val: op.Val}, nil
+	return Request{Op: OpGet + byte(op.Kind), Key: []byte(op.Key), Val: op.Val}, nil
 }
 
 // WireResult translates the response to a request for a store op of the

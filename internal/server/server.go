@@ -1,30 +1,20 @@
 // Package server is the network front-end of FliT-Store: a pipelined
-// binary protocol (see protocol.go) whose request path is built around
-// group-commit durability batching.
+// binary protocol (see protocol.go) whose request path ends in the
+// store's one commit pipeline, its flat combiner.
 //
 // Every connection is served by one goroutine owning one conn: buffered
-// reader and writer, MaxBatch request/response slots and a pooled Batcher
-// (one Batched-mode store session). It runs four stages per
-// window: readWindow decodes everything the client already pipelined, up to
-// Options.MaxBatch; admit charges it to admission control; exec runs it
-// through Batcher.Exec; writeResps encodes the answers straight into the
-// writer's buffer and flushes. Exec is one allocation-free pass in pipeline
-// order (same-key requests keep their order trivially): each key is hashed
-// once, by the session call that executes it with persistence deferred
-// (core.Deferred), and the whole window commits under ONE fence
-// via the coalescing write-back queue before any response exists — or
-// under none, when the window left nothing on the queue (a window of
-// Gets that saw no flit-tag). The ack rule is the durable-linearizability
-// contract: a response frame exists only for operations whose effects
-// are already persisted, so "acknowledged ⇒ persisted" holds at every
-// crash point — verified systematically by the batched dlcheck battery
-// (internal/crashtest.RunStoreDL in store.Batched mode).
-//
-// Compared with per-operation persistence, the batch pays at most one
-// completion fence per pipeline instead of one per op, and its deferred stores
-// coalesce repeated flushes of hot lines — the fence- and
-// flush-amortization of flat-combining persistent designs, applied at
-// the service boundary.
+// reader and writer, MaxBatch request/response slots and a Batcher (one
+// Combined-mode store session). It runs four stages per window:
+// readWindow decodes everything the client already pipelined, up to
+// Options.MaxBatch; admit charges it to admission control; exec announces
+// its store ops to the combiner as one vector (Batcher.Exec), which
+// executes them in pipeline order, in a window shared with every other
+// connection announced beside it, and commits the window under ONE fence
+// (none when it left nothing pending) before any response exists;
+// writeResps encodes the answers straight into the writer's buffer and
+// flushes. So "acknowledged ⇒ persisted" holds at every crash point —
+// enumerated by internal/crashtest.RunStoreDL in store.Batched mode, which
+// drives Batcher.Exec.
 package server
 
 import (
@@ -80,9 +70,9 @@ type Options struct {
 	IdleTimeout time.Duration
 	// WriteTimeout is the slow-reader budget: the whole response batch
 	// must be accepted by the peer within it. A stalled reader is
-	// disconnected rather than wedging its handler goroutine (each
-	// connection commits its own batches, so a wedged writer would
-	// otherwise hold a batcher session hostage, not just itself).
+	// disconnected rather than wedging its handler goroutine. Its window
+	// has already committed by then, so it holds up no other connection;
+	// the budget bounds the goroutine, its buffers and its slot.
 	WriteTimeout time.Duration
 	// Logger receives one line per failed connection (cause + remote
 	// address). nil keeps the server silent; counters still tick.
@@ -114,23 +104,23 @@ func (o Options) withDefaults() Options {
 const StatsVersion = 2
 
 // Stats is the server's cumulative operational snapshot, also the STATS
-// opcode's JSON body. The instruction counts cover the server's request
-// execution (each batcher folds its own thread's deltas into server
-// atomics after every batch — never a racy walk of live per-thread
-// counters), so pwbs/acked-op over a window is ΔPWBs/ΔOpsServed.
+// opcode's JSON body. Batches, Drained, PWBs, PFences and PFencesElided
+// are the store combiner's account of its windows (store.WindowStats), so
+// pwbs/acked-op over an interval is ΔPWBs/ΔOpsServed when the server is
+// the store's only Combined user, as in flitstored.
 type Stats struct {
 	Version   int    `json:"v"`          // StatsVersion of the emitting server
 	Conns     uint64 `json:"conns"`      // connections accepted
 	OpsServed uint64 `json:"ops_served"` // store ops acknowledged
-	Batches   uint64 `json:"batches"`    // group commits, fenced or elided
-	Drained   uint64 `json:"drained"`    // lines drained by group commits
+	Batches   uint64 `json:"batches"`    // commit windows, fenced or elided
+	Drained   uint64 `json:"drained"`    // lines drained by window commits
 	MaxBatch  int    `json:"max_batch"`
 
 	Shards int    `json:"shards"`
 	Policy string `json:"policy"`
 
-	PWBs    uint64 `json:"pwbs"`    // PWB instructions issued serving requests
-	PFences uint64 `json:"pfences"` // PFence instructions issued serving requests
+	PWBs    uint64 `json:"pwbs"`    // PWB instructions the windows issued
+	PFences uint64 `json:"pfences"` // PFence instructions the windows issued
 	// PFencesElided counts the dependency and group-commit fences the
 	// policy found empty and did not issue (pmem.Stats.ElidedFences);
 	// PFences + PFencesElided is what Algorithm 4 plus one fence per batch
@@ -163,8 +153,8 @@ type StatsMetrics struct {
 	Deletes  uint64 `json:"deletes"`
 	Contains uint64 `json:"contains"`
 
-	// Op service time quantiles across all op types (ns); the batch
-	// execution time of an op, excluding the shared group-commit fence.
+	// Op service time quantiles across all op types (ns): each op's
+	// equal share of its batch's announce-to-durable time.
 	OpP50Ns int64 `json:"op_p50_ns"`
 	OpP95Ns int64 `json:"op_p95_ns"`
 	OpP99Ns int64 `json:"op_p99_ns"`
@@ -192,11 +182,6 @@ type Server struct {
 
 	conns     atomic.Uint64
 	opsServed atomic.Uint64
-	batches   atomic.Uint64
-	drained   atomic.Uint64
-	pwbs      atomic.Uint64
-	pfences   atomic.Uint64
-	elided    atomic.Uint64 // dependency fences not issued (Stats.PFencesElided)
 
 	// Resilience state. The shed counters are striped (batchers write on
 	// their own stripe); conn-level counters are plain atomics — they
@@ -215,14 +200,6 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	open      map[net.Conn]struct{}
 	closed    bool
-
-	// idle pools batchers for reuse across connections. Sessions release
-	// their pmem thread, arena and reclamation slots on Close, so pooling
-	// is a throughput optimization (no per-connection session setup), not
-	// a leak-prevention necessity; the pool is drained — every batcher
-	// closed — when the server closes.
-	idleMu sync.Mutex
-	idle   []*Batcher
 }
 
 // Connection failure causes for flit_conn_errors_total{cause=...} and
@@ -249,7 +226,7 @@ func New(st *store.Store, opts Options) *Server {
 	}
 	s.limiter = resilience.NewLimiter(s.opts.RateLimit, s.opts.RateBurst)
 	if s.opts.Metrics {
-		s.metrics = NewMetrics()
+		s.metrics = newMetrics(st)
 	}
 	return s
 }
@@ -272,23 +249,23 @@ func (s *Server) connError(c net.Conn, cause int, err error) {
 func (s *Server) Store() *store.Store { return s.st }
 
 // Stats snapshots the server counters. Safe to call from any goroutine
-// at any time: every field is an atomic the batchers publish into —
-// reading the live per-thread instruction counters here would race with
-// the connection goroutines incrementing them.
+// at any time: every field is one of the server's atomics or the store
+// combiner's account of its windows, copied under the combiner's lock.
 func (s *Server) Stats() Stats {
+	ws := s.st.WindowStats()
 	st := Stats{
 		Version:   StatsVersion,
 		Conns:     s.conns.Load(),
 		OpsServed: s.opsServed.Load(),
-		Batches:   s.batches.Load(),
-		Drained:   s.drained.Load(),
+		Batches:   ws.Windows,
+		Drained:   ws.Drained,
 		MaxBatch:  s.opts.MaxBatch,
 		Shards:    s.st.NumShards(),
 		Policy:    s.st.Opts().Policy,
-		PWBs:      s.pwbs.Load(),
-		PFences:   s.pfences.Load(),
+		PWBs:      ws.PWBs,
+		PFences:   ws.PFences,
 
-		PFencesElided: s.elided.Load(),
+		PFencesElided: ws.Elided,
 
 		ShedBusy:      s.shedBusy.Load(),
 		ShedDraining:  s.shedDraining.Load(),
@@ -311,10 +288,10 @@ func (s *Server) Stats() Stats {
 		m.BatchFences.Read(&bfences)
 		m.Depth.Read(&depth)
 		st.Metrics = &StatsMetrics{
-			Gets:     m.Ops[kindGet].Load(),
-			Puts:     m.Ops[kindPut].Load(),
-			Deletes:  m.Ops[kindDelete].Load(),
-			Contains: m.Ops[kindContains].Load(),
+			Gets:     m.Ops[store.OpGet].Load(),
+			Puts:     m.Ops[store.OpPut].Load(),
+			Deletes:  m.Ops[store.OpDelete].Load(),
+			Contains: m.Ops[store.OpContains].Load(),
 
 			OpP50Ns: lat.Quantile(0.50),
 			OpP95Ns: lat.Quantile(0.95),
@@ -361,9 +338,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops all listeners, closes every open connection, and drains
-// the batcher pool — every idle session's thread, arena and reclamation
-// slots return to the store's registries.
+// Close stops all listeners and closes every open connection; each
+// handler then withdraws its combiner slot on the way out.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -374,13 +350,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.mu.Unlock()
-	s.idleMu.Lock()
-	idle := s.idle
-	s.idle = nil
-	s.idleMu.Unlock()
-	for _, b := range idle {
-		b.Close()
-	}
 	return nil
 }
 
@@ -453,17 +422,6 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// commitQuietly clears a batcher's possibly-deferred state after a
-// handler panic, reporting whether the session survived. Committing
-// applied-but-unacked effects is linearizable (the client never got a
-// response, so either outcome is a legal crash point); a session whose
-// commit itself panics is poisoned and must not be pooled.
-func commitQuietly(b *Batcher) (ok bool) {
-	defer func() { ok = recover() == nil }()
-	b.bs.Commit()
-	return true
-}
-
 // ServeConn serves one connection until EOF, a protocol error, Close,
 // or a resilience decision (idle reap, slow-reader budget, drain). It
 // is exported so tests and in-process benchmarks can serve synthetic
@@ -497,17 +455,19 @@ func (s *Server) ServeConn(nc net.Conn) {
 	}
 	n := s.opts.MaxBatch
 	c := &conn{
-		b: s.getBatcher(), nc: nc,
+		srv: s, nc: nc,
 		br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10),
 		reqs: make([]Request, n), resps: make([]Response, n),
 	}
 	defer c.release()
+	c.b = s.NewBatcher() // inside release's recover: a crashed store panics here
 	c.serve()
 }
 
 // conn is one served connection: the transport and its buffered halves,
 // the window's request/response slots, and the batcher executing them.
 type conn struct {
+	srv   *Server
 	b     *Batcher
 	nc    net.Conn
 	br    *bufio.Reader
@@ -516,24 +476,22 @@ type conn struct {
 	resps []Response
 }
 
-// release is ServeConn's deferred exit: it returns the batcher to the pool.
-// Panic isolation lives here — one connection's failure (a store bug, an
-// injected crash) must not take the process down or poison the pool, so a
-// batcher whose session no longer commits cleanly is closed instead.
+// release is ServeConn's deferred exit: it closes the batcher, withdrawing
+// its combiner slot. Panic isolation lives here: a panic the window handed
+// back to this connection (a store bug, a full heap) kills it alone, and
+// after a pmem crash every handler lands here, acknowledging nothing.
 func (c *conn) release() {
 	if r := recover(); r != nil {
-		c.b.srv.connError(c.nc, causePanic, fmt.Errorf("handler panic: %v", r))
-		if !commitQuietly(c.b) {
-			c.b.Close()
-			return
-		}
+		c.srv.connError(c.nc, causePanic, fmt.Errorf("handler panic: %v", r))
 	}
-	c.b.srv.putBatcher(c.b)
+	if c.b != nil {
+		c.b.Close()
+	}
 }
 
 // serve runs the stage loop until the peer hangs up, a stage fails, or drain.
 func (c *conn) serve() {
-	s := c.b.srv
+	s := c.srv
 	for !s.draining.Load() {
 		if d := s.opts.IdleTimeout; d > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(d))
@@ -576,7 +534,7 @@ func (c *conn) readWindow(block bool) (n, storeOps int, err error) {
 // releases the charge) and the rate limiter. False means the window was
 // shed: BUSY with a retry hint is already in resps and nothing may execute.
 func (c *conn) admit(n, storeOps int) bool {
-	s := c.b.srv
+	s := c.srv
 	if storeOps == 0 {
 		return true
 	}
@@ -596,11 +554,12 @@ func (c *conn) admit(n, storeOps int) bool {
 	return false
 }
 
-// exec runs an admitted window through the batcher — execute, one group
-// commit, fill resps — and releases its inflight charge.
+// exec runs an admitted window through the batcher — announce, durable
+// on return, fill resps — and releases its inflight charge, also when
+// the window hands this connection a panic.
 func (c *conn) exec(n, storeOps int) {
+	defer c.srv.inflight.Add(-int64(storeOps))
 	c.b.Exec(c.reqs[:n], c.resps[:n])
-	c.b.srv.inflight.Add(-int64(storeOps))
 }
 
 // reject answers the window's store ops with status instead of executing
@@ -611,7 +570,7 @@ func (c *conn) reject(n int, status byte, retryMs uint32, shed *metrics.Counter)
 			c.resps[i] = Response{Status: status, RetryAfterMs: retryMs}
 			shed.Inc(c.b.id)
 		} else {
-			c.b.srv.serveControl(c.reqs[i].Op, &c.resps[i])
+			c.srv.serveControl(c.reqs[i].Op, &c.resps[i])
 		}
 	}
 }
@@ -642,13 +601,13 @@ func (c *conn) writeResps(n int) bool {
 	if isTimeout(err) {
 		cause = causeSlowReader
 	}
-	c.b.srv.connError(c.nc, cause, err)
+	c.srv.connError(c.nc, cause, err)
 	return false
 }
 
 // armWriteBudget starts the slow-reader clock for one response batch.
 func (c *conn) armWriteBudget() {
-	if d := c.b.srv.opts.WriteTimeout; d > 0 {
+	if d := c.srv.opts.WriteTimeout; d > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(d))
 	}
 }
@@ -661,7 +620,7 @@ func (c *conn) drainReject() {
 		if err != nil {
 			return
 		}
-		c.reject(n, StatusDraining, 0, &c.b.srv.shedDraining)
+		c.reject(n, StatusDraining, 0, &c.srv.shedDraining)
 		if !c.writeResps(n) {
 			return
 		}
@@ -674,7 +633,7 @@ func (c *conn) drainReject() {
 // StatusErr diagnostic (the stream offset is unreliable from there on);
 // anything else — EOF inside a frame included — is transport loss.
 func (c *conn) readFailed(err error) {
-	s := c.b.srv
+	s := c.srv
 	switch {
 	case err == io.EOF:
 	case isTimeout(err):
@@ -695,148 +654,90 @@ func (c *conn) readFailed(err error) {
 	}
 }
 
-// Batcher executes request batches against one Batched-mode store
-// session with group commit. One per connection (as single-goroutine as
-// the session it wraps); also what the crash batteries drive, socket-free.
+// Batcher executes request batches through one Combined-mode store
+// session, one announcement per batch. One per connection; also what the
+// crash batteries drive, socket-free.
 type Batcher struct {
 	srv *Server
-	bs  *store.Sess[[]byte]
+	cs  *store.Sess[[]byte]
 	id  int // metrics counter stripe (stable per batcher)
+
+	ops []store.Op[[]byte] // the batch's store requests, and their results
+	res []store.Result
 }
 
-// NewBatcher registers a new batch executor (one Batched-mode session).
+// NewBatcher opens a batch executor: a Combined session, registering a
+// slot at the store's combiner. It panics pmem.ErrCrashed on a crashed one.
 func (s *Server) NewBatcher() *Batcher {
 	return &Batcher{
 		srv: s,
-		bs:  store.Open[[]byte](s.st, store.Batched),
+		cs:  store.Open[[]byte](s.st, store.Combined),
 		id:  int(s.batcherIDs.Add(1) - 1),
 	}
 }
 
-// getBatcher reuses a pooled batcher (fully committed: every Exec ends in
-// Commit) or registers a new one. Only the pop is under idleMu: building a
-// session (thread registration, a handle per shard) must not stall
-// concurrent accepts and putBatcher.
-func (s *Server) getBatcher() *Batcher {
-	var b *Batcher
-	s.idleMu.Lock()
-	if n := len(s.idle); n > 0 {
-		b, s.idle = s.idle[n-1], s.idle[:n-1]
-	}
-	s.idleMu.Unlock()
-	if b == nil {
-		b = s.NewBatcher()
-	}
-	return b
-}
+// Close withdraws the batcher's combiner slot. Idempotent.
+func (b *Batcher) Close() { b.cs.Close() }
 
-func (s *Server) putBatcher(b *Batcher) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		// The pool was already drained; close rather than re-pool. (A
-		// batcher racing past this check into a drained pool is merely
-		// parked until process exit, not a growing leak.)
-		b.Close()
-		return
-	}
-	s.idleMu.Lock()
-	s.idle = append(s.idle, b)
-	s.idleMu.Unlock()
-}
-
-// Close releases the batcher's session (thread, arena, reclamation
-// slots). Called when the batcher leaves service — a poisoned session
-// after a handler panic, or pool drain at server close. Idempotent.
-func (b *Batcher) Close() { b.bs.Close() }
-
-// Exec executes one pipeline batch in one pass, in pipeline order (so
-// same-key requests stay ordered with no grouping at all): each op runs
-// through its session call — the one place its key is hashed — with
-// persistence deferred, and the batch commits under a single fence before
-// any response is materialized. resps[i] answers reqs[i]; lengths match.
+// Exec executes one pipeline batch: its store requests, in pipeline order
+// (so same-key requests stay ordered), are one Apply — one announcement,
+// durable on return — before any response is materialized. Commit is the
+// session API's durability point, a no-op for a Combined session. resps[i]
+// answers reqs[i]; lengths match.
 func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	m := b.srv.metrics
-	// The session thread's counters are single-goroutine state only this
-	// batcher reads; each batch folds its own delta into the server atomics.
-	// The baseline is re-read per batch, so a ResetStats cannot unseat it.
-	ts := &b.bs.Thread().Stats
-	pwbs0, pfences0, elided0 := ts.PWBs, ts.PFences, ts.ElidedFences
-	// With metrics on, service time is measured at batch granularity —
-	// three clock reads per Exec, since one per op would cost more than a
-	// simulated store op does: [t0,t1) brackets the execution loop and is
-	// attributed to the batch's store ops in equal shares, [t1,t2) after
-	// Commit is the group-commit duration. Durations come from time.Since
-	// on a fixed epoch, the monotonic-only path at half time.Now's cost.
+	b.ops = b.ops[:0]
+	var kindN [numOpKinds]uint64
+	for i := range reqs {
+		if req := &reqs[i]; hasKey(req.Op) {
+			k := storeKind(req.Op)
+			kindN[k]++
+			b.ops = append(b.ops, store.Op[[]byte]{Kind: k, Key: req.Key, Val: req.Val})
+		}
+	}
+	if len(b.res) < len(b.ops) {
+		b.res = make([]store.Result, cap(resps))
+	}
+	// With metrics on, two clock reads per batch, around the announcement:
+	// the batch's commit time, of which each op is charged an equal share.
+	// time.Since on a fixed epoch is the monotonic-only path.
 	var t0 time.Duration
 	if m != nil {
 		m.Depth.RecordNs(int64(len(reqs)))
 		t0 = time.Since(b.srv.epoch)
 	}
-	storeOps := 0
-	var kindN [numOpKinds]uint64
-	for i := range reqs {
-		req, resp := &reqs[i], &resps[i]
-		if !hasKey(req.Op) {
-			continue
-		}
-		kindN[opKind(req.Op)]++
-		storeOps++
-		resp.Status, resp.Val, resp.Flag, resp.Body = StatusOK, 0, false, nil
-		switch req.Op {
-		case OpGet:
-			v, ok := b.bs.Get(req.Key)
-			if ok {
-				resp.Val = v
-			} else {
-				resp.Status = StatusNotFound
-			}
-		case OpPut:
-			resp.Flag = b.bs.Put(req.Key, req.Val)
-		case OpDelete:
-			resp.Flag = b.bs.Delete(req.Key)
-		case OpContains:
-			resp.Flag = b.bs.Contains(req.Key)
-		}
-	}
-	// The group commit: only after it do the batch's results exist as far
-	// as any client can observe. It is one fence, or none when the batch
-	// left nothing pending (core.Deferred.Flush). Pure PING/STATS commits
-	// nothing.
-	if storeOps > 0 {
-		var t1 time.Duration
-		if m != nil {
-			t1 = time.Since(b.srv.epoch)
-		}
-		drained := b.bs.Commit()
-		b.srv.batches.Add(1)
+	if storeOps := len(b.ops); storeOps > 0 { // pure PING/STATS announces nothing
+		b.cs.Apply(b.ops, b.res)
+		b.cs.Commit()
 		b.srv.opsServed.Add(uint64(storeOps))
-		b.srv.drained.Add(uint64(drained))
-		pfences := ts.PFences - pfences0
-		b.srv.pwbs.Add(ts.PWBs - pwbs0)
-		b.srv.pfences.Add(pfences)
-		if elided := ts.ElidedFences - elided0; elided != 0 { // an empty commit, or a CAS's dependency fence
-			b.srv.elided.Add(elided)
-		}
 		if m != nil {
-			m.Commit.RecordNs(int64(time.Since(b.srv.epoch) - t1))
-			share := int64(t1-t0) / int64(storeOps)
+			d := int64(time.Since(b.srv.epoch) - t0)
+			m.Commit.RecordNs(d)
 			for k, n := range kindN {
 				if n > 0 {
-					m.Lat[k].RecordNNs(share, n)
+					m.Lat[k].RecordNNs(d/int64(storeOps), n)
 					m.Ops[k].Add(b.id, n)
 				}
 			}
-			m.BatchOps.RecordNs(int64(storeOps))
-			m.BatchFences.RecordNs(int64(pfences))
 		}
 	}
-	// Non-store opcodes are answered after the commit (a STATS in the
-	// window then counts the window); slots keep the response order.
+	// Only now do the batch's results exist as far as any client can
+	// observe; a STATS in the window counts the window.
+	j := 0
 	for i := range reqs {
-		if !hasKey(reqs[i].Op) {
-			b.srv.serveControl(reqs[i].Op, &resps[i])
+		req, resp := &reqs[i], &resps[i]
+		if !hasKey(req.Op) {
+			b.srv.serveControl(req.Op, resp)
+			continue
+		}
+		r := b.res[j]
+		j++
+		resp.Status, resp.Val, resp.Flag, resp.Body = StatusOK, 0, r.Ok, nil
+		if req.Op == OpGet {
+			resp.Val, resp.Flag = r.Val, false
+			if !r.Ok {
+				resp.Status = StatusNotFound
+			}
 		}
 	}
 }

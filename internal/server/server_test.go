@@ -215,11 +215,11 @@ func TestServerOverTCP(t *testing.T) {
 }
 
 // TestBatcherStatsSurviveResetStats: a measurement that zeroes the
-// memory's per-thread counters (pmem.Memory.ResetStats) does so under
-// whatever batchers the server has pooled. A batcher that remembered its thread's
-// counters across batches would then fold a ~2^64 "delta" into the server
-// totals; the published counts must instead stay the instructions
-// actually issued.
+// memory's per-thread counters (pmem.Memory.ResetStats) does so under the
+// store's combiner, whose window account folds its thread's deltas. A
+// combiner that remembered its thread's counters across windows would
+// then fold a ~2^64 "delta" into the totals the server reports; they must
+// instead stay the instructions actually issued.
 func TestBatcherStatsSurviveResetStats(t *testing.T) {
 	st := newTestStore(t)
 	srv := server.New(st, server.Options{Metrics: true})
@@ -253,8 +253,8 @@ func TestBatcherStatsSurviveResetStats(t *testing.T) {
 
 // TestStatsConcurrentWithTraffic: STATS is a monitoring poll and must be
 // safe while other connections execute batches (run under -race in the
-// nightly suite — the server publishes batcher-thread deltas into
-// atomics rather than walking live per-thread counters).
+// nightly suite — the combiner's window account is read under its lock,
+// never by walking live per-thread counters).
 func TestStatsConcurrentWithTraffic(t *testing.T) {
 	st := newTestStore(t)
 	srv := server.New(st, server.Options{})
@@ -336,29 +336,5 @@ func TestServerMalformedRequestGetsErrorFrame(t *testing.T) {
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		t.Fatalf("connection stayed open after protocol error (err=%v)", err)
-	}
-}
-
-// TestConnectionChurnReusesSessions: pmem threads (and their arenas and
-// reclamation slots) cannot be unregistered, so the server pools its
-// batch executors — serial connection churn must not grow the thread
-// registry past the peak concurrency.
-func TestConnectionChurnReusesSessions(t *testing.T) {
-	st := newTestStore(t)
-	srv := server.New(st, server.Options{})
-	base := len(st.Mem().Threads()) // store construction registers its own
-	for i := 0; i < 20; i++ {
-		cc, sc := net.Pipe()
-		done := make(chan struct{})
-		go func() { srv.ServeConn(sc); close(done) }()
-		c := client.New(cc)
-		if _, err := c.Put([]byte{'c', byte(i)}, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-		<-done // batcher returned to the pool before the next connection
-	}
-	if n := len(st.Mem().Threads()) - base; n > 2 {
-		t.Fatalf("20 serial connections registered %d new pmem threads: sessions are leaking per connection", n)
 	}
 }

@@ -1,14 +1,15 @@
-// Store-wide flat combining for embedded concurrent writers.
+// Store-wide flat combining: the store's one commit pipeline.
 //
-// The group-commit path (Batched-mode sessions) amortizes fences for a
-// network pipeline: one goroutine owns the batch, so deferral is free.
-// Embedded concurrent writers have no such owner — each session fencing
-// per op is exactly the per-op durability cost flat combining targets.
-// Here, sessions ANNOUNCE operations into a slot instead of executing
-// them; one winner takes the store's combiner lock, collects every
-// announced slot, executes the whole window through the combiner's own
-// Batched session, commits it under ONE fence, and only then publishes
-// results back into the slots. Losers spin on their slot.
+// Concurrent writers — embedded Combined sessions and the server's
+// connections alike — have no common owner for a commit window, and each
+// fencing per op is exactly the per-op durability cost flat combining
+// targets. Here, sessions ANNOUNCE operations into a slot instead of
+// executing them; one winner takes the store's combiner lock, collects
+// every announced slot, executes the whole window through the combiner's
+// own Batched session, commits it under ONE fence, and only then
+// publishes results back into the slots. Losers spin on their slot. The
+// window's owner also accounts for it (WindowStats): only the lock
+// holder touches those counters.
 //
 // On top rides VSA-style net-delta coalescing: within one combining
 // window the combiner sums OpAdd deltas per key in volatile memory and
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"flit/internal/metrics"
 	"flit/internal/pmem"
 )
 
@@ -39,8 +41,9 @@ const (
 	// slotClaimed: the combiner has executed (or is executing) the slot
 	// within the current window; results are written but NOT yet durable.
 	slotClaimed
-	// slotDone: window fenced; results in res are durable. Owner resets
-	// the slot to slotEmpty after reading them.
+	// slotDone: window fenced; results in res are durable — unless fault
+	// is set, in which case one of the slot's ops panicked and the owner
+	// re-raises it. Owner resets the slot to slotEmpty after reading them.
 	slotDone
 )
 
@@ -58,6 +61,7 @@ type cslot struct {
 	_     [combinePad]byte
 	ops   []hashedOp
 	res   []Result
+	fault any // the panic one of ops raised, handed back to the owner
 }
 
 // combiner is the store's flat combiner: the combining lock, the slot
@@ -76,14 +80,72 @@ type combiner struct {
 	pending map[uint64]uint64
 	dkeys   []uint64
 
-	// served collects the slots executed in the current window, to flip
-	// to slotDone after the fence.
+	// The window in progress: the slots it served, to flip to slotDone
+	// after the fence; cur, the slot executing; acked, the ops of the slots
+	// served whole; base, the thread's counters at window start. total is
+	// the account of every window so far, which only the lock holder
+	// touches (Store.WindowStats takes the lock to read it).
 	served []*cslot
+	cur    *cslot
+	acked  int
+	base   pmem.Stats
+	total  WindowStats
 }
 
-// initCombiner builds the store's combiner at the first use of a
-// Combined session. Its Batched session is exercised only under its lock.
-func (s *Store) initCombiner() {
+// WindowStats is the combiner's account of every window so far: the
+// window's owner folds in its thread's deltas since window start after
+// each commit, so a pmem.Memory.ResetStats between windows cannot make a
+// delta underflow. Slots counts the open Combined sessions' slots.
+type WindowStats struct {
+	Windows, Ops, Drained uint64 // commit windows, ops acknowledged, lines their commits drained
+	PWBs, PFences, Elided uint64 // Elided: fences found empty and not issued (pmem.Stats.ElidedFences)
+	Slots                 int
+}
+
+// WindowStats reads the combiner's account under its lock. A crashed
+// store's lock is never released; its account, written before the crash
+// flag, is final and is read as it stands.
+func (s *Store) WindowStats() WindowStats {
+	c := s.comb.Load()
+	if c == nil {
+		return WindowStats{}
+	}
+	locked := false
+	for !locked && !s.combCrashed.Load() {
+		if locked = c.lock.CompareAndSwap(0, 1); !locked {
+			runtime.Gosched()
+		}
+	}
+	ws := c.total
+	ws.Slots = len(*c.slots.Load())
+	if locked {
+		c.lock.Store(0)
+	}
+	return ws
+}
+
+// windowHists are the distributions of ops and of fences per window.
+type windowHists struct{ ops, fences metrics.Hist }
+
+// WindowHists returns the distributions of ops and of fences per commit
+// window, which the combiner records without reading a clock from the
+// first call on (the server's metrics bundle): a store nobody observes
+// this way carries neither their 16 KiB nor their atomic adds.
+func (s *Store) WindowHists() (ops, fences *metrics.Hist) {
+	s.histOnce.Do(func() {
+		h := &windowHists{}
+		h.ops.Init()
+		h.fences.Init()
+		s.hist.Store(h)
+	})
+	h := s.hist.Load()
+	return &h.ops, &h.fences
+}
+
+// openCombiner returns the store's combiner, building it at the first use
+// of a Combined session; its Batched session runs only under its lock. It
+// panics pmem.ErrCrashed once the combiner crashed: the process is dead.
+func (s *Store) openCombiner() *combiner {
 	if s.combCrashed.Load() {
 		panic(pmem.ErrCrashed)
 	}
@@ -91,8 +153,9 @@ func (s *Store) initCombiner() {
 		c := &combiner{x: newSessionCore(s, Batched), pending: make(map[uint64]uint64)}
 		empty := make([]*cslot, 0)
 		c.slots.Store(&empty)
-		s.comb = c
+		s.comb.Store(c)
 	})
+	return s.comb.Load()
 }
 
 // register adds a new slot for one session, copy-on-write so a scanning
@@ -127,27 +190,29 @@ func (c *combiner) deregister(sl *cslot) {
 
 // applyCombined announces the hashed op vector in the session's slot,
 // with res as the slot's result vector, and returns once the window that
-// executed it has committed.
+// executed it has committed. If one of the ops panicked, the window hands
+// the panic back and applyCombined raises it here, in the owner.
 //
 //flit:hotpath
 func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
-	cb := c.st.comb
-	if c.st.combCrashed.Load() {
-		// The simulated process already crashed (the combiner hit its
-		// crash countdown); every thread of the process dies with it.
-		panic(pmem.ErrCrashed)
+	sl := c.slot
+	sl.ops, sl.res = ops, res
+	sl.state.Store(slotAnnounced)
+	c.st.comb.Load().await(sl)
+	fault := sl.fault
+	sl.fault = nil
+	sl.state.Store(slotEmpty)
+	if fault != nil {
+		panic(fault)
 	}
-	c.slot.ops, c.slot.res = ops, res
-	c.slot.state.Store(slotAnnounced)
-	cb.await(c.slot)
-	c.slot.state.Store(slotEmpty)
 }
 
 // await blocks until sl reaches slotDone: spin, yielding to let the
 // combiner (or other announcers) run, and volunteer as combiner whenever
 // the lock is free. A successful volunteer run is guaranteed to serve
 // our own announced slot — every sweep collects all announced slots and
-// the first sweep always happens.
+// the first sweep always happens. Once the combiner crashed, every
+// announcer dies with it, the early ones and the later ones alike.
 func (c *combiner) await(sl *cslot) {
 	for {
 		if sl.state.Load() == slotDone {
@@ -176,34 +241,41 @@ const combineWindow = 32
 // run executes one combined window under the combiner lock: sweep the
 // slot registry and execute announced slots until the window holds
 // combineWindow ops or a sweep finds none, then commit everything under
-// one fence and publish done. Nobody waiting means nothing to linger
-// for: the window closes at once. A crash countdown firing mid-window
-// panics through run with the lock held and the sticky combCrashed flag
-// set, killing the whole simulated process.
+// one fence, account for the window and publish done. Nobody waiting
+// means nothing to linger for: the window closes at once.
+//
+// A crash countdown firing mid-window is a process crash: it panics
+// through run with the lock held and the sticky combCrashed flag set. Any
+// other panic belongs to the announcer whose op raised it: its slot gets
+// the panic, for the owner to re-raise, the sweep goes on past it, and
+// the window commits and publishes as usual (the failed slot's executed
+// ops are unacknowledged: a legal crash point).
 func (c *combiner) run() {
-	defer func() {
-		if r := recover(); r != nil {
-			c.x.st.combCrashed.Store(true)
-			panic(r)
+	c.base = c.x.t.Stats
+	c.served, c.acked = c.served[:0], 0
+	for fault := c.try(c.window); fault != nil; fault = c.try(c.window) {
+		if c.cur != nil {
+			// An op of cur panicked: cur fails, and the window goes on
+			// past it.
+			c.cur.fault = fault
+			c.served = append(c.served, c.cur)
+			continue
 		}
-	}()
-	c.served = c.served[:0]
-	for executed := 0; executed < combineWindow; {
-		found := 0
-		for _, sl := range *c.slots.Load() {
-			if sl.state.Load() != slotAnnounced {
-				continue
-			}
-			sl.state.Store(slotClaimed)
-			c.execSlot(sl)
-			c.served = append(c.served, sl)
-			found += len(sl.ops)
+		// Settling the net deltas panicked. A net delta is no one
+		// announcer's: every slot served so far fails, and what is left of
+		// the deltas is dropped, never acknowledged.
+		clear(c.pending)
+		c.dkeys, c.acked = c.dkeys[:0], 0
+		for _, sl := range c.served {
+			sl.fault = fault
 		}
-		if found == 0 {
-			break
-		}
-		executed += found
 	}
+}
+
+// window is run's body: sweep, settle the net deltas, commit, account
+// for the window and publish done.
+func (c *combiner) window() {
+	c.sweep()
 	if len(c.served) == 0 {
 		return
 	}
@@ -212,9 +284,61 @@ func (c *combiner) run() {
 	// (each dirty line drained once via the coalescing write-back queue)
 	// and releases the deferred flit-tags; a window that left nothing
 	// pending needs none. Only now are the window's results durable.
-	c.x.commit()
+	c.account(c.x.commit())
 	for _, sl := range c.served {
 		sl.state.Store(slotDone)
+	}
+}
+
+// try runs f and returns what it panicked with. A pmem crash goes on
+// panicking, with the lock held and the store marked crashed: a crash is
+// the whole process's.
+func (c *combiner) try(f func()) (fault any) {
+	defer func() {
+		if fault = recover(); fault == pmem.ErrCrashed {
+			c.x.st.combCrashed.Store(true)
+			panic(fault)
+		}
+	}()
+	f()
+	return nil
+}
+
+// sweep is run's collection loop.
+func (c *combiner) sweep() {
+	for c.acked < combineWindow {
+		before := c.acked
+		for _, sl := range *c.slots.Load() {
+			if sl.state.Load() != slotAnnounced {
+				continue
+			}
+			sl.state.Store(slotClaimed)
+			c.cur = sl
+			c.execSlot(sl)
+			c.served = append(c.served, sl)
+			c.acked += len(sl.ops)
+		}
+		if c.acked == before {
+			break
+		}
+	}
+	c.cur = nil
+}
+
+// account folds the window's deltas since c.base into its total and
+// histograms.
+func (c *combiner) account(drained int) {
+	ts, base, t := &c.x.t.Stats, &c.base, &c.total
+	fences := ts.PFences - base.PFences
+	t.Windows++
+	t.Ops += uint64(c.acked)
+	t.Drained += uint64(drained)
+	t.PWBs += ts.PWBs - base.PWBs
+	t.PFences += fences
+	t.Elided += ts.ElidedFences - base.ElidedFences
+	if h := c.x.st.hist.Load(); h != nil {
+		h.ops.RecordNs(int64(c.acked))
+		h.fences.RecordNs(int64(fences))
 	}
 }
 

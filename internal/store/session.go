@@ -132,8 +132,7 @@ type sessionCore struct {
 func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 	c := &sessionCore{st: s, mode: mode}
 	if mode == Combined {
-		s.initCombiner()
-		c.slot = s.comb.register()
+		c.slot = s.openCombiner().register()
 		return c
 	}
 	c.t = s.mem.RegisterThread()
@@ -160,7 +159,7 @@ func (c *sessionCore) close() {
 	}
 	c.closed = true
 	if c.mode == Combined {
-		c.st.comb.deregister(c.slot)
+		c.st.comb.Load().deregister(c.slot)
 		return
 	}
 	if c.pending > 0 {
@@ -265,11 +264,6 @@ type Sess[K Key] struct {
 func Open[K Key](s *Store, mode SessionMode) *Sess[K] {
 	return &Sess[K]{c: newSessionCore(s, mode)}
 }
-
-// Thread exposes the session's pmem thread (stats, crash injection).
-// Combined sessions execute nothing themselves — their operations run on
-// the thread of the store's combiner — so Thread returns nil.
-func (s *Sess[K]) Thread() *pmem.Thread { return s.c.t }
 
 // Pending reports the operations executed since the last Commit
 // (Batched mode; Direct and Combined operations are already durable when

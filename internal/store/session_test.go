@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"flit/internal/pmem"
 )
 
 // addBase keeps Add-churned values far from zero so signed deltas never
@@ -176,6 +178,88 @@ func TestCombinedConcurrent(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("hot-key net sum %d want %d", got, want)
+	}
+}
+
+// TestCombinerPanicIsOneAnnouncers: one announcer's op panics mid-window
+// (an op kind the store does not know). The panic is that announcer's: it
+// re-raises it, while the others announced into the same window get
+// their results, durable on return, and the store stays live.
+func TestCombinerPanicIsOneAnnouncers(t *testing.T) {
+	st := newTestStore(t, Options{})
+	const good = 3
+	bad := Open[string](st, Combined) // registered first: swept first
+	defer bad.Close()
+	sess := make([]*Sess[string], good)
+	for i := range sess {
+		sess[i] = Open[string](st, Combined)
+		defer sess[i].Close()
+	}
+	c := st.comb.Load()
+	before := st.WindowStats()
+	// Hold the combiner's lock until every slot has announced, so one
+	// window serves them all.
+	c.lock.Store(1)
+	var wg sync.WaitGroup
+	var fault any
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() { fault = recover() }()
+		bad.Apply([]Op[string]{{Kind: OpPut, Key: "bad-0", Val: 1}, {Kind: OpKind(99), Key: "bad-1"}, {Kind: OpPut, Key: "bad-2", Val: 1}}, make([]Result, 3))
+	}()
+	res := make([][]Result, good)
+	for i, s := range sess {
+		res[i] = make([]Result, 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Apply([]Op[string]{{Kind: OpPut, Key: fmt.Sprintf("k%d", i), Val: uint64(i)}, {Kind: OpGet, Key: fmt.Sprintf("k%d", i)}}, res[i])
+		}()
+	}
+	for announced := 0; announced < good+1; {
+		announced = 0
+		for _, sl := range *c.slots.Load() {
+			if sl.state.Load() == slotAnnounced {
+				announced++
+			}
+		}
+	}
+	c.lock.Store(0)
+	wg.Wait()
+
+	if err, ok := fault.(error); !ok || err.Error() != errUnknownOp(99).Error() {
+		t.Fatalf("the bad announcer raised %v, want %v", fault, errUnknownOp(99))
+	}
+	for i, r := range res {
+		if !r[0].Ok || !r[1].Ok || r[1].Val != uint64(i) {
+			t.Fatalf("announcer %d: results %+v, want an insert and then %d", i, r, i)
+		}
+	}
+	if ws := st.WindowStats(); ws.Windows != before.Windows+1 || ws.Ops != before.Ops+2*good {
+		t.Fatalf("window account %+v after %+v: want one window acknowledging %d ops", ws, before, 2*good)
+	}
+	if st.combCrashed.Load() {
+		t.Fatal("a non-crash panic marked the combiner crashed")
+	}
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+	st2, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := Open[string](st2, Direct)
+	defer rd.Close()
+	for i := range good {
+		if v, ok := rd.Get(fmt.Sprintf("k%d", i)); !ok || v != uint64(i) {
+			t.Fatalf("announcer %d's acknowledged Put is not in the crash image: (%d,%v)", i, v, ok)
+		}
+	}
+	// The store stays live, and the bad announcer's session with it.
+	if !bad.Put("after", 5) {
+		t.Fatal("a Put after the panic did not insert")
+	}
+	if v, ok := sess[0].Get("after"); !ok || v != 5 {
+		t.Fatalf("Get after the panic = (%d,%v), want 5", v, ok)
 	}
 }
 

@@ -149,10 +149,13 @@ type Store struct {
 	// Flat-combining state (see combine.go), built once by the first
 	// Combined session. combCrashed is the whole-process crash flag: the
 	// combiner sets it when its crash countdown fires, and every Combined
-	// session touching the store thereafter dies with pmem.ErrCrashed.
+	// session touching the store thereafter dies with pmem.ErrCrashed;
+	// hist holds its per-window histograms, once asked for (WindowHists).
 	combOnce    sync.Once
-	comb        *combiner
+	comb        atomic.Pointer[combiner]
 	combCrashed atomic.Bool
+	histOnce    sync.Once
+	hist        atomic.Pointer[windowHists]
 }
 
 // New builds a fresh store: simulated memory, heap with one root per
