@@ -142,39 +142,52 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 	})
 }
 
-// TestConnectionChurnReleasesSlots: a connection holds one combiner slot
-// and no pmem thread. After serial churn, concurrent churn and Close
-// cutting live connections, the slot registry is back where it started
-// and the thread count has not grown.
-func TestConnectionChurnReleasesSlots(t *testing.T) {
+// churnServer is a server on a fresh store whose combiner (and its one
+// pmem thread) a first connection has already built. check fails the test
+// unless the slot registry and the thread count are back where they were
+// then: a connection holds one combiner slot and no pmem thread.
+func churnServer(t *testing.T) (s *Server, put func(cc net.Conn, i int), check func(when string)) {
+	t.Helper()
 	st := newLifecycleStore(t)
-	s := New(st, Options{})
-	put := func(cc net.Conn, i int) {
+	s = New(st, Options{})
+	put = func(cc net.Conn, i int) {
 		if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte{'c', byte(i)}, Val: uint64(i)}); err != nil || resp.Status != StatusOK {
 			t.Errorf("connection %d: put = %+v, %v", i, resp, err)
 		}
 	}
-	// The first connection builds the store's combiner and its one thread.
 	cc, done := serveOne(s)
 	put(cc, 0)
 	cc.Close()
 	<-done
 	slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
-	check := func(when string) {
+	check = func(when string) {
 		t.Helper()
 		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
 			t.Fatalf("%s: %d slots, %d threads; want %d, %d", when, n, m, slots, threads)
 		}
 	}
+	return s, put, check
+}
 
-	for i := 0; i < 20; i++ {
+// TestConnectionChurnReusesSessions: serial connect→op→disconnect cycles
+// all run in the store combiner's one session, so each cycle withdraws
+// the slot it took and no cycle adds a pmem thread.
+func TestConnectionChurnReusesSessions(t *testing.T) {
+	s, put, check := churnServer(t)
+	for i := 0; i < 50; i++ {
 		cc, done := serveOne(s)
 		put(cc, i)
 		cc.Close()
 		<-done
 	}
-	check("after 20 serial connections")
+	check("after 50 serial connections")
+}
 
+// TestConnectionChurnThreadsBounded: concurrent churn leaves the slot
+// registry and the pmem thread count where they started, however many
+// connections overlapped.
+func TestConnectionChurnThreadsBounded(t *testing.T) {
+	s, put, check := churnServer(t)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -190,7 +203,14 @@ func TestConnectionChurnReleasesSlots(t *testing.T) {
 	}
 	wg.Wait()
 	check("after 8x10 concurrent connections")
+}
 
+// TestServerCloseDrainsPool: Close cuts every live connection, and each
+// handler withdraws its combiner slot on the way out, so the slot
+// registry drains back to where it was before they opened.
+func TestServerCloseDrainsPool(t *testing.T) {
+	s, put, check := churnServer(t)
+	slots := s.Store().WindowStats().Slots
 	var live []chan struct{}
 	for i := 0; i < 4; i++ {
 		cc, done := serveOne(s)
@@ -198,7 +218,7 @@ func TestConnectionChurnReleasesSlots(t *testing.T) {
 		defer cc.Close()
 		live = append(live, done)
 	}
-	if n := st.WindowStats().Slots; n != slots+4 {
+	if n := s.Store().WindowStats().Slots; n != slots+4 {
 		t.Fatalf("4 open connections hold %d slots, want %d", n, slots+4)
 	}
 	if err := s.Close(); err != nil {
