@@ -212,12 +212,16 @@ var mutants = []mutant{
 	// pending needs none. Only now are the window's results durable.
 	c.account(c.x.commit())
 	for _, sl := range c.served {
-		sl.state.Store(slotDone)
+		if sl != c.own { // own's owner is the lock holder, already here
+			sl.state.Store(slotDone)
+		}
 	}
 `,
 		replacement: `	c.account(c.x.commit())
 	for _, sl := range c.served {
-		sl.state.Store(slotDone)
+		if sl != c.own { // own's owner is the lock holder, already here
+			sl.state.Store(slotDone)
+		}
 	}
 	c.flushDeltas()
 `,

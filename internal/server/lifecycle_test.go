@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flit/internal/core"
+	"flit/internal/metrics"
 	"flit/internal/store"
 )
 
@@ -84,7 +85,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		fillHeap(t, cc)
 		cc.Close()
 		<-done
-		slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
+		slots, threads := st.CombinedSessions(), len(st.Mem().Threads())
 		for i := 0; i < panics; i++ {
 			cc, done := serveOne(s)
 			if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte(fmt.Sprintf("over-%d", i)), Val: 1}); err == nil {
@@ -96,7 +97,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		if got := s.connErrs[causePanic].Load(); got != panics+1 {
 			t.Fatalf("connErrs[panic] = %d, want %d", got, panics+1)
 		}
-		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
+		if n, m := st.CombinedSessions(), len(st.Mem().Threads()); n != slots || m != threads {
 			t.Fatalf("after %d panics: %d slots, %d threads; want %d, %d", panics, n, m, slots, threads)
 		}
 		// The store is live: an in-place Put allocates nothing.
@@ -124,7 +125,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		}
 		cc.Close()
 		<-done
-		slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
+		slots, threads := st.CombinedSessions(), len(st.Mem().Threads())
 		for i := 0; i < panics; i++ {
 			cc, done := serveOne(s)
 			if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpGet, Key: []byte("boom")}); err == nil {
@@ -136,7 +137,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		if got := s.connErrs[causePanic].Load(); got != panics+1 {
 			t.Fatalf("connErrs[panic] = %d, want %d", got, panics+1)
 		}
-		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
+		if n, m := st.CombinedSessions(), len(st.Mem().Threads()); n != slots || m != threads {
 			t.Fatalf("after %d connections to a crashed store: %d slots, %d threads; want %d, %d", panics, n, m, slots, threads)
 		}
 	})
@@ -159,10 +160,10 @@ func churnServer(t *testing.T) (s *Server, put func(cc net.Conn, i int), check f
 	put(cc, 0)
 	cc.Close()
 	<-done
-	slots, threads := st.WindowStats().Slots, len(st.Mem().Threads())
+	slots, threads := st.CombinedSessions(), len(st.Mem().Threads())
 	check = func(when string) {
 		t.Helper()
-		if n, m := st.WindowStats().Slots, len(st.Mem().Threads()); n != slots || m != threads {
+		if n, m := st.CombinedSessions(), len(st.Mem().Threads()); n != slots || m != threads {
 			t.Fatalf("%s: %d slots, %d threads; want %d, %d", when, n, m, slots, threads)
 		}
 	}
@@ -210,7 +211,7 @@ func TestConnectionChurnThreadsBounded(t *testing.T) {
 // registry drains back to where it was before they opened.
 func TestServerCloseDrainsPool(t *testing.T) {
 	s, put, check := churnServer(t)
-	slots := s.Store().WindowStats().Slots
+	slots := s.Store().CombinedSessions()
 	var live []chan struct{}
 	for i := 0; i < 4; i++ {
 		cc, done := serveOne(s)
@@ -218,7 +219,7 @@ func TestServerCloseDrainsPool(t *testing.T) {
 		defer cc.Close()
 		live = append(live, done)
 	}
-	if n := s.Store().WindowStats().Slots; n != slots+4 {
+	if n := s.Store().CombinedSessions(); n != slots+4 {
 		t.Fatalf("4 open connections hold %d slots, want %d", n, slots+4)
 	}
 	if err := s.Close(); err != nil {
@@ -244,6 +245,7 @@ func TestBatcherDirect(t *testing.T) {
 		{Op: OpDelete, Key: []byte("y")},
 	}
 	resps := make([]Response, len(reqs))
+	opsHist, _ := st.WindowHists()
 	b.Exec(reqs, resps)
 	if !resps[0].Flag || !resps[1].Flag {
 		t.Fatal("puts did not insert")
@@ -257,8 +259,10 @@ func TestBatcherDirect(t *testing.T) {
 	if !resps[4].Flag {
 		t.Fatal("delete missed")
 	}
-	if ws := st.WindowStats(); ws.Windows != 1 || ws.Ops != 4 {
-		t.Fatalf("Exec ran %d windows acknowledging %d ops, want the batch's 4 store ops in one", ws.Windows, ws.Ops)
+	var ops metrics.HistSnapshot
+	opsHist.Read(&ops)
+	if ops.Count != 1 || ops.Sum != 4 {
+		t.Fatalf("Exec ran %d windows acknowledging %d ops, want the batch's 4 store ops in one", ops.Count, ops.Sum)
 	}
 	if n, ok := core.LiveTagCount(st.Policy()); !ok || n != 0 {
 		t.Fatalf("live tags after Exec = %d, want 0", n)

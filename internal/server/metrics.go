@@ -104,6 +104,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Sample("flit_pheap_watermark_words", "", float64(s.st.Heap().Watermark()))
 	p.Meta("flit_mem_threads", "gauge", "live registered pmem threads (released slots excluded); connections register none, the store's combiner one")
 	p.Sample("flit_mem_threads", "", float64(len(s.st.Mem().Threads())))
+	p.Meta("flit_combined_sessions", "gauge", "open Combined store sessions, one per served connection: the slots every commit window sweeps")
+	p.Sample("flit_combined_sessions", "", float64(s.st.CombinedSessions()))
 	p.Meta("flit_max_batch", "gauge", "group commit size cap")
 	p.Sample("flit_max_batch", "", float64(st.MaxBatch))
 	p.Meta("flit_shed_total", "counter", "store operations shed by admission control, by reason")

@@ -6,10 +6,11 @@
 // reader and writer, MaxBatch request/response slots and a Batcher (one
 // Combined-mode store session). It runs four stages per window:
 // readWindow decodes everything the client already pipelined, up to
-// Options.MaxBatch; admit charges it to admission control; exec announces
+// Options.MaxBatch; admit charges it to admission control; exec hands
 // its store ops to the combiner as one vector (Batcher.Exec), which
 // executes them in pipeline order, in a window shared with every other
-// connection announced beside it, and commits the window under ONE fence
+// connection announced beside it (run by this connection itself when it
+// finds the combiner idle), and commits the window under ONE fence
 // (none when it left nothing pending) before any response exists;
 // writeResps encodes the answers straight into the writer's buffer and
 // flushes. So "acknowledged ⇒ persisted" holds at every crash point —
@@ -680,10 +681,11 @@ func (s *Server) NewBatcher() *Batcher {
 func (b *Batcher) Close() { b.cs.Close() }
 
 // Exec executes one pipeline batch: its store requests, in pipeline order
-// (so same-key requests stay ordered), are one Apply — one announcement,
-// durable on return — before any response is materialized. Commit is the
-// session API's durability point, a no-op for a Combined session. resps[i]
-// answers reqs[i]; lengths match.
+// (so same-key requests stay ordered), are one Apply — one slot of a
+// combiner window, durable on return — before any response is
+// materialized. Commit is the session API's durability point, a no-op for
+// a Combined session (see flitvet's ackorder). resps[i] answers reqs[i];
+// lengths match.
 func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	m := b.srv.metrics
 	b.ops = b.ops[:0]

@@ -7,7 +7,9 @@
 // executing them; one winner takes the store's combiner lock, collects
 // every announced slot, executes the whole window through the combiner's
 // own Batched session, commits it under ONE fence, and only then
-// publishes results back into the slots. Losers spin on their slot. The
+// publishes results back into the slots. Losers spin on their slot. A
+// session that finds the lock free on arrival takes it before announcing
+// and serves its own slot first: a lone writer pays no announcement. The
 // window's owner also accounts for it (WindowStats): only the lock
 // holder touches those counters.
 //
@@ -68,9 +70,13 @@ type cslot struct {
 // registry, and x, the Batched session the lock holder executes and
 // commits every window through.
 type combiner struct {
-	x *sessionCore
+	// lock has a cache line to itself: waiters poll it while the holder
+	// writes the window state below.
+	_    [64]byte
+	lock atomic.Uint32
+	_    [combinePad]byte
 
-	lock  atomic.Uint32
+	x     *sessionCore
 	slots atomic.Pointer[[]*cslot]
 	regMu sync.Mutex // serializes copy-on-write slot registration
 
@@ -80,26 +86,30 @@ type combiner struct {
 	pending map[uint64]uint64
 	dkeys   []uint64
 
-	// The window in progress: the slots it served, to flip to slotDone
-	// after the fence; cur, the slot executing; acked, the ops of the slots
-	// served whole; base, the thread's counters at window start. total is
-	// the account of every window so far, which only the lock holder
-	// touches (Store.WindowStats takes the lock to read it).
-	served []*cslot
-	cur    *cslot
-	acked  int
-	base   pmem.Stats
-	total  WindowStats
+	// The window in progress: own, the slot of the session that took the
+	// lock on arrival, which the window serves first without its ever
+	// being announced; the slots it served, to flip to slotDone after the
+	// fence (all but own); cur, the slot executing; settling, set while a
+	// pending net delta is applied; acked, the ops of the slots served
+	// whole; base, the thread's counters at window start. total is the
+	// account of every window so far, which only the lock holder touches
+	// (Store.WindowStats takes the lock to read it).
+	own      *cslot
+	served   []*cslot
+	cur      *cslot
+	settling bool
+	acked    int
+	base     pmem.Stats
+	total    WindowStats
 }
 
 // WindowStats is the combiner's account of every window so far: the
 // window's owner folds in its thread's deltas since window start after
 // each commit, so a pmem.Memory.ResetStats between windows cannot make a
-// delta underflow. Slots counts the open Combined sessions' slots.
+// delta underflow.
 type WindowStats struct {
-	Windows, Ops, Drained uint64 // commit windows, ops acknowledged, lines their commits drained
+	Windows, Drained      uint64 // commit windows, lines their commits drained
 	PWBs, PFences, Elided uint64 // Elided: fences found empty and not issued (pmem.Stats.ElidedFences)
-	Slots                 int
 }
 
 // WindowStats reads the combiner's account under its lock. A crashed
@@ -117,11 +127,19 @@ func (s *Store) WindowStats() WindowStats {
 		}
 	}
 	ws := c.total
-	ws.Slots = len(*c.slots.Load())
 	if locked {
 		c.lock.Store(0)
 	}
 	return ws
+}
+
+// CombinedSessions returns the number of open Combined sessions: the
+// slots every commit window sweeps.
+func (s *Store) CombinedSessions() int {
+	if c := s.comb.Load(); c != nil {
+		return len(*c.slots.Load())
+	}
+	return 0
 }
 
 // windowHists are the distributions of ops and of fences per window.
@@ -188,21 +206,28 @@ func (c *combiner) deregister(sl *cslot) {
 	c.regMu.Unlock()
 }
 
-// applyCombined announces the hashed op vector in the session's slot,
-// with res as the slot's result vector, and returns once the window that
-// executed it has committed. If one of the ops panicked, the window hands
-// the panic back and applyCombined raises it here, in the owner.
+// applyCombined puts the hashed op vector in the session's slot, with
+// res as the slot's result vector, and returns once the window that
+// executed it has committed. A session that finds the combiner's lock
+// free runs that window itself and serves its own slot first, never
+// announcing it; otherwise it announces the slot and awaits. If one of
+// the ops panicked, the window hands the panic back and applyCombined
+// raises it here, in the owner.
 //
 //flit:hotpath
 func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
-	sl := c.slot
+	sl, comb := c.slot, c.st.comb.Load()
 	sl.ops, sl.res = ops, res
-	sl.state.Store(slotAnnounced)
-	c.st.comb.Load().await(sl)
-	fault := sl.fault
-	sl.fault = nil
-	sl.state.Store(slotEmpty)
-	if fault != nil {
+	if comb.lock.CompareAndSwap(0, 1) {
+		comb.run(sl)
+		comb.lock.Store(0)
+	} else {
+		sl.state.Store(slotAnnounced)
+		comb.await(sl)
+		sl.state.Store(slotEmpty)
+	}
+	if fault := sl.fault; fault != nil {
+		sl.fault = nil
 		panic(fault)
 	}
 }
@@ -224,8 +249,8 @@ func (c *combiner) await(sl *cslot) {
 			// stays frozen, as a crashed process's memory would.
 			panic(pmem.ErrCrashed)
 		}
-		if c.lock.CompareAndSwap(0, 1) {
-			c.run()
+		if c.lock.Load() == 0 && c.lock.CompareAndSwap(0, 1) {
+			c.run(nil)
 			c.lock.Store(0)
 			continue
 		}
@@ -238,7 +263,8 @@ func (c *combiner) await(sl *cslot) {
 // many operations or a sweep finds nothing announced, then fences once.
 const combineWindow = 32
 
-// run executes one combined window under the combiner lock: sweep the
+// run executes one combined window under the combiner lock: serve own
+// (the lock taker's slot, if it took the lock on arrival), then sweep the
 // slot registry and execute announced slots until the window holds
 // combineWindow ops or a sweep finds none, then commit everything under
 // one fence, account for the window and publish done. Nobody waiting
@@ -249,21 +275,24 @@ const combineWindow = 32
 // other panic belongs to the announcer whose op raised it: its slot gets
 // the panic, for the owner to re-raise, the sweep goes on past it, and
 // the window commits and publishes as usual (the failed slot's executed
-// ops are unacknowledged: a legal crash point).
-func (c *combiner) run() {
+// ops are unacknowledged: a legal crash point). A panic while applying a
+// net delta is no one announcer's, since the delta sums Adds of slots
+// already served: every slot of the window so far fails.
+func (c *combiner) run(own *cslot) {
 	c.base = c.x.t.Stats
-	c.served, c.acked = c.served[:0], 0
+	c.own, c.served, c.acked = own, c.served[:0], 0
 	for fault := c.try(c.window); fault != nil; fault = c.try(c.window) {
 		if c.cur != nil {
-			// An op of cur panicked: cur fails, and the window goes on
-			// past it.
+			// cur fails, and the window goes on past it.
 			c.cur.fault = fault
 			c.served = append(c.served, c.cur)
-			continue
+			if !c.settling {
+				continue // one of cur's own ops panicked
+			}
 		}
-		// Settling the net deltas panicked. A net delta is no one
-		// announcer's: every slot served so far fails, and what is left of
-		// the deltas is dropped, never acknowledged.
+		// Applying a net delta panicked: every slot served so far fails,
+		// and what is left of the deltas is dropped, never acknowledged.
+		c.settling = false
 		clear(c.pending)
 		c.dkeys, c.acked = c.dkeys[:0], 0
 		for _, sl := range c.served {
@@ -286,7 +315,9 @@ func (c *combiner) window() {
 	// pending needs none. Only now are the window's results durable.
 	c.account(c.x.commit())
 	for _, sl := range c.served {
-		sl.state.Store(slotDone)
+		if sl != c.own { // own's owner is the lock holder, already here
+			sl.state.Store(slotDone)
+		}
 	}
 }
 
@@ -304,19 +335,19 @@ func (c *combiner) try(f func()) (fault any) {
 	return nil
 }
 
-// sweep is run's collection loop.
+// sweep is run's collection loop. own is served first, so the window has
+// served it once it has served anything.
 func (c *combiner) sweep() {
+	if c.own != nil && len(c.served) == 0 {
+		c.serve(c.own)
+	}
 	for c.acked < combineWindow {
 		before := c.acked
 		for _, sl := range *c.slots.Load() {
-			if sl.state.Load() != slotAnnounced {
-				continue
+			if sl.state.Load() == slotAnnounced {
+				sl.state.Store(slotClaimed)
+				c.serve(sl)
 			}
-			sl.state.Store(slotClaimed)
-			c.cur = sl
-			c.execSlot(sl)
-			c.served = append(c.served, sl)
-			c.acked += len(sl.ops)
 		}
 		if c.acked == before {
 			break
@@ -325,13 +356,20 @@ func (c *combiner) sweep() {
 	c.cur = nil
 }
 
+// serve executes one slot in the window.
+func (c *combiner) serve(sl *cslot) {
+	c.cur = sl
+	c.execSlot(sl)
+	c.served = append(c.served, sl)
+	c.acked += len(sl.ops)
+}
+
 // account folds the window's deltas since c.base into its total and
 // histograms.
 func (c *combiner) account(drained int) {
 	ts, base, t := &c.x.t.Stats, &c.base, &c.total
 	fences := ts.PFences - base.PFences
 	t.Windows++
-	t.Ops += uint64(c.acked)
 	t.Drained += uint64(drained)
 	t.PWBs += ts.PWBs - base.PWBs
 	t.PFences += fences
@@ -396,7 +434,9 @@ func (c *combiner) settleDelta(h uint64) {
 		return
 	}
 	delete(c.pending, h)
+	c.settling = true
 	c.exec(OpAdd, h, d)
+	c.settling = false
 }
 
 // flushDeltas commits the window's surviving net deltas, one store per

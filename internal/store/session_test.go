@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"flit/internal/metrics"
 	"flit/internal/pmem"
 )
 
@@ -181,43 +182,24 @@ func TestCombinedConcurrent(t *testing.T) {
 	}
 }
 
-// TestCombinerPanicIsOneAnnouncers: one announcer's op panics mid-window
-// (an op kind the store does not know). The panic is that announcer's: it
-// re-raises it, while the others announced into the same window get
-// their results, durable on return, and the store stays live.
-func TestCombinerPanicIsOneAnnouncers(t *testing.T) {
-	st := newTestStore(t, Options{})
-	const good = 3
-	bad := Open[string](st, Combined) // registered first: swept first
-	defer bad.Close()
-	sess := make([]*Sess[string], good)
-	for i := range sess {
-		sess[i] = Open[string](st, Combined)
-		defer sess[i].Close()
-	}
+// applyInOneWindow has each session Apply its op vector, holding the
+// combiner's lock until every one has announced so that one window serves
+// them all, in slot registration order. It returns what each Apply
+// panicked with.
+func applyInOneWindow(st *Store, sess []*Sess[string], ops [][]Op[string], res [][]Result) []any {
 	c := st.comb.Load()
-	before := st.WindowStats()
-	// Hold the combiner's lock until every slot has announced, so one
-	// window serves them all.
 	c.lock.Store(1)
+	faults := make([]any, len(sess))
 	var wg sync.WaitGroup
-	var fault any
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() { fault = recover() }()
-		bad.Apply([]Op[string]{{Kind: OpPut, Key: "bad-0", Val: 1}, {Kind: OpKind(99), Key: "bad-1"}, {Kind: OpPut, Key: "bad-2", Val: 1}}, make([]Result, 3))
-	}()
-	res := make([][]Result, good)
 	for i, s := range sess {
-		res[i] = make([]Result, 2)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Apply([]Op[string]{{Kind: OpPut, Key: fmt.Sprintf("k%d", i), Val: uint64(i)}, {Kind: OpGet, Key: fmt.Sprintf("k%d", i)}}, res[i])
+			defer func() { faults[i] = recover() }()
+			s.Apply(ops[i], res[i])
 		}()
 	}
-	for announced := 0; announced < good+1; {
+	for announced := 0; announced < len(sess); {
 		announced = 0
 		for _, sl := range *c.slots.Load() {
 			if sl.state.Load() == slotAnnounced {
@@ -227,40 +209,107 @@ func TestCombinerPanicIsOneAnnouncers(t *testing.T) {
 	}
 	c.lock.Store(0)
 	wg.Wait()
+	return faults
+}
 
-	if err, ok := fault.(error); !ok || err.Error() != errUnknownOp(99).Error() {
-		t.Fatalf("the bad announcer raised %v, want %v", fault, errUnknownOp(99))
-	}
-	for i, r := range res {
-		if !r[0].Ok || !r[1].Ok || r[1].Val != uint64(i) {
-			t.Fatalf("announcer %d: results %+v, want an insert and then %d", i, r, i)
+// TestCombinerPanicIsOneAnnouncers: one announcer's op panics mid-window
+// (an op kind the store does not know). The panic is that announcer's: it
+// re-raises it, while the others announced into the same window get
+// their results, durable on return, and the store stays live. A panic
+// while applying a net delta (an Add's insert into a full heap, settled
+// by a later slot's Get on the key) is no one announcer's: the Add's
+// owner must not be acknowledged, so every slot of the window fails.
+func TestCombinerPanicIsOneAnnouncers(t *testing.T) {
+	t.Run("one-op", func(t *testing.T) {
+		st := newTestStore(t, Options{})
+		const good = 3
+		sess := make([]*Sess[string], good+1) // the bad one registered first: swept first
+		ops := make([][]Op[string], good+1)
+		res := make([][]Result, good+1)
+		for i := range sess {
+			sess[i] = Open[string](st, Combined)
+			defer sess[i].Close()
+			k := fmt.Sprintf("k%d", i-1)
+			ops[i], res[i] = []Op[string]{{Kind: OpPut, Key: k, Val: uint64(i - 1)}, {Kind: OpGet, Key: k}}, make([]Result, 3)
 		}
-	}
-	if ws := st.WindowStats(); ws.Windows != before.Windows+1 || ws.Ops != before.Ops+2*good {
-		t.Fatalf("window account %+v after %+v: want one window acknowledging %d ops", ws, before, 2*good)
-	}
-	if st.combCrashed.Load() {
-		t.Fatal("a non-crash panic marked the combiner crashed")
-	}
-	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
-	st2, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := Open[string](st2, Direct)
-	defer rd.Close()
-	for i := range good {
-		if v, ok := rd.Get(fmt.Sprintf("k%d", i)); !ok || v != uint64(i) {
-			t.Fatalf("announcer %d's acknowledged Put is not in the crash image: (%d,%v)", i, v, ok)
+		bad := sess[0]
+		ops[0] = []Op[string]{{Kind: OpPut, Key: "bad-0", Val: 1}, {Kind: OpKind(99), Key: "bad-1"}, {Kind: OpPut, Key: "bad-2", Val: 1}}
+		opsHist, _ := st.WindowHists()
+		faults := applyInOneWindow(st, sess, ops, res)
+
+		if err, ok := faults[0].(error); !ok || err.Error() != errUnknownOp(99).Error() {
+			t.Fatalf("the bad announcer raised %v, want %v", faults[0], errUnknownOp(99))
 		}
-	}
-	// The store stays live, and the bad announcer's session with it.
-	if !bad.Put("after", 5) {
-		t.Fatal("a Put after the panic did not insert")
-	}
-	if v, ok := sess[0].Get("after"); !ok || v != 5 {
-		t.Fatalf("Get after the panic = (%d,%v), want 5", v, ok)
-	}
+		for i, r := range res[1:] {
+			if faults[i+1] != nil || !r[0].Ok || !r[1].Ok || r[1].Val != uint64(i) {
+				t.Fatalf("announcer %d: results %+v, panic %v; want an insert and then %d", i, r, faults[i+1], i)
+			}
+		}
+		var windows metrics.HistSnapshot
+		opsHist.Read(&windows)
+		if windows.Count != 1 || windows.Sum != 2*good {
+			t.Fatalf("%d windows acknowledged %d ops, want one acknowledging %d", windows.Count, windows.Sum, 2*good)
+		}
+		if st.combCrashed.Load() {
+			t.Fatal("a non-crash panic marked the combiner crashed")
+		}
+		img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+		st2, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := Open[string](st2, Direct)
+		defer rd.Close()
+		for i := range good {
+			if v, ok := rd.Get(fmt.Sprintf("k%d", i)); !ok || v != uint64(i) {
+				t.Fatalf("announcer %d's acknowledged Put is not in the crash image: (%d,%v)", i, v, ok)
+			}
+		}
+		// The store stays live, and the bad announcer's session with it.
+		if !bad.Put("after", 5) {
+			t.Fatal("a Put after the panic did not insert")
+		}
+		if v, ok := sess[1].Get("after"); !ok || v != 5 {
+			t.Fatalf("Get after the panic = (%d,%v), want 5", v, ok)
+		}
+	})
+	t.Run("net-delta", func(t *testing.T) {
+		st := newTestStore(t, Options{Shards: 1, ExpectedKeys: 1 << 8, MemWords: 1 << 18})
+		fill := Open[string](st, Combined)
+		defer fill.Close()
+		full := func() (full bool) {
+			defer func() { full = recover() != nil }()
+			for i := 0; i < 1<<16; i++ {
+				fill.Put(fmt.Sprintf("fill-%d", i), 1)
+			}
+			return false
+		}()
+		if !full {
+			t.Fatal("the heap never ran out")
+		}
+		adder, getter := Open[string](st, Combined), Open[string](st, Combined)
+		defer adder.Close()
+		defer getter.Close()
+		faults := applyInOneWindow(st, []*Sess[string]{adder, getter},
+			[][]Op[string]{{{Kind: OpAdd, Key: "fresh", Val: 1}}, {{Kind: OpGet, Key: "fresh"}}},
+			[][]Result{make([]Result, 1), make([]Result, 1)})
+		if faults[0] == nil {
+			t.Fatal("the Add whose net delta panicked was acknowledged")
+		}
+		if faults[1] == nil {
+			t.Fatal("the Get whose settling panicked was answered")
+		}
+		if st.combCrashed.Load() {
+			t.Fatal("a full heap marked the combiner crashed")
+		}
+		// The store stays live: an in-place Put allocates nothing.
+		if fill.Put("fill-0", 7) {
+			t.Fatal("an in-place Put after the panic inserted")
+		}
+		if v, ok := adder.Get("fill-0"); !ok || v != 7 {
+			t.Fatalf("Get after the panic = (%d,%v), want 7", v, ok)
+		}
+	})
 }
 
 // TestCombinedCoalescingElidesPWBs is the VSA property at unit scale: a
