@@ -22,12 +22,9 @@ import (
 // Batcher.Exec that applies effects and commits internally) is
 // accounted for at its call site.
 //
-// A session's mode is a run-time value, so the analysis holds every
-// session to the mode-agnostic contract: effects, then Commit. For the
-// server's Combined session Commit is a no-op, since its Apply returns
-// only once the combiner's window has committed; the rule checks that
-// Batcher.Exec keeps the contract, and combiner.window's done-flips are
-// where that durability is actually checked.
+// A session's mode is a run-time value, so every session is held to the
+// mode-agnostic contract, effects then Commit: for the server's Combined
+// session Commit is a no-op, and the combiner's done-flips are the check.
 var AckOrder = &Analyzer{
 	Name: "ackorder",
 	Doc: "in internal/server and the store combiner, flags response writes and " +

@@ -206,10 +206,8 @@ var mutants = []mutant{
 		origin: "net deltas settle before the window's fence",
 		file:   "internal/store/combine.go",
 		snippet: `	c.flushDeltas()
-	// THE fence: the Batched session's commit persists the whole window
-	// (each dirty line drained once via the coalescing write-back queue)
-	// and releases the deferred flit-tags; a window that left nothing
-	// pending needs none. Only now are the window's results durable.
+	// THE fence: the commit drains each dirty line once and releases the
+	// flit-tags (no fence if nothing is pending). Only now are results durable.
 	c.account(c.x.commit())
 	for _, sl := range c.served {
 		if sl != c.own { // own's owner is the lock holder, already here

@@ -2,16 +2,13 @@
 //
 // Concurrent writers — embedded Combined sessions and the server's
 // connections alike — have no common owner for a commit window, and each
-// fencing per op is exactly the per-op durability cost flat combining
-// targets. Here, sessions ANNOUNCE operations into a slot instead of
-// executing them; one winner takes the store's combiner lock, collects
-// every announced slot, executes the whole window through the combiner's
-// own Batched session, commits it under ONE fence, and only then
-// publishes results back into the slots. Losers spin on their slot. A
-// session that finds the lock free on arrival takes it before announcing
-// and serves its own slot first: a lone writer pays no announcement. The
-// window's owner also accounts for it (WindowStats): only the lock
-// holder touches those counters.
+// fencing per op is the per-op durability cost flat combining targets.
+// Sessions ANNOUNCE operations into a slot; one winner takes the
+// combiner lock, executes every announced slot through the combiner's
+// own Batched session, commits the window under ONE fence, and only then
+// publishes results. Losers spin on their slot; a session that finds the
+// lock free serves itself first and announces nothing. The lock holder
+// also accounts for the window (WindowStats).
 //
 // On top rides VSA-style net-delta coalescing: within one combining
 // window the combiner sums OpAdd deltas per key in volatile memory and
@@ -32,32 +29,23 @@ import (
 	"flit/internal/pmem"
 )
 
-// Slot protocol states. Four states, not three: the combiner must mark a
-// slot claimed while executing so later sweeps of the same window do not
-// re-serve it, and may publish done only AFTER the window's single fence
-// — done is the owner's durability acknowledgment.
+// Slot protocol states. Claimed keeps later sweeps of a window from
+// re-serving a slot; done, published only AFTER the window's fence, is
+// the owner's durability acknowledgment.
 const (
-	slotEmpty uint32 = iota
-	// slotAnnounced: owner has published ops/res and waits.
-	slotAnnounced
-	// slotClaimed: the combiner has executed (or is executing) the slot
-	// within the current window; results are written but NOT yet durable.
-	slotClaimed
-	// slotDone: window fenced; results in res are durable — unless fault
-	// is set, in which case one of the slot's ops panicked and the owner
-	// re-raises it. Owner resets the slot to slotEmpty after reading them.
-	slotDone
+	slotEmpty     uint32 = iota
+	slotAnnounced        // the owner has published ops/res and waits
+	slotClaimed          // executed in the open window: results not yet durable
+	slotDone             // fenced: res is durable, unless fault is set; the owner resets it to empty
 )
 
 // combinePad keeps each slot's spin word on its own cache line (64-byte
 // lines; the state word is 4 bytes).
 const combinePad = 60
 
-// cslot is one Combined session's announcement slot. The owner points
-// ops and res at its vector, then releases them with the
-// state.Store(slotAnnounced); the combiner acquires via state.Load and
-// releases the results with state.Store(slotDone), so the non-atomic
-// fields never race.
+// cslot is one Combined session's announcement slot. Its non-atomic
+// fields are handed over by the state word: the owner's store of
+// slotAnnounced and the combiner's store of slotDone release them.
 type cslot struct {
 	state atomic.Uint32
 	_     [combinePad]byte
@@ -70,10 +58,8 @@ type cslot struct {
 // registry, and x, the Batched session the lock holder executes and
 // commits every window through.
 type combiner struct {
-	// lock has a cache line to itself: waiters poll it while the holder
-	// writes the window state below.
 	_    [64]byte
-	lock atomic.Uint32
+	lock atomic.Uint32 // on its own line: waiters poll it
 	_    [combinePad]byte
 
 	x     *sessionCore
@@ -86,19 +72,13 @@ type combiner struct {
 	pending map[uint64]uint64
 	dkeys   []uint64
 
-	// The window in progress: own, the slot of the session that took the
-	// lock on arrival, which the window serves first without its ever
-	// being announced; the slots it served, to flip to slotDone after the
-	// fence (all but own); cur, the slot executing; settling, set while a
-	// pending net delta is applied; acked, the ops of the slots served
-	// whole; base, the thread's counters at window start. total is the
-	// account of every window so far, which only the lock holder touches
-	// (Store.WindowStats takes the lock to read it).
-	own      *cslot
-	served   []*cslot
-	cur      *cslot
-	settling bool
-	acked    int
+	// The window in progress, and total, the account of every window so
+	// far; only the lock holder touches them.
+	own      *cslot   // the lock taker's slot, served first, never announced
+	served   []*cslot // flipped to slotDone after the fence (all but own)
+	cur      *cslot   // the slot executing
+	settling bool     // a pending net delta is being applied
+	acked    int      // ops of the slots served whole
 	base     pmem.Stats
 	total    WindowStats
 }
@@ -146,9 +126,8 @@ func (s *Store) CombinedSessions() int {
 type windowHists struct{ ops, fences metrics.Hist }
 
 // WindowHists returns the distributions of ops and of fences per commit
-// window, which the combiner records without reading a clock from the
-// first call on (the server's metrics bundle): a store nobody observes
-// this way carries neither their 16 KiB nor their atomic adds.
+// window, which the combiner records, with no clock read, from the first
+// call on: a store nobody observes so carries neither 16 KiB nor adds.
 func (s *Store) WindowHists() (ops, fences *metrics.Hist) {
 	s.histOnce.Do(func() {
 		h := &windowHists{}
@@ -206,13 +185,10 @@ func (c *combiner) deregister(sl *cslot) {
 	c.regMu.Unlock()
 }
 
-// applyCombined puts the hashed op vector in the session's slot, with
-// res as the slot's result vector, and returns once the window that
-// executed it has committed. A session that finds the combiner's lock
-// free runs that window itself and serves its own slot first, never
-// announcing it; otherwise it announces the slot and awaits. If one of
-// the ops panicked, the window hands the panic back and applyCombined
-// raises it here, in the owner.
+// applyCombined puts the hashed op vector and its result vector in the
+// session's slot and returns once the window that executed it has
+// committed: run by this session if it finds the lock free, else awaited.
+// A panic one of the ops raised is re-raised here, in the owner.
 //
 //flit:hotpath
 func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
@@ -232,21 +208,18 @@ func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
 	}
 }
 
-// await blocks until sl reaches slotDone: spin, yielding to let the
-// combiner (or other announcers) run, and volunteer as combiner whenever
-// the lock is free. A successful volunteer run is guaranteed to serve
-// our own announced slot — every sweep collects all announced slots and
-// the first sweep always happens. Once the combiner crashed, every
-// announcer dies with it, the early ones and the later ones alike.
+// await blocks until sl reaches slotDone, yielding, and volunteers as
+// combiner whenever the lock is free: the volunteer's first sweep serves
+// its own announced slot. Once the combiner crashed, every announcer
+// dies with it.
 func (c *combiner) await(sl *cslot) {
 	for {
 		if sl.state.Load() == slotDone {
 			return
 		}
 		if c.x.st.combCrashed.Load() {
-			// Whole-process crash model: the combiner died mid-window, so
-			// this thread dies too. The lock is never released — the store
-			// stays frozen, as a crashed process's memory would.
+			// The combiner died mid-window, so this thread dies too; the
+			// lock stays held, the store frozen as a dead process's.
 			panic(pmem.ErrCrashed)
 		}
 		if c.lock.Load() == 0 && c.lock.CompareAndSwap(0, 1) {
@@ -259,31 +232,25 @@ func (c *combiner) await(sl *cslot) {
 }
 
 // combineWindow is the target operation count per combined window: the
-// combiner keeps sweeping the slots until it has executed at least this
-// many operations or a sweep finds nothing announced, then fences once.
+// combiner sweeps until it has executed this many or a sweep finds none.
 const combineWindow = 32
 
-// run executes one combined window under the combiner lock: serve own
-// (the lock taker's slot, if it took the lock on arrival), then sweep the
-// slot registry and execute announced slots until the window holds
-// combineWindow ops or a sweep finds none, then commit everything under
-// one fence, account for the window and publish done. Nobody waiting
-// means nothing to linger for: the window closes at once.
+// run executes one combined window under the combiner lock: serve own,
+// then sweep and execute announced slots until the window holds
+// combineWindow ops or a sweep finds none, then commit under one fence,
+// account and publish done. Nobody waiting: the window closes at once.
 //
 // A crash countdown firing mid-window is a process crash: it panics
-// through run with the lock held and the sticky combCrashed flag set. Any
-// other panic belongs to the announcer whose op raised it: its slot gets
-// the panic, for the owner to re-raise, the sweep goes on past it, and
-// the window commits and publishes as usual (the failed slot's executed
-// ops are unacknowledged: a legal crash point). A panic while applying a
-// net delta is no one announcer's, since the delta sums Adds of slots
-// already served: every slot of the window so far fails.
+// through run with the lock held and combCrashed set. Any other panic is
+// the raising slot's, for its owner to re-raise; the window goes on and
+// commits (that slot's executed ops are unacknowledged: a legal crash
+// point). A panic while applying a net delta, which sums Adds of slots
+// already served, fails every slot of the window so far.
 func (c *combiner) run(own *cslot) {
 	c.base = c.x.t.Stats
 	c.own, c.served, c.acked = own, c.served[:0], 0
 	for fault := c.try(c.window); fault != nil; fault = c.try(c.window) {
 		if c.cur != nil {
-			// cur fails, and the window goes on past it.
 			c.cur.fault = fault
 			c.served = append(c.served, c.cur)
 			if !c.settling {
@@ -309,10 +276,8 @@ func (c *combiner) window() {
 		return
 	}
 	c.flushDeltas()
-	// THE fence: the Batched session's commit persists the whole window
-	// (each dirty line drained once via the coalescing write-back queue)
-	// and releases the deferred flit-tags; a window that left nothing
-	// pending needs none. Only now are the window's results durable.
+	// THE fence: the commit drains each dirty line once and releases the
+	// flit-tags (no fence if nothing is pending). Only now are results durable.
 	c.account(c.x.commit())
 	for _, sl := range c.served {
 		if sl != c.own { // own's owner is the lock holder, already here
@@ -321,9 +286,8 @@ func (c *combiner) window() {
 	}
 }
 
-// try runs f and returns what it panicked with. A pmem crash goes on
-// panicking, with the lock held and the store marked crashed: a crash is
-// the whole process's.
+// try runs f and returns what it panicked with. A pmem crash, the whole
+// process's, goes on panicking with the lock held and the store crashed.
 func (c *combiner) try(f func()) (fault any) {
 	defer func() {
 		if fault = recover(); fault == pmem.ErrCrashed {
@@ -335,8 +299,7 @@ func (c *combiner) try(f func()) (fault any) {
 	return nil
 }
 
-// sweep is run's collection loop. own is served first, so the window has
-// served it once it has served anything.
+// sweep is run's collection loop; own is served first of all.
 func (c *combiner) sweep() {
 	if c.own != nil && len(c.served) == 0 {
 		c.serve(c.own)
@@ -364,8 +327,7 @@ func (c *combiner) serve(sl *cslot) {
 	c.acked += len(sl.ops)
 }
 
-// account folds the window's deltas since c.base into its total and
-// histograms.
+// account folds the window's deltas since c.base into total and the hists.
 func (c *combiner) account(drained int) {
 	ts, base, t := &c.x.t.Stats, &c.base, &c.total
 	fences := ts.PFences - base.PFences
@@ -390,11 +352,9 @@ func (c *combiner) exec(kind OpKind, h, val uint64) Result {
 	return exec(c.x.ths[shardIdx(h, len(c.x.ths))], kind, h, val)
 }
 
-// execSlot applies one announced slot's ops through the combiner's
-// Batched session, writing results into the slot. OpAdd traffic is
-// diverted into the net-delta accumulator; every other op settles any
-// pending delta on its key first, so results always reflect vector order
-// per key, and then runs on its shard (exec).
+// execSlot runs one slot's ops, writing results into the slot. OpAdd
+// traffic goes to the net-delta accumulator; every other op first settles
+// any pending delta on its key, so results reflect vector order per key.
 //
 //flit:hotpath
 func (c *combiner) execSlot(sl *cslot) {
@@ -414,18 +374,15 @@ func (c *combiner) execSlot(sl *cslot) {
 //
 //flit:hotpath
 func (c *combiner) noteDelta(h, delta uint64) {
-	if old, ok := c.pending[h]; ok {
-		c.pending[h] = old + delta
-		return
+	if _, ok := c.pending[h]; !ok {
+		c.dkeys = append(c.dkeys, h)
 	}
-	c.pending[h] = delta
-	c.dkeys = append(c.dkeys, h)
+	c.pending[h] += delta
 }
 
 // settleDelta applies the pending net delta on h, if any, before a
-// non-Add operation on h observes the table. Required for correctness,
-// not just freshness: e.g. a Delete after a pending Add on an absent key
-// must find the key present.
+// non-Add operation on h observes the table: a Delete after a pending Add
+// on an absent key must find the key present.
 //
 //flit:hotpath
 func (c *combiner) settleDelta(h uint64) {
@@ -447,9 +404,6 @@ func (c *combiner) settleDelta(h uint64) {
 //
 //flit:hotpath
 func (c *combiner) flushDeltas() {
-	if len(c.dkeys) == 0 {
-		return
-	}
 	for _, h := range c.dkeys {
 		d, ok := c.pending[h]
 		if !ok {
