@@ -48,7 +48,9 @@ import (
 // a fresh node's contents drain before the link that publishes it can
 // enter the write-back queue (otherwise line coalescing could persist the
 // link ahead of the contents in a crash prefix), and a Delete's mark
-// drains before its unlink. The unlink's trailing fence used to carry a
+// drains before its unlink — except where a crash that keeps the unlink
+// without the mark cannot bring the node back, and the two share the
+// commit fence (CASUnfenced). The unlink's trailing fence used to carry a
 // second ordering — the node's unreachability persists before the node
 // is reused — which belongs to the allocator, not to the write: the
 // window holds it by retiring at its commit (Retire), after the fence.
@@ -400,38 +402,51 @@ func (d *Deferred) Store(t *pmem.Thread, a pmem.Addr, v uint64, pflag bool) {
 }
 
 // CAS is Algorithm 4's shared-store for compare-and-swap: the leading
-// fence, then a successful p-CAS tags, applies and persists (applied). A
-// failed p-CAS wrote nothing, but it observed the current value and the
-// thread may act on that observation (a queue skipping a taken node, a
-// helper seeing a mark), so it carries a p-load's obligation (observed):
-// flush if another p-store is still pending — under Plain and
-// Izraelevitz, always. Without it an operation can complete depending on
-// a value a crash then loses — the hole the dlcheck enumerator catches on
-// the durable queue. Link-and-persist's dirty-bit CAS keeps its own
-// fences.
+// fence, then the p-CAS itself (cas). Link-and-persist's dirty-bit CAS
+// keeps its own fences.
 //
 //flit:hotpath
 func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
-	switch d.kind {
-	case flitFamily:
-		t.CheckCrash()
-		d.leadingFence(t)
-		if !pflag {
-			return t.CAS(a, old, new)
-		}
-		d.c.Inc(t, a)
-		if t.CAS(a, old, new) {
-			d.applied(t, a)
-			return true
-		}
-		d.c.Dec(t, a)
-		if d.c.Tagged(t, a) {
-			d.observed(t, a)
-		}
-		return false
-	case flushFamily:
-		t.CheckCrash()
-		d.leadingFence(t)
+	if d.kind >= dirtyFamily {
+		return d.inner.CAS(t, a, old, new, pflag)
+	}
+	t.CheckCrash()
+	d.leadingFence(t)
+	return d.cas(t, a, old, new, pflag)
+}
+
+// CASUnfenced is a window's p-CAS without its leading fence: the write
+// joins whatever the window has pending and persists with it at the next
+// fence, the commit's at the latest. Nothing is drained, so no held tag is
+// released either — a mark the operation applied before stays tagged
+// until that fence. It is for a write whose dependencies a caller has
+// shown to be durable already, or to be harmless if a crash keeps this
+// write without them: a Delete's own unlink, which may persist ahead of
+// its mark only where the way into its predecessor cannot be lost
+// (dstruct.Ctx.UnlinkOwn). Only a window may use it; a raw policy's queue
+// is drained by the time it could.
+//
+//flit:hotpath
+func (d *Deferred) CASUnfenced(t *pmem.Thread, a pmem.Addr, old, new uint64) bool {
+	if d.kind >= dirtyFamily {
+		return d.inner.CAS(t, a, old, new, P)
+	}
+	t.CheckCrash()
+	return d.cas(t, a, old, new, P)
+}
+
+// cas is a CAS after its leading fence: a successful p-CAS tags, applies
+// and persists (applied). A failed p-CAS wrote nothing, but it observed
+// the current value and the thread may act on that observation (a queue
+// skipping a taken node, a helper seeing a mark), so it carries a
+// p-load's obligation (observed): flush if another p-store is still
+// pending — under Plain and Izraelevitz, always. Without it an operation
+// can complete depending on a value a crash then loses — the hole the
+// dlcheck enumerator catches on the durable queue.
+//
+//flit:hotpath
+func (d *Deferred) cas(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool) bool {
+	if d.kind == flushFamily {
 		ok := t.CAS(a, old, new)
 		if pflag {
 			if ok {
@@ -441,9 +456,20 @@ func (d *Deferred) CAS(t *pmem.Thread, a pmem.Addr, old, new uint64, pflag bool)
 			}
 		}
 		return ok
-	default:
-		return d.inner.CAS(t, a, old, new, pflag)
 	}
+	if !pflag {
+		return t.CAS(a, old, new)
+	}
+	d.c.Inc(t, a)
+	if t.CAS(a, old, new) {
+		d.applied(t, a)
+		return true
+	}
+	d.c.Dec(t, a)
+	if d.c.Tagged(t, a) {
+		d.observed(t, a)
+	}
+	return false
 }
 
 // FAA is Algorithm 4's shared-store for fetch-and-add, persisted as CAS.

@@ -432,6 +432,68 @@ func TestDeferredRMWHoldsUntilCommit(t *testing.T) {
 	}
 }
 
+// TestDeferredCASUnfencedJoinsTheWindow: a p-CAS without its leading
+// fence issues no fence with lines pending, elided or not, releases no
+// tag held before it, and holds its own; the next fence — the commit —
+// persists both writes together. A failed one keeps a p-load's flush of
+// another window's tagged line. Link-and-persist passes through to its
+// own fenced CAS.
+func TestDeferredCASUnfencedJoinsTheWindow(t *testing.T) {
+	const mark, link = pmem.Addr(64), pmem.Addr(256) // different lines
+	for _, pol := range []Policy{
+		NewFliT(NewHashTable(1 << 12)), NewFliT(Adjacent{}), NewPlain(), NewIzraelevitz(),
+	} {
+		c := Counters(pol)
+		m, th := newDeferredMem(t)
+		d := NewDeferred(pol)
+		if !d.CAS(th, mark, 0, 1, P) || !d.CASUnfenced(th, link, 0, 2) {
+			t.Fatalf("%s: CAS failed", pol.Name())
+		}
+		if th.Stats.PFences != 0 || th.Stats.ElidedFences != 1 || th.Stats.PWBs != 2 {
+			t.Fatalf("%s: fences/elided/pwbs = %d/%d/%d, want 0/1/2 (only the first CAS's leading fence, elided)",
+				pol.Name(), th.Stats.PFences, th.Stats.ElidedFences, th.Stats.PWBs)
+		}
+		if c != nil && (len(d.tags) != 2 || !c.Tagged(th, mark) || !c.Tagged(th, link)) {
+			t.Fatalf("%s: %d tags held, want the first CAS's and its own", pol.Name(), len(d.tags))
+		}
+		if m.PersistedWord(mark) != 0 || m.PersistedWord(link) != 0 {
+			t.Fatalf("%s: a write persisted before the commit", pol.Name())
+		}
+		d.Commit(th)
+		if th.Stats.PFences != 1 || m.PersistedWord(mark) != 1 || m.PersistedWord(link) != 2 {
+			t.Fatalf("%s: after the commit: %d fences, persisted %d/%d, want 1, 1/2",
+				pol.Name(), th.Stats.PFences, m.PersistedWord(mark), m.PersistedWord(link))
+		}
+		if n, _ := LiveTagCount(pol); n != 0 {
+			t.Fatalf("%s: %d live tags after Commit", pol.Name(), n)
+		}
+
+		wd := NewDeferred(pol)
+		wd.Store(th, mark, 7, P)
+		reader := m.RegisterThread()
+		rd := NewDeferred(pol)
+		if rd.CASUnfenced(reader, mark, 0, 1) {
+			t.Fatalf("%s: CAS with a stale value succeeded", pol.Name())
+		}
+		if len(rd.tags) != 0 || reader.Stats.PWBs != 1 || reader.Stats.PFences != 0 {
+			t.Fatalf("%s: failed CAS on an in-flight line: %d tags, %d pwbs, %d fences, want 0 / 1 / 0",
+				pol.Name(), len(rd.tags), reader.Stats.PWBs, reader.Stats.PFences)
+		}
+		rd.Commit(reader)
+		if m.PersistedWord(mark) != 7 {
+			t.Fatalf("%s: the reader's commit did not persist the value its failed CAS observed", pol.Name())
+		}
+		wd.Commit(th)
+	}
+
+	m, th := newDeferredMem(t)
+	d := NewDeferred(LinkAndPersist{})
+	if !d.CASUnfenced(th, link, 0, 2) || th.Stats.PFences == 0 || m.PersistedWord(link)&^DirtyBit != 2 {
+		t.Fatalf("link-and-persist: %d fences, persisted %d: its dirty-bit CAS must keep its own fences",
+			th.Stats.PFences, m.PersistedWord(link))
+	}
+}
+
 // TestDeferredRetireWaitsForCommit: a window holds the blocks its unlinks
 // retire until its commit fence, and only then hands them to the
 // reclamation handle; a window whose thread a crash killed does not

@@ -55,7 +55,8 @@ func batteries() []battery {
 		bs = append(bs, battery{name: "enum " + ds, args: []string{"bin/flitcrash", "-ds", ds, "-rounds", "2", "-dlbudget", "64"}})
 	}
 	return append(bs,
-		battery{name: "frozen writers", args: goTest("-run", "^(TestObserverPersistsWhatItSaw|TestObserverPersistsWindowedWrite|TestInsertBehindPendingPredecessor|TestHelpedUnlinkRestsOnTheMark|TestQueueVolatileEndsTrailDurableState)$", "./internal/crashtest")},
+		battery{name: "frozen writers", args: goTest("-run", "^(TestObserverPersistsWhatItSaw|TestObserverPersistsWindowedWrite|TestInsertBehindPendingPredecessor|TestHelpedUnlinkRestsOnTheMark|TestOwnUnlinkRestsOnTheMark|TestQueueVolatileEndsTrailDurableState)$", "./internal/crashtest")},
+		battery{name: "store windows", args: goTest("-run", "^(TestCrashedWindowFreesNothing|TestDirectOpCounts|TestWindowPublishingCounts)$", "./internal/store")},
 		battery{name: "sets 4x120", args: goTest("-run", "^TestDurableLinearizability$", "./internal/crashtest")},
 		battery{name: "store 4x96", args: goTest("-run", "^TestStore(Batched|Combined)?DurableLinearizability$", "./internal/crashtest")},
 		battery{name: "chaos", args: []string{"bin/flitcrash", "-chaos", "-rounds", "2"}},

@@ -76,19 +76,19 @@ var mutants = []mutant{
 		name:   "window-rmw-untags-early",
 		origin: "a window's RMW holds its tag until the commit",
 		file:   "internal/core/batch.go",
-		snippet: `		if t.CAS(a, old, new) {
+		snippet: `	if t.CAS(a, old, new) {
+		d.applied(t, a)
+		return true
+	}`,
+		replacement: `	if t.CAS(a, old, new) {
+		if !d.window {
 			d.applied(t, a)
 			return true
-		}`,
-		replacement: `		if t.CAS(a, old, new) {
-			if !d.window {
-				d.applied(t, a)
-				return true
-			}
-			pwbOnce(t, a)
-			d.c.Dec(t, a)
-			return true
-		}`,
+		}
+		pwbOnce(t, a)
+		d.c.Dec(t, a)
+		return true
+	}`,
 	},
 	{
 		// A window hands an unlinked node to reclamation at once, before
@@ -136,6 +136,18 @@ var mutants = []mutant{
 `,
 		replacement: `			// the crash also loses the link into pred.
 `,
+	},
+	{
+		// Every windowed Delete's own unlink skips its leading fence, in
+		// every mode: under NVTraverse and Manual an unlink behind a node
+		// then persists ahead of its mark while the way into that node,
+		// which the traversal v-loaded, may still be lost. Pinned by
+		// TestOwnUnlinkRestsOnTheMark.
+		name:        "own-unlink-always-unfenced",
+		origin:      "a Delete's own unlink shares its mark's fence only where the way in is durable",
+		file:        "internal/dstruct/dstruct.go",
+		snippet:     `	if c.win != nil && (c.Mode == Automatic || predLink == head) {`,
+		replacement: `	if c.win != nil {`,
 	},
 	{
 		name:        "immediate-free",

@@ -334,3 +334,58 @@ func TestObserverPersistsWindowedWrite(t *testing.T) {
 		}
 	}
 }
+
+// TestOwnUnlinkRestsOnTheMark: a Batched window holds a fresh Put of a
+// key that sorts just before b in b's bucket, so the link into that node
+// is pending; a second window holds Delete(b), whose unlink sits in the
+// pending node. A Direct Get(b) then answers absent off the unlink and
+// persists it. A crash that loses the first window loses the way into the
+// predecessor, and what survives is the old path to b: only a mark
+// persisted ahead of the unlink keeps b absent. Under NVTraverse and
+// Manual the traversal v-loaded that way in, so a Delete's own unlink
+// behind a node must keep its leading fence (dstruct.Ctx.UnlinkOwn).
+func TestOwnUnlinkRestsOnTheMark(t *testing.T) {
+	const b = "b"
+	ahead := ""
+	for i := 0; ahead == ""; i++ {
+		if k := fmt.Sprintf("a%d", i); store.HashKey(k) < store.HashKey(b) {
+			ahead = k
+		}
+	}
+	for _, mode := range []dstruct.Mode{dstruct.NVTraverse, dstruct.Manual} {
+		t.Run(mode.String(), func(t *testing.T) {
+			st, err := store.New(store.Options{
+				Shards: 1, Buckets: 1, ExpectedKeys: 64, Policy: core.PolicyHT,
+				HTBytes: 1 << 14, Mode: mode, VirtualClock: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := store.Open[string](st, store.Direct)
+			load.Put(b, 1)
+			load.Close()
+			put := store.Open[string](st, store.Batched)
+			defer put.Close()
+			put.Apply([]store.Op[string]{{Kind: store.OpPut, Key: ahead, Val: 2}}, make([]store.Result, 1))
+			del := store.Open[string](st, store.Batched)
+			defer del.Close()
+			del.Apply([]store.Op[string]{{Kind: store.OpDelete, Key: b}}, make([]store.Result, 1))
+			r := store.Open[string](st, store.Direct)
+			defer r.Close()
+			if _, ok := r.Get(b); ok {
+				t.Fatal("Get(b) found b under an applied Delete")
+			}
+
+			img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+			rec, _, err := store.Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := store.Open[string](rec, store.Direct)
+			defer rs.Close()
+			if _, ok := rs.Get(b); ok {
+				t.Error("a reader acknowledged b absent behind an open window's unlink, and recovery brought b back")
+			}
+		})
+	}
+}

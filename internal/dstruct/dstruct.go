@@ -317,6 +317,30 @@ func (c *Ctx) Retire(p pmem.Addr, n int) {
 	c.H.Retire(p, n)
 }
 
+// UnlinkOwn is a Delete's own unlink: the p-CAS of predLink, in the chain
+// anchored at head, from the node the Delete just marked (curr) to its
+// successor. Its leading fence has one job (Transition's third rule),
+// since the mark's own fence drained what came before: a crash that keeps
+// the unlink and loses the way into the predecessor brings back the old
+// path to the node — unmarked, unless the mark persisted first. Under a
+// commit window the unlink skips that fence, and the mark and the unlink
+// drain together at the next fence, where that crash cannot happen:
+//
+//   - predLink is head: the anchor is the way in, and it is never lost;
+//   - Automatic: find p-loaded every link on the way in, and the mark's
+//     own leading fence drained every flush those loads took.
+//
+// Everywhere else, and under a raw policy, whose queue the mark's own
+// fence has emptied by now, the unlink is an ordinary p-CAS.
+//
+//flit:hotpath
+func (c *Ctx) UnlinkOwn(head, predLink pmem.Addr, curr, succ uint64) bool {
+	if c.win != nil && (c.Mode == Automatic || predLink == head) {
+		return c.win.CASUnfenced(c.T, predLink, curr, succ)
+	}
+	return c.Policy.CAS(c.T, predLink, curr, succ, core.P)
+}
+
 // SetThread is a per-thread handle to a concurrent set. Handles are not
 // safe for concurrent use; create one per goroutine and Close it when the
 // goroutine is done.

@@ -12,7 +12,13 @@
 // point into recycled memory), so the node is retired through
 // dstruct.Ctx.Retire, which hands it to the reclamation domain once the
 // unlink is persistent — at once under a raw policy, whose p-CAS fences
-// before it returns, and at the commit fence under a commit window.
+// before it returns, and at the commit fence under a commit window. An
+// unlink also rests on the mark it acts on; a helper's unlink, and a
+// Delete's own unlink behind a node under NVTraverse and Manual, persist
+// it with their leading fence. A Delete's own unlink under a commit window
+// skips that fence where the way into its predecessor is already durable
+// — the chain's anchor in every mode, any predecessor under Automatic —
+// and drains with its mark at the next fence (dstruct.Ctx.UnlinkOwn).
 package list
 
 import (
@@ -243,10 +249,11 @@ func (t *Thread) AddAt(head pmem.Addr, key, delta uint64) (uint64, bool) {
 
 // Delete removes key if present. The marking CAS is the linearization
 // point and is persisted in every mode: by its own fence under a raw
-// policy; under a commit window by the unlink's leading fence, or by the
-// window's commit when the unlink fails. The physical unlink is also
-// persisted (see package comment) but its failure is benign — find() of
-// any later operation finishes the job.
+// policy; under a commit window by the unlink's leading fence where the
+// unlink keeps one, and otherwise by the next fence of the window, its
+// commit at the latest. The physical unlink is also persisted (see
+// package comment) but its failure is benign — find() of any later
+// operation finishes the job.
 func (t *Thread) Delete(key uint64) bool { return t.DeleteAt(t.c.Root(), key) }
 
 // DeleteAt runs Delete on the chain rooted at head.
@@ -275,7 +282,7 @@ func (t *Thread) DeleteAt(head pmem.Addr, key uint64) bool {
 			continue
 		}
 		// Physical unlink; on failure a traversal will help.
-		if pol.CAS(c.T, predLink, uint64(curr), nextRaw, core.P) {
+		if c.UnlinkOwn(head, predLink, uint64(curr), nextRaw) {
 			c.Retire(curr, c.Words(NumFields))
 		} else {
 			t.find(head, key)

@@ -14,9 +14,12 @@ type Pair struct{ Key, Val uint64 }
 
 // GatherAt reads the persisted chain rooted at head in (recovered) memory
 // and reports the pairs that survive in it: nodes whose next word carries
-// the Harris mark were logically deleted before the crash — the marking
-// CAS is a p-instruction in every durability mode, so a marked node is
-// marked in every crash image — and are discarded. n is how many pairs
+// the Harris mark were logically deleted before the crash and are
+// discarded. A mark is pending until its operation's fence — under a
+// commit window it may drain together with its unlink — so an image can
+// hold a deleted node unmarked only while neither the Delete nor a reader
+// that saw the key gone was acknowledged, and then either outcome is
+// one the history allows. n is how many pairs
 // survive. They are appended to dst in chain order when the chain is
 // dirty, or when all is set; a clean chain is otherwise only counted, and
 // pairs comes back as dst. Brent's cycle detection rides along (one

@@ -7,3 +7,11 @@ import "flit/internal/pmem"
 // operations run on the thread of the store's combiner — so Thread
 // returns nil.
 func (s *Sess[K]) Thread() *pmem.Thread { return s.c.t }
+
+// Bucket returns the shard and the bucket of that shard's table that
+// serve key.
+func (s *Store) Bucket(key string) (shard, bucket int) {
+	h := HashKey(key)
+	shard = shardIdx(h, len(s.tables))
+	return shard, s.tables[shard].BucketOf(h)
+}
