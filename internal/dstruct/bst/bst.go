@@ -76,12 +76,13 @@ func New(cfg dstruct.Config) *BST {
 	return Attach(cfg)
 }
 
-// Attach wraps the tree persisted at cfg's root slot.
+// Attach wraps the tree persisted at cfg's root slot; its handles reclaim
+// through cfg's domain (dstruct.Config.DomainOrNew).
 func Attach(cfg dstruct.Config) *BST {
 	mem := cfg.Heap.Mem()
 	r := dstruct.Ptr(mem.VolatileWord(cfg.Root()))
 	s := dstruct.Ptr(mem.VolatileWord(cfg.Field(r, fLeft)))
-	return &BST{cfg: cfg, dom: reclaim.NewDomain(), r: r, s: s}
+	return &BST{cfg: cfg, dom: cfg.DomainOrNew(), r: r, s: s}
 }
 
 // Name returns "bst".

@@ -2,7 +2,10 @@
 // paper evaluates (linked list, hash table, skiplist, BST): a Set built
 // over a persistent heap and a core.Policy, operated on through per-thread
 // handles, with a durability Mode choosing which instructions are p- and
-// which are v-instructions.
+// which are v-instructions. A structure reclaims unlinked nodes through one
+// epoch domain (internal/reclaim) — its own, or the one Config.Domain
+// names — and each handle through one reclamation handle: its own, or the
+// one ThreadOpts.Handle passes.
 package dstruct
 
 import (
@@ -85,6 +88,11 @@ type Config struct {
 	// flit-adjacent counter placement (each field carries its counter in
 	// the next word). Use StrideFor.
 	Stride int
+	// Domain is the reclamation domain the structure's handles register
+	// in. Nil gives the structure a domain of its own (Attach); a store
+	// passes one domain to every shard table, so a deleted node waits out
+	// one grace period of the store, not one of its shard.
+	Domain *reclaim.Domain
 }
 
 // StrideFor returns the field stride a policy requires.
@@ -103,6 +111,16 @@ func StrideForName(name string) int {
 		return core.AdjacentStride
 	}
 	return 1
+}
+
+// DomainOrNew returns the reclamation domain a structure built on c
+// reclaims through: Domain when c names one, else a fresh domain of the
+// structure's own.
+func (c Config) DomainOrNew() *reclaim.Domain {
+	if c.Domain != nil {
+		return c.Domain
+	}
+	return reclaim.NewDomain()
 }
 
 // Field returns the address of persisted field i of the object at base.
@@ -143,6 +161,13 @@ type ThreadOpts struct {
 	// deferred group-commit skeleton (core.NewDeferred). Nil keeps the
 	// structure's policy.
 	Policy core.Policy
+	// Handle is the reclamation handle, registered in the structure's
+	// domain. A goroutine operating several structures of one domain — a
+	// store session spanning N shards — passes one handle to every
+	// structure handle, beside T and Arena; no operation touches two
+	// structures, so its Enter and Exit never nest. Nil registers a
+	// fresh handle.
+	Handle *reclaim.Handle
 }
 
 // Ctx is the execution context of one handle, and the one owner of what
@@ -158,42 +183,46 @@ type Ctx struct {
 	// win is Policy as a commit window (core.Deferred), nil under a raw
 	// policy: where Retire queues.
 	win *core.Deferred
-	// ownsT/ownsAr record whether Open registered the pmem thread/arena
-	// itself (nil ThreadOpts fields), in which case Close releases them;
-	// resources passed in by the caller stay the caller's to release.
-	ownsT, ownsAr bool
+	// ownsT/ownsAr/ownsH record whether Open registered the pmem
+	// thread/arena/reclamation handle itself (nil ThreadOpts fields), in
+	// which case Close releases them; resources passed in by the caller
+	// stay the caller's to release.
+	ownsT, ownsAr, ownsH bool
 }
 
 // Open creates the execution context of one per-goroutine handle: zero
 // fields of o take the defaults (fresh pmem thread, fresh arena, configured
-// policy). With a non-nil dom the context also registers a reclamation
-// handle owned by its pmem thread, so a thread that dies by crash injection
-// while pinned is adopted instead of wedging the epoch; that handle is
-// never shared — each structure owns its domain.
+// policy). With a non-nil dom the context also reclaims through dom: with
+// o.Handle, which must belong to dom, or else with a handle it registers
+// itself, owned by its pmem thread, so a thread that dies by crash
+// injection while pinned is adopted instead of wedging the epoch.
 func (c Config) Open(dom *reclaim.Domain, o ThreadOpts) Ctx {
 	if o.Policy != nil {
 		c.Policy = o.Policy
 	}
-	x := Ctx{Config: c, T: o.T, Ar: o.Arena}
+	x := Ctx{Config: c, T: o.T, Ar: o.Arena, H: o.Handle}
 	x.win = core.Window(c.Policy)
+	if x.H != nil && x.H.Domain() != dom {
+		panic("dstruct: ThreadOpts.Handle belongs to another reclamation domain")
+	}
 	if x.T == nil {
 		x.T, x.ownsT = c.Heap.Mem().RegisterThread(), true
 	}
 	if x.Ar == nil {
 		x.Ar, x.ownsAr = c.Heap.NewArena(), true
 	}
-	if dom != nil {
-		x.H = dom.NewHandleOwned(x.Ar, x.T)
+	if x.H == nil && dom != nil {
+		x.H, x.ownsH = dom.NewHandleOwned(x.Ar, x.T), true
 	}
 	return x
 }
 
-// Close releases the context: the reclamation handle deregisters from its
-// domain (retirees still in their grace period become domain orphans), and
-// a pmem thread or arena Open registered itself is released for reuse.
-// Idempotent; the handle must not be used afterwards.
+// Close releases the context: a reclamation handle Open registered itself
+// deregisters from its domain (retirees still in their grace period become
+// domain orphans), and a pmem thread or arena Open registered itself is
+// released for reuse. Idempotent; the handle must not be used afterwards.
 func (c *Ctx) Close() {
-	if c.H != nil {
+	if c.ownsH {
 		c.H.Close()
 	}
 	if c.ownsAr {

@@ -57,3 +57,48 @@ func TestRetireWaitsForTheWindow(t *testing.T) {
 		t.Fatalf("window: %d blocks freed after the commit, want 1", n)
 	}
 }
+
+// TestSharedHandle: contexts opened with one ThreadOpts.Handle reclaim
+// through it, and closing one leaves it registered — the handle is its
+// opener's to close. A handle from another domain is refused.
+func TestSharedHandle(t *testing.T) {
+	heap := pheap.New(pmem.New(pmem.DefaultConfig(1 << 12)))
+	dom := reclaim.NewDomain()
+	base := Config{Heap: heap, Policy: core.NewPlain(), Stride: 1, Domain: dom}
+	th := heap.Mem().RegisterThread()
+	defer th.Release()
+	ar := heap.NewArena()
+	defer ar.Release()
+	h := dom.NewHandleOwned(ar, th)
+	defer h.Close()
+
+	o := ThreadOpts{T: th, Arena: ar, Handle: h}
+	a, b := base.Open(dom, o), base.Open(dom, o)
+	if a.H != h || b.H != h {
+		t.Fatal("a context opened with ThreadOpts.Handle reclaims through another handle")
+	}
+	a.Close()
+	if n := dom.NumHandles(); n != 1 {
+		t.Fatalf("closing one context left %d handles registered, want the shared 1", n)
+	}
+	b.Close()
+	if n := dom.NumHandles(); n != 1 {
+		t.Fatalf("closing both contexts left %d handles registered, want the shared 1", n)
+	}
+
+	own := base.Open(dom, ThreadOpts{T: th, Arena: ar})
+	if n := dom.NumHandles(); n != 2 {
+		t.Fatalf("a context without ThreadOpts.Handle: %d handles registered, want 2", n)
+	}
+	own.Close()
+	if n := dom.NumHandles(); n != 1 {
+		t.Fatalf("closing a context that registered its own handle left %d, want 1", n)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Open accepted a handle from another domain")
+		}
+	}()
+	base.Open(reclaim.NewDomain(), o)
+}

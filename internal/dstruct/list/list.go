@@ -56,9 +56,10 @@ func New(cfg dstruct.Config) *List {
 }
 
 // Attach wraps an existing structure (e.g. one found in recovered memory)
-// without touching the root.
+// without touching the root; its handles reclaim through cfg's domain
+// (dstruct.Config.DomainOrNew).
 func Attach(cfg dstruct.Config) *List {
-	return &List{cfg: cfg, dom: reclaim.NewDomain()}
+	return &List{cfg: cfg, dom: cfg.DomainOrNew()}
 }
 
 // Name returns "list".

@@ -62,10 +62,11 @@ func New(cfg dstruct.Config) *SkipList {
 	return Attach(cfg)
 }
 
-// Attach wraps the skiplist persisted at cfg's root slot.
+// Attach wraps the skiplist persisted at cfg's root slot; its handles
+// reclaim through cfg's domain (dstruct.Config.DomainOrNew).
 func Attach(cfg dstruct.Config) *SkipList {
 	head := dstruct.Ptr(cfg.Heap.Mem().VolatileWord(cfg.Root()))
-	return &SkipList{cfg: cfg, dom: reclaim.NewDomain(), head: head}
+	return &SkipList{cfg: cfg, dom: cfg.DomainOrNew(), head: head}
 }
 
 // Name returns "skiplist".

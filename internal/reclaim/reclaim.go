@@ -10,6 +10,13 @@
 // e+2, by which time every thread that could have held a reference has
 // left its critical section.
 //
+// A domain serves one data structure, or a family of structures no single
+// operation spans — the store's shard tables — and a goroutine attaches to
+// it with one Handle, which it shares across the family: the paper's
+// artifact likewise runs one epoch allocator (ssmem) per data structure.
+// A node then waits out one grace period of the whole family, not one of
+// the structure it was unlinked from.
+//
 // Handles have a full lifecycle: Close deregisters a handle so a churn of
 // short-lived sessions does not grow the domain forever, moving its
 // not-yet-safe retirees to a domain-level orphan list that surviving
@@ -42,7 +49,7 @@ type slot struct {
 }
 
 // Domain is a reclamation domain shared by all threads operating on one
-// data structure instance.
+// data structure instance, or on one store's shard tables.
 type Domain struct {
 	epoch atomic.Uint64
 
@@ -69,7 +76,8 @@ type retired struct {
 }
 
 // Handle is a thread-private attachment to a Domain. Each worker goroutine
-// must own its own Handle.
+// must own its own Handle; one goroutine shares it across the structures
+// of the domain, and its Enter and Exit must not nest.
 type Handle struct {
 	d     *Domain
 	s     *slot
@@ -157,7 +165,7 @@ func (h *Handle) drain(idx uint64) {
 // retire fewer blocks than that would otherwise never advance at all —
 // every short-lived session would park its grace bags on the orphan list
 // forever, and a connection churn would grow the heap without bound on
-// exactly the low-traffic shards. Closing is a natural quiescent point:
+// exactly the low-traffic stores. Closing is a natural quiescent point:
 // if no surviving handle is pinned behind the epoch, two advances age
 // this handle's own bags past their grace period so they free here and
 // now rather than waiting for retire volume that may never come.
@@ -279,7 +287,8 @@ func (h *Handle) Flush() {
 // the bug reclamation prevents. Never enable it outside that test.
 func (h *Handle) SetUnsafeImmediateFree(on bool) { h.unsafeImmediate = on }
 
-// Domain returns the domain this handle is attached to (diagnostics).
+// Domain returns the domain this handle is attached to: a structure
+// refuses a shared handle of another domain (dstruct.Config.Open).
 func (h *Handle) Domain() *Domain { return h.d }
 
 // Epoch returns the domain's current global epoch (diagnostics).

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"flit/internal/pmem"
@@ -49,6 +51,86 @@ func TestChurnWatermarkBounded(t *testing.T) {
 	}
 	if got := len(st.Snapshot()); got != live {
 		t.Fatalf("churn lost keys: %d live, want %d", got, live)
+	}
+}
+
+// TestChurnLimboIndependentOfShards: a deleted node waits out one grace
+// period of the store, not one of its shard. The churn is the emb_write
+// benchmark's shape — Put a live key, Put a fresh one, Put a live key,
+// Delete the oldest — through one Direct session, over 4 096 live keys.
+// A reclamation handle advances its domain's epoch every 64 of its own
+// retirements and a block recycles three epochs after it retired, so with
+// one domain per shard each shard keeps its own ~192-node backlog and the
+// heap grows with the shard count (by 4 096 and 40 960 words at 8 and 64
+// shards). With one domain per store the backlog is one store's, and the
+// heap does not grow at all past the load.
+func TestChurnLimboIndependentOfShards(t *testing.T) {
+	const live, ops = 4096, 200_000
+	for _, shards := range []int{1, 8, 64} {
+		st := newTestStore(t, Options{Shards: shards, ExpectedKeys: live})
+		sess := Open[[]byte](st, Direct)
+		var key []byte
+		put := func(i uint64, v uint64) { sess.Put(strconv.AppendUint(key[:0], i, 10), v) }
+		for i := uint64(0); i < live; i++ {
+			put(i, i)
+		}
+		w0 := st.Heap().Watermark()
+		rng := rand.New(rand.NewSource(1))
+		ins, del := uint64(live), uint64(0)
+		for op := 0; op < ops; op++ {
+			switch op % 4 {
+			case 0, 2:
+				put(del+uint64(rng.Intn(live)), uint64(op))
+			case 1:
+				put(ins, uint64(op))
+				ins++
+			case 3:
+				sess.Delete(strconv.AppendUint(key[:0], del, 10))
+				del++
+			}
+		}
+		sess.Close()
+		if g := st.Heap().Watermark() - w0; g != 0 {
+			t.Errorf("%d shards: the heap watermark grew by %d words under churn, want 0 at every shard count", shards, g)
+		}
+		if n := len(st.Snapshot()); n != live {
+			t.Fatalf("%d shards: %d live keys after churn, want %d", shards, n, live)
+		}
+	}
+}
+
+// TestOneReclamationHandlePerSession: a session registers one reclamation
+// handle in the store's domain whatever the shard count — Direct and
+// Batched sessions their own, Combined sessions none beyond the
+// combiner's — and closing it deregisters it, so open/close churn leaves
+// the domain as it found it.
+func TestOneReclamationHandlePerSession(t *testing.T) {
+	for _, shards := range []int{8, 64} {
+		st := newTestStore(t, Options{Shards: shards})
+		Open[string](st, Combined).Close() // build the combiner and its session
+		base := st.dom.NumHandles()
+		if base != 1 {
+			t.Fatalf("%d shards: the combiner registers %d handles, want 1", shards, base)
+		}
+		for _, mode := range SessionModes {
+			sess := Open[string](st, mode)
+			sess.Put("k", 1)
+			sess.Delete("k")
+			want := base + 1
+			if mode == Combined {
+				want = base
+			}
+			if n := st.dom.NumHandles(); n != want {
+				t.Errorf("%d shards, %v: %d handles with the session open, want %d", shards, mode, n, want)
+			}
+			sess.Close()
+		}
+		for i := 0; i < 32; i++ {
+			Open[string](st, SessionModes[i%len(SessionModes)]).Close()
+		}
+		if n := st.dom.NumHandles(); n != base {
+			t.Errorf("%d shards: %d handles after open/close churn, want %d", shards, n, base)
+		}
 	}
 }
 

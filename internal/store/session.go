@@ -8,6 +8,7 @@ import (
 	"flit/internal/dstruct/hashtable"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
+	"flit/internal/reclaim"
 )
 
 // SessionMode selects how a session's operations reach persistence. The
@@ -110,12 +111,14 @@ type sessionCore struct {
 	st   *Store
 	mode SessionMode
 
-	// Direct/Batched execution state: one pmem thread, one arena, the
-	// commit window every table handle's policy runs through, one handle
-	// per shard table, opened once (nil in Combined mode — combined
-	// sessions own no execution resources, the store's combiner does).
+	// Direct/Batched execution state: one pmem thread, one arena, one
+	// reclamation handle in the store's domain, the commit window every
+	// table handle's policy runs through, and one handle per shard table
+	// sharing them, opened once (nil in Combined mode — combined sessions
+	// own no execution resources, the store's combiner does).
 	t   *pmem.Thread
 	ar  *pheap.Arena
+	h   *reclaim.Handle
 	d   *core.Deferred
 	ths []*hashtable.Thread
 
@@ -137,8 +140,9 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 	}
 	c.t = s.mem.RegisterThread()
 	c.ar = s.heap.NewArena()
+	c.h = s.dom.NewHandleOwned(c.ar, c.t)
 	c.d = core.NewDeferred(s.policy)
-	o := dstruct.ThreadOpts{T: c.t, Arena: c.ar, Policy: c.d}
+	o := dstruct.ThreadOpts{T: c.t, Arena: c.ar, Policy: c.d, Handle: c.h}
 	c.ths = make([]*hashtable.Thread, len(s.tables))
 	for i, tbl := range s.tables {
 		c.ths[i] = tbl.Open(o)
@@ -148,11 +152,11 @@ func newSessionCore(s *Store, mode SessionMode) *sessionCore {
 
 // close releases everything the session holds: its combiner slot in Combined
 // mode; otherwise a Batched session's still-open batch is quietly
-// committed, so no flit-counter stays tagged, every table handle's
-// reclamation slot is closed, and the arena and pmem thread are returned
-// for reuse. The window of a session whose thread a crash killed is not
-// committed: its commit panics (core.Deferred.Flush), so nothing drains
-// after the crash and its tags stay held. Idempotent.
+// committed, so no flit-counter stays tagged, every table handle and
+// then the reclamation handle are closed, and the arena and pmem thread
+// are returned for reuse. The window of a session whose thread a crash
+// killed is not committed: its commit panics (core.Deferred.Flush), so
+// nothing drains after the crash and its tags stay held. Idempotent.
 func (c *sessionCore) close() {
 	if c.closed {
 		return
@@ -176,6 +180,7 @@ func (c *sessionCore) close() {
 	for _, th := range c.ths {
 		th.Close()
 	}
+	c.h.Close()
 	c.ar.Release()
 	c.t.Release()
 }
@@ -279,8 +284,8 @@ func (s *Sess[K]) Pending() int { return s.c.pending }
 // In Direct and Combined modes Commit is a no-op returning 0.
 func (s *Sess[K]) Commit() int { return s.c.commit() }
 
-// Close releases the session's execution resources — epoch-reclamation
-// slots, the heap arena (surrendering its free lists for reuse), and the
+// Close releases the session's execution resources — its epoch-reclamation
+// handle, the heap arena (surrendering its free lists for reuse), and the
 // pmem thread (its ID and stats fold back into the memory's totals); a
 // Combined session instead withdraws its combiner slot. A Batched
 // session's uncommitted batch is committed first. Sessions MUST be

@@ -34,6 +34,7 @@ import (
 	"flit/internal/dstruct/list"
 	"flit/internal/pheap"
 	"flit/internal/pmem"
+	"flit/internal/reclaim"
 )
 
 const (
@@ -137,6 +138,11 @@ type Store struct {
 	// different shard count is a different Store, built offline by Reshard.
 	tables []*hashtable.Table
 
+	// dom is the one reclamation domain every shard table joins, and in
+	// which each session registers one handle: a deleted node waits out
+	// one grace period of the store, however many shards it has.
+	dom *reclaim.Domain
+
 	// sbAddr is the superblock's base address in a store opened by attach,
 	// for a reshard's in-place activation and completion words.
 	sbAddr pmem.Addr
@@ -186,6 +192,7 @@ func New(opts Options) (*Store, error) {
 		policy: pol,
 		stride: stride,
 		tables: make([]*hashtable.Table, o.Shards),
+		dom:    reclaim.NewDomain(),
 	}
 	st.writeSuperblock()
 	for i := range st.tables {
@@ -244,7 +251,7 @@ func (s *Store) sbWrite(t *pmem.Thread, f int, v uint64) {
 func (s *Store) cfgFor(rootSlot int) dstruct.Config {
 	return dstruct.Config{
 		Heap: s.heap, Policy: s.policy, Mode: s.opts.Mode,
-		RootSlot: rootSlot, Stride: s.stride,
+		RootSlot: rootSlot, Stride: s.stride, Domain: s.dom,
 	}
 }
 
@@ -254,7 +261,7 @@ func (s *Store) cfgFor(rootSlot int) dstruct.Config {
 func (s *Store) cfgAt(addr pmem.Addr) dstruct.Config {
 	return dstruct.Config{
 		Heap: s.heap, Policy: s.policy, Mode: s.opts.Mode,
-		RootAddr: addr, Stride: s.stride,
+		RootAddr: addr, Stride: s.stride, Domain: s.dom,
 	}
 }
 
@@ -452,6 +459,7 @@ func attach(mem *pmem.Memory, watermark uint64, opts Options) (*Store, geometry,
 		mem:    mem,
 		heap:   pheap.RecoverWithRoots(mem, watermark, g.base+1),
 		stride: stride,
+		dom:    reclaim.NewDomain(),
 		sbAddr: sb,
 	}, g, nil
 }
