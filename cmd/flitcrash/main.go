@@ -188,7 +188,7 @@ func runDLCheck(rounds int, dsFilter, modeFilter, polFilter string, seed0 int64,
 		reshardTo int
 	}{
 		{"store", store.Direct, 0},            // per-op persistence
-		{"store-batched", store.Batched, 0},   // the server's group-commit executor
+		{"store-batched", store.Batched, 0},   // group commit: a window per session
 		{"store-combined", store.Combined, 0}, // the embedded flat-combining path
 		// Every crash state of live 4-shard traffic recovered through a
 		// reshard to 6 (non-doubling, so keys move between the old shards

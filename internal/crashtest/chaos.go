@@ -117,7 +117,7 @@ func RunStoreChaos(st *store.Store, sc ChaosScenario, seed int64) (ChaosVerdict,
 
 	initial := st.Snapshot()
 
-	wireKinds := storeKinds(store.Batched)
+	wireKinds := []hist.Kind{hist.Put, hist.Get, hist.Delete} // the wire has no ADD opcode
 	srv := server.New(st, sc.Server)
 	clock := &hist.Clock{}
 	rng := rand.New(rand.NewSource(seed))

@@ -1,11 +1,10 @@
 // Package crashtest wires the durable structures, the queue and the
 // sharded store into the crash batteries: the registry of set targets;
-// for the systematic enumerator (internal/dlcheck), the store's
-// per-path alphabets (Put, Get, Delete, Add; a Combined session's Adds
-// recorded blind) and one adapter running its windows through a
-// workload.Executor — a session, or the server's batcher in-process; and
-// the chaos harness at the service boundary, whose windows run through
-// client.ConnExec.
+// for the systematic enumerator (internal/dlcheck), the store's one
+// alphabet (Put, Get, Delete, Add; a Combined session's Adds recorded
+// blind) and one adapter running its windows through a store session of
+// any mode (workload.SessExec); and the chaos harness at the service
+// boundary, whose windows run through client.ConnExec.
 package crashtest
 
 import (

@@ -54,12 +54,13 @@ const dlMaxBatch = 6
 
 // RunStoreDL runs the systematic checker against a whole store reached
 // through sessions of the given mode: workers record service-level
-// histories over storeKinds(mode), and every (budgeted) persist boundary
-// is recovered with the store's superblock probe and shard-parallel
-// rebuild, then checked key by key and value by value.
-// Direct sessions are recorded per operation; Batched (the server's
-// Batcher) and Combined sessions announce vectors of varying depth to the
-// store's combiner, every response recorded after its window's fence.
+// histories over storeKinds, and every (budgeted) persist boundary is
+// recovered with the store's superblock probe and shard-parallel rebuild,
+// then checked key by key and value by value.
+// Direct sessions are recorded per operation. Batched and Combined
+// sessions apply vectors of varying depth — a Batched one in a window of
+// its own, a Combined one announced to the store's combiner — and every
+// response is recorded after its window's commit fence.
 //
 // With reshardTo > 0 every crash image is recovered through
 // store.Reshard to reshardTo shards instead of store.Recover: a reshard
@@ -88,14 +89,14 @@ func RunStoreDL(st *store.Store, mode store.SessionMode, reshardTo int, opts dlc
 	if reshardTo > 0 {
 		name = fmt.Sprintf("%s-reshard(%d→%d)", name, st.NumShards(), reshardTo)
 	}
-	newExec := executors(st, mode, maxBatch)
+	newExec := executors(st, mode)
 	return dlcheck.Run(dlcheck.Harness{
 		Name:       name,
 		Mem:        st.Mem(),
 		Policy:     st.Policy(),
 		MaxBatch:   maxBatch,
 		NewSession: func() dlcheck.BatchExecutor { return newExec() },
-		Kinds:      storeKinds(mode),
+		Kinds:      storeKinds,
 		Recover: func(img []uint64) (map[uint64]uint64, error) {
 			_, _, final, err := recoverContents(st, img, back, reshardTo)
 			return final, err

@@ -18,8 +18,8 @@ import (
 
 // TestStoreModesOneContract is the differential statement of "the modes
 // are one contract": the same seeded op vectors (Get/Put/Delete/Contains,
-// depths 1–8, repeated keys inside a vector included) through a Direct
-// session, the server's Batcher, a Combined session and the wire must
+// depths 1–8, repeated keys inside a vector included) through a Direct,
+// a Batched and a Combined session and the wire (the server's Batcher) must
 // return result vectors identical to a Go-map oracle applying each vector
 // in order, and a DropUnfenced crash image taken afterwards must recover
 // to the oracle's key→value map in all four — every returned result was
@@ -31,9 +31,9 @@ func TestStoreModesOneContract(t *testing.T) {
 		name string
 		open func(st *store.Store) workload.Executor
 	}{
-		{"direct", func(st *store.Store) workload.Executor { return executors(st, store.Direct, 1)().ex }},
-		{"batcher", func(st *store.Store) workload.Executor { return executors(st, store.Batched, 8)().ex }},
-		{"combined", func(st *store.Store) workload.Executor { return executors(st, store.Combined, 8)().ex }},
+		{"direct", func(st *store.Store) workload.Executor { return executors(st, store.Direct)().ex }},
+		{"batched", func(st *store.Store) workload.Executor { return executors(st, store.Batched)().ex }},
+		{"combined", func(st *store.Store) workload.Executor { return executors(st, store.Combined)().ex }},
 		// The fourth way to reach the store: a real client.Conn pipelining
 		// the vector over a net.Pipe into the server's ServeConn — framing,
 		// window detection and response ordering included.
@@ -122,5 +122,21 @@ func TestStoreModesOneContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExecutorsOpenTheirMode: a checker executor is a session of the mode
+// its column names — only a Combined one registers a combiner slot.
+func TestExecutorsOpenTheirMode(t *testing.T) {
+	for _, mode := range store.SessionModes {
+		st := newDLStore(t, core.PolicyHT, dstruct.Automatic)
+		executors(st, mode)()
+		want := 0
+		if mode == store.Combined {
+			want = 1
+		}
+		if n := st.CombinedSessions(); n != want {
+			t.Errorf("a %v executor registered %d combiner slots, want %d", mode, n, want)
+		}
 	}
 }

@@ -6,67 +6,23 @@ import (
 	"flit/internal/dlcheck"
 	"flit/internal/hist"
 	"flit/internal/pmem"
-	"flit/internal/server"
 	"flit/internal/store"
 	"flit/internal/workload"
 )
 
 // The three session modes are one contract — a result is externalized
 // only after the fence that persists it — so they share one enumeration
-// (RunStoreDL, dl.go) and one recovery helper. What differs per mode is
-// confined to a workload.Executor: how a window of store ops reaches the
-// store.
-
-// batcherExec drives the network server's executor (server.Batcher) — the
-// code the wire protocol runs, minus the sockets: one announcement per
-// batch, executed in a window shared with the other workers', one commit
-// fence, then (and only then) responses. It stays in-process,
-// rather than a client.ConnExec over a pipe, so that a crash countdown
-// fires on the worker's own goroutine, inside pmem.RunToCrash: behind a
-// pipe it would fire on ServeConn's goroutine, whose deferred release
-// recovers it as a handler panic.
-type batcherExec struct {
-	b     *server.Batcher
-	reqs  []server.Request
-	resps []server.Response
-}
-
-func (e *batcherExec) ExecBatch(ops []store.Op[[]byte], res []store.Result, _ []bool) (int, error) {
-	e.reqs, e.resps = e.reqs[:0], e.resps[:0]
-	for _, op := range ops {
-		req, err := server.WireRequest(op)
-		if err != nil {
-			return 0, err
-		}
-		e.reqs = append(e.reqs, req)
-		e.resps = append(e.resps, server.Response{})
-	}
-	e.b.Exec(e.reqs, e.resps)
-	for i := range e.resps {
-		res[i] = server.WireResult(ops[i].Kind, &e.resps[i])
-	}
-	return len(ops), nil
-}
+// (RunStoreDL, dl.go), one executor and one recovery helper. What
+// differs per mode is the session store.Open returns: how a window of
+// store ops reaches the store.
 
 // storeKinds is the operation alphabet the checker records on a store
-// path: Put, Get, Delete and Add — but no Add through the server, whose
-// wire has no ADD opcode.
-func storeKinds(mode store.SessionMode) []hist.Kind {
-	kinds := []hist.Kind{hist.Put, hist.Get, hist.Delete, hist.Add}
-	if mode == store.Batched {
-		return kinds[:3]
-	}
-	return kinds
-}
+// path, in every session mode.
+var storeKinds = []hist.Kind{hist.Put, hist.Get, hist.Delete, hist.Add}
 
-// executors returns a factory of per-worker checker sessions for mode;
-// Batched ones are batchers of one in-process server capped at maxBatch
-// ops per batch.
-func executors(st *store.Store, mode store.SessionMode, maxBatch int) func() *dlExec {
-	if mode == store.Batched {
-		srv := server.New(st, server.Options{MaxBatch: maxBatch})
-		return func() *dlExec { return &dlExec{ex: &batcherExec{b: srv.NewBatcher()}} }
-	}
+// executors returns a factory of per-worker checker sessions of mode: a
+// vector Apply, then Commit (workload.SessExec).
+func executors(st *store.Store, mode store.SessionMode) func() *dlExec {
 	return func() *dlExec {
 		return &dlExec{ex: workload.SessExec{S: store.Open[[]byte](st, mode)}, blindAdds: mode == store.Combined}
 	}

@@ -59,11 +59,21 @@ func denseShape(seed int64) dlcheck.Options {
 // round's workload seed.
 const crashSeed = 0x5ca1ab1e
 
+// drawStoreOp draws one operation of storeKinds over keys [0, keys): a
+// write stores val, an Add adds ±1 (so windows of Adds cancel).
+func drawStoreOp(rng *rand.Rand, keys, val int) dlcheck.BatchOp {
+	op := dlcheck.BatchOp{Kind: storeKinds[rng.Intn(len(storeKinds))], Key: uint64(rng.Intn(keys)), Val: uint64(val)}
+	if op.Kind == hist.Add {
+		op.Val = uint64(2*rng.Intn(2) - 1)
+	}
+	return op
+}
+
 // crashMidRun is the service battery's countdown round at shape: it puts
 // shape.Prefill keys, opens shape.Workers executors of mode sm, arms a
 // seeded countdown on every live thread of st's memory — the workers'
-// own, a batcher's, the combiner's — and runs each worker's recorded op
-// vectors, drawn from the enumerator's alphabet for sm (storeKinds), until
+// own, or the combiner's — and runs each worker's recorded op vectors,
+// drawn from the enumerator's alphabet (storeKinds), until
 // it crashes or finishes its shape.OpsPerWorker. A crash inside a vector
 // leaves all of it pending; a countdown firing on the combiner kills the
 // whole process and leaves every window in flight pending, Adds and all.
@@ -83,8 +93,7 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 	if sm != store.Direct {
 		maxBatch = dlMaxBatch
 	}
-	newExec := executors(st, sm, maxBatch)
-	kinds := storeKinds(sm)
+	newExec := executors(st, sm)
 	clock := &hist.Clock{}
 	rng := rand.New(rand.NewSource(shape.Seed))
 	recs := make([]*hist.Recorder, shape.Workers)
@@ -95,13 +104,13 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 	}
 	// A store operation passes a handful of crash checks, so countdowns
 	// below four per operation land all through a worker's run. In a
-	// Combined round, and a Batched one (the server's executor, which
-	// announces to the combiner too), the one live thread is the
-	// combiner's, which runs every worker's operations: its countdown
-	// spans all of them and is drawn from their second half, so the crash
-	// lands after windows were acknowledged rather than in the first one.
+	// Combined round the one live thread is the combiner's, which runs
+	// every worker's operations: its countdown spans all of them and is
+	// drawn from their second half, so the crash lands after windows were
+	// acknowledged rather than in the first one. Batched workers own their
+	// threads, as Direct ones do.
 	first, span := int64(1), int64(4*shape.OpsPerWorker)
-	if sm != store.Direct {
+	if sm == store.Combined {
 		span = int64(4*shape.Workers*shape.OpsPerWorker) / 2
 		first += span
 	}
@@ -122,10 +131,7 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 				for n := 0; n < shape.OpsPerWorker; n += len(ops) {
 					ops, toks = ops[:0], toks[:0]
 					for range min(1+wrng.Intn(maxBatch), shape.OpsPerWorker-n) {
-						op := dlcheck.BatchOp{Kind: kinds[wrng.Intn(len(kinds))], Key: uint64(wrng.Intn(shape.KeyRange)), Val: uint64(n)}
-						if op.Kind == hist.Add {
-							op.Val = uint64(2*wrng.Intn(2) - 1)
-						}
+						op := drawStoreOp(wrng, shape.KeyRange, n)
 						ops = append(ops, op)
 						toks = append(toks, recs[w].Begin(op.Kind, store.HashKey(dlStoreKey(op.Key)), op.Val))
 					}

@@ -151,7 +151,7 @@ type BatchOp struct {
 
 // BatchExecutor is a per-goroutine operation handle: it executes one
 // vector of operations and fills results[i] with ops[i]'s answer. A
-// group-commit target (the server's batcher, the store's combiner) runs
+// group-commit target (a Batched session, the store's combiner) runs
 // the vector under a single commit fence; no result may be externalized
 // before that fence — the property under test.
 type BatchExecutor interface {

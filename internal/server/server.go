@@ -13,9 +13,10 @@
 // finds the combiner idle), and commits the window under ONE fence
 // (none when it left nothing pending) before any response exists;
 // writeResps encodes the answers straight into the writer's buffer and
-// flushes. So "acknowledged ⇒ persisted" holds at every crash point —
-// enumerated by internal/crashtest.RunStoreDL in store.Batched mode, which
-// drives Batcher.Exec.
+// flushes. So "acknowledged ⇒ persisted" holds at every crash point:
+// the store half is enumerated by internal/crashtest.RunStoreDL in
+// store.Combined mode, and the wire end to end is checked under faults
+// by internal/crashtest.RunStoreChaos.
 package server
 
 import (
@@ -656,8 +657,7 @@ func (c *conn) readFailed(err error) {
 }
 
 // Batcher executes request batches through one Combined-mode store
-// session, one announcement per batch. One per connection; also what the
-// crash batteries drive, socket-free.
+// session, one announcement per batch. One per connection.
 type Batcher struct {
 	srv *Server
 	cs  *store.Sess[[]byte]

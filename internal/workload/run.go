@@ -92,8 +92,8 @@ type Measured struct {
 }
 
 // Executor runs one worker's windows of store ops — the one interface
-// for it: a store session (SessExec), a pipelined connection
-// (client.ConnExec), the crash batteries' in-process server batcher.
+// for it: a store session (SessExec) or a pipelined connection
+// (client.ConnExec).
 type Executor interface {
 	// ExecBatch executes ops in order, filling res[i] with ops[i]'s
 	// outcome and setting shed[i] (false on entry) when ops[i] was
