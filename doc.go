@@ -29,8 +29,6 @@
 //     durability methods and post-crash recovery; plus the Friedman-style
 //     durable queue (§4's volatile head/tail example) and a lock-based map
 //     demonstrating §7's private-instruction optimization
-//   - internal/audit:  a runtime P-V Interface conformance checker that
-//     localizes Definition-1 violations to the offending instruction
 //   - internal/hist:   a durable-linearizability checker for set histories
 //   - internal/dlcheck, internal/crashtest: crash-recovery validation of
 //     single structures and whole stores at every persist boundary of a

@@ -1,7 +1,10 @@
 // Docs that execute: every `go run ./cmd/…` command the prose documents
 // quote is held to the binaries as built — the command exists, each flag
 // is one its -h lists, and each -matrix / -fig / -ds value is a name the
-// flag's usage enumerates — every `go test` line to the tree: its
+// flag's usage enumerates — every bare command span (`flitcrash -ds …`,
+// `bin/flitvet`) to the same binaries: it names a directory under cmd/
+// and each of its flags is one that binary lists — every `go test` line
+// to the tree: its
 // packages exist and its -run / -bench patterns name declared tests and
 // benchmarks — and every `bash benchmark/run.sh` line to the benchmark's
 // flags and BENCHMARK.json's workloads. So a deleted subcommand, flag,
@@ -24,23 +27,28 @@ import (
 
 // docCommand is one quoted command line: where it was found and its
 // words from "./cmd/<name>" on, shell tail (comments, pipes,
-// redirections, background) removed.
+// redirections, background) removed. A bare command is prose that names
+// a binary ("flitcrash -ds <ds>"): its flag values are not checked, and
+// it may stop at any word.
 type docCommand struct {
 	where string
 	words []string
+	bare  bool
 }
 
 var (
 	fencedBlock = regexp.MustCompile("(?s)```.*?```")
 	inlineSpan  = regexp.MustCompile("(?s)`[^`]+`")
 	shellTail   = regexp.MustCompile(`\s(#|\||>|<|&|;|2>).*$`)
+	// bareCommand is a span's first word when it runs a built binary:
+	// flitcrash, bin/flitcrash, /tmp/fb/flitstored.
+	bareCommand = regexp.MustCompile(`^/?([\w.-]+/)*flit[a-z]+$`)
 )
 
-// docCommands extracts the commands of a markdown file that begin with
-// prefix ("go run ", "go test "): one per line of a fenced block
-// (backslash continuations joined) and one per inline code span (which
-// may wrap across lines). words starts after prefix.
-func docCommands(t *testing.T, path, prefix string) []docCommand {
+// docRegions splits a markdown file into its quoted lines: one per line
+// of a fenced block (backslash continuations joined) and one per inline
+// code span (which may wrap across lines), whitespace collapsed.
+func docRegions(t *testing.T, path string) []string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -54,9 +62,19 @@ func docCommands(t *testing.T, path, prefix string) []docCommand {
 	for _, span := range inlineSpan.FindAllString(fencedBlock.ReplaceAllString(string(raw), ""), -1) {
 		regions = append(regions, strings.Trim(span, "`"))
 	}
+	for i, r := range regions {
+		regions[i] = strings.Join(strings.Fields(r), " ")
+	}
+	return regions
+}
+
+// docCommands extracts the commands of a markdown file that begin with
+// prefix ("go run ", "go test "). words starts after prefix.
+func docCommands(t *testing.T, path, prefix string) []docCommand {
+	t.Helper()
 	var cmds []docCommand
-	for _, r := range regions {
-		_, rest, ok := strings.Cut(strings.Join(strings.Fields(r), " "), prefix)
+	for _, r := range docRegions(t, path) {
+		_, rest, ok := strings.Cut(r, prefix)
 		if !ok {
 			continue
 		}
@@ -66,8 +84,31 @@ func docCommands(t *testing.T, path, prefix string) []docCommand {
 	return cmds
 }
 
+// docBareCommands extracts the quoted lines of a markdown file that begin
+// with a built binary's name, spelled as the `go run` form's words.
+func docBareCommands(t *testing.T, path string) []docCommand {
+	t.Helper()
+	var cmds []docCommand
+	for _, r := range docRegions(t, path) {
+		words := strings.Fields(shellTail.ReplaceAllString(" "+r, ""))
+		if len(words) > 0 && bareCommand.MatchString(words[0]) {
+			words[0] = "./cmd/" + filepath.Base(words[0])
+			cmds = append(cmds, docCommand{where: path, words: words, bare: true})
+		}
+	}
+	return cmds
+}
+
 // docFiles are the documents whose commands must execute.
 var docFiles = []string{"EXPERIMENTS.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+
+// String spells c as the docs quote it.
+func (c docCommand) String() string {
+	if c.bare {
+		return strings.Join(append([]string{filepath.Base(c.words[0])}, c.words[1:]...), " ")
+	}
+	return "go run " + strings.Join(c.words, " ")
+}
 
 // cmdFlag is one flag of a built binary, as its -h prints it.
 type cmdFlag struct {
@@ -120,6 +161,9 @@ func TestDocsCommandsExecute(t *testing.T) {
 	if len(cmds) < 30 {
 		t.Fatalf("extracted only %d `go run ./cmd/…` commands from the docs", len(cmds))
 	}
+	for _, doc := range docFiles {
+		cmds = append(cmds, docBareCommands(t, doc)...)
+	}
 	bindir := t.TempDir()
 	help := map[string]map[string]*cmdFlag{}
 	for _, c := range cmds {
@@ -128,7 +172,7 @@ func TestDocsCommandsExecute(t *testing.T) {
 			continue
 		}
 		if st, err := os.Stat(pkg); err != nil || !st.IsDir() {
-			t.Errorf("%s: `go run %s`: no such command", c.where, strings.Join(c.words, " "))
+			t.Errorf("%s: `%s`: no such command", c.where, c)
 			continue
 		}
 		bin := filepath.Join(bindir, filepath.Base(pkg))
@@ -142,10 +186,13 @@ func TestDocsCommandsExecute(t *testing.T) {
 		if flags == nil {
 			continue
 		}
-		line := "go run " + strings.Join(c.words, " ")
+		line := c.String()
 		args := c.words[1:]
 		for i := 0; i < len(args); i++ {
 			arg := args[i]
+			if !strings.HasPrefix(arg, "-") && c.bare {
+				break // prose goes on after the command
+			}
 			if !strings.HasPrefix(arg, "-") {
 				// The flag package stops at the first positional word; only
 				// paths and package patterns are ever passed that way, so a
@@ -166,12 +213,14 @@ func TestDocsCommandsExecute(t *testing.T) {
 			}
 			if f.takesValue && !hasValue {
 				if i++; i == len(args) {
-					t.Errorf("%s: `%s`: flag -%s needs a value", c.where, line, name)
+					if !c.bare {
+						t.Errorf("%s: `%s`: flag -%s needs a value", c.where, line, name)
+					}
 					break
 				}
 				value = args[i]
 			}
-			if !enumerated[name] {
+			if !enumerated[name] || c.bare {
 				continue
 			}
 			known := false

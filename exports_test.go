@@ -1,31 +1,43 @@
-// Every mechanism has a caller: each exported func, method, type, var and
-// const declared in a non-test file under internal/ must be referenced by
-// name from some non-test file of the repository — internal/, cmd/,
-// examples/ and benchmark/ all count — so a mechanism whose only callers
-// are its own tests fails here instead of lingering.
+// Every mechanism has a caller and every knob a setter. Each exported
+// func, method, type, var and const declared in a non-test file under
+// internal/ must be used from some non-test file of the repository —
+// internal/, cmd/, examples/ and benchmark/ all count — and each exported
+// field of an exported struct there must be written by one. Uses are
+// resolved by type, not matched by name, so a mechanism whose only
+// callers are its own tests, or a field only a test sets, fails here
+// instead of lingering.
 package flit_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
 	"sort"
 	"strings"
 	"testing"
+
+	"flit/internal/analysis"
 )
 
 // exportExceptions are the exported declarations kept without a non-test
-// caller on purpose, keyed "<dir>.<Name>" or "<dir>.<Type>.<Method>"; an
-// entry for a type also covers its methods. An entry that excuses nothing
-// fails the test, so the table cannot outlive its reasons.
+// caller (or a field without a non-test setter) on purpose, keyed
+// "<dir>.<Name>", "<dir>.<Type>.<Method>" or "<dir>.<Type>.<Field>"; an
+// entry for a type also covers its methods and fields. An entry that
+// excuses nothing fails the test, so the table cannot outlive its reasons.
 var exportExceptions = map[string]string{
 	"internal/core.NewPersist": "the paper's Figure 1 persist<T>: reproduction surface",
 	"internal/core.Persist":    "the paper's Figure 1 persist<T>: reproduction surface",
 
 	"internal/pheap.Heap.SetFreePoison":              "tooth: the hashtable ABA battery poisons freed blocks",
 	"internal/reclaim.Handle.SetUnsafeImmediateFree": "tooth: the ABA battery must catch a free with no grace period",
+	"internal/reclaim.Handle.Flush":                  "tooth: dstruct's TestRetireWaitsForTheWindow drains a handle to see what a window retired",
+
+	"internal/dstruct/bst.Thread.Ctx":      "tooth: crash tests arm countdowns through Ctx().T",
+	"internal/dstruct/lockmap.Thread.Ctx":  "tooth: crash tests arm countdowns through Ctx().T",
+	"internal/dstruct/skiplist.Thread.Ctx": "tooth: crash tests arm countdowns through Ctx().T",
+	"internal/dstruct/bst.Thread.Get":      "dstest's goldenScript drives it: TestGoldenInstructionCounts pins its counts",
+	"internal/dstruct/lockmap.Thread.Get":  "dstest's goldenScript drives it: TestGoldenInstructionCounts pins its counts",
+	"internal/dstruct/list.Thread.Add":     "dstest's goldenScript drives it: TestGoldenInstructionCounts pins its counts",
 
 	"internal/dstruct/hashtable.Table.Base":    "observation point: recovery tests walk a table's bucket heads",
 	"internal/dstruct/hashtable.Table.Buckets": "observation point: recovery tests walk a table's bucket heads",
@@ -34,6 +46,7 @@ var exportExceptions = map[string]string{
 	"internal/pheap.Heap.CentralStats":         "observation point: depot tests",
 	"internal/pheap.Heap.NumRootSlots":         "observation point: the store's root-region layout test",
 	"internal/pmem.Memory.DirtyLines":          "observation point: drain tests poll it beside fencing threads",
+	"internal/pmem.Memory.PersistedWord":       "observation point: pmem's and core's tests read the persistent shadow word by word",
 	"internal/pmem.Thread.PendingLines":        "observation point: write-back queue tests",
 	"internal/pmem.Thread.VirtualTime":         "observation point: virtual-clock tests (runners read Memory.MaxVirtualTime)",
 	"internal/reclaim.Domain.Epoch":            "observation point: epoch-advance and orphan-rule tests",
@@ -54,72 +67,28 @@ var exportExemptDirs = map[string]bool{
 // exportExemptMethods satisfy interfaces the standard library calls.
 var exportExemptMethods = map[string]bool{"Error": true, "Unwrap": true, "String": true}
 
-// exportDecl is one exported declaration: its table key, the name a
-// caller spells, and the source span whose own references do not count.
-type exportDecl struct {
-	key, name, where string
-	recv             string // "<dir>.<Type>" of a method, "" otherwise
-	pos, end         token.Pos
-}
-
-// exportUses is the repository's name-level reference table.
-type exportUses struct {
-	at     map[string][]token.Pos // identifier name → positions it is used at
-	called map[string]bool        // names called as x.Name(...)
-	fields map[string]bool        // names declared in a field list: struct fields, parameters, interface methods
-}
-
 func TestExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	uses := exportUses{at: map[string][]token.Pos{}, called: map[string]bool{}, fields: map[string]bool{}}
-	var decls []exportDecl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		uses.scan(f)
-		if strings.HasPrefix(dir, "internal/") && !exportExemptDirs[dir] {
-			decls = append(decls, exportedDecls(fset, dir, f)...)
-		}
-		return nil
+	var pkgs []*analysis.Package
+	for _, dir := range []string{".", "benchmark"} {
+		pkgs = append(pkgs, loadExports(t, dir, "./...")...)
+	}
+	declared, dead := unreachedExports(pkgs, func(dir string) bool {
+		return strings.HasPrefix(dir, "internal/") && !exportExemptDirs[dir]
 	})
-	if err != nil {
-		t.Fatal(err)
+	if declared < 500 {
+		t.Fatalf("found only %d exported declarations under internal/", declared)
 	}
-	if len(decls) < 500 {
-		t.Fatalf("found only %d exported declarations under internal/", len(decls))
-	}
-	var dead []string
 	excused := map[string]bool{}
-	for _, d := range decls {
-		if (d.recv != "" && exportExemptMethods[d.name]) || uses.reach(d) {
-			continue
-		}
+	for _, d := range dead {
 		if _, ok := exportExceptions[d.key]; ok {
 			excused[d.key] = true
-		} else if _, ok := exportExceptions[d.recv]; ok && d.recv != "" {
-			excused[d.recv] = true
+		} else if _, ok := exportExceptions[d.owner]; ok && d.owner != "" {
+			excused[d.owner] = true
+		} else if d.field {
+			t.Errorf("%s: %s is set by no code outside tests: delete it, or add it to exportExceptions with a reason", d.where, d.key)
 		} else {
-			dead = append(dead, d.where+": "+d.key)
+			t.Errorf("%s: %s has no caller outside tests: delete it, or add it to exportExceptions with a reason", d.where, d.key)
 		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s has no caller outside tests: delete it, or add it to exportExceptions with a reason", d)
 	}
 	for k := range exportExceptions {
 		if !excused[k] {
@@ -128,99 +97,147 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// reach reports whether d is referenced outside its own declaration. A
-// method's name may also be a field's; then only a call x.Name(...)
-// counts, since a bare selector could be the field.
-func (u *exportUses) reach(d exportDecl) bool {
-	if d.recv != "" && u.fields[d.name] {
-		return u.called[d.name]
+// TestExportsGateHasTeeth runs the gate's resolver on a fixture whose
+// findings are known: a method named like a type and a field only a test
+// sets must be reported; a method reached only through an interface, and
+// fields written through an index, copy, an address, a pointer method of
+// an element or a struct conversion, must not.
+func TestExportsGateHasTeeth(t *testing.T) {
+	pkgs := loadExports(t, ".", "./testdata/exports/...")
+	_, dead := unreachedExports(pkgs, func(dir string) bool { return dir == "testdata/exports/def" })
+	var got []string
+	for _, d := range dead {
+		got = append(got, d.key)
 	}
-	for _, p := range u.at[d.name] {
-		if p < d.pos || p >= d.end {
-			return true
-		}
-	}
-	return false
-}
-
-// scan records every identifier f uses. Declared names, struct field
-// names and method receivers are not uses: a method does not make its
-// receiver type reachable.
-func (u *exportUses) scan(f *ast.File) {
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			ast.Inspect(n.Type, visit)
-			if n.Body != nil {
-				ast.Inspect(n.Body, visit)
-			}
-			return false
-		case *ast.TypeSpec:
-			if n.TypeParams != nil {
-				ast.Inspect(n.TypeParams, visit)
-			}
-			ast.Inspect(n.Type, visit)
-			return false
-		case *ast.ValueSpec:
-			if n.Type != nil {
-				ast.Inspect(n.Type, visit)
-			}
-			for _, v := range n.Values {
-				ast.Inspect(v, visit)
-			}
-			return false
-		case *ast.Field:
-			for _, name := range n.Names {
-				u.fields[name.Name] = true
-			}
-			ast.Inspect(n.Type, visit)
-			return false
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				u.called[sel.Sel.Name] = true
-			}
-		case *ast.Ident:
-			u.at[n.Name] = append(u.at[n.Name], n.Pos())
-		}
-		return true
-	}
-	for _, d := range f.Decls {
-		ast.Inspect(d, visit)
+	want := []string{"testdata/exports/def.Config.TestOnly", "testdata/exports/def.Handle.Domain"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("fixture findings = %v, want %v", got, want)
 	}
 }
 
-// exportedDecls lists f's exported top-level declarations.
-func exportedDecls(fset *token.FileSet, dir string, f *ast.File) []exportDecl {
-	var out []exportDecl
-	add := func(recv string, name *ast.Ident, span ast.Node) {
-		if !name.IsExported() {
+// loadExports type-checks the non-test files of the packages patterns
+// match in dir's module; a package that does not check fails the test.
+func loadExports(t *testing.T, dir string, patterns ...string) []*analysis.Package {
+	t.Helper()
+	goTool(t)
+	pkgs, err := analysis.Load(dir, patterns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkgs {
+		for _, e := range p.LoadErrors {
+			t.Fatalf("%s: %s", p.PkgPath, e)
+		}
+	}
+	return pkgs
+}
+
+// exportFinding is one exported declaration nothing outside tests
+// reaches, or one exported field nothing outside tests writes.
+type exportFinding struct {
+	key   string // "<dir>.<Name>", "<dir>.<Type>.<Method>" or "<dir>.<Type>.<Field>"
+	owner string // "<dir>.<Type>" of a method or field, "" otherwise
+	where string
+	field bool
+}
+
+// exportSpan is a declaration's own source: uses inside it do not count.
+type exportSpan struct {
+	fset     *token.FileSet
+	pos, end token.Pos
+}
+
+// exportGate resolves uses and writes across every loaded package.
+type exportGate struct {
+	owners  map[*types.Package]map[*types.Var]string // field → its key, per declaring package
+	spans   map[string]exportSpan
+	used    map[string]bool
+	iface   map[string]bool // method names used through an interface
+	written map[string]bool
+}
+
+// unreachedExports lists, sorted by key, the exported declarations of the
+// packages whose module-relative directory declares accepts that no use
+// in pkgs' non-test files resolves to, and the exported fields of their
+// exported structs that nothing in pkgs writes. It also returns how many
+// declarations and fields it checked. A use of an interface method
+// reaches every concrete method of that name.
+func unreachedExports(pkgs []*analysis.Package, declares func(dir string) bool) (int, []exportFinding) {
+	g := exportGate{owners: map[*types.Package]map[*types.Var]string{}, spans: map[string]exportSpan{},
+		used: map[string]bool{}, iface: map[string]bool{}, written: map[string]bool{}}
+	var decls []exportFinding
+	for _, p := range pkgs {
+		if declares(moduleDir(p.PkgPath)) {
+			decls = append(decls, g.declared(p)...)
+		}
+	}
+	for _, p := range pkgs {
+		g.scan(p)
+	}
+	var dead []exportFinding
+	for _, d := range decls {
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		switch {
+		case d.field:
+			if g.written[d.key] {
+				continue
+			}
+		case g.used[d.key], d.owner != "" && (g.iface[name] || exportExemptMethods[name]):
+			continue
+		}
+		dead = append(dead, d)
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
+	return len(decls), dead
+}
+
+// moduleDir strips the module path from an import path.
+func moduleDir(path string) string { return strings.TrimPrefix(path, "flit/") }
+
+// declared lists p's exported top-level declarations, methods of its
+// exported types and fields of its exported structs, and records each
+// declaration's span.
+func (g *exportGate) declared(p *analysis.Package) []exportFinding {
+	var out []exportFinding
+	add := func(id *ast.Ident, span ast.Node, field bool) {
+		obj := p.TypesInfo.Defs[id]
+		if obj == nil || !id.IsExported() {
 			return
 		}
-		d := exportDecl{key: dir + "." + name.Name, name: name.Name,
-			where: fset.Position(name.Pos()).String(), pos: span.Pos(), end: span.End()}
-		if recv != "" {
-			d.recv = dir + "." + recv
-			d.key = d.recv + "." + name.Name
+		d := exportFinding{key: g.keyOf(obj), where: p.Fset.Position(id.Pos()).String(), field: field}
+		if d.key == "" {
+			return
 		}
+		if owner := strings.TrimSuffix(d.key, "."+id.Name); owner != moduleDir(p.PkgPath) {
+			if !ast.IsExported(owner[strings.LastIndex(owner, ".")+1:]) {
+				return // a method of an unexported type
+			}
+			d.owner = owner
+		}
+		g.spans[d.key] = exportSpan{p.Fset, span.Pos(), span.End()}
 		out = append(out, d)
 	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				add("", d.Name, d)
-			} else if recv := receiverName(d.Recv.List[0].Type); ast.IsExported(recv) {
-				add(recv, d.Name, d)
-			}
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				switch s := s.(type) {
-				case *ast.TypeSpec:
-					add("", s.Name, s)
-				case *ast.ValueSpec:
-					for _, name := range s.Names {
-						add("", name, s)
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				add(decl.Name, decl, false)
+			case *ast.GenDecl:
+				for _, s := range decl.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s, false)
+						if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
+							for _, fld := range st.Fields.List {
+								for _, name := range fld.Names {
+									add(name, fld, true)
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							add(name, s, false)
+						}
 					}
 				}
 			}
@@ -229,20 +246,222 @@ func exportedDecls(fset *token.FileSet, dir string, f *ast.File) []exportDecl {
 	return out
 }
 
-// receiverName strips a receiver type expression (*T, T[K], *T[K, V]) to T.
-func receiverName(e ast.Expr) string {
+// scan records p's uses and field writes. A method's receiver does not
+// use its type, and a use inside the used declaration's own span does
+// not count.
+func (g *exportGate) scan(p *analysis.Package) {
+	info := p.TypesInfo
+	receivers := map[*ast.Ident]bool{}
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						receivers[id] = true
+					}
+					return true
+				})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			g.writes(info, n)
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if receivers[id] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				g.iface[fn.Name()] = true
+			}
+		}
+		key := g.keyOf(obj)
+		if s, ok := g.spans[key]; ok && s.fset == p.Fset && id.Pos() >= s.pos && id.Pos() < s.end {
+			continue
+		}
+		if key != "" {
+			g.used[key] = true
+		}
+	}
+}
+
+// writes records the fields node n writes: a keyed or positional
+// composite literal, an assignment, ++/--, &x.f, copy into x.f, a
+// pointer method called on x.f, and a conversion to a struct type. A
+// write to x.f[i] or x.f.g writes x.f too.
+func (g *exportGate) writes(info *types.Info, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			g.lvalue(info, lhs)
+		}
+	case *ast.IncDecStmt:
+		g.lvalue(info, n.X)
+	case *ast.RangeStmt:
+		if n.Tok == token.ASSIGN {
+			g.lvalue(info, n.Key)
+			g.lvalue(info, n.Value)
+		}
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			g.lvalue(info, n.X)
+		}
+	case *ast.CompositeLit:
+		st := structOf(info.TypeOf(n))
+		if st == nil {
+			return
+		}
+		if len(n.Elts) > 0 {
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+				g.writeAll(st)
+				return
+			}
+		}
+		for _, e := range n.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				g.write(info, identOf(kv.Key))
+			}
+		}
+	case *ast.CallExpr:
+		if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
+			if st := structOf(tv.Type); st != nil {
+				g.writeAll(st)
+			}
+		} else if b, ok := info.Uses[identOf(n.Fun)].(*types.Builtin); ok && b.Name() == "copy" {
+			g.lvalue(info, n.Args[0])
+		}
+	case *ast.SelectorExpr:
+		sel := info.Selections[n]
+		if sel == nil || sel.Kind() != types.MethodVal {
+			return
+		}
+		_, ptrMethod := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+		_, ptrOperand := sel.Recv().Underlying().(*types.Pointer)
+		if ptrMethod && !ptrOperand {
+			g.lvalue(info, n.X)
+		}
+	}
+}
+
+// lvalue marks every field on the access path of e as written.
+func (g *exportGate) lvalue(info *types.Info, e ast.Expr) {
 	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			g.write(info, x.Sel)
 			e = x.X
 		case *ast.IndexExpr:
 			e = x.X
-		case *ast.IndexListExpr:
+		case *ast.SliceExpr:
 			e = x.X
-		case *ast.Ident:
-			return x.Name
+		case *ast.StarExpr:
+			e = x.X
 		default:
-			return ""
+			return
 		}
 	}
+}
+
+// write marks the field id names, if it names one, as written.
+func (g *exportGate) write(info *types.Info, id *ast.Ident) {
+	if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+		g.written[g.fieldKey(v)] = true
+	}
+}
+
+// writeAll marks every field of st as written.
+func (g *exportGate) writeAll(st *types.Struct) {
+	for i := 0; i < st.NumFields(); i++ {
+		g.written[g.fieldKey(st.Field(i))] = true
+	}
+}
+
+// keyOf names obj as exportFinding keys do, or "" for an object no key
+// names (a local, a field of an unnamed struct, a method of an unnamed
+// interface).
+func (g *exportGate) keyOf(obj types.Object) string {
+	if obj.Pkg() == nil {
+		return ""
+	}
+	dir := moduleDir(obj.Pkg().Path())
+	switch o := obj.(type) {
+	case *types.Func:
+		if recv := o.Origin().Type().(*types.Signature).Recv(); recv != nil {
+			named := namedOf(recv.Type())
+			if named == nil {
+				return ""
+			}
+			return dir + "." + named.Obj().Name() + "." + o.Name()
+		}
+	case *types.Var:
+		if o.IsField() {
+			return g.fieldKey(o)
+		}
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return dir + "." + obj.Name()
+}
+
+// fieldKey names a field of a package-level struct type
+// "<dir>.<Type>.<Field>", or "" for any other field.
+func (g *exportGate) fieldKey(v *types.Var) string {
+	v = v.Origin()
+	pkg := v.Pkg()
+	if pkg == nil {
+		return ""
+	}
+	owners, ok := g.owners[pkg]
+	if !ok {
+		owners = map[*types.Var]string{}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					owners[st.Field(i)] = moduleDir(pkg.Path()) + "." + name + "." + st.Field(i).Name()
+				}
+			}
+		}
+		g.owners[pkg] = owners
+	}
+	return owners[v]
+}
+
+// namedOf strips pointers and aliases off t down to a named type, or nil.
+func namedOf(t types.Type) *types.Named {
+	for {
+		switch u := types.Unalias(t).(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Named:
+			return u
+		default:
+			return nil
+		}
+	}
+}
+
+// structOf is the struct type t (or *t) is, or nil.
+func structOf(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+// identOf is the identifier e names, or nil.
+func identOf(e ast.Expr) *ast.Ident {
+	id, _ := ast.Unparen(e).(*ast.Ident)
+	return id
 }

@@ -111,17 +111,19 @@ func TestRunProgressAndServerQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snaps []workload.Progress
+	// Open loop at a modest rate: the run must outlast two of the
+	// monitor's one-second ticks without holding both CPUs of a small
+	// box for that long.
 	res, err := client.Run(dial, client.Spec{Spec: workload.Spec{
 		Mix: "a", Dist: workload.DistUniform, Records: 256,
-		Workers: 2, Depth: 8, Duration: 150 * time.Millisecond, Seed: 7,
-		Progress:      func(p workload.Progress) { snaps = append(snaps, p) },
-		ProgressEvery: 20 * time.Millisecond,
-	}})
+		Workers: 2, Depth: 8, Duration: 2500 * time.Millisecond, Seed: 7,
+		Progress: func(p workload.Progress) { snaps = append(snaps, p) },
+	}, Rate: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) < 3 {
-		t.Fatalf("monitor delivered %d progress snapshots over 150ms at 20ms", len(snaps))
+	if len(snaps) < 2 {
+		t.Fatalf("monitor delivered %d progress snapshots over 2.5s at 1s", len(snaps))
 	}
 	var sawRate bool
 	for i, p := range snaps {

@@ -60,7 +60,6 @@ func batteries() []battery {
 		battery{name: "sets 4x120", args: goTest("-run", "^TestDurableLinearizability$", "./internal/crashtest")},
 		battery{name: "store 4x96", args: goTest("-run", "^TestStore(Batched|Combined)?DurableLinearizability$", "./internal/crashtest")},
 		battery{name: "chaos", args: []string{"bin/flitcrash", "-chaos", "-rounds", "2"}},
-		battery{name: "audit", args: []string{"bin/flitaudit"}},
 		battery{name: "slow window", args: []string{"go", "test", "-count=3", "-timeout=" + cellTimeout.String(), "-run", "TestSlowWindowPolicyPasses", "./internal/dlcheck"}},
 		battery{name: "value oracle", args: []string{"bash", "benchmark/run.sh", "--workload", "net_d1", "--seconds", "1"}, oracle: true},
 	)
@@ -179,7 +178,7 @@ func runRow(t *testing.T, root, dir, benchCache string, m mutant, bs []battery) 
 	// cache, as its script does.
 	benchEnv := []string{"GOWORK=off", "GOTOOLCHAIN=local", "GOCACHE=" + benchCache}
 	build := []struct{ env, args []string }{
-		{nil, []string{"go", "build", "-o", "bin/", "./cmd/flitcrash", "./cmd/flitaudit"}},
+		{nil, []string{"go", "build", "-o", "bin/", "./cmd/flitcrash"}},
 		{nil, []string{"go", "test", "-count=1", "-run", "^$", own, "./internal/crashtest", "./internal/dlcheck"}},
 		{benchEnv, []string{"go", "build", "-C", "benchmark", "-o", os.DevNull, "."}},
 	}

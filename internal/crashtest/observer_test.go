@@ -122,12 +122,13 @@ func TestObserverPersistsWhatItSaw(t *testing.T) {
 								return // stallAt is past the operation's last p-CAS
 							}
 							tok := orec.Begin(observer, key, 8)
-							orec.Finish(tok, applySet(inst.Set.NewThread(), observer, key, 8))
+							ans := applySet(inst.Set.NewThread(), observer, key, 8)
+							orec.Finish(tok, ans)
 
 							final := target.Recover(recoverOnto(cfg)).Snapshot()
 							if v := hist.Check([]*hist.Recorder{wrec, orec}, initial, final); v != nil {
 								t.Fatalf("writer frozen after p-CAS %d, observer answered %v: %v",
-									stallAt, orec.Ops()[0].Ok, v)
+									stallAt, ans.Ok, v)
 							}
 						}
 					})

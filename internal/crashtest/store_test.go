@@ -331,7 +331,7 @@ func TestStoreRecoveryIdempotentAndCrashDuringRecovery(t *testing.T) {
 	}
 	pmem.RunToCrash(func() {
 		for i := 0; ; i++ {
-			key := workload.Key(uint64(i % 300))
+			key := string(workload.AppendKey(nil, uint64(i%300)))
 			if i%3 == 0 {
 				sess.Delete(key)
 			} else {

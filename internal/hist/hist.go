@@ -195,9 +195,6 @@ func (r *Recorder) Finish(tok int, a Answer) {
 	r.ops[tok].Completed = true
 }
 
-// Ops returns the recorded operations (read after the thread stopped).
-func (r *Recorder) Ops() []Op { return r.ops }
-
 // Gather merges recorders into per-key subhistories.
 func Gather(recs []*Recorder) map[uint64][]Op {
 	out := make(map[uint64][]Op)

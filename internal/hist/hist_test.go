@@ -216,7 +216,7 @@ func TestQuickGeneratedSequentialHistoriesAccepted(t *testing.T) {
 			finals = append(finals, applied)
 		}
 		for _, fin := range finals {
-			if !CheckKey(r.Ops(), st(false), st(fin)) {
+			if !CheckKey(r.ops, st(false), st(fin)) {
 				return false
 			}
 		}
@@ -245,7 +245,7 @@ func TestQuickMutatedHistoriesRejected(t *testing.T) {
 			}
 			r.Finish(tok, Answer{Ok: true})
 		}
-		return !CheckKey(r.Ops(), st(false), st(!present)) // flipped outcome must fail
+		return !CheckKey(r.ops, st(false), st(!present)) // flipped outcome must fail
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -79,11 +79,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-//
-//flit:hotpath
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds d (negative to decrement).
 //
 //flit:hotpath

@@ -54,13 +54,6 @@ func (r *Ring) Push(s Sample) {
 	r.mu.Unlock()
 }
 
-// Len reports the number of samples held.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
 // Last returns the most recent sample, if any.
 func (r *Ring) Last() (Sample, bool) {
 	r.mu.Lock()

@@ -81,13 +81,6 @@ func (tr *Trace) Records() []PersistRecord {
 	return append([]PersistRecord(nil), tr.recs...)
 }
 
-// Len returns the number of recorded persist events.
-func (tr *Trace) Len() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.recs)
-}
-
 // ApplyRecord replays one persist event onto a crash image (a word slice
 // as returned by CrashImage): the image after applying records 0..k-1 of
 // a trace to its base image is the persistent state of a crash between

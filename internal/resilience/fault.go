@@ -19,11 +19,10 @@ type Faults struct {
 	// Seed drives the per-connection RNGs so a scenario replays exactly.
 	Seed int64
 
-	// DelayEvery injects ReadDelay/WriteDelay before every Nth read/write
-	// call (1 = every call). 0 disables delays.
+	// DelayEvery injects ReadDelay before the Nth read/write call (1 =
+	// every call) when that call is a read. 0 disables delays.
 	DelayEvery int
 	ReadDelay  time.Duration
-	WriteDelay time.Duration
 
 	// PartialWrites splits each Write into random 1..16 byte chunks,
 	// exercising short-write handling and frame reassembly on the peer.
@@ -80,12 +79,8 @@ func (c *faultConn) before(isWrite bool) (delay time.Duration, reset, silent boo
 		return 0, false, true
 	}
 	c.calls++
-	if c.f.DelayEvery > 0 && c.calls%c.f.DelayEvery == 0 {
-		if isWrite {
-			delay = c.f.WriteDelay
-		} else {
-			delay = c.f.ReadDelay
-		}
+	if !isWrite && c.f.DelayEvery > 0 && c.calls%c.f.DelayEvery == 0 {
+		delay = c.f.ReadDelay
 	}
 	return delay, false, false
 }

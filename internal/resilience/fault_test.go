@@ -127,17 +127,20 @@ func TestFaultConnDelaysEveryN(t *testing.T) {
 	cli, srv := net.Pipe()
 	defer srv.Close()
 	echo(t, srv)
-	fc := WrapConn(cli, Faults{Seed: 4, DelayEvery: 1, WriteDelay: 10 * time.Millisecond})
+	fc := WrapConn(cli, Faults{Seed: 4, DelayEvery: 1, ReadDelay: 10 * time.Millisecond})
 	defer fc.Close()
 
 	start := time.Now()
-	go io.Copy(io.Discard, fc)
+	buf := make([]byte, 1)
 	for i := 0; i < 3; i++ {
 		if _, err := fc.Write([]byte("x")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
+		if _, err := io.ReadFull(fc, buf); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
 	}
 	if el := time.Since(start); el < 30*time.Millisecond {
-		t.Fatalf("3 delayed writes took %v, want >= 30ms", el)
+		t.Fatalf("3 delayed reads took %v, want >= 30ms", el)
 	}
 }

@@ -319,9 +319,9 @@ func TestSampler(t *testing.T) {
 	}
 	defer stopFn()
 	deadline := time.Now().Add(time.Second)
-	for i := 0; ring.Len() < 3; i++ {
+	for i := 0; len(ring.Snapshot(nil)) < 3; i++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("ring only reached %d samples", ring.Len())
+			t.Fatalf("ring only reached %d samples", len(ring.Snapshot(nil)))
 		}
 		if _, err := c.Put([]byte(fmt.Sprintf("key-%d", i%64)), uint64(i)); err != nil {
 			t.Fatal(err)

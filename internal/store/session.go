@@ -270,11 +270,6 @@ func Open[K Key](s *Store, mode SessionMode) *Sess[K] {
 	return &Sess[K]{c: newSessionCore(s, mode)}
 }
 
-// Pending reports the operations executed since the last Commit
-// (Batched mode; Direct and Combined operations are already durable when
-// they return, so it reads 0 between them).
-func (s *Sess[K]) Pending() int { return s.c.pending }
-
 // Commit is the group commit (Batched mode): one fence persists every
 // operation executed since the previous Commit, then the batch's
 // deferred flit-tags are released; it returns the number of cache lines
@@ -317,17 +312,6 @@ func (s *Sess[K]) Delete(key K) bool {
 // Contains reports whether key is present.
 func (s *Sess[K]) Contains(key K) bool {
 	return s.c.do1(OpContains, hashKey(key), 0).Ok
-}
-
-// Add atomically adds delta (two's-complement, full 64-bit wrap) to the
-// value under key, inserting key→delta when absent. Direct and Batched
-// sessions return the post-add value and whether the key was already
-// present. Combined sessions coalesce deltas to one net store per key
-// per combining window — the VSA-style win — which makes Add blind
-// there: it returns (0, false) regardless of the stored state.
-func (s *Sess[K]) Add(key K, delta uint64) (uint64, bool) {
-	r := s.c.do1(OpAdd, hashKey(key), delta)
-	return r.Val, r.Ok
 }
 
 // Apply executes the op vector, writing each operation's outcome into

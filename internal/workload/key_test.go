@@ -13,9 +13,6 @@ func TestAppendKeyMatchesSprintf(t *testing.T) {
 	cases := []uint64{0, 1, 9, 10, 99, 1e6, 1e15, 1e16 - 1, 1e16, 1<<48 - 1, ^uint64(0)}
 	for _, i := range cases {
 		want := fmt.Sprintf("user%016d", i)
-		if got := Key(i); got != want {
-			t.Errorf("Key(%d) = %q, want %q", i, got, want)
-		}
 		if got := string(AppendKey(nil, i)); got != want {
 			t.Errorf("AppendKey(nil, %d) = %q, want %q", i, got, want)
 		}
@@ -24,7 +21,7 @@ func TestAppendKeyMatchesSprintf(t *testing.T) {
 	if got := string(AppendKey([]byte("x/"), 7)); got != "x/user0000000000000007" {
 		t.Errorf("AppendKey prefix handling: got %q", got)
 	}
-	f := func(i uint64) bool { return Key(i) == fmt.Sprintf("user%016d", i) }
+	f := func(i uint64) bool { return string(AppendKey(nil, i)) == fmt.Sprintf("user%016d", i) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -32,12 +32,10 @@ type Spec struct {
 	Duration time.Duration
 	Seed     int64
 
-	// Progress, when set, is called about once per ProgressEvery
-	// (default 1s) from Drive's own goroutine with a live snapshot of the
-	// run, read from the workers' lock-free histograms without stopping
-	// them.
-	Progress      func(Progress)
-	ProgressEvery time.Duration
+	// Progress, when set, is called about once a second from Drive's own
+	// goroutine with a live snapshot of the run, read from the workers'
+	// lock-free histograms without stopping them.
+	Progress func(Progress)
 }
 
 // Normalized returns sp with its defaults filled and its mix resolved, or
@@ -177,7 +175,7 @@ func Drive(sp Spec, body func(w *Worker) error) (Measured, error) {
 	// Meanwhile this goroutine is the Progress monitor, if there is one.
 	var tick <-chan time.Time
 	if sp.Progress != nil {
-		t := time.NewTicker(cmp.Or(max(sp.ProgressEvery, 0), time.Second))
+		t := time.NewTicker(time.Second)
 		defer t.Stop()
 		tick = t.C
 	}

@@ -149,14 +149,10 @@ func AppendKey(dst []byte, i uint64) []byte {
 	return append(append(dst, KeyPrefix...), buf[:]...)
 }
 
-// Key renders key index i as its canonical string form, the store-facing
-// key the generator hands to sessions.
-func Key(i uint64) string { return string(AppendKey(make([]byte, 0, len(KeyPrefix)+20), i)) }
-
 // Op is one generated operation over key indices.
 type Op struct {
 	Kind OpKind
-	// Key is a key index; pass it through Key for the store-facing form.
+	// Key is a key index; AppendKey renders the store-facing form.
 	Key uint64
 	// ScanLen is the point-read burst length (Scan only).
 	ScanLen int
