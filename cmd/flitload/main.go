@@ -159,11 +159,9 @@ func progressPrinter(live bool, network, target string) func(workload.Progress) 
 			p.Elapsed.Seconds(), p.Ops, p.OpsPerSec, p.P50, p.P99)
 		if statsC != nil {
 			if st, err := statsC.Stats(); err == nil {
-				if dops := st.OpsServed - prev.OpsServed; dops > 0 {
+				if iv := st.Since(prev); iv.Ops > 0 {
 					line += fmt.Sprintf(" | server %.2f pwbs/op %.2f pfences/op %.1f ops/batch",
-						float64(st.PWBs-prev.PWBs)/float64(dops),
-						float64(st.PFences-prev.PFences)/float64(dops),
-						float64(dops)/max(1, float64(st.Batches-prev.Batches)))
+						iv.PWBsPerOp, iv.PFencesPerOp, iv.OpsPerBatch)
 				}
 				if st.Metrics != nil {
 					line += fmt.Sprintf(" p99=%v", time.Duration(st.Metrics.OpP99Ns))

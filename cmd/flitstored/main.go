@@ -16,9 +16,10 @@
 // recovery metrics on /metrics describe a real rebuild.
 //
 // Observability: metrics are on by default (-metrics=false turns the
-// lock-free core off). -metrics-addr serves a Prometheus-style /metrics
-// page over HTTP, -dash prints a once-per-second status line while
-// serving, and -stats-json writes the final counters (plus recovery
+// lock-free histograms off; the counters stay). -metrics-addr serves a
+// Prometheus-style /metrics page over HTTP, -dash prints a
+// once-per-second status line while serving (its p50/p99 need the
+// histograms), and -stats-json writes the final counters (plus recovery
 // stats, if any) to a file on shutdown.
 //
 // Resilience: -max-conns, -max-inflight, -rate-limit and -burst bound
@@ -44,6 +45,7 @@ import (
 
 	"flit/internal/core"
 	"flit/internal/dstruct"
+	"flit/internal/metrics"
 	"flit/internal/pmem"
 	"flit/internal/server"
 	"flit/internal/store"
@@ -70,7 +72,7 @@ func main() {
 	vclock := flag.Bool("vclock", false, "virtual-clock cost mode (no spin latency)")
 	metricsOn := flag.Bool("metrics", true, "enable the lock-free metrics core (op histograms, STATS v2, /metrics histogram families)")
 	metricsAddr := flag.String("metrics-addr", "", "serve a Prometheus-style /metrics page over HTTP on this address")
-	dash := flag.Bool("dash", false, "print a once-per-second status line while serving (needs -metrics)")
+	dash := flag.Bool("dash", false, "print a once-per-second status line while serving (p50/p99 need -metrics)")
 	statsJSON := flag.String("stats-json", "", "write final stats (and recovery stats, if any) as JSON to this path on shutdown")
 	recoverStore := flag.Bool("recover", false, "crash-simulate the prefilled store and serve the recovered image")
 	flag.Parse()
@@ -144,30 +146,7 @@ func main() {
 
 	stopDash := func() {}
 	if *dash {
-		ring, stop := srv.StartSampler(time.Second, 600)
-		if ring == nil {
-			fmt.Fprintln(os.Stderr, "flitstored: -dash needs -metrics")
-			os.Exit(2)
-		}
-		dashDone := make(chan struct{})
-		go func() {
-			tick := time.NewTicker(time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-dashDone:
-					return
-				case <-tick.C:
-				}
-				if s, ok := ring.Last(); ok {
-					fmt.Printf("flitstored: %8.0f ops/s | p50 %v p99 %v | %.1f ops/batch | %.2f pwbs/op %.2f pfences/op | %d conns\n",
-						s.OpsPerSec, time.Duration(s.P50Ns).Round(time.Nanosecond),
-						time.Duration(s.P99Ns).Round(time.Nanosecond),
-						s.OpsPerBatch, s.PWBsPerOp, s.PFencesPerOp, s.Conns)
-				}
-			}
-		}()
-		stopDash = func() { close(dashDone); stop() }
+		stopDash = startDash(srv)
 	}
 
 	// First signal: graceful drain — stop accepting, answer buffered
@@ -230,4 +209,39 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flitstored: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// startDash prints one status line a second: the interval's ops/s,
+// service-time p50/p99 (with metrics on), ops/batch, pwbs/op, pfences/op
+// and the open connections. The returned func stops it and waits.
+func startDash(srv *server.Server) func() {
+	done, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(time.Second)
+		defer tick.Stop()
+		prev, prevT := srv.Stats(), time.Now()
+		var prevLat, lat metrics.HistSnapshot
+		srv.OpLatency(&prevLat)
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+			}
+			cur, now := srv.Stats(), time.Now()
+			iv := cur.Since(prev)
+			line := fmt.Sprintf("flitstored: %8.0f ops/s", float64(iv.Ops)/now.Sub(prevT).Seconds())
+			if srv.OpLatency(&lat) {
+				ivLat := lat
+				ivLat.Sub(&prevLat)
+				prevLat = lat
+				line += fmt.Sprintf(" | p50 %v p99 %v", time.Duration(ivLat.Quantile(0.50)), time.Duration(ivLat.Quantile(0.99)))
+			}
+			fmt.Printf("%s | %.1f ops/batch | %.2f pwbs/op %.2f pfences/op | %d conns\n",
+				line, iv.OpsPerBatch, iv.PWBsPerOp, iv.PFencesPerOp, cur.ConnsOpen)
+			prev, prevT = cur, now
+		}
+	}()
+	return func() { close(done); <-stopped }
 }

@@ -54,7 +54,8 @@ var exportExceptions = map[string]string{
 	"internal/reclaim.Domain.OrphanBlocks":     "observation point: orphan-rule tests",
 	"internal/store.SessionModes":              "the mode list the store and workload tests range over",
 
-	"internal/bench.ReportMetrics": "adapter the root package's Go benchmarks (bench_test.go) report through",
+	"internal/bench.ReportMetrics":  "adapter the root package's Go benchmarks (bench_test.go) report through",
+	"internal/client.Conn.Contains": "the wire's CONTAINS round trip: server's TestServerRoundTrips drives every opcode through the synchronous client",
 }
 
 // exportExemptDirs hold test-support drivers: their exports serve the
@@ -98,10 +99,12 @@ func TestExportsHaveCallers(t *testing.T) {
 }
 
 // TestExportsGateHasTeeth runs the gate's resolver on a fixture whose
-// findings are known: a method named like a type and a field only a test
-// sets must be reported; a method reached only through an interface, and
-// fields written through an index, copy, an address, a pointer method of
-// an element or a struct conversion, must not.
+// findings are known: a method named like a type, a method named like a
+// used interface's that its type does not implement, and a field only a
+// test sets must be reported; a method reached only through an interface
+// or a type parameter's constraint, and fields written through an index,
+// copy, an address, a pointer method of an element or a struct
+// conversion, must not.
 func TestExportsGateHasTeeth(t *testing.T) {
 	pkgs := loadExports(t, ".", "./testdata/exports/...")
 	_, dead := unreachedExports(pkgs, func(dir string) bool { return dir == "testdata/exports/def" })
@@ -109,7 +112,7 @@ func TestExportsGateHasTeeth(t *testing.T) {
 	for _, d := range dead {
 		got = append(got, d.key)
 	}
-	want := []string{"testdata/exports/def.Config.TestOnly", "testdata/exports/def.Handle.Domain"}
+	want := []string{"testdata/exports/def.Config.TestOnly", "testdata/exports/def.Handle.Domain", "testdata/exports/def.Stray.Run"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("fixture findings = %v, want %v", got, want)
 	}
@@ -139,6 +142,7 @@ type exportFinding struct {
 	owner string // "<dir>.<Type>" of a method or field, "" otherwise
 	where string
 	field bool
+	recv  *types.Named // a method's receiver type, nil otherwise
 }
 
 // exportSpan is a declaration's own source: uses inside it do not count.
@@ -152,7 +156,7 @@ type exportGate struct {
 	owners  map[*types.Package]map[*types.Var]string // field → its key, per declaring package
 	spans   map[string]exportSpan
 	used    map[string]bool
-	iface   map[string]bool // method names used through an interface
+	iface   map[string][]*types.Interface // method name → the interfaces it is used through
 	written map[string]bool
 }
 
@@ -160,11 +164,13 @@ type exportGate struct {
 // packages whose module-relative directory declares accepts that no use
 // in pkgs' non-test files resolves to, and the exported fields of their
 // exported structs that nothing in pkgs writes. It also returns how many
-// declarations and fields it checked. A use of an interface method
-// reaches every concrete method of that name.
+// declarations and fields it checked. A use of an interface method (a
+// type parameter's included: its constraint is the interface) reaches a
+// concrete method of that name only when the concrete type, or a pointer
+// to it, implements that interface.
 func unreachedExports(pkgs []*analysis.Package, declares func(dir string) bool) (int, []exportFinding) {
 	g := exportGate{owners: map[*types.Package]map[*types.Var]string{}, spans: map[string]exportSpan{},
-		used: map[string]bool{}, iface: map[string]bool{}, written: map[string]bool{}}
+		used: map[string]bool{}, iface: map[string][]*types.Interface{}, written: map[string]bool{}}
 	var decls []exportFinding
 	for _, p := range pkgs {
 		if declares(moduleDir(p.PkgPath)) {
@@ -182,13 +188,41 @@ func unreachedExports(pkgs []*analysis.Package, declares func(dir string) bool) 
 			if g.written[d.key] {
 				continue
 			}
-		case g.used[d.key], d.owner != "" && (g.iface[name] || exportExemptMethods[name]):
+		case g.used[d.key], d.owner != "" && (exportExemptMethods[name] || g.implementsUsed(d.recv, name)):
 			continue
 		}
 		dead = append(dead, d)
 	}
 	sort.Slice(dead, func(i, j int) bool { return dead[i].key < dead[j].key })
 	return len(decls), dead
+}
+
+// implementsUsed reports whether named, or a pointer to it, implements an
+// interface whose method name is used through. A generic type is checked
+// uninstantiated, by method names: it implements an interface when its
+// method set holds every method the interface names.
+func (g *exportGate) implementsUsed(named *types.Named, name string) bool {
+	if named == nil {
+		return false
+	}
+	ptr := types.NewPointer(named)
+	for _, it := range g.iface[name] {
+		if named.TypeParams().Len() == 0 {
+			if types.Implements(named, it) || types.Implements(ptr, it) {
+				return true
+			}
+			continue
+		}
+		ms := types.NewMethodSet(ptr)
+		all := true
+		for i := 0; i < it.NumMethods() && all; i++ {
+			all = ms.Lookup(it.Method(i).Pkg(), it.Method(i).Name()) != nil
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }
 
 // moduleDir strips the module path from an import path.
@@ -205,6 +239,11 @@ func (g *exportGate) declared(p *analysis.Package) []exportFinding {
 			return
 		}
 		d := exportFinding{key: g.keyOf(obj), where: p.Fset.Position(id.Pos()).String(), field: field}
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				d.recv = namedOf(recv.Type())
+			}
+		}
 		if d.key == "" {
 			return
 		}
@@ -274,7 +313,8 @@ func (g *exportGate) scan(p *analysis.Package) {
 		}
 		if fn, ok := obj.(*types.Func); ok {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				g.iface[fn.Name()] = true
+				it := recv.Type().Underlying().(*types.Interface)
+				g.iface[fn.Name()] = append(g.iface[fn.Name()], it)
 			}
 		}
 		key := g.keyOf(obj)

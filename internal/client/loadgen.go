@@ -158,26 +158,17 @@ func Run(dial func() (net.Conn, error), sp Spec) (Result, error) {
 		return Result{}, err
 	}
 
+	iv := after.Since(before)
 	res := Result{
 		Mix: sp.Mix, Dist: sp.Dist, Conns: sp.Workers, Depth: sp.Depth, Rate: sp.Rate,
-		Measured: m, Dropped: dropped.Load(),
+		Measured: m, Dropped: dropped.Load(), ServerShed: iv.Shed,
 
-		ServerOps:     after.OpsServed - before.OpsServed,
-		ServerBatches: after.Batches - before.Batches,
-		PWBs:          after.PWBs - before.PWBs,
-		PFences:       after.PFences - before.PFences,
-		PFencesElided: after.PFencesElided - before.PFencesElided,
-		ServerShed:    (after.ShedBusy + after.ShedDraining) - (before.ShedBusy + before.ShedDraining),
+		ServerOps: iv.Ops, ServerBatches: iv.Batches,
+		PWBs: iv.PWBs, PFences: iv.PFences, PFencesElided: iv.PFencesElided,
+		PWBsPerOp: iv.PWBsPerOp, PFencesPerOp: iv.PFencesPerOp, OpsPerBatch: iv.OpsPerBatch,
 	}
 	if total := res.Ops + res.Shed; total > 0 {
 		res.ShedRate = float64(res.Shed) / float64(total)
-	}
-	if res.ServerOps > 0 {
-		res.PWBsPerOp = float64(res.PWBs) / float64(res.ServerOps)
-		res.PFencesPerOp = float64(res.PFences) / float64(res.ServerOps)
-	}
-	if res.ServerBatches > 0 {
-		res.OpsPerBatch = float64(res.ServerOps) / float64(res.ServerBatches)
 	}
 	if m := after.Metrics; m != nil {
 		res.ServerP50 = time.Duration(m.OpP50Ns)

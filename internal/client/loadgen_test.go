@@ -18,9 +18,9 @@ import (
 	"flit/internal/workload"
 )
 
-// pipeDialer boots an in-process server and returns a dialer minting
-// net.Pipe connections served by it.
-func pipeDialer(t *testing.T, opts server.Options) (*server.Server, func() (net.Conn, error)) {
+// pipeDialer boots an in-process server over a fresh store and returns
+// both and a dialer minting net.Pipe connections served by it.
+func pipeDialer(t *testing.T, opts server.Options) (*server.Server, *store.Store, func() (net.Conn, error)) {
 	t.Helper()
 	st, err := store.New(store.Options{
 		Shards: 4, ExpectedKeys: 1 << 12, Policy: core.PolicyHT,
@@ -31,7 +31,7 @@ func pipeDialer(t *testing.T, opts server.Options) (*server.Server, func() (net.
 	}
 	srv := server.New(st, opts)
 	t.Cleanup(func() { srv.Close() })
-	return srv, func() (net.Conn, error) {
+	return srv, st, func() (net.Conn, error) {
 		cc, sc := net.Pipe()
 		go srv.ServeConn(sc)
 		return cc, nil
@@ -41,12 +41,12 @@ func pipeDialer(t *testing.T, opts server.Options) (*server.Server, func() (net.
 // TestLoadAndRunClosedLoop: the wire load phase populates the store,
 // and a closed-loop run at depth 16 forms multi-op server batches.
 func TestLoadAndRunClosedLoop(t *testing.T) {
-	srv, dial := pipeDialer(t, server.Options{})
+	_, st, dial := pipeDialer(t, server.Options{})
 	const records = 512
 	if err := client.Load(dial, records, 2, 16); err != nil {
 		t.Fatal(err)
 	}
-	snap := srv.Store().Snapshot()
+	snap := st.Snapshot()
 	if len(snap) != records {
 		t.Fatalf("load phase left %d keys, want %d", len(snap), records)
 	}
@@ -78,7 +78,7 @@ func TestLoadAndRunClosedLoop(t *testing.T) {
 // TestRunOpenLoop: the fixed-rate arrival mode paces operations and
 // measures from the schedule.
 func TestRunOpenLoop(t *testing.T) {
-	_, dial := pipeDialer(t, server.Options{})
+	_, _, dial := pipeDialer(t, server.Options{})
 	if err := client.Load(dial, 256, 1, 16); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunOpenLoop(t *testing.T) {
 // the monitor goroutine delivers live Progress snapshots and the final
 // Result carries the server-side service-time quantiles from STATS v2.
 func TestRunProgressAndServerQuantiles(t *testing.T) {
-	_, dial := pipeDialer(t, server.Options{Metrics: true})
+	_, _, dial := pipeDialer(t, server.Options{Metrics: true})
 	if err := client.Load(dial, 256, 1, 16); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRunProgressAndServerQuantiles(t *testing.T) {
 // scan bursts, F's GET+PUT) stay in protocol sync end to end.
 func TestRunScanAndRMWFrames(t *testing.T) {
 	for _, mix := range []string{"e", "f"} {
-		_, dial := pipeDialer(t, server.Options{})
+		_, _, dial := pipeDialer(t, server.Options{})
 		if err := client.Load(dial, 256, 1, 16); err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestRunScanAndRMWFrames(t *testing.T) {
 // server the load generator keeps running, counts shed operations
 // separately from goodput, and its count agrees with the server's.
 func TestRunClosedLoopShedsUnderRateLimit(t *testing.T) {
-	srv, dial := pipeDialer(t, server.Options{MaxBatch: 8, RateLimit: 500, RateBurst: 8})
+	srv, _, dial := pipeDialer(t, server.Options{MaxBatch: 8, RateLimit: 500, RateBurst: 8})
 	if err := client.Load(dial, 256, 1, 4); err == nil {
 		// The load phase itself may be shed under this tight limit; both
 		// outcomes are fine — the run below is the subject.
@@ -268,7 +268,7 @@ func TestRunOpenLoopBackpressure(t *testing.T) {
 // in the closed and the open loop alike, and the shared translation
 // refuses a store Add instead of indexing past its opcode table.
 func TestRunRejectsMixWithAdds(t *testing.T) {
-	_, pipe := pipeDialer(t, server.Options{})
+	_, _, pipe := pipeDialer(t, server.Options{})
 	dials := 0
 	dial := func() (net.Conn, error) { dials++; return pipe() }
 	for _, rate := range []float64{0, 2000} {

@@ -237,6 +237,27 @@ var mutants = []mutant{
 `,
 	},
 	{
+		// The combiner acknowledges a window's announcers before its
+		// commit fence: a crash at the fence loses acknowledged writes.
+		name:   "window-acks-before-commit",
+		origin: "a window acks after its commit fence",
+		file:   "internal/store/combine.go",
+		snippet: `	c.account(c.x.commit())
+	for _, sl := range c.served {
+		if sl != c.own { // own's owner is the lock holder, already here
+			sl.state.Store(slotDone)
+		}
+	}
+`,
+		replacement: `	for _, sl := range c.served {
+		if sl != c.own { // own's owner is the lock holder, already here
+			sl.state.Store(slotDone)
+		}
+	}
+	c.account(c.x.commit())
+`,
+	},
+	{
 		// Coalescing drops every net +1 delta after it leaves pending:
 		// the window acknowledges an Add whose effect never reaches the
 		// table.

@@ -204,7 +204,7 @@ func storeBattery(t *testing.T, sm store.SessionMode, shape func(seed int64) dlc
 					}
 					for _, rec := range []*store.Store{final, crashed} {
 						sess := store.Open[string](rec, store.Direct)
-						if !sess.Put("post", 1) || !sess.Contains("post") || !sess.Delete("post") {
+						if _, had := sess.Get("post"); had || !sess.Put("post", 1) || !sess.Delete("post") {
 							t.Fatalf("mode %v seed %d: recovered store inoperable", mode, seed)
 						}
 					}

@@ -85,9 +85,6 @@ func Attach(cfg dstruct.Config) *BST {
 	return &BST{cfg: cfg, dom: cfg.DomainOrNew(), r: r, s: s}
 }
 
-// Name returns "bst".
-func (b *BST) Name() string { return "bst" }
-
 // Thread is a per-goroutine handle to the tree.
 type Thread struct {
 	b *BST

@@ -388,8 +388,6 @@ type SetThread interface {
 type Set interface {
 	// NewThread creates a per-goroutine operation handle.
 	NewThread() SetThread
-	// Name identifies the data structure (e.g. "list").
-	Name() string
 }
 
 // Word-payload helpers shared by the structures.

@@ -64,9 +64,6 @@ func bucketOf(key uint64, shift uint) int {
 	return int((key * 0x9E3779B97F4A7C15) >> shift)
 }
 
-// Name returns "hashtable".
-func (t *Table) Name() string { return "hashtable" }
-
 // Buckets returns the bucket count.
 func (t *Table) Buckets() int { return int(t.buckets) }
 

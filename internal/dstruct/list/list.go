@@ -62,9 +62,6 @@ func Attach(cfg dstruct.Config) *List {
 	return &List{cfg: cfg, dom: cfg.DomainOrNew()}
 }
 
-// Name returns "list".
-func (l *List) Name() string { return "list" }
-
 // Thread is a per-goroutine handle to the list. Its context carries the
 // list's config with Policy possibly overridden per thread
 // (ThreadOpts.Policy): the group-commit batch sessions run the same

@@ -66,9 +66,6 @@ func attach(cfg dstruct.Config, base pmem.Addr, b uint64) *Map {
 	return &Map{cfg: cfg, base: base, buckets: b, shift: uint(64 - bits.Len64(b>>1))}
 }
 
-// Name returns "lockmap".
-func (m *Map) Name() string { return "lockmap" }
-
 // Buckets returns the bucket count.
 func (m *Map) Buckets() int { return int(m.buckets) }
 

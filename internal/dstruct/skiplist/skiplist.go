@@ -69,9 +69,6 @@ func Attach(cfg dstruct.Config) *SkipList {
 	return &SkipList{cfg: cfg, dom: cfg.DomainOrNew(), head: head}
 }
 
-// Name returns "skiplist".
-func (s *SkipList) Name() string { return "skiplist" }
-
 // Thread is a per-goroutine handle to the skiplist.
 type Thread struct {
 	s   *SkipList

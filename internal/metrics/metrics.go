@@ -1,11 +1,12 @@
 // Package metrics is the server observability core: a small,
 // dependency-free set of hot-path-safe primitives — striped atomic
-// counters, gauges, and a lock-free log-bucketed latency histogram (the
+// counters and a lock-free log-bucketed latency histogram (the
 // repository's one histogram: the server, the load generator and the
 // in-process workload runner all record into it) — plus the cold-path
-// machinery that exposes them: point-in-time snapshots with quantiles, a
-// Prometheus text-exposition writer and validator (prom.go), and a
-// fixed-capacity timeseries ring for live views (ring.go).
+// machinery that exposes them: point-in-time snapshots with quantiles and
+// interval deltas (HistSnapshot.Sub), and a Prometheus text-exposition
+// writer and validator (prom.go). There is no timeseries store: a live
+// view keeps the previous snapshot and subtracts it from the next.
 //
 // The design discipline matches the rest of the hot path (PR 3): a
 // recorded observation is a handful of atomic adds — zero allocations,
@@ -16,8 +17,8 @@
 // the same latency bucket at the same instant), which keeps a Hist at
 // one atomic add per observation instead of stripes × 8KB of memory.
 //
-// Readers (the /metrics endpoint, STATS snapshots, the ring sampler)
-// are wait-free with respect to writers: they load each word atomically
+// Readers (the /metrics endpoint, STATS snapshots, live views) are
+// wait-free with respect to writers: they load each word atomically
 // and tolerate the transient skew of a snapshot taken mid-record. Every
 // exported total is monotone, so interval deltas are always
 // non-negative.
@@ -70,22 +71,6 @@ func (c *Counter) Load() uint64 {
 	}
 	return sum
 }
-
-// Gauge is an instantaneous signed value (open connections, pipeline
-// occupancy). Not striped: gauges are read as often as written and a
-// striped sum of signed deltas would cost more than it saves at the
-// write rates gauges see.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add adds d (negative to decrement).
-//
-//flit:hotpath
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram geometry (HDR-style log-linear): exact below 2^SubBits, then
 // SubBuckets sub-buckets per power of two, ≤ 1/SubBuckets relative

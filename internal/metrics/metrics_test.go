@@ -30,16 +30,14 @@ func TestBucketUpperBound(t *testing.T) {
 }
 
 // TestHotPathZeroAlloc pins the acceptance criterion: a recorded
-// observation — histogram, counter or gauge — allocates nothing.
+// observation — histogram or counter — allocates nothing.
 func TestHotPathZeroAlloc(t *testing.T) {
 	h := NewHist()
 	var c Counter
-	var g Gauge
 	ns := int64(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		h.RecordNs(ns)
 		c.Inc(3)
-		g.Add(1)
 		ns += 1237
 	}); n != 0 {
 		t.Fatalf("hot-path record allocates %.1f objects/op, want 0", n)
@@ -160,42 +158,5 @@ func TestSnapshotSubMerge(t *testing.T) {
 	empty.Merge(&b)
 	if empty.MinNs != 5 || empty.MaxNs != 1_000_000 || empty.Count != 2 {
 		t.Fatalf("merge into empty: %+v", empty)
-	}
-}
-
-// TestRing checks capacity, eviction and ordering.
-func TestRing(t *testing.T) {
-	r := NewRing(4)
-	if _, ok := r.Last(); ok {
-		t.Fatal("empty ring reports a last sample")
-	}
-	for i := 1; i <= 6; i++ {
-		r.Push(Sample{Ops: uint64(i)})
-	}
-	if n := len(r.Snapshot(nil)); n != 4 {
-		t.Fatalf("len %d, want 4", n)
-	}
-	last, ok := r.Last()
-	if !ok || last.Ops != 6 {
-		t.Fatalf("last = %+v, want Ops=6", last)
-	}
-	got := r.Snapshot(nil)
-	if len(got) != 4 {
-		t.Fatalf("snapshot len %d", len(got))
-	}
-	for i, s := range got {
-		if want := uint64(i + 3); s.Ops != want {
-			t.Fatalf("snapshot[%d].Ops = %d, want %d (oldest first)", i, s.Ops, want)
-		}
-	}
-}
-
-// TestGauge checks the trivial contract.
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Add(5)
-	g.Add(-2)
-	if g.Load() != 3 {
-		t.Fatalf("gauge = %d, want 3", g.Load())
 	}
 }

@@ -4,25 +4,25 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
-	"time"
 
 	"flit/internal/metrics"
 	"flit/internal/store"
 )
 
-// The server's observability layer. When Options.Metrics is set the
-// server carries a Metrics bundle — striped per-connection op counters
-// and lock-free latency histograms from internal/metrics — that the
-// batch executor records into on the hot path (zero allocations, a few
-// atomic adds per op; see BenchmarkServerExec* for the pinned cost) and
-// three consumers read from: the Prometheus-style /metrics page
-// (WriteMetrics / MetricsHandler), the STATS v2 wire snapshot
-// (Stats().Metrics), and the timeseries ring a background sampler fills
-// with per-second deltas (StartSampler). With Options.Metrics unset the
-// hot path pays one nil check per batch and the consumers degrade: the
-// exposition page carries counters only, STATS omits the v2 block, and
-// StartSampler declines to start.
+// The server's observability layer. The counters are always kept: the
+// per-kind op counts (striped per connection; their sum is
+// Stats.OpsServed), the open-connection count, the shed counts and the
+// store combiner's account of its windows. When Options.Metrics is set
+// the server also carries a Metrics bundle — lock-free latency and
+// batch-shape histograms from internal/metrics — that the batch executor
+// records into on the hot path (zero allocations, two clock reads and a
+// few atomic adds per batch; see BenchmarkServerExec* for the pinned
+// cost). Both are read two ways: the Prometheus-style /metrics page
+// (WriteMetrics / MetricsHandler) and the STATS v2 wire snapshot
+// (Stats). An interval is the difference of two snapshots (Stats.Since;
+// OpLatency for the service-time histogram). With Options.Metrics unset
+// the hot path pays one nil check per batch, the exposition page carries
+// counters only and STATS omits the v2 block.
 
 // numOpKinds counts the per-op-type metrics families, indexed by store op
 // kind (see storeKind).
@@ -31,12 +31,9 @@ const numOpKinds = int(store.OpContains) + 1
 // opKindNames are the `op` label values, indexed by kind.
 var opKindNames = [numOpKinds]string{"get", "put", "delete", "contains"}
 
-// Metrics is the server's metric bundle. All fields are safe for
+// Metrics is the server's histogram bundle. All fields are safe for
 // concurrent recording and concurrent reading; see internal/metrics.
 type Metrics struct {
-	// Ops counts acknowledged store operations by type; each batcher
-	// writes on its own stripe, so connections never contend.
-	Ops [numOpKinds]metrics.Counter
 	// Lat is the op service time by type, in nanoseconds: each op's
 	// equal share of its batch's announce-to-durable time (the executor
 	// pays two clock reads per batch, not one per op — see Batcher.Exec).
@@ -50,8 +47,6 @@ type Metrics struct {
 	// Depth is the drained pipeline window size in request frames
 	// (store ops and PING/STATS alike) per Exec.
 	Depth metrics.Hist
-	// ConnsOpen tracks currently-open connections.
-	ConnsOpen metrics.Gauge
 }
 
 // newMetrics builds an initialized bundle over st.
@@ -66,15 +61,22 @@ func newMetrics(st *store.Store) *Metrics {
 	return m
 }
 
-// LatSnapshot fills s with the union of the per-type latency
-// histograms — the "all ops" service-time distribution.
-func (m *Metrics) LatSnapshot(s *metrics.HistSnapshot) {
+// OpLatency fills h with the union of the per-type latency histograms —
+// the cumulative "all ops" service-time distribution — and reports
+// whether the server records one (Options.Metrics); without it h is left
+// empty. HistSnapshot.Sub of two reads is the interval's distribution.
+func (s *Server) OpLatency(h *metrics.HistSnapshot) bool {
+	*h = metrics.HistSnapshot{}
+	m := s.metrics
+	if m == nil {
+		return false
+	}
 	var one metrics.HistSnapshot
-	*s = metrics.HistSnapshot{}
 	for i := range m.Lat {
 		m.Lat[i].Read(&one)
-		s.Merge(&one)
+		h.Merge(&one)
 	}
+	return true
 }
 
 // WriteMetrics renders the server's full Prometheus text exposition
@@ -126,10 +128,10 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 
 	if m := s.metrics; m != nil {
 		p.Meta("flit_conns_open", "gauge", "currently open connections")
-		p.Sample("flit_conns_open", "", float64(m.ConnsOpen.Load()))
+		p.Sample("flit_conns_open", "", float64(st.ConnsOpen))
 		p.Meta("flit_ops_total", "counter", "acknowledged store operations by type")
 		for k, name := range opKindNames {
-			p.Sample("flit_ops_total", fmt.Sprintf("op=%q", name), float64(m.Ops[k].Load()))
+			p.Sample("flit_ops_total", fmt.Sprintf("op=%q", name), float64(s.ops[k].Load()))
 		}
 		var snap metrics.HistSnapshot
 		p.Meta("flit_op_seconds", "histogram", "op service time by type (equal share of the batch's announce-to-durable time)")
@@ -176,74 +178,4 @@ func (s *Server) MetricsHandler() http.Handler {
 			return
 		}
 	})
-}
-
-// StartSampler launches the background sampler: every interval it
-// reads the cumulative counters and histograms, computes the interval
-// deltas (ops/s, p50/p95/p99 service time, pwbs/op, pfences/op,
-// ops/batch) and pushes one metrics.Sample into a fresh ring holding
-// the last capacity samples. stop halts the sampler and waits for it;
-// the ring stays readable after. Requires Options.Metrics — with the
-// bundle disabled there is nothing to sample and it returns (nil,
-// no-op).
-func (s *Server) StartSampler(interval time.Duration, capacity int) (*metrics.Ring, func()) {
-	m := s.metrics
-	if m == nil {
-		return nil, func() {}
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ring := metrics.NewRing(capacity)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		var prevLat metrics.HistSnapshot
-		m.LatSnapshot(&prevLat)
-		prev := s.Stats()
-		prevT := time.Now()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-			}
-			cur := s.Stats()
-			now := time.Now()
-			var lat metrics.HistSnapshot
-			m.LatSnapshot(&lat)
-			interval := lat
-			interval.Sub(&prevLat)
-			sm := metrics.Sample{
-				UnixNano: now.UnixNano(),
-				Ops:      cur.OpsServed,
-				Batches:  cur.Batches,
-				Conns:    m.ConnsOpen.Load(),
-				P50Ns:    interval.Quantile(0.50),
-				P95Ns:    interval.Quantile(0.95),
-				P99Ns:    interval.Quantile(0.99),
-			}
-			if dt := now.Sub(prevT).Seconds(); dt > 0 {
-				sm.OpsPerSec = float64(cur.OpsServed-prev.OpsServed) / dt
-			}
-			if dops := cur.OpsServed - prev.OpsServed; dops > 0 {
-				sm.PWBsPerOp = float64(cur.PWBs-prev.PWBs) / float64(dops)
-				sm.PFencesPerOp = float64(cur.PFences-prev.PFences) / float64(dops)
-			}
-			if dbatches := cur.Batches - prev.Batches; dbatches > 0 {
-				sm.OpsPerBatch = float64(cur.OpsServed-prev.OpsServed) / float64(dbatches)
-			}
-			ring.Push(sm)
-			prev, prevT, prevLat = cur, now, lat
-		}
-	}()
-	var stopOnce sync.Once
-	return ring, func() {
-		stopOnce.Do(func() { close(done) })
-		wg.Wait()
-	}
 }

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"net"
@@ -14,6 +15,7 @@ import (
 	"flit/internal/client"
 	"flit/internal/metrics"
 	"flit/internal/server"
+	"flit/internal/store"
 	"flit/internal/workload"
 )
 
@@ -165,17 +167,16 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 		t.Fatal("scraper never completed a scrape")
 	}
 
-	// Quiesced: histogram counts equal op counts equal the acked total.
+	// Quiesced: histogram counts equal the acked total.
 	m := srv.Metrics()
 	stats := srv.Stats()
 	if stats.OpsServed == 0 {
 		t.Fatal("no traffic reached the server")
 	}
-	if got := m.OpsTotal(); got != stats.OpsServed {
-		t.Fatalf("striped op counters sum to %d, OpsServed = %d", got, stats.OpsServed)
-	}
 	var lat metrics.HistSnapshot
-	m.LatSnapshot(&lat)
+	if !srv.OpLatency(&lat) {
+		t.Fatal("OpLatency reports no histogram with metrics on")
+	}
 	if lat.Count != stats.OpsServed {
 		t.Fatalf("latency histograms hold %d observations, OpsServed = %d", lat.Count, stats.OpsServed)
 	}
@@ -197,8 +198,8 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 }
 
 // TestMetricsDisabled: without Options.Metrics the server must serve,
-// report v2-less STATS, render a counters-only exposition page, and
-// refuse to start a sampler.
+// report v2-less STATS, render a counters-only exposition page, and read
+// no latency histogram.
 func TestMetricsDisabled(t *testing.T) {
 	srv, c := pipeServer(t, newTestStore(t), server.Options{})
 	if _, err := c.Put([]byte("k"), 1); err != nil {
@@ -224,9 +225,9 @@ func TestMetricsDisabled(t *testing.T) {
 	if !strings.Contains(buf.String(), "flit_ops_served_total 1") {
 		t.Fatalf("page missing op counter:\n%s", buf.String())
 	}
-	if ring, stopFn := srv.StartSampler(time.Millisecond, 8); ring != nil {
-		stopFn()
-		t.Fatal("sampler started without metrics")
+	var lat metrics.HistSnapshot
+	if srv.OpLatency(&lat) || lat.Count != 0 {
+		t.Fatalf("OpLatency without metrics reported a histogram of %d observations", lat.Count)
 	}
 }
 
@@ -309,49 +310,116 @@ func TestMetricsHandler(t *testing.T) {
 	}
 }
 
-// TestSampler drives traffic past a running sampler and checks the
-// ring fills with plausible interval samples.
-func TestSampler(t *testing.T) {
-	srv, c := pipeServer(t, newTestStore(t), server.Options{Metrics: true})
-	ring, stopFn := srv.StartSampler(5*time.Millisecond, 16)
-	if ring == nil {
-		t.Fatal("sampler refused to start with metrics enabled")
+// TestStatsSince pins the one interval function: exact deltas and
+// ratios, and a window with no ops gives 0 ratios, not NaN or +Inf.
+func TestStatsSince(t *testing.T) {
+	prev := server.Stats{OpsServed: 100, Batches: 10, PWBs: 50, PFences: 10, PFencesElided: 3, ShedBusy: 1, ShedDraining: 2}
+	cur := server.Stats{OpsServed: 164, Batches: 12, PWBs: 82, PFences: 12, PFencesElided: 7, ShedBusy: 5, ShedDraining: 3}
+	want := server.Interval{
+		Ops: 64, Batches: 2, PWBs: 32, PFences: 2, PFencesElided: 4, Shed: 5,
+		PWBsPerOp: 0.5, PFencesPerOp: 0.03125, OpsPerBatch: 32,
 	}
-	defer stopFn()
-	deadline := time.Now().Add(time.Second)
-	for i := 0; len(ring.Snapshot(nil)) < 3; i++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("ring only reached %d samples", len(ring.Snapshot(nil)))
-		}
-		if _, err := c.Put([]byte(fmt.Sprintf("key-%d", i%64)), uint64(i)); err != nil {
-			t.Fatal(err)
+	if got := cur.Since(prev); got != want {
+		t.Fatalf("Since = %+v, want %+v", got, want)
+	}
+	// PWBs and a window moved, no op did (another Combined user's window).
+	idle := prev
+	idle.Batches, idle.PWBs = prev.Batches+1, prev.PWBs+3
+	got := idle.Since(prev)
+	for _, r := range []float64{got.PWBsPerOp, got.PFencesPerOp, got.OpsPerBatch} {
+		if r != 0 {
+			t.Fatalf("zero-op interval ratios = %+v, want 0", got)
 		}
 	}
-	stopFn()
-	samples := ring.Snapshot(nil)
-	if len(samples) < 3 {
-		t.Fatalf("snapshot holds %d samples", len(samples))
+	if got.Batches != 1 || got.PWBs != 3 {
+		t.Fatalf("zero-op interval deltas = %+v, want 1 batch, 3 PWBs", got)
 	}
-	var sawTraffic bool
-	for i := 1; i < len(samples); i++ {
-		if samples[i].Ops < samples[i-1].Ops {
-			t.Fatalf("cumulative ops went backwards: %+v after %+v", samples[i], samples[i-1])
-		}
-		if samples[i].UnixNano <= samples[i-1].UnixNano {
-			t.Fatalf("sample timestamps not increasing")
-		}
-		if samples[i].OpsPerSec > 0 {
-			sawTraffic = true
-			if samples[i].PWBsPerOp <= 0 || samples[i].PFencesPerOp <= 0 {
-				t.Fatalf("interval with ops but no persistence cost: %+v", samples[i])
+}
+
+// TestOpCountsAndOpenConns: the per-kind op counters are the one ack
+// count, kept with metrics on and off (OpsServed is their sum), and the
+// open-connection count behind MaxConns, STATS conns_open and
+// flit_conns_open returns to 0 once served connections close and after
+// a rejection at the cap.
+func TestOpCountsAndOpenConns(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		t.Run(fmt.Sprintf("metrics=%v", on), func(t *testing.T) {
+			srv := server.New(newTestStore(t), server.Options{Metrics: on, MaxConns: 2})
+			defer srv.Close()
+			var conns []*client.Conn
+			for w := 0; w < 2; w++ {
+				cc, sc := net.Pipe()
+				go srv.ServeConn(sc)
+				c := client.New(cc)
+				conns = append(conns, c)
+				// One pipelined window of 3 Puts, 2 Gets, 1 Delete, 1 Contains.
+				for i, op := range []byte{server.OpPut, server.OpPut, server.OpPut, server.OpGet, server.OpGet, server.OpDelete, server.OpContains} {
+					c.Send(&server.Request{Op: op, Key: []byte(fmt.Sprintf("k%d-%d", w, i%3)), Val: 1})
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				for c.Pending() > 0 {
+					if _, err := c.Recv(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			st := srv.Stats()
+			if st.ConnsOpen != 2 {
+				t.Fatalf("conns_open = %d with two served connections, want 2", st.ConnsOpen)
+			}
+			var want [4]uint64
+			want[store.OpGet], want[store.OpPut], want[store.OpDelete], want[store.OpContains] = 4, 6, 2, 2
+			got := srv.OpCounts()
+			if got != want {
+				t.Fatalf("per-kind op counts = %v, want %v", got, want)
+			}
+			if st.OpsServed != 14 {
+				t.Fatalf("OpsServed = %d, want 14: the sum of the per-kind counts", st.OpsServed)
+			}
+			if m := st.Metrics; on && (m.Gets != 4 || m.Puts != 6 || m.Deletes != 2 || m.Contains != 2) {
+				t.Fatalf("STATS v2 op counts = %+v, want 4/6/2/2", m)
+			}
+
+			// A third connection is over the cap: one BUSY frame, then EOF.
+			cc, sc := net.Pipe()
+			go srv.ServeConn(sc)
+			var resp server.Response
+			if err := server.ReadResponse(bufio.NewReader(cc), 0, &resp); err != nil || resp.Status != server.StatusBusy {
+				t.Fatalf("over-cap connection: status %d, %v; want BUSY", resp.Status, err)
+			}
+			cc.Close()
+			waitConnsOpen(t, srv, 2)
+			for _, c := range conns {
+				c.Close()
+			}
+			waitConnsOpen(t, srv, 0)
+			if st := srv.Stats(); st.ConnsRejected != 1 || st.OpsServed != 14 {
+				t.Fatalf("after close: conns_rejected=%d ops_served=%d, want 1 / 14", st.ConnsRejected, st.OpsServed)
+			}
+			var buf bytes.Buffer
+			if err := srv.WriteMetrics(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if gauge := strings.Contains(buf.String(), "\nflit_conns_open 0\n"); gauge != on {
+				t.Fatalf("flit_conns_open 0 on the page = %v with metrics=%v:\n%s", gauge, on, buf.String())
+			}
+		})
+	}
+}
+
+// waitConnsOpen polls STATS until conns_open reads want: a handler
+// leaves the count on its way out, after its client has hung up.
+func waitConnsOpen(t *testing.T, srv *server.Server, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := srv.Stats().ConnsOpen
+		if got == want {
+			return
 		}
-	}
-	if !sawTraffic {
-		t.Fatal("no sample observed a positive op rate")
-	}
-	last, ok := ring.Last()
-	if !ok || last.Ops == 0 {
-		t.Fatalf("last sample = %+v, %v", last, ok)
+		if time.Now().After(deadline) {
+			t.Fatalf("conns_open = %d, want %d", got, want)
+		}
 	}
 }

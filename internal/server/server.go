@@ -42,11 +42,10 @@ type Options struct {
 	// MaxBatch caps the operations executed under one group commit
 	// (default 64). A connection's batch is min(pipelined, MaxBatch).
 	MaxBatch int
-	// Metrics enables the observability layer (see metrics.go): per-op
-	// latency histograms, striped op counters, batch-shape histograms,
-	// the /metrics exposition page's histogram families, the STATS v2
-	// summary and the timeseries sampler. Off, the hot path pays one
-	// nil check per batch and those consumers degrade gracefully.
+	// Metrics enables the histogram bundle (see metrics.go): per-op
+	// latency and batch-shape histograms, the /metrics exposition page's
+	// per-kind families and the STATS v2 summary. Off, the hot path pays
+	// one nil check per batch; the counters are kept either way.
 	Metrics bool
 
 	// --- resilience layer (admission control, deadlines, drain) ---
@@ -108,11 +107,12 @@ const StatsVersion = 2
 // Stats is the server's cumulative operational snapshot, also the STATS
 // opcode's JSON body. Batches, Drained, PWBs, PFences and PFencesElided
 // are the store combiner's account of its windows (store.WindowStats), so
-// pwbs/acked-op over an interval is ΔPWBs/ΔOpsServed when the server is
+// an interval's (Since) pwbs/op is per acknowledged op when the server is
 // the store's only Combined user, as in flitstored.
 type Stats struct {
 	Version   int    `json:"v"`          // StatsVersion of the emitting server
 	Conns     uint64 `json:"conns"`      // connections accepted
+	ConnsOpen int64  `json:"conns_open"` // connections being served now
 	OpsServed uint64 `json:"ops_served"` // store ops acknowledged
 	Batches   uint64 `json:"batches"`    // commit windows, fenced or elided
 	Drained   uint64 `json:"drained"`    // lines drained by window commits
@@ -144,6 +144,35 @@ type Stats struct {
 	// summaries, so a load generator can print server-observed
 	// percentiles next to its client-observed ones.
 	Metrics *StatsMetrics `json:"metrics,omitempty"`
+}
+
+// Interval is the server's work between two Stats snapshots: the deltas
+// of the monotone counters and the ratios they make. A ratio over an
+// interval with no ops (or no windows) is 0.
+type Interval struct {
+	Ops, Batches, PWBs, PFences, PFencesElided uint64
+	Shed                                       uint64 // busy + draining
+	PWBsPerOp, PFencesPerOp, OpsPerBatch       float64
+}
+
+// Since returns the interval from the earlier snapshot prev to s.
+func (s Stats) Since(prev Stats) Interval {
+	iv := Interval{
+		Ops:           s.OpsServed - prev.OpsServed,
+		Batches:       s.Batches - prev.Batches,
+		PWBs:          s.PWBs - prev.PWBs,
+		PFences:       s.PFences - prev.PFences,
+		PFencesElided: s.PFencesElided - prev.PFencesElided,
+		Shed:          s.ShedBusy + s.ShedDraining - (prev.ShedBusy + prev.ShedDraining),
+	}
+	if iv.Ops > 0 {
+		iv.PWBsPerOp = float64(iv.PWBs) / float64(iv.Ops)
+		iv.PFencesPerOp = float64(iv.PFences) / float64(iv.Ops)
+	}
+	if iv.Batches > 0 {
+		iv.OpsPerBatch = float64(iv.Ops) / float64(iv.Batches)
+	}
+	return iv
 }
 
 // StatsMetrics is the STATS v2 summary block, distilled from the
@@ -182,8 +211,10 @@ type Server struct {
 	batcherIDs atomic.Uint64 // counter stripe assignment
 	epoch      time.Time     // fixed base for cheap monotonic time.Since reads
 
-	conns     atomic.Uint64
-	opsServed atomic.Uint64
+	// ops counts acknowledged store operations by kind, each batcher on
+	// its own stripe; their sum is Stats.OpsServed.
+	ops   [numOpKinds]metrics.Counter
+	conns atomic.Uint64
 
 	// Resilience state. The shed counters are striped (batchers write on
 	// their own stripe); conn-level counters are plain atomics — they
@@ -192,7 +223,7 @@ type Server struct {
 	draining      atomic.Bool
 	connWG        sync.WaitGroup // live ServeConn handlers, drained by Shutdown
 	inflight      atomic.Int64   // store ops currently inside Exec
-	connsOpen     atomic.Int64   // currently served connections (MaxConns)
+	connsOpen     atomic.Int64   // currently served connections, the MaxConns cap's count
 	connsRejected atomic.Uint64  // connections turned away at MaxConns
 	shedBusy      metrics.Counter
 	shedDraining  metrics.Counter
@@ -247,18 +278,22 @@ func (s *Server) connError(c net.Conn, cause int, err error) {
 	}
 }
 
-// Store returns the served store.
-func (s *Server) Store() *store.Store { return s.st }
-
 // Stats snapshots the server counters. Safe to call from any goroutine
 // at any time: every field is one of the server's atomics or the store
 // combiner's account of its windows, copied under the combiner's lock.
 func (s *Server) Stats() Stats {
 	ws := s.st.WindowStats()
+	var kinds [numOpKinds]uint64
+	var ops uint64
+	for k := range s.ops {
+		kinds[k] = s.ops[k].Load()
+		ops += kinds[k]
+	}
 	st := Stats{
 		Version:   StatsVersion,
 		Conns:     s.conns.Load(),
-		OpsServed: s.opsServed.Load(),
+		ConnsOpen: s.connsOpen.Load(),
+		OpsServed: ops,
 		Batches:   ws.Windows,
 		Drained:   ws.Drained,
 		MaxBatch:  s.opts.MaxBatch,
@@ -284,16 +319,16 @@ func (s *Server) Stats() Stats {
 	}
 	if m := s.metrics; m != nil {
 		var lat, commit, bops, bfences, depth metrics.HistSnapshot
-		m.LatSnapshot(&lat)
+		s.OpLatency(&lat)
 		m.Commit.Read(&commit)
 		m.BatchOps.Read(&bops)
 		m.BatchFences.Read(&bfences)
 		m.Depth.Read(&depth)
 		st.Metrics = &StatsMetrics{
-			Gets:     m.Ops[store.OpGet].Load(),
-			Puts:     m.Ops[store.OpPut].Load(),
-			Deletes:  m.Ops[store.OpDelete].Load(),
-			Contains: m.Ops[store.OpContains].Load(),
+			Gets:     kinds[store.OpGet],
+			Puts:     kinds[store.OpPut],
+			Deletes:  kinds[store.OpDelete],
+			Contains: kinds[store.OpContains],
 
 			OpP50Ns: lat.Quantile(0.50),
 			OpP95Ns: lat.Quantile(0.95),
@@ -435,26 +470,21 @@ func (s *Server) ServeConn(nc net.Conn) {
 	}
 	defer s.untrack(nc)
 	defer s.connWG.Done()
-	if mc := s.opts.MaxConns; mc > 0 {
-		if s.connsOpen.Add(1) > int64(mc) {
-			s.connsOpen.Add(-1)
-			s.connsRejected.Add(1)
-			// One unsolicited BUSY frame tells the client this was
-			// admission control, not a crash; then hang up.
-			if s.opts.WriteTimeout > 0 {
-				nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-			}
-			resp := Response{Status: StatusBusy, RetryAfterMs: 1}
-			nc.Write(AppendResponse(nil, 0, &resp))
-			return
+	open := s.connsOpen.Add(1)
+	if mc := s.opts.MaxConns; mc > 0 && open > int64(mc) {
+		s.connsOpen.Add(-1)
+		s.connsRejected.Add(1)
+		// One unsolicited BUSY frame tells the client this was
+		// admission control, not a crash; then hang up.
+		if s.opts.WriteTimeout > 0 {
+			nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}
-		defer s.connsOpen.Add(-1)
+		resp := Response{Status: StatusBusy, RetryAfterMs: 1}
+		nc.Write(AppendResponse(nil, 0, &resp))
+		return
 	}
+	defer s.connsOpen.Add(-1)
 	s.conns.Add(1)
-	if m := s.metrics; m != nil {
-		m.ConnsOpen.Add(1)
-		defer m.ConnsOpen.Add(-1)
-	}
 	n := s.opts.MaxBatch
 	c := &conn{
 		srv: s, nc: nc,
@@ -661,7 +691,7 @@ func (c *conn) readFailed(err error) {
 type Batcher struct {
 	srv *Server
 	cs  *store.Sess[[]byte]
-	id  int // metrics counter stripe (stable per batcher)
+	id  int // counter stripe (stable per batcher)
 
 	ops []store.Op[[]byte] // the batch's store requests, and their results
 	res []store.Result
@@ -711,14 +741,17 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	if storeOps := len(b.ops); storeOps > 0 { // pure PING/STATS announces nothing
 		b.cs.Apply(b.ops, b.res)
 		b.cs.Commit()
-		b.srv.opsServed.Add(uint64(storeOps))
+		var share int64
 		if m != nil {
 			d := int64(time.Since(b.srv.epoch) - t0)
 			m.Commit.RecordNs(d)
-			for k, n := range kindN {
-				if n > 0 {
-					m.Lat[k].RecordNNs(d/int64(storeOps), n)
-					m.Ops[k].Add(b.id, n)
+			share = d / int64(storeOps)
+		}
+		for k, n := range kindN {
+			if n > 0 {
+				b.srv.ops[k].Add(b.id, n)
+				if m != nil {
+					m.Lat[k].RecordNNs(share, n)
 				}
 			}
 		}

@@ -28,3 +28,8 @@ func (s *Store) Bucket(key string) (shard, bucket int) {
 	shard = shardIdx(h, len(s.tables))
 	return shard, s.tables[shard].BucketOf(h)
 }
+
+// Contains reports whether key is present.
+func (s *Sess[K]) Contains(key K) bool {
+	return s.c.do1(OpContains, hashKey(key), 0).Ok
+}

@@ -309,11 +309,6 @@ func (s *Sess[K]) Delete(key K) bool {
 	return s.c.do1(OpDelete, hashKey(key), 0).Ok
 }
 
-// Contains reports whether key is present.
-func (s *Sess[K]) Contains(key K) bool {
-	return s.c.do1(OpContains, hashKey(key), 0).Ok
-}
-
 // Apply executes the op vector, writing each operation's outcome into
 // res (len(res) must be at least len(ops)). Direct mode runs each op to
 // completion in order. Batched mode executes the vector as one

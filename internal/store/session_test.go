@@ -312,6 +312,48 @@ func TestCombinerPanicIsOneAnnouncers(t *testing.T) {
 	})
 }
 
+// TestWindowAcksAfterItsCommitFence: a window acknowledges the slots it
+// served only after its commit fence. Here the fence crashes: the
+// countdown on the combiner's thread expires before the window, and a
+// dead thread's next fence panics (pmem's drain), which — since the
+// window's ops, a Get and an in-place Put, issue no fence of their own —
+// is the commit's. A second slot, announced by hand, is served in that
+// window; it must never read slotDone, and its Put must be absent from
+// the crash image.
+func TestWindowAcksAfterItsCommitFence(t *testing.T) {
+	st := newTestStore(t, Options{})
+	load := Open[string](st, Direct)
+	load.Put("k", 1)
+	load.Close()
+	own, other := Open[string](st, Combined), Open[string](st, Combined)
+	sl := other.c.slot
+	sl.ops = []hashedOp{{kind: OpPut, h: hashKey("k"), val: 7}}
+	sl.res = make([]Result, 1)
+	sl.state.Store(slotAnnounced)
+
+	th := st.comb.Load().x.t
+	th.SetCrashAfter(0)
+	if !pmem.RunToCrash(th.CheckCrash) {
+		t.Fatal("the countdown did not expire")
+	}
+	if !pmem.RunToCrash(func() { own.Get("k") }) {
+		t.Fatal("the window committed on a crashed thread")
+	}
+	if got := sl.state.Load(); got != slotClaimed {
+		t.Fatalf("the served slot reads state %d after its window's commit fence crashed, want slotClaimed (%d): acknowledged before the fence", got, slotClaimed)
+	}
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+	rec, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := Open[string](rec, Direct)
+	defer rd.Close()
+	if v, ok := rd.Get("k"); !ok || v != 1 {
+		t.Fatalf("recovered k = (%d,%v), want the prefilled 1: the unfenced Put survived", v, ok)
+	}
+}
+
 // TestCombinedCoalescingElidesPWBs is the VSA property at unit scale: a
 // window of self-cancelling adds on one hot key persists far fewer lines
 // coalesced by a Combined session than executed one by one in a Batched

@@ -171,7 +171,8 @@ func TestFlitstoredLoadgenEndToEnd(t *testing.T) {
 
 // TestFlitstoredObservabilityEndToEnd exercises the observability layer
 // through the real binaries: flitstored boots with a crash-recovered
-// store, an HTTP /metrics endpoint, and a stats-json sink; flitload
+// store, an HTTP /metrics endpoint, a stats-json sink and -dash status
+// lines; flitload
 // drives traffic with -live progress lines, validates the exposition
 // page with -scrape, and reports the STATS v2 server-side quantiles in
 // its JSON result; the shutdown stats file carries recovery stats.
@@ -187,7 +188,7 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 	statsPath := filepath.Join(dir, "stats.json")
 
 	srv := exec.Command(stored, "-unix", sock, "-shards", "4", "-records", "1024",
-		"-vclock", "-recover", "-metrics-addr", "127.0.0.1:0", "-stats-json", statsPath)
+		"-vclock", "-recover", "-metrics-addr", "127.0.0.1:0", "-stats-json", statsPath, "-dash")
 	var srvOut liveBuffer
 	srv.Stdout, srv.Stderr = &srvOut, &srvOut
 	if err := srv.Start(); err != nil {
@@ -286,6 +287,13 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 	}
 	if res.Ops == 0 || res.ServerP50 <= 0 || res.ServerP99 < res.ServerP50 {
 		t.Fatalf("server quantiles missing from JSON result: %+v", res)
+	}
+
+	// -dash prints a status line a second while serving.
+	for dashDeadline := time.Now().Add(5 * time.Second); !hasDashLine(srvOut.String()); time.Sleep(50 * time.Millisecond) {
+		if time.Now().After(dashDeadline) {
+			t.Fatalf("-dash printed no status line:\n%s", srvOut.String())
+		}
 	}
 
 	// Shutdown writes the final stats + recovery JSON.
@@ -425,4 +433,14 @@ var _ = hot
 			t.Errorf("flitvet output missing a %s finding:\n%s", analyzer, out)
 		}
 	}
+}
+
+// hasDashLine reports whether out holds a flitstored -dash status line.
+func hasDashLine(out string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "flitstored: ") && strings.Contains(line, "ops/s") && strings.Contains(line, "pwbs/op") {
+			return true
+		}
+	}
+	return false
 }

@@ -1,5 +1,5 @@
 // Package def declares what TestExportsGateHasTeeth resolves: package use
-// reaches all of it but Handle.Domain and Config.TestOnly.
+// reaches all of it but Handle.Domain, Stray.Run and Config.TestOnly.
 package def
 
 // Domain is a type that package use names.
@@ -20,6 +20,19 @@ type Job struct{}
 
 // Run is reached only through Runner: not reported.
 func (Job) Run() {}
+
+// Stray has a Run of another signature, so it does not implement Runner.
+type Stray struct{}
+
+// Run shares its name with Runner's, but Runner's uses do not reach it:
+// reported.
+func (Stray) Run(n int) {}
+
+// Box's pointer satisfies the constraint package use calls Size through.
+type Box struct{ n int }
+
+// Size is reached only through a type parameter: not reported.
+func (b *Box) Size() int { return b.n }
 
 // Counter has a pointer method.
 type Counter struct{ n int }

@@ -8,10 +8,15 @@ type shape struct {
 	Values map[int]int
 }
 
+// size calls Size through its type parameter's constraint.
+func size[T interface{ Size() int }](x T) int { return x.Size() }
+
 // Use reaches def through every form TestExportsGateHasTeeth must count.
 func Use(h *def.Handle) (*def.Domain, def.Snapshot) {
 	var r def.Runner = def.Job{}
 	r.Run()
+	_ = size(&def.Box{})
+	_ = def.Stray{}
 
 	var c def.Config
 	c.Indexed[0] = 1
