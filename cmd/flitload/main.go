@@ -133,7 +133,7 @@ func main() {
 	fmt.Printf("  server: %d ops in %d batches (%.1f ops/batch), %.3f pwbs/op, %.3f pfences/op\n",
 		res.ServerOps, res.ServerBatches, res.OpsPerBatch, res.PWBsPerOp, res.PFencesPerOp)
 	if res.ServerP50 > 0 {
-		fmt.Printf("  server service time p50=%v p95=%v p99=%v max=%v, commit p99=%v\n",
+		fmt.Printf("  server service time since start p50=%v p95=%v p99=%v max=%v, commit p99=%v\n",
 			res.ServerP50, res.ServerP95, res.ServerP99, res.ServerOpMax, res.ServerCommitP99)
 	}
 }
@@ -164,7 +164,7 @@ func progressPrinter(live bool, network, target string) func(workload.Progress) 
 						iv.PWBsPerOp, iv.PFencesPerOp, iv.OpsPerBatch)
 				}
 				if st.Metrics != nil {
-					line += fmt.Sprintf(" p99=%v", time.Duration(st.Metrics.OpP99Ns))
+					line += fmt.Sprintf(" p99 since start=%v", time.Duration(st.Metrics.OpP99Ns))
 				}
 				prev = st
 			} else {

@@ -40,7 +40,7 @@ var ackScopePkgs = []string{"internal/server", "internal/store"}
 var effectMethodNames = map[string]bool{
 	"Get": false, "Contains": false, // reads carry no commit obligation
 	"Put": true, "Delete": true, "Add": true, "Insert": true,
-	"Apply": true, "Exec": true, "Remove": true,
+	"Apply": true, "ApplyHashed": true, "Exec": true, "Remove": true,
 }
 
 // commitMethodNames mark the batch as persisted.

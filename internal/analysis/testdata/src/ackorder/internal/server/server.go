@@ -9,6 +9,7 @@ func (b *batch) Put(k, v uint64) { b.pending++ }
 func (b *batch) Get(k uint64) (uint64, bool) {
 	return 0, false
 }
+func (b *batch) ApplyHashed(ops []uint64) { b.pending += len(ops) }
 func (b *batch) Commit() int {
 	n := b.pending
 	b.pending = 0
@@ -50,6 +51,13 @@ func ackBeforeCommit(b *batch) {
 	b.Put(1, 2)
 	writeResp(1) // want "response write (writeResp) is reachable before the pending batch is committed"
 	b.Commit()
+}
+
+// ackAfterApplyHashed: the hashed vector entry point is a store effect,
+// so acking after it without a Commit is flagged.
+func ackAfterApplyHashed(b *batch, ops []uint64) {
+	b.ApplyHashed(ops)
+	writeResp(len(ops)) // want "response write (writeResp) is reachable before the pending batch is committed"
 }
 
 // ackOnEffectBranch: the effect branch acks without committing.

@@ -81,8 +81,9 @@ func (c *Conn) Flush() error {
 	return c.bw.Flush()
 }
 
-// Recv decodes the next pipelined response, in send order. The returned
-// Response aliases internal buffers until the next Recv.
+// Recv decodes the next pipelined response, in send order, in place in
+// the connection's read buffer: the returned Response and its Body are
+// valid until the next Recv.
 //
 // A transport or decode failure comes back as a *PipelineError carrying
 // the outstanding-response count — never a short-read panic or a hang

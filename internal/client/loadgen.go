@@ -67,11 +67,11 @@ type Result struct {
 	OpsPerBatch   float64 `json:"ops_per_batch"`
 
 	// Server-side op service-time quantiles from the STATS v2 metrics
-	// block — cumulative over the server's lifetime, zero when the
-	// server runs without its metrics core. Service time excludes the
-	// shared group-commit fence (visible separately as ServerCommitP99),
-	// so these sit far below the client round-trip quantiles: the gap is
-	// queueing plus the fence.
+	// block — cumulative since the server started, not over this run's
+	// window like the fields above; zero when the server runs without its
+	// metrics core. Service time excludes the shared group-commit fence
+	// (visible separately as ServerCommitP99), so these sit far below the
+	// client round-trip quantiles: the gap is queueing plus the fence.
 	ServerP50       time.Duration `json:"server_p50_ns,omitempty"`
 	ServerP95       time.Duration `json:"server_p95_ns,omitempty"`
 	ServerP99       time.Duration `json:"server_p99_ns,omitempty"`

@@ -371,37 +371,34 @@ func ackFirstProxy(down, up net.Conn, ackFirst *atomic.Bool) {
 	defer down.Close()
 	defer up.Close()
 	dr, ur := bufio.NewReader(down), bufio.NewReader(up)
-	var reqs []server.Request
+	var req server.Request
 	var resp server.Response
-	var out []byte
+	var ops, fwd, out []byte
 	for {
-		// One pipeline window, delimited as the server does: block for
-		// the head, then take whatever is already buffered.
-		reqs = reqs[:0]
-		for len(reqs) == 0 || dr.Buffered() > 0 {
-			reqs = append(reqs, server.Request{})
-			if server.ReadRequest(dr, &reqs[len(reqs)-1]) != nil {
+		// One pipeline window: block for the head, then take whatever is
+		// already buffered, re-encoding each request as it is read (its
+		// key points into dr's buffer only until the next read).
+		ops, fwd = ops[:0], fwd[:0]
+		for len(ops) == 0 || dr.Buffered() > 0 {
+			if server.ReadRequest(dr, &req) != nil {
 				return
 			}
+			ops, fwd = append(ops, req.Op), server.AppendRequest(fwd, &req)
 		}
 		fake := ackFirst.Load()
 		if !fake {
-			out = out[:0]
-			for i := range reqs {
-				out = server.AppendRequest(out, &reqs[i])
-			}
-			if _, err := up.Write(out); err != nil {
+			if _, err := up.Write(fwd); err != nil {
 				return
 			}
 		}
 		out = out[:0]
-		for i := range reqs {
+		for _, op := range ops {
 			if fake {
 				resp = server.Response{Status: server.StatusOK, Flag: true}
-			} else if server.ReadResponse(ur, reqs[i].Op, &resp) != nil {
+			} else if server.ReadResponse(ur, op, &resp) != nil {
 				return
 			}
-			out = server.AppendResponse(out, reqs[i].Op, &resp)
+			out = server.AppendResponse(out, op, &resp)
 		}
 		if _, err := down.Write(out); err != nil {
 			return

@@ -18,8 +18,11 @@ import (
 
 // seedRequests are the request shapes the protocol tests exercise: every
 // opcode (TestServerRoundTrips, TestBatcherDirect), with and without a
-// key, with an empty key and a value using all 64 bits.
+// key, with an empty key and a value using all 64 bits, and one frame
+// larger than the fuzz reader's 4 KiB buffer, which decodes by copy, not
+// in place.
 var seedRequests = []server.Request{
+	{Op: server.OpPut, Key: bytes.Repeat([]byte("big"), 2000), Val: 3},
 	{Op: server.OpPut, Key: []byte("alpha"), Val: 41},
 	{Op: server.OpPut, Key: []byte("x"), Val: 1<<64 - 1},
 	{Op: server.OpGet, Key: []byte("alpha")},
@@ -126,6 +129,7 @@ func FuzzReadResponse(f *testing.F) {
 		{server.OpPut, server.Response{Status: server.StatusBusy, RetryAfterMs: 7}},
 		{server.OpGet, server.Response{Status: server.StatusDraining}},
 		{0, server.Response{Status: server.StatusErr, Body: []byte("server: unknown opcode 99")}},
+		{server.OpStats, server.Response{Status: server.StatusOK, Body: bytes.Repeat([]byte(" "), 5000)}},
 	} {
 		f.Add(seed.op, server.AppendResponse(nil, seed.op, &seed.resp))
 	}

@@ -101,8 +101,8 @@ type Request struct {
 	Key []byte
 	Val uint64
 
-	// buf is ReadRequest's reused frame buffer; Key aliases it until the
-	// next ReadRequest on the same Request.
+	// buf is ReadRequest's frame buffer for a frame larger than the
+	// reader's buffer, reused across calls on the same Request.
 	buf []byte
 }
 
@@ -114,8 +114,8 @@ type Response struct {
 	Body         []byte // STATS JSON or error message
 	RetryAfterMs uint32 // StatusBusy backoff hint
 
-	// buf is ReadResponse's reused frame buffer; Body aliases it until
-	// the next ReadResponse on the same Response.
+	// buf is ReadResponse's frame buffer for a frame larger than the
+	// reader's buffer, reused across calls on the same Response.
 	buf []byte
 }
 
@@ -192,14 +192,20 @@ func AppendResponse(dst []byte, op byte, resp *Response) []byte {
 	return dst
 }
 
-// readFrame reads one length-prefixed payload of at most limit bytes into
-// buf (grown as needed). The prefix is taken with Peek/Discard: a local
-// [4]byte escapes through io.ReadFull's interface call, a malloc per frame.
-// io.EOF means the stream ended at a frame boundary; inside a frame it is
-// io.ErrUnexpectedEOF.
+// readFrame reads one length-prefixed payload of at most limit bytes. A
+// frame that fits r's buffer is Peeked whole and decoded in place: the
+// payload points into r's buffer until the next read from r. A larger one
+// is copied into *buf (grown as needed). The prefix is taken with Peek
+// too: a local [4]byte escapes through io.ReadFull's interface call, a
+// malloc per frame. io.EOF means the stream ended at a frame boundary;
+// inside a frame it is io.ErrUnexpectedEOF.
 //
 //flit:hotpath
-func readFrame(r *bufio.Reader, buf []byte, limit uint32) ([]byte, error) {
+func readFrame(r *bufio.Reader, buf *[]byte, limit uint32) ([]byte, error) {
+	if f := bufferedFrame(r, limit); f != nil {
+		r.Discard(len(f))
+		return f[4:], nil
+	}
 	hdr, err := r.Peek(4)
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
@@ -211,18 +217,44 @@ func readFrame(r *bufio.Reader, buf []byte, limit uint32) ([]byte, error) {
 	if n == 0 || n > limit {
 		return nil, errFrameLen(n, limit)
 	}
-	r.Discard(4)
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	var payload []byte
+	if 4+int(n) <= r.Size() {
+		if payload, err = r.Peek(4 + int(n)); err == nil {
+			r.Discard(4 + int(n))
+			return payload[4:], nil
 		}
-		return nil, err
+	} else {
+		r.Discard(4)
+		if cap(*buf) < int(n) {
+			*buf = make([]byte, n)
+		}
+		payload = (*buf)[:n]
+		if _, err = io.ReadFull(r, payload); err == nil {
+			return payload, nil
+		}
 	}
-	return buf, nil
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return nil, err
+}
+
+// bufferedFrame returns the next frame, prefix included, when r already
+// holds all of it and its prefix is legal, else nil: reading it then
+// neither blocks nor refills r's buffer, which would overwrite payloads
+// decoded in place before it.
+//
+//flit:hotpath
+func bufferedFrame(r *bufio.Reader, limit uint32) []byte {
+	b, _ := r.Peek(r.Buffered())
+	if len(b) < 4 {
+		return nil
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n == 0 || n > limit || len(b)-4 < int(n) {
+		return nil
+	}
+	return b[:4+n]
 }
 
 // Decode errors are built off the hot path: fmt allocates.
@@ -237,17 +269,17 @@ func errReqBody(op byte, got, want int) error {
 	return fmt.Errorf("server: opcode %d body is %d bytes, want %d: %w", op, got, want, ErrMalformed)
 }
 
-// ReadRequest decodes the next request frame, reusing req.Key's backing
-// array when possible. The returned key aliases req.Key until the next
-// call.
+// ReadRequest decodes the next request frame into req. req.Key points
+// into r's buffer, or into req's own when the frame is larger than r's
+// (see readFrame): it stays valid until the next read from r.
 //
 //flit:hotpath
 func ReadRequest(r *bufio.Reader, req *Request) error {
-	payload, err := readFrame(r, req.buf, MaxRequestLen)
+	payload, err := readFrame(r, &req.buf, MaxRequestLen)
 	if err != nil {
 		return err
 	}
-	req.buf, req.Key, req.Op, req.Val = payload, payload[:0], payload[0], 0
+	req.Key, req.Op, req.Val = payload[:0], payload[0], 0
 	body := payload[1:]
 	if !hasKey(req.Op) {
 		if req.Op != OpPing && req.Op != OpStats {
@@ -278,15 +310,17 @@ func ReadRequest(r *bufio.Reader, req *Request) error {
 }
 
 // ReadResponse decodes the next response frame for a request with the
-// given opcode, reusing resp.Body's backing array when possible.
+// given opcode into resp. resp.Body points into r's buffer, or into
+// resp's own when the frame is larger than r's (see readFrame): it stays
+// valid until the next read from r.
 //
 //flit:hotpath
 func ReadResponse(r *bufio.Reader, op byte, resp *Response) error {
-	payload, err := readFrame(r, resp.buf, MaxFrameLen)
+	payload, err := readFrame(r, &resp.buf, MaxFrameLen)
 	if err != nil {
 		return err
 	}
-	resp.buf, resp.Status = payload, payload[0]
+	resp.Status = payload[0]
 	resp.Val, resp.Flag, resp.Body, resp.RetryAfterMs = 0, false, payload[:0], 0
 	body := payload[1:]
 	switch {

@@ -5,9 +5,10 @@
 // Every connection is served by one goroutine owning one conn: buffered
 // reader and writer, MaxBatch request/response slots and a Batcher (one
 // Combined-mode store session). It runs four stages per window:
-// readWindow decodes everything the client already pipelined, up to
-// Options.MaxBatch; admit charges it to admission control; exec hands
-// its store ops to the combiner as one vector (Batcher.Exec), which
+// readWindow decodes every whole frame the client already pipelined, up
+// to Options.MaxBatch, in place in the reader's buffer; admit charges it
+// to admission control; exec hashes its store ops' keys and hands them
+// to the combiner as one vector (Batcher.Exec), which
 // executes them in pipeline order, in a window shared with every other
 // connection announced beside it (run by this connection itself when it
 // finds the combiner idle), and commits the window under ONE fence
@@ -488,7 +489,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 	n := s.opts.MaxBatch
 	c := &conn{
 		srv: s, nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10), bw: bufio.NewWriterSize(nc, 64<<10),
+		br: bufio.NewReaderSize(nc, 4+MaxRequestLen), bw: bufio.NewWriterSize(nc, 64<<10),
 		reqs: make([]Request, n), resps: make([]Response, n),
 	}
 	defer c.release()
@@ -544,13 +545,14 @@ func (c *conn) serve() {
 }
 
 // readWindow decodes the next pipeline window into reqs[:n]: with block
-// set it waits for the head, then it takes what is already buffered — the
-// group-commit window is "whatever the client managed to pipeline", capped
-// at MaxBatch. storeOps counts the key-carrying requests.
+// set it waits for the head, then it takes every whole frame already
+// buffered (bufferedFrame: keys are decoded in place) — the group-commit
+// window is "whatever the client managed to pipeline", capped at
+// MaxBatch. storeOps counts the key-carrying requests.
 //
 //flit:hotpath
 func (c *conn) readWindow(block bool) (n, storeOps int, err error) {
-	for n < len(c.reqs) && (c.br.Buffered() > 0 || block && n == 0) {
+	for n < len(c.reqs) && (block && n == 0 || bufferedFrame(c.br, MaxRequestLen) != nil) {
 		if err = ReadRequest(c.br, &c.reqs[n]); err != nil {
 			return n, storeOps, err
 		}
@@ -644,12 +646,13 @@ func (c *conn) armWriteBudget() {
 	}
 }
 
-// drainReject answers the whole buffered pipeline, however many windows
-// deep, with DRAINING (store ops; control ops are served) on the way out.
+// drainReject answers every whole frame of the buffered pipeline, however
+// many windows deep, with DRAINING (store ops; control ops are served) on
+// the way out; a trailing partial frame is left unanswered.
 func (c *conn) drainReject() {
-	for c.br.Buffered() > 0 {
+	for {
 		n, _, err := c.readWindow(false)
-		if err != nil {
+		if err != nil || n == 0 {
 			return
 		}
 		c.reject(n, StatusDraining, 0, &c.srv.shedDraining)
@@ -693,8 +696,8 @@ type Batcher struct {
 	cs  *store.Sess[[]byte]
 	id  int // counter stripe (stable per batcher)
 
-	ops []store.Op[[]byte] // the batch's store requests, and their results
-	res []store.Result
+	hops []store.HashedOp // the batch's store requests, and their results
+	res  []store.Result
 }
 
 // NewBatcher opens a batch executor: a Combined session, registering a
@@ -710,24 +713,24 @@ func (s *Server) NewBatcher() *Batcher {
 // Close withdraws the batcher's combiner slot. Idempotent.
 func (b *Batcher) Close() { b.cs.Close() }
 
-// Exec executes one pipeline batch: its store requests, in pipeline order
-// (so same-key requests stay ordered), are one Apply — one slot of a
-// combiner window, durable on return — before any response is
-// materialized. Commit is the session API's durability point, a no-op for
-// a Combined session (see flitvet's ackorder). resps[i] answers reqs[i];
-// lengths match.
+// Exec executes one pipeline batch: its store requests, hashed from
+// req.Key in pipeline order (so same-key requests stay ordered), are one
+// ApplyHashed — one slot of a combiner window, durable on return — before
+// any response is materialized. Commit is the session API's durability
+// point, a no-op for a Combined session (see flitvet's ackorder).
+// resps[i] answers reqs[i]; lengths match.
 func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	m := b.srv.metrics
-	b.ops = b.ops[:0]
+	b.hops = b.hops[:0]
 	var kindN [numOpKinds]uint64
 	for i := range reqs {
 		if req := &reqs[i]; hasKey(req.Op) {
 			k := storeKind(req.Op)
 			kindN[k]++
-			b.ops = append(b.ops, store.Op[[]byte]{Kind: k, Key: req.Key, Val: req.Val})
+			b.hops = append(b.hops, store.HashedOp{Kind: k, H: store.HashKeyBytes(req.Key), Val: req.Val})
 		}
 	}
-	if len(b.res) < len(b.ops) {
+	if len(b.res) < len(b.hops) {
 		b.res = make([]store.Result, cap(resps))
 	}
 	// With metrics on, two clock reads per batch, around the announcement:
@@ -738,8 +741,8 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 		m.Depth.RecordNs(int64(len(reqs)))
 		t0 = time.Since(b.srv.epoch)
 	}
-	if storeOps := len(b.ops); storeOps > 0 { // pure PING/STATS announces nothing
-		b.cs.Apply(b.ops, b.res)
+	if storeOps := len(b.hops); storeOps > 0 { // pure PING/STATS announces nothing
+		b.cs.ApplyHashed(b.hops, b.res)
 		b.cs.Commit()
 		var share int64
 		if m != nil {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -262,5 +263,111 @@ func TestServerEOFInsideHeaderIsReset(t *testing.T) {
 	}
 	if errs := srv.Stats().ConnErrors; errs["reset"] != 1 || len(errs) != 1 {
 		t.Fatalf("ConnErrors = %v, want exactly one reset", errs)
+	}
+}
+
+// cutWriter delivers every Write as two, split at offset at, so over a
+// net.Pipe the peer's reader holds the stream cut there.
+type cutWriter struct {
+	net.Conn
+	at int
+}
+
+func (c cutWriter) Write(p []byte) (int, error) {
+	if c.at <= 0 || c.at >= len(p) {
+		return c.Conn.Write(p)
+	}
+	n, err := c.Conn.Write(p[:c.at])
+	if err != nil {
+		return n, err
+	}
+	m, err := c.Conn.Write(p[c.at:])
+	return n + m, err
+}
+
+// TestWindowTakesWholeFramesOnly: the server decodes keys in place in its
+// read buffer, so a window must end at a partial frame — reading it would
+// refill the buffer under the keys already taken. Each depth-32 window is
+// cut at the next offset of its stream, inside length prefixes and keys
+// alike, and every answer must match a map's.
+func TestWindowTakesWholeFramesOnly(t *testing.T) {
+	srv := server.New(newTestStore(t), server.Options{})
+	defer srv.Close()
+	cc, sc := net.Pipe()
+	go srv.ServeConn(sc)
+	defer cc.Close()
+	br := bufio.NewReader(cc)
+	oracle := map[string]uint64{}
+	reqs := make([]server.Request, 32)
+	want := make([]server.Response, len(reqs))
+	var wire []byte
+	var resp server.Response
+	for round := 0; round == 0 || round < len(wire); round++ {
+		// Even slots Put fresh keys; odd ones Get the previous round's.
+		wire = wire[:0]
+		for i := range reqs {
+			if i%2 == 0 {
+				key := fmt.Sprintf("r%d/%d", round, i)
+				reqs[i] = server.Request{Op: server.OpPut, Key: []byte(key), Val: uint64(round<<8 | i)}
+				want[i] = server.Response{Status: server.StatusOK, Flag: true}
+				oracle[key] = reqs[i].Val
+			} else {
+				key := fmt.Sprintf("r%d/%d", round-1, i-1)
+				v, ok := oracle[key]
+				reqs[i] = server.Request{Op: server.OpGet, Key: []byte(key)}
+				want[i] = server.Response{Status: server.StatusNotFound}
+				if ok {
+					want[i] = server.Response{Status: server.StatusOK, Val: v}
+				}
+			}
+			wire = server.AppendRequest(wire, &reqs[i])
+		}
+		sent := make(chan error, 1)
+		go func() { _, err := (cutWriter{cc, round}).Write(wire); sent <- err }()
+		for i := range reqs {
+			if err := server.ReadResponse(br, reqs[i].Op, &resp); err != nil {
+				t.Fatalf("cut at %d: response %d: %v", round, i, err)
+			}
+			if resp.Status != want[i].Status || resp.Val != want[i].Val || resp.Flag != want[i].Flag {
+				t.Fatalf("cut at %d: %d %q answered %+v, want %+v", round, reqs[i].Op, reqs[i].Key, resp, want[i])
+			}
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShutdownWithPartialFrameBuffered: a drain answers the whole frames
+// left in the read buffer and stops at a partial one, which it can neither
+// answer nor complete; Shutdown must still return.
+func TestShutdownWithPartialFrameBuffered(t *testing.T) {
+	srv := server.New(newTestStore(t), server.Options{})
+	cc, sc := net.Pipe()
+	go srv.ServeConn(sc)
+	defer cc.Close()
+	// A Ping, answered, then a Put cut inside its key.
+	put := server.AppendRequest(nil, &server.Request{Op: server.OpPut, Key: []byte("key"), Val: 1})
+	stream := append(server.AppendRequest(nil, &server.Request{Op: server.OpPing}), put[:8]...)
+	if _, err := cc.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	var resp server.Response
+	if err := server.ReadResponse(bufio.NewReader(cc), server.OpPing, &resp); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		done <- srv.Shutdown(ctx)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return with a partial frame buffered")
 	}
 }

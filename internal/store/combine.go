@@ -49,7 +49,7 @@ const combinePad = 60
 type cslot struct {
 	state atomic.Uint32
 	_     [combinePad]byte
-	ops   []hashedOp
+	ops   []HashedOp
 	res   []Result
 	fault any // the panic one of ops raised, handed back to the owner
 }
@@ -191,7 +191,7 @@ func (c *combiner) deregister(sl *cslot) {
 // A panic one of the ops raised is re-raised here, in the owner.
 //
 //flit:hotpath
-func (c *sessionCore) applyCombined(ops []hashedOp, res []Result) {
+func (c *sessionCore) applyCombined(ops []HashedOp, res []Result) {
 	sl, comb := c.slot, c.st.comb.Load()
 	sl.ops, sl.res = ops, res
 	if comb.lock.CompareAndSwap(0, 1) {
@@ -360,13 +360,13 @@ func (c *combiner) exec(kind OpKind, h, val uint64) Result {
 func (c *combiner) execSlot(sl *cslot) {
 	for j := range sl.ops {
 		op := &sl.ops[j]
-		if op.kind == OpAdd {
-			c.noteDelta(op.h, op.val)
+		if op.Kind == OpAdd {
+			c.noteDelta(op.H, op.Val)
 			sl.res[j] = Result{}
 			continue
 		}
-		c.settleDelta(op.h)
-		sl.res[j] = c.exec(op.kind, op.h, op.val)
+		c.settleDelta(op.H)
+		sl.res[j] = c.exec(op.Kind, op.H, op.Val)
 	}
 }
 

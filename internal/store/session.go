@@ -97,12 +97,12 @@ type Result struct {
 	Ok  bool
 }
 
-// hashedOp is an Op after key hashing — the mode-independent internal
-// currency, and what travels through a combining slot.
-type hashedOp struct {
-	kind OpKind
-	h    uint64
-	val  uint64
+// HashedOp is an Op after key hashing: what every session mode executes,
+// what travels through a combining slot, and ApplyHashed's input.
+type HashedOp struct {
+	Kind OpKind
+	H    uint64 // HashKey of the key: the key itself, to the store
+	Val  uint64
 }
 
 // sessionCore is the non-generic heart of Sess[K]: it works on hashed
@@ -125,7 +125,7 @@ type sessionCore struct {
 	// Combined announcement state: this session's slot at the store's
 	// combiner, plus a single-op vector reused across calls.
 	slot *cslot
-	op1  [1]hashedOp
+	op1  [1]HashedOp
 	res1 [1]Result
 
 	pending int
@@ -191,7 +191,7 @@ func (c *sessionCore) close() {
 //flit:hotpath
 func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
 	if c.mode == Combined {
-		c.op1[0] = hashedOp{kind: kind, h: h, val: val}
+		c.op1[0] = HashedOp{Kind: kind, H: h, Val: val}
 		c.applyCombined(c.op1[:], c.res1[:])
 		return c.res1[0]
 	}
@@ -257,9 +257,8 @@ func (c *sessionCore) commit() int {
 type Sess[K Key] struct {
 	c *sessionCore
 
-	// hops is scratch for a Combined Apply: the hashed spelling of the op
-	// vector.
-	hops []hashedOp
+	// hops is Apply's scratch: the hashed spelling of the op vector.
+	hops []HashedOp
 }
 
 // Open registers a new session on s in the given mode. The key type is
@@ -317,20 +316,24 @@ func (s *Sess[K]) Delete(key K) bool {
 // that executed it has committed: results are durable on return. Within
 // one Apply, ops on the same key execute in vector order.
 func (s *Sess[K]) Apply(ops []Op[K], res []Result) {
+	s.hops = s.hops[:0]
+	for i := range ops {
+		s.hops = append(s.hops, HashedOp{Kind: ops[i].Kind, H: hashKey(ops[i].Key), Val: ops[i].Val})
+	}
+	s.ApplyHashed(s.hops, res)
+}
+
+// ApplyHashed is Apply for ops whose keys the caller hashed (HashKey,
+// HashKeyBytes); a Combined session announces the vector as it is.
+func (s *Sess[K]) ApplyHashed(ops []HashedOp, res []Result) {
 	if len(res) < len(ops) {
 		panic("store: Apply result slice shorter than op vector")
 	}
-	if s.c.mode != Combined {
-		// Direct and Batched run each op in place: no hashed copy of the
-		// vector, which only the combiner's announcement needs.
-		for i := range ops {
-			res[i] = s.c.do1(ops[i].Kind, hashKey(ops[i].Key), ops[i].Val)
-		}
+	if s.c.mode == Combined {
+		s.c.applyCombined(ops, res[:len(ops)])
 		return
 	}
-	s.hops = s.hops[:0]
-	for i := range ops {
-		s.hops = append(s.hops, hashedOp{kind: ops[i].Kind, h: hashKey(ops[i].Key), val: ops[i].Val})
+	for i, op := range ops {
+		res[i] = s.c.do1(op.Kind, op.H, op.Val)
 	}
-	s.c.applyCombined(s.hops, res[:len(ops)])
 }

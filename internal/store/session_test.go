@@ -327,7 +327,7 @@ func TestWindowAcksAfterItsCommitFence(t *testing.T) {
 	load.Close()
 	own, other := Open[string](st, Combined), Open[string](st, Combined)
 	sl := other.c.slot
-	sl.ops = []hashedOp{{kind: OpPut, h: hashKey("k"), val: 7}}
+	sl.ops = []HashedOp{{Kind: OpPut, H: hashKey("k"), Val: 7}}
 	sl.res = make([]Result, 1)
 	sl.state.Store(slotAnnounced)
 
