@@ -1,7 +1,7 @@
 // Command flitvet is the multichecker driver for this repository's
-// static-analysis suite (internal/analysis): four analyzers that
-// enforce the persistence, lifecycle, ack-ordering, and hot-path
-// disciplines at review time.
+// static-analysis suite (internal/analysis): three analyzers that
+// enforce the persistence, lifecycle and hot-path disciplines at review
+// time.
 //
 // Usage:
 //

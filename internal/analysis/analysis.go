@@ -1,6 +1,6 @@
 // Package analysis is flitvet's static-analysis framework: a small,
 // dependency-free (stdlib go/* only) re-implementation of the
-// golang.org/x/tools/go/analysis shape, plus the four analyzers that
+// golang.org/x/tools/go/analysis shape, plus the three analyzers that
 // encode this repository's cross-cutting disciplines as compile-time
 // checks:
 //
@@ -11,9 +11,6 @@
 //     (pmem threads, heap arenas, store sessions, table handles,
 //     reclamation handles) reach their Release/Close on all paths,
 //     including error returns and explicit panics.
-//   - ackorder: in internal/server and the store's combiner, no response
-//     write or slot done-flip may be reachable while a deferred batch is
-//     uncommitted — the ack ⇒ persisted invariant.
 //   - hotpath: functions annotated //flit:hotpath must stay
 //     allocation-free: no time.Now, no fmt, no capturing closures, no
 //     map iteration, no interface-boxing conversions.
@@ -109,7 +106,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{PersistRaw, HandleClose, AckOrder, HotPath}
+	return []*Analyzer{PersistRaw, HandleClose, HotPath}
 }
 
 // ByName resolves a comma-separated analyzer list ("persistraw,hotpath");

@@ -107,7 +107,6 @@ func sameFile(diagPath, wantPath string) bool {
 
 func TestPersistRawFixtures(t *testing.T)  { checkFixture(t, "persistraw", PersistRaw) }
 func TestHandleCloseFixtures(t *testing.T) { checkFixture(t, "handleclose", HandleClose) }
-func TestAckOrderFixtures(t *testing.T)    { checkFixture(t, "ackorder", AckOrder) }
 func TestHotPathFixtures(t *testing.T)     { checkFixture(t, "hotpath", HotPath) }
 
 // TestMutationTeeth is the analyzers' own tooth battery: each tooth
@@ -122,7 +121,6 @@ func TestMutationTeeth(t *testing.T) {
 	}{
 		{PersistRaw, "persistraw/tooth"},
 		{HandleClose, "handleclose/tooth"},
-		{AckOrder, "ackorder/tooth"},
 		{HotPath, "hotpath/tooth"},
 	}
 	for _, tooth := range teeth {

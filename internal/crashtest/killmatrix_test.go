@@ -62,6 +62,7 @@ func batteries() []battery {
 		battery{name: "chaos", args: []string{"bin/flitcrash", "-chaos", "-rounds", "2"}},
 		battery{name: "slow window", args: []string{"go", "test", "-count=3", "-timeout=" + cellTimeout.String(), "-run", "TestSlowWindowPolicyPasses", "./internal/dlcheck"}},
 		battery{name: "value oracle", args: []string{"bash", "benchmark/run.sh", "--workload", "net_d1", "--seconds", "1"}, oracle: true},
+		battery{name: "flitvet", args: []string{"bin/flitvet", "./..."}},
 	)
 }
 
@@ -178,7 +179,7 @@ func runRow(t *testing.T, root, dir, benchCache string, m mutant, bs []battery) 
 	// cache, as its script does.
 	benchEnv := []string{"GOWORK=off", "GOTOOLCHAIN=local", "GOCACHE=" + benchCache}
 	build := []struct{ env, args []string }{
-		{nil, []string{"go", "build", "-o", "bin/", "./cmd/flitcrash"}},
+		{nil, []string{"go", "build", "-o", "bin/", "./cmd/flitcrash", "./cmd/flitvet"}},
 		{nil, []string{"go", "test", "-count=1", "-run", "^$", own, "./internal/crashtest", "./internal/dlcheck"}},
 		{benchEnv, []string{"go", "build", "-C", "benchmark", "-o", os.DevNull, "."}},
 	}

@@ -211,6 +211,24 @@ var mutants = []mutant{
 		replacement: `pol.Store(c.T, c.Field(curr, fVal), val, core.V)`,
 	},
 	{
+		// Put's in-place overwrite of a present key bypasses the policy
+		// with a raw pmem store: nothing flushes it, nothing tags it.
+		name:        "upsert-overwrite-raw",
+		origin:      "every pmem write goes through the policy",
+		file:        "internal/dstruct/list/list.go",
+		snippet:     `pol.Store(c.T, c.Field(curr, fVal), val, core.P)`,
+		replacement: `c.T.Store(c.Field(curr, fVal), val)`,
+	},
+	{
+		// Formatting a store leaks the pmem thread that wrote the
+		// superblock: its slot is never returned.
+		name:        "format-thread-leaks",
+		origin:      "every acquired handle is released on every path",
+		file:        "internal/store/store.go",
+		snippet:     "\tt.PFence()\n\tar.Release()\n\tt.Release()\n}",
+		replacement: "\tt.PFence()\n\tar.Release()\n}",
+	},
+	{
 		// The combiner acknowledges a window before it applies the
 		// window's coalesced Add deltas, so a crash after the ack loses
 		// an acknowledged Add.

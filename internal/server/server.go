@@ -716,9 +716,7 @@ func (b *Batcher) Close() { b.cs.Close() }
 // Exec executes one pipeline batch: its store requests, hashed from
 // req.Key in pipeline order (so same-key requests stay ordered), are one
 // ApplyHashed — one slot of a combiner window, durable on return — before
-// any response is materialized. Commit is the session API's durability
-// point, a no-op for a Combined session (see flitvet's ackorder).
-// resps[i] answers reqs[i]; lengths match.
+// any response is materialized. resps[i] answers reqs[i]; lengths match.
 func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	m := b.srv.metrics
 	b.hops = b.hops[:0]
@@ -743,7 +741,6 @@ func (b *Batcher) Exec(reqs []Request, resps []Response) {
 	}
 	if storeOps := len(b.hops); storeOps > 0 { // pure PING/STATS announces nothing
 		b.cs.ApplyHashed(b.hops, b.res)
-		b.cs.Commit()
 		var share int64
 		if m != nil {
 			d := int64(time.Since(b.srv.epoch) - t0)

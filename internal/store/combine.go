@@ -343,9 +343,7 @@ func (c *combiner) account(drained int) {
 }
 
 // exec runs one op on its shard's handle in the combiner's Batched
-// session, through the sessions' one op switch. Not through do1: flitvet
-// ackorder reads do1's Direct-mode commit as a commit, and would stop
-// seeing the window's effects before its done-flips.
+// session, through the sessions' one op switch.
 //
 //flit:hotpath
 func (c *combiner) exec(kind OpKind, h, val uint64) Result {

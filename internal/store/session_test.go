@@ -354,6 +354,41 @@ func TestWindowAcksAfterItsCommitFence(t *testing.T) {
 	}
 }
 
+// TestWindowAcksAfterItsDeltas: a window applies its coalesced Add
+// deltas before its commit fence, so an Add it acknowledged is in every
+// later crash image. A slot announced by hand holds one Add; another
+// Combined session's Get, on a key of its own, runs the window. Once the
+// slot reads slotDone, an image that drops everything unfenced must
+// recover the Add's effect.
+func TestWindowAcksAfterItsDeltas(t *testing.T) {
+	st := newTestStore(t, Options{})
+	load := Open[string](st, Direct)
+	load.Put("k", 1)
+	load.Close()
+	own, other := Open[string](st, Combined), Open[string](st, Combined)
+	defer own.Close()
+	defer other.Close()
+	sl := other.c.slot
+	sl.ops = []HashedOp{{Kind: OpAdd, H: hashKey("k"), Val: 5}}
+	sl.res = make([]Result, 1)
+	sl.state.Store(slotAnnounced)
+
+	own.Get("j")
+	if got := sl.state.Load(); got != slotDone {
+		t.Fatalf("the announced slot reads state %d after the window, want slotDone (%d)", got, slotDone)
+	}
+	img := st.Mem().CrashImage(pmem.DropUnfenced, 1)
+	rec, _, err := Recover(pmem.NewFromImage(img, st.Mem().Config()), st.Heap().Watermark(), st.Opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := Open[string](rec, Direct)
+	defer rd.Close()
+	if v, ok := rd.Get("k"); !ok || v != 6 {
+		t.Fatalf("recovered k = (%d,%v), want 6: the acknowledged Add was not durable", v, ok)
+	}
+}
+
 // TestCombinedCoalescingElidesPWBs is the VSA property at unit scale: a
 // window of self-cancelling adds on one hot key persists far fewer lines
 // coalesced by a Combined session than executed one by one in a Batched

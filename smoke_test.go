@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -330,9 +331,9 @@ func TestFlitstoredObservabilityEndToEnd(t *testing.T) {
 // TestFlitvetEndToEnd builds the flitvet static-analysis driver and runs
 // it against a throwaway module seeded with exactly one violation per
 // analyzer: a raw pmem store (persistraw), a thread handle leaked on an
-// early return (handleclose), a response written before the batch
-// commits (ackorder), and an fmt call on a //flit:hotpath function
-// (hotpath). flitvet must exit 1 and name all four analyzers.
+// early return (handleclose), and an fmt call on a //flit:hotpath
+// function (hotpath). flitvet must exit 1 with exactly those three
+// findings, and -list must name exactly those three analyzers.
 func TestFlitvetEndToEnd(t *testing.T) {
 	gobin := goTool(t)
 	bin := filepath.Join(t.TempDir(), "flitvet")
@@ -367,23 +368,6 @@ func (t *Thread) Release()               {}
 type Memory struct{}
 
 func (m *Memory) RegisterThread() *Thread { return &Thread{} }
-`)
-	// ackorder scope: a batch carrier type in an internal/server-suffixed
-	// package, acked between the effect and the commit.
-	write("internal/server/server.go", `package server
-
-type Batch struct{}
-
-func (b *Batch) Put(k, v string) {}
-func (b *Batch) Commit()         {}
-
-func writeResp() {}
-
-func Handle(b *Batch) {
-	b.Put("k", "v")
-	writeResp()
-	b.Commit()
-}
 `)
 	write("app/app.go", `package app
 
@@ -428,10 +412,29 @@ var _ = hot
 	if !ok || ee.ExitCode() != 1 {
 		t.Fatalf("flitvet on seeded module: want exit 1, got err=%v\n%s", err, out)
 	}
-	for _, analyzer := range []string{"persistraw", "handleclose", "ackorder", "hotpath"} {
-		if !strings.Contains(string(out), analyzer+":") {
-			t.Errorf("flitvet output missing a %s finding:\n%s", analyzer, out)
+	want := []string{"persistraw", "handleclose", "hotpath"}
+	var found []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		// pos: analyzer: message
+		if f := strings.SplitN(line, ": ", 3); len(f) == 3 {
+			found = append(found, f[1])
 		}
+	}
+	slices.Sort(found)
+	if !slices.Equal(found, slices.Sorted(slices.Values(want))) {
+		t.Errorf("flitvet findings by analyzer = %v, want one each of %v:\n%s", found, want, out)
+	}
+
+	out, err = exec.Command(bin, "-list").CombinedOutput()
+	if err != nil {
+		t.Fatalf("flitvet -list: %v\n%s", err, out)
+	}
+	var listed []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		listed = append(listed, strings.Fields(line)[0])
+	}
+	if !slices.Equal(listed, want) {
+		t.Errorf("flitvet -list names %v, want %v", listed, want)
 	}
 }
 
