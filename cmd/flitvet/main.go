@@ -1,7 +1,6 @@
 // Command flitvet is the multichecker driver for this repository's
-// static-analysis suite (internal/analysis): three analyzers that
-// enforce the persistence, lifecycle and hot-path disciplines at review
-// time.
+// static-analysis suite (internal/analysis): one analyzer, hotpath,
+// that enforces the zero-allocation hot-path discipline at review time.
 //
 // Usage:
 //

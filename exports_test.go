@@ -50,7 +50,6 @@ var exportExceptions = map[string]string{
 	"internal/pmem.Thread.PendingLines":        "observation point: write-back queue tests",
 	"internal/pmem.Thread.VirtualTime":         "observation point: virtual-clock tests (runners read Memory.MaxVirtualTime)",
 	"internal/reclaim.Domain.Epoch":            "observation point: epoch-advance and orphan-rule tests",
-	"internal/reclaim.Domain.NumHandles":       "observation point: handle-leak tests",
 	"internal/reclaim.Domain.OrphanBlocks":     "observation point: orphan-rule tests",
 	"internal/store.SessionModes":              "the mode list the store and workload tests range over",
 

@@ -1,25 +1,15 @@
 // Package analysis is flitvet's static-analysis framework: a small,
 // dependency-free (stdlib go/* only) re-implementation of the
-// golang.org/x/tools/go/analysis shape, plus the three analyzers that
-// encode this repository's cross-cutting disciplines as compile-time
-// checks:
+// golang.org/x/tools/go/analysis shape, plus the one analyzer that
+// encodes a discipline of this repository as a compile-time check:
 //
-//   - persistraw: persistence-bypassing raw writes to pmem-backed words
-//     outside internal/pmem and internal/core (the fence-apply-flush
-//     skeleton must not be skipped).
-//   - handleclose: flow-sensitive lifecycle check that acquired handles
-//     (pmem threads, heap arenas, store sessions, table handles,
-//     reclamation handles) reach their Release/Close on all paths,
-//     including error returns and explicit panics.
 //   - hotpath: functions annotated //flit:hotpath must stay
 //     allocation-free: no time.Now, no fmt, no capturing closures, no
 //     map iteration, no interface-boxing conversions.
 //
-// Every protocol bug this repo has shipped so far (the failed-p-CAS
-// flush obligation, shard-recovery interleaving, drain under-answering,
-// handle leaks) was caught by an expensive dynamic battery after the
-// fact; these analyzers are the review-time complement, each paired
-// with the dynamic battery that motivated it (see DESIGN.md).
+// Handle leaks are counted at run time instead, by the store's resource
+// account (store.Store.Resources), which the store, server and crash
+// tests check at every cleanup.
 //
 // # Annotation grammar
 //
@@ -30,12 +20,6 @@
 //	    The function is a zero-allocation hot path; the hotpath
 //	    analyzer checks its body.
 //
-//	//flit:rawpersist <reason>
-//	    The function manages persistence manually (superblock writes,
-//	    single-threaded recovery rebuild): raw pmem.Thread instructions
-//	    inside it are intentional and carry their own PWB/PFence
-//	    discipline. The reason is mandatory.
-//
 // Suppressions are per-diagnostic and must name the analyzer and a
 // reason:
 //
@@ -45,11 +29,6 @@
 // the enclosing function's doc comment (which suppresses the analyzer
 // for the whole function). An ignore without a reason is itself a
 // diagnostic.
-//
-// Packages are identified by import-path suffix (for example a package
-// whose path ends in "internal/pmem" is "the pmem package"), so the
-// analyzers work identically on this module, on the analysistest
-// fixture tree, and on the temp-module smoke tests.
 package analysis
 
 import (
@@ -106,10 +85,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{PersistRaw, HandleClose, HotPath}
+	return []*Analyzer{HotPath}
 }
 
-// ByName resolves a comma-separated analyzer list ("persistraw,hotpath");
+// ByName resolves a comma-separated analyzer list ("hotpath");
 // the empty string selects the whole suite.
 func ByName(names string) ([]*Analyzer, error) {
 	if names == "" {
@@ -283,66 +262,12 @@ func parseIgnore(text string) *ignoreDirective {
 
 // --- shared helpers ---
 
-// pathHasSuffix reports whether import path p ends with the given
-// slash-separated suffix at a path-segment boundary ("internal/pmem"
-// matches "flit/internal/pmem" but not "x/notinternal/pmem").
-func pathHasSuffix(p, suffix string) bool {
-	if p == suffix {
-		return true
-	}
-	return strings.HasSuffix(p, "/"+suffix)
-}
-
 // pkgPathOf returns the import path of obj's package ("" for builtins).
 func pkgPathOf(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
 	return obj.Pkg().Path()
-}
-
-// namedOf unwraps pointers and aliases down to a named type, or nil.
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Named:
-			return u
-		case *types.Alias:
-			t = types.Unalias(t)
-		default:
-			return nil
-		}
-	}
-}
-
-// typeIs reports whether t (possibly behind pointers) is the named type
-// typeName declared in a package whose path ends in pkgSuffix.
-func typeIs(t types.Type, pkgSuffix, typeName string) bool {
-	n := namedOf(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Name() != typeName || obj.Pkg() == nil {
-		return false
-	}
-	return pathHasSuffix(obj.Pkg().Path(), pkgSuffix)
-}
-
-// methodCall resolves call to (receiver type, method name) when call is
-// a method call expression; ok is false for plain function calls.
-func methodCall(info *types.Info, call *ast.CallExpr) (recv types.Type, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	selection, isMethod := info.Selections[sel]
-	if !isMethod || selection.Kind() != types.MethodVal {
-		return nil, "", false
-	}
-	return selection.Recv(), sel.Sel.Name, true
 }
 
 // calleeFunc resolves call to the *types.Func it invokes (package-level
@@ -407,22 +332,4 @@ func funcAnnotations(fset *token.FileSet, file *ast.File, fd *ast.FuncDecl) map[
 		}
 	}
 	return out
-}
-
-// hasAnnotation reports whether the function declaration enclosing pos
-// (if any) carries the given //flit: annotation.
-func hasAnnotation(fset *token.FileSet, files []*ast.File, pos token.Pos, name string) bool {
-	for _, f := range files {
-		if f.Pos() <= pos && pos <= f.End() {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || pos < fd.Pos() || pos > fd.End() {
-					continue
-				}
-				_, has := funcAnnotations(fset, f, fd)[name]
-				return has
-			}
-		}
-	}
-	return false
 }

@@ -105,9 +105,7 @@ func sameFile(diagPath, wantPath string) bool {
 		strings.Contains(filepath.ToSlash(diagPath), filepath.ToSlash(filepath.Dir(wantPath)))
 }
 
-func TestPersistRawFixtures(t *testing.T)  { checkFixture(t, "persistraw", PersistRaw) }
-func TestHandleCloseFixtures(t *testing.T) { checkFixture(t, "handleclose", HandleClose) }
-func TestHotPathFixtures(t *testing.T)     { checkFixture(t, "hotpath", HotPath) }
+func TestHotPathFixtures(t *testing.T) { checkFixture(t, "hotpath", HotPath) }
 
 // TestMutationTeeth is the analyzers' own tooth battery: each tooth
 // package is a known-bad file its analyzer MUST flag. If an analyzer
@@ -119,8 +117,6 @@ func TestMutationTeeth(t *testing.T) {
 		analyzer *Analyzer
 		sub      string
 	}{
-		{PersistRaw, "persistraw/tooth"},
-		{HandleClose, "handleclose/tooth"},
 		{HotPath, "hotpath/tooth"},
 	}
 	for _, tooth := range teeth {
@@ -162,9 +158,9 @@ func TestSuiteCleanOnTree(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	got, err := ByName("persistraw,hotpath")
-	if err != nil || len(got) != 2 || got[0] != PersistRaw || got[1] != HotPath {
-		t.Fatalf("ByName(persistraw,hotpath) = %v, %v", got, err)
+	got, err := ByName("hotpath")
+	if err != nil || len(got) != 1 || got[0] != HotPath {
+		t.Fatalf("ByName(hotpath) = %v, %v", got, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {
 		t.Fatal("ByName(nosuch) should fail")
@@ -181,7 +177,7 @@ func TestMalformedIgnoreReported(t *testing.T) {
 	writeFile(t, filepath.Join(dir, "main.go"), `package main
 
 func main() {
-	//flitvet:ignore persistraw
+	//flitvet:ignore hotpath
 	_ = 1
 	//flitvet:ignore notananalyzer some reason
 	_ = 2

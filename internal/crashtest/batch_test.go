@@ -50,6 +50,7 @@ func TestStoreBatchedFencesAmortized(t *testing.T) {
 				ex.ExecBatch(vec, res)
 			}
 			stats[i] = st.Mem().TotalStats()
+			ex.close()
 		}
 		per, bat := stats[0], stats[1]
 		t.Logf("seed %d: Direct %d PWBs, %d fences; Batched %d, %d", seed, per.PWBs, per.PFences, bat.PWBs, bat.PFences)

@@ -16,7 +16,7 @@ func chaosStore(t *testing.T) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return checkAccount(t, st)
 }
 
 // TestChaosBattery runs every standard scenario: whatever the fault

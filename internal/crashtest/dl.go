@@ -90,13 +90,23 @@ func RunStoreDL(st *store.Store, mode store.SessionMode, reshardTo int, opts dlc
 		name = fmt.Sprintf("%s-reshard(%d→%d)", name, st.NumShards(), reshardTo)
 	}
 	newExec := executors(st, mode)
+	var opened []*dlExec // Run opens sessions one at a time
+	defer func() {
+		for _, e := range opened {
+			e.close()
+		}
+	}()
 	return dlcheck.Run(dlcheck.Harness{
-		Name:       name,
-		Mem:        st.Mem(),
-		Policy:     st.Policy(),
-		MaxBatch:   maxBatch,
-		NewSession: func() dlcheck.BatchExecutor { return newExec() },
-		Kinds:      storeKinds,
+		Name:     name,
+		Mem:      st.Mem(),
+		Policy:   st.Policy(),
+		MaxBatch: maxBatch,
+		NewSession: func() dlcheck.BatchExecutor {
+			e := newExec()
+			opened = append(opened, e)
+			return e
+		},
+		Kinds: storeKinds,
 		Recover: func(img []uint64) (map[uint64]uint64, error) {
 			_, _, final, err := recoverContents(st, img, back, reshardTo)
 			return final, err

@@ -15,7 +15,7 @@ func newDLStore(t *testing.T, policy string, mode dstruct.Mode) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return checkAccount(t, st)
 }
 
 // TestStoreDLEnumerated is the service-level systematic battery: the

@@ -126,17 +126,19 @@ func TestStoreModesOneContract(t *testing.T) {
 }
 
 // TestExecutorsOpenTheirMode: a checker executor is a session of the mode
-// its column names — only a Combined one registers a combiner slot.
+// its column names — only a Combined one registers a combiner slot, and
+// its thread, arena and handle are the combiner's.
 func TestExecutorsOpenTheirMode(t *testing.T) {
 	for _, mode := range store.SessionModes {
 		st := newDLStore(t, core.PolicyHT, dstruct.Automatic)
-		executors(st, mode)()
-		want := 0
+		e := executors(st, mode)()
+		want := combinerOnly // a Direct or Batched session's own, or the combiner's
 		if mode == store.Combined {
-			want = 1
+			want.CombinedSessions = 1
 		}
-		if n := st.CombinedSessions(); n != want {
-			t.Errorf("a %v executor registered %d combiner slots, want %d", mode, n, want)
+		if r := st.Resources(); r != want {
+			t.Errorf("a %v executor holds %+v, want %+v", mode, r, want)
 		}
+		e.close()
 	}
 }

@@ -229,6 +229,55 @@ var mutants = []mutant{
 		replacement: "\tt.PFence()\n\tar.Release()\n}",
 	},
 	{
+		// A reshard's activation keeps the arena it allocated the shard
+		// directory from: the grown store holds one arena nobody owns.
+		name:        "reshard-arena-leaks",
+		origin:      "every acquired handle is released on every path",
+		file:        "internal/store/reshard.go",
+		snippet:     "\tar := s.heap.NewArena()\n\tdefer ar.Release()\n",
+		replacement: "\tar := s.heap.NewArena()\n",
+	},
+	{
+		// Closing a Direct or Batched session keeps its reclamation
+		// handle registered: every closed session pins the domain.
+		name:        "session-close-keeps-handle",
+		origin:      "every acquired handle is released on every path",
+		file:        "internal/store/session.go",
+		snippet:     "\tc.h.Close()\n\tc.ar.Release()\n",
+		replacement: "\tc.ar.Release()\n",
+	},
+	{
+		// A connection whose window panicked returns without closing its
+		// batcher: its combiner slot stays registered and every window
+		// sweeps it.
+		name:   "panicked-conn-keeps-session",
+		origin: "every acquired handle is released on every path",
+		file:   "internal/server/server.go",
+		snippet: `		c.srv.connError(c.nc, causePanic, fmt.Errorf("handler panic: %v", r))
+	}
+	if c.b != nil {`,
+		replacement: `		c.srv.connError(c.nc, causePanic, fmt.Errorf("handler panic: %v", r))
+		return
+	}
+	if c.b != nil {`,
+	},
+	{
+		// A Direct op boxes its key hash into a package-level interface:
+		// one heap allocation per op on a //flit:hotpath function.
+		name:   "hot-op-boxes",
+		origin: "the Direct op path allocates nothing",
+		file:   "internal/store/session.go",
+		snippet: `//flit:hotpath
+func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
+	if c.mode == Combined {`,
+		replacement: `var hotSink any
+
+//flit:hotpath
+func (c *sessionCore) do1(kind OpKind, h, val uint64) Result {
+	hotSink = h
+	if c.mode == Combined {`,
+	},
+	{
 		// The combiner acknowledges a window before it applies the
 		// window's coalesced Add deltas, so a crash after the ack loses
 		// an acknowledged Add.

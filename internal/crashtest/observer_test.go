@@ -308,6 +308,7 @@ func TestObserverPersistsWindowedWrite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkAccount(t, st)
 				if writer == store.OpDelete {
 					load := store.Open[string](st, store.Direct)
 					load.Put("o", 1)
@@ -323,6 +324,7 @@ func TestObserverPersistsWindowedWrite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkAccount(t, rec)
 				rs := store.Open[string](rec, store.Direct)
 				if _, ok := rs.Get("o"); ok != saw {
 					t.Errorf("%s/%s: a reader acknowledged present=%v over an open window's %s, recovered present=%v",
@@ -362,6 +364,7 @@ func TestOwnUnlinkRestsOnTheMark(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAccount(t, st)
 			load := store.Open[string](st, store.Direct)
 			load.Put(b, 1)
 			load.Close()
@@ -382,6 +385,7 @@ func TestOwnUnlinkRestsOnTheMark(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAccount(t, rec)
 			rs := store.Open[string](rec, store.Direct)
 			defer rs.Close()
 			if _, ok := rs.Get(b); ok {

@@ -40,16 +40,19 @@ func opFor(kind hist.Kind, key []byte, val uint64) store.Op[[]byte] {
 	return store.Op[[]byte]{Kind: op, Key: key, Val: val}
 }
 
-// dlExec adapts a workload.Executor to the enumerator's alphabet
-// (dlcheck.BatchExecutor) and uint64 key space.
+// dlExec adapts a store session's workload.SessExec to the enumerator's
+// alphabet (dlcheck.BatchExecutor) and uint64 key space.
 type dlExec struct {
-	ex workload.Executor
+	ex workload.SessExec
 	// blindAdds: the session coalesces Adds and answers none (Combined).
 	blindAdds bool
 	ops       []store.Op[[]byte]
 	res       []store.Result
 	shed      []bool
 }
+
+// close closes the executor's session.
+func (e *dlExec) close() { e.ex.S.Close() }
 
 func (e *dlExec) ExecBatch(ops []dlcheck.BatchOp, results []hist.Answer) {
 	e.ops, e.res, e.shed = e.ops[:0], e.res[:0], e.shed[:0]

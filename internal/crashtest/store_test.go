@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"flit/internal/core"
 	"flit/internal/dlcheck"
@@ -34,6 +35,30 @@ func newCrashStoreMode(t *testing.T, policy string, mode dstruct.Mode) *store.St
 	if err != nil {
 		t.Fatal(err)
 	}
+	return checkAccount(t, st)
+}
+
+// combinerOnly is the resource account of a store whose combiner is built
+// and idle: its own session's one thread, one arena and one handle.
+var combinerOnly = store.Resources{Threads: 1, Arenas: 1, Handles: 1}
+
+// checkAccount registers a cleanup that fails tb unless st's resource
+// account is back at combinerOnly. A chaos round's server handlers
+// withdraw their combiner slots after their peers hang up, so open slots
+// get a few seconds to drain. The cleanup first builds the combiner, if
+// no Combined session did; a crashed combiner refuses the session, and
+// exists.
+func checkAccount(tb testing.TB, st *store.Store) *store.Store {
+	tb.Cleanup(func() {
+		pmem.RunToCrash(func() { store.Open[[]byte](st, store.Combined).Close() })
+		got := st.Resources()
+		for deadline := time.Now().Add(5 * time.Second); got.CombinedSessions > 0 && time.Now().Before(deadline); got = st.Resources() {
+			time.Sleep(time.Millisecond)
+		}
+		if got != combinerOnly {
+			tb.Errorf("resource account at cleanup: %+v, want %+v", got, combinerOnly)
+		}
+	})
 	return st
 }
 
@@ -146,6 +171,9 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 		}()
 	}
 	wg.Wait()
+	for _, e := range execs {
+		e.close()
+	}
 	if crashed.Load() == 0 {
 		t.Fatal("no countdown fired: the round crashed nothing mid-run")
 	}
@@ -154,6 +182,7 @@ func crashMidRun(t *testing.T, st *store.Store, sm store.SessionMode, shape dlch
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	if len(rstats.Shards) != st.NumShards() {
 		t.Fatalf("recovery covered %d shards, want %d", len(rstats.Shards), st.NumShards())
 	}
@@ -207,6 +236,7 @@ func storeBattery(t *testing.T, sm store.SessionMode, shape func(seed int64) dlc
 						if _, had := sess.Get("post"); had || !sess.Put("post", 1) || !sess.Delete("post") {
 							t.Fatalf("mode %v seed %d: recovered store inoperable", mode, seed)
 						}
+						sess.Close()
 					}
 				}
 			}
@@ -255,6 +285,7 @@ func TestStoreRepeatedCrashCycles(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			sess.Put(fmt.Sprintf("round%d-%d", round, i), uint64(i))
 		}
+		sess.Close()
 	}
 }
 
@@ -339,6 +370,7 @@ func TestStoreRecoveryIdempotentAndCrashDuringRecovery(t *testing.T) {
 			}
 		}
 	})
+	sess.Close()
 	wm := st.Heap().Watermark()
 	img := st.Mem().CrashImage(pmem.RandomSubset, 42)
 
@@ -349,6 +381,7 @@ func TestStoreRecoveryIdempotentAndCrashDuringRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkAccount(t, st2)
 		return st2, st2.Snapshot()
 	}
 

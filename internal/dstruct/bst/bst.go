@@ -363,8 +363,6 @@ func gather(cfg *dstruct.Config, rootRaw uint64) map[uint64]uint64 {
 // tags are discarded with the old structure, and survivors are re-inserted
 // in median order into a fresh tree at the same root, yielding a balanced
 // rebuild.
-//
-//flit:rawpersist recovery is single-threaded; the rebuild fences once after re-insertion
 func Recover(cfg dstruct.Config) *BST {
 	pairs := gather(&cfg, cfg.Heap.Mem().VolatileWord(cfg.Root()))
 

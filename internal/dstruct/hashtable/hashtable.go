@@ -281,8 +281,6 @@ func (r *Recovery) CompleteWith(pairs []list.Pair) int {
 // queued while bucket 0 was rebuilt — would drain before the nodes of
 // buckets 1–7, and a crash in between leaves seven heads pointing at nodes
 // the image never received.
-//
-//flit:rawpersist recovery is single-threaded; one fence persists all rebuilt nodes, a second the heads
 func (r *Recovery) Complete() int {
 	n := r.kept
 	if len(r.dirty) == 0 {

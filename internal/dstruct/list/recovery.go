@@ -125,8 +125,6 @@ func gatherNode(cfg *dstruct.Config, mem *pmem.Memory, n pmem.Addr, dst []Pair) 
 // the caller fences the nodes, and only then stores the first node into
 // the link word that publishes them — a head that reaches the image
 // before its nodes would lose the whole chain.
-//
-//flit:rawpersist single-threaded recovery rebuild with explicit PWB walk per node
 func Rebuild(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, pairs []Pair) (pmem.Addr, int) {
 	slices.SortStableFunc(pairs, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
 	nodes := 0
@@ -158,8 +156,6 @@ func Rebuild(cfg *dstruct.Config, t *pmem.Thread, ar *pheap.Arena, pairs []Pair)
 // a fresh chain, its nodes fenced, then the head that publishes them.
 // cfg.Heap must be a pheap.Recover heap over the crash image, so new nodes
 // cannot overwrite surviving data.
-//
-//flit:rawpersist recovery fences the rebuilt nodes, then the head that publishes them
 func Recover(cfg dstruct.Config) *List {
 	pairs, _, clean, end := GatherAt(&cfg, cfg.Root(), nil, false)
 	if clean {

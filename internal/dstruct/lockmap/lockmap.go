@@ -213,8 +213,6 @@ func (m *Map) Snapshot() map[uint64]uint64 {
 // may have persisted a held lock — after a crash nobody holds anything.
 // Chains are structurally consistent by construction (each insert/delete
 // persists a single link word whose target is already durable).
-//
-//flit:rawpersist lock-word clears are volatile and idempotent across repeated crashes; no flush needed
 func Recover(cfg dstruct.Config) *Map {
 	m := Attach(cfg)
 	t := cfg.Heap.Mem().RegisterThread()

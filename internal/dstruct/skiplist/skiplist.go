@@ -352,8 +352,6 @@ func gather(cfg *dstruct.Config, head pmem.Addr) map[uint64]uint64 {
 // persisted at cfg's root slot: surviving pairs are gathered from the
 // bottom list (towers are untrusted — Manual never persisted them) and
 // re-inserted into a fresh skiplist at the same root.
-//
-//flit:rawpersist recovery is single-threaded; the rebuild fences once after re-insertion
 func Recover(cfg dstruct.Config) *SkipList {
 	pairs := gather(&cfg, dstruct.Ptr(cfg.Heap.Mem().VolatileWord(cfg.Root())))
 	s := New(cfg) // fresh head, root overwritten durably

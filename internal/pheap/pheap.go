@@ -77,6 +77,9 @@ type Heap struct {
 	depotBlocks  atomic.Int64
 	depotExtents atomic.Int64
 
+	// arenas counts the arenas made by NewArena and not yet released.
+	arenas atomic.Int64
+
 	// poison, when armed, stamps every freed block's words (volatile
 	// layer only) so a use-after-free dereference trips deterministically
 	// — the ABA battery's detector.
@@ -217,8 +220,13 @@ type Arena struct {
 
 // NewArena creates a thread-private allocator on h.
 func (h *Heap) NewArena() *Arena {
+	h.arenas.Add(1)
 	return &Arena{h: h, free: make(map[int][]pmem.Addr)}
 }
+
+// Arenas returns the number of live arenas: made by NewArena, not yet
+// released.
+func (h *Heap) Arenas() int { return int(h.arenas.Load()) }
 
 // Alloc returns the address of n contiguous words of persistent memory,
 // aligned so that sub-line objects never straddle a cache line. The words
@@ -358,6 +366,7 @@ func (a *Arena) Release() {
 		return
 	}
 	a.released = true
+	a.h.arenas.Add(-1)
 	a.surrenderTail() // sub-line tails carve onto a.free, larger go to extents
 	h := a.h
 	h.centralMu.Lock()

@@ -1,6 +1,13 @@
 package server
 
-import "flit/internal/store"
+import (
+	"testing"
+
+	"flit/internal/store"
+)
+
+// CheckAccount is checkAccount, for the external tests.
+func CheckAccount(tb testing.TB, st *store.Store) *store.Store { return checkAccount(tb, st) }
 
 // Metrics returns the server's metric bundle, or nil when disabled: the
 // external tests read the quiesced counters through it.

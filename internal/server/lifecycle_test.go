@@ -6,9 +6,11 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"flit/internal/core"
 	"flit/internal/metrics"
+	"flit/internal/pmem"
 	"flit/internal/store"
 )
 
@@ -21,6 +23,30 @@ func newLifecycleStore(t *testing.T) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return checkAccount(t, st)
+}
+
+// combinerOnly is the resource account of a store whose combiner is built
+// and idle: its own session's one thread, one arena and one handle.
+var combinerOnly = store.Resources{Threads: 1, Arenas: 1, Handles: 1}
+
+// checkAccount registers a cleanup that fails tb unless st's resource
+// account is back at combinerOnly. A handler withdraws its combiner slot
+// after its peer hangs up, so open slots get a few seconds to drain.
+// Every connection is a Combined session, so the cleanup first builds
+// the combiner if no connection did; a crashed combiner refuses the
+// session, and exists.
+func checkAccount(tb testing.TB, st *store.Store) *store.Store {
+	tb.Cleanup(func() {
+		pmem.RunToCrash(func() { store.Open[[]byte](st, store.Combined).Close() })
+		got := st.Resources()
+		for deadline := time.Now().Add(5 * time.Second); got.CombinedSessions > 0 && time.Now().Before(deadline); got = st.Resources() {
+			time.Sleep(time.Millisecond)
+		}
+		if got != combinerOnly {
+			tb.Errorf("resource account at cleanup: %+v, want %+v", got, combinerOnly)
+		}
+	})
 	return st
 }
 
@@ -68,12 +94,12 @@ func newFullableStore(t *testing.T) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return checkAccount(t, st)
 }
 
 // TestRepeatedPanicsNoResourceGrowth: connections that die of a panic in
-// their window withdraw their combiner slot like any other, so neither the
-// slot registry nor the pmem thread registry grows with the panic count.
+// their window withdraw their combiner slot like any other, so the store's
+// resource account does not grow with the panic count.
 func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 	const panics = 20
 	t.Run("full-heap", func(t *testing.T) {
@@ -85,7 +111,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		fillHeap(t, cc)
 		cc.Close()
 		<-done
-		slots, threads := st.CombinedSessions(), len(st.Mem().Threads())
+		before := st.Resources()
 		for i := 0; i < panics; i++ {
 			cc, done := serveOne(s)
 			if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpPut, Key: []byte(fmt.Sprintf("over-%d", i)), Val: 1}); err == nil {
@@ -97,8 +123,8 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		if got := s.connErrs[causePanic].Load(); got != panics+1 {
 			t.Fatalf("connErrs[panic] = %d, want %d", got, panics+1)
 		}
-		if n, m := st.CombinedSessions(), len(st.Mem().Threads()); n != slots || m != threads {
-			t.Fatalf("after %d panics: %d slots, %d threads; want %d, %d", panics, n, m, slots, threads)
+		if r := st.Resources(); r != before {
+			t.Fatalf("after %d panics: %+v; want %+v", panics, r, before)
 		}
 		// The store is live: an in-place Put allocates nothing.
 		cc, done = serveOne(s)
@@ -125,7 +151,7 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		}
 		cc.Close()
 		<-done
-		slots, threads := st.CombinedSessions(), len(st.Mem().Threads())
+		before := st.Resources()
 		for i := 0; i < panics; i++ {
 			cc, done := serveOne(s)
 			if resp, err := lifecycleRoundTrip(cc, &Request{Op: OpGet, Key: []byte("boom")}); err == nil {
@@ -137,16 +163,16 @@ func TestRepeatedPanicsNoResourceGrowth(t *testing.T) {
 		if got := s.connErrs[causePanic].Load(); got != panics+1 {
 			t.Fatalf("connErrs[panic] = %d, want %d", got, panics+1)
 		}
-		if n, m := st.CombinedSessions(), len(st.Mem().Threads()); n != slots || m != threads {
-			t.Fatalf("after %d connections to a crashed store: %d slots, %d threads; want %d, %d", panics, n, m, slots, threads)
+		if r := st.Resources(); r != before {
+			t.Fatalf("after %d connections to a crashed store: %+v; want %+v", panics, r, before)
 		}
 	})
 }
 
 // churnServer is a server on a fresh store whose combiner (and its one
-// pmem thread) a first connection has already built. check fails the test
-// unless the slot registry and the thread count are back where they were
-// then: a connection holds one combiner slot and no pmem thread.
+// session) a first connection has already built. check fails the test
+// unless the store's resource account is back where it was then: a
+// connection holds one combiner slot and no thread, arena or handle.
 func churnServer(t *testing.T) (s *Server, put func(cc net.Conn, i int), check func(when string)) {
 	t.Helper()
 	st := newLifecycleStore(t)
@@ -160,11 +186,11 @@ func churnServer(t *testing.T) (s *Server, put func(cc net.Conn, i int), check f
 	put(cc, 0)
 	cc.Close()
 	<-done
-	slots, threads := st.CombinedSessions(), len(st.Mem().Threads())
+	before := st.Resources()
 	check = func(when string) {
 		t.Helper()
-		if n, m := st.CombinedSessions(), len(st.Mem().Threads()); n != slots || m != threads {
-			t.Fatalf("%s: %d slots, %d threads; want %d, %d", when, n, m, slots, threads)
+		if r := st.Resources(); r != before {
+			t.Fatalf("%s: %+v; want %+v", when, r, before)
 		}
 	}
 	return s, put, check
@@ -211,7 +237,8 @@ func TestConnectionChurnThreadsBounded(t *testing.T) {
 // registry drains back to where it was before they opened.
 func TestServerCloseDrainsPool(t *testing.T) {
 	s, put, check := churnServer(t)
-	slots := s.Store().CombinedSessions()
+	open := s.Store().Resources()
+	open.CombinedSessions += 4
 	var live []chan struct{}
 	for i := 0; i < 4; i++ {
 		cc, done := serveOne(s)
@@ -219,8 +246,8 @@ func TestServerCloseDrainsPool(t *testing.T) {
 		defer cc.Close()
 		live = append(live, done)
 	}
-	if n := s.Store().CombinedSessions(); n != slots+4 {
-		t.Fatalf("4 open connections hold %d slots, want %d", n, slots+4)
+	if r := s.Store().Resources(); r != open {
+		t.Fatalf("4 open connections: %+v, want %+v", r, open)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -237,6 +264,7 @@ func TestBatcherDirect(t *testing.T) {
 	st := newLifecycleStore(t)
 	srv := New(st, Options{})
 	b := srv.NewBatcher()
+	defer b.Close()
 	reqs := []Request{
 		{Op: OpPut, Key: []byte("x"), Val: 1},
 		{Op: OpPut, Key: []byte("y"), Val: 2},

@@ -104,10 +104,15 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Sample("flit_shards", "", float64(st.Shards))
 	p.Meta("flit_pheap_watermark_words", "gauge", "persistent-heap allocation high-water mark in words; steady under churn when reclamation recycles")
 	p.Sample("flit_pheap_watermark_words", "", float64(s.st.Heap().Watermark()))
+	res := s.st.Resources()
 	p.Meta("flit_mem_threads", "gauge", "live registered pmem threads (released slots excluded); connections register none, the store's combiner one")
-	p.Sample("flit_mem_threads", "", float64(len(s.st.Mem().Threads())))
+	p.Sample("flit_mem_threads", "", float64(res.Threads))
+	p.Meta("flit_heap_arenas", "gauge", "live persistent-heap arenas; connections make none, the store's combiner one")
+	p.Sample("flit_heap_arenas", "", float64(res.Arenas))
+	p.Meta("flit_reclaim_handles", "gauge", "reclamation handles in the store's domain; connections register none, the store's combiner one")
+	p.Sample("flit_reclaim_handles", "", float64(res.Handles))
 	p.Meta("flit_combined_sessions", "gauge", "open Combined store sessions, one per served connection: the slots every commit window sweeps")
-	p.Sample("flit_combined_sessions", "", float64(s.st.CombinedSessions()))
+	p.Sample("flit_combined_sessions", "", float64(res.CombinedSessions))
 	p.Meta("flit_max_batch", "gauge", "group commit size cap")
 	p.Sample("flit_max_batch", "", float64(st.MaxBatch))
 	p.Meta("flit_shed_total", "counter", "store operations shed by admission control, by reason")

@@ -423,3 +423,44 @@ func waitConnsOpen(t *testing.T, srv *server.Server, want int64) {
 		}
 	}
 }
+
+// TestResourceGaugesMatchAccount: once a connection has closed, the four
+// resource gauges on the metrics page read the store's resource account:
+// the combiner's own session, and no slot.
+func TestResourceGaugesMatchAccount(t *testing.T) {
+	st := newTestStore(t)
+	srv := server.New(st, server.Options{})
+	cc, sc := net.Pipe()
+	done := make(chan struct{})
+	go func() { srv.ServeConn(sc); close(done) }()
+	c := client.New(cc)
+	if _, err := c.Put([]byte("k"), 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	<-done
+	var buf bytes.Buffer
+	if err := srv.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(name string) int {
+		t.Helper()
+		var v int
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if n, err := fmt.Sscanf(line, name+" %d", &v); n == 1 && err == nil {
+				return v
+			}
+		}
+		t.Fatalf("page missing %s:\n%s", name, buf.String())
+		return 0
+	}
+	got := store.Resources{
+		Threads:          gauge("flit_mem_threads"),
+		Arenas:           gauge("flit_heap_arenas"),
+		Handles:          gauge("flit_reclaim_handles"),
+		CombinedSessions: gauge("flit_combined_sessions"),
+	}
+	if want := st.Resources(); got != want || want != (store.Resources{Threads: 1, Arenas: 1, Handles: 1}) {
+		t.Fatalf("gauges after the connection closed read %+v; the account reads %+v, want the combiner's session alone", got, want)
+	}
+}

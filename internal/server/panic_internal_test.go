@@ -74,6 +74,7 @@ func TestServeConnPanicIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkAccount(t, st2)
 		sess := store.Open[string](st2, store.Direct)
 		defer sess.Close()
 		for k, want := range acked {

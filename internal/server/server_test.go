@@ -23,7 +23,7 @@ func newTestStore(t *testing.T) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return server.CheckAccount(t, st)
 }
 
 // pipeServer starts a server over an in-process pipe and returns a
@@ -176,7 +176,9 @@ func TestServerAckImpliesPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	server.CheckAccount(t, st2)
 	sess := store.Open[[]byte](st2, store.Direct)
+	defer sess.Close()
 	for i := 0; i < 32; i++ {
 		key := [2]byte{'d', byte(i)}
 		if v, ok := sess.Get(key[:]); !ok || v != uint64(i) {
@@ -224,6 +226,7 @@ func TestBatcherStatsSurviveResetStats(t *testing.T) {
 	st := newTestStore(t)
 	srv := server.New(st, server.Options{Metrics: true})
 	b := srv.NewBatcher()
+	defer b.Close()
 	resps := make([]server.Response, 2)
 	for i := 0; i < 3; i++ {
 		b.Exec([]server.Request{

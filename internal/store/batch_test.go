@@ -19,6 +19,7 @@ func newBatchStore(t *testing.T, policy string) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.CheckAccount(t, st)
 	return st
 }
 
@@ -28,7 +29,9 @@ func newBatchStore(t *testing.T, policy string) *store.Store {
 func TestBatchSessionSemantics(t *testing.T) {
 	st := newBatchStore(t, core.PolicyHT)
 	bs := store.Open[string](st, store.Batched)
+	defer bs.Close()
 	plain := store.Open[string](st, store.Direct)
+	defer plain.Close()
 
 	if !bs.Put("a", 1) {
 		t.Fatal("fresh Put reported existing key")
@@ -72,6 +75,7 @@ func TestBatchSessionSemantics(t *testing.T) {
 func TestBatchCommitIsTheDurabilityBoundary(t *testing.T) {
 	st := newBatchStore(t, core.PolicyHT)
 	bs := store.Open[string](st, store.Batched)
+	defer bs.Close()
 
 	bs.Put("committed", 1)
 	bs.Put("rollback", 1)
@@ -88,7 +92,9 @@ func TestBatchCommitIsTheDurabilityBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.CheckAccount(t, st2)
 	sess := store.Open[string](st2, store.Direct)
+	defer sess.Close()
 	if v, ok := sess.Get("committed"); !ok || v != 2 {
 		t.Fatalf("committed overwrite lost: Get = %d,%v want 2,true", v, ok)
 	}
@@ -109,11 +115,13 @@ func TestBatchCommitIsTheDurabilityBoundary(t *testing.T) {
 func TestReadOnlyCommitFencesWhatItRead(t *testing.T) {
 	st := newBatchStore(t, core.PolicyHT)
 	w := store.Open[string](st, store.Batched)
+	defer w.Close()
 	w.Put("clean", 1)
 	w.Put("hot", 1)
 	w.Commit()
 
 	r := store.Open[string](st, store.Batched)
+	defer r.Close()
 	commit := func(what string, wantFences, wantElided uint64) {
 		t.Helper()
 		before := r.Thread().Stats
@@ -139,7 +147,10 @@ func TestReadOnlyCommitFencesWhatItRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := store.Open[string](st2, store.Direct).Get("hot"); !ok || v != 2 {
+	store.CheckAccount(t, st2)
+	rs := store.Open[string](st2, store.Direct)
+	defer rs.Close()
+	if v, ok := rs.Get("hot"); !ok || v != 2 {
 		t.Fatalf("acknowledged read of hot=2 lost at the crash: recovered %d,%v", v, ok)
 	}
 }
@@ -149,6 +160,7 @@ func TestReadOnlyCommitFencesWhatItRead(t *testing.T) {
 func TestBatchTagsQuiesce(t *testing.T) {
 	st := newBatchStore(t, core.PolicyHT)
 	bs := store.Open[[]byte](st, store.Batched)
+	defer bs.Close()
 	for i := 0; i < 64; i++ {
 		key := []byte{'k', byte(i)}
 		bs.Put(key, uint64(i))
@@ -181,12 +193,14 @@ func TestBatchAmortizesFences(t *testing.T) {
 
 	base := newBatchStore(t, core.PolicyHT)
 	sess := store.Open[[]byte](base, store.Direct)
+	defer sess.Close()
 	base.Mem().ResetStats()
 	ops(func(k []byte, v uint64) { sess.Put(k, v) }, func(k []byte) { sess.Get(k) })
 	unbatched := base.Mem().TotalStats()
 
 	batched := newBatchStore(t, core.PolicyHT)
 	bs := store.Open[[]byte](batched, store.Batched)
+	defer bs.Close()
 	batched.Mem().ResetStats()
 	n := 0
 	commitEvery := func() {
@@ -226,6 +240,7 @@ func TestSnapshotConcurrentMemorySafety(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			sess := store.Open[[]byte](st, store.Direct)
+			defer sess.Close()
 			var key [3]byte
 			for i := 0; i < opsEach; i++ {
 				key[0], key[1], key[2] = byte(w), byte(i), byte(i>>8)

@@ -35,6 +35,7 @@ func loadedStore(tb testing.TB) (*store.Store, [][]byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	store.CheckAccount(tb, st)
 	workload.Load(st, commitRecords, 1)
 	keys := make([][]byte, commitRecords)
 	for i := range keys {

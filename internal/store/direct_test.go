@@ -57,6 +57,7 @@ func TestDirectOpCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			store.CheckAccount(t, st)
 			ahead := keyAhead(t, st, "k")
 			sess := store.Open[string](st, store.Direct)
 			defer sess.Close()

@@ -1,6 +1,13 @@
 package store
 
-import "flit/internal/pmem"
+import (
+	"testing"
+
+	"flit/internal/pmem"
+)
+
+// CheckAccount is checkAccount, for the external tests.
+func CheckAccount(tb testing.TB, st *Store) *Store { return checkAccount(tb, st) }
 
 // Thread exposes the session's pmem thread to the tests (stats, crash
 // injection). Combined sessions execute nothing themselves — their

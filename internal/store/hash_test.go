@@ -170,6 +170,7 @@ func TestDirectOpsZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.CheckAccount(t, st)
 	sess := store.Open[[]byte](st, store.Direct)
 	defer sess.Close()
 	keys := make([][]byte, records)

@@ -35,7 +35,7 @@ func TestChurnWatermarkBounded(t *testing.T) {
 	churnRound(warm, live) // one full round so steady-state structures exist
 	warm.Close()
 	w0 := st.Heap().Watermark()
-	t0 := len(st.Mem().Threads())
+	r0 := st.Resources()
 
 	for round := 0; round < 50; round++ {
 		sess := Open[string](st, Direct)
@@ -46,8 +46,8 @@ func TestChurnWatermarkBounded(t *testing.T) {
 	if w := st.Heap().Watermark(); w > 2*w0 {
 		t.Fatalf("pheap watermark grew unbounded under churn: %d words after 50 rounds, warmup %d (bound 2×)", w, w0)
 	}
-	if n := len(st.Mem().Threads()); n > t0 {
-		t.Fatalf("thread registry grew under session churn: %d live threads, baseline %d", n, t0)
+	if r := st.Resources(); r != r0 {
+		t.Fatalf("resource account moved under session churn: %+v, baseline %+v", r, r0)
 	}
 	if got := len(st.Snapshot()); got != live {
 		t.Fatalf("churn lost keys: %d live, want %d", got, live)
@@ -108,29 +108,53 @@ func TestOneReclamationHandlePerSession(t *testing.T) {
 	for _, shards := range []int{8, 64} {
 		st := newTestStore(t, Options{Shards: shards})
 		Open[string](st, Combined).Close() // build the combiner and its session
-		base := st.dom.NumHandles()
-		if base != 1 {
-			t.Fatalf("%d shards: the combiner registers %d handles, want 1", shards, base)
+		base := st.Resources()
+		if base != (Resources{Threads: 1, Arenas: 1, Handles: 1}) {
+			t.Fatalf("%d shards: the combiner holds %+v, want one thread, arena and handle", shards, base)
 		}
 		for _, mode := range SessionModes {
 			sess := Open[string](st, mode)
 			sess.Put("k", 1)
 			sess.Delete("k")
-			want := base + 1
+			want := base
 			if mode == Combined {
-				want = base
+				want.CombinedSessions++
+			} else {
+				want.Threads, want.Arenas, want.Handles = want.Threads+1, want.Arenas+1, want.Handles+1
 			}
-			if n := st.dom.NumHandles(); n != want {
-				t.Errorf("%d shards, %v: %d handles with the session open, want %d", shards, mode, n, want)
+			if r := st.Resources(); r != want {
+				t.Errorf("%d shards, %v: %+v with the session open, want %+v", shards, mode, r, want)
 			}
 			sess.Close()
 		}
 		for i := 0; i < 32; i++ {
 			Open[string](st, SessionModes[i%len(SessionModes)]).Close()
 		}
-		if n := st.dom.NumHandles(); n != base {
-			t.Errorf("%d shards: %d handles after open/close churn, want %d", shards, n, base)
+		if r := st.Resources(); r != base {
+			t.Errorf("%d shards: %+v after open/close churn, want %+v", shards, r, base)
 		}
+	}
+}
+
+// TestResourceAccount: a fresh store holds nothing, a closed Direct
+// session gives back all it took, and a closed Combined one leaves only
+// the combiner's own session: one thread, one arena, one handle.
+func TestResourceAccount(t *testing.T) {
+	st := newTestStore(t, Options{})
+	if r := st.Resources(); r != (Resources{}) {
+		t.Fatalf("fresh store holds %+v, want nothing", r)
+	}
+	d := Open[string](st, Direct)
+	d.Put("k", 1)
+	d.Close()
+	if r := st.Resources(); r != (Resources{}) {
+		t.Fatalf("after a Direct session's Close the store holds %+v, want nothing", r)
+	}
+	c := Open[string](st, Combined)
+	c.Put("k", 2)
+	c.Close()
+	if r, want := st.Resources(), (Resources{Threads: 1, Arenas: 1, Handles: 1}); r != want {
+		t.Fatalf("after a Combined session's Close the store holds %+v, want %+v", r, want)
 	}
 }
 
@@ -138,17 +162,18 @@ func TestOneReclamationHandlePerSession(t *testing.T) {
 // their thread and handles on Close, same as Direct.
 func TestBatchedSessionCloseReleases(t *testing.T) {
 	st := newTestStore(t, Options{})
-	t0 := len(st.Mem().Threads())
 	for i := 0; i < 32; i++ {
 		sess := Open[string](st, Batched)
 		sess.Put("a", uint64(i))
 		sess.Put("b", uint64(i))
 		sess.Close() // must flush the pending batch durably
 	}
-	if n := len(st.Mem().Threads()); n > t0 {
-		t.Fatalf("Batched session churn leaked threads: %d live, baseline %d", n, t0)
+	if r := st.Resources(); r != (Resources{}) {
+		t.Fatalf("Batched session churn leaked: %+v held, want nothing", r)
 	}
-	if v, ok := Open[string](st, Direct).Get("a"); !ok || v != 31 {
+	check := Open[string](st, Direct)
+	defer check.Close()
+	if v, ok := check.Get("a"); !ok || v != 31 {
 		t.Fatalf("close-time flush lost the final batch: got (%d,%v), want (31,true)", v, ok)
 	}
 }
@@ -203,6 +228,7 @@ func TestCrashedSessionDoesNotWedgeReclamation(t *testing.T) {
 	if w := st.Heap().Watermark(); w > 2*w0 {
 		t.Fatalf("crashed session wedged reclamation: watermark %d words after churn, warmup %d (bound 2×)", w, w0)
 	}
+	victim.Close()
 }
 
 // TestCrashedSessionCloseKeepsImage: closing a session whose thread a
@@ -220,7 +246,10 @@ func TestCrashedSessionCloseKeepsImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := Open[string](rst, Direct).Get("k")
+		checkAccount(t, rst)
+		rs := Open[string](rst, Direct)
+		defer rs.Close()
+		v, _ := rs.Get("k")
 		return v
 	}
 	sess := Open[string](st, Batched)
@@ -238,7 +267,9 @@ func TestCrashedSessionCloseKeepsImage(t *testing.T) {
 	if v := recovered(); v != 1 {
 		t.Fatalf("closing the crashed session persisted its window: image recovers %d, want 1", v)
 	}
-	if v, ok := Open[string](st, Direct).Get("k"); !ok || v != 2 {
+	live := Open[string](st, Direct)
+	defer live.Close()
+	if v, ok := live.Get("k"); !ok || v != 2 {
 		t.Fatalf("live Get = (%d,%v), want (2,true)", v, ok)
 	}
 	if v := recovered(); v != 2 {

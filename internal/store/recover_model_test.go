@@ -319,6 +319,7 @@ func TestRecoverMatchesImageModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := newTestStore(t, opts)
 			sess := Open[string](st, Direct)
+			defer sess.Close()
 			op := func() {
 				key := fmt.Sprintf("k-%d", rng.Intn(400))
 				switch rng.Intn(4) {
@@ -347,6 +348,7 @@ func TestRecoverMatchesImageModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAccount(t, st2)
 			checkRecovered(t, imageOf(img, st), st2, rs, wm)
 		})
 	}
@@ -390,6 +392,7 @@ func TestRecoverMatchesImageModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAccount(t, st2)
 			checkRecovered(t, imageOf(img, st), st2, rs, wm)
 		})
 	}
@@ -439,6 +442,7 @@ func TestRecoverIgnoresCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	checkRecovered(t, imageOf(img, st), st2, rs, wm)
 }
 

@@ -48,6 +48,7 @@ func TestRecoverWithStaleWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st1)
 	want := st1.Snapshot()
 	if len(want) != records-marked || st1.Heap().Watermark() <= staleWM {
 		t.Fatalf("first recovery kept %d keys and left the watermark at %d, want %d keys rebuilt above %d",
@@ -70,6 +71,7 @@ func TestRecoverWithStaleWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	if rstats.Keys != len(want) {
 		t.Fatalf("stale-watermark recovery reported %d keys, want %d", rstats.Keys, len(want))
 	}
@@ -122,6 +124,7 @@ func TestCleanImageRecoversInPlace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkAccount(t, st1)
 				img, cfg, wm = imageOfStore(st1)
 			}
 			recoverCounted := func(img []uint64) (*Store, RecoveryStats, pmem.Stats) {
@@ -131,6 +134,7 @@ func TestCleanImageRecoversInPlace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkAccount(t, st2)
 				checkRecovered(t, imageOf(img, st), st2, rs, wm)
 				return st2, rs, mem.TotalStats()
 			}

@@ -71,8 +71,6 @@ func Reshard(mem *pmem.Memory, watermark uint64, opts Options, newShards int) (*
 
 // activate durably commits the store to g.serving → newShards and updates
 // g to match (see the file comment for the order).
-//
-//flit:rawpersist reshard activation writes directory anchors and the superblock activation word with explicit fence ordering
 func (s *Store) activate(g *geometry, newShards int) {
 	if s.policy == nil {
 		s.policy = s.newPolicy() // the grown shards' tables are built under it

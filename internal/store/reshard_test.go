@@ -71,6 +71,7 @@ func TestReshardThenRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	if rstats.Keys != len(want) || len(rstats.Shards) != 6 || st2.LastRecovery() == nil {
 		t.Fatalf("reshard stats %+v, want %d keys over 6 shards", rstats, len(want))
 	}
@@ -81,6 +82,7 @@ func TestReshardThenRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st3)
 	checkHolds(t, st3, 6, want)
 	check := Open[string](st3, Direct)
 	defer check.Close()
@@ -108,6 +110,7 @@ func TestReshardChainsAcrossGenerations(t *testing.T) {
 		if st, _, err = Reshard(pmem.NewFromImage(img, cfg), wm, st.Opts(), target); err != nil {
 			t.Fatalf("Reshard to %d: %v", target, err)
 		}
+		checkAccount(t, st)
 		checkHolds(t, st, target, want)
 	}
 	img, cfg, wm := imageOfStore(st)
@@ -115,6 +118,7 @@ func TestReshardChainsAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	if rstats.Keys != len(want) {
 		t.Fatalf("recovery after chained reshards found %d keys, want %d", rstats.Keys, len(want))
 	}
@@ -143,6 +147,7 @@ func TestReshardRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	checkHolds(t, st2, 4, want)
 
 	// Cut a reshard to 6 right after its activation word.
@@ -154,6 +159,7 @@ func TestReshardRefusals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st3)
 	checkHolds(t, st3, 6, want)
 }
 
@@ -171,6 +177,7 @@ func TestReshardThenCombinedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -206,6 +213,7 @@ func TestReshardThenCombinedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st3)
 	checkHolds(t, st3, 6, want)
 }
 
@@ -222,6 +230,7 @@ func traced(t *testing.T, img []uint64, cfg pmem.Config, rebuild func(*pmem.Memo
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st)
 	return tr.Records(), st.Heap().Watermark()
 }
 
@@ -285,6 +294,7 @@ func sweepBoundaries(t *testing.T, st *Store, counts []int, rebuild func(*pmem.M
 		for _, wm := range []uint64{wm0, wm1} {
 			st2, _, err := Recover(pmem.NewFromImage(img, cfg), wm, st.Opts())
 			if err == nil {
+				checkAccount(t, st2)
 				err = holds(st2, counts, want)
 			}
 			if err != nil {
@@ -296,6 +306,7 @@ func sweepBoundaries(t *testing.T, st *Store, counts []int, rebuild func(*pmem.M
 			}
 			st3, _, err := rebuild(pmem.NewFromImage(img, cfg), wm)
 			if err == nil {
+				checkAccount(t, st3)
 				err = holds(st3, counts[len(counts)-1:], want)
 			}
 			if err != nil {

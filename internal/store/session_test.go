@@ -23,11 +23,7 @@ func newTestStore(t *testing.T, opts Options) *Store {
 		opts.ExpectedKeys = 1 << 10
 	}
 	opts.VirtualClock = true
-	st, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return mustNew(t, opts)
 }
 
 // TestSessModesAgainstModel drives every session mode through a random
@@ -38,6 +34,7 @@ func TestSessModesAgainstModel(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			st := newTestStore(t, Options{})
 			s := Open[string](st, mode)
+			defer s.Close()
 			model := make(map[string]uint64)
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 4000; i++ {
@@ -102,6 +99,7 @@ func contains(m map[string]uint64, k string) bool {
 func TestCombinedApplyOrdering(t *testing.T) {
 	st := newTestStore(t, Options{})
 	s := Open[string](st, Combined)
+	defer s.Close()
 	ops := []Op[string]{
 		{Kind: OpAdd, Key: "fresh", Val: 5},
 		{Kind: OpGet, Key: "fresh"},
@@ -133,6 +131,7 @@ func TestCombinedConcurrent(t *testing.T) {
 	st := newTestStore(t, Options{})
 	const workers, iters, hot = 6, 800, 3
 	seed := Open[string](st, Direct)
+	defer seed.Close()
 	for h := 0; h < hot; h++ {
 		seed.Put(fmt.Sprintf("hot%d", h), addBase)
 	}
@@ -143,6 +142,7 @@ func TestCombinedConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			s := Open[[]byte](st, Combined)
+			defer s.Close()
 			rng := rand.New(rand.NewSource(int64(w)))
 			var net int64
 			for i := 0; i < iters; i++ {
@@ -258,6 +258,7 @@ func TestCombinerPanicIsOneAnnouncers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkAccount(t, st2)
 		rd := Open[string](st2, Direct)
 		defer rd.Close()
 		for i := range good {
@@ -326,6 +327,8 @@ func TestWindowAcksAfterItsCommitFence(t *testing.T) {
 	load.Put("k", 1)
 	load.Close()
 	own, other := Open[string](st, Combined), Open[string](st, Combined)
+	defer own.Close()
+	defer other.Close()
 	sl := other.c.slot
 	sl.ops = []HashedOp{{Kind: OpPut, H: hashKey("k"), Val: 7}}
 	sl.res = make([]Result, 1)
@@ -347,6 +350,7 @@ func TestWindowAcksAfterItsCommitFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, rec)
 	rd := Open[string](rec, Direct)
 	defer rd.Close()
 	if v, ok := rd.Get("k"); !ok || v != 1 {
@@ -382,6 +386,7 @@ func TestWindowAcksAfterItsDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, rec)
 	rd := Open[string](rec, Direct)
 	defer rd.Close()
 	if v, ok := rd.Get("k"); !ok || v != 6 {
@@ -397,6 +402,7 @@ func TestCombinedCoalescingElidesPWBs(t *testing.T) {
 	run := func(mode SessionMode) uint64 {
 		st := newTestStore(t, Options{})
 		s := Open[string](st, mode)
+		defer s.Close()
 		s.Put("hot", addBase)
 		s.Commit()
 		const n = 256
@@ -420,7 +426,9 @@ func TestCombinedCoalescingElidesPWBs(t *testing.T) {
 	if coalesced*10 > plain {
 		t.Fatalf("coalesced window used %d PWBs vs %d uncoalesced; want ≥10x reduction", coalesced, plain)
 	}
-	if v, ok := Open[string](newTestStore(t, Options{}), Direct).Get("absent"); ok || v != 0 {
+	s := Open[string](newTestStore(t, Options{}), Direct)
+	defer s.Close()
+	if v, ok := s.Get("absent"); ok || v != 0 {
 		t.Fatal("sanity: absent key visible")
 	}
 }

@@ -207,8 +207,6 @@ func New(opts Options) (*Store, error) {
 // superblock is format-time metadata (what a mkfs tool writes), and must
 // survive even under the no-persist baseline policy — whose data losses
 // the crash checker then observes against an intact layout.
-//
-//flit:rawpersist format-time metadata with its own store-PWB-fence discipline
 func (s *Store) writeSuperblock() {
 	cfg := s.cfgFor(superRoot)
 	t := s.mem.RegisterThread()
@@ -239,8 +237,6 @@ func (s *Store) writeSuperblock() {
 // sbWrite updates one superblock field in place with a raw fenced store —
 // format metadata, like writeSuperblock (it must survive even under the
 // no-persist baseline policy).
-//
-//flit:rawpersist format-time metadata with its own store-PWB-fence discipline
 func (s *Store) sbWrite(t *pmem.Thread, f int, v uint64) {
 	a := s.sbAddr + pmem.Addr(f*s.stride)
 	t.Store(a, v)
@@ -285,6 +281,29 @@ func (s *Store) NumShards() int { return len(s.tables) }
 // produced this store, or nil when the store was built fresh by New.
 // The returned struct is owned by the store; callers must not mutate it.
 func (s *Store) LastRecovery() *RecoveryStats { return s.recovered }
+
+// Resources is the store's resource account: what its sessions, its
+// combiner and its format and recovery steps hold right now. A store
+// with no combiner holds nothing between operations; once a Combined
+// session has built the combiner, the combiner's own session holds one
+// thread, one arena and one handle for the life of the store.
+type Resources struct {
+	Threads          int // live pmem threads
+	Arenas           int // live heap arenas
+	Handles          int // reclamation handles in the store's domain
+	CombinedSessions int // open Combined sessions: the combiner's slots
+}
+
+// Resources reads the store's resource account, one count after another
+// (consistent when no session opens or closes meanwhile).
+func (s *Store) Resources() Resources {
+	return Resources{
+		Threads:          len(s.mem.Threads()),
+		Arenas:           s.heap.Arenas(),
+		Handles:          s.dom.NumHandles(),
+		CombinedSessions: s.CombinedSessions(),
+	}
+}
 
 // HashKey maps an arbitrary string key into the 48-bit instrumented key
 // space with a word-at-a-time multiply-fold hash (see hashKey), masked to

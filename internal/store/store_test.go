@@ -26,6 +26,23 @@ func mustNew(t *testing.T, o Options) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return checkAccount(t, st)
+}
+
+// checkAccount registers a cleanup that fails tb unless st's resource
+// account is back at its baseline: nothing held, or, once a Combined
+// session has built the combiner, the combiner's own session's one
+// thread, one arena and one handle. It returns st.
+func checkAccount(tb testing.TB, st *Store) *Store {
+	tb.Cleanup(func() {
+		var want Resources
+		if st.comb.Load() != nil {
+			want = Resources{Threads: 1, Arenas: 1, Handles: 1}
+		}
+		if got := st.Resources(); got != want {
+			tb.Errorf("resource account at cleanup: %+v, want %+v", got, want)
+		}
+	})
 	return st
 }
 
@@ -75,7 +92,9 @@ func TestShardIdxMatchesMod(t *testing.T) {
 func TestByteSessionMatchesString(t *testing.T) {
 	st := mustNew(t, Options{Shards: 4, ExpectedKeys: 1 << 10})
 	bs := Open[[]byte](st, Direct)
+	defer bs.Close()
 	ss := Open[string](st, Direct)
+	defer ss.Close()
 	if !bs.Put([]byte("k1"), 7) {
 		t.Fatal("byte Put of a fresh key reported overwrite")
 	}
@@ -100,6 +119,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
 				st := mustNew(t, testOptions(shards, policy))
 				sess := Open[string](st, Direct)
+				defer sess.Close()
 				model := make(map[string]uint64)
 				rng := rand.New(rand.NewSource(7))
 				for i := 0; i < 3000; i++ {
@@ -143,6 +163,7 @@ func TestSequentialAgainstModel(t *testing.T) {
 func TestPutOverwritesDurably(t *testing.T) {
 	st := mustNew(t, testOptions(4, core.PolicyHT))
 	sess := Open[string](st, Direct)
+	defer sess.Close()
 	if !sess.Put("k", 1) {
 		t.Fatal("first Put should insert")
 	}
@@ -159,7 +180,10 @@ func TestPutOverwritesDurably(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := Open[string](st2, Direct).Get("k"); !ok || v != 2 {
+	checkAccount(t, st2)
+	s2 := Open[string](st2, Direct)
+	defer s2.Close()
+	if v, ok := s2.Get("k"); !ok || v != 2 {
 		t.Fatalf("recovered Get = (%d,%v), want (2,true): overwrite was not durable", v, ok)
 	}
 }
@@ -188,6 +212,7 @@ func TestConcurrentSessions(t *testing.T) {
 					sess.Get(key)
 				}
 			}
+			sess.Close()
 			done <- ins
 		}(w)
 	}
@@ -206,6 +231,7 @@ func TestParallelRecovery(t *testing.T) {
 			o := testOptions(8, policy)
 			st := mustNew(t, o)
 			sess := Open[string](st, Direct)
+			defer sess.Close()
 			model := make(map[uint64]uint64)
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("user%05d", i)
@@ -224,6 +250,7 @@ func TestParallelRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkAccount(t, st2)
 			if st2.NumShards() != 8 || len(rs.Shards) != 8 {
 				t.Fatalf("recovered %d shards, stats for %d, want 8", st2.NumShards(), len(rs.Shards))
 			}
@@ -241,6 +268,7 @@ func TestParallelRecovery(t *testing.T) {
 			}
 			// The recovered store must be fully operational.
 			s2 := Open[string](st2, Direct)
+			defer s2.Close()
 			if !s2.Put("post-recovery", 7) || !s2.Contains("post-recovery") || !s2.Delete("post-recovery") {
 				t.Fatal("recovered store not operational")
 			}
@@ -266,10 +294,13 @@ func TestSuperblockSurvivesImmediateCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkAccount(t, st2)
 	if rs.Keys != 0 {
 		t.Fatalf("empty store recovered %d keys", rs.Keys)
 	}
-	if !Open[string](st2, Direct).Put("a", 1) {
+	s2 := Open[string](st2, Direct)
+	defer s2.Close()
+	if !s2.Put("a", 1) {
 		t.Fatal("recovered empty store rejected an insert")
 	}
 }
@@ -278,6 +309,7 @@ func TestSessionsShareOneThread(t *testing.T) {
 	st := mustNew(t, testOptions(8, core.PolicyHT))
 	before := len(st.Mem().Threads())
 	sess := Open[string](st, Direct)
+	defer sess.Close()
 	if got := len(st.Mem().Threads()) - before; got != 1 {
 		t.Fatalf("one session registered %d pmem threads, want 1 (shared across shards)", got)
 	}

@@ -20,6 +20,7 @@ func recoverAcked(t *testing.T, st *store.Store, want map[string]uint64, gone []
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
+	store.CheckAccount(t, rec)
 	rs := store.Open[string](rec, store.Direct)
 	defer rs.Close()
 	for k, v := range want {
@@ -69,6 +70,7 @@ func TestWindowPublishingCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			store.CheckAccount(t, st)
 			sess := store.Open[string](st, mode)
 			defer sess.Close()
 			window := func(name string, kind store.OpKind, c counts) {
@@ -116,6 +118,7 @@ func TestCrashedWindowFreesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.CheckAccount(t, st)
 	want := map[string]uint64{}
 	load := store.Open[string](st, store.Direct)
 	for i := 0; i < 4; i++ {

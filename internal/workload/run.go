@@ -337,6 +337,7 @@ func Load(st *store.Store, records uint64, threads int) (time.Duration, float64)
 		go func(t int) {
 			defer wg.Done()
 			sess := store.Open[[]byte](st, store.Direct)
+			defer sess.Close()
 			keyBuf := make([]byte, 0, len(KeyPrefix)+20)
 			for i := uint64(t); i < records; i += uint64(threads) {
 				keyBuf = AppendKey(keyBuf[:0], i)
