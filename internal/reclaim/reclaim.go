@@ -294,8 +294,8 @@ func (h *Handle) Domain() *Domain { return h.d }
 // Epoch returns the domain's current global epoch (diagnostics).
 func (d *Domain) Epoch() uint64 { return d.epoch.Load() }
 
-// NumHandles returns the number of registered (unclosed) handles
-// (diagnostics: leak tests watch it stay bounded under session churn).
+// NumHandles returns the number of registered (unclosed) handles, one
+// count of a store's resource account (store.Store.Resources).
 func (d *Domain) NumHandles() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
